@@ -87,6 +87,8 @@ def _suite_relations(config, checks):
     perturb = config.get("perturb")
     flavors = [config["flavor"]] if config.get("flavor") in ("toroidal", "yangian") \
         else ["toroidal", "yangian"]
+    if perturb is True:
+        perturb = "psi"
     if "toroidal" in flavors:
         params = config["_tparams"]
         for name, module in _toroidal_modules(config, params):
@@ -337,6 +339,15 @@ def run(config):
         suite = config.get("suite", "all")
         if suite != "all" and suite not in SUITES:
             raise ConfigError(f"unknown suite {suite!r}")
+        names = list(SUITES) if suite == "all" else [suite]
+        kind = config.get("perturb")
+        if kind and kind is not True and (names != ["relations"]
+                                          or kind not in PerturbedModule.KINDS):
+            raise ConfigError(f"--perturb {kind!r}: relations takes psi|e|f, "
+                              "every other suite only the bare flag")
+        if "upsilon" in names and config.get("N", 14) <= 4:
+            raise ConfigError(f"--N {config['N']} leaves the series bridge a "
+                              "residual order <= 0; it needs N >= 5")
         _build_params(config)
     except GenericityError as exc:
         report["status"] = "genericity-error"
@@ -347,7 +358,6 @@ def run(config):
         report["error"] = str(exc)
         return 2, report
     checks = []
-    names = list(SUITES) if suite == "all" else [suite]
     timings = {}
     for name in names:
         t0 = time.time()
@@ -381,8 +391,10 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, help="sample parameters from this seed")
     ap.add_argument("--params", help="JSON file with rational parameter strings")
     ap.add_argument("--out", help="write the JSON report here")
-    ap.add_argument("--perturb", nargs="?", const="psi",
-                    help="negative control: perturb one coefficient class")
+    ap.add_argument("--perturb", nargs="?", const=True,
+                    help="negative control: perturb one coefficient class; the "
+                         "bare flag selects the suite's own control, relations "
+                         "also takes psi|e|f")
     args = ap.parse_args(argv)
 
     config = {"suite": args.suite_opt or args.suite or "all", "G": args.G}

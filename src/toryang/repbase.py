@@ -6,15 +6,18 @@ labels.  Raising and lowering currents always have the delta-supported shape
     e(z) v_label = sum over transitions (target, c, p) of  c * delta-power(p)
 
 so the mode-k operator multiplies the base coefficient c by p**k.  The
-diagonal current is stored as a rational function of z per label and
-expanded on demand.  This removes all formal-distribution bookkeeping.
+diagonal current is stored per label as a rational function of z kept in
+factored form (constant, zeros, poles).  Its modes come from the series
+expansion, made on demand; its log-modes come from power sums of the zeros
+and poles without any expansion.  This removes all formal-distribution
+bookkeeping.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import RatFn, ratfn_expand, series_zlog, is_zero_mod
+from .scalars import ratfn_expand, ratfn_log_coeffs, is_zero_mod
 
 __all__ = [
     "vec", "vadd", "vscale", "vsub", "is_vec_zero",
@@ -64,7 +67,7 @@ class Module:
 
     e_transitions(label) -> [(target, base_coeff, point)]
     f_transitions(label) -> [(target, base_coeff, point)]
-    psi_rat(label)       -> RatFn in z
+    psi_rat(label)       -> RatFn in z, built with RatFn.from_factors
     level(label)         -> int; basis(level) -> list of labels
     """
 
@@ -97,6 +100,8 @@ class Module:
         return self._f_cache[label]
 
     def psi_rat(self, label):
+        """Diagonal eigenvalue psi(z) on the label, as a factored RatFn
+        (constant, zeros, poles); num/den are multiplied out only when read."""
         if label not in self._psi_cache:
             self._psi_cache[label] = self._psi_rat(label)
         return self._psi_cache[label]
@@ -163,15 +168,13 @@ class Module:
         """Eigenvalue of the log-mode generator t_m extracted from psi.
 
         psi^+(z)/psi0 = exp(-sum_{m>0} beta_m/m t_m z^-m) and mirrored for
-        m < 0 on the opposite expansion.
+        m < 0 on the opposite expansion.  The log coefficient comes from
+        power sums of psi's zeros and poles (`ratfn_log_coeffs`).
         """
         if m == 0:
             raise ValueError("t_0 is not defined")
         n = abs(m)
-        s = self.psi_series(label, +1 if m > 0 else -1, n + 1)
-        psi0 = s.coeff(0)
-        logser = series_zlog(s / psi0)
-        coeff = logser.coeff(n)
+        coeff = ratfn_log_coeffs(self.psi_rat(label), +1 if m > 0 else -1, n)[n - 1]
         # for + direction: coeff = -beta_m/m * t_m ; for -: +beta_m/m * t_m
         bm = beta(m)
         if m > 0:
@@ -198,9 +201,15 @@ class PerturbedModule(Module):
     coefficient; 'e' scales the first raising support point (a plain
     coefficient rescale of a single raising edge is a gauge transformation
     at small levels and would slip through the quadratic relations).
+    Any other kind raises ValueError.
     """
 
+    KINDS = ("psi", "e", "f")
+
     def __init__(self, base, kind, factor=Fraction(17, 16)):
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown perturbation kind {kind!r}; "
+                             f"expected one of {', '.join(self.KINDS)}")
         super().__init__()
         self.base = base
         self.kind = kind

@@ -26,6 +26,7 @@ __all__ = [
     "frac_sqrt",
     "is_zero_mod",
     "ratfn_expand",
+    "ratfn_log_coeffs",
     "ScalarDomainError",
     "ExpansionPoleError",
 ]
@@ -498,9 +499,15 @@ def poly_gcd(a, b):
 
 
 class RatFn:
-    """Rational function in one variable z: num/den, both Poly."""
+    """Rational function in one variable z: num/den, both Poly.
 
-    __slots__ = ("num", "den")
+    `from_factors` keeps the factored form (constant, zeros, poles) in
+    `factors`; `num` and `den` are then multiplied out only when first read.
+    Products of factored functions, and their products with scalars, stay
+    factored.  A RatFn built from `num`/`den` directly has `factors` None.
+    """
+
+    __slots__ = ("_num", "_den", "factors")
 
     def __init__(self, num, den, reduce=False):
         if not isinstance(num, Poly):
@@ -514,23 +521,46 @@ class RatFn:
             if g.degree() > 0:
                 num, _ = num.divmod(g)
                 den, _ = den.divmod(g)
-        self.num = num
-        self.den = den
+        self._num = num
+        self._den = den
+        self.factors = None
 
     @staticmethod
     def from_factors(constant, zeros, poles):
         """constant * prod (z - zero) / prod (z - pole)."""
-        num = Poly([constant])
-        for a in zeros:
-            num = num * Poly([-a, 1])
-        den = Poly([1])
-        for b in poles:
-            den = den * Poly([-b, 1])
-        return RatFn(num, den)
+        rf = RatFn.__new__(RatFn)
+        rf._num = rf._den = None
+        rf.factors = (constant, tuple(zeros), tuple(poles))
+        return rf
+
+    @property
+    def num(self):
+        if self._num is None:
+            constant, zeros, _ = self.factors
+            num = Poly([constant])
+            for a in zeros:
+                num = num * Poly([-a, 1])
+            self._num = num
+        return self._num
+
+    @property
+    def den(self):
+        if self._den is None:
+            den = Poly([1])
+            for b in self.factors[2]:
+                den = den * Poly([-b, 1])
+            self._den = den
+        return self._den
 
     def __mul__(self, other):
         if not isinstance(other, RatFn):
+            if self.factors is not None:
+                constant, zeros, poles = self.factors
+                return RatFn.from_factors(constant * other, zeros, poles)
             return RatFn(self.num * other, self.den)
+        if self.factors is not None and other.factors is not None:
+            (ca, za, pa), (cb, zb, pb) = self.factors, other.factors
+            return RatFn.from_factors(ca * cb, za + zb, pa + pb)
         return RatFn(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -585,6 +615,43 @@ def ratfn_expand(rf, direction, order):
     raise ValueError("direction must be +1 or -1")
 
 
+def ratfn_log_coeffs(rf, direction, n):
+    """Coefficients c_1..c_n of log(rf/rf_0) from the factors of rf.
+
+    direction +1: log(rf/rf_0) = sum_k c_k z^-k around z = infinity, with
+    c_k = (p_k(poles) - p_k(zeros))/k; needs as many zeros as poles.
+    direction -1: log(rf/rf_0) = sum_k c_k z^k around z = 0, with
+    c_k = (p_k(1/poles) - p_k(1/zeros))/k; needs no root at 0.
+    Here p_k is the k-th power sum and rf_0 the expansion's constant term.
+    """
+    if rf.factors is None:
+        raise ScalarDomainError("log coefficients need a factored rational function")
+    _, zeros, poles = rf.factors
+    if direction == 1:
+        if len(zeros) != len(poles):
+            raise ScalarDomainError("log needs constant term 1: zero and pole counts differ")
+    elif direction == -1:
+        if not all(_invertible(x) for x in zeros + poles):
+            raise ExpansionPoleError("a zero or pole at z = 0")
+        zeros = [1 / a for a in zeros]
+        poles = [1 / b for b in poles]
+    else:
+        raise ValueError("direction must be +1 or -1")
+
+    def power_sums(roots):
+        sums = [Fraction(0)] * n
+        for x in roots:
+            pw = x
+            for k in range(n):
+                if k:
+                    pw = pw * x
+                sums[k] = sums[k] + pw
+        return sums
+
+    return [(p - q) / k
+            for k, p, q in zip(range(1, n + 1), power_sums(poles), power_sums(zeros))]
+
+
 def _invertible(c):
     if isinstance(c, TSeries):
         return not c.is_zero()
@@ -614,23 +681,5 @@ def series_zlog(s):
             break
         out = out + term * Fraction(sign, n)
         sign = -sign
-        n += 1
-    return out
-
-
-def series_zexp(s):
-    """exp of a z-direction series with positive valuation (duck coefficients)."""
-    if s.is_zero():
-        return TSeries(0, [1], s.trunc)
-    if s.val < 1:
-        raise ScalarDomainError("exp needs valuation >= 1")
-    out = TSeries(0, [1], s.trunc)
-    term = TSeries(0, [1], s.trunc)
-    n = 1
-    while True:
-        term = term * s / n
-        if term.is_zero() or term.val >= s.trunc:
-            break
-        out = out + term
         n += 1
     return out

@@ -278,13 +278,12 @@ class TensorModule(Module):
         return out
 
     def _diag_eval(self, which, label, point, pair):
-        rf = which.psi_rat(label)
-        den = rf.den.eval(point)
-        if not den:
+        try:
+            return which.psi_rat(label).eval(point)
+        except ZeroDivisionError:
             raise IllDefinedCoproductError(
                 f"diagonal eigenvalue of {label!r} has a pole at the support "
-                f"point of {pair!r}")
-        return rf.num.eval(point) / den
+                f"point of {pair!r}") from None
 
     def _e_transitions(self, label):
         l1, l2 = label
@@ -304,8 +303,7 @@ class TensorModule(Module):
 
     def _psi_rat(self, label):
         l1, l2 = label
-        a, b = self.w1.psi_rat(l1), self.w2.psi_rat(l2)
-        return RatFn(a.num * b.num, a.den * b.den)
+        return self.w1.psi_rat(l1) * self.w2.psi_rat(l2)
 
 
 def _level_range(module, level, window=4):

@@ -5,9 +5,13 @@ All parameters are specialized along a single deformation direction
 (h1, h2 and the framing shifts are rational multiples of one symbol), so
 every identity becomes an exact statement about truncated Laurent series.
 Diagonal data per basis label: the log of the diagonal eigenvalue, its
-inverse Borel transform, and the glueing unit g built from it.  Raising and
-lowering images act transition-by-transition with the glueing unit
-evaluated on the post-action label.
+inverse Borel transform, and the glueing unit g built from it.  The module
+keeps psi factored as (constant, zeros, poles), so the coefficients of
+log psi are power sums of the poles minus power sums of the zeros, with no
+series expansion or series logarithm.  Raising and lowering images act
+transition-by-transition with the glueing unit evaluated on the
+post-action label.  All per-label and per-transition data is memoized on
+first use; constructing a bridge computes none of it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from math import factorial
 
 from .params import series_yangian, series_toroidal
 from .scalars import (TSeries, series_exp, series_sqrt, series_zlog,
-                      expm1_over, is_zero_mod, ScalarDomainError)
+                      expm1_over, is_zero_mod, ratfn_log_coeffs, ScalarDomainError)
 from .yangian import CohomologyFixedPointModule
 from .toroidal import KTheoryFixedPointModule, DiagonalTwist
 
@@ -84,39 +88,39 @@ class UpsilonBridge:
         self.gprime = gprime_series(trunc + 2)
         self._kcache = {}
         self._gcache = {}
-        self._psi0 = {}
+        self._bcache = {}
+        self._alpha_inv = {}
+        self._mode_cache = {}
 
     # -- per-label diagonal data ------------------------------------------
     def kcoeffs(self, label):
-        """Coefficients of log psi(z) = sum k_i z^{-i-1} on the label."""
+        """Coefficients of log psi(z) = sum k_i z^{-i-1} on the label.
+
+        k_i = (p_{i+1}(poles) - p_{i+1}(zeros))/(i+1) from the power sums
+        of psi's factors (psi -> 1 at z = infinity).
+        """
         if label not in self._kcache:
-            order = self.trunc
-            ser = self.module.psi_series(label, +1, order + 1)
-            lg = series_zlog(ser)
-            ks = []
-            for i in range(order):
-                ks.append(lg.coeff(i + 1) if i + 1 < lg.trunc else None)
-            self._kcache[label] = ks
+            self._kcache[label] = ratfn_log_coeffs(self.module.psi_rat(label), +1,
+                                                   self.trunc)
         return self._kcache[label]
 
     def psi0(self, label):
-        """Eigenvalue of the degree-zero diagonal mode: psi = 1 - h3 sum psi_i z^{-i-1}."""
-        if label not in self._psi0:
-            ser = self.module.psi_series(label, +1, 2)
-            self._psi0[label] = -ser.coeff(1) / self.params.h3
-        return self._psi0[label]
+        """Eigenvalue of the degree-zero diagonal mode: psi = 1 - h3 sum psi_i z^{-i-1}.
+
+        The z^-1 coefficients of psi and of log psi agree, so psi_0 = -k_0/h3.
+        """
+        return -self.kcoeffs(label)[0] / self.params.h3
 
     def B_at(self, label, m):
         """Inverse Borel transform of log psi, evaluated at the integer m."""
-        ks = self.kcoeffs(label)
-        tot = TSeries(self.trunc, [], self.trunc)
-        for i, k in enumerate(ks):
-            if k is None or not k:
-                continue
-            if k.val >= self.trunc:
-                continue
-            tot = tot + k * Fraction(m ** i, factorial(i))
-        return tot
+        key = (label, m)
+        if key not in self._bcache:
+            tot = TSeries(self.trunc, [], self.trunc)
+            for i, k in enumerate(self.kcoeffs(label)):
+                if k and k.val < self.trunc:
+                    tot = tot + k * Fraction(m ** i, factorial(i))
+            self._bcache[key] = tot
+        return self._bcache[key]
 
     def gamma_at(self, label, v):
         """gamma(v) = -B(-d/dv) G'(v) evaluated at a series point v."""
@@ -127,7 +131,7 @@ class UpsilonBridge:
         for n in range(1, self.trunc + 1):
             vpow.append(vpow[-1] * v)
         for i, k in enumerate(ks):
-            if k is None or not k or k.val >= self.trunc:
+            if not k or k.val >= self.trunc:
                 continue
             # (-1)^i G'^{(i)}(v) = sum_n gp_{n+i} (n+i)!/n! v^n * (-1)^i
             acc = TSeries(self.trunc, [], self.trunc)
@@ -152,12 +156,21 @@ class UpsilonBridge:
         return val
 
     # -- image operators ----------------------------------------------------
+    def _mode_coeff(self, kind, label, tgt, base, point, k):
+        """base * norm * exp(k * point) * g on one transition, memoized per
+        (transition, k); the glueing unit is evaluated on the target."""
+        key = (kind, label, tgt, k)
+        if key not in self._mode_cache:
+            norm = self.e_norm if kind == "e" else self.f_norm
+            g = self.g_at(tgt, point, key=(kind, tgt, label))
+            self._mode_cache[key] = base * norm * series_exp(point * k) * g
+        return self._mode_cache[key]
+
     def apply_e(self, k, vec):
         out = {}
         for label, c in vec.items():
             for (tgt, base, point) in self.module.e_transitions(label):
-                g = self.g_at(tgt, point, key=("e", tgt, label))
-                add = c * base * self.e_norm * series_exp(point * k) * g
+                add = c * self._mode_coeff("e", label, tgt, base, point, k)
                 out[tgt] = out.get(tgt, 0) + add
         return {t: c for t, c in out.items() if c}
 
@@ -165,8 +178,7 @@ class UpsilonBridge:
         out = {}
         for label, c in vec.items():
             for (tgt, base, point) in self.module.f_transitions(label):
-                g = self.g_at(tgt, point, key=("f", tgt, label))
-                add = c * base * self.f_norm * series_exp(point * k) * g
+                add = c * self._mode_coeff("f", label, tgt, base, point, k)
                 out[tgt] = out.get(tgt, 0) + add
         return {t: c for t, c in out.items() if c}
 
@@ -174,9 +186,11 @@ class UpsilonBridge:
         return self.B_at(label, m) / self.one_minus_q3
 
     def t_eigen(self, label, m):
-        q1, q2, q3 = (series_exp(self.params.h1), series_exp(self.params.h2), self.q3)
-        alpha_m = (1 - q1 ** (-m)) * (1 - q2 ** (-m)) * (1 - q3 ** (-m)) / m
-        return self.B_at(label, m) * alpha_m.inv()
+        if m not in self._alpha_inv:
+            q1, q2, q3 = (series_exp(self.params.h1), series_exp(self.params.h2), self.q3)
+            alpha_m = (1 - q1 ** (-m)) * (1 - q2 ** (-m)) * (1 - q3 ** (-m)) / m
+            self._alpha_inv[m] = alpha_m.inv()
+        return self.B_at(label, m) * self._alpha_inv[m]
 
     def psi_pm_coeff(self, label, sign, k, kmax):
         """Mode k >= 0 of the reconstructed diagonal exponential family.
@@ -194,10 +208,8 @@ class UpsilonBridge:
                 b = self.B_at(label, sign * m) * sign
                 if b:
                     body = body + TSeries(m, [b], order)
-            from .scalars import series_zexp
-
             pref = series_exp(-h3 * p0 * Fraction(sign, 2))
-            ser = series_zexp(body).map_coeffs(lambda c: c * pref)
+            ser = series_exp(body).map_coeffs(lambda c: c * pref)
             self._gcache[key] = ser
         return self._gcache[key].coeff(k)
 

@@ -310,11 +310,11 @@ def test_criterion_10_negative_controls():
     cfgs = [
         {"suite": "relations", "flavor": "toroidal", "module": "fock",
          "L": 2, "I": 1, "perturb": "psi"},
-        {"suite": "shuffle", "L": 3, "perturb": "x"},
-        {"suite": "limits", "L": 2, "perturb": "x"},
-        {"suite": "whittaker", "r": 1, "n": 1, "L": 1, "perturb": "f"},
-        {"suite": "upsilon", "L": 1, "N": 12, "perturb": "g"},
-        {"suite": "horizontal", "L": 1, "N": 4, "perturb": "x"},
+        {"suite": "shuffle", "L": 3, "perturb": True},
+        {"suite": "limits", "L": 2, "perturb": True},
+        {"suite": "whittaker", "r": 1, "n": 1, "L": 1, "perturb": True},
+        {"suite": "upsilon", "L": 1, "N": 12, "perturb": True},
+        {"suite": "horizontal", "L": 1, "N": 4, "perturb": True},
     ]
     for cfg in cfgs:
         code, rep = run(cfg)

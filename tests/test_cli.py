@@ -63,6 +63,29 @@ def test_negative_control_fails_with_counterexample():
     assert bad and any(c.get("details") for c in bad)
 
 
+def test_unknown_perturb_kind_is_config_error():
+    from toryang.cli import main
+
+    assert main(["relations", "--module", "vector", "--L", "1", "--I", "1",
+                 "--perturb", "bogus"]) == 2
+    code, report = run({"suite": "relations", "module": "vector", "L": 1, "I": 1,
+                        "perturb": "bogus"})
+    assert code == 2 and report["status"] == "config-error"
+    # the relation kinds are not the other suites' controls
+    code, report = run({"suite": "upsilon", "perturb": "psi"})
+    assert code == 2 and report["status"] == "config-error"
+    code, report = run({"suite": "all", "perturb": "psi"})
+    assert code == 2 and report["status"] == "config-error"
+
+
+@pytest.mark.parametrize("suite,n", [("upsilon", 3), ("upsilon", 4), ("all", 4)])
+def test_upsilon_nonpositive_residual_order_is_config_error(suite, n):
+    # rejected before any suite runs, so "all" does not spend minutes first
+    code, report = run({"suite": suite, "N": n})
+    assert code == 2 and report["status"] == "config-error"
+    assert "N" in report["error"] and "timings" not in report
+
+
 def test_cli_process_invocation():
     out = subprocess.run(
         [sys.executable, "-m", "toryang", "limits"],

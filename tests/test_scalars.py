@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from toryang.scalars import (ExpansionPoleError, Poly, RatFn, ScalarDomainError,
                              TSeries, expm1_over, frac_sqrt, is_zero_mod,
-                             ratfn_expand, series_exp, series_log, series_sqrt,
-                             series_zlog)
+                             ratfn_expand, ratfn_log_coeffs, series_exp,
+                             series_log, series_sqrt, series_zlog)
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
 
@@ -148,3 +148,77 @@ def test_poly_divmod_and_gcd_roundtrip():
     b = Poly([1, 1])
     q, r = a.divmod(b)
     assert r.is_zero() and q == b
+
+
+# -- factored rational functions -------------------------------------------
+
+F_CONST = Fraction(-3, 4)
+F_ZEROS = (Fraction(2), Fraction(-1, 3), Fraction(5, 7))
+F_POLES = (Fraction(1, 2), Fraction(3), Fraction(-4, 5))
+
+
+def eager(constant, zeros, poles):
+    num = Poly([constant])
+    for a in zeros:
+        num = num * Poly([-a, 1])
+    den = Poly([1])
+    for b in poles:
+        den = den * Poly([-b, 1])
+    return num, den
+
+
+def test_factored_num_den_are_the_eager_product():
+    num, den = eager(F_CONST, F_ZEROS, F_POLES)
+    x = Fraction(7, 3)
+    # eval is the first reader here, so it multiplies num/den out itself
+    assert RatFn.from_factors(F_CONST, F_ZEROS, F_POLES).eval(x) == num.eval(x) / den.eval(x)
+    with pytest.raises(ZeroDivisionError):
+        RatFn.from_factors(F_CONST, F_ZEROS, F_POLES).eval(F_POLES[1])
+    rf = RatFn.from_factors(F_CONST, F_ZEROS, F_POLES)
+    assert rf.num.c == num.c and rf.den.c == den.c
+    assert rf.factors == (F_CONST, F_ZEROS, F_POLES)
+
+
+def test_factored_products_keep_factors():
+    a = RatFn.from_factors(F_CONST, F_ZEROS, F_POLES)
+    b = RatFn.from_factors(Fraction(2), (Fraction(9),), (Fraction(-6),))
+    for scaled in (a * Fraction(5, 3), Fraction(5, 3) * a):
+        assert scaled.factors == (F_CONST * Fraction(5, 3), F_ZEROS, F_POLES)
+    prod = a * b
+    assert prod.factors == (F_CONST * 2, F_ZEROS + (Fraction(9),),
+                            F_POLES + (Fraction(-6),))
+    assert prod.eq(RatFn(a.num * b.num, a.den * b.den))
+
+
+def test_direct_ratfn_expands_like_the_factored_one():
+    num, den = eager(F_CONST, F_ZEROS, F_POLES)
+    direct = RatFn(num, den)
+    assert direct.factors is None
+    rf = RatFn.from_factors(F_CONST, F_ZEROS, F_POLES)
+    for direction in (+1, -1):
+        assert (ratfn_expand(direct, direction, 8)
+                - ratfn_expand(rf, direction, 8)).is_zero()
+    assert (direct * rf).factors is None
+
+
+def test_log_coeffs_match_series_log():
+    rf = RatFn.from_factors(F_CONST, F_ZEROS, F_POLES)
+    n = 7
+    for direction in (+1, -1):
+        s = ratfn_expand(rf, direction, n + 1)
+        lg = series_zlog(s / s.coeff(0))
+        assert ratfn_log_coeffs(rf, direction, n) == [lg.coeff(k) for k in range(1, n + 1)]
+
+
+def test_log_coeffs_domain_errors():
+    num, den = eager(F_CONST, F_ZEROS, F_POLES)
+    with pytest.raises(ScalarDomainError):
+        ratfn_log_coeffs(RatFn(num, den), +1, 4)
+    uneven = RatFn.from_factors(1, F_ZEROS, F_POLES[:2])
+    with pytest.raises(ScalarDomainError):
+        ratfn_log_coeffs(uneven, +1, 4)
+    # the series route refuses the same input
+    with pytest.raises(ScalarDomainError):
+        series_zlog(ratfn_expand(uneven, +1, 5))
+    with pytest.raises(ExpansionPoleError):
+        ratfn_log_coeffs(RatFn.from_factors(1, F_ZEROS, (0,) + F_POLES[1:]), -1, 4)

@@ -10,6 +10,9 @@ from toryang.toroidal import (FockModule, IllDefinedCoproductError,
                               fock_tensor, kappa_twist_constant, nest_label,
                               solve_fock_factorization, DiagonalTwist)
 from toryang import partitions as pt
+from toryang.params import default_yangian
+from toryang.scalars import series_zlog
+from toryang.yangian import CohomologyFixedPointModule
 
 P1 = default_toroidal(r=1)
 P2 = default_toroidal(r=2)
@@ -148,6 +151,53 @@ class TestNegativeControl:
     def test_perturbed_e_fails_t1(self):
         F = PerturbedModule(FockModule(P1), "e")
         assert not check_relation(F, "T1", P1, 2, window=1).ok
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            PerturbedModule(FockModule(P1), "bogus")
+
+
+def t_eigenvalue_via_log_series(module, label, m, beta):
+    """Reference route: log of the expanded psi series over its constant."""
+    n = abs(m)
+    s = module.psi_series(label, +1 if m > 0 else -1, n + 1)
+    coeff = series_zlog(s / s.coeff(0)).coeff(n)
+    return (-coeff if m > 0 else coeff) * m / beta(m)
+
+
+class TestFactoredPsi:
+    """Module.t_eigenvalue from power sums of psi's factors against the
+    log-of-series route, on every kind of module that carries psi."""
+
+    def modules(self):
+        Y2 = default_yangian(r=2)
+        M2 = KTheoryFixedPointModule(P2, 2)
+        return [
+            (M2, 2),
+            (CohomologyFixedPointModule(Y2, 2), 2),
+            (fock_tensor(P2, 2), 2),
+            (DiagonalTwist(M2, e_scale=3, f_scale=Fraction(1, 7),
+                           psi_scale=Fraction(-5, 11)), 1),
+            (PerturbedModule(M2, "psi"), 1),
+        ]
+
+    def test_t_eigenvalue_matches_log_series(self):
+        for module, levels in self.modules():
+            for level in range(levels + 1):
+                for label in module.basis(level):
+                    assert module.psi_rat(label).factors is not None
+                    for m in (1, 2, 3, -1, -2, -3):
+                        got = module.t_eigenvalue(label, m, P2.beta)
+                        assert got == t_eigenvalue_via_log_series(module, label, m, P2.beta)
+
+    def test_tensor_psi_concatenates_factors(self):
+        T = fock_tensor(P2, 2)
+        label = nest_label(((1,), (2,)))
+        a = T.w1.psi_rat((1,)).factors
+        b = T.w2.psi_rat((2,)).factors
+        c, zeros, poles = T.psi_rat(label).factors
+        assert c == a[0] * b[0]
+        assert zeros == a[1] + b[1] and poles == a[2] + b[2]
 
 
 class TestTensor:

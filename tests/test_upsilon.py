@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from toryang.scalars import ScalarDomainError, TSeries
+from toryang.scalars import ScalarDomainError, TSeries, series_zlog
 from toryang.upsilon import (UpsilonBridge, borel_kernel_identity,
                              borel_log_identity, ch_solver, gprime_series,
                              inverse_borel, limit_h3_diffop_identities,
@@ -92,3 +92,26 @@ def test_limit_diffop_identities():
 def test_limit_module_trivialization():
     assert limit_h3_module_check(1, level_bound=2, trunc=10, hmod=8) == []
     assert limit_h3_module_check(2, level_bound=1, trunc=10, hmod=8) == []
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_kcoeffs_and_psi0_match_series_log(r):
+    """Power-sum Borel data against log of the expanded psi series, exactly
+    (value, valuation and truncation of every coefficient)."""
+    xis = (Fraction(1, 5), Fraction(1, 7))[:r]
+    br = UpsilonBridge(13, 1, xis, r, trunc=TRUNC)
+
+    def same(a, b):
+        return (type(a) is type(b) and a.val == b.val and a.coeffs == b.coeffs
+                and a.trunc == b.trunc)
+
+    for level in range(3):
+        for label in br.module.basis(level):
+            ser = br.module.psi_series(label, +1, TRUNC + 1)
+            lg = series_zlog(ser)
+            ks = br.kcoeffs(label)
+            assert len(ks) == TRUNC
+            for i, k in enumerate(ks):
+                assert same(k, lg.coeff(i + 1))
+            want = -br.module.psi_series(label, +1, 2).coeff(1) / br.params.h3
+            assert same(br.psi0(label), want)
