@@ -89,26 +89,25 @@ def _suite_relations(config, checks):
         else ["toroidal", "yangian"]
     if perturb is True:
         perturb = "psi"
-    if "toroidal" in flavors:
-        params = config["_tparams"]
-        for name, module in _toroidal_modules(config, params):
+    families = {"toroidal": ("_tparams", _toroidal_modules, RELATION_BUILDERS_T),
+                "yangian": ("_yparams", _yangian_modules, RELATION_BUILDERS_Y)}
+    for flavor in flavors:
+        pkey, build, relations = families[flavor]
+        params = config[pkey]
+        try:
+            modules = build(config, params)
+        except ValueError as exc:
+            raise ConfigError(f"--r {config.get('r', 2)}: {exc}") from None
+        for name, module in modules:
             lvl = L if "fixedpoint" not in name else min(L, 3)
             if perturb:
                 module = PerturbedModule(module, perturb)
-            for rel in RELATION_BUILDERS_T:
+            for rel in relations:
                 rep = check_relation(module, rel, params, lvl, window=window)
-                checks.append(Check(f"relations:toroidal:{name}:{rel}", rep.ok,
-                                    rep.counterexample))
-    if "yangian" in flavors:
-        params = config["_yparams"]
-        for name, module in _yangian_modules(config, params):
-            lvl = L if "fixedpoint" not in name else min(L, 3)
-            if perturb:
-                module = PerturbedModule(module, perturb)
-            for rel in RELATION_BUILDERS_Y:
-                rep = check_relation(module, rel, params, lvl, window=window)
-                checks.append(Check(f"relations:yangian:{name}:{rel}", rep.ok,
-                                    rep.counterexample))
+                cid = f"relations:{flavor}:{name}:{rel}"
+                if not rep.checked:
+                    raise ConfigError(f"{cid} has no instance at --L {L} --I {window}")
+                checks.append(Check(cid, rep.ok, rep.counterexample))
 
 
 def _suite_whittaker(config, checks):
@@ -331,6 +330,12 @@ class ConfigError(ValueError):
     pass
 
 
+def _error(report, code, status, exc):
+    report["status"] = status
+    report["error"] = str(exc)
+    return code, report
+
+
 def run(config):
     """Execute the selected suites; returns (exit_code, report_dict)."""
     report = {"schema": SCHEMA, "config": {k: v for k, v in config.items()
@@ -345,24 +350,27 @@ def run(config):
                                           or kind not in PerturbedModule.KINDS):
             raise ConfigError(f"--perturb {kind!r}: relations takes psi|e|f, "
                               "every other suite only the bare flag")
+        for key in ("L", "I", "N"):
+            if config.get(key, 0) < 0:
+                raise ConfigError(f"--{key} {config[key]} is negative; every scale "
+                                  "starts at 0")
         if "upsilon" in names and config.get("N", 14) <= 4:
             raise ConfigError(f"--N {config['N']} leaves the series bridge a "
                               "residual order <= 0; it needs N >= 5")
         _build_params(config)
     except GenericityError as exc:
-        report["status"] = "genericity-error"
-        report["error"] = str(exc)
-        return 3, report
+        return _error(report, 3, "genericity-error", exc)
     except ConfigError as exc:
-        report["status"] = "config-error"
-        report["error"] = str(exc)
-        return 2, report
+        return _error(report, 2, "config-error", exc)
     checks = []
     timings = {}
     for name in names:
-        t0 = time.time()
-        SUITES[name](config, checks)
-        timings[name] = round(time.time() - t0, 3)
+        t0 = time.perf_counter()
+        try:
+            SUITES[name](config, checks)
+        except ConfigError as exc:
+            return _error(report, 2, "config-error", exc)
+        timings[name] = round(time.perf_counter() - t0, 3)
     checks.sort(key=lambda c: c.cid)
     report["checks"] = [c.to_json() for c in checks]
     report["timings"] = timings

@@ -17,6 +17,7 @@ from math import comb, factorial
 from .multipoly import MPoly
 from .params import ToroidalParams
 from .partitions import enum_partitions
+from .repbase import vadd, vsub
 from .shuffle import ShuffleElement
 
 __all__ = [
@@ -167,8 +168,8 @@ def tt3_check(params, c, window=2, degree_cap=2):
             vec = {mu: Fraction(1)}
             for i in range(-window, window + 1):
                 for j in range(-window, window + 1):
-                    lhs = _vsub(apply_vertex_mode(params, e, i, apply_vertex_mode(params, f, j, vec)),
-                                apply_vertex_mode(params, f, j, apply_vertex_mode(params, e, i, vec)))
+                    lhs = vsub(apply_vertex_mode(params, e, i, apply_vertex_mode(params, f, j, vec)),
+                               apply_vertex_mode(params, f, j, apply_vertex_mode(params, e, i, vec)))
                     lhs = {kk: v * beta1 for kk, v in lhs.items()}
                     k = i + j
                     rhs = {}
@@ -177,30 +178,15 @@ def tt3_check(params, c, window=2, degree_cap=2):
                     if k >= 0:
                         r1 = apply_vertex_mode(params, pp, k, vec)
                         g = rho ** (i - j)
-                        rhs = _vadd(rhs, {kk: v * g for kk, v in r1.items()})
+                        rhs = vadd(rhs, {kk: v * g for kk, v in r1.items()})
                     if k <= 0:
                         r2 = apply_vertex_mode(params, pm, k, vec)
                         g = rho ** (j - i)
-                        rhs = _vsub(rhs, {kk: v * g for kk, v in r2.items()})
-                    resid = _vsub(lhs, rhs)
+                        rhs = vsub(rhs, {kk: v * g for kk, v in r2.items()})
+                    resid = vsub(lhs, rhs)
                     if resid:
                         fails.append((mu, i, j))
     return fails
-
-
-def _vadd(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k, Fraction(0)) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _vsub(u, v):
-    return _vadd(u, {k: -c for k, c in v.items()})
 
 
 def matrix_coeff_series(params, c, n, order):

@@ -5,12 +5,17 @@ labels.  Raising and lowering currents always have the delta-supported shape
 
     e(z) v_label = sum over transitions (target, c, p) of  c * delta-power(p)
 
-so the mode-k operator multiplies the base coefficient c by p**k.  The
-diagonal current is stored per label as a rational function of z kept in
-factored form (constant, zeros, poles).  Its modes come from the series
-expansion, made on demand; its log-modes come from power sums of the zeros
-and poles without any expansion.  This removes all formal-distribution
-bookkeeping.
+so the mode-k operator multiplies the base coefficient c by p**k.  Each
+module computes the mode-k row [(target, c * p**k)] of a label once and
+keeps it.  The diagonal current is stored per label as a rational function
+of z kept in factored form (constant, zeros, poles).  Its modes come from
+the series expansion, made on demand; its log-modes come from power sums of
+the zeros and poles without any expansion.  This removes all
+formal-distribution bookkeeping.
+
+`check_relation` applies each word suffix to each basis vector once per
+call: a word's image is its leftmost letter applied to the image of the
+rest, and words of an instance family share most of their suffixes.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .scalars import ratfn_expand, ratfn_log_coeffs, is_zero_mod
 
 __all__ = [
     "vec", "vadd", "vscale", "vsub", "is_vec_zero",
-    "Module", "PerturbedModule", "apply_word", "RelationReport",
+    "Module", "PerturbedModule", "apply_word", "word_images", "RelationReport",
     "check_relation", "RELATION_BUILDERS_T", "RELATION_BUILDERS_Y",
 ]
 
@@ -48,7 +53,14 @@ def vscale(u, c):
 
 
 def vsub(u, v):
-    return vadd(u, vscale(v, -1))
+    out = dict(u)
+    for k, c in v.items():
+        s = out.get(k, 0) - c
+        if not s:
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
 
 
 def is_vec_zero(u, hmod=None):
@@ -78,6 +90,7 @@ class Module:
         self._f_cache = {}
         self._psi_cache = {}
         self._series_cache = {}
+        self._row_cache = {}
 
     # subclass hooks
     def _e_transitions(self, label):
@@ -107,23 +120,29 @@ class Module:
         return self._psi_cache[label]
 
     # -- generic operators ------------------------------------------------
-    def apply_e(self, mode, v):
+    def mode_row(self, kind, label, mode):
+        """[(target, base * point**mode)] over the 'e' or 'f' transitions of
+        the label, computed once per (kind, label, mode)."""
+        key = (kind, label, mode)
+        row = self._row_cache.get(key)
+        if row is None:
+            ts = self.e_transitions(label) if kind == "e" else self.f_transitions(label)
+            row = self._row_cache[key] = [(tgt, base * point ** mode)
+                                          for tgt, base, point in ts]
+        return row
+
+    def _apply_mode(self, kind, mode, v):
         out = {}
         for label, c in v.items():
-            for tgt, base, point in self.e_transitions(label):
-                add = c * base * point ** mode
-                s = out.get(tgt, 0) + add
-                out[tgt] = s
+            for tgt, coeff in self.mode_row(kind, label, mode):
+                out[tgt] = out.get(tgt, 0) + c * coeff
         return {k: c for k, c in out.items() if not _zero(c)}
 
+    def apply_e(self, mode, v):
+        return self._apply_mode("e", mode, v)
+
     def apply_f(self, mode, v):
-        out = {}
-        for label, c in v.items():
-            for tgt, base, point in self.f_transitions(label):
-                add = c * base * point ** mode
-                s = out.get(tgt, 0) + add
-                out[tgt] = s
-        return {k: c for k, c in out.items() if not _zero(c)}
+        return self._apply_mode("f", mode, v)
 
     def psi_series(self, label, direction, order):
         """Truncated expansion of the diagonal eigenvalue (X = z^-1 or z)."""
@@ -270,6 +289,32 @@ def apply_word(module, word, v, ctx):
         if not v:
             return v
     return v
+
+
+def word_images(module, ctx):
+    """image(label, word) = apply_word(module, word, vec(label), ctx), word a
+    tuple, with every suffix's image computed once and kept.
+
+    The leftmost letter acts on the kept image of the rest of the word; an
+    empty image stays empty.  The memo belongs to one module and ctx, so
+    callers make one per sweep and drop it afterwards.
+    """
+    memo = {}
+
+    def image(label, word):
+        key = (label, word)
+        r = memo.get(key)
+        if r is None:
+            if not word:
+                r = vec(label)
+            else:
+                r = image(label, word[1:])
+                if r:
+                    r = apply_word(module, word[:1], r, ctx)
+            memo[key] = r
+        return r
+
+    return image
 
 
 def _commutator_words(w1, w2):
@@ -483,16 +528,16 @@ def check_relation(module, relation, params, level_bound, window=3, hmod=None,
     else:
         instances = y_relation_instances(relation, window, params, cubic=cubic)
         ctx = {"sig3": params.sigma3()}
+    image = word_images(module, ctx)
     checked = 0
     for level in range(0, level_bound + 1):
         for label in module.basis(level):
-            v0 = vec(label)
             for inst_id, terms, rhs in instances:
                 acc = {}
                 for coeff, word in terms:
                     if _zero(coeff):
                         continue
-                    r = apply_word(module, word, v0, ctx)
+                    r = image(label, tuple(word))
                     if r:
                         acc = vadd(acc, vscale(r, coeff))
                 if rhs is not None:

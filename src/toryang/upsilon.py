@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from .params import series_yangian, series_toroidal
+from .repbase import vsub
 from .scalars import (TSeries, series_exp, series_sqrt, series_zlog,
                       expm1_over, is_zero_mod, ratfn_log_coeffs, ScalarDomainError)
 from .yangian import CohomologyFixedPointModule
@@ -223,12 +224,12 @@ class UpsilonBridge:
                 for i in range(-window, window + 1):
                     ei = self.apply_e(i, v)
                     for j in range(-window, window + 1):
-                        lhs = _vsub(self.apply_e(i, self.apply_f(j, v)), self.apply_f(j, ei))
+                        lhs = vsub(self.apply_e(i, self.apply_f(j, v)), self.apply_f(j, ei))
                         k = i + j
                         diag = self.psi_pm_coeff(label, +1, k, 2 * window) if k >= 0 else 0
                         diag2 = self.psi_pm_coeff(label, -1, -k, 2 * window) if k <= 0 else 0
                         rhs = (diag - diag2) / self.one_minus_q3
-                        resid = _vsub(lhs, {label: rhs})
+                        resid = vsub(lhs, {label: rhs})
                         for c in resid.values():
                             if not is_zero_mod(c, hmod):
                                 fails.append(("t3", label, i, j))
@@ -250,7 +251,7 @@ class UpsilonBridge:
                         for tgt, c in ej.items():
                             lhs[tgt] = c * (self.t_eigen(tgt, i) - self.t_eigen(label, i))
                         rhs = self.apply_e(i + j, v)
-                        resid = _vsub(lhs, rhs)
+                        resid = vsub(lhs, rhs)
                         for c in resid.values():
                             if not is_zero_mod(c, hmod):
                                 fails.append(("t4t", label, i, j))
@@ -265,26 +266,15 @@ class UpsilonBridge:
                 v = {label: TSeries(0, [1], self.trunc)}
 
                 def inner(vv):
-                    return _vsub(self.apply_e(1, self.apply_e(-1, vv)),
-                                 self.apply_e(-1, self.apply_e(1, vv)))
+                    return vsub(self.apply_e(1, self.apply_e(-1, vv)),
+                                self.apply_e(-1, self.apply_e(1, vv)))
 
-                resid = _vsub(self.apply_e(0, inner(v)), inner(self.apply_e(0, v)))
+                resid = vsub(self.apply_e(0, inner(v)), inner(self.apply_e(0, v)))
                 for c in resid.values():
                     if not is_zero_mod(c, hmod):
                         fails.append(("cubic", label))
                         break
         return fails
-
-
-def _vsub(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k, 0) - c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
 
 
 def borel_kernel_identity(bridge, level_bound, worder, hmod):

@@ -86,6 +86,29 @@ def test_upsilon_nonpositive_residual_order_is_config_error(suite, n):
     assert "N" in report["error"] and "timings" not in report
 
 
+@pytest.mark.parametrize("argv", [["relations", "--L", "-3"], ["relations", "--I", "-1"],
+                                  ["limits", "--L", "-1"], ["horizontal", "--N", "-1"]])
+def test_negative_scale_is_config_error(argv):
+    # each of these used to pass with nothing checked
+    from toryang.cli import main
+
+    assert main(argv) == 2
+
+
+def test_relation_without_instances_is_config_error():
+    # window 0 leaves the t-ladder relations T4t/T5t no mode m != 0
+    code, report = run({"suite": "relations", "module": "vector", "L": 0, "I": 0})
+    assert code == 2 and report["status"] == "config-error"
+    assert "T4t" in report["error"] and "checks" not in report
+
+
+def test_module_construction_error_is_config_error():
+    code, report = run({"suite": "relations", "module": "fixedpoint", "r": 4,
+                        "L": 0, "I": 0})
+    assert code == 2 and report["status"] == "config-error"
+    assert "framing" in report["error"]
+
+
 def test_cli_process_invocation():
     out = subprocess.run(
         [sys.executable, "-m", "toryang", "limits"],

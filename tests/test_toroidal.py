@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from toryang.params import default_toroidal
-from toryang.repbase import (PerturbedModule, check_relation, vec)
+from toryang.repbase import (PerturbedModule, RELATION_BUILDERS_T, apply_word,
+                             check_relation, t_relation_instances, vadd, vec,
+                             vscale, word_images)
 from toryang.toroidal import (FockModule, IllDefinedCoproductError,
                               KTheoryFixedPointModule, TensorModule,
                               VectorModule, fock_factorization_ratio,
@@ -155,6 +157,60 @@ class TestNegativeControl:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             PerturbedModule(FockModule(P1), "bogus")
+
+
+def first_failure_by_direct_words(module, relation, params, level_bound, window):
+    """Reference sweep: every word applied afresh to every basis vector."""
+    ctx = {"beta": params.beta}
+    instances = t_relation_instances(relation, window, params)
+    for level in range(level_bound + 1):
+        for label in module.basis(level):
+            for inst_id, terms, rhs in instances:
+                acc = {}
+                for coeff, word in terms:
+                    if coeff:
+                        acc = vadd(acc, vscale(apply_word(module, word, vec(label), ctx), coeff))
+                if rhs is not None:
+                    acc = vadd(acc, {label: -rhs(module, label)})
+                if acc:
+                    return {"instance": inst_id, "level": level, "label": label,
+                            "residual": {str(k): repr(c) for k, c in acc.items()}}
+    return None
+
+
+class TestRelationEngine:
+    """check_relation's suffix memo and the per-module mode rows."""
+
+    def test_memo_matches_direct_words(self):
+        M = KTheoryFixedPointModule(P2, 2)
+        ctx = {"beta": P2.beta}
+        image = word_images(M, ctx)
+        for rel in RELATION_BUILDERS_T:
+            for _, terms, _ in t_relation_instances(rel, 3, P2):
+                for level in range(3):
+                    for label in M.basis(level):
+                        for _, word in terms:
+                            assert image(label, tuple(word)) == \
+                                apply_word(M, word, vec(label), ctx)
+
+    def test_perturbed_e_keeps_its_own_rows(self):
+        M = KTheoryFixedPointModule(P2, 2)
+        Pe = PerturbedModule(M, "e")
+        label = M.basis(0)[0]
+        base_row = M.mode_row("e", label, 2)
+        assert Pe.mode_row("e", label, 2) != base_row
+        assert M.mode_row("e", label, 2) == [(t, c * p ** 2)
+                                             for t, c, p in M.e_transitions(label)]
+        assert not check_relation(Pe, "T1", P2, 1, window=1).ok
+        assert check_relation(M, "T1", P2, 1, window=1).ok
+
+    def test_perturbed_psi_counterexample_matches_direct_words(self):
+        Pp = PerturbedModule(KTheoryFixedPointModule(P2, 2), "psi")
+        for rel in RELATION_BUILDERS_T:
+            rep = check_relation(Pp, rel, P2, 1, window=1)
+            assert rep.counterexample == first_failure_by_direct_words(Pp, rel, P2, 1, 1)
+            assert rep.ok == (rep.counterexample is None)
+        assert not check_relation(Pp, "T3", P2, 1, window=1).ok
 
 
 def t_eigenvalue_via_log_series(module, label, m, beta):

@@ -5,7 +5,8 @@ import pytest
 
 from toryang import partitions as pt
 from toryang.params import default_yangian
-from toryang.repbase import check_relation, vec
+from toryang.repbase import (RELATION_BUILDERS_Y, apply_word, check_relation,
+                             vec, word_images, y_relation_instances)
 from toryang.toroidal import TensorModule
 from toryang.yangian import (AdmissibleError, AFockModule, AVectorModule,
                              CohomologyFixedPointModule, check_admissible,
@@ -89,6 +90,18 @@ class TestFixedPoint:
         V = CohomologyFixedPointModule(P2, 2)
         for rel in ("Y0", "Y1", "Y2", "Y3", "Y4", "Y5", "Y6"):
             assert check_relation(V, rel, P2, 2, window=2).ok
+
+    def test_relation_memo_matches_direct_words(self):
+        V = CohomologyFixedPointModule(P2, 2)
+        ctx = {"sig3": P2.sigma3()}
+        image = word_images(V, ctx)
+        for rel in RELATION_BUILDERS_Y:
+            for _, terms, _ in y_relation_instances(rel, 3, P2):
+                for level in range(3):
+                    for label in V.basis(level):
+                        for _, word in terms:
+                            assert image(label, tuple(word)) == \
+                                apply_word(V, word, vec(label), ctx)
 
     def test_rank1_gammas(self):
         V = CohomologyFixedPointModule(P1Z, 1)
