@@ -49,8 +49,8 @@ class Check:
         return out
 
 
-def _toroidal_modules(config, params):
-    from .toroidal import FockModule, KTheoryFixedPointModule, VectorModule
+def _modules(config, params, fixed_point):
+    from .toroidal import FockModule, VectorModule
 
     which = config.get("module", "all")
     r = config.get("r", 2)
@@ -61,27 +61,14 @@ def _toroidal_modules(config, params):
         out.append(("fock", FockModule(params, Fraction(1, 5))))
     if which in ("fixedpoint", "all"):
         for rr in range(1, r + 1):
-            out.append((f"fixedpoint-r{rr}", KTheoryFixedPointModule(params, rr)))
-    return out
-
-
-def _yangian_modules(config, params):
-    from .yangian import AFockModule, AVectorModule, CohomologyFixedPointModule
-
-    which = config.get("module", "all")
-    r = config.get("r", 2)
-    out = []
-    if which in ("vector", "all"):
-        out.append(("vector", AVectorModule(params, Fraction(1, 5))))
-    if which in ("fock", "all"):
-        out.append(("fock", AFockModule(params, Fraction(1, 5))))
-    if which in ("fixedpoint", "all"):
-        for rr in range(1, r + 1):
-            out.append((f"fixedpoint-r{rr}", CohomologyFixedPointModule(params, rr)))
+            out.append((f"fixedpoint-r{rr}", fixed_point(params, rr)))
     return out
 
 
 def _suite_relations(config, checks):
+    from .toroidal import KTheoryFixedPointModule
+    from .yangian import CohomologyFixedPointModule
+
     L = config.get("L", 3)
     window = config.get("I", 2)
     perturb = config.get("perturb")
@@ -89,13 +76,13 @@ def _suite_relations(config, checks):
         else ["toroidal", "yangian"]
     if perturb is True:
         perturb = "psi"
-    families = {"toroidal": ("_tparams", _toroidal_modules, RELATION_BUILDERS_T),
-                "yangian": ("_yparams", _yangian_modules, RELATION_BUILDERS_Y)}
+    families = {"toroidal": ("_tparams", KTheoryFixedPointModule, RELATION_BUILDERS_T),
+                "yangian": ("_yparams", CohomologyFixedPointModule, RELATION_BUILDERS_Y)}
     for flavor in flavors:
-        pkey, build, relations = families[flavor]
+        pkey, fixed_point, relations = families[flavor]
         params = config[pkey]
         try:
-            modules = build(config, params)
+            modules = _modules(config, params, fixed_point)
         except ValueError as exc:
             raise ConfigError(f"--r {config.get('r', 2)}: {exc}") from None
         for name, module in modules:
@@ -191,13 +178,13 @@ def _suite_limits(config, checks):
     q = config["_tparams"].q1
     h = config["_yparams"].h1
     perturb = config.get("perturb")
+    bound = config.get("L", 3)
     fails = check_theta_m_relations(q, window=config.get("I", 2))
     checks.append(Check("limits:theta-m-relations", not fails, [str(f) for f in fails]))
     fails = check_theta_a_relations(h, window=config.get("I", 2))
     checks.append(Check("limits:theta-a-relations", not fails, [str(f) for f in fails]))
     cache = {}
     ok = True
-    bound = config.get("L", 3)
     for k in range(-bound, bound + 1):
         for l in range(-bound, bound + 1):
             if (k, l) == (0, 0):
@@ -357,6 +344,12 @@ def run(config):
         if "upsilon" in names and config.get("N", 14) <= 4:
             raise ConfigError(f"--N {config['N']} leaves the series bridge a "
                               "residual order <= 0; it needs N >= 5")
+        if "shuffle" in names and config.get("L", 4) < 2:
+            raise ConfigError(f"--L {config['L']} leaves the shuffle battery no "
+                              "generator; it needs L >= 2")
+        if "limits" in names and config.get("L", 3) < 1:
+            raise ConfigError(f"--L {config['L']} leaves the closed-form sweep no "
+                              "(k, l) pair; it needs L >= 1")
         _build_params(config)
     except GenericityError as exc:
         return _error(report, 3, "genericity-error", exc)

@@ -117,12 +117,6 @@ class QOp:
         return {"monomials": [[i, j, str(c)] for (i, j), c in sorted(self.terms.items())],
                 "central": str(self.central)}
 
-    def render(self):
-        parts = [f"({c}) Z^{i} D^{j}" for (i, j), c in sorted(self.terms.items())]
-        if self.central:
-            parts.append(f"({self.central}) c")
-        return " + ".join(parts) if parts else "0"
-
     def __repr__(self):
         return f"QOp({self.terms}, central={self.central})"
 
@@ -154,10 +148,6 @@ class HOp:
     @staticmethod
     def monomial(h, i, j, c=1):
         return HOp(h, {j: {i: c}})
-
-    @staticmethod
-    def from_poly(h, coeffs, j, scale=1):
-        return HOp(h, {j: {e: c * scale for e, c in coeffs.items()}})
 
     def __add__(self, other):
         out = {j: dict(p) for j, p in self.terms.items()}
@@ -278,15 +268,6 @@ class HOp:
         return {"monomials": [[j, [[e, str(c)] for e, c in sorted(p.items())]]
                               for j, p in sorted(self.terms.items())],
                 "central": str(self.central)}
-
-    def render(self):
-        parts = []
-        for j, p in sorted(self.terms.items()):
-            poly = " + ".join(f"({c}) x^{e}" for e, c in sorted(p.items()))
-            parts.append(f"[{poly}] S^{j}")
-        if self.central:
-            parts.append(f"({self.central}) c")
-        return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
         return f"HOp({self.terms}, central={self.central})"
@@ -458,10 +439,6 @@ def check_theta_a_relations(h, window=2):
 
 
 # -- lattice elements in the image algebra ----------------------------------
-
-def _eps(x, y):
-    return 1 if x[0] * y[1] - x[1] * y[0] > 0 else -1
-
 
 def _alpha_limit(q, m):
     """Limit Hall normalization ratio carrier: (1-q^m)(1-q^-m); ratios of the

@@ -151,9 +151,6 @@ class MPoly:
     def min_exp(self, i):
         return min((e[i] for e in self.d), default=0)
 
-    def max_exp(self, i):
-        return max((e[i] for e in self.d), default=0)
-
     def div_linear(self, a, b):
         """Exact division by (x_a - x_b); raises if the remainder is nonzero."""
         if self.is_zero():
@@ -264,7 +261,7 @@ class MPoly:
                     out.pop(ne, None)
         return MPoly(len(keep) + 1, out)
 
-    def graded_parts(self, idxs, affine_shift=False, shift_var_count=0):
+    def graded_parts(self, idxs):
         """Decompose by total degree in the variables idxs.
 
         Multiplicative grading: degree = sum of exponents in idxs.

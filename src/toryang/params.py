@@ -4,12 +4,19 @@ Identities in the deformation parameters are checked by exact evaluation at
 generic rational points.  Genericity is certified explicitly: no small
 multiplicative relation q1^a * q2^b = 1 (resp. additive relation
 a*h1 + b*h2 = 0) may hold for 0 < |a| + |b| <= G.
+
+Each parameter pack also carries its family's weights.  The module formulas
+(`toroidal.py`) are written once over them: the additive family is the
+multiplicative one after  q1^a q2^b w -> a*h1 + b*h2 + w  and
+1 - w/v -> w - v.  The normalization constants are conventions of each
+family, not substitutions.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 
 from .scalars import TSeries, h_gen, series_exp
 
@@ -47,12 +54,56 @@ class ToroidalParams:
         self.q3 = 1 / (q1 * q2)
         self.chis = tuple(chis)
         self.G = G
+        self._monos = {}
         if certify:
             self.certify()
 
     @property
     def qs(self):
         return (self.q1, self.q2, self.q3)
+
+    # -- family weights ------------------------------------------------------
+    unit = Fraction(1)
+
+    @property
+    def framings(self):
+        return self.chis
+
+    def mono(self, a, b, w):
+        """q1^a q2^b w (q1^a q2^b computed once per (a, b))."""
+        m = self._monos.get((a, b))
+        if m is None:
+            m = self._monos[a, b] = self.q1 ** a * self.q2 ** b
+        return m * w
+
+    def gap(self, w, v):
+        """1 - w/v."""
+        return 1 - w / v
+
+    def frame(self, a):
+        """1/chi_a: the vacuum support point of framing a."""
+        return 1 / self.chis[a - 1]
+
+    @cached_property
+    def lower_norm(self):
+        """Vector and Fock lowering normalization 1/(1/q1 - 1)."""
+        return 1 / (1 / self.q1 - 1)
+
+    @cached_property
+    def fixed_raise_norm(self):
+        """Fixed-point raising normalization 1/(1 - 1/(q1 q2))."""
+        return 1 / (1 - 1 / (self.q1 * self.q2))
+
+    def fixed_lower_norm(self, point, r):
+        """Fixed-point lowering normalization: the raising one times point^-r."""
+        return self.fixed_raise_norm * point ** (-r)
+
+    def fixed_psi_norm(self, r):
+        """Constant of the rank-r fixed-point psi: (-1)^r (q1 q2)^(r+1) prod chi_a."""
+        const = (-1) ** r * (self.q1 * self.q2) ** (r + 1)
+        for chi in self.chis[:r]:
+            const = const * chi
+        return const
 
     def sigma1(self):
         return self.q1 + self.q2 + self.q3
@@ -95,12 +146,53 @@ class YangianParams:
         self.h3 = -h1 - h2
         self.xs = tuple(xs)
         self.G = G
+        self._monos = {}
         if certify:
             self.certify()
 
     @property
     def hs(self):
         return (self.h1, self.h2, self.h3)
+
+    # -- family weights ------------------------------------------------------
+    unit = Fraction(0)
+
+    @property
+    def framings(self):
+        return self.xs
+
+    def mono(self, a, b, w):
+        """a*h1 + b*h2 + w (a*h1 + b*h2 computed once per (a, b))."""
+        m = self._monos.get((a, b))
+        if m is None:
+            m = self._monos[a, b] = a * self.h1 + b * self.h2
+        return m + w
+
+    def gap(self, w, v):
+        """w - v."""
+        return w - v
+
+    def frame(self, a):
+        """-x_a: the vacuum support point of framing a."""
+        return -self.xs[a - 1]
+
+    @cached_property
+    def lower_norm(self):
+        """Vector and Fock lowering normalization -1/h1."""
+        return -1 / self.h1
+
+    @cached_property
+    def fixed_raise_norm(self):
+        """Fixed-point raising normalization 1/(h1 + h2)."""
+        return 1 / (self.h1 + self.h2)
+
+    def fixed_lower_norm(self, point, r):
+        """Fixed-point lowering normalization (-1)^(r-1)/(h1 + h2)."""
+        return (-1) ** (r - 1) / (self.h1 + self.h2)
+
+    def fixed_psi_norm(self, r):
+        """Constant of the rank-r fixed-point psi: 1."""
+        return 1
 
     def sigma2(self):
         h1, h2, h3 = self.hs

@@ -177,19 +177,15 @@ def mp_remove_box(mlam, a, j):
     return mlam[: a - 1] + (remove_box(mlam[a - 1], j),) + mlam[a:]
 
 
-def content_add(box, s1, s2, x=0, a=None, xs=None):
+def content_add(box, s1, s2, x=0):
     """(i-1)*s1 + (j-1)*s2 - x_a for a box in component a."""
     i, j = box
-    if a is not None:
-        x = xs[a - 1]
     return (i - 1) * s1 + (j - 1) * s2 - x
 
 
-def content_mult(box, t1, t2, chi=1, a=None, chis=None):
+def content_mult(box, t1, t2, chi=1):
     """t1^(i-1) * t2^(j-1) / chi_a."""
     i, j = box
-    if a is not None:
-        chi = chis[a - 1]
     return t1 ** (i - 1) * t2 ** (j - 1) / chi
 
 

@@ -26,8 +26,9 @@ from .scalars import ratfn_expand, ratfn_log_coeffs, is_zero_mod
 
 __all__ = [
     "vec", "vadd", "vscale", "vsub", "is_vec_zero",
-    "Module", "PerturbedModule", "apply_word", "word_images", "RelationReport",
-    "check_relation", "RELATION_BUILDERS_T", "RELATION_BUILDERS_Y",
+    "Module", "ModuleWrapper", "PerturbedModule", "coeff_of", "apply_word",
+    "word_images", "RelationReport", "check_relation",
+    "RELATION_BUILDERS_T", "RELATION_BUILDERS_Y",
 ]
 
 
@@ -82,8 +83,6 @@ class Module:
     psi_rat(label)       -> RatFn in z, built with RatFn.from_factors
     level(label)         -> int; basis(level) -> list of labels
     """
-
-    toroidal = True  # e(z) = sum e_i z^-i; yangian uses sum e_j z^-j-1
 
     def __init__(self):
         self._e_cache = {}
@@ -213,7 +212,43 @@ def _zero(c):
     return not c
 
 
-class PerturbedModule(Module):
+def coeff_of(transitions, label):
+    """Coefficient of the transition into `label` (0 when there is none)."""
+    for (tgt, c, p) in transitions:
+        if tgt == label:
+            return c
+    return Fraction(0)
+
+
+class ModuleWrapper(Module):
+    """A module acting through `base`: every hook passes through until a
+    subclass overrides it, and attributes it lacks (params, r, ...) are
+    read from the base."""
+
+    def __init__(self, base):
+        super().__init__()
+        self.base = base
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def level(self, label):
+        return self.base.level(label)
+
+    def basis(self, level):
+        return self.base.basis(level)
+
+    def _e_transitions(self, label):
+        return self.base.e_transitions(label)
+
+    def _f_transitions(self, label):
+        return self.base.f_transitions(label)
+
+    def _psi_rat(self, label):
+        return self.base.psi_rat(label)
+
+
+class PerturbedModule(ModuleWrapper):
     """Wrap a module, corrupting one class of coefficients (negative controls).
 
     'psi' scales the diagonal eigenvalue; 'f' scales the first lowering
@@ -229,14 +264,9 @@ class PerturbedModule(Module):
         if kind not in self.KINDS:
             raise ValueError(f"unknown perturbation kind {kind!r}; "
                              f"expected one of {', '.join(self.KINDS)}")
-        super().__init__()
-        self.base = base
+        super().__init__(base)
         self.kind = kind
         self.factor = factor
-        self.toroidal = base.toroidal
-
-    def __getattr__(self, name):
-        return getattr(self.base, name)
 
     def _e_transitions(self, label):
         ts = self.base.e_transitions(label)
@@ -255,12 +285,6 @@ class PerturbedModule(Module):
         if self.kind == "psi":
             return r * self.factor
         return r
-
-    def level(self, label):
-        return self.base.level(label)
-
-    def basis(self, level):
-        return self.base.basis(level)
 
 
 # -- operator words and relation instantiation ----------------------------

@@ -16,8 +16,6 @@ __all__ = [
     "TSeries",
     "Poly",
     "RatFn",
-    "hseries",
-    "h_const",
     "h_gen",
     "series_exp",
     "series_log",
@@ -226,24 +224,12 @@ class TSeries:
     def __hash__(self):
         raise TypeError("TSeries is unhashable (truncated equality)")
 
-    def truncate(self, t):
-        return TSeries(self.val, list(self.coeffs), min(self.trunc, t))
-
     def shift(self, k):
         """Multiply by X^k."""
         return TSeries(self.val + k, list(self.coeffs), self.trunc + k)
 
     def map_coeffs(self, f):
         return TSeries(self.val, [f(c) for c in self.coeffs], self.trunc)
-
-    def eval_at(self, x):
-        """Substitute a scalar for X.  Requires val >= 0 unless x is invertible."""
-        acc = 0
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            acc = acc * x + self.coeffs[i]
-        if self.val:
-            acc = acc * x ** self.val
-        return acc
 
     def __repr__(self):
         if self.is_zero():
@@ -255,14 +241,6 @@ class TSeries:
 
 
 # -- constructors ---------------------------------------------------------
-
-def hseries(val, coeffs, trunc):
-    return TSeries(val, coeffs, trunc)
-
-
-def h_const(c, trunc):
-    return TSeries(0, [c], trunc)
-
 
 def h_gen(trunc, scale=1):
     """The series  scale * X  (used for specializations h = scale * X)."""
@@ -462,9 +440,6 @@ class Poly:
             acc = acc * x + a
         return acc
 
-    def derivative(self):
-        return Poly([i * a for i, a in enumerate(self.c)][1:])
-
     def divmod(self, other):
         """Euclidean division (coefficients must form a field)."""
         if other.is_zero():
@@ -656,11 +631,6 @@ def _invertible(c):
     if isinstance(c, TSeries):
         return not c.is_zero()
     return c != 0
-
-
-def zlog(series):
-    """log of a z-direction series with constant term 1 (same variable)."""
-    return series_zlog(series)
 
 
 def series_zlog(s):

@@ -356,12 +356,6 @@ def _perm_sign(sigma):
 
 # -- lattice-point elements -------------------------------------------------
 
-def _deg(v):
-    from math import gcd
-
-    return gcd(abs(v[0]), abs(v[1]))
-
-
 def _empty_triangle_split(k, l):
     """x + y = (k, l) with deg x = deg y = 1, det(x, y) = gcd(k, l), both
     first coordinates positive."""

@@ -1,11 +1,14 @@
-"""Modules for the multiplicative (quantum toroidal) family.
+"""Modules with explicit matrix coefficients, written once for both families.
 
 All actions are stored through explicit matrix coefficients in distinguished
 bases: the integer-indexed chain for the vector module, partitions for the
 Fock module, and r-partitions for the fixed-point basis of the rank-r moduli
-K-theory.  Infinite products over rows are evaluated through their
-telescoped finite forms; stability under enlarging the row cutoff is
-asserted in the test suite.
+(K-theory for the multiplicative family, cohomology for the additive one).
+Each formula is written over the family weights of the module's params
+(`mono`, `gap`, `frame`, `unit` and the normalizations, see `params.py`), so
+one body serves both families.  Infinite products over rows are evaluated
+through their telescoped finite forms; stability under enlarging the row
+cutoff is asserted in the test suite.
 """
 
 from __future__ import annotations
@@ -13,17 +16,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import partitions as pt
-from .repbase import Module, vadd, vec, vscale
-from .scalars import Poly, RatFn
+from .repbase import Module, ModuleWrapper
+from .scalars import RatFn
 
 __all__ = [
     "VectorModule",
     "FockModule",
+    "FixedPointModule",
     "KTheoryFixedPointModule",
     "DiagonalTwist",
     "TensorModule",
     "IllDefinedCoproductError",
     "fock_factorization_ratio",
+    "solve_factorization",
     "solve_fock_factorization",
     "kappa_twist_constant",
 ]
@@ -33,15 +38,20 @@ class IllDefinedCoproductError(ValueError):
     """A diagonal eigenvalue has a pole at a delta-support point."""
 
 
+def _weight(p, a, b):
+    """1 - q1^a q2^b, or a*h1 + b*h2."""
+    return p.gap(p.mono(a, b, p.unit), p.unit)
+
+
 class VectorModule(Module):
     """Basis [u]_j, j in Z."""
 
     integer_graded = True
 
-    def __init__(self, params, u=Fraction(1)):
+    def __init__(self, params, u=None):
         super().__init__()
         self.params = params
-        self.u = u
+        self.u = params.unit if u is None else u
 
     def level(self, label):
         return label
@@ -50,103 +60,85 @@ class VectorModule(Module):
         return [level]
 
     def _e_transitions(self, j):
-        q1 = self.params.q1
-        return [(j + 1, 1 / (1 - q1), q1 ** j * self.u)]
+        p = self.params
+        return [(j + 1, 1 / _weight(p, 1, 0), p.mono(j, 0, self.u))]
 
     def _f_transitions(self, j):
-        q1 = self.params.q1
-        return [(j - 1, 1 / (1 / q1 - 1), q1 ** (j - 1) * self.u)]
+        p = self.params
+        return [(j - 1, p.lower_norm, p.mono(j - 1, 0, self.u))]
 
     def _psi_rat(self, j):
-        q1, q2, q3 = self.params.qs
-        u = self.u
-        return RatFn.from_factors(
-            1,
-            [q1 ** j * q2 * u, q1 ** j * q3 * u],
-            [q1 ** j * u, q1 ** (j - 1) * u],
-        )
+        p, u = self.params, self.u
+        return RatFn.from_factors(1, [p.mono(j, 1, u), p.mono(j - 1, -1, u)],
+                                  [p.mono(j, 0, u), p.mono(j - 1, 0, u)])
 
 
 class FockModule(Module):
     """Basis |lam> over partitions; highest vector is the empty diagram."""
 
-    def __init__(self, params, u=Fraction(1)):
+    def __init__(self, params, u=None):
         super().__init__()
         self.params = params
-        self.u = u
+        self.u = params.unit if u is None else u
 
     def level(self, lam):
         return pt.size(lam)
 
     def basis(self, level):
-        return enum_p(level)
+        return pt.enum_partitions(level)
 
     def _e_transitions(self, lam):
-        q1, q2 = self.params.q1, self.params.q2
-        u = self.u
+        p = self.params
         out = []
         for i in pt.addable_rows(lam):
             li = pt.part(lam, i)
-            coeff = 1 / (1 - q1)
+            coeff = 1 / _weight(p, 1, 0)
             for j in range(1, i):
-                lj = pt.part(lam, j)
-                coeff = coeff * (
-                    (1 - q1 ** (li - lj) * q2 ** (i - j - 1))
-                    * (1 - q1 ** (li - lj + 1) * q2 ** (i - j + 1))
-                ) / (
-                    (1 - q1 ** (li - lj) * q2 ** (i - j))
-                    * (1 - q1 ** (li - lj + 1) * q2 ** (i - j))
-                )
-            point = q1 ** li * q2 ** (i - 1) * u
-            out.append((pt.add_box(lam, i), coeff, point))
+                d = li - pt.part(lam, j)
+                coeff = coeff * (_weight(p, d, i - j - 1) * _weight(p, d + 1, i - j + 1)) / (
+                    _weight(p, d, i - j) * _weight(p, d + 1, i - j))
+            out.append((pt.add_box(lam, i), coeff, p.mono(li, i - 1, self.u)))
         return out
 
     def _f_transitions(self, lam):
-        q1, q2 = self.params.q1, self.params.q2
-        u = self.u
+        p = self.params
         out = []
         for i in pt.removable_rows(lam):
             li = pt.part(lam, i)
-            lnext = pt.part(lam, i + 1)
-            coeff = (1 - q1 ** (lnext - li)) / (1 - q1 ** (lnext - li + 1) * q2)
+            d = pt.part(lam, i + 1) - li
+            coeff = _weight(p, d, 0) / _weight(p, d + 1, 1)
             for j in range(i + 1, len(lam) + 1):
-                lj = pt.part(lam, j)
-                lj1 = pt.part(lam, j + 1)
-                coeff = coeff * (
-                    (1 - q1 ** (lj - li + 1) * q2 ** (j - i + 1))
-                    * (1 - q1 ** (lj1 - li) * q2 ** (j - i))
-                ) / (
-                    (1 - q1 ** (lj1 - li + 1) * q2 ** (j - i + 1))
-                    * (1 - q1 ** (lj - li) * q2 ** (j - i))
-                )
-            coeff = coeff / (1 / q1 - 1)
-            point = q1 ** (li - 1) * q2 ** (i - 1) * u
-            out.append((pt.remove_box(lam, i), coeff, point))
+                dj, dj1 = pt.part(lam, j) - li, pt.part(lam, j + 1) - li
+                coeff = coeff * (_weight(p, dj + 1, j - i + 1) * _weight(p, dj1, j - i)) / (
+                    _weight(p, dj1 + 1, j - i + 1) * _weight(p, dj, j - i))
+            out.append((pt.remove_box(lam, i), coeff * p.lower_norm,
+                        p.mono(li - 1, i - 1, self.u)))
         return out
 
     def _psi_rat(self, lam):
-        q1, q2 = self.params.q1, self.params.q2
-        u = self.u
+        p, u = self.params, self.u
         l1 = pt.part(lam, 1)
-        zeros = [q1 ** (l1 - 1) / q2 * u]
-        poles = [q1 ** l1 * u]
+        zeros = [p.mono(l1 - 1, -1, u)]
+        poles = [p.mono(l1, 0, u)]
         for i in range(1, len(lam) + 1):
             li, li1 = pt.part(lam, i), pt.part(lam, i + 1)
-            zeros += [q1 ** li * q2 ** i * u, q1 ** (li1 - 1) * q2 ** (i - 1) * u]
-            poles += [q1 ** li1 * q2 ** i * u, q1 ** (li - 1) * q2 ** (i - 1) * u]
+            zeros += [p.mono(li, i, u), p.mono(li1 - 1, i - 1, u)]
+            poles += [p.mono(li1, i, u), p.mono(li - 1, i - 1, u)]
         return RatFn.from_factors(1, zeros, poles)
 
 
-def enum_p(level):
-    return pt.enum_partitions(level)
+class FixedPointModule(Module):
+    """Fixed-point basis of the rank-r framed-sheaf moduli.
 
-
-class KTheoryFixedPointModule(Module):
-    """Fixed-point basis of the rank-r framed-sheaf moduli, K-theory flavor."""
+    The hooks are `fixed_point_raise`, `fixed_point_lower` and
+    `fixed_point_psi`.  Each family's class binds them in its own body, so
+    each keeps them as attributes of its own: the traced benchmark
+    (`perfbench/layers.py`) times them per family class.
+    """
 
     def __init__(self, params, r, margin=1):
         super().__init__()
-        if len(params.chis) < r:
+        if len(params.framings) < r:
             raise ValueError("need r framing parameters")
         self.params = params
         self.r = r
@@ -158,67 +150,78 @@ class KTheoryFixedPointModule(Module):
     def basis(self, level):
         return pt.enum_multipartitions(self.r, level)
 
-    def chi_row(self, mlam, a, k):
-        """Content marker of the end of row k in component a (virtual at 0)."""
-        q1, q2 = self.params.q1, self.params.q2
-        lam = mlam[a - 1]
-        return q1 ** (pt.part(lam, k) - 1) * q2 ** (k - 1) / self.params.chis[a - 1]
+    def row_marker(self, mlam, a, k):
+        """Content marker of the end of row k in component a (virtual past
+        the diagram): q1^(lam_k - 1) q2^(k-1) / chi_a, or
+        (lam_k - 1) h1 + (k-1) h2 - x_a."""
+        return self.params.mono(pt.part(mlam[a - 1], k) - 1, k - 1, self.params.frame(a))
 
-    def _e_transitions(self, mlam):
-        q1, q2 = self.params.q1, self.params.q2
-        pref = 1 / (1 - 1 / (q1 * q2))
-        out = []
-        for (l, col, row) in pt.addable_boxes(mlam):
-            tgt = pt.mp_add_box(mlam, l, row)
-            chi = self.chi_row(tgt, l, row)  # content of the added box
-            coeff = pref
-            for a in range(1, self.r + 1):
-                K = len(tgt[a - 1]) + self.margin
-                coeff = coeff / (1 - q1 * self.chi_row(tgt, a, 1) / chi)
-                for k in range(1, K + 1):
-                    xk = self.chi_row(tgt, a, k)
-                    xk1 = self.chi_row(tgt, a, k + 1)
-                    coeff = coeff * (1 - q1 * q2 * xk / chi) / (1 - q1 * xk1 / chi)
-            out.append((tgt, coeff, chi))
-        return out
-
-    def _f_transitions(self, mlam):
-        q1, q2 = self.params.q1, self.params.q2
-        pref = 1 / (1 - 1 / (q1 * q2))
-        out = []
-        for (l, col, row) in pt.removable_boxes(mlam):
-            tgt = pt.mp_remove_box(mlam, l, row)
-            chi = self.chi_row(tgt, l, row)
-            point = q1 * chi  # content of the removed box
-            coeff = pref * point ** (-self.r)
-            for a in range(1, self.r + 1):
-                K = len(tgt[a - 1]) + self.margin
-                coeff = coeff * (1 - q1 * q2 * chi / self.chi_row(tgt, a, 1))
-                for k in range(1, K + 1):
-                    xk = self.chi_row(tgt, a, k)
-                    xk1 = self.chi_row(tgt, a, k + 1)
-                    coeff = coeff * (1 - q1 * q2 * chi / xk1) / (1 - q1 * chi / xk)
-            out.append((tgt, coeff, point))
-        return out
-
-    def _psi_rat(self, mlam):
-        q1, q2, q3 = self.params.qs
-        chis = self.params.chis
-        r = self.r
-        const = (-1) ** r * (q1 * q2) ** (r + 1)
-        zeros, poles = [], []
-        for a in range(1, r + 1):
-            const = const * chis[a - 1]
-            zeros.append(q3 / chis[a - 1])
-            poles.append(1 / chis[a - 1])
-            for box in pt.boxes(mlam[a - 1]):
-                c = pt.content_mult(box, q1, q2, chis[a - 1])
-                zeros += [c / q1, c / q2, c / q3]
-                poles += [c * q1, c * q2, c * q3]
-        return RatFn.from_factors(const, zeros, poles)
+    def row_markers(self, mlam, a):
+        """Markers of rows 1 .. K+1 of component a, K = its rows + margin."""
+        return [self.row_marker(mlam, a, k)
+                for k in range(1, len(mlam[a - 1]) + self.margin + 2)]
 
 
-class DiagonalTwist(Module):
+def fixed_point_raise(self, mlam):
+    """One raising transition per addable box, supported at its content."""
+    p = self.params
+    out = []
+    for (l, col, row) in pt.addable_boxes(mlam):
+        tgt = pt.mp_add_box(mlam, l, row)
+        x = self.row_marker(tgt, l, row)  # content of the added box
+        coeff = p.fixed_raise_norm
+        for a in range(1, self.r + 1):
+            X = self.row_markers(tgt, a)
+            coeff = coeff / p.gap(p.mono(1, 0, X[0]), x)
+            for xk, xk1 in zip(X, X[1:]):
+                coeff = coeff * p.gap(p.mono(1, 1, xk), x) / p.gap(p.mono(1, 0, xk1), x)
+        out.append((tgt, coeff, x))
+    return out
+
+
+def fixed_point_lower(self, mlam):
+    """One lowering transition per removable box, supported at its content."""
+    p = self.params
+    out = []
+    for (l, col, row) in pt.removable_boxes(mlam):
+        tgt = pt.mp_remove_box(mlam, l, row)
+        x = self.row_marker(tgt, l, row)
+        point = p.mono(1, 0, x)  # content of the removed box
+        x11 = p.mono(1, 1, x)
+        coeff = p.fixed_lower_norm(point, self.r)
+        for a in range(1, self.r + 1):
+            X = self.row_markers(tgt, a)
+            coeff = coeff * p.gap(x11, X[0])
+            for xk, xk1 in zip(X, X[1:]):
+                coeff = coeff * p.gap(x11, xk1) / p.gap(point, xk)
+        out.append((tgt, coeff, point))
+    return out
+
+
+def fixed_point_psi(self, mlam):
+    """psi as (constant, zeros, poles) from the framings and the box contents."""
+    p = self.params
+    zeros, poles = [], []
+    for a in range(1, self.r + 1):
+        w = p.frame(a)
+        zeros.append(p.mono(-1, -1, w))
+        poles.append(w)
+        for (i, j) in pt.boxes(mlam[a - 1]):
+            c = p.mono(i - 1, j - 1, w)
+            zeros += [p.mono(-1, 0, c), p.mono(0, -1, c), p.mono(1, 1, c)]
+            poles += [p.mono(1, 0, c), p.mono(0, 1, c), p.mono(-1, -1, c)]
+    return RatFn.from_factors(p.fixed_psi_norm(self.r), zeros, poles)
+
+
+class KTheoryFixedPointModule(FixedPointModule):
+    """Fixed-point basis of the rank-r framed-sheaf moduli, K-theory flavor."""
+
+    _e_transitions = fixed_point_raise
+    _f_transitions = fixed_point_lower
+    _psi_rat = fixed_point_psi
+
+
+class DiagonalTwist(ModuleWrapper):
     """Twist of a module: e, f, psi rescaled by fixed units.
 
     Covers the renormalized actions (e by 1-q1, f by 1-q2) and the
@@ -226,21 +229,10 @@ class DiagonalTwist(Module):
     """
 
     def __init__(self, base, e_scale=1, f_scale=1, psi_scale=1):
-        super().__init__()
-        self.base = base
-        self.toroidal = base.toroidal
+        super().__init__(base)
         self.e_scale = e_scale
         self.f_scale = f_scale
         self.psi_scale = psi_scale
-
-    def __getattr__(self, name):
-        return getattr(self.base, name)
-
-    def level(self, label):
-        return self.base.level(label)
-
-    def basis(self, level):
-        return self.base.basis(level)
 
     def _e_transitions(self, label):
         return [(t, c * self.e_scale, p) for (t, c, p) in self.base.e_transitions(label)]
@@ -263,7 +255,6 @@ class TensorModule(Module):
         super().__init__()
         self.w1 = w1
         self.w2 = w2
-        self.toroidal = w1.toroidal
 
     def level(self, label):
         l1, l2 = label
@@ -317,24 +308,21 @@ def kappa_twist_constant(params, r):
     """Unit T with f -> f/T, psi -> psi/T matching the r-fold Fock tensor.
 
     Pinned by requiring equal vacuum eigenvalues of the diagonal current on
-    the twisted fixed-point module and on the tensor of Fock modules.
+    the twisted fixed-point module and on the tensor of Fock modules, whose
+    psi constant is 1: T is the fixed-point psi constant.
     """
-    q1, q2 = params.q1, params.q2
-    T = (-1) ** r * (q1 * q2) ** (r + 1)
-    for a in range(r):
-        T = T * params.chis[a]
-    return T
+    return params.fixed_psi_norm(r)
 
 
 def fock_tensor(params, r):
     """Tensor of Fock modules matching the rank-r fixed-point basis.
 
-    Evaluation parameters are the inverse framings: the delta-support points
-    of the fixed-point module are the box contents t1^(i-1) t2^(j-1) / chi_a,
-    and support points are basis-independent data, so the a-th factor must
-    be the Fock module at 1/chi_a.
+    Evaluation parameters are the framings' vacuum points `params.frame(a)`
+    (1/chi_a, or -x_a): the delta-support points of the fixed-point module
+    are the box contents t1^(i-1) t2^(j-1) / chi_a, and support points are
+    basis-independent data, so the a-th factor must be the Fock module there.
     """
-    mods = [FockModule(params, 1 / params.chis[a]) for a in range(r)]
+    mods = [FockModule(params, params.frame(a)) for a in range(1, r + 1)]
     m = mods[0]
     for nxt in mods[1:]:
         m = TensorModule(m, nxt)
@@ -390,64 +378,61 @@ def fock_factorization_ratio(params, r, mlam, box, trailing=0):
     return d
 
 
-def solve_fock_factorization(params, r, level_bound, modes=(-1, 0, 1, 2), order=6):
-    """Solve the diagonal change of basis onto the r-fold Fock tensor.
+def solve_factorization(mk, params, r, level_bound, modes, order,
+                        directions=(+1, -1), ratio=None):
+    """Solve the diagonal change of basis from the rank-r fixed-point module
+    `mk` onto the r-fold Fock tensor `fock_tensor(params, r)`, either family.
 
-    Returns (constants, report): constants maps r-partitions to scalars with
-    value 1 at the empty label; report lists any consistency failures
-    (raising/lowering intertwining for every listed mode, diagonal-series
-    agreement, and agreement with the closed-form one-box ratio).
+    Returns (constants, failures): constants maps r-partitions to scalars
+    with value 1 at the empty label, solved breadth-first from raising mode
+    0; failures lists every consistency failure: path dependence, raising
+    and lowering intertwining for every listed mode, agreement of the
+    diagonal series in every listed direction, and, when `ratio` is given,
+    agreement with the closed-form one-box ratio `ratio(params, r, mlam, box)`.
     """
-    T = kappa_twist_constant(params, r)
-    mk = DiagonalTwist(KTheoryFixedPointModule(params, r),
-                       f_scale=1 / T, psi_scale=1 / T)
     ft = fock_tensor(params, r)
     consts = {((),) * r: Fraction(1)}
     failures = []
-    # breadth-first solve from the vacuum using raising mode 0
     for level in range(level_bound):
         for mlam in pt.enum_multipartitions(r, level):
             c_src = consts[mlam]
-            tlabel = nest_label(mlam)
-            ttrans = {t: (c, pnt) for (t, c, pnt) in ft.e_transitions(tlabel)}
-            for (tgt, mc, mp_) in mk.e_transitions(mlam):
-                tc, tp = ttrans[nest_label(tgt)]
-                val = c_src * tc / mc
-                if tgt in consts:
-                    if consts[tgt] != val:
-                        failures.append(("path-dependence", mlam, tgt))
-                else:
-                    consts[tgt] = val
-    # full verification sweep
+            ttrans = {t: c for (t, c, _) in ft.e_transitions(nest_label(mlam))}
+            for (tgt, mc, _) in mk.e_transitions(mlam):
+                val = c_src * ttrans[nest_label(tgt)] / mc
+                if consts.setdefault(tgt, val) != val:
+                    failures.append(("path-dependence", mlam, tgt))
     for level in range(level_bound + 1):
         for mlam in pt.enum_multipartitions(r, level):
             c_src = consts[mlam]
             tlabel = nest_label(mlam)
-            # closed-form ratio check
-            for box in pt.addable_boxes(mlam):
+            for box in pt.addable_boxes(mlam) if ratio else ():
                 tgt = pt.mp_add_box(mlam, box[0], box[2])
-                if tgt in consts:
-                    want = fock_factorization_ratio(params, r, mlam, box)
-                    if consts[tgt] / c_src != want:
-                        failures.append(("closed-form-ratio", mlam, box))
+                if tgt in consts and consts[tgt] / c_src != ratio(params, r, mlam, box):
+                    failures.append(("closed-form-ratio", mlam, box))
             for mode in modes:
                 ttrans = {t: c * pnt ** mode for (t, c, pnt) in ft.e_transitions(tlabel)}
                 for (tgt, mc, mp_) in mk.e_transitions(mlam):
-                    if level + 1 > level_bound or tgt not in consts:
-                        continue
-                    lhs = consts[tgt] * mc * mp_ ** mode
-                    rhs = c_src * ttrans[nest_label(tgt)]
-                    if lhs != rhs:
+                    if tgt in consts and (consts[tgt] * mc * mp_ ** mode
+                                          != c_src * ttrans[nest_label(tgt)]):
                         failures.append(("e-intertwine", mode, mlam, tgt))
                 ftrans = {t: c * pnt ** mode for (t, c, pnt) in ft.f_transitions(tlabel)}
                 for (tgt, mc, mp_) in mk.f_transitions(mlam):
-                    lhs = consts[tgt] * mc * mp_ ** mode
-                    rhs = c_src * ftrans.get(nest_label(tgt), 0)
-                    if lhs != rhs:
+                    if consts[tgt] * mc * mp_ ** mode != c_src * ftrans.get(nest_label(tgt), 0):
                         failures.append(("f-intertwine", mode, mlam, tgt))
-            for direction in (+1, -1):
+            for direction in directions:
                 a = mk.psi_series(mlam, direction, order)
                 b = ft.psi_series(tlabel, direction, order)
                 if not (a - b).is_zero():
                     failures.append(("psi-series", direction, mlam))
     return consts, failures
+
+
+def solve_fock_factorization(params, r, level_bound, modes=(-1, 0, 1, 2), order=6):
+    """Multiplicative Fock factorization: `solve_factorization` on the
+    fixed-point module twisted by the kappa constant (f and psi divided by
+    it), with both expansions of psi and the closed-form one-box ratio."""
+    T = kappa_twist_constant(params, r)
+    mk = DiagonalTwist(KTheoryFixedPointModule(params, r),
+                       f_scale=1 / T, psi_scale=1 / T)
+    return solve_factorization(mk, params, r, level_bound, modes, order,
+                               ratio=fock_factorization_ratio)

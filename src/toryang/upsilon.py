@@ -312,12 +312,8 @@ def borel_log_identity(order, gamma=Fraction(3, 7)):
 def kappa_series_twist(params_t, r):
     """Diagonal unit aligning the series K-theory module with the canonical
     central normalization (equal and opposite halves of the vacuum weight)."""
-    q1q2 = params_t.q1 * params_t.q2
-    T = (-1) ** r * q1q2 ** (r + 1)
-    for a in range(r):
-        T = T * params_t.chis[a]
     h3 = params_t.yangian.h3
-    return T * series_exp(h3 * Fraction(r, 2))
+    return params_t.fixed_psi_norm(r) * series_exp(h3 * Fraction(r, 2))
 
 
 def ch_solver(alpha, beta, xis, r, level_bound, trunc=16, hmod=9,

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import partitions as pt
+from .repbase import PerturbedModule, coeff_of
 from .shuffle import K_element
 from .toroidal import KTheoryFixedPointModule
 from .yangian import CohomologyFixedPointModule
@@ -135,15 +136,7 @@ def shuffle_matrix_coeff(F, big, small, module, flavor, params, order="canonical
             den = den * _kernel_value(flavor, params, contents[a], contents[b])
     val = num / den
     for q in range(n, 0, -1):
-        upper, lower = chain[q], chain[q - 1]
-        f0 = None
-        for (tgt, c, p) in module.f_transitions(upper):
-            if tgt == lower:
-                f0 = c
-                break
-        if f0 is None:
-            return Fraction(0)
-        val = val * f0
+        val = val * coeff_of(module.f_transitions(chain[q]), chain[q - 1])
     return val
 
 
@@ -249,8 +242,6 @@ def whittaker_eigencheck(flavor, r, n, j, level_bound, params, perturb=False):
         F = K_element("a", n, params, power=j)
         want = D_constant(j, n, r, params)
     if perturb:
-        from .repbase import PerturbedModule
-
         module = PerturbedModule(module, "f")
     failures = []
     ref = None
@@ -281,7 +272,7 @@ def bott_lefschetz_consistency(flavor, r, level_bound, params):
             for (a, i, jrow) in pt.addable_boxes(mlam):
                 big = pt.mp_add_box(mlam, a, jrow)
                 w_hi = fixed_weight(big, flavor, params)
-                f0 = _coeff(module.f_transitions(big), mlam)
+                f0 = coeff_of(module.f_transitions(big), mlam)
                 if flavor == "K":
                     e_tr = [(t, c * p ** (-r)) for (t, c, p) in module.e_transitions(mlam)]
                 else:
@@ -292,9 +283,3 @@ def bott_lefschetz_consistency(flavor, r, level_bound, params):
                     fails.append((mlam, big))
     return fails
 
-
-def _coeff(transitions, label):
-    for (t, c, p) in transitions:
-        if t == label:
-            return c
-    return Fraction(0)

@@ -1,12 +1,13 @@
 """Modules for the additive (affine Yangian) family, plus the closed-form
 eigenvalue oracles for the diagonalized commutators [e_i, f_j].
 
-The additive modules mirror the multiplicative ones: vector module on an
-integer chain, Fock module on partitions, and the fixed-point basis of
-rank-r moduli cohomology on r-partitions.  Modes are nonnegative here and
-e(z) = sum_j e_j z^{-j-1}, which changes nothing in the matrix-coefficient
-bookkeeping: the mode-j coefficient is (support point)^j times the mode-0
-one.
+The additive modules are the multiplicative ones over additive params:
+vector module on an integer chain, Fock module on partitions, and the
+fixed-point basis of rank-r moduli cohomology on r-partitions, each written
+once in `toroidal.py` over the family weights.  Modes are nonnegative here
+and e(z) = sum_j e_j z^{-j-1}, which changes nothing in the
+matrix-coefficient bookkeeping: the mode-j coefficient is
+(support point)^j times the mode-0 one.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import partitions as pt
-from .repbase import Module, vec
-from .scalars import RatFn
+from .repbase import ModuleWrapper, coeff_of
+from .toroidal import (FixedPointModule, FockModule, VectorModule, fixed_point_lower,
+                       fixed_point_psi, fixed_point_raise, solve_factorization)
 
 __all__ = [
     "AVectorModule",
@@ -32,184 +34,16 @@ __all__ = [
 ]
 
 
-class AVectorModule(Module):
-    """Basis [u]_j, j in Z, additive flavor."""
-
-    toroidal = False
-    integer_graded = True
-
-    def __init__(self, params, u=Fraction(0)):
-        super().__init__()
-        self.params = params
-        self.u = u
-
-    def level(self, label):
-        return label
-
-    def basis(self, level):
-        return [level]
-
-    def _e_transitions(self, j):
-        h1 = self.params.h1
-        return [(j + 1, 1 / h1, j * h1 + self.u)]
-
-    def _f_transitions(self, j):
-        h1 = self.params.h1
-        return [(j - 1, -1 / h1, (j - 1) * h1 + self.u)]
-
-    def _psi_rat(self, j):
-        h1, h2, h3 = self.params.hs
-        u = self.u
-        return RatFn.from_factors(
-            1,
-            [j * h1 + h2 + u, j * h1 + h3 + u],
-            [j * h1 + u, (j - 1) * h1 + u],
-        )
+AVectorModule = VectorModule
+AFockModule = FockModule
 
 
-class AFockModule(Module):
-    """Basis |lam> over partitions, additive flavor."""
-
-    toroidal = False
-
-    def __init__(self, params, u=Fraction(0)):
-        super().__init__()
-        self.params = params
-        self.u = u
-
-    def level(self, lam):
-        return pt.size(lam)
-
-    def basis(self, level):
-        return pt.enum_partitions(level)
-
-    def _e_transitions(self, lam):
-        h1, h2 = self.params.h1, self.params.h2
-        u = self.u
-        out = []
-        for i in pt.addable_rows(lam):
-            li = pt.part(lam, i)
-            coeff = 1 / h1
-            for j in range(1, i):
-                lj = pt.part(lam, j)
-                coeff = coeff * (
-                    ((li - lj) * h1 + (i - j - 1) * h2)
-                    * ((li - lj + 1) * h1 + (i - j + 1) * h2)
-                ) / (
-                    ((li - lj) * h1 + (i - j) * h2)
-                    * ((li - lj + 1) * h1 + (i - j) * h2)
-                )
-            point = li * h1 + (i - 1) * h2 + u
-            out.append((pt.add_box(lam, i), coeff, point))
-        return out
-
-    def _f_transitions(self, lam):
-        h1, h2 = self.params.h1, self.params.h2
-        u = self.u
-        out = []
-        for i in pt.removable_rows(lam):
-            li = pt.part(lam, i)
-            lnext = pt.part(lam, i + 1)
-            coeff = -(1 / h1) * ((lnext - li) * h1) / ((lnext - li + 1) * h1 + h2)
-            for j in range(i + 1, len(lam) + 1):
-                lj = pt.part(lam, j)
-                lj1 = pt.part(lam, j + 1)
-                coeff = coeff * (
-                    ((lj - li + 1) * h1 + (j - i + 1) * h2)
-                    * ((lj1 - li) * h1 + (j - i) * h2)
-                ) / (
-                    ((lj1 - li + 1) * h1 + (j - i + 1) * h2)
-                    * ((lj - li) * h1 + (j - i) * h2)
-                )
-            point = (li - 1) * h1 + (i - 1) * h2 + u
-            out.append((pt.remove_box(lam, i), coeff, point))
-        return out
-
-    def _psi_rat(self, lam):
-        h1, h2 = self.params.h1, self.params.h2
-        u = self.u
-        l1 = pt.part(lam, 1)
-        zeros = [(l1 - 1) * h1 - h2 + u]
-        poles = [l1 * h1 + u]
-        for i in range(1, len(lam) + 1):
-            li, li1 = pt.part(lam, i), pt.part(lam, i + 1)
-            zeros += [li * h1 + i * h2 + u, (li1 - 1) * h1 + (i - 1) * h2 + u]
-            poles += [li1 * h1 + i * h2 + u, (li - 1) * h1 + (i - 1) * h2 + u]
-        return RatFn.from_factors(1, zeros, poles)
-
-
-class CohomologyFixedPointModule(Module):
+class CohomologyFixedPointModule(FixedPointModule):
     """Fixed-point basis of rank-r framed-sheaf moduli, cohomology flavor."""
 
-    toroidal = False
-
-    def __init__(self, params, r, margin=1):
-        super().__init__()
-        if len(params.xs) < r:
-            raise ValueError("need r framing parameters")
-        self.params = params
-        self.r = r
-        self.margin = margin
-
-    def level(self, mlam):
-        return pt.mp_size(mlam)
-
-    def basis(self, level):
-        return pt.enum_multipartitions(self.r, level)
-
-    def x_row(self, mlam, a, k):
-        s1, s2 = self.params.h1, self.params.h2
-        lam = mlam[a - 1]
-        return (pt.part(lam, k) - 1) * s1 + (k - 1) * s2 - self.params.xs[a - 1]
-
-    def _e_transitions(self, mlam):
-        s1, s2 = self.params.h1, self.params.h2
-        out = []
-        for (l, col, row) in pt.addable_boxes(mlam):
-            tgt = pt.mp_add_box(mlam, l, row)
-            x = self.x_row(tgt, l, row)  # content of the added box
-            coeff = 1 / (s1 + s2)
-            for a in range(1, self.r + 1):
-                K = len(tgt[a - 1]) + self.margin
-                coeff = coeff / (s1 + self.x_row(tgt, a, 1) - x)
-                for k in range(1, K + 1):
-                    xk = self.x_row(tgt, a, k)
-                    xk1 = self.x_row(tgt, a, k + 1)
-                    coeff = coeff * (s1 + s2 + xk - x) / (s1 + xk1 - x)
-            out.append((tgt, coeff, x))
-        return out
-
-    def _f_transitions(self, mlam):
-        s1, s2 = self.params.h1, self.params.h2
-        sign = (-1) ** (self.r - 1)
-        out = []
-        for (l, col, row) in pt.removable_boxes(mlam):
-            tgt = pt.mp_remove_box(mlam, l, row)
-            x = self.x_row(tgt, l, row)
-            point = s1 + x  # content of the removed box
-            coeff = sign / (s1 + s2)
-            for a in range(1, self.r + 1):
-                K = len(tgt[a - 1]) + self.margin
-                coeff = coeff * (s1 + s2 + x - self.x_row(tgt, a, 1))
-                for k in range(1, K + 1):
-                    xk = self.x_row(tgt, a, k)
-                    xk1 = self.x_row(tgt, a, k + 1)
-                    coeff = coeff * (s1 + s2 + x - xk1) / (s1 + x - xk)
-            out.append((tgt, coeff, point))
-        return out
-
-    def _psi_rat(self, mlam):
-        s1, s2, s3 = self.params.hs
-        xs = self.params.xs
-        zeros, poles = [], []
-        for a in range(1, self.r + 1):
-            zeros.append(s3 - xs[a - 1])
-            poles.append(-xs[a - 1])
-            for box in pt.boxes(mlam[a - 1]):
-                c = pt.content_add(box, s1, s2, xs[a - 1])
-                zeros += [c - s1, c - s2, c - s3]
-                poles += [c + s1, c + s2, c + s3]
-        return RatFn.from_factors(1, zeros, poles)
+    _e_transitions = fixed_point_raise
+    _f_transitions = fixed_point_lower
+    _psi_rat = fixed_point_psi
 
 
 def fock_constant(lam, params):
@@ -389,22 +223,15 @@ def check_admissible(module, labels):
         # build 1 + sig3 [ sum_f d*c/(z - pt) - sum_e c*d/(z - pt) ]
         terms = []
         for (tgt, d, ptf) in module.f_transitions(alpha):
-            c_back = _find_coeff(module.e_transitions(tgt), alpha)
+            c_back = coeff_of(module.e_transitions(tgt), alpha)
             terms.append((sig3 * d * c_back, ptf))
         for (tgt, c, pte) in module.e_transitions(alpha):
-            d_back = _find_coeff(module.f_transitions(tgt), alpha)
+            d_back = coeff_of(module.f_transitions(tgt), alpha)
             terms.append((-sig3 * c * d_back, pte))
         num, den = _sum_simple_poles(terms)
         if not rf.num * den == rf.den * num:
             raise AdmissibleError(f"diagonal data of {alpha!r} is not admissible")
     return True
-
-
-def _find_coeff(transitions, label):
-    for (tgt, c, p) in transitions:
-        if tgt == label:
-            return c
-    return 0
 
 
 def _sum_simple_poles(terms):
@@ -452,18 +279,10 @@ def restrict_tensor(tensor, pred, levels, windows=None):
     return RestrictedModule(tensor, pred), ("sub" if sub_ok else "quot")
 
 
-class RestrictedModule(Module):
+class RestrictedModule(ModuleWrapper):
     def __init__(self, base, pred):
-        super().__init__()
-        self.base = base
+        super().__init__(base)
         self.pred = pred
-        self.toroidal = base.toroidal
-
-    def __getattr__(self, name):
-        return getattr(self.base, name)
-
-    def level(self, label):
-        return self.base.level(label)
 
     def basis(self, level):
         return [l for l in self.base.basis(level) if self.pred(l)]
@@ -474,56 +293,9 @@ class RestrictedModule(Module):
     def _f_transitions(self, label):
         return [(t, c, p) for (t, c, p) in self.base.f_transitions(label) if self.pred(t)]
 
-    def _psi_rat(self, label):
-        return self.base.psi_rat(label)
-
 
 def solve_fock_factorization_add(params, r, level_bound, modes=(0, 1, 2), order=6):
-    """Additive counterpart of the Fock factorization solver."""
-    from .toroidal import TensorModule
-
-    # support points of the fixed-point basis are the contents
-    # (i-1)s1 + (j-1)s2 - x_a, so the a-th Fock factor is shifted by -x_a
-    mk = CohomologyFixedPointModule(params, r)
-    mods = [AFockModule(params, -params.xs[a]) for a in range(r)]
-    ft = mods[0]
-    for nxt in mods[1:]:
-        ft = TensorModule(ft, nxt)
-
-    def nest(mlam):
-        label = mlam[0]
-        for lam in mlam[1:]:
-            label = (label, lam)
-        return label
-
-    consts = {((),) * r: Fraction(1)}
-    failures = []
-    for level in range(level_bound):
-        for mlam in pt.enum_multipartitions(r, level):
-            c_src = consts[mlam]
-            ttrans = {t: (c, pnt) for (t, c, pnt) in ft.e_transitions(nest(mlam))}
-            for (tgt, mc, mp_) in mk.e_transitions(mlam):
-                tc, tp = ttrans[nest(tgt)]
-                val = c_src * tc / mc
-                if tgt in consts and consts[tgt] != val:
-                    failures.append(("path-dependence", mlam, tgt))
-                consts.setdefault(tgt, val)
-    for level in range(level_bound + 1):
-        for mlam in pt.enum_multipartitions(r, level):
-            c_src = consts[mlam]
-            for mode in modes:
-                ttrans = {t: c * pnt ** mode for (t, c, pnt) in ft.e_transitions(nest(mlam))}
-                for (tgt, mc, mp_) in mk.e_transitions(mlam):
-                    if tgt not in consts:
-                        continue
-                    if consts[tgt] * mc * mp_ ** mode != c_src * ttrans[nest(tgt)]:
-                        failures.append(("e-intertwine", mode, mlam, tgt))
-                ftrans = {t: c * pnt ** mode for (t, c, pnt) in ft.f_transitions(nest(mlam))}
-                for (tgt, mc, mp_) in mk.f_transitions(mlam):
-                    if consts[tgt] * mc * mp_ ** mode != c_src * ftrans.get(nest(tgt), 0):
-                        failures.append(("f-intertwine", mode, mlam, tgt))
-            a = mk.psi_series(mlam, +1, order)
-            b = ft.psi_series(nest(mlam), +1, order)
-            if not (a - b).is_zero():
-                failures.append(("psi-series", mlam))
-    return consts, failures
+    """Additive Fock factorization: `solve_factorization` on the fixed-point
+    module itself, with psi compared at z = infinity only."""
+    return solve_factorization(CohomologyFixedPointModule(params, r), params, r,
+                               level_bound, modes, order, directions=(+1,))

@@ -109,6 +109,20 @@ def test_module_construction_error_is_config_error():
     assert "framing" in report["error"]
 
 
+
+def test_limits_without_closed_form_pair_is_config_error():
+    # the (k, l) sweep is empty at L 0, so even the negative control used to pass
+    code, report = run({"suite": "limits", "L": 0, "perturb": True})
+    assert code == 2 and report["status"] == "config-error"
+    assert "(k, l)" in report["error"] and "checks" not in report
+
+
+def test_shuffle_without_generator_is_config_error():
+    # at L 1 wheel, membership and commutativity used to pass over no generator
+    code, report = run({"suite": "shuffle", "L": 1})
+    assert code == 2 and report["status"] == "config-error"
+    assert "generator" in report["error"] and "checks" not in report
+
 def test_cli_process_invocation():
     out = subprocess.run(
         [sys.executable, "-m", "toryang", "limits"],
