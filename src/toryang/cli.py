@@ -40,7 +40,6 @@ class Check:
         self.cid = cid
         self.ok = ok
         self.details = details
-        self.seconds = 0.0
 
     def to_json(self):
         out = {"id": self.cid, "status": "pass" if self.ok else "fail"}
@@ -108,10 +107,15 @@ def _suite_whittaker(config, checks):
     for flavor in flavors:
         for r in rs:
             params = (config["_tparams"] if flavor == "K" else config["_yparams"])
-            if len((params.chis if flavor == "K" else params.xs)) < r:
+            if len(params.framings) < r:
                 params = (default_toroidal(r) if flavor == "K" else default_yangian(r))
+            if not 1 <= r <= len(params.framings):
+                raise ConfigError(f"--r {r}: needs 1 <= r <= {len(params.framings)}, "
+                                  "the number of framing parameters")
+            js = [config["j"]] if config.get("j") is not None else list(range(r + 1))
+            if not all(0 <= j <= r for j in js):
+                raise ConfigError(f"--j {config['j']}: the eigenvalue needs 0 <= j <= r = {r}")
             for n in ns:
-                js = [config["j"]] if config.get("j") is not None else list(range(r + 1))
                 for j in js:
                     val, fails = whittaker_eigencheck(flavor, r, n, j, L, params,
                                                       perturb=bool(perturb))
@@ -359,8 +363,11 @@ def run(config):
     timings = {}
     for name in names:
         t0 = time.perf_counter()
+        before = len(checks)
         try:
             SUITES[name](config, checks)
+            if len(checks) == before:
+                raise ConfigError(f"suite {name!r} has no check at this configuration")
         except ConfigError as exc:
             return _error(report, 2, "config-error", exc)
         timings[name] = round(time.perf_counter() - t0, 3)

@@ -113,10 +113,6 @@ class QOp:
                 central += c1 * c2 * _cocycle_q(q, a, j, b, k)
         return QOp(q, out, central)
 
-    def to_json(self):
-        return {"monomials": [[i, j, str(c)] for (i, j), c in sorted(self.terms.items())],
-                "central": str(self.central)}
-
     def __repr__(self):
         return f"QOp({self.terms}, central={self.central})"
 
@@ -263,11 +259,6 @@ class HOp:
             return None, None
         d = max(p)
         return d, p[d]
-
-    def to_json(self):
-        return {"monomials": [[j, [[e, str(c)] for e, c in sorted(p.items())]]
-                              for j, p in sorted(self.terms.items())],
-                "central": str(self.central)}
 
     def __repr__(self):
         return f"HOp({self.terms}, central={self.central})"

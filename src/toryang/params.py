@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 
-from .scalars import TSeries, h_gen, series_exp
+from .scalars import h_gen, series_exp
 
 __all__ = [
     "GenericityError",

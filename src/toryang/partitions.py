@@ -16,7 +16,6 @@ multiplicatively or additively.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [

@@ -26,7 +26,7 @@ from .scalars import ratfn_expand, ratfn_log_coeffs, is_zero_mod
 
 __all__ = [
     "vec", "vadd", "vscale", "vsub", "is_vec_zero",
-    "Module", "ModuleWrapper", "PerturbedModule", "coeff_of", "apply_word",
+    "Module", "ModuleWrapper", "PerturbedModule", "apply_mode", "coeff_of", "apply_word",
     "word_images", "RelationReport", "check_relation",
     "RELATION_BUILDERS_T", "RELATION_BUILDERS_Y",
 ]
@@ -130,18 +130,11 @@ class Module:
                                           for tgt, base, point in ts]
         return row
 
-    def _apply_mode(self, kind, mode, v):
-        out = {}
-        for label, c in v.items():
-            for tgt, coeff in self.mode_row(kind, label, mode):
-                out[tgt] = out.get(tgt, 0) + c * coeff
-        return {k: c for k, c in out.items() if not _zero(c)}
-
     def apply_e(self, mode, v):
-        return self._apply_mode("e", mode, v)
+        return apply_mode(self, "e", mode, v)
 
     def apply_f(self, mode, v):
-        return self._apply_mode("f", mode, v)
+        return apply_mode(self, "f", mode, v)
 
     def psi_series(self, label, direction, order):
         """Truncated expansion of the diagonal eigenvalue (X = z^-1 or z)."""
@@ -150,37 +143,19 @@ class Module:
             self._series_cache[key] = ratfn_expand(self.psi_rat(label), direction, order)
         return self._series_cache[key]
 
-    def psi_plus_coeff(self, label, k, order=None):
-        """Coefficient of z^-k in the expansion around infinity (k >= 0)."""
+    def psi_coeff(self, label, sign, k):
+        """Coefficient of z^-k (sign +1, expansion around infinity) or of z^k
+        (sign -1, around 0) of the diagonal eigenvalue; 0 when k < 0."""
         if k < 0:
             return 0
-        s = self.psi_series(label, +1, order or k + 1)
-        return s.coeff(k)
-
-    def psi_minus_coeff(self, label, k, order=None):
-        if k < 0:
-            return 0
-        s = self.psi_series(label, -1, order or k + 1)
-        return s.coeff(k)
+        return self.psi_series(label, sign, k + 1).coeff(k)
 
     def apply_psi(self, sign, k, v):
-        get = self.psi_plus_coeff if sign > 0 else self.psi_minus_coeff
-        out = {}
-        for label, c in v.items():
-            val = c * get(label, k)
-            if not _zero(val):
-                out[label] = val
-        return out
+        return _apply_diagonal(v, lambda label: self.psi_coeff(label, sign, k))
 
     # yangian-normalized psi_j modes: psi(z) = 1 + sig3 * sum psi_j z^-j-1
     def apply_psi_y(self, j, v, sig3):
-        out = {}
-        for label, c in v.items():
-            ev = (self.psi_plus_coeff(label, j + 1)) / sig3
-            val = c * ev
-            if not _zero(val):
-                out[label] = val
-        return out
+        return _apply_diagonal(v, lambda label: self.psi_coeff(label, +1, j + 1) / sig3)
 
     def t_eigenvalue(self, label, m, beta):
         """Eigenvalue of the log-mode generator t_m extracted from psi.
@@ -200,16 +175,32 @@ class Module:
         return coeff * m / bm
 
     def apply_t(self, m, v, beta):
-        out = {}
-        for label, c in v.items():
-            val = c * self.t_eigenvalue(label, m, beta)
-            if not _zero(val):
-                out[label] = val
-        return out
+        return _apply_diagonal(v, lambda label: self.t_eigenvalue(label, m, beta))
 
 
 def _zero(c):
     return not c
+
+
+def apply_mode(rows, kind, mode, v):
+    """Mode `mode` of the 'e' or 'f' current on the vector v, read from
+    `rows.mode_row(kind, label, mode)`: every module and the series bridge
+    act through this one function."""
+    out = {}
+    for label, c in v.items():
+        for tgt, coeff in rows.mode_row(kind, label, mode):
+            out[tgt] = out.get(tgt, 0) + c * coeff
+    return {k: c for k, c in out.items() if not _zero(c)}
+
+
+def _apply_diagonal(v, eigenvalue):
+    """The diagonal operator with eigenvalue(label) on each label, on v."""
+    out = {}
+    for label, c in v.items():
+        val = c * eigenvalue(label)
+        if not _zero(val):
+            out[label] = val
+    return out
 
 
 def coeff_of(transitions, label):
@@ -416,8 +407,8 @@ def t_relation_instances(rel, window, params, cubic=1):
                 k = i + j
 
                 def rhs(module, label, k=k, beta1=beta1):
-                    return (module.psi_plus_coeff(label, k)
-                            - module.psi_minus_coeff(label, -k)) / beta1
+                    return (module.psi_coeff(label, +1, k)
+                            - module.psi_coeff(label, -1, -k)) / beta1
 
                 ins.append((f"T3[{i},{j}]", terms, rhs))
         return ins
@@ -527,14 +518,6 @@ class RelationReport:
         self.ok = ok
         self.counterexample = counterexample
         self.checked = checked
-
-    def to_json(self):
-        return {
-            "relation": self.relation,
-            "status": "pass" if self.ok else "fail",
-            "instances_checked": self.checked,
-            "counterexample": self.counterexample,
-        }
 
     def __repr__(self):
         return f"RelationReport({self.relation}, ok={self.ok}, checked={self.checked})"

@@ -80,12 +80,6 @@ class ShuffleElement:
         c = self.num.d[e0] / other.num.d[e0]
         return c if self.num == other.num * c else None
 
-    def to_json(self):
-        """{flavor, n, monomial list} with exponent vectors and coefficients."""
-        return {"flavor": self.flavor, "n": self.n,
-                "monomials": [[list(e), str(c)]
-                              for e, c in sorted(self.num.d.items())]}
-
     def __repr__(self):
         return f"ShuffleElement({self.flavor}, n={self.n}, {self.num!r})"
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import partitions as pt
 from .repbase import Module, ModuleWrapper
-from .scalars import RatFn
+from .scalars import RatFn, is_zero_mod
 
 __all__ = [
     "VectorModule",
@@ -28,6 +28,7 @@ __all__ = [
     "TensorModule",
     "IllDefinedCoproductError",
     "fock_factorization_ratio",
+    "solve_intertwiner",
     "solve_factorization",
     "solve_fock_factorization",
     "kappa_twist_constant",
@@ -378,50 +379,61 @@ def fock_factorization_ratio(params, r, mlam, box, trailing=0):
     return d
 
 
+def solve_intertwiner(mk, target, level_bound, modes, label, one, hmod=None):
+    """Solve the diagonal change of basis from the module `mk` onto `target`,
+    whose labels are `label(mk label)`, and check that it intertwines.
+
+    Returns (constants, failures): constants maps mk's labels to scalars,
+    `one` at the vacuum, solved breadth-first from raising mode 0; failures
+    lists path dependence and the raising and lowering intertwining of every
+    listed mode, with both sides read from `mode_row`.  Comparisons are
+    exact, or modulo X^hmod over a series ring.
+    """
+    consts = {mk.basis(0)[0]: one}
+    failures = []
+    for level in range(level_bound):
+        for src in mk.basis(level):
+            trow = dict(target.mode_row("e", label(src), 0))
+            for (tgt, mc, _) in mk.e_transitions(src):
+                val = consts[src] * trow[label(tgt)] / mc
+                if tgt not in consts:
+                    consts[tgt] = val
+                elif not is_zero_mod(consts[tgt] - val, hmod):
+                    failures.append(("path-dependence", src, tgt))
+    for level in range(level_bound + 1):
+        for src in mk.basis(level):
+            for mode in modes:
+                for kind in ("e", "f"):
+                    trow = dict(target.mode_row(kind, label(src), mode))
+                    for tgt, mc in mk.mode_row(kind, src, mode):
+                        if tgt in consts and not is_zero_mod(
+                                consts[tgt] * mc - consts[src] * trow.get(label(tgt), 0), hmod):
+                            failures.append((f"{kind}-intertwine", mode, src, tgt))
+    return consts, failures
+
+
 def solve_factorization(mk, params, r, level_bound, modes, order,
                         directions=(+1, -1), ratio=None):
     """Solve the diagonal change of basis from the rank-r fixed-point module
     `mk` onto the r-fold Fock tensor `fock_tensor(params, r)`, either family.
 
-    Returns (constants, failures): constants maps r-partitions to scalars
-    with value 1 at the empty label, solved breadth-first from raising mode
-    0; failures lists every consistency failure: path dependence, raising
-    and lowering intertwining for every listed mode, agreement of the
-    diagonal series in every listed direction, and, when `ratio` is given,
-    agreement with the closed-form one-box ratio `ratio(params, r, mlam, box)`.
+    Returns `solve_intertwiner`'s (constants, failures), with value 1 at the
+    empty label, and further failures: agreement of the diagonal series in
+    every listed direction and, when `ratio` is given, agreement with the
+    closed-form one-box ratio `ratio(params, r, mlam, box)`.
     """
     ft = fock_tensor(params, r)
-    consts = {((),) * r: Fraction(1)}
-    failures = []
-    for level in range(level_bound):
-        for mlam in pt.enum_multipartitions(r, level):
-            c_src = consts[mlam]
-            ttrans = {t: c for (t, c, _) in ft.e_transitions(nest_label(mlam))}
-            for (tgt, mc, _) in mk.e_transitions(mlam):
-                val = c_src * ttrans[nest_label(tgt)] / mc
-                if consts.setdefault(tgt, val) != val:
-                    failures.append(("path-dependence", mlam, tgt))
+    consts, failures = solve_intertwiner(mk, ft, level_bound, modes, nest_label,
+                                         Fraction(1))
     for level in range(level_bound + 1):
         for mlam in pt.enum_multipartitions(r, level):
-            c_src = consts[mlam]
-            tlabel = nest_label(mlam)
             for box in pt.addable_boxes(mlam) if ratio else ():
                 tgt = pt.mp_add_box(mlam, box[0], box[2])
-                if tgt in consts and consts[tgt] / c_src != ratio(params, r, mlam, box):
+                if tgt in consts and consts[tgt] / consts[mlam] != ratio(params, r, mlam, box):
                     failures.append(("closed-form-ratio", mlam, box))
-            for mode in modes:
-                ttrans = {t: c * pnt ** mode for (t, c, pnt) in ft.e_transitions(tlabel)}
-                for (tgt, mc, mp_) in mk.e_transitions(mlam):
-                    if tgt in consts and (consts[tgt] * mc * mp_ ** mode
-                                          != c_src * ttrans[nest_label(tgt)]):
-                        failures.append(("e-intertwine", mode, mlam, tgt))
-                ftrans = {t: c * pnt ** mode for (t, c, pnt) in ft.f_transitions(tlabel)}
-                for (tgt, mc, mp_) in mk.f_transitions(mlam):
-                    if consts[tgt] * mc * mp_ ** mode != c_src * ftrans.get(nest_label(tgt), 0):
-                        failures.append(("f-intertwine", mode, mlam, tgt))
             for direction in directions:
                 a = mk.psi_series(mlam, direction, order)
-                b = ft.psi_series(tlabel, direction, order)
+                b = ft.psi_series(nest_label(mlam), direction, order)
                 if not (a - b).is_zero():
                     failures.append(("psi-series", direction, mlam))
     return consts, failures

@@ -8,10 +8,14 @@ Diagonal data per basis label: the log of the diagonal eigenvalue, its
 inverse Borel transform, and the glueing unit g built from it.  The module
 keeps psi factored as (constant, zeros, poles), so the coefficients of
 log psi are power sums of the poles minus power sums of the zeros, with no
-series expansion or series logarithm.  Raising and lowering images act
-transition-by-transition with the glueing unit evaluated on the
-post-action label.  All per-label and per-transition data is memoized on
-first use; constructing a bridge computes none of it.
+series expansion or series logarithm.  The raising and lowering images
+keep mode-k rows [(target, base * norm * exp(k * point) * g)], with the
+glueing unit g evaluated on the post-action label, and act through the same
+row code as every module (`repbase.apply_mode`).  The comparison map from
+the renormalized K-theory module is the Fock-factorization solver
+(`toroidal.solve_intertwiner`) run against the bridge.  All per-label and
+per-row data is memoized on first use; constructing a bridge computes none
+of it.
 """
 
 from __future__ import annotations
@@ -20,17 +24,18 @@ from fractions import Fraction
 from math import factorial
 
 from .params import series_yangian, series_toroidal
-from .repbase import vsub
-from .scalars import (TSeries, series_exp, series_sqrt, series_zlog,
+from .repbase import apply_mode, is_vec_zero, vsub
+from .scalars import (TSeries, series_exp, series_log, series_sqrt,
                       expm1_over, is_zero_mod, ratfn_log_coeffs, ScalarDomainError)
 from .yangian import CohomologyFixedPointModule
-from .toroidal import KTheoryFixedPointModule, DiagonalTwist
+from .toroidal import KTheoryFixedPointModule, DiagonalTwist, solve_intertwiner
 
 __all__ = [
     "inverse_borel",
     "gprime_series",
     "UpsilonBridge",
     "borel_kernel_identity",
+    "comparison_module",
     "ch_solver",
     "limit_h3_diffop_identities",
     "limit_h3_module_check",
@@ -61,7 +66,7 @@ def gprime_series(order):
         if k - 1 < order:
             s[k - 1] = Fraction(2, 2 ** k * factorial(k))
     sv = TSeries(0, s, order)
-    g = -series_zlog(sv)
+    g = -series_log(sv)
     # derivative
     dc = [(g.val + i) * c for i, c in enumerate(g.coeffs)]
     return TSeries(g.val - 1, dc, g.trunc - 1)
@@ -91,7 +96,7 @@ class UpsilonBridge:
         self._gcache = {}
         self._bcache = {}
         self._alpha_inv = {}
-        self._mode_cache = {}
+        self._row_cache = {}
 
     # -- per-label diagonal data ------------------------------------------
     def kcoeffs(self, label):
@@ -157,31 +162,28 @@ class UpsilonBridge:
         return val
 
     # -- image operators ----------------------------------------------------
-    def _mode_coeff(self, kind, label, tgt, base, point, k):
-        """base * norm * exp(k * point) * g on one transition, memoized per
-        (transition, k); the glueing unit is evaluated on the target."""
-        key = (kind, label, tgt, k)
-        if key not in self._mode_cache:
-            norm = self.e_norm if kind == "e" else self.f_norm
-            g = self.g_at(tgt, point, key=(kind, tgt, label))
-            self._mode_cache[key] = base * norm * series_exp(point * k) * g
-        return self._mode_cache[key]
+    def mode_row(self, kind, label, k):
+        """[(target, base * norm * exp(k * point) * g)] over the 'e' or 'f'
+        transitions of the label, computed once per (kind, label, k); the
+        glueing unit is evaluated on the target."""
+        key = (kind, label, k)
+        row = self._row_cache.get(key)
+        if row is None:
+            if kind == "e":
+                norm, ts = self.e_norm, self.module.e_transitions(label)
+            else:
+                norm, ts = self.f_norm, self.module.f_transitions(label)
+            row = self._row_cache[key] = [
+                (tgt, base * norm * series_exp(point * k)
+                 * self.g_at(tgt, point, key=(kind, tgt, label)))
+                for tgt, base, point in ts]
+        return row
 
     def apply_e(self, k, vec):
-        out = {}
-        for label, c in vec.items():
-            for (tgt, base, point) in self.module.e_transitions(label):
-                add = c * self._mode_coeff("e", label, tgt, base, point, k)
-                out[tgt] = out.get(tgt, 0) + add
-        return {t: c for t, c in out.items() if c}
+        return apply_mode(self, "e", k, vec)
 
     def apply_f(self, k, vec):
-        out = {}
-        for label, c in vec.items():
-            for (tgt, base, point) in self.module.f_transitions(label):
-                add = c * self._mode_coeff("f", label, tgt, base, point, k)
-                out[tgt] = out.get(tgt, 0) + add
-        return {t: c for t, c in out.items() if c}
+        return apply_mode(self, "f", k, vec)
 
     def H_eigen(self, label, m):
         return self.B_at(label, m) / self.one_minus_q3
@@ -229,11 +231,8 @@ class UpsilonBridge:
                         diag = self.psi_pm_coeff(label, +1, k, 2 * window) if k >= 0 else 0
                         diag2 = self.psi_pm_coeff(label, -1, -k, 2 * window) if k <= 0 else 0
                         rhs = (diag - diag2) / self.one_minus_q3
-                        resid = vsub(lhs, {label: rhs})
-                        for c in resid.values():
-                            if not is_zero_mod(c, hmod):
-                                fails.append(("t3", label, i, j))
-                                break
+                        if not is_vec_zero(vsub(lhs, {label: rhs}), hmod):
+                            fails.append(("t3", label, i, j))
         return fails
 
     def audit_t4_ladder(self, level_bound, i_range, j_range, hmod):
@@ -250,12 +249,8 @@ class UpsilonBridge:
                         ej = self.apply_e(j, v)
                         for tgt, c in ej.items():
                             lhs[tgt] = c * (self.t_eigen(tgt, i) - self.t_eigen(label, i))
-                        rhs = self.apply_e(i + j, v)
-                        resid = vsub(lhs, rhs)
-                        for c in resid.values():
-                            if not is_zero_mod(c, hmod):
-                                fails.append(("t4t", label, i, j))
-                                break
+                        if not is_vec_zero(vsub(lhs, self.apply_e(i + j, v)), hmod):
+                            fails.append(("t4t", label, i, j))
         return fails
 
     def audit_cubic(self, level_bound, hmod):
@@ -270,10 +265,8 @@ class UpsilonBridge:
                                 self.apply_e(-1, self.apply_e(1, vv)))
 
                 resid = vsub(self.apply_e(0, inner(v)), inner(self.apply_e(0, v)))
-                for c in resid.values():
-                    if not is_zero_mod(c, hmod):
-                        fails.append(("cubic", label))
-                        break
+                if not is_vec_zero(resid, hmod):
+                    fails.append(("cubic", label))
         return fails
 
 
@@ -309,11 +302,16 @@ def borel_log_identity(order, gamma=Fraction(3, 7)):
     return (b - rhs).is_zero()
 
 
-def kappa_series_twist(params_t, r):
-    """Diagonal unit aligning the series K-theory module with the canonical
-    central normalization (equal and opposite halves of the vacuum weight)."""
-    h3 = params_t.yangian.h3
-    return params_t.fixed_psi_norm(r) * series_exp(h3 * Fraction(r, 2))
+def comparison_module(params_t, r):
+    """The renormalized series K-theory module that `ch_solver` compares with
+    the bridge: e scaled by 1-q1, f by (1-q2)/T and psi by 1/T, where the
+    unit T aligns it with the canonical central normalization (equal and
+    opposite halves of the vacuum weight)."""
+    T = params_t.fixed_psi_norm(r) * series_exp(params_t.yangian.h3 * Fraction(r, 2))
+    return DiagonalTwist(KTheoryFixedPointModule(params_t, r),
+                         e_scale=(1 - params_t.q1),
+                         f_scale=(1 - params_t.q2) * T.inv(),
+                         psi_scale=T.inv())
 
 
 def ch_solver(alpha, beta, xis, r, level_bound, trunc=16, hmod=9,
@@ -321,62 +319,28 @@ def ch_solver(alpha, beta, xis, r, level_bound, trunc=16, hmod=9,
     """Solve the diagonal comparison map from the renormalized series
     K-theory module to the additive module through the bridge images.
 
-    Returns (constants, failures).  Verified: mode-independence of the
-    one-box ratios, lowering consistency, and the diagonal (log-mode)
-    eigenvalue match.
+    Returns `solve_intertwiner`'s (constants, failures) modulo X^hmod, with
+    the series one at the empty label, and further failures: the diagonal
+    log-mode eigenvalue match and the central normalization.  Both read
+    psi's factors: log-modes are power sums of its zeros and poles, and the
+    vacuum weight is its constant.
     """
     bridge = UpsilonBridge(alpha, beta, xis, r, trunc=trunc)
-    pt = series_toroidal(alpha, beta, xis, trunc=trunc)
-    q1, q2 = pt.q1, pt.q2
-    T = kappa_series_twist(pt, r)
-    mk = DiagonalTwist(KTheoryFixedPointModule(pt, r),
-                       e_scale=(1 - q1),
-                       f_scale=(1 - q2) * T.inv(),
-                       psi_scale=T.inv())
-    one = TSeries(0, [1], trunc)
-    consts = {((),) * r: one}
-    fails = []
-    for level in range(level_bound):
-        for mlam in bridge.module.basis(level):
-            src = consts[mlam]
-            ups = bridge.apply_e(0, {mlam: one})
-            for (tgt, mc, mpnt) in mk.e_transitions(mlam):
-                val = src * ups[tgt] / mc
-                if tgt in consts:
-                    if not is_zero_mod(consts[tgt] - val, hmod):
-                        fails.append(("path-dependence", mlam, tgt))
-                else:
-                    consts[tgt] = val
+    mk = comparison_module(series_toroidal(alpha, beta, xis, trunc=trunc), r)
+    consts, fails = solve_intertwiner(mk, bridge, level_bound, modes, lambda x: x,
+                                      TSeries(0, [1], trunc), hmod)
     for level in range(level_bound + 1):
-        for mlam in bridge.module.basis(level):
-            src = consts[mlam]
-            for k in modes:
-                ups = bridge.apply_e(k, {mlam: one})
-                for (tgt, mc, mpnt) in mk.e_transitions(mlam):
-                    if tgt not in consts:
-                        continue
-                    lhs = consts[tgt] * mc * mpnt ** k
-                    if not is_zero_mod(lhs - src * ups[tgt], hmod):
-                        fails.append(("e-mode", k, mlam, tgt))
-                upsf = bridge.apply_f(k, {mlam: one})
-                for (tgt, mc, mpnt) in mk.f_transitions(mlam):
-                    lhs = consts[tgt] * mc * mpnt ** k
-                    if not is_zero_mod(lhs - src * upsf.get(tgt, 0), hmod):
-                        fails.append(("f-mode", k, mlam, tgt))
+        for mlam in mk.basis(level):
+            psi = mk.psi_rat(mlam)
             # diagonal log-mode match: K-side exponential modes vs Borel data
             for m in range(hrange[0], hrange[1] + 1):
                 for sgn in (+1, -1):
-                    ser = mk.psi_series(mlam, sgn, m + 1)
-                    c0inv = ser.coeff(0).inv()
-                    lg = series_zlog(ser.map_coeffs(lambda c: c * c0inv))
-                    hk = lg.coeff(m) / (bridge.one_minus_q3 * sgn)
+                    hk = ratfn_log_coeffs(psi, sgn, m)[m - 1] / (bridge.one_minus_q3 * sgn)
                     if not is_zero_mod(hk - bridge.H_eigen(mlam, sgn * m), hmod):
                         fails.append(("H-mode", sgn * m, mlam))
             # central normalization: vacuum weight halves match
-            p0 = bridge.psi0(mlam)
-            k_plus0 = mk.psi_series(mlam, +1, 1).coeff(0)
-            want = series_exp(-bridge.params.h3 * p0 * Fraction(1, 2))
-            if not is_zero_mod(k_plus0 - want, hmod):
+            want = series_exp(-bridge.params.h3 * bridge.psi0(mlam) * Fraction(1, 2))
+            if not is_zero_mod(psi.factors[0] - want, hmod):
                 fails.append(("kappa", mlam))
     return consts, fails
 

@@ -152,3 +152,38 @@ class TestSampling:
     def test_resonant_point_rejected(self):
         with pytest.raises(GenericityError):
             YangianParams(3, -3, ())
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["whittaker", "--r", "4", "--n", "1", "--L", "0"], "--r 4"),
+    (["whittaker", "--r", "1", "--n", "1", "--j", "5", "--L", "0"], "--j 5"),
+    (["relations", "--module", "bogus", "--L", "0", "--I", "0"], "no check"),
+    (["relations", "--module", "fixedpoint", "--r", "0", "--L", "0", "--I", "1"], "no check"),
+])
+def test_bad_configuration_exits_2_without_traceback(argv, needle):
+    # these ended in a ValueError traceback (exit 1) or passed with zero checks
+    out = subprocess.run([sys.executable, "-m", "toryang", *argv],
+                         capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    report = json.loads(out.stdout)
+    assert report["status"] == "config-error" and needle in report["error"]
+    assert "checks" not in report
+
+
+# sha256 of the JSON report (as the CLI prints it, without `timings`),
+# recorded before the comparison map moved onto the shared intertwining loop
+UPSILON_REPORTS = {
+    False: (0, "25842010fe06c06ef2b36cea4d416a6e2b9c35265776309414e2349631f0299c"),
+    True: (1, "b963f723e013294b0bf613a8ac69a4f60b532b561937e962e946e08cb69edb22"),
+}
+
+
+@pytest.mark.parametrize("perturb", [False, True])
+def test_upsilon_report_matches_recorded_digest(perturb):
+    import hashlib
+
+    config = {"suite": "upsilon", "perturb": True} if perturb else {"suite": "upsilon"}
+    code, report = run(config)
+    text = json.dumps(strip_timings(report), indent=2, sort_keys=True)
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == UPSILON_REPORTS[perturb]

@@ -115,3 +115,48 @@ def test_kcoeffs_and_psi0_match_series_log(r):
                 assert same(k, lg.coeff(i + 1))
             want = -br.module.psi_series(label, +1, 2).coeff(1) / br.params.h3
             assert same(br.psi0(label), want)
+
+
+# sha256 of the bridge's mode-k rows, recorded when each coefficient was
+# computed transition by transition (before the bridge read its rows through
+# the module row code); series compared by valuation, truncation and
+# coefficients
+BRIDGE_ROWS = {
+    1: "362de8b6fab6decbe0f94dd5df8aee6b026039d9b8cb2869d6ce7c62baf48238",
+    2: "5545234cb94640d3be72c1673834353dfc25f9bfbe634fc9cf79ed0ae785fdd7",
+}
+
+
+def canon(x):
+    if isinstance(x, TSeries):
+        return ("series", x.val, x.trunc, tuple(canon(c) for c in x.coeffs))
+    if isinstance(x, (tuple, list)):
+        return tuple(canon(c) for c in x)
+    return str(x)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_bridge_mode_rows_match_recorded_digest(r):
+    import hashlib
+
+    br = UpsilonBridge(13, 1, (Fraction(1, 5), Fraction(1, 7))[:r], r, trunc=TRUNC)
+    rows = [(kind, canon(label), k, canon(br.mode_row(kind, label, k)))
+            for level in range(3) for label in br.module.basis(level)
+            for kind in ("e", "f") for k in range(-3, 4)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == BRIDGE_ROWS[r]
+
+
+def test_comparison_map_reports_a_perturbed_module():
+    # ch_solver's own inputs, with one lowering coefficient scaled
+    from toryang.params import series_toroidal
+    from toryang.repbase import PerturbedModule
+    from toryang.toroidal import solve_intertwiner
+    from toryang.upsilon import comparison_module
+
+    xis = (Fraction(1, 5),)
+    br = UpsilonBridge(13, 1, xis, 1, trunc=TRUNC)
+    mk = comparison_module(series_toroidal(13, 1, xis, trunc=TRUNC), 1)
+    one = TSeries(0, [1], TRUNC)
+    for module, want in ((mk, set()), (PerturbedModule(mk, "f"), {"f-intertwine"})):
+        _, fails = solve_intertwiner(module, br, 2, (-1, 0, 1, 2), lambda x: x, one, HMOD)
+        assert {f[0] for f in fails} == want
