@@ -241,8 +241,8 @@ def _suite_upsilon(config, checks):
     checks.append(Check("upsilon:ladder-audit", not fails, [str(f) for f in fails[:3]]))
     fails = br.audit_cubic(L, hmod=hmod)
     checks.append(Check("upsilon:cubic-audit", not fails, [str(f) for f in fails[:3]]))
-    consts, fails = ch_solver(13, 1, (Fraction(1, 5),), 1, min(L + 1, 3),
-                              trunc=trunc, hmod=hmod)
+    _, fails = ch_solver(13, 1, (Fraction(1, 5),), 1, min(L + 1, 3),
+                         trunc=trunc, hmod=hmod)
     checks.append(Check("upsilon:comparison-map", not fails, [str(f) for f in fails[:3]]))
     fails = limit_h3_diffop_identities(hmod=hmod)
     checks.append(Check("upsilon:limit-diffop", not fails, [str(f) for f in fails[:3]]))
@@ -345,6 +345,10 @@ def run(config):
             if config.get(key, 0) < 0:
                 raise ConfigError(f"--{key} {config[key]} is negative; every scale "
                                   "starts at 0")
+        for key in ("r", "n"):
+            if config.get(key) is not None and config[key] < 1:
+                raise ConfigError(f"--{key} {config[key]}: needs {key} >= 1, there is "
+                                  f"no check at {key} = {config[key]}")
         if "upsilon" in names and config.get("N", 14) <= 4:
             raise ConfigError(f"--N {config['N']} leaves the series bridge a "
                               "residual order <= 0; it needs N >= 5")

@@ -5,13 +5,18 @@ Two flavors: the multiplicative one generated by Z, D with D Z = q Z D, and
 the additive one generated by x, the shift \\partial with \\partial x =
 (x+h) \\partial.  Both carry an explicit 2-cocycle supported on opposite
 shift powers; elements are kept in normal-ordered form (Z before D, x
-before the shift) plus a central coefficient.
+before the shift) plus a central coefficient.  The `QOp` and `HOp`
+constructors are the one place that drops zero coefficients (and emptied
+shift slots): every operation only accumulates into plain dicts and hands
+them over.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd
+
+from .scalars import _cf
 
 __all__ = [
     "QOp", "HOp", "theta_m_e", "theta_m_f", "theta_m_H", "theta_m_kappa",
@@ -27,12 +32,9 @@ __all__ = [
 ]
 
 
-def _cf(x):
-    return Fraction(x) if isinstance(x, int) else x
-
-
 class QOp:
-    """sum over (i, j) of c_{ij} Z^i D^j, plus central * c."""
+    """sum over (i, j) of c_{ij} Z^i D^j, plus central * c.  The constructor
+    drops zero coefficients; callers only accumulate."""
 
     __slots__ = ("terms", "central", "q")
 
@@ -53,11 +55,7 @@ class QOp:
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            out[k] = out.get(k, 0) + c
         return QOp(self.q, out, self.central + other.central)
 
     def __neg__(self):
@@ -88,11 +86,7 @@ class QOp:
         for (a, j), c1 in self.terms.items():
             for (b, k), c2 in other.terms.items():
                 key = (a + b, j + k)
-                s = out.get(key, Fraction(0)) + c1 * c2 * q ** (j * b)
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + c1 * c2 * q ** (j * b)
         return QOp(q, out)
 
     def bracket(self, other):
@@ -102,14 +96,8 @@ class QOp:
         central = Fraction(0)
         for (a, j), c1 in self.terms.items():
             for (b, k), c2 in other.terms.items():
-                coeff = c1 * c2 * (q ** (j * b) - q ** (k * a))
-                if coeff:
-                    key = (a + b, j + k)
-                    s = out.get(key, Fraction(0)) + coeff
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                key = (a + b, j + k)
+                out[key] = out.get(key, 0) + c1 * c2 * (q ** (j * b) - q ** (k * a))
                 central += c1 * c2 * _cocycle_q(q, a, j, b, k)
         return QOp(q, out, central)
 
@@ -127,7 +115,9 @@ def _cocycle_q(q, a, j, b, k):
 
 
 class HOp:
-    """sum over j of p_j(x) shift^j, plus central * c; p_j sparse in x."""
+    """sum over j of p_j(x) shift^j, plus central * c; p_j sparse in x.  The
+    constructor drops zero coefficients and empty slots; callers only
+    accumulate."""
 
     __slots__ = ("terms", "central", "h")
 
@@ -150,13 +140,7 @@ class HOp:
         for j, p in other.terms.items():
             slot = out.setdefault(j, {})
             for e, c in p.items():
-                s = slot.get(e, Fraction(0)) + c
-                if s:
-                    slot[e] = s
-                else:
-                    slot.pop(e, None)
-            if not slot:
-                out.pop(j)
+                slot[e] = slot.get(e, 0) + c
         return HOp(self.h, out, self.central + other.central)
 
     def __neg__(self):
@@ -185,11 +169,7 @@ class HOp:
         out = {}
         for e1, c1 in p1.items():
             for e2, c2 in p2.items():
-                s = out.get(e1 + e2, Fraction(0)) + c1 * c2
-                if s:
-                    out[e1 + e2] = s
-                else:
-                    out.pop(e1 + e2, None)
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return out
 
     def _shift_poly(self, p, j):
@@ -200,53 +180,35 @@ class HOp:
             for m in range(e + 1):
                 add = c * comb(e, m) * (j * h) ** (e - m)
                 if add:
-                    s = out.get(m, Fraction(0)) + add
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
+                    out[m] = out.get(m, 0) + add
         return out
 
     def mul(self, other):
         """Associative product of the operator parts (normal-ordered)."""
         if self.central or other.central:
             raise ValueError("associative product is defined on operator parts")
-        out = HOp(self.h)
         acc = {}
         for j1, p1 in self.terms.items():
             for j2, p2 in other.terms.items():
                 prod = self._mul_polys(p1, self._shift_poly(p2, j1))
                 slot = acc.setdefault(j1 + j2, {})
                 for e, c in prod.items():
-                    t = slot.get(e, Fraction(0)) + c
-                    if t:
-                        slot[e] = t
-                    else:
-                        slot.pop(e, None)
+                    slot[e] = slot.get(e, 0) + c
         return HOp(self.h, acc)
 
     def bracket(self, other):
         h = self.h
         acc = {}
         central = Fraction(0)
-
-        def put(j, p):
-            slot = acc.setdefault(j, {})
-            for e, c in p.items():
-                s = slot.get(e, Fraction(0)) + c
-                if s:
-                    slot[e] = s
-                else:
-                    slot.pop(e, None)
-            if not slot:
-                acc.pop(j)
-
         for j1, p1 in self.terms.items():
             for j2, p2 in other.terms.items():
                 a = self._mul_polys(p1, self._shift_poly(p2, j1))
                 b = self._mul_polys(p2, self._shift_poly(p1, j2))
-                put(j1 + j2, a)
-                put(j1 + j2, {e: -c for e, c in b.items()})
+                slot = acc.setdefault(j1 + j2, {})
+                for e, c in a.items():
+                    slot[e] = slot.get(e, 0) + c
+                for e, c in b.items():
+                    slot[e] = slot.get(e, 0) - c
                 central += _cocycle_h(h, p1, j1, p2, j2)
         return HOp(h, acc, central)
 
@@ -316,9 +278,8 @@ def theta_a_psi(h, j):
         c = Fraction(comb(j, m)) * (-h) ** (j - m)
         if m == j:
             c -= 1
-        if c:
-            out[m] = c
-    return HOp(h, {0: out} if out else {}, central=-((-h) ** j))
+        out[m] = c
+    return HOp(h, {0: out}, central=-((-h) ** j))
 
 
 def _nested_bracket(ops):

@@ -17,7 +17,7 @@ from math import comb, factorial
 from .multipoly import MPoly
 from .params import ToroidalParams
 from .partitions import enum_partitions
-from .repbase import vadd, vsub
+from .repbase import vadd, vsub, vsum
 from .shuffle import ShuffleElement
 
 __all__ = [
@@ -56,21 +56,20 @@ def boson_kappa(params, n):
 
 def boson_apply(params, n, vec):
     """Apply a single boson mode to a state dict partition -> scalar."""
-    out = {}
     if n == 0:
         return dict(vec)
-    for mu, c in vec.items():
-        if n < 0:
-            new = tuple(sorted(mu + (-n,), reverse=True))
-            out[new] = out.get(new, Fraction(0)) + c
-        else:
-            mult = mu.count(n)
-            if mult:
-                lst = list(mu)
-                lst.remove(n)
-                new = tuple(lst)
-                out[new] = out.get(new, Fraction(0)) + c * mult * boson_kappa(params, n)
-    return {k: v for k, v in out.items() if v}
+
+    def terms():
+        for mu, c in vec.items():
+            if n < 0:
+                yield tuple(sorted(mu + (-n,), reverse=True)), c
+            else:
+                mult = mu.count(n)
+                if mult:
+                    lst = list(mu)
+                    lst.remove(n)
+                    yield tuple(lst), c * mult * boson_kappa(params, n)
+    return vsum(terms())
 
 
 class VertexSpec:
@@ -111,36 +110,30 @@ def apply_vertex_mode(params, spec, k, vec):
     """Mode z^{-k} of the vertex operator applied to a state dict; exact."""
     from collections import Counter
 
-    out = {}
-    for mu, c0 in vec.items():
-        counts = sorted(Counter(mu).items())
-        choices = [[(n, t) for t in range(m + 1)] for n, m in counts]
-        for pick in iproduct(*choices) if choices else [()]:
-            acoef = c0 * spec.c
-            removed = 0
-            rest = []
-            for (n, t) in pick:
-                m = dict(counts)[n]
-                if t:
-                    acoef = acoef * comb(m, t) * (spec.v(n) * boson_kappa(params, n)) ** t
-                removed += n * t
-                rest.extend([n] * (m - t))
-            if not acoef:
-                continue
-            created_weight = removed - k
-            if created_weight < 0:
-                continue
-            base = tuple(sorted(rest, reverse=True))
-            if created_weight == 0:
-                out[base] = out.get(base, Fraction(0)) + acoef
-                continue
-            for nu in enum_partitions(created_weight):
-                ccoef = acoef
-                for n, t in sorted(Counter(nu).items()):
-                    ccoef = ccoef * spec.u(n) ** t / factorial(t)
-                new = tuple(sorted(base + nu, reverse=True))
-                out[new] = out.get(new, Fraction(0)) + ccoef
-    return {kk: v for kk, v in out.items() if v}
+    def terms():
+        for mu, c0 in vec.items():
+            counts = sorted(Counter(mu).items())
+            choices = [[(n, t) for t in range(m + 1)] for n, m in counts]
+            for pick in iproduct(*choices) if choices else [()]:
+                acoef = c0 * spec.c
+                removed = 0
+                rest = []
+                for (n, t) in pick:
+                    m = dict(counts)[n]
+                    if t:
+                        acoef = acoef * comb(m, t) * (spec.v(n) * boson_kappa(params, n)) ** t
+                    removed += n * t
+                    rest.extend([n] * (m - t))
+                created_weight = removed - k
+                if not acoef or created_weight < 0:
+                    continue
+                # the empty partition of weight 0 leaves the base state as is
+                for nu in enum_partitions(created_weight):
+                    ccoef = acoef
+                    for n, t in sorted(Counter(nu).items()):
+                        ccoef = ccoef * spec.u(n) ** t / factorial(t)
+                    yield tuple(sorted(rest + list(nu), reverse=True)), ccoef
+    return vsum(terms())
 
 
 def tt3_check(params, c, window=2, degree_cap=2):

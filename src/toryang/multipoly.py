@@ -1,20 +1,21 @@
 """Sparse multivariate Laurent polynomials over exact rationals.
 
 Monomials are exponent tuples (negative entries allowed); no zero
-coefficients are stored.  Everything the shuffle layer needs lives here:
-permutation of variables, exact division by variable differences, affine
-and monomial substitutions, and graded decompositions.
+coefficients are stored.  The constructor is the one place that drops
+them: every operation below only accumulates into a plain dict,
+``out[e] = out.get(e, 0) + c``, and hands it to ``MPoly(...)``.
+Everything the shuffle layer needs lives here: permutation of variables,
+exact division by variable differences, affine and monomial substitutions,
+and graded decompositions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .scalars import _cf
+
 __all__ = ["MPoly"]
-
-
-def _cf(x):
-    return Fraction(x) if isinstance(x, int) else x
 
 
 class MPoly:
@@ -68,11 +69,7 @@ class MPoly:
             other = MPoly.const(self.n, other)
         out = dict(self.d)
         for e, c in other.d.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + c
         return MPoly(self.n, out)
 
     __radd__ = __add__
@@ -96,11 +93,7 @@ class MPoly:
         for e1, c1 in self.d.items():
             for e2, c2 in other.d.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, 0) + c1 * c2
         return MPoly(self.n, out)
 
     __rmul__ = __mul__
@@ -166,11 +159,7 @@ class MPoly:
         for k in range(max(rows) if rows else 0, 0, -1):
             cur = dict(rows.get(k, {}))
             for e, c in carry.items():
-                s = cur.get(e, Fraction(0)) + c
-                if s:
-                    cur[e] = s
-                else:
-                    cur.pop(e, None)
+                cur[e] = cur.get(e, 0) + c
             carry = {}
             for e, c in cur.items():
                 qe = list(e)
@@ -178,19 +167,12 @@ class MPoly:
                 quot[tuple(qe)] = c
                 be = list(qe)
                 be[b] += 1
-                s = carry.get(tuple(be), Fraction(0)) + c
-                if s:
-                    carry[tuple(be)] = s
-                else:
-                    carry.pop(tuple(be), None)
+                be = tuple(be)
+                carry[be] = carry.get(be, 0) + c
         rem = dict(rows.get(0, {}))
         for e, c in carry.items():
-            s = rem.get(e, Fraction(0)) + c
-            if s:
-                rem[e] = s
-            else:
-                rem.pop(e, None)
-        if rem:
+            rem[e] = rem.get(e, 0) + c
+        if any(rem.values()):
             raise ArithmeticError("division by (x_%d - x_%d) is not exact" % (a, b))
         return MPoly(self.n, quot).shift_var(a, shift)
 
@@ -224,11 +206,7 @@ class MPoly:
                 sdeg += e[i]
                 coef = coef * scales[t] ** e[i]
             ne = (sdeg,) + tuple(e[i] for i in keep)
-            s = out.get(ne, Fraction(0)) + coef
-            if s:
-                out[ne] = s
-            else:
-                out.pop(ne, None)
+            out[ne] = out.get(ne, 0) + coef
         return MPoly(len(keep) + 1, out)
 
     def collapse_affine(self, idxs, shifts):
@@ -249,16 +227,12 @@ class MPoly:
                     for m in range(k + 1):
                         add = cc * comb(k, m) * shifts[t] ** (k - m)
                         if add:
-                            new[deg + m] = new.get(deg + m, Fraction(0)) + add
-                terms = {d: v for d, v in new.items() if v}
+                            new[deg + m] = new.get(deg + m, 0) + add
+                terms = new
             rest = tuple(e[i] for i in keep)
             for deg, cc in terms.items():
                 ne = (deg,) + rest
-                s = out.get(ne, Fraction(0)) + cc
-                if s:
-                    out[ne] = s
-                else:
-                    out.pop(ne, None)
+                out[ne] = out.get(ne, 0) + cc
         return MPoly(len(keep) + 1, out)
 
     def graded_parts(self, idxs):
@@ -298,15 +272,13 @@ class MPoly:
                         for dd, cc in degs.items():
                             add = cc * f
                             slot = nxt.setdefault(ne, {})
-                            slot[dd + (k - m)] = slot.get(dd + (k - m), Fraction(0)) + add
+                            slot[dd + (k - m)] = slot.get(dd + (k - m), 0) + add
                 new_terms = nxt
             for ee, degs in new_terms.items():
                 for dd, cc in degs.items():
-                    if cc:
-                        slot = out.setdefault(dd, {})
-                        slot[ee] = slot.get(ee, Fraction(0)) + cc
-        return {k: MPoly(self.n, {e: c for e, c in v.items() if c})
-                for k, v in out.items() if any(v.values())}
+                    slot = out.setdefault(dd, {})
+                    slot[ee] = slot.get(ee, 0) + cc
+        return {k: MPoly(self.n, v) for k, v in out.items() if any(v.values())}
 
     def __repr__(self):
         if not self.d:

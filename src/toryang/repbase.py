@@ -25,7 +25,7 @@ from fractions import Fraction
 from .scalars import ratfn_expand, ratfn_log_coeffs, is_zero_mod
 
 __all__ = [
-    "vec", "vadd", "vscale", "vsub", "is_vec_zero",
+    "vec", "vsum", "vadd", "vscale", "vsub", "is_vec_zero",
     "Module", "ModuleWrapper", "PerturbedModule", "apply_mode", "coeff_of", "apply_word",
     "word_images", "RelationReport", "check_relation",
     "RELATION_BUILDERS_T", "RELATION_BUILDERS_Y",
@@ -34,19 +34,26 @@ __all__ = [
 
 # -- sparse vectors --------------------------------------------------------
 
+def _zero(c):
+    return not c
+
+
 def vec(label, coeff=1):
     return {label: coeff}
 
 
+def vsum(terms, start=()):
+    """The vector `start` plus the (label, coeff) pairs of `terms`.  Entries
+    only accumulate; those that sum to zero are dropped once, at the end.
+    This is the one place a plain-dict vector loses its zeros."""
+    out = dict(start)
+    for k, c in terms:
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if not _zero(c)}
+
+
 def vadd(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k, 0) + c
-        if not s:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
+    return vsum(v.items(), u)
 
 
 def vscale(u, c):
@@ -54,14 +61,7 @@ def vscale(u, c):
 
 
 def vsub(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k, 0) - c
-        if not s:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
+    return vsum(((k, -c) for k, c in v.items()), u)
 
 
 def is_vec_zero(u, hmod=None):
@@ -178,29 +178,17 @@ class Module:
         return _apply_diagonal(v, lambda label: self.t_eigenvalue(label, m, beta))
 
 
-def _zero(c):
-    return not c
-
-
 def apply_mode(rows, kind, mode, v):
     """Mode `mode` of the 'e' or 'f' current on the vector v, read from
     `rows.mode_row(kind, label, mode)`: every module and the series bridge
     act through this one function."""
-    out = {}
-    for label, c in v.items():
-        for tgt, coeff in rows.mode_row(kind, label, mode):
-            out[tgt] = out.get(tgt, 0) + c * coeff
-    return {k: c for k, c in out.items() if not _zero(c)}
+    return vsum((tgt, c * coeff) for label, c in v.items()
+                for tgt, coeff in rows.mode_row(kind, label, mode))
 
 
 def _apply_diagonal(v, eigenvalue):
     """The diagonal operator with eigenvalue(label) on each label, on v."""
-    out = {}
-    for label, c in v.items():
-        val = c * eigenvalue(label)
-        if not _zero(val):
-            out[label] = val
-    return out
+    return vsum((label, c * eigenvalue(label)) for label, c in v.items())
 
 
 def coeff_of(transitions, label):

@@ -386,8 +386,10 @@ def solve_intertwiner(mk, target, level_bound, modes, label, one, hmod=None):
     Returns (constants, failures): constants maps mk's labels to scalars,
     `one` at the vacuum, solved breadth-first from raising mode 0; failures
     lists path dependence and the raising and lowering intertwining of every
-    listed mode, with both sides read from `mode_row`.  Comparisons are
-    exact, or modulo X^hmod over a series ring.
+    listed mode, with both sides read from `mode_row`.  The check is
+    two-sided: an entry of the target's row whose label no transition of
+    mk's row maps to must vanish, and is reported as "<kind>-extra"
+    otherwise.  Comparisons are exact, or modulo X^hmod over a series ring.
     """
     consts = {mk.basis(0)[0]: one}
     failures = []
@@ -405,10 +407,15 @@ def solve_intertwiner(mk, target, level_bound, modes, label, one, hmod=None):
             for mode in modes:
                 for kind in ("e", "f"):
                     trow = dict(target.mode_row(kind, label(src), mode))
-                    for tgt, mc in mk.mode_row(kind, src, mode):
+                    row = mk.mode_row(kind, src, mode)
+                    for tgt, mc in row:
                         if tgt in consts and not is_zero_mod(
                                 consts[tgt] * mc - consts[src] * trow.get(label(tgt), 0), hmod):
                             failures.append((f"{kind}-intertwine", mode, src, tgt))
+                    mapped = {label(tgt) for tgt, _ in row}
+                    for tl, tc in trow.items():
+                        if tl not in mapped and not is_zero_mod(tc, hmod):
+                            failures.append((f"{kind}-extra", mode, src, tl))
     return consts, failures
 
 

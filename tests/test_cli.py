@@ -159,6 +159,10 @@ class TestSampling:
     (["whittaker", "--r", "1", "--n", "1", "--j", "5", "--L", "0"], "--j 5"),
     (["relations", "--module", "bogus", "--L", "0", "--I", "0"], "no check"),
     (["relations", "--module", "fixedpoint", "--r", "0", "--L", "0", "--I", "1"], "no check"),
+    # these ran defaults or dropped modules and passed
+    (["whittaker", "--r", "0", "--n", "1", "--L", "0"], "--r 0"),
+    (["whittaker", "--r", "1", "--n", "0", "--L", "0"], "--n 0"),
+    (["relations", "--r", "0", "--L", "0", "--I", "1"], "--r 0"),
 ])
 def test_bad_configuration_exits_2_without_traceback(argv, needle):
     # these ended in a ValueError traceback (exit 1) or passed with zero checks

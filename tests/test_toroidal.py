@@ -303,3 +303,49 @@ class TestFactorization:
         mk = DiagonalTwist(KTheoryFixedPointModule(P2, 2),
                            f_scale=1 / T, psi_scale=1 / T)
         assert mk.psi_series(((), ()), +1, 1).coeff(0) == 1
+
+
+class ExtraEntry:
+    """`target` with one more entry in one of its rows."""
+
+    def __init__(self, target, key, entry):
+        self.target, self.key, self.entry = target, key, entry
+
+    def mode_row(self, kind, label, mode):
+        row = self.target.mode_row(kind, label, mode)
+        return row + [self.entry] if (kind, label, mode) == self.key else row
+
+
+class TestTwoSidedIntertwiner:
+    # a target-row entry that no transition of the source maps to must vanish
+    def test_fock_factorization_reports_an_extra_target_entry(self):
+        from toryang.toroidal import solve_intertwiner
+
+        T = kappa_twist_constant(P2, 2)
+        mk = DiagonalTwist(KTheoryFixedPointModule(P2, 2), f_scale=1 / T, psi_scale=1 / T)
+        ft = fock_tensor(P2, 2)
+        modes = (-1, 0, 1, 2)
+        _, fails = solve_intertwiner(mk, ft, 2, modes, nest_label, Fraction(1))
+        assert fails == []
+        src, far = ((1,), ()), nest_label(((1,), (1, 1)))
+        target = ExtraEntry(ft, ("e", nest_label(src), 1), (far, Fraction(1, 3)))
+        _, fails = solve_intertwiner(mk, target, 2, modes, nest_label, Fraction(1))
+        assert fails == [("e-extra", 1, src, far)]
+
+    def test_bridge_reports_an_extra_target_entry(self):
+        from toryang.params import series_toroidal
+        from toryang.scalars import TSeries
+        from toryang.toroidal import solve_intertwiner
+        from toryang.upsilon import UpsilonBridge, comparison_module
+
+        trunc, hmod, xis = 12, 8, (Fraction(1, 5),)
+        br = UpsilonBridge(13, 1, xis, 1, trunc=trunc)
+        mk = comparison_module(series_toroidal(13, 1, xis, trunc=trunc), 1)
+        one = TSeries(0, [1], trunc)
+        src, far = ((1,),), ((3,),)
+        for extra, want in ((TSeries(hmod, [1], trunc), []),
+                            (TSeries(hmod - 1, [1], trunc), [("f-extra", 2, src, far)])):
+            target = ExtraEntry(br, ("f", src, 2), (far, extra))
+            _, fails = solve_intertwiner(mk, target, 2, (-1, 0, 1, 2),
+                                         lambda x: x, one, hmod)
+            assert fails == want
