@@ -286,10 +286,26 @@ SUITES = {
 }
 
 
+PARAM_KEYS = ("q1", "q2", "chis", "h1", "h2", "xs")
+
+
+def _check_params(praw):
+    if not isinstance(praw, dict):
+        raise ConfigError(f"--params must be a JSON object, not {type(praw).__name__}")
+    for key, val in praw.items():
+        vals = val if key in ("chis", "xs") else [val]
+        if key not in PARAM_KEYS or not isinstance(vals, list) \
+                or not all(isinstance(v, str) for v in vals):
+            raise ConfigError(f"--params {key!r}: {val!r}; the keys are "
+                              f"{', '.join(PARAM_KEYS)} with rational strings "
+                              "(lists of them for chis and xs)")
+
+
 def _build_params(config):
     G = config.get("G", 12)
     r = config.get("r", 2)
-    praw = config.get("params") or {}
+    praw = config.get("params", {})
+    _check_params(praw)
     try:
         if "q1" in praw or "q2" in praw:
             chis = [parse_rational(x) for x in praw.get("chis", ["5", "7", "11"])]

@@ -230,39 +230,39 @@ class ModuleWrapper(Module):
 class PerturbedModule(ModuleWrapper):
     """Wrap a module, corrupting one class of coefficients (negative controls).
 
-    'psi' scales the diagonal eigenvalue; 'f' scales the first lowering
-    coefficient; 'e' scales the first raising support point (a plain
+    Each kind scales by FACTOR: 'psi' the diagonal eigenvalue; 'f' the
+    first lowering coefficient; 'e' the first raising support point (a plain
     coefficient rescale of a single raising edge is a gauge transformation
     at small levels and would slip through the quadratic relations).
     Any other kind raises ValueError.
     """
 
     KINDS = ("psi", "e", "f")
+    FACTOR = Fraction(17, 16)
 
-    def __init__(self, base, kind, factor=Fraction(17, 16)):
+    def __init__(self, base, kind):
         if kind not in self.KINDS:
             raise ValueError(f"unknown perturbation kind {kind!r}; "
                              f"expected one of {', '.join(self.KINDS)}")
         super().__init__(base)
         self.kind = kind
-        self.factor = factor
 
     def _e_transitions(self, label):
         ts = self.base.e_transitions(label)
         if self.kind == "e" and ts:
-            ts = [(ts[0][0], ts[0][1], ts[0][2] * self.factor)] + list(ts[1:])
+            ts = [(ts[0][0], ts[0][1], ts[0][2] * self.FACTOR)] + list(ts[1:])
         return ts
 
     def _f_transitions(self, label):
         ts = self.base.f_transitions(label)
         if self.kind == "f" and ts:
-            ts = [(ts[0][0], ts[0][1] * self.factor, ts[0][2])] + list(ts[1:])
+            ts = [(ts[0][0], ts[0][1] * self.FACTOR, ts[0][2])] + list(ts[1:])
         return ts
 
     def _psi_rat(self, label):
         r = self.base.psi_rat(label)
         if self.kind == "psi":
-            return r * self.factor
+            return r * self.FACTOR
         return r
 
 
@@ -354,12 +354,12 @@ def _cubic_coeffs_t(p):
     return [1, -p.sigma1(), p.sigma2(), -1]
 
 
-def t_relation_instances(rel, window, params, cubic=1):
+def t_relation_instances(rel, window, params):
     """Instantiated operator identities for the multiplicative family.
 
-    `cubic` bounds the mode triples of the degree-three symmetrized family;
-    its higher-mode instances are generated from these by the log-mode
-    ladder, which the sweep covers at the full window.
+    The degree-three symmetrized family takes mode triples in [-1, 1]; its
+    higher-mode instances are generated from these by the log-mode ladder,
+    which the sweep covers at the full window.
     """
     W = range(-window, window + 1)
     ins = []
@@ -411,7 +411,7 @@ def t_relation_instances(rel, window, params, cubic=1):
                 ins.append((f"{rel}[{m},{j}]", terms, None))
         return ins
     if rel == "T6":
-        sw = range(-cubic, cubic + 1)
+        sw = range(-1, 2)
         ins = []
         for g in ("e", "f"):
             for i1 in sw:
@@ -429,7 +429,7 @@ def t_relation_instances(rel, window, params, cubic=1):
     raise ValueError(f"unknown relation {rel}")
 
 
-def y_relation_instances(rel, window, params, cubic=1):
+def y_relation_instances(rel, window, params):
     """Instantiated operator identities for the additive family."""
     W = range(0, window + 1)
     s2, s3 = params.sigma2(), params.sigma3()
@@ -485,7 +485,7 @@ def y_relation_instances(rel, window, params, cubic=1):
                 ins.append((f"{rel}'[{k},{j}]", terms, None))
         return ins
     if rel == "Y6":
-        sw = range(0, cubic + 1)
+        sw = range(0, 2)
         for g in ("e", "f"):
             for i1 in sw:
                 for i2 in sw:
@@ -511,17 +511,16 @@ class RelationReport:
         return f"RelationReport({self.relation}, ok={self.ok}, checked={self.checked})"
 
 
-def check_relation(module, relation, params, level_bound, window=3, hmod=None,
-                   cubic=1):
+def check_relation(module, relation, params, level_bound, window=3, hmod=None):
     """Sweep one relation over all basis labels up to level_bound.
 
     Returns a RelationReport; the first failing (instance, label) is recorded.
     """
     if relation.startswith("T"):
-        instances = t_relation_instances(relation, window, params, cubic=cubic)
+        instances = t_relation_instances(relation, window, params)
         ctx = {"beta": params.beta}
     else:
-        instances = y_relation_instances(relation, window, params, cubic=cubic)
+        instances = y_relation_instances(relation, window, params)
         ctx = {"sig3": params.sigma3()}
     image = word_images(module, ctx)
     checked = 0

@@ -463,16 +463,6 @@ class Poly:
         return "Poly(%s)" % (self.c,)
 
 
-def poly_gcd(a, b):
-    """Monic gcd over a field (rational coefficients)."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a * (1 / a.c[-1])
-
-
 class RatFn:
     """Rational function in one variable z: num/den, both Poly.
 
@@ -484,18 +474,13 @@ class RatFn:
 
     __slots__ = ("_num", "_den", "factors")
 
-    def __init__(self, num, den, reduce=False):
+    def __init__(self, num, den):
         if not isinstance(num, Poly):
             num = Poly.const(num)
         if not isinstance(den, Poly):
             den = Poly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if reduce:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
         self._num = num
         self._den = den
         self.factors = None

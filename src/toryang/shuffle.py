@@ -4,9 +4,9 @@ generator families.
 
 An element is a symmetric (Laurent) polynomial numerator f over the squared
 discriminant of its variables.  Equality is decided by comparing numerators
-exactly, never by sampling.  The public star product is the plain sum over
-the full symmetric group; the internal coset ("shuffle") sum is used where
-unit normalizations matter, and carries an i!j! ratio to the plain one.
+exactly, never by sampling.  The star product antisymmetrizes one numerator
+over the (i, j)-shuffles and divides by the Vandermonde; the public default,
+the plain sum over the full symmetric group, is i!j! times that coset sum.
 """
 
 from __future__ import annotations
@@ -125,6 +125,10 @@ def _shuffles(i, j):
 def star(F, G, params, convention="plain"):
     """Kernel-twisted symmetrized product.
 
+    Antisymmetrizes F(x_1..x_i) G(x_i+1..x_n) times the cross kernels, the
+    within-block Vandermonde and (-1)^(ij) over the (i, j)-shuffles, and
+    divides by the Vandermonde (a shuffle keeps each block's order).
+
     convention 'plain' sums over the whole symmetric group (so the result
     carries an i!j! multiplicity over the coset convention 'coset').
     """
@@ -135,27 +139,17 @@ def star(F, G, params, convention="plain"):
     elif j == 0:
         out = ShuffleElement(F.flavor, n, F.num * G.num.d.get((), Fraction(0)))
     else:
-        T = _embed(F.num, n, 0) * _embed(G.num, n, i)
+        T = _embed(F.num, n, 0) * _embed(G.num, n, i) * (-1) ** (i * j)
         for k in range(i):
             for l in range(i, n):
                 T = T * _kernel_factor(F.flavor, n, l, k, params)
         allpairs = list(combinations(range(n), 2))
+        for (a, b) in allpairs:
+            if (a < i) == (b < i):
+                T = T * (MPoly.var(n, a) - MPoly.var(n, b))
         acc = MPoly.zero(n)
         for sigma in _shuffles(i, j):
-            mixed = set()
-            sign = 1
-            for k in range(i):
-                for l in range(i, n):
-                    a, b = sigma[l], sigma[k]
-                    if a > b:
-                        sign = -sign
-                        a, b = b, a
-                    mixed.add((a, b))
-            term = T.apply_perm(sigma)
-            for (a, b) in allpairs:
-                if (a, b) not in mixed:
-                    term = term * (MPoly.var(n, a) - MPoly.var(n, b))
-            acc = acc + (term if sign > 0 else -term)
+            acc = acc + T.apply_perm(sigma) * _perm_sign(sigma)
         num = acc.div_vandermonde(allpairs)
         out = ShuffleElement(F.flavor, n, num)
     if convention == "plain":

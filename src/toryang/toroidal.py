@@ -446,12 +446,12 @@ def solve_factorization(mk, params, r, level_bound, modes, order,
     return consts, failures
 
 
-def solve_fock_factorization(params, r, level_bound, modes=(-1, 0, 1, 2), order=6):
+def solve_fock_factorization(params, r, level_bound):
     """Multiplicative Fock factorization: `solve_factorization` on the
     fixed-point module twisted by the kappa constant (f and psi divided by
     it), with both expansions of psi and the closed-form one-box ratio."""
     T = kappa_twist_constant(params, r)
     mk = DiagonalTwist(KTheoryFixedPointModule(params, r),
                        f_scale=1 / T, psi_scale=1 / T)
-    return solve_factorization(mk, params, r, level_bound, modes, order,
+    return solve_factorization(mk, params, r, level_bound, (-1, 0, 1, 2), 6,
                                ratio=fock_factorization_ratio)

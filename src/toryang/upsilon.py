@@ -314,8 +314,7 @@ def comparison_module(params_t, r):
                          psi_scale=T.inv())
 
 
-def ch_solver(alpha, beta, xis, r, level_bound, trunc=16, hmod=9,
-              modes=(-1, 0, 1, 2), hrange=(1, 2)):
+def ch_solver(alpha, beta, xis, r, level_bound, trunc=16, hmod=9):
     """Solve the diagonal comparison map from the renormalized series
     K-theory module to the additive module through the bridge images.
 
@@ -327,13 +326,13 @@ def ch_solver(alpha, beta, xis, r, level_bound, trunc=16, hmod=9,
     """
     bridge = UpsilonBridge(alpha, beta, xis, r, trunc=trunc)
     mk = comparison_module(series_toroidal(alpha, beta, xis, trunc=trunc), r)
-    consts, fails = solve_intertwiner(mk, bridge, level_bound, modes, lambda x: x,
+    consts, fails = solve_intertwiner(mk, bridge, level_bound, (-1, 0, 1, 2), lambda x: x,
                                       TSeries(0, [1], trunc), hmod)
     for level in range(level_bound + 1):
         for mlam in mk.basis(level):
             psi = mk.psi_rat(mlam)
             # diagonal log-mode match: K-side exponential modes vs Borel data
-            for m in range(hrange[0], hrange[1] + 1):
+            for m in (1, 2):
                 for sgn in (+1, -1):
                     hk = ratfn_log_coeffs(psi, sgn, m)[m - 1] / (bridge.one_minus_q3 * sgn)
                     if not is_zero_mod(hk - bridge.H_eigen(mlam, sgn * m), hmod):
@@ -345,24 +344,24 @@ def ch_solver(alpha, beta, xis, r, level_bound, trunc=16, hmod=9,
     return consts, fails
 
 
-def limit_h3_diffop_identities(scale=1, trunc=10, xcap=8, ks=(1, 2, -1), hmod=9):
+def limit_h3_diffop_identities(trunc=10, xcap=8, hmod=9):
     """Exact degeneration identities inside the additive shift-operator ring
-    over the series coefficient ring (deformation symbol h = scale * X).
+    over the series coefficient ring (deformation symbol h = X).
 
-    For each k: the exponential sum over the diagonal images resums to
-    (q^-k - 1) e^{kx} - q^-k c, and the lowering images resum in normal
-    order to -(shifted exponential) i.e. q^-k e^{kx} on each x-degree.  The
-    raising resummation is definitional (x^j monomials sum to e^{kx}
-    directly) and carries no content to check.
+    For each k in (1, 2, -1): the exponential sum over the diagonal images
+    resums to (q^-k - 1) e^{kx} - q^-k c, and the lowering images resum in
+    normal order to -(shifted exponential) i.e. q^-k e^{kx} on each
+    x-degree.  The raising resummation is definitional (x^j monomials sum
+    to e^{kx} directly) and carries no content to check.
     """
     from math import comb
 
     from .scalars import h_gen
 
-    h = h_gen(trunc, Fraction(scale))
+    h = h_gen(trunc)
     qinv = lambda k: series_exp(-h * k)
     fails = []
-    for k in ks:
+    for k in (1, 2, -1):
         # diagonal family: sum_i k^i/i! [(x-h)^i - x^i] on each x-degree
         for m in range(0, xcap + 1):
             tot = TSeries(trunc, [], trunc)

@@ -294,8 +294,8 @@ class RestrictedModule(ModuleWrapper):
         return [(t, c, p) for (t, c, p) in self.base.f_transitions(label) if self.pred(t)]
 
 
-def solve_fock_factorization_add(params, r, level_bound, modes=(0, 1, 2), order=6):
+def solve_fock_factorization_add(params, r, level_bound):
     """Additive Fock factorization: `solve_factorization` on the fixed-point
     module itself, with psi compared at z = infinity only."""
     return solve_factorization(CohomologyFixedPointModule(params, r), params, r,
-                               level_bound, modes, order, directions=(+1,))
+                               level_bound, (0, 1, 2), 6, directions=(+1,))

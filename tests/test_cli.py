@@ -123,6 +123,29 @@ def test_shuffle_without_generator_is_config_error():
     assert code == 2 and report["status"] == "config-error"
     assert "generator" in report["error"] and "checks" not in report
 
+def test_whittaker_chain_dependence_is_a_failed_check():
+    # the perturbed rank-2 chains disagree; this used to end in a traceback
+    code, report = run({"suite": "whittaker", "L": 1, "perturb": True})
+    assert code == 1 and report["status"] == "fail"
+    assert any("chain-dependence" in f for c in report["checks"]
+               for f in c["details"]["failures"])
+
+
+@pytest.mark.parametrize("payload,needle", [
+    ({"q1": 2, "q2": "3"}, "q1"),  # used to end in an AttributeError traceback
+    ([1, 2], "JSON object"),  # used to be ignored in favour of the defaults
+    ({"q3": "2"}, "q3"),  # likewise
+])
+def test_bad_params_file_is_config_error(tmp_path, capsys, payload, needle):
+    from toryang.cli import main
+
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(payload))
+    assert main(["limits", "--L", "1", "--params", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "config-error" and needle in report["error"]
+
+
 def test_cli_process_invocation():
     out = subprocess.run(
         [sys.executable, "-m", "toryang", "limits"],

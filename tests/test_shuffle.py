@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -210,3 +211,63 @@ class TestHall:
         br = star_commutator(hall_u(1, 1, PM, cache), hall_u(1, -1, PM, cache),
                              PM, convention="coset") * alpha(PM, 1)
         assert th.num == br.num
+
+
+# -- recorded star numerators -------------------------------------------------
+# The commutator and relation-image checks above flip every term together,
+# so they cannot see a wrong global sign for one arity pair (i, j).  These
+# digests, recorded before the star product became one antisymmetrization
+# over the shuffles, pin each numerator (same hashing scheme as
+# test_modules.py: sha256 of the repr of nested string tuples).
+
+def star_factors(flavor, p):
+    return {1: [x_power(flavor, 1)],
+            2: [K_element(flavor, 2, p, power=1), L_element(flavor, 2, p)],
+            3: [K_element(flavor, 3, p), L_element(flavor, 3, p)]}
+
+
+def star_digest(flavor, i, j):
+    p = PM if flavor == "m" else PA
+    factors = star_factors(flavor, p)
+    rows = []
+    for convention in ("plain", "coset"):
+        for F in factors[i]:
+            for G in factors[j]:
+                num = star(F, G, p, convention).num
+                rows.append((convention, tuple(sorted(
+                    (tuple(str(k) for k in e), str(c)) for e, c in num.d.items()))))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+STAR_DIGESTS = {
+    ("m", 1, 1):
+        "e2d160a4922cb35fe89b2f66a6fb27e1cdf2f4caab4a86a7d022196543dce47a",
+    ("m", 1, 2):
+        "c9c0eb2c5a7b7a02bbe30611021283d5b42acd1ba574d68b153137b0093efac0",
+    ("m", 2, 1):
+        "c6acda43d1d6fdd92b2558cf5b2e22eb4ded0537af5b36b1498cee89b03e370e",
+    ("m", 2, 2):
+        "c762b207ad3d4bfd0cb3069c8a30ade0a55d4172898342d214982a44426f5925",
+    ("m", 1, 3):
+        "fbe08c6d440e9dd42afdf48665c1be9f4537b9c8baf8579797621c2c37841f42",
+    ("m", 3, 1):
+        "cc05db998b76f10d87e0bb6a73ba1d6c6eab28305b41d1206c7ef0cdd97c1f65",
+    ("a", 1, 1):
+        "1fb54fb0270807946f2e64008dc1c7db47ee5efb897bc4fa0c66e48fee68447f",
+    ("a", 1, 2):
+        "c327fd52ccaeeb071b95b6c5eb33cbb35603213f74385ba950710b350d8d0cdb",
+    ("a", 2, 1):
+        "9130c61a7074db7f7a915832273c5dea06e48375a86890caa8364b453bba4e56",
+    ("a", 2, 2):
+        "6c02e36db1dce9294b04d8c5ce73e030014612a0d04efd3d0a4077095d16e703",
+    ("a", 1, 3):
+        "c72d1d6192d478695fbb42ac8f12965ade188860a8d61ca3366165f88d8c2e6f",
+    ("a", 3, 1):
+        "058b608d417cf135489f04fe3cb0d7c62f8fa18f6c3dddd53bbc6f8aad3bed4a",
+}
+
+
+@pytest.mark.parametrize("flavor", ["m", "a"])
+@pytest.mark.parametrize("i,j", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)])
+def test_star_numerators_match_recorded_digest(flavor, i, j):
+    assert star_digest(flavor, i, j) == STAR_DIGESTS[(flavor, i, j)]
