@@ -403,12 +403,14 @@ def hall_image(k, l, q, cache=None):
 
     Degree-one columns are the raising/lowering images; other elements are
     built by the empty-triangle commutation recursion, with the central row
-    (k = 0) produced from the opposite-corner bracket.
+    (k = 0) produced from the opposite-corner bracket.  ``cache`` is
+    caller-owned and keyed by (k, l, q), so one dict may serve several q.
     """
     if cache is None:
         cache = {}
-    if (k, l) in cache:
-        return cache[(k, l)]
+    key = (k, l, q)
+    if key in cache:
+        return cache[key]
     if k == 1:
         out = theta_m_e(q, l)
     elif k == -1:
@@ -438,7 +440,7 @@ def hall_image(k, l, q, cache=None):
         # det(x, y) = det of the mirrored pair = same positive d
         br = hall_image(y[0], y[1], q, cache).bracket(hall_image(x[0], x[1], q, cache))
         out = br.scale(_alpha_limit(q, 1) / _alpha_limit(q, d))
-    cache[(k, l)] = out
+    cache[key] = out
     return out
 
 

@@ -7,6 +7,21 @@ discriminant of its variables.  Equality is decided by comparing numerators
 exactly, never by sampling.  The star product antisymmetrizes one numerator
 over the (i, j)-shuffles and divides by the Vandermonde; the public default,
 the plain sum over the full symmetric group, is i!j! times that coset sum.
+
+`star` computes each distinct product once per process.  Two module-level
+tables, both kept for the life of the process with no size bound, hold:
+
+- the twisted kernel, keyed by (flavor, weights, i, j), where the weights
+  are ``params.qs`` ('m') or ``params.hs`` ('a'), with the (sigma, sign sigma)
+  list of the (i, j)-shuffles;
+- the coset numerator of every product with i, j >= 1, keyed by
+  (flavor, weights, i, frozenset of F's numerator terms, j, frozenset of G's).
+
+Each key holds every input its value is computed from, so a hit returns
+exactly what a fresh computation would.  `MPoly` values are never mutated
+in place, so returned elements may share a cached numerator.  The
+closed-form oracle `L_element_symmetrized` builds its own kernel product and
+reads neither table.
 """
 
 from __future__ import annotations
@@ -48,18 +63,26 @@ class ShuffleElement:
         self.num = num
 
     def __eq__(self, other):
+        if not isinstance(other, ShuffleElement):
+            return NotImplemented
         return (self.flavor == other.flavor and self.n == other.n
                 and self.num == other.num)
 
     def __hash__(self):
         raise TypeError("unhashable")
 
+    def _check_same_space(self, other):
+        if self.flavor != other.flavor or self.n != other.n:
+            raise ValueError(
+                f"cannot combine flavor {self.flavor!r} arity {self.n} with "
+                f"flavor {other.flavor!r} arity {other.n}")
+
     def __add__(self, other):
-        assert self.flavor == other.flavor and self.n == other.n
+        self._check_same_space(other)
         return ShuffleElement(self.flavor, self.n, self.num + other.num)
 
     def __sub__(self, other):
-        assert self.flavor == other.flavor and self.n == other.n
+        self._check_same_space(other)
         return ShuffleElement(self.flavor, self.n, self.num - other.num)
 
     def __mul__(self, c):
@@ -122,6 +145,51 @@ def _shuffles(i, j):
         yield tuple(list(left) + right)
 
 
+# Process-wide memo tables of `star` (see the module docstring).
+_TWISTED_KERNELS = {}
+_COSET_NUMERATORS = {}
+
+
+def _weights(flavor, params):
+    return params.qs if flavor == "m" else params.hs
+
+
+def _twisted_kernel(flavor, i, j, params):
+    """(-1)^(ij) times the cross kernels and the within-block Vandermonde,
+    with the (sigma, sign sigma) list of the (i, j)-shuffles and all pairs."""
+    key = (flavor, _weights(flavor, params), i, j)
+    hit = _TWISTED_KERNELS.get(key)
+    if hit is None:
+        n = i + j
+        K = MPoly.const(n, (-1) ** (i * j))
+        for k in range(i):
+            for l in range(i, n):
+                K = K * _kernel_factor(flavor, n, l, k, params)
+        allpairs = list(combinations(range(n), 2))
+        for (a, b) in allpairs:
+            if (a < i) == (b < i):
+                K = K * (MPoly.var(n, a) - MPoly.var(n, b))
+        shuffles = [(sigma, _perm_sign(sigma)) for sigma in _shuffles(i, j)]
+        hit = _TWISTED_KERNELS[key] = (K, shuffles, allpairs)
+    return hit
+
+
+def _coset_numerator(F, G, params):
+    """Numerator of the coset-convention product of F and G (i, j >= 1)."""
+    i, j, n = F.n, G.n, F.n + G.n
+    key = (F.flavor, _weights(F.flavor, params), i, frozenset(F.num.d.items()),
+           j, frozenset(G.num.d.items()))
+    num = _COSET_NUMERATORS.get(key)
+    if num is None:
+        K, shuffles, allpairs = _twisted_kernel(F.flavor, i, j, params)
+        T = _embed(F.num, n, 0) * _embed(G.num, n, i) * K
+        acc = MPoly.zero(n)
+        for sigma, sign in shuffles:
+            acc = acc + T.apply_perm(sigma) * sign
+        num = _COSET_NUMERATORS[key] = acc.div_vandermonde(allpairs)
+    return num
+
+
 def star(F, G, params, convention="plain"):
     """Kernel-twisted symmetrized product.
 
@@ -131,27 +199,24 @@ def star(F, G, params, convention="plain"):
 
     convention 'plain' sums over the whole symmetric group (so the result
     carries an i!j! multiplicity over the coset convention 'coset').
+
+    For i, j >= 1 the coset numerator is memoized for the whole process, with
+    no size bound, under (flavor, weights, i, frozenset(F.num.d.items()), j,
+    frozenset(G.num.d.items())), the weights being params.qs ('m') or
+    params.hs ('a'); the twisted kernel is built once per (flavor, weights,
+    i, j).  The key holds every input the numerator depends on, so a hit is
+    exactly the fresh result; the i!j! factor of 'plain' is applied after
+    the lookup, so either convention may fill the entry.
     """
-    assert F.flavor == G.flavor
+    if F.flavor != G.flavor:
+        raise ValueError(f"star of flavors {F.flavor!r} and {G.flavor!r}")
     i, j, n = F.n, G.n, F.n + G.n
     if i == 0:
         out = ShuffleElement(G.flavor, n, G.num * F.num.d.get((), Fraction(0)))
     elif j == 0:
         out = ShuffleElement(F.flavor, n, F.num * G.num.d.get((), Fraction(0)))
     else:
-        T = _embed(F.num, n, 0) * _embed(G.num, n, i) * (-1) ** (i * j)
-        for k in range(i):
-            for l in range(i, n):
-                T = T * _kernel_factor(F.flavor, n, l, k, params)
-        allpairs = list(combinations(range(n), 2))
-        for (a, b) in allpairs:
-            if (a < i) == (b < i):
-                T = T * (MPoly.var(n, a) - MPoly.var(n, b))
-        acc = MPoly.zero(n)
-        for sigma in _shuffles(i, j):
-            acc = acc + T.apply_perm(sigma) * _perm_sign(sigma)
-        num = acc.div_vandermonde(allpairs)
-        out = ShuffleElement(F.flavor, n, num)
+        out = ShuffleElement(F.flavor, n, _coset_numerator(F, G, params))
     if convention == "plain":
         out = out * (factorial(i) * factorial(j))
     elif convention != "coset":
@@ -366,11 +431,15 @@ def _empty_triangle_split(k, l):
 def hall_u(k, l, params, cache=None):
     """Lattice-point element u_(k,l), k >= 1, realized in the multiplicative
     shuffle algebra via the empty-triangle commutation recursion (coset
-    convention, so the degree-one structure constants are exact)."""
+    convention, so the degree-one structure constants are exact).
+
+    ``cache`` is caller-owned and keyed by (k, l, params.qs), so one dict
+    may serve several parameter points."""
     if cache is None:
         cache = {}
-    if (k, l) in cache:
-        return cache[(k, l)]
+    key = (k, l, params.qs)
+    if key in cache:
+        return cache[key]
     from math import gcd
 
     if k < 1:
@@ -391,7 +460,7 @@ def hall_u(k, l, params, cache=None):
             corr = _theta_from_exp(k // d, l // d, d, params, cache)
             num = theta - corr
             out = num * (1 / alpha(params, d))
-    cache[(k, l)] = out
+    cache[key] = out
     return out
 
 
@@ -431,7 +500,8 @@ def _compositions(d):
 
 
 def hall_theta(n, params, cache=None):
-    """theta_{n,0} from the exponential identity in the u_(r,0)."""
+    """theta_{n,0} from the exponential identity in the u_(r,0); ``cache``
+    is passed to `hall_u`."""
     if cache is None:
         cache = {}
     tot = None

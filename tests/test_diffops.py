@@ -176,3 +176,10 @@ def test_normal_ordering_defining_relation():
     x = HOp.monomial(H, 1, 0)
     got = sh.mul(x)
     assert got.poly(1) == {1: 1, 0: H}       # S x = (x + h) S
+
+
+def test_hall_image_cache_shared_across_q():
+    cache = {}
+    for q in (Q, Fraction(5, 3)):
+        for k, l in ((2, 1), (0, 2), (-2, 1), (3, 0)):
+            assert (hall_image(k, l, q, cache) - hall_image(k, l, q)).is_zero(), (q, k, l)

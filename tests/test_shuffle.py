@@ -1,10 +1,13 @@
 import hashlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from toryang import shuffle
 from toryang.multipoly import MPoly
-from toryang.params import default_toroidal, default_yangian
+from toryang.params import (ToroidalParams, YangianParams, default_toroidal,
+                            default_yangian)
 from toryang.shuffle import (K_element, L_element, L_element_symmetrized,
                              ShuffleElement, alpha, hall_theta, hall_u,
                              limit_scaled, limit_shifted, stable_membership,
@@ -271,3 +274,123 @@ STAR_DIGESTS = {
 @pytest.mark.parametrize("i,j", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)])
 def test_star_numerators_match_recorded_digest(flavor, i, j):
     assert star_digest(flavor, i, j) == STAR_DIGESTS[(flavor, i, j)]
+
+
+# -- mismatched operands ----------------------------------------------------
+
+def test_mixed_flavor_star_is_a_value_error():
+    with pytest.raises(ValueError):
+        star(x_power("m", 0), x_power("a", 0), PM)
+    with pytest.raises(ValueError):
+        star_commutator(x_power("a", 1), x_power("m", 1), PA)
+
+
+def test_sum_of_mismatched_elements_is_a_value_error():
+    for other in (x_power("a", 0), K_element("m", 2, PM)):
+        with pytest.raises(ValueError):
+            x_power("m", 0) + other
+        with pytest.raises(ValueError):
+            x_power("m", 0) - other
+
+
+def test_equality_with_a_non_element_is_false():
+    F = x_power("m", 0)
+    assert F != 0 and F != "x" and not (F == None)  # noqa: E711
+    assert F == x_power("m", 0)
+
+
+# -- shared caller-owned caches ---------------------------------------------
+
+PM_B = ToroidalParams(Fraction(5, 3), Fraction(7, 2))
+PA_B = YangianParams(Fraction(11, 2), Fraction(3))
+
+
+def test_hall_cache_shared_across_parameter_points():
+    cache = {}
+    for p in (PM, PM_B):
+        assert hall_u(2, 1, p, cache) == hall_u(2, 1, p)
+        assert hall_u(3, 0, p, cache) == hall_u(3, 0, p)
+        assert hall_theta(2, p, cache) == hall_theta(2, p)
+    assert hall_u(2, 1, PM, cache) != hall_u(2, 1, PM_B, cache)
+
+
+# -- the process-wide star memo ---------------------------------------------
+
+def clear_star_memo():
+    shuffle._TWISTED_KERNELS.clear()
+    shuffle._COSET_NUMERATORS.clear()
+
+
+def cold_star(F, G, p, convention="plain"):
+    clear_star_memo()
+    return star(F, G, p, convention)
+
+
+def pairs_for(flavor, p):
+    x = [x_power(flavor, e) for e in (0, 1, 2)]
+    return [(x[1], x[0]), (K_element(flavor, 2, p, power=1), x[2]),
+            (L_element(flavor, 2, p), x[1])]
+
+
+class TestStarMemo:
+    def test_repeat_call_hits_the_memo(self):
+        clear_star_memo()
+        F, G = x_power("m", 1), x_power("m", 0)
+        first = star(F, G, PM, "coset")
+        again = star(x_power("m", 1), x_power("m", 0), PM, "coset")
+        assert again.num is first.num
+        assert len(shuffle._COSET_NUMERATORS) == 1
+        assert len(shuffle._TWISTED_KERNELS) == 1
+
+    def test_parameter_points_and_flavors_kept_apart(self):
+        for flavor, points in (("m", (PM, PM_B)), ("a", (PA, PA_B))):
+            for F, G in pairs_for(flavor, PM if flavor == "m" else PA):
+                clear_star_memo()
+                warm = [star(F, G, p) for p in points]
+                warm += [star(F, G, p) for p in points]
+                assert warm[0] != warm[1]
+                for got, p in zip(warm, points + points):
+                    assert got == cold_star(F, G, p)
+        # same numerators and the same weight tuple: only the flavor differs
+        shared = SimpleNamespace(qs=PM.qs, hs=PM.qs)
+        clear_star_memo()
+        m = star(x_power("m", 1), x_power("m", 0), shared)
+        a = star(x_power("a", 1), x_power("a", 0), shared)
+        assert m.num != a.num
+        assert m == cold_star(x_power("m", 1), x_power("m", 0), shared)
+        assert a == cold_star(x_power("a", 1), x_power("a", 0), shared)
+
+    def test_operand_order_kept_apart(self):
+        for flavor, p in (("m", PM), ("a", PA)):
+            for F, G in pairs_for(flavor, p):
+                clear_star_memo()
+                fg, gf = star(F, G, p), star(G, F, p)
+                assert fg != gf
+                assert star(G, F, p) == cold_star(G, F, p)
+                assert star(F, G, p) == cold_star(F, G, p)
+
+    def test_plain_is_multiple_of_coset_in_either_fill_order(self):
+        F, G = K_element("m", 2, PM, power=1), x_power("m", 2)
+        for order in (("plain", "coset"), ("coset", "plain")):
+            clear_star_memo()
+            got = {c: star(F, G, PM, c) for c in order}
+            assert got["plain"].num == got["coset"].num * 2  # 2! * 1!
+            for c in order:
+                assert got[c] == cold_star(F, G, PM, c)
+
+    def test_arithmetic_on_a_result_leaves_the_memo_intact(self):
+        F, G = x_power("a", 2), K_element("a", 2, PA)
+        for convention in ("coset", "plain"):
+            clear_star_memo()
+            out = star(F, G, PA, convention)
+            out = out + star(F, G, PA, convention)
+            out = out - star(G, F, PA, convention)
+            out = out * 3
+            assert star(F, G, PA, convention) == cold_star(F, G, PA, convention)
+
+    def test_closed_form_oracle_reads_no_memo(self):
+        clear_star_memo()
+        closed = L_element_symmetrized(3, PM)
+        assert not shuffle._TWISTED_KERNELS
+        assert not shuffle._COSET_NUMERATORS
+        assert not closed.is_zero()
