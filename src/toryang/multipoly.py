@@ -7,13 +7,22 @@ them: every operation below only accumulates into a plain dict,
 Everything the shuffle layer needs lives here: permutation of variables,
 exact division by variable differences, affine and monomial substitutions,
 and graded decompositions.
+
+Products run on integers: `__mul__` writes each factor's coefficients as
+integer numerators over one common denominator (`scalars._int_content`),
+sums the integer products per exponent, and builds one Fraction per
+monomial over the product of the two denominators.  That is exactly the
+rational the Fraction loop summed, reduced once.  There is no second
+loop: every coefficient an MPoly holds is a Fraction, because the
+constructor turns ints into Fractions and no caller stores anything else.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
-from .scalars import _cf
+from .scalars import _cf, _int_content
 
 __all__ = ["MPoly"]
 
@@ -89,12 +98,16 @@ class MPoly:
         if not isinstance(other, MPoly):
             other = _cf(other)
             return MPoly(self.n, {e: c * other for e, c in self.d.items()})
+        an, da = _int_content(self.d.values())
+        bn, db = _int_content(other.d.values())
+        right = list(zip(other.d, bn))
         out = {}
-        for e1, c1 in self.d.items():
-            for e2, c2 in other.d.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+        for e1, c1 in zip(self.d, an):
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return MPoly(self.n, out)
+        den = da * db
+        return MPoly(self.n, {e: Fraction(c, den) for e, c in out.items()})
 
     __rmul__ = __mul__
 

@@ -5,12 +5,32 @@ Scalars are either `fractions.Fraction` (exact rationals) or `TSeries`
 (truncated Laurent series in one formal symbol, rational coefficients or
 nested scalars).  Everything interoperates through the usual arithmetic
 operators; there is no floating point anywhere.
+
+Integer-content kernels.  `_int_content` writes a list of Fractions as
+integer numerators over one common denominator, the lcm of their
+denominators.  When every coefficient is a Fraction, the hot products run
+their inner loops on Python ints and build one Fraction per output
+coefficient at the end:
+- `TSeries.__mul__` convolves the two numerator lists over the same index
+  window as the plain loop and divides by the product of the denominators;
+- `TSeries.inv` runs the inverse recurrence on numerators over powers of
+  the leading numerator;
+- `series_exp` runs the derivative recurrence b_0 = 1,
+  k b_k = sum_j j a_j b_(k-j) on the integers (trunc-1)! d^k b_k.
+Integer arithmetic is exact, so each output is the rational the Fraction
+loop would have summed, reduced once; `val` and `trunc` follow the same
+rules, so the series are equal coefficient for coefficient.  A coefficient
+list that holds a nested TSeries takes the Fraction-and-series loops
+(`series_exp` then sums s^n/n! by repeated products): the recurrence gives
+the same values there, but not always the same inner truncations, which
+depend on the order of the series operations.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 __all__ = [
     "TSeries",
@@ -41,6 +61,30 @@ class ExpansionPoleError(ValueError):
 def _cf(x):
     # normalize plain ints to Fraction so coefficient lists stay exact
     return Fraction(x) if isinstance(x, int) else x
+
+
+def _rational(coeffs):
+    """True iff every coefficient is a Fraction (no nested series)."""
+    return all(type(c) is Fraction for c in coeffs)
+
+
+def _int_content(coeffs):
+    """(numerators, d) with coeffs[i] == numerators[i] / d for Fraction coeffs,
+    d the lcm of their denominators (1 when there are none)."""
+    d = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _convolve(a, b, n):
+    """The first n coefficients of the product of the integer lists a and b."""
+    rb = b[::-1]
+    la, lb = len(a), len(b)
+    out = []
+    for k in range(n):
+        lo, hi = max(0, k - lb + 1), min(k, la - 1) + 1
+        # rb[lb - 1 - j] == b[j], paired with a[k - j]
+        out.append(sum(map(mul, a[lo:hi], rb[lb - 1 - k + lo:lb - 1 - k + hi])))
+    return out
 
 
 class TSeries:
@@ -148,6 +192,11 @@ class TSeries:
         trunc = min(self.trunc + o.val, o.trunc + self.val)
         val = self.val + o.val
         n = min(len(self.coeffs) + len(o.coeffs) - 1, trunc - val)
+        if _rational(self.coeffs) and _rational(o.coeffs):
+            an, da = _int_content(self.coeffs[:n])
+            bn, db = _int_content(o.coeffs[:n])
+            den = da * db
+            return TSeries(val, [Fraction(c, den) for c in _convolve(an, bn, n)], trunc)
         out = [Fraction(0)] * n
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -167,10 +216,21 @@ class TSeries:
         """Multiplicative inverse; leading coefficient must be invertible."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero series")
-        a0 = self.coeffs[0]
         n = self.trunc - self.val  # relative precision
+        if _rational(self.coeffs):
+            # coeffs = A/d: the inverse's k-th coefficient is d B_k / A_0^(k+1)
+            # with B_0 = 1, B_k = -sum_{j=1..k} A_j A_0^(j-1) B_(k-j)
+            an, d = _int_content(self.coeffs)
+            a0 = an[0]
+            weighted = [a * a0 ** j for j, a in enumerate(an[1:])]
+            bn, out = [1], [Fraction(d, a0)]
+            for k in range(1, n):
+                m = min(k, len(weighted))
+                bn.append(-sum(map(mul, weighted[:m], bn[k - m:][::-1])))
+                out.append(Fraction(d * bn[k], a0 ** (k + 1)))
+            return TSeries(-self.val, out, self.trunc - 2 * self.val)
         # 1 / (a0 X^v (1 + u)) with u of positive relative order
-        inv0 = 1 / a0
+        inv0 = 1 / self.coeffs[0]
         rel = [c * inv0 for c in self.coeffs]
         out = [Fraction(0)] * n
         out[0] = _cf(1)
@@ -270,12 +330,30 @@ def series_exp(s):
         return TSeries(0, [1], s.trunc + s.val if s.coeffs else s.trunc)
     if s.val < 1:
         raise ScalarDomainError("series_exp needs valuation >= 1")
-    out = TSeries(0, [1], s.trunc)
-    term = TSeries(0, [1], s.trunc)
+    t = s.trunc
+    if _rational(s.coeffs):
+        # b = exp(s) solves b' = s' b: b_0 = 1, k b_k = sum_{j=v..k} j a_j b_(k-j).
+        # With a_j = A_j/d the integers N_k = (t-1)! d^k b_k satisfy
+        # k N_k = sum_j j A_j d^(j-1) N_(k-j) (the denominator of b_k divides
+        # k! d^k, so the division by k is exact)
+        an, d = _int_content(s.coeffs)
+        v = s.val
+        weighted = [(v + i) * a * d ** (v + i - 1) for i, a in enumerate(an)]
+        f = math.factorial(t - 1)
+        nn, out = [f], [Fraction(1)]
+        for k in range(1, t):
+            m = max(0, min(k - v + 1, len(weighted)))
+            nn.append(sum(map(mul, weighted[:m], nn[k - v - m + 1:k - v + 1][::-1])) // k)
+            out.append(Fraction(nn[k], f * d ** k))
+        return TSeries(0, out, t)
+    # nested coefficients: the sum of s^n/n!, whose inner truncations the
+    # recurrence above would not reproduce
+    out = TSeries(0, [1], t)
+    term = TSeries(0, [1], t)
     n = 1
     while True:
         term = term * s / n
-        if term.is_zero() or term.val >= s.trunc:
+        if term.is_zero() or term.val >= t:
             break
         out = out + term
         n += 1

@@ -210,6 +210,8 @@ def star(F, G, params, convention="plain"):
     """
     if F.flavor != G.flavor:
         raise ValueError(f"star of flavors {F.flavor!r} and {G.flavor!r}")
+    if convention not in ("plain", "coset"):
+        raise ValueError("convention must be 'plain' or 'coset'")
     i, j, n = F.n, G.n, F.n + G.n
     if i == 0:
         out = ShuffleElement(G.flavor, n, G.num * F.num.d.get((), Fraction(0)))
@@ -219,8 +221,6 @@ def star(F, G, params, convention="plain"):
         out = ShuffleElement(F.flavor, n, _coset_numerator(F, G, params))
     if convention == "plain":
         out = out * (factorial(i) * factorial(j))
-    elif convention != "coset":
-        raise ValueError("convention must be 'plain' or 'coset'")
     return out
 
 

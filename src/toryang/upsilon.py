@@ -84,6 +84,7 @@ class UpsilonBridge:
         self.module = CohomologyFixedPointModule(self.params, r)
         self.q3 = series_exp(self.params.h3)
         self.one_minus_q3 = 1 - self.q3
+        self._inv_one_minus_q3 = None  # zero at a degenerate direction
         self.gpre = series_sqrt(expm1_over(self.params.h3).inv()) \
             if self.params.h3 else TSeries(0, [1], trunc)
         # the homogenized presentation rescales the raising/lowering family
@@ -185,8 +186,17 @@ class UpsilonBridge:
     def apply_f(self, k, vec):
         return apply_mode(self, "f", k, vec)
 
+    def over_one_minus_q3(self, x):
+        """x / (1 - q3), multiplying by the inverse computed on first use.
+
+        A rational x is coerced as `x / (1 - q3)` coerces it, so the result
+        and its truncation are those of the division."""
+        if self._inv_one_minus_q3 is None:
+            self._inv_one_minus_q3 = self.one_minus_q3.inv()
+        return self.one_minus_q3._coerce(x) * self._inv_one_minus_q3
+
     def H_eigen(self, label, m):
-        return self.B_at(label, m) / self.one_minus_q3
+        return self.over_one_minus_q3(self.B_at(label, m))
 
     def t_eigen(self, label, m):
         if m not in self._alpha_inv:
@@ -230,7 +240,7 @@ class UpsilonBridge:
                         k = i + j
                         diag = self.psi_pm_coeff(label, +1, k, 2 * window) if k >= 0 else 0
                         diag2 = self.psi_pm_coeff(label, -1, -k, 2 * window) if k <= 0 else 0
-                        rhs = (diag - diag2) / self.one_minus_q3
+                        rhs = self.over_one_minus_q3(diag - diag2)
                         if not is_vec_zero(vsub(lhs, {label: rhs}), hmod):
                             fails.append(("t3", label, i, j))
         return fails
@@ -334,7 +344,7 @@ def ch_solver(alpha, beta, xis, r, level_bound, trunc=16, hmod=9):
             # diagonal log-mode match: K-side exponential modes vs Borel data
             for m in (1, 2):
                 for sgn in (+1, -1):
-                    hk = ratfn_log_coeffs(psi, sgn, m)[m - 1] / (bridge.one_minus_q3 * sgn)
+                    hk = bridge.over_one_minus_q3(ratfn_log_coeffs(psi, sgn, m)[m - 1] / sgn)
                     if not is_zero_mod(hk - bridge.H_eigen(mlam, sgn * m), hmod):
                         fails.append(("H-mode", sgn * m, mlam))
             # central normalization: vacuum weight halves match

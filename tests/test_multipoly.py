@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toryang.multipoly import MPoly
 
@@ -84,3 +86,38 @@ def test_xi_shift_parts():
 def test_eval():
     p = MPoly(2, {(1, 0): 2, (0, -1): 3})
     assert p.eval((Fraction(5), Fraction(1, 3))) == 10 + 9
+
+
+# -- products against a schoolbook reference ----------------------------------
+
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+laurent_terms = st.dictionaries(st.tuples(*[st.integers(-3, 3)] * 3), rationals, max_size=6)
+
+
+def ref_product(a, b):
+    """{exponent: coefficient} of the product, summed in Fractions, zeros dropped."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@given(laurent_terms, laurent_terms)
+@settings(max_examples=150, deadline=None)
+def test_laurent_product_matches_reference(a, b):
+    got = MPoly(3, a) * MPoly(3, b)
+    assert got.d == ref_product({e: c for e, c in a.items() if c},
+                                {e: c for e, c in b.items() if c})
+    assert all(type(c) is Fraction and c for c in got.d.values())
+
+
+def test_product_with_cancellation_and_mixed_denominators():
+    a = MPoly(2, {(1, -1): Fraction(1, 6), (-2, 0): Fraction(-3, 4)})
+    b = MPoly(2, {(0, 1): Fraction(6, 5), (3, 0): Fraction(2, 9), (1, -1): Fraction(3, 4)})
+    c = MPoly(2, {(1, -1): Fraction(1, 6), (-2, 0): Fraction(3, 4)})
+    assert (a * b).d == ref_product(a.d, b.d)
+    # (u - v)(u + v) with u^2 and v^2 both present: the cross terms cancel
+    assert (a * c).d == ref_product(a.d, c.d)
+    assert (-a * a + a * a).is_zero()

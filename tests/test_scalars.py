@@ -222,3 +222,169 @@ def test_log_coeffs_domain_errors():
         series_zlog(ratfn_expand(uneven, +1, 5))
     with pytest.raises(ExpansionPoleError):
         ratfn_log_coeffs(RatFn.from_factors(1, F_ZEROS, (0,) + F_POLES[1:]), -1, 4)
+
+
+# -- integer-content kernels against schoolbook references -------------------
+#
+# The references below work on plain {exponent: Fraction} dicts and know
+# nothing of the integer kernels: a wrong common denominator, a dropped or
+# shifted coefficient or a wrong truncation shows as a mismatch.  Only the
+# nested-coefficient exp reference uses series arithmetic, because the inner
+# truncations it pins are defined by that arithmetic.
+
+sparse_rationals = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@st.composite
+def flat_series(draw, min_val=-3, max_val=3, max_len=7):
+    val = draw(st.integers(min_val, max_val))
+    coeffs = draw(st.lists(sparse_rationals, max_size=max_len))
+    trunc = val + len(coeffs) + draw(st.integers(0, 3))
+    return val, coeffs, trunc
+
+
+def canonical_dict(terms, trunc):
+    """(val, {k: c}, trunc) with zero and out-of-window coefficients dropped."""
+    terms = {k: c for k, c in terms.items() if c and k < trunc}
+    return (min(terms) if terms else trunc), terms, trunc
+
+
+def canonical(val, coeffs, trunc):
+    return canonical_dict({val + i: Fraction(c) for i, c in enumerate(coeffs)}, trunc)
+
+
+def as_tuple(val, terms, trunc):
+    """The (val, coeffs, trunc) a canonical TSeries stores for these terms."""
+    if not terms:
+        return trunc, [], trunc
+    top = max(terms)
+    return val, [terms.get(k, Fraction(0)) for k in range(val, top + 1)], trunc
+
+
+def stored(s):
+    return s.val, s.coeffs, s.trunc
+
+
+def ref_mul(a, b):
+    (va, ta, tra), (vb, tb, trb) = canonical(*a), canonical(*b)
+    if not ta and not tb:
+        trunc = min(tra + trb, max(tra, trb))
+    elif not ta:
+        trunc = tra + vb
+    elif not tb:
+        trunc = trb + va
+    else:
+        trunc = min(tra + vb, trb + va)
+    out = {}
+    for i, x in ta.items():
+        for j, y in tb.items():
+            if i + j < trunc:
+                out[i + j] = out.get(i + j, 0) + x * y
+    return canonical_dict(out, trunc)
+
+
+@given(flat_series(), flat_series())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_schoolbook(a, b):
+    got = TSeries(*a) * TSeries(*b)
+    assert stored(got) == as_tuple(*ref_mul(a, b))
+    assert stored(TSeries(*b) * TSeries(*a)) == stored(got)
+
+
+def test_product_edge_cases():
+    # interior zeros, a negative valuation, and a zero operand
+    cases = [((-2, [1, 0, 0, Fraction(-3, 4)], 4), (1, [Fraction(2, 5), 0, 7], 6)),
+             ((0, [], 3), (-1, [Fraction(1, 3)], 5)),
+             ((2, [0, 0], 5), (0, [], 4))]
+    for a, b in cases:
+        assert stored(TSeries(*a) * TSeries(*b)) == as_tuple(*ref_mul(a, b))
+
+
+def ref_inv(a):
+    """1/a from the defining recurrence sum_j a_j b_(k-j) = [k == 0]."""
+    val, terms, trunc = canonical(*a)
+    n = trunc - val
+    rel = [terms.get(val + j, Fraction(0)) for j in range(n)]
+    out = [1 / rel[0]]
+    for k in range(1, n):
+        out.append(-sum((rel[j] * out[k - j] for j in range(1, k + 1)), Fraction(0)) / rel[0])
+    return canonical_dict({-val + k: c for k, c in enumerate(out)}, trunc - 2 * val)
+
+
+@given(flat_series())
+@settings(max_examples=150, deadline=None)
+def test_inverse_matches_recurrence(a):
+    s = TSeries(*a)
+    if s.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            s.inv()
+        return
+    inv = s.inv()
+    assert stored(inv) == as_tuple(*ref_inv(a))
+    assert (s * inv - 1).is_zero()
+
+
+def ref_exp_flat(a):
+    """sum_n s^n / n! on coefficient dicts, through X^(trunc-1)."""
+    _, terms, trunc = canonical(*a)
+    out, power, n = {0: Fraction(1)}, {0: Fraction(1)}, 0
+    while power:
+        n += 1
+        nxt = {}
+        for i, x in power.items():
+            for j, y in terms.items():
+                if i + j < trunc:
+                    nxt[i + j] = nxt.get(i + j, 0) + x * y / n
+        power = {k: c for k, c in nxt.items() if c}
+        for k, c in power.items():
+            out[k] = out.get(k, 0) + c
+    return canonical_dict(out, trunc)
+
+
+@given(flat_series(min_val=1, max_val=3, max_len=9))
+@settings(max_examples=150, deadline=None)
+def test_exp_matches_power_sum(a):
+    s = TSeries(*a)
+    if s.is_zero():
+        return
+    assert stored(series_exp(s)) == as_tuple(*ref_exp_flat(a))
+
+
+def ref_exp_products(s):
+    """exp(s) as the running sum of term = term * s / n (series arithmetic)."""
+    out = term = TSeries(0, [1], s.trunc)
+    n = 1
+    while True:
+        term = term * s / n
+        if term.is_zero() or term.val >= s.trunc:
+            return out
+        out = out + term
+        n += 1
+
+
+def structure(x):
+    """Every val, trunc and coefficient, nested series included."""
+    if isinstance(x, TSeries):
+        return ("series", x.val, x.trunc, [structure(c) for c in x.coeffs])
+    return x
+
+
+@st.composite
+def nested_series(draw):
+    def inner():
+        if draw(st.booleans()):
+            return draw(sparse_rationals)
+        return TSeries(*draw(flat_series(max_len=4)))
+
+    val = draw(st.integers(1, 2))
+    coeffs = [inner() for _ in range(draw(st.integers(0, 5)))]
+    return TSeries(val, coeffs, val + len(coeffs) + draw(st.integers(0, 2)))
+
+
+@given(st.one_of(flat_series(min_val=1, max_val=3).map(lambda a: TSeries(*a)),
+                 nested_series()))
+@settings(max_examples=150, deadline=None)
+def test_exp_matches_repeated_products(s):
+    if s.is_zero():
+        return
+    assert structure(series_exp(s)) == structure(ref_exp_products(s))

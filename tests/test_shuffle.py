@@ -394,3 +394,14 @@ class TestStarMemo:
         assert not shuffle._TWISTED_KERNELS
         assert not shuffle._COSET_NUMERATORS
         assert not closed.is_zero()
+
+    def test_unknown_convention_leaves_the_memo_unchanged(self):
+        clear_star_memo()
+        star(x_power("m", 2), x_power("m", 0), PM, "coset")
+        kernels, numerators = dict(shuffle._TWISTED_KERNELS), dict(shuffle._COSET_NUMERATORS)
+        for F, G, p in ((x_power("m", 1), x_power("m", 0), PM),
+                        (x_power("a", 1), K_element("a", 2, PA), PA)):
+            with pytest.raises(ValueError):
+                star(F, G, p, "bogus")
+        assert shuffle._TWISTED_KERNELS == kernels
+        assert shuffle._COSET_NUMERATORS == numerators
