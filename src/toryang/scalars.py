@@ -16,7 +16,11 @@ coefficient at the end:
 - `TSeries.inv` runs the inverse recurrence on numerators over powers of
   the leading numerator;
 - `series_exp` runs the derivative recurrence b_0 = 1,
-  k b_k = sum_j j a_j b_(k-j) on the integers (trunc-1)! d^k b_k.
+  k b_k = sum_j j a_j b_(k-j) on the integers (trunc-1)! d^k b_k;
+- `ratfn_log_coeffs` takes the power sums of series roots on their
+  numerators over one common denominator D: each power of a root is one
+  convolution, and each power sum p_k one integer list over D^k and one
+  TSeries, with the val and trunc the root-by-root product loop gives.
 Integer arithmetic is exact, so each output is the rational the Fraction
 loop would have summed, reduced once; `val` and `trunc` follow the same
 rules, so the series are equal coefficient for coefficient.  A coefficient
@@ -24,12 +28,19 @@ list that holds a nested TSeries takes the Fraction-and-series loops
 (`series_exp` then sums s^n/n! by repeated products): the recurrence gives
 the same values there, but not always the same inner truncations, which
 depend on the order of the series operations.
+
+The kernels build their results with `_series`, which skips the public
+constructor's pass that turns int coefficients into Fractions (kernel
+coefficients are Fractions or TSeries already).  A nonzero rational times
+a series scales its coefficients and keeps its truncation, as division by
+a rational does.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from operator import mul
 
 __all__ = [
@@ -75,6 +86,14 @@ def _int_content(coeffs):
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
+def _int_rows(rows):
+    """([numerators of each row], d) for lists of Fractions, over the one
+    common denominator d of all of them."""
+    nums, d = _int_content([c for row in rows for c in row])
+    it = iter(nums)
+    return [list(islice(it, len(row))) for row in rows], d
+
+
 def _convolve(a, b, n):
     """The first n coefficients of the product of the integer lists a and b."""
     rb = b[::-1]
@@ -98,19 +117,21 @@ class TSeries:
     __slots__ = ("val", "coeffs", "trunc")
 
     def __init__(self, val, coeffs, trunc):
-        coeffs = [_cf(c) for c in coeffs]
-        # canonical form: strip leading zeros, cut at trunc
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            val += 1
-        if val + len(coeffs) > trunc:
-            coeffs = coeffs[: trunc - val]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        if not coeffs:
-            val = trunc
-        self.val = val
-        self.coeffs = coeffs
+        self._canon(val, [_cf(c) for c in coeffs], trunc)
+
+    def _canon(self, val, coeffs, trunc):
+        # canonical form: cut at trunc, strip leading and trailing zeros; the
+        # list is sliced, never modified, so callers may pass a shared one
+        lo, hi = 0, min(len(coeffs), trunc - val)
+        while lo < hi and not coeffs[lo]:
+            lo += 1
+        while hi > lo and not coeffs[hi - 1]:
+            hi -= 1
+        if hi <= lo:
+            self.val, self.coeffs = trunc, []
+        else:
+            self.val = val + lo
+            self.coeffs = coeffs if lo == 0 and hi == len(coeffs) else coeffs[lo:hi]
         self.trunc = trunc
 
     # -- queries ---------------------------------------------------------
@@ -149,9 +170,9 @@ class TSeries:
             return NotImplemented
         trunc = min(self.trunc, o.trunc)
         if self.is_zero():
-            return TSeries(o.val, o.coeffs, trunc)
+            return _series(o.val, o.coeffs, trunc)
         if o.is_zero():
-            return TSeries(self.val, self.coeffs, trunc)
+            return _series(self.val, self.coeffs, trunc)
         val = min(self.val, o.val)
         n = max(self.val + len(self.coeffs), o.val + len(o.coeffs)) - val
         out = [Fraction(0)] * n
@@ -159,12 +180,12 @@ class TSeries:
             out[self.val - val + i] = c
         for i, c in enumerate(o.coeffs):
             out[o.val - val + i] = out[o.val - val + i] + c
-        return TSeries(val, out, trunc)
+        return _series(val, out, trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TSeries(self.val, [-c for c in self.coeffs], self.trunc)
+        return _series(self.val, [-c for c in self.coeffs], self.trunc)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -176,6 +197,10 @@ class TSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)) and other:
+            # a nonzero rational scales the known coefficients, as division
+            # by it does: the precision stays X^trunc at any valuation
+            return _series(self.val, [c * other for c in self.coeffs], self.trunc)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -188,7 +213,7 @@ class TSeries:
                 t = self.trunc + o.val
             else:
                 t = o.trunc + self.val
-            return TSeries(t, [], t)
+            return _series(t, [], t)
         trunc = min(self.trunc + o.val, o.trunc + self.val)
         val = self.val + o.val
         n = min(len(self.coeffs) + len(o.coeffs) - 1, trunc - val)
@@ -196,7 +221,7 @@ class TSeries:
             an, da = _int_content(self.coeffs[:n])
             bn, db = _int_content(o.coeffs[:n])
             den = da * db
-            return TSeries(val, [Fraction(c, den) for c in _convolve(an, bn, n)], trunc)
+            return _series(val, [Fraction(c, den) for c in _convolve(an, bn, n)], trunc)
         out = [Fraction(0)] * n
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -208,7 +233,7 @@ class TSeries:
                     break
                 if b:
                     out[i + j] = out[i + j] + a * b
-        return TSeries(val, out, trunc)
+        return _series(val, out, trunc)
 
     __rmul__ = __mul__
 
@@ -228,7 +253,7 @@ class TSeries:
                 m = min(k, len(weighted))
                 bn.append(-sum(map(mul, weighted[:m], bn[k - m:][::-1])))
                 out.append(Fraction(d * bn[k], a0 ** (k + 1)))
-            return TSeries(-self.val, out, self.trunc - 2 * self.val)
+            return _series(-self.val, out, self.trunc - 2 * self.val)
         # 1 / (a0 X^v (1 + u)) with u of positive relative order
         inv0 = 1 / self.coeffs[0]
         rel = [c * inv0 for c in self.coeffs]
@@ -241,14 +266,14 @@ class TSeries:
                     s = s + rel[j] * out[k - j]
             out[k] = -s
         out = [c * inv0 for c in out]
-        return TSeries(-self.val, out, self.trunc - 2 * self.val)
+        return _series(-self.val, out, self.trunc - 2 * self.val)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if isinstance(other, (int, Fraction)):
-            return TSeries(self.val, [c / other for c in self.coeffs], self.trunc)
+            return _series(self.val, [c / other for c in self.coeffs], self.trunc)
         return self * o.inv()
 
     def __rtruediv__(self, other):
@@ -286,7 +311,7 @@ class TSeries:
 
     def shift(self, k):
         """Multiply by X^k."""
-        return TSeries(self.val + k, list(self.coeffs), self.trunc + k)
+        return _series(self.val + k, self.coeffs, self.trunc + k)
 
     def map_coeffs(self, f):
         return TSeries(self.val, [f(c) for c in self.coeffs], self.trunc)
@@ -298,6 +323,18 @@ class TSeries:
             f"({c})*X^{self.val + i}" for i, c in enumerate(self.coeffs) if c
         )
         return f"{body} + O(X^{self.trunc})"
+
+
+_new = object.__new__
+
+
+def _series(val, coeffs, trunc):
+    """A TSeries from coefficients that are already Fractions or TSeries, as
+    every kernel builds them: the constructor's int normalization is skipped.
+    The list is not modified and may be kept by the series."""
+    s = _new(TSeries)
+    s._canon(val, coeffs, trunc)
+    return s
 
 
 # -- constructors ---------------------------------------------------------
@@ -345,7 +382,7 @@ def series_exp(s):
             m = max(0, min(k - v + 1, len(weighted)))
             nn.append(sum(map(mul, weighted[:m], nn[k - v - m + 1:k - v + 1][::-1])) // k)
             out.append(Fraction(nn[k], f * d ** k))
-        return TSeries(0, out, t)
+        return _series(0, out, t)
     # nested coefficients: the sum of s^n/n!, whose inner truncations the
     # recurrence above would not reproduce
     out = TSeries(0, [1], t)
@@ -411,7 +448,7 @@ def series_sqrt(s):
     lead = frac_sqrt(s.coeffs[0])
     # Newton iteration on  r <- (r + s/r)/2  starting from the leading term
     half_val = s.val // 2
-    body = TSeries(0, s.coeffs, s.trunc - s.val)  # valuation-0 unit part
+    body = _series(0, s.coeffs, s.trunc - s.val)  # valuation-0 unit part
     r = TSeries(0, [lead], body.trunc)
     for _ in range(body.trunc.bit_length() + 2):
         r = (r + body * r.inv()) / 2
@@ -433,7 +470,7 @@ def expm1_over(s):
         raise ScalarDomainError("expm1_over needs a series (or exactly 0)")
     if s.is_zero():
         return TSeries(0, [1], s.trunc - s.val if s.coeffs else s.trunc)
-    return (series_exp(s) - 1).shift(-s.val) * TSeries(0, s.coeffs, s.trunc - s.val).inv()
+    return (series_exp(s) - 1).shift(-s.val) * _series(0, s.coeffs, s.trunc - s.val).inv()
 
 
 # -- dense univariate polynomials over an exact scalar domain -------------
@@ -624,7 +661,7 @@ class RatFn:
 def _poly_to_series_at_infinity(p, trunc):
     """Write p(z) = z^deg * (series in 1/z); return (deg, TSeries in X=1/z)."""
     d = p.degree()
-    return d, TSeries(0, list(reversed(p.c)), trunc)
+    return d, _series(0, p.c[::-1], trunc)
 
 
 def ratfn_expand(rf, direction, order):
@@ -647,8 +684,8 @@ def ratfn_expand(rf, direction, order):
     elif direction == -1:
         if not rf.den.c or not _invertible(rf.den.c[0]):
             raise ExpansionPoleError("denominator has a zero at z = 0")
-        sn = TSeries(0, list(rf.num.c), order)
-        sd = TSeries(0, list(rf.den.c), order)
+        sn = _series(0, rf.num.c, order)
+        sd = _series(0, rf.den.c, order)
         return sn * sd.inv()
     raise ValueError("direction must be +1 or -1")
 
@@ -676,18 +713,52 @@ def ratfn_log_coeffs(rf, direction, n):
     else:
         raise ValueError("direction must be +1 or -1")
 
-    def power_sums(roots):
-        sums = [Fraction(0)] * n
-        for x in roots:
-            pw = x
-            for k in range(n):
-                if k:
-                    pw = pw * x
-                sums[k] = sums[k] + pw
-        return sums
-
     return [(p - q) / k
-            for k, p, q in zip(range(1, n + 1), power_sums(poles), power_sums(zeros))]
+            for k, p, q in zip(range(1, n + 1), _power_sums(poles, n), _power_sums(zeros, n))]
+
+
+def _power_sums(roots, n):
+    """[p_1, ..., p_n] of the roots; Fraction(0)s when there are none.
+
+    Nonzero series roots with rational coefficients go through the integer
+    kernel: x = X^v A/d known mod X^t has x^k = X^(kv) A^k/d^k known mod
+    X^(t+(k-1)v), the val and trunc the product loop pw = pw * x gives (A_0^k
+    never vanishes), and A^k needs only its first t - v numerators.  Over
+    D = lcm of the roots' d, each p_k is one integer list over D^k, the lcm
+    of its denominators, and one TSeries.  Any other root (a rational, a
+    zero series, nested coefficients) is summed by the product loop.
+    """
+    sums = [Fraction(0)] * n
+    flat, looped = [], False
+    for x in roots:
+        if isinstance(x, TSeries) and x.coeffs and _rational(x.coeffs):
+            flat.append(x)
+            continue
+        looped = True
+        pw = x
+        for k in range(n):
+            if k:
+                pw = pw * x
+            sums[k] = sums[k] + pw
+    if not flat:
+        return sums
+    base, D = _int_rows([x.coeffs for x in flat])
+    powers = base
+    for k in range(1, n + 1):
+        if k > 1:
+            powers = [_convolve(p, a, min(len(p) + len(a) - 1, x.trunc - x.val))
+                      for p, a, x in zip(powers, base, flat)]
+        val = min(k * x.val for x in flat)
+        trunc = min(x.trunc + (k - 1) * x.val for x in flat)
+        offs = [k * x.val - val for x in flat]
+        num = [0] * min(trunc - val, max(o + len(p) for o, p in zip(offs, powers)))
+        for p, off in zip(powers, offs):
+            for j, c in enumerate(p[:max(0, len(num) - off)]):
+                num[off + j] += c
+        dk = D ** k
+        pk = _series(val, [Fraction(c, dk) for c in num], trunc)
+        sums[k - 1] = sums[k - 1] + pk if looped else pk
+    return sums
 
 
 def _invertible(c):

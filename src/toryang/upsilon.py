@@ -8,7 +8,17 @@ Diagonal data per basis label: the log of the diagonal eigenvalue, its
 inverse Borel transform, and the glueing unit g built from it.  The module
 keeps psi factored as (constant, zeros, poles), so the coefficients of
 log psi are power sums of the poles minus power sums of the zeros, with no
-series expansion or series logarithm.  The raising and lowering images
+series expansion or series logarithm; the power sums run on integer
+numerators (`scalars.ratfn_log_coeffs`).
+
+The exponent gamma(v) = -B(-d/dv)G'(v) of the glueing unit is a double sum
+over the Borel index i and the power n of the point v.  It is summed over
+i first: once per bridge, on first use, the label-independent weights
+(-1)^i C(n+i, i) G'_{n+i}; once per label, on integers, the series
+D_n = sum_i (-1)^i C(n+i, i) G'_{n+i} k_i; per call, Horner's rule in v.
+The (i, n) terms are those of the double sum, and at a transition point
+every partial result is known mod X^trunc or better, so the values and the
+truncation are those of the double sum.  The raising and lowering images
 keep mode-k rows [(target, base * norm * exp(k * point) * g)], with the
 glueing unit g evaluated on the post-action label, and act through the same
 row code as every module (`repbase.apply_mode`).  The comparison map from
@@ -21,12 +31,13 @@ of it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .params import series_yangian, series_toroidal
 from .repbase import apply_mode, is_vec_zero, vsub
 from .scalars import (TSeries, series_exp, series_log, series_sqrt,
-                      expm1_over, is_zero_mod, ratfn_log_coeffs, ScalarDomainError)
+                      expm1_over, is_zero_mod, ratfn_log_coeffs, ScalarDomainError,
+                      _int_content, _int_rows, _series)
 from .yangian import CohomologyFixedPointModule
 from .toroidal import KTheoryFixedPointModule, DiagonalTwist, solve_intertwiner
 
@@ -94,6 +105,8 @@ class UpsilonBridge:
         self.f_norm = -self.params.h2
         self.gprime = gprime_series(trunc + 2)
         self._kcache = {}
+        self._gamma_weights = None
+        self._dcache = {}
         self._gcache = {}
         self._bcache = {}
         self._alpha_inv = {}
@@ -129,30 +142,74 @@ class UpsilonBridge:
             self._bcache[key] = tot
         return self._bcache[key]
 
+    def gamma_weights(self):
+        """[(d_n, [(i, W_ni)]) for n = 0..trunc-2] with W_ni/d_n the rational
+        (-1)^i C(n+i, i) G'_{n+i}, over the i < trunc with n + i inside G'
+        and G'_{n+i} != 0.  The weights do not depend on the label; they are
+        computed once per bridge, on first use."""
+        if self._gamma_weights is None:
+            gp, rows = self.gprime, []
+            for n in range(self.trunc - 1):
+                ws = [(i, (-1) ** i * comb(n + i, i) * gp.coeff(n + i))
+                      for i in range(min(self.trunc, gp.trunc - n)) if gp.coeff(n + i)]
+                nums, d = _int_content([w for _, w in ws])
+                rows.append((d, [(i, a) for (i, _), a in zip(ws, nums)]))
+            self._gamma_weights = rows
+        return self._gamma_weights
+
+    def gamma_sums(self, label):
+        """[-D_n for n = 0..trunc-2] on the label, None where no term enters:
+        D_n = sum_i W_ni/d_n k_i over the weights and the nonzero k_i of
+        valuation < trunc, summed once per label on integers (one TSeries
+        per n, known mod X^trunc)."""
+        if label not in self._dcache:
+            T = self.trunc
+            live = [(i, k) for i, k in enumerate(self.kcoeffs(label)) if k and k.val < T]
+            out = []
+            if live:
+                base = min(k.val for _, k in live)
+                width = max(k.val + len(k.coeffs) for _, k in live) - base
+                nums, dk = _int_rows([k.coeffs for _, k in live])
+                rows = {i: (k.val - base, row, k.trunc) for (i, k), row in zip(live, nums)}
+                for dw, ws in self.gamma_weights():
+                    acc, trunc, hit = [0] * width, T, False
+                    for i, w in ws:
+                        if i in rows:
+                            off, row, t = rows[i]
+                            hit, trunc = True, min(trunc, t)
+                            for j, c in enumerate(row):
+                                acc[off + j] -= w * c
+                    den = dk * dw
+                    out.append(_series(base, [Fraction(c, den) for c in acc], trunc)
+                               if hit else None)
+            self._dcache[label] = out
+        return self._dcache[label]
+
     def gamma_at(self, label, v):
-        """gamma(v) = -B(-d/dv) G'(v) evaluated at a series point v."""
-        ks = self.kcoeffs(label)
-        gp = self.gprime
-        tot = TSeries(self.trunc, [], self.trunc)
-        vpow = [TSeries(0, [1], self.trunc)]
-        for n in range(1, self.trunc + 1):
-            vpow.append(vpow[-1] * v)
-        for i, k in enumerate(ks):
-            if not k or k.val >= self.trunc:
-                continue
-            # (-1)^i G'^{(i)}(v) = sum_n gp_{n+i} (n+i)!/n! v^n * (-1)^i
-            acc = TSeries(self.trunc, [], self.trunc)
-            for n in range(0, self.trunc - 1):
-                if n + i >= gp.trunc:
-                    break
-                c = gp.coeff(n + i)
-                if not c:
-                    continue
-                w = Fraction(factorial(n + i), factorial(n)) * c
-                if n < len(vpow):
-                    acc = acc + vpow[n] * w
-            tot = tot + k * acc * Fraction((-1) ** i, factorial(i))
-        return -tot
+        """gamma(v) = -B(-d/dv) G'(v) evaluated at a series point v.
+
+        With B(w) = sum_i k_i w^i/i! and G'(v) = sum_m G'_m v^m,
+        gamma(v) = -sum_i (-1)^i k_i/i! G'^(i)(v) = -sum_n D_n v^n with
+        D_n = sum_i (-1)^i C(n+i, i) G'_{n+i} k_i.  The D_n are memoized per
+        label (`gamma_sums`), so a call is Horner's rule in v, capped at
+        O(X^trunc).  It sums the same finite set of (i, n) terms as the
+        double sum over i and n; for a point of valuation >= 0 known mod
+        X^trunc (every transition point) and the k_i of `kcoeffs` (known mod
+        X^trunc or better), every partial result of either order is known
+        mod X^trunc or better, so both give the same coefficients mod X^trunc
+        and the same truncation, trunc.
+        """
+        T = self.trunc
+        acc = None
+        for d in reversed(self.gamma_sums(label)):
+            if acc is not None:
+                acc = acc * v
+            if d is not None:
+                acc = d if acc is None else acc + d
+        if acc is None:
+            return TSeries(T, [], T)
+        # above trunc only when D_0 is empty and the last step was a product
+        return acc if acc.trunc <= T else _series(acc.val, acc.coeffs, T)
 
     def g_at(self, label, v, key=None):
         if key is not None and key in self._gcache:

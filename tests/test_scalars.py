@@ -388,3 +388,97 @@ def test_exp_matches_repeated_products(s):
     if s.is_zero():
         return
     assert structure(series_exp(s)) == structure(ref_exp_products(s))
+
+
+# -- power sums of factored rational functions against the product loop ------
+
+def ref_log_coeffs(rf, direction, n):
+    """c_1..c_n with each power sum summed root by root, pw = pw * x."""
+    _, zeros, poles = rf.factors
+    if direction == -1:
+        zeros = [1 / a for a in zeros]
+        poles = [1 / b for b in poles]
+
+    def power_sums(roots):
+        sums = [Fraction(0)] * n
+        for x in roots:
+            pw = x
+            for k in range(n):
+                if k:
+                    pw = pw * x
+                sums[k] = sums[k] + pw
+        return sums
+
+    return [(p - q) / k for k, p, q in zip(range(1, n + 1), power_sums(poles), power_sums(zeros))]
+
+
+def shape(x):
+    if isinstance(x, TSeries):
+        return TSeries, x.val, x.coeffs, x.trunc
+    return type(x), x
+
+
+@st.composite
+def log_roots(draw):
+    """Equally many zeros and poles: rationals, or flat series of valuation
+    -1..3 (long lists at valuation 0, interior zeros, unequal truncs and
+    denominators)."""
+    root = st.one_of(rationals, flat_series(min_val=-1, max_val=3, max_len=9)
+                     .map(lambda a: TSeries(*a)))
+    k = draw(st.integers(0, 4))
+    return (draw(st.lists(root, min_size=k, max_size=k)),
+            draw(st.lists(root, min_size=k, max_size=k)))
+
+
+@given(log_roots(), st.sampled_from([1, -1]), st.integers(1, 7))
+@settings(max_examples=200, deadline=None)
+def test_log_coeffs_match_the_product_loop(roots, direction, n):
+    zeros, poles = roots
+    if direction == -1 and not all(zeros + poles):
+        with pytest.raises(ExpansionPoleError):
+            ratfn_log_coeffs(RatFn.from_factors(3, zeros, poles), direction, n)
+        return
+    rf = RatFn.from_factors(3, zeros, poles)
+    got = ratfn_log_coeffs(rf, direction, n)
+    assert [shape(c) for c in got] == [shape(c) for c in ref_log_coeffs(rf, direction, n)]
+
+
+def test_log_coeffs_product_loop_cases():
+    T = 14
+    mono = [TSeries(1, [Fraction(c, 5)], T) for c in (13, -3, 1)]
+    long0 = [TSeries(0, [Fraction(1, j + 2) for j in range(T)], T),
+             TSeries(0, [Fraction(-2, 3), 0, 0, Fraction(5, 7)], 11)]
+    cases = [((), (), 1), ((), (), -1),                   # no roots at all
+             (mono[:2], mono[1:], 1), (mono[:2], mono[1:], -1),
+             (long0, long0[::-1], 1), (long0, mono[:1], -1),
+             ((Fraction(2), mono[0]), (Fraction(-1, 3), long0[1]), 1),
+             ((TSeries(5, [], 5), mono[0]), (mono[1], mono[2]), 1)]
+    for zeros, poles, direction in cases:
+        rf = RatFn.from_factors(1, zeros, poles)
+        got = ratfn_log_coeffs(rf, direction, 6)
+        assert [shape(c) for c in got] == [shape(c) for c in ref_log_coeffs(rf, direction, 6)]
+        if not zeros and not poles:
+            assert all(type(c) is Fraction and c == 0 for c in got)
+
+
+def test_rational_scaling_keeps_precision():
+    s = TSeries(-2, [1, 1], 3)
+    for scaled in (s * 2, 2 * s, s * Fraction(-3, 4), Fraction(-3, 4) * s):
+        assert scaled.trunc == 3 and scaled.val == -2
+    assert stored(s * 2) == stored(s / Fraction(1, 2))
+    # a zero factor keeps the product rule: zero mod X^(3 + val)
+    assert stored(s * 0) == (1, [], 1)
+    nested = TSeries(0, [TSeries(-1, [Fraction(1, 2)], 2)], 3) * 3
+    assert stored(nested.coeffs[0]) == (-1, [Fraction(3, 2)], 2)
+
+
+def test_constructor_cuts_before_it_strips():
+    # every stored coefficient lies below trunc, whatever the input list
+    assert stored(TSeries(5, [1, 2, 3], 3)) == (3, [], 3)
+    assert stored(TSeries(0, [0, 0, 0, 5, 6, 7], 2)) == (2, [], 2)
+    assert stored(TSeries(-3, [0, 1, 0, 2], -1)) == (-2, [Fraction(1)], -1)
+    # a sum known only below the valuation of one term is zero
+    assert stored(TSeries(0, [Fraction(7), 1], 5) + TSeries(-2, [], -2)) == (-2, [], -2)
+    coeffs = [Fraction(0), Fraction(1), Fraction(0)]
+    TSeries(0, coeffs, 9)
+    assert coeffs == [Fraction(0), Fraction(1), Fraction(0)]

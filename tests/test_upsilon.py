@@ -160,3 +160,78 @@ def test_comparison_map_reports_a_perturbed_module():
     for module, want in ((mk, set()), (PerturbedModule(mk, "f"), {"f-intertwine"})):
         _, fails = solve_intertwiner(module, br, 2, (-1, 0, 1, 2), lambda x: x, one, HMOD)
         assert {f[0] for f in fails} == want
+
+
+def gamma_double_sum(br, label, v):
+    """gamma(v) as the double sum over i (Borel data) and n (powers of v),
+    in the order of the definition -sum_i k_i (-1)^i/i! G'^(i)(v)."""
+    from math import factorial
+
+    T, gp = br.trunc, br.gprime
+    tot = TSeries(T, [], T)
+    vpow = [TSeries(0, [1], T)]
+    for n in range(1, T + 1):
+        vpow.append(vpow[-1] * v)
+    for i, k in enumerate(br.kcoeffs(label)):
+        if not k or k.val >= T:
+            continue
+        acc = TSeries(T, [], T)
+        for n in range(0, T - 1):
+            if n + i >= gp.trunc:
+                break
+            c = gp.coeff(n + i)
+            if c:
+                acc = acc + vpow[n] * (Fraction(factorial(n + i), factorial(n)) * c)
+        tot = tot + k * acc * Fraction((-1) ** i, factorial(i))
+    return -tot
+
+
+def gamma_points(br, level_bound):
+    """(label, point) for every transition point up to the level bound.  At
+    the degenerate direction the transition coefficients have poles, so the
+    points are read from the addable boxes, as `limit_h3_module_check` does."""
+    from toryang import partitions as pt
+
+    p = br.params
+    for level in range(level_bound + 1):
+        for label in br.module.basis(level):
+            if not br.params.h3:
+                for a, col, row in pt.addable_boxes(label):
+                    yield (pt.mp_add_box(label, a, row),
+                           (col - 1) * p.h1 + (row - 1) * p.h2 - p.xs[a - 1])
+                continue
+            for tgt, _, point in br.module.e_transitions(label) + br.module.f_transitions(label):
+                yield tgt, point
+
+
+@pytest.mark.parametrize("r,degenerate", [(1, False), (2, False), (1, True), (2, True)])
+def test_gamma_matches_double_sum(r, degenerate):
+    xis = (Fraction(1, 5), Fraction(1, 7))[:r]
+    if degenerate:
+        br = UpsilonBridge(1, -1, xis, r, trunc=TRUNC, degenerate=True)
+    else:
+        br = UpsilonBridge(13, 1, xis, r, trunc=TRUNC)
+    # nothing per label or per bridge is computed before first use
+    assert br._kcache == {} and br._dcache == {} and br._gamma_weights is None
+    bump = TSeries(2, [Fraction(1, 3)], TRUNC)
+    seen = 0
+    for label, point in gamma_points(br, 2):
+        for v in (point, point + bump):
+            got, want = br.gamma_at(label, v), gamma_double_sum(br, label, v)
+            assert (got.val, got.coeffs, got.trunc) == (want.val, want.coeffs, want.trunc)
+            seen += 1
+    assert seen > 0
+    # at h3 = 0 every k_i vanishes, so the weights are never needed
+    assert (br._gamma_weights is None) == degenerate
+
+
+def test_gamma_with_only_a_leading_borel_datum():
+    # G' is odd, so with k_0 alone the v^0 sum D_0 is empty and the last
+    # Horner step is a product, whose truncation the cap must bring to trunc
+    br = UpsilonBridge(13, 1, (Fraction(1, 5),), 1, trunc=TRUNC)
+    label = ((1,),)
+    br._kcache[label] = [TSeries(1, [Fraction(3)], TRUNC)] + [Fraction(0)] * (TRUNC - 1)
+    for v in (br.params.h1, br.params.h1 + TSeries(2, [Fraction(1, 3)], TRUNC)):
+        got, want = br.gamma_at(label, v), gamma_double_sum(br, label, v)
+        assert (got.val, got.coeffs, got.trunc) == (want.val, want.coeffs, want.trunc)
+        assert got.trunc == TRUNC
