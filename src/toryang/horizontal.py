@@ -17,7 +17,7 @@ from math import comb, factorial
 from .multipoly import MPoly
 from .params import ToroidalParams
 from .partitions import enum_partitions
-from .repbase import vadd, vsub, vsum
+from .repbase import lincomb, vsum
 from .shuffle import ShuffleElement
 
 __all__ = [
@@ -161,22 +161,21 @@ def tt3_check(params, c, window=2, degree_cap=2):
             vec = {mu: Fraction(1)}
             for i in range(-window, window + 1):
                 for j in range(-window, window + 1):
-                    lhs = vsub(apply_vertex_mode(params, e, i, apply_vertex_mode(params, f, j, vec)),
-                               apply_vertex_mode(params, f, j, apply_vertex_mode(params, e, i, vec)))
-                    lhs = {kk: v * beta1 for kk, v in lhs.items()}
+                    # residual = beta1 (e f - f e) - rhs, as (state, a, b) triples
+                    parts = [
+                        (apply_vertex_mode(params, e, i, apply_vertex_mode(params, f, j, vec)),
+                         beta1),
+                        (apply_vertex_mode(params, f, j, apply_vertex_mode(params, e, i, vec)),
+                         -beta1)]
                     k = i + j
-                    rhs = {}
                     # the central square root acts by rho, so gamma acts
                     # by rho^2 and gamma^{(i-j)/2} by rho^{i-j}
                     if k >= 0:
-                        r1 = apply_vertex_mode(params, pp, k, vec)
-                        g = rho ** (i - j)
-                        rhs = vadd(rhs, {kk: v * g for kk, v in r1.items()})
+                        parts.append((apply_vertex_mode(params, pp, k, vec), -rho ** (i - j)))
                     if k <= 0:
-                        r2 = apply_vertex_mode(params, pm, k, vec)
-                        g = rho ** (j - i)
-                        rhs = vsub(rhs, {kk: v * g for kk, v in r2.items()})
-                    resid = vsub(lhs, rhs)
+                        parts.append((apply_vertex_mode(params, pm, k, vec), rho ** (j - i)))
+                    resid = lincomb((kk, v, g) for image, g in parts
+                                    for kk, v in image.items())
                     if resid:
                         fails.append((mu, i, j))
     return fails

@@ -16,16 +16,31 @@ formal-distribution bookkeeping.
 `check_relation` applies each word suffix to each basis vector once per
 call: a word's image is its leftmost letter applied to the image of the
 rest, and words of an instance family share most of their suffixes.
+
+Exact linear combinations.  `lincomb` takes (label, a, b) triples and
+returns {label: sum of a * b}.  When every factor is an int or a Fraction
+it adds the products as integer (numerator, denominator) pairs and builds
+one Fraction per label at the end; any other factor (a TSeries) sends the
+sum through `vsum` of the products.  Either way the labels keep
+first-insertion order and sums that are zero are dropped once, at the end,
+by `vsum`'s rule.  `apply_mode`, `_apply_diagonal` and each (instance,
+label) residual of `check_relation` are one `lincomb` call.
+
+`Module.t_eigenvalue` keeps the beta-free log coefficient of psi per
+(label, m) on the module instance, so a wrapper with other diagonal data
+keeps its own; the division by beta(m) is made on every call, so no
+callable is part of the key.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .scalars import ratfn_expand, ratfn_log_coeffs, is_zero_mod
 
 __all__ = [
-    "vec", "vsum", "vadd", "vscale", "vsub", "is_vec_zero",
+    "vec", "vsum", "vadd", "vscale", "vsub", "lincomb", "is_vec_zero",
     "Module", "ModuleWrapper", "PerturbedModule", "apply_mode", "coeff_of", "apply_word",
     "word_images", "RelationReport", "check_relation",
     "RELATION_BUILDERS_T", "RELATION_BUILDERS_Y",
@@ -64,6 +79,55 @@ def vsub(u, v):
     return vsum(((k, -c) for k, c in v.items()), u)
 
 
+def lincomb(triples):
+    """The vector {label: sum of a * b} over the (label, a, b) triples, in
+    `vsum`'s first-insertion order, with sums that are zero dropped once,
+    at the end, by the same rule.
+
+    When every a and b is an int or a Fraction, each label's products are
+    added as integer (numerator, denominator) pairs over the lcm of the
+    denominators seen, and one Fraction is built per label at the end (an
+    int when every factor for that label is an int, as the plain sum
+    gives).  Any other factor sends the whole sum through `vsum` of the
+    products a * b, so series values and truncations are those of the plain
+    sum."""
+    triples = list(triples)
+    acc = {}
+    for k, a, b in triples:
+        ta, tb = type(a), type(b)
+        if ta is Fraction:
+            an, ad = a.numerator, a.denominator
+        elif ta is int:
+            an, ad = a, 1
+        else:
+            return vsum((k, a * b) for k, a, b in triples)
+        if tb is Fraction:
+            bn, bd = b.numerator, b.denominator
+        elif tb is int:
+            bn, bd = b, 1
+        else:
+            return vsum((k, a * b) for k, a, b in triples)
+        n, d = an * bn, ad * bd
+        frac = ta is Fraction or tb is Fraction
+        s = acc.get(k)
+        if s is None:
+            acc[k] = [n, d, frac]
+            continue
+        D = s[1]
+        if D == d:
+            s[0] += n
+        elif D % d == 0:
+            s[0] += n * (D // d)
+        else:
+            g = gcd(D, d)
+            s[0] = s[0] * (d // g) + n * (D // g)
+            s[1] = D * (d // g)
+        if frac:
+            s[2] = True
+    return {k: Fraction(n, d) if frac else n
+            for k, (n, d, frac) in acc.items() if n}
+
+
 def is_vec_zero(u, hmod=None):
     for c in u.values():
         if hmod is None:
@@ -90,6 +154,7 @@ class Module:
         self._psi_cache = {}
         self._series_cache = {}
         self._row_cache = {}
+        self._tlog_cache = {}
 
     # subclass hooks
     def _e_transitions(self, label):
@@ -162,12 +227,17 @@ class Module:
 
         psi^+(z)/psi0 = exp(-sum_{m>0} beta_m/m t_m z^-m) and mirrored for
         m < 0 on the opposite expansion.  The log coefficient comes from
-        power sums of psi's zeros and poles (`ratfn_log_coeffs`).
+        power sums of psi's zeros and poles (`ratfn_log_coeffs`), computed
+        once per (label, m); the division by beta(m) is made on every call.
         """
         if m == 0:
             raise ValueError("t_0 is not defined")
-        n = abs(m)
-        coeff = ratfn_log_coeffs(self.psi_rat(label), +1 if m > 0 else -1, n)[n - 1]
+        key = (label, m)
+        coeff = self._tlog_cache.get(key)
+        if coeff is None:
+            n = abs(m)
+            coeff = self._tlog_cache[key] = ratfn_log_coeffs(
+                self.psi_rat(label), +1 if m > 0 else -1, n)[n - 1]
         # for + direction: coeff = -beta_m/m * t_m ; for -: +beta_m/m * t_m
         bm = beta(m)
         if m > 0:
@@ -182,13 +252,13 @@ def apply_mode(rows, kind, mode, v):
     """Mode `mode` of the 'e' or 'f' current on the vector v, read from
     `rows.mode_row(kind, label, mode)`: every module and the series bridge
     act through this one function."""
-    return vsum((tgt, c * coeff) for label, c in v.items()
-                for tgt, coeff in rows.mode_row(kind, label, mode))
+    return lincomb((tgt, c, coeff) for label, c in v.items()
+                   for tgt, coeff in rows.mode_row(kind, label, mode))
 
 
 def _apply_diagonal(v, eigenvalue):
     """The diagonal operator with eigenvalue(label) on each label, on v."""
-    return vsum((label, c * eigenvalue(label)) for label, c in v.items())
+    return lincomb((label, c, eigenvalue(label)) for label, c in v.items())
 
 
 def coeff_of(transitions, label):
@@ -501,20 +571,29 @@ RELATION_BUILDERS_Y = ("Y0", "Y1", "Y2", "Y3", "Y4", "Y5", "Y6")
 
 
 class RelationReport:
-    def __init__(self, relation, ok, counterexample=None, checked=0):
+    """`checked` counts the (instance, label) pairs swept; `nonvacuous` those
+    among them where some word image with a nonzero coefficient, or the
+    right-hand side, is nonzero, so that the check compares more than 0
+    with 0."""
+
+    def __init__(self, relation, ok, counterexample=None, checked=0, nonvacuous=0):
         self.relation = relation
         self.ok = ok
         self.counterexample = counterexample
         self.checked = checked
+        self.nonvacuous = nonvacuous
 
     def __repr__(self):
-        return f"RelationReport({self.relation}, ok={self.ok}, checked={self.checked})"
+        return (f"RelationReport({self.relation}, ok={self.ok}, checked={self.checked}, "
+                f"nonvacuous={self.nonvacuous})")
 
 
 def check_relation(module, relation, params, level_bound, window=3, hmod=None):
     """Sweep one relation over all basis labels up to level_bound.
 
-    Returns a RelationReport; the first failing (instance, label) is recorded.
+    Each (instance, label) residual, sum of coeff * image(word) minus the
+    right-hand side, is one `lincomb` call.  Returns a RelationReport; the
+    first failing (instance, label) is recorded.
     """
     if relation.startswith("T"):
         instances = t_relation_instances(relation, window, params)
@@ -522,27 +601,28 @@ def check_relation(module, relation, params, level_bound, window=3, hmod=None):
     else:
         instances = y_relation_instances(relation, window, params)
         ctx = {"sig3": params.sigma3()}
+    instances = [(inst_id, [(coeff, tuple(word)) for coeff, word in terms
+                            if not _zero(coeff)], rhs)
+                 for inst_id, terms, rhs in instances]
     image = word_images(module, ctx)
-    checked = 0
+    checked = nonvacuous = 0
     for level in range(0, level_bound + 1):
         for label in module.basis(level):
             for inst_id, terms, rhs in instances:
-                acc = {}
-                for coeff, word in terms:
-                    if _zero(coeff):
-                        continue
-                    r = image(label, tuple(word))
-                    if r:
-                        acc = vadd(acc, vscale(r, coeff))
+                triples = [(k, c, coeff) for coeff, word in terms
+                           for k, c in image(label, word).items()]
                 if rhs is not None:
                     d = rhs(module, label)
                     if not _zero(d):
-                        acc = vadd(acc, {label: -d})
+                        triples.append((label, d, -1))
                 checked += 1
+                if triples:
+                    nonvacuous += 1
+                acc = lincomb(triples)
                 if not is_vec_zero(acc, hmod=hmod):
                     bad = {str(k): repr(c) for k, c in acc.items()}
                     return RelationReport(
                         relation, False,
                         {"instance": inst_id, "level": level, "label": label,
-                         "residual": bad}, checked)
-    return RelationReport(relation, True, None, checked)
+                         "residual": bad}, checked, nonvacuous)
+    return RelationReport(relation, True, None, checked, nonvacuous)

@@ -19,7 +19,8 @@ import pytest
 
 from toryang import partitions as pt
 from toryang.params import default_toroidal, default_yangian
-from toryang.repbase import RELATION_BUILDERS_T, RELATION_BUILDERS_Y, check_relation, vec
+from toryang.repbase import (RELATION_BUILDERS_T, RELATION_BUILDERS_Y, PerturbedModule,
+                             check_relation, vec)
 
 
 def report(num, ok, text):
@@ -38,32 +39,48 @@ PY2 = default_yangian(r=2)
 PY3 = default_yangian(r=3)
 
 
+# The second parameter point of the criteria that sweep it: a certified
+# generic sample at a fixed seed, so runs stay deterministic.
+SECOND_POINT_SEED = 7
+
+
 def test_criterion_1_relation_suites():
-    """Defining relations on all primary modules, window 3, levels <= 4."""
+    """Defining relations on all primary modules, window 3, levels <= 4, at
+    the default point and at a sampled second point."""
+    from toryang.params import sample_generic_params
     from toryang.toroidal import FockModule, KTheoryFixedPointModule, VectorModule
     from toryang.yangian import AFockModule, AVectorModule, CohomologyFixedPointModule
 
     t0 = time.time()
     ok = True
-    jobs = [
-        ("V(u)", VectorModule(PT1, Fraction(1, 5)), PT1, RELATION_BUILDERS_T, 4),
-        ("F(u)", FockModule(PT1, Fraction(1, 5)), PT1, RELATION_BUILDERS_T, 4),
-        ("M^1", KTheoryFixedPointModule(PT1, 1), PT1, RELATION_BUILDERS_T, 4),
-        ("M^2", KTheoryFixedPointModule(PT2, 2), PT2, RELATION_BUILDERS_T, 4),
-        ("aV(u)", AVectorModule(PY0, Fraction(1, 5)), PY0, RELATION_BUILDERS_Y, 4),
-        ("aF(u)", AFockModule(PY0, Fraction(1, 5)), PY0, RELATION_BUILDERS_Y, 4),
-        ("V^1", CohomologyFixedPointModule(PY1, 1), PY1, RELATION_BUILDERS_Y, 4),
-        ("V^2", CohomologyFixedPointModule(PY2, 2), PY2, RELATION_BUILDERS_Y, 4),
-    ]
-    for name, module, params, rels, L in jobs:
-        tm = time.time()
-        for rel in rels:
-            rep = check_relation(module, rel, params, L, window=3)
-            if not rep.ok:
-                ok = False
-                print(f"  {name} {rel}: {rep.counterexample}")
-        assert time.time() - tm < 120, f"{name} exceeded the per-module budget"
-    report(1, ok, f"relation suites, window 3, levels <= 4 ({time.time()-t0:.0f}s)")
+    seed = SECOND_POINT_SEED
+    points = [("default", PT1, PT2, PY0, PY1, PY2),
+              (f"seed {seed}",
+               *(sample_generic_params(seed, "toroidal", r=r) for r in (1, 2)),
+               *(sample_generic_params(seed, "yangian", r=r) for r in (0, 1, 2)))]
+    for point, pt1, pt2, py0, py1, py2 in points:
+        jobs = [
+            ("V(u)", VectorModule(pt1, Fraction(1, 5)), pt1, RELATION_BUILDERS_T, 4),
+            ("F(u)", FockModule(pt1, Fraction(1, 5)), pt1, RELATION_BUILDERS_T, 4),
+            ("M^1", KTheoryFixedPointModule(pt1, 1), pt1, RELATION_BUILDERS_T, 4),
+            ("M^2", KTheoryFixedPointModule(pt2, 2), pt2, RELATION_BUILDERS_T, 4),
+            ("aV(u)", AVectorModule(py0, Fraction(1, 5)), py0, RELATION_BUILDERS_Y, 4),
+            ("aF(u)", AFockModule(py0, Fraction(1, 5)), py0, RELATION_BUILDERS_Y, 4),
+            ("V^1", CohomologyFixedPointModule(py1, 1), py1, RELATION_BUILDERS_Y, 4),
+            ("V^2", CohomologyFixedPointModule(py2, 2), py2, RELATION_BUILDERS_Y, 4),
+        ]
+        for name, module, params, rels, L in jobs:
+            tm = time.time()
+            for rel in rels:
+                rep = check_relation(module, rel, params, L, window=3)
+                if not rep.ok:
+                    ok = False
+                    print(f"  {point} {name} {rel}: {rep.counterexample}")
+            assert time.time() - tm < 120, f"{point} {name} exceeded the per-module budget"
+        # the negative control trips at this point too
+        perturbed = PerturbedModule(KTheoryFixedPointModule(pt2, 2), "psi")
+        ok &= not check_relation(perturbed, "T3", pt2, 1, window=1).ok
+    report(1, ok, f"relation suites, window 3, levels <= 4, two points ({time.time()-t0:.0f}s)")
 
 
 def test_criterion_2_gamma_eigenvalues():

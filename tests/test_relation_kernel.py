@@ -6,10 +6,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toryang import repbase
 from toryang.params import default_toroidal, default_yangian
-from toryang.repbase import (PerturbedModule, RELATION_BUILDERS_T, RELATION_BUILDERS_Y,
-                             check_relation)
+from toryang.repbase import (ModuleWrapper, PerturbedModule, RELATION_BUILDERS_T,
+                             RELATION_BUILDERS_Y, check_relation, lincomb)
+from toryang.scalars import TSeries
 from toryang.toroidal import KTheoryFixedPointModule
 from toryang.yangian import CohomologyFixedPointModule
 
@@ -68,3 +72,155 @@ def test_counterexample_reports_are_pinned(name, kind):
     module = PerturbedModule(make(), kind)
     got = report_digest(module, relations, params, 2, 2)
     assert got == COUNTEREXAMPLE_DIGESTS[name, kind]
+
+
+# -- the kernel against a schoolbook sum of products -----------------------
+
+def schoolbook(triples):
+    """{label: a1*b1 + a2*b2 + ...} in first-seen label order, zeros dropped."""
+    out = {}
+    for label, a, b in triples:
+        out[label] = out[label] + a * b if label in out else a * b
+    return {label: c for label, c in out.items() if c}
+
+
+def same_vector(got, want):
+    assert list(got) == list(want)
+    for label, c in want.items():
+        g = got[label]
+        assert type(g) is type(c)
+        if type(c) is TSeries:
+            assert (g.val, g.trunc, g.coeffs) == (c.val, c.trunc, c.coeffs)
+        else:
+            assert g == c
+
+
+ints = st.integers(-6, 6)
+fractions = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 6, 9, 35]))
+rationals = st.one_of(ints, fractions)
+labels = st.sampled_from("abcde")
+series = st.builds(lambda val, cs, extra: TSeries(val, cs, val + len(cs) + extra),
+                   st.integers(-2, 2), st.lists(fractions, max_size=4), st.integers(0, 2))
+
+
+@st.composite
+def rational_triples(draw):
+    triples = draw(st.lists(st.tuples(labels, rationals, rationals), max_size=14))
+    # cancel some of them exactly, anywhere in the list
+    for label, a, b in draw(st.lists(st.sampled_from(triples), max_size=4)) if triples else ():
+        triples.insert(draw(st.integers(0, len(triples))), (label, -a, b))
+    return triples
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_triples())
+def test_kernel_matches_schoolbook_on_rationals(triples):
+    same_vector(lincomb(triples), schoolbook(triples))
+    same_vector(lincomb(iter(triples)), schoolbook(triples))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_triples(), st.lists(st.tuples(labels, series, rationals), min_size=1, max_size=4),
+       st.data())
+def test_kernel_falls_back_on_series(triples, with_series, data):
+    for label, s, c in with_series:
+        at = data.draw(st.integers(0, len(triples)))
+        triple = (label, s, c) if data.draw(st.booleans()) else (label, c, s)
+        triples.insert(at, triple)
+    same_vector(lincomb(triples), schoolbook(triples))
+
+
+def test_kernel_cases():
+    h = Fraction(1, 2)
+    # first-insertion order survives a label that cancels and comes back
+    same_vector(lincomb([("b", 1, h), ("a", 3, 1), ("b", -h, 1), ("c", 2, 2), ("b", 3, h)]),
+                {"b": Fraction(3, 2), "a": 3, "c": 4})
+    # int factors only give an int; one Fraction factor makes the label's sum a Fraction
+    same_vector(lincomb([("a", 2, 3), ("b", 2, Fraction(3))]), {"a": 6, "b": Fraction(6)})
+    # unlike denominators over their lcm, reduced once at the end
+    same_vector(lincomb([("a", Fraction(1, 6), 1), ("a", Fraction(1, 4), 1),
+                         ("a", Fraction(1, 12), Fraction(-5))]), {})
+    same_vector(lincomb([("a", Fraction(1, 6), 1), ("a", Fraction(1, 4), Fraction(2, 3))]),
+                {"a": Fraction(1, 3)})
+    assert lincomb([]) == {}
+    zero = TSeries(0, [], 4)
+    same_vector(lincomb([("a", zero, 1), ("b", 1, 1)]), {"b": 1})
+
+
+# -- the t-eigenvalue memo -------------------------------------------------
+
+@pytest.fixture
+def log_calls(monkeypatch):
+    calls = []
+    inner = repbase.ratfn_log_coeffs
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(repbase, "ratfn_log_coeffs", counted)
+    return calls
+
+
+def test_t_eigenvalue_is_computed_once(log_calls):
+    M = KTheoryFixedPointModule(P2, 2)
+    label = M.basis(1)[0]
+    first = M.t_eigenvalue(label, 2, P2.beta)
+    assert len(log_calls) == 1
+    assert M.t_eigenvalue(label, 2, P2.beta) == first
+    assert len(log_calls) == 1
+    M.t_eigenvalue(label, -2, P2.beta)
+    M.t_eigenvalue(M.basis(1)[1], 2, P2.beta)
+    assert len(log_calls) == 3
+
+
+def test_t_eigenvalue_divides_by_each_beta():
+    def beta3(m):
+        return 3 * P2.beta(m) + m
+
+    M = KTheoryFixedPointModule(P2, 2)
+    for label in M.basis(0) + M.basis(1):
+        for m in (1, -1, 3):
+            for beta in (P2.beta, beta3):
+                cold = KTheoryFixedPointModule(P2, 2).t_eigenvalue(label, m, beta)
+                assert M.t_eigenvalue(label, m, beta) == cold
+
+
+class OtherLabelPsi(ModuleWrapper):
+    """The base module with the diagonal data of another label."""
+
+    def __init__(self, base, source):
+        super().__init__(base)
+        self.source = source
+
+    def _psi_rat(self, label):
+        return self.base.psi_rat(self.source)
+
+
+def test_wrappers_keep_their_own_memo():
+    M = KTheoryFixedPointModule(P2, 2)
+    a, b = M.basis(1)[:2]
+    warm = {m: M.t_eigenvalue(a, m, P2.beta) for m in (1, -1, 2)}
+    W = OtherLabelPsi(M, b)
+    for m in warm:
+        assert W.t_eigenvalue(a, m, P2.beta) == M.t_eigenvalue(b, m, P2.beta) != warm[m]
+    assert M.t_eigenvalue(a, 1, P2.beta) == warm[1]
+    # the T3 control still trips after the base's memos are warm
+    for rel in ("T3", "T4t"):
+        check_relation(M, rel, P2, 1, window=1)
+    Pp = PerturbedModule(M, "psi")
+    assert Pp._tlog_cache is not M._tlog_cache
+    assert not check_relation(Pp, "T3", P2, 1, window=1).ok
+
+
+# -- non-vacuous pairs -----------------------------------------------------
+
+def test_nonvacuous_counts():
+    M = KTheoryFixedPointModule(P2, 2)
+    counts = {rel: check_relation(M, rel, P2, 1, window=3) for rel in ("T1", "T2", "T6", "T6t")}
+    assert {rel: (rep.ok, rep.nonvacuous, rep.checked) for rel, rep in counts.items()} == {
+        "T1": (True, 147, 147), "T2": (True, 0, 147),
+        "T6": (True, 81, 162), "T6t": (True, 3, 6)}
+    # f after f kills every label of level <= 1; level 2 is reached
+    rep = check_relation(M, "T2", P2, 2, window=3)
+    assert rep.ok and 0 < rep.nonvacuous < rep.checked
