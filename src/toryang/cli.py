@@ -91,8 +91,9 @@ def _suite_relations(config, checks):
             for rel in relations:
                 rep = check_relation(module, rel, params, lvl, window=window)
                 cid = f"relations:{flavor}:{name}:{rel}"
-                if not rep.checked:
-                    raise ConfigError(f"{cid} has no instance at --L {L} --I {window}")
+                if not rep.nonvacuous:
+                    what = "compares only 0 with 0" if rep.checked else "has no instance"
+                    raise ConfigError(f"{cid} {what} at --L {L} --I {window}")
                 checks.append(Check(cid, rep.ok, rep.counterexample))
 
 

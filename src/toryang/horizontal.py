@@ -5,19 +5,22 @@ The quarter-power of the third parameter is kept rational by construction:
 the parameter pack is built from a generic rational rho with q3 = rho^4.
 Boson states are monomials in the creation modes, labelled by partitions;
 all vertex-operator modes are finite-rank between graded pieces, so every
-computation here is exact.
+computation here is exact.  The bracket check `tt3_check` is one instance
+per mode pair, run through the relation engine's sweep
+(`repbase.RelationSweep`) over the boson states (`BosonStates`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import product as iproduct
 from math import comb, factorial
 
 from .multipoly import MPoly
 from .params import ToroidalParams
 from .partitions import enum_partitions
-from .repbase import lincomb, vsum
+from .repbase import RelationSweep, vsum
 from .shuffle import ShuffleElement
 
 __all__ = [
@@ -29,6 +32,7 @@ __all__ = [
     "ftilde_spec",
     "psitilde_spec",
     "apply_vertex_mode",
+    "BosonStates",
     "tt3_check",
     "matrix_coeff_series",
     "closed_form_series",
@@ -136,6 +140,19 @@ def apply_vertex_mode(params, spec, k, vec):
     return vsum(terms())
 
 
+class BosonStates:
+    """The boson Fock space as a module for the relation sweep: level d holds
+    the partitions of d, and e, f and psi+- act by the vertex-operator
+    modes, psi- at index n being the mode z^n."""
+
+    def __init__(self, params, c):
+        self.apply_e = partial(apply_vertex_mode, params, etilde_spec(params, c))
+        self.apply_f = partial(apply_vertex_mode, params, ftilde_spec(params, c))
+        psi = {sign: psitilde_spec(params, sign) for sign in (+1, -1)}
+        self.apply_psi = lambda sign, n, vec: apply_vertex_mode(params, psi[sign], sign * n, vec)
+        self.basis = enum_partitions
+
+
 def tt3_check(params, c, window=2, degree_cap=2):
     """Modewise degree-truncated audit of the raising/lowering bracket
     against the shifted diagonal families:
@@ -146,39 +163,21 @@ def tt3_check(params, c, window=2, degree_cap=2):
     vacuum matrix element of the bracket (the contraction kernel has
     residues (1-1/q1)(1-1/q2)/(1-q3) at its two poles); it differs from the
     three-factor prefactor one might expect by the unit
-    (1-q1)(1-1/q1)(1-q2)(1-1/q2).
+    (1-q1)(1-1/q1)(1-q2)(1-1/q2).  gamma^{(i-j)/2} acts by rho^{i-j}.  Each
+    (i, j) is one instance of the relation sweep over the boson states of
+    degree <= degree_cap; returns (mu, i, j) for every failing state mu.
     """
-    e = etilde_spec(params, c)
-    f = ftilde_spec(params, c)
-    pp = psitilde_spec(params, +1)
-    pm = psitilde_spec(params, -1)
     q1, q2, q3 = params.qs
     rho = params.rho
     beta1 = (1 - 1 / q3) / ((1 - q1) * (1 - q2))
-    fails = []
-    for d in range(degree_cap + 1):
-        for mu in enum_partitions(d):
-            vec = {mu: Fraction(1)}
-            for i in range(-window, window + 1):
-                for j in range(-window, window + 1):
-                    # residual = beta1 (e f - f e) - rhs, as (state, a, b) triples
-                    parts = [
-                        (apply_vertex_mode(params, e, i, apply_vertex_mode(params, f, j, vec)),
-                         beta1),
-                        (apply_vertex_mode(params, f, j, apply_vertex_mode(params, e, i, vec)),
-                         -beta1)]
-                    k = i + j
-                    # the central square root acts by rho, so gamma acts
-                    # by rho^2 and gamma^{(i-j)/2} by rho^{i-j}
-                    if k >= 0:
-                        parts.append((apply_vertex_mode(params, pp, k, vec), -rho ** (i - j)))
-                    if k <= 0:
-                        parts.append((apply_vertex_mode(params, pm, k, vec), rho ** (j - i)))
-                    resid = lincomb((kk, v, g) for image, g in parts
-                                    for kk, v in image.items())
-                    if resid:
-                        fails.append((mu, i, j))
-    return fails
+    W = range(-window, window + 1)
+    # psi+ has no mode z^n and psi- no mode z^-n for n > 0: those words act by 0
+    instances = [((i, j), [(beta1, [("e", i), ("f", j)]), (-beta1, [("f", j), ("e", i)]),
+                           (-rho ** (i - j), [("psi+", i + j)]),
+                           (rho ** (j - i), [("psi-", -(i + j))])], None)
+                 for i in W for j in W]
+    sweep = RelationSweep(BosonStates(params, c), instances, {}, degree_cap)
+    return [(mu, i, j) for (i, j), _, mu, _ in sweep]
 
 
 def matrix_coeff_series(params, c, n, order):

@@ -13,9 +13,11 @@ the series expansion, made on demand; its log-modes come from power sums of
 the zeros and poles without any expansion.  This removes all
 formal-distribution bookkeeping.
 
-`check_relation` applies each word suffix to each basis vector once per
-call: a word's image is its leftmost letter applied to the image of the
-rest, and words of an instance family share most of their suffixes.
+One loop, `RelationSweep`, checks operator identities, applying each word
+suffix to each basis vector once per sweep.  `check_relation` feeds it one
+defining relation and stops at the first failure; the series bridge's
+audits (`upsilon`) and `horizontal.tt3_check` feed it instance lists of
+their own, through the same hooks as the modules here.
 
 Exact linear combinations.  `lincomb` takes (label, a, b) triples and
 returns {label: sum of a * b}.  When every factor is an int or a Fraction
@@ -24,7 +26,7 @@ one Fraction per label at the end; any other factor (a TSeries) sends the
 sum through `vsum` of the products.  Either way the labels keep
 first-insertion order and sums that are zero are dropped once, at the end,
 by `vsum`'s rule.  `apply_mode`, `_apply_diagonal` and each (instance,
-label) residual of `check_relation` are one `lincomb` call.
+label) residual of the sweep are one `lincomb` call.
 
 `Module.t_eigenvalue` keeps the beta-free log coefficient of psi per
 (label, m) on the module instance, so a wrapper with other diagonal data
@@ -42,7 +44,7 @@ from .scalars import ratfn_expand, ratfn_log_coeffs, is_zero_mod
 __all__ = [
     "vec", "vsum", "vadd", "vscale", "vsub", "lincomb", "is_vec_zero",
     "Module", "ModuleWrapper", "PerturbedModule", "apply_mode", "coeff_of", "apply_word",
-    "word_images", "RelationReport", "check_relation",
+    "word_images", "RelationSweep", "RelationReport", "check_relation",
     "RELATION_BUILDERS_T", "RELATION_BUILDERS_Y",
 ]
 
@@ -338,27 +340,35 @@ class PerturbedModule(ModuleWrapper):
 
 # -- operator words and relation instantiation ----------------------------
 
+def _apply_letter(module, letter, v, ctx):
+    """One letter of a word on v: the step of `apply_word` and of the sweep's
+    memo, which does not go through `apply_word` because the traced
+    benchmark keys each `apply_word` call by its input vector, and a
+    series-valued vector cannot be hashed (`perfbench/layers.py`)."""
+    gen, idx = letter
+    if gen == "e":
+        return module.apply_e(idx, v)
+    if gen == "f":
+        return module.apply_f(idx, v)
+    if gen == "psi+":
+        return module.apply_psi(+1, idx, v)
+    if gen == "psi-":
+        return module.apply_psi(-1, idx, v)
+    if gen == "psiy":
+        return module.apply_psi_y(idx, v, ctx["sig3"])
+    if gen == "t":
+        return module.apply_t(idx, v, ctx["beta"])
+    raise ValueError(f"unknown generator {gen}")
+
+
 def apply_word(module, word, v, ctx):
     """Apply a composition of mode operators, leftmost letter acting last.
 
     Letters: ('e', i), ('f', i), ('psi+', k), ('psi-', k), ('psiy', j),
     ('t', m).  ctx supplies beta/sig3 where needed.
     """
-    for gen, idx in reversed(word):
-        if gen == "e":
-            v = module.apply_e(idx, v)
-        elif gen == "f":
-            v = module.apply_f(idx, v)
-        elif gen == "psi+":
-            v = module.apply_psi(+1, idx, v)
-        elif gen == "psi-":
-            v = module.apply_psi(-1, idx, v)
-        elif gen == "psiy":
-            v = module.apply_psi_y(idx, v, ctx["sig3"])
-        elif gen == "t":
-            v = module.apply_t(idx, v, ctx["beta"])
-        else:
-            raise ValueError(f"unknown generator {gen}")
+    for letter in reversed(word):
+        v = _apply_letter(module, letter, v, ctx)
         if not v:
             return v
     return v
@@ -368,9 +378,10 @@ def word_images(module, ctx):
     """image(label, word) = apply_word(module, word, vec(label), ctx), word a
     tuple, with every suffix's image computed once and kept.
 
-    The leftmost letter acts on the kept image of the rest of the word; an
-    empty image stays empty.  The memo belongs to one module and ctx, so
-    callers make one per sweep and drop it afterwards.
+    The leftmost letter acts on the kept image of the rest of the word
+    (`_apply_letter`, the step of `apply_word`); an empty image stays empty.
+    The memo belongs to one module and ctx, so callers make one per sweep
+    and drop it afterwards.
     """
     memo = {}
 
@@ -383,7 +394,7 @@ def word_images(module, ctx):
             else:
                 r = image(label, word[1:])
                 if r:
-                    r = apply_word(module, word[:1], r, ctx)
+                    r = _apply_letter(module, word[0], r, ctx)
             memo[key] = r
         return r
 
@@ -418,6 +429,15 @@ def _sym3_nested(letter, i1, i2, i3, shift_mid, shift_last):
 # Each builder returns a list of instances; an instance is
 # (instance_id, [(coeff_fn(params), word), ...], rhs_diag_fn or None).
 # Residual = sum coeff * word(v) - diagonal(v); must vanish.
+
+
+def _ladder_instances(rel, m_range, j_range):
+    """[t_m, g_j] = +-g_{m+j} over m != 0, with instance ids (m, j): T4t with
+    g = e and sign +, T5t with g = f and sign -."""
+    g, sgn = ("e", 1) if rel == "T4t" else ("f", -1)
+    return [((m, j), [(1, [("t", m), (g, j)]), (-1, [(g, j), ("t", m)]),
+                      (-sgn, [(g, m + j)])], None)
+            for m in m_range if m for j in j_range]
 
 
 def _cubic_coeffs_t(p):
@@ -471,15 +491,8 @@ def t_relation_instances(rel, window, params):
                 ins.append((f"T3[{i},{j}]", terms, rhs))
         return ins
     if rel == "T4t" or rel == "T5t":
-        g, sgn = ("e", 1) if rel == "T4t" else ("f", -1)
-        for m in W:
-            if m == 0:
-                continue
-            for j in W:
-                terms = [(1, [("t", m), (g, j)]), (-1, [(g, j), ("t", m)]),
-                         (-sgn, [(g, m + j)])]
-                ins.append((f"{rel}[{m},{j}]", terms, None))
-        return ins
+        return [(f"{rel}[{m},{j}]", terms, rhs)
+                for (m, j), terms, rhs in _ladder_instances(rel, W, W)]
     if rel == "T6":
         sw = range(-1, 2)
         ins = []
@@ -588,41 +601,56 @@ class RelationReport:
                 f"nonvacuous={self.nonvacuous})")
 
 
+class RelationSweep:
+    """The failing (instance_id, level, label, residual), in the order of
+    levels, then the module's basis, then the instances, which are in the
+    builders' format with rhs(module, label) the right-hand side.  Each
+    residual, sum of coeff * image(word) minus rhs, is one `lincomb` call,
+    compared with zero exactly or mod X^hmod.  `checked` and `nonvacuous`
+    count the pairs swept so far, as in `RelationReport`."""
+
+    def __init__(self, module, instances, ctx, level_bound, hmod=None):
+        self.module, self.ctx, self.level_bound, self.hmod = module, ctx, level_bound, hmod
+        self.instances = [(inst_id, [(coeff, tuple(word)) for coeff, word in terms
+                                     if not _zero(coeff)], rhs)
+                          for inst_id, terms, rhs in instances]
+        self.checked = self.nonvacuous = 0
+
+    def __iter__(self):
+        module, hmod = self.module, self.hmod
+        image = word_images(module, self.ctx)
+        self.checked = self.nonvacuous = 0
+        for level in range(self.level_bound + 1):
+            for label in module.basis(level):
+                for inst_id, terms, rhs in self.instances:
+                    triples = [(k, c, coeff) for coeff, word in terms
+                               for k, c in image(label, word).items()]
+                    if rhs is not None:
+                        d = rhs(module, label)
+                        if not _zero(d):
+                            triples.append((label, d, -1))
+                    self.checked += 1
+                    if triples:
+                        self.nonvacuous += 1
+                    acc = lincomb(triples)
+                    if not is_vec_zero(acc, hmod=hmod):
+                        yield inst_id, level, label, acc
+
+
 def check_relation(module, relation, params, level_bound, window=3, hmod=None):
     """Sweep one relation over all basis labels up to level_bound.
 
-    Each (instance, label) residual, sum of coeff * image(word) minus the
-    right-hand side, is one `lincomb` call.  Returns a RelationReport; the
-    first failing (instance, label) is recorded.
+    Returns a RelationReport; the sweep stops at the first failing
+    (instance, label), which is recorded.
     """
     if relation.startswith("T"):
-        instances = t_relation_instances(relation, window, params)
-        ctx = {"beta": params.beta}
+        build, ctx = t_relation_instances, {"beta": params.beta}
     else:
-        instances = y_relation_instances(relation, window, params)
-        ctx = {"sig3": params.sigma3()}
-    instances = [(inst_id, [(coeff, tuple(word)) for coeff, word in terms
-                            if not _zero(coeff)], rhs)
-                 for inst_id, terms, rhs in instances]
-    image = word_images(module, ctx)
-    checked = nonvacuous = 0
-    for level in range(0, level_bound + 1):
-        for label in module.basis(level):
-            for inst_id, terms, rhs in instances:
-                triples = [(k, c, coeff) for coeff, word in terms
-                           for k, c in image(label, word).items()]
-                if rhs is not None:
-                    d = rhs(module, label)
-                    if not _zero(d):
-                        triples.append((label, d, -1))
-                checked += 1
-                if triples:
-                    nonvacuous += 1
-                acc = lincomb(triples)
-                if not is_vec_zero(acc, hmod=hmod):
-                    bad = {str(k): repr(c) for k, c in acc.items()}
-                    return RelationReport(
-                        relation, False,
-                        {"instance": inst_id, "level": level, "label": label,
-                         "residual": bad}, checked, nonvacuous)
-    return RelationReport(relation, True, None, checked, nonvacuous)
+        build, ctx = y_relation_instances, {"sig3": params.sigma3()}
+    sweep = RelationSweep(module, build(relation, window, params), ctx, level_bound, hmod)
+    for inst_id, level, label, resid in sweep:
+        bad = {str(k): repr(c) for k, c in resid.items()}
+        return RelationReport(relation, False, {"instance": inst_id, "level": level,
+                                                "label": label, "residual": bad},
+                              sweep.checked, sweep.nonvacuous)
+    return RelationReport(relation, True, None, sweep.checked, sweep.nonvacuous)

@@ -768,22 +768,5 @@ def _invertible(c):
 
 
 def series_zlog(s):
-    # identical algorithm to series_log but permits non-Fraction coefficients
-    if s.val != 0:
-        raise ScalarDomainError("log needs constant term 1")
-    c0 = s.coeffs[0]
-    if not (c0 == 1):
-        raise ScalarDomainError("log needs constant term 1")
-    u = s - 1
-    out = TSeries(u.trunc, [], u.trunc)
-    term = TSeries(0, [1], u.trunc)
-    sign = 1
-    n = 1
-    while True:
-        term = term * u
-        if term.is_zero() or term.val >= u.trunc:
-            break
-        out = out + term * Fraction(sign, n)
-        sign = -sign
-        n += 1
-    return out
+    """The same as `series_log`; the name stays for existing callers."""
+    return series_log(s)

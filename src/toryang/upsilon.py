@@ -23,7 +23,10 @@ keep mode-k rows [(target, base * norm * exp(k * point) * g)], with the
 glueing unit g evaluated on the post-action label, and act through the same
 row code as every module (`repbase.apply_mode`).  The comparison map from
 the renormalized K-theory module is the Fock-factorization solver
-(`toroidal.solve_intertwiner`) run against the bridge.  All per-label and
+(`toroidal.solve_intertwiner`) run against the bridge.  The audits of T3,
+T4t and the e half of T6t are instance lists run through the relation
+engine's sweep (`repbase.RelationSweep`); T3's right-hand side is psi+-
+over (1 - q3), through `over_one_minus_q3`.  All per-label and
 per-row data is memoized on first use; constructing a bridge computes none
 of it.
 """
@@ -34,7 +37,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .params import series_yangian, series_toroidal
-from .repbase import apply_mode, is_vec_zero, vsub
+from .repbase import (RelationSweep, apply_mode, _apply_diagonal, _commutator_words,
+                      _ladder_instances, _nested)
 from .scalars import (TSeries, series_exp, series_log, series_sqrt,
                       expm1_over, is_zero_mod, ratfn_log_coeffs, ScalarDomainError,
                       _int_content, _int_rows, _series)
@@ -283,58 +287,40 @@ class UpsilonBridge:
             self._gcache[key] = ser
         return self._gcache[key].coeff(k)
 
-    # -- audits --------------------------------------------------------------
+    # -- hooks for the relation sweep -----------------------------------------
+    def basis(self, level):
+        return self.module.basis(level)
+
+    def apply_t(self, m, vec, beta):
+        # `t_eigen` carries its own alpha normalization, so beta is not read
+        return _apply_diagonal(vec, lambda label: self.t_eigen(label, m))
+
+    # -- audits: instance lists through the relation sweep ---------------------
+    def _sweep(self, tag, instances, level_bound, hmod):
+        sweep = RelationSweep(self, instances, {"beta": None}, level_bound, hmod)
+        return [(tag, label) + inst_id for inst_id, _, label, _ in sweep]
+
     def audit_t3(self, level_bound, window, hmod):
-        """[image e_i, image f_j] minus the reconstructed diagonal, termwise."""
-        fails = []
-        for level in range(level_bound + 1):
-            for label in self.module.basis(level):
-                v = {label: TSeries(0, [1], self.trunc)}
-                for i in range(-window, window + 1):
-                    ei = self.apply_e(i, v)
-                    for j in range(-window, window + 1):
-                        lhs = vsub(self.apply_e(i, self.apply_f(j, v)), self.apply_f(j, ei))
-                        k = i + j
-                        diag = self.psi_pm_coeff(label, +1, k, 2 * window) if k >= 0 else 0
-                        diag2 = self.psi_pm_coeff(label, -1, -k, 2 * window) if k <= 0 else 0
-                        rhs = self.over_one_minus_q3(diag - diag2)
-                        if not is_vec_zero(vsub(lhs, {label: rhs}), hmod):
-                            fails.append(("t3", label, i, j))
-        return fails
+        """[image e_i, image f_j] = (psi+_{i+j} - psi-_{-(i+j)})/(1 - q3), with
+        psi+- the reconstructed diagonal family (`psi_pm_coeff`)."""
+        def rhs(bridge, label, k):
+            plus = bridge.psi_pm_coeff(label, +1, k, 2 * window) if k >= 0 else 0
+            minus = bridge.psi_pm_coeff(label, -1, -k, 2 * window) if k <= 0 else 0
+            return bridge.over_one_minus_q3(plus - minus)
+
+        W = range(-window, window + 1)
+        return self._sweep("t3", [((i, j), _commutator_words([("e", i)], [("f", j)]),
+                                   lambda bridge, label, k=i + j: rhs(bridge, label, k))
+                                  for i in W for j in W], level_bound, hmod)
 
     def audit_t4_ladder(self, level_bound, i_range, j_range, hmod):
-        """Per-transition [image t_i, image e_j] = image e_{i+j}."""
-        fails = []
-        for level in range(level_bound + 1):
-            for label in self.module.basis(level):
-                v = {label: TSeries(0, [1], self.trunc)}
-                for i in i_range:
-                    if i == 0:
-                        continue
-                    for j in j_range:
-                        lhs = {}
-                        ej = self.apply_e(j, v)
-                        for tgt, c in ej.items():
-                            lhs[tgt] = c * (self.t_eigen(tgt, i) - self.t_eigen(label, i))
-                        if not is_vec_zero(vsub(lhs, self.apply_e(i + j, v)), hmod):
-                            fails.append(("t4t", label, i, j))
-        return fails
+        """[image t_i, image e_j] = image e_{i+j} for i != 0."""
+        return self._sweep("t4t", _ladder_instances("T4t", i_range, j_range),
+                           level_bound, hmod)
 
     def audit_cubic(self, level_bound, hmod):
         """[e_0-image, [e_1-image, e_{-1}-image]] annihilates every vector."""
-        fails = []
-        for level in range(level_bound + 1):
-            for label in self.module.basis(level):
-                v = {label: TSeries(0, [1], self.trunc)}
-
-                def inner(vv):
-                    return vsub(self.apply_e(1, self.apply_e(-1, vv)),
-                                self.apply_e(-1, self.apply_e(1, vv)))
-
-                resid = vsub(self.apply_e(0, inner(v)), inner(self.apply_e(0, v)))
-                if not is_vec_zero(resid, hmod):
-                    fails.append(("cubic", label))
-        return fails
+        return self._sweep("cubic", [((), _nested("e", (0, 1, -1)), None)], level_bound, hmod)
 
 
 def borel_kernel_identity(bridge, level_bound, worder, hmod):

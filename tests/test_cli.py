@@ -214,3 +214,23 @@ def test_upsilon_report_matches_recorded_digest(perturb):
     code, report = run(config)
     text = json.dumps(strip_timings(report), indent=2, sort_keys=True)
     assert (code, hashlib.sha256(text.encode()).hexdigest()) == UPSILON_REPORTS[perturb]
+
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["relations", "--module", "fock", "--L", "1", "--I", "1"], "toroidal:fock:T2"),
+    (["relations", "--module", "fixedpoint", "--flavor", "yangian", "--L", "1", "--I", "1"],
+     "yangian:fixedpoint-r1:Y2"),
+    (["relations", "--module", "fock", "--flavor", "yangian", "--L", "0", "--I", "1"],
+     "yangian:fock:Y2"),
+])
+def test_relation_comparing_only_zeros_is_config_error(argv, needle, capsys):
+    # f f kills every label at these levels, so T2/Y2 used to pass by
+    # comparing 0 with 0 on every (instance, label) pair
+    from toryang.cli import main
+
+    assert main(argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "config-error" and "checks" not in report
+    assert needle in report["error"]
+    assert "--L" in report["error"] and "--I" in report["error"]

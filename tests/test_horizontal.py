@@ -125,3 +125,18 @@ class TestTensorCoefficient:
     def test_zero_currents_unit(self):
         t = horizontal_tensor_coeff([C1, C2], 0, P)
         assert t.n == 0 and t.num.d.get((), None) is not None
+
+
+def test_tt3_check_reports_a_scaled_lowering_constant(monkeypatch):
+    import toryang.horizontal as hz
+
+    def scaled(params, c):
+        spec = ftilde_spec(params, c)
+        spec.c = spec.c * Fraction(17, 16)
+        return spec
+
+    monkeypatch.setattr(hz, "ftilde_spec", scaled)
+    fails = tt3_check(P, C1, window=2, degree_cap=2)
+    # count and ends recorded with the hand-written bracket loop
+    assert len(fails) == 70
+    assert fails[0] == ((), -2, -2) and fails[-1] == ((2,), 2, 0)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from toryang.repbase import ModuleWrapper
 from toryang.scalars import ScalarDomainError, TSeries, series_zlog
 from toryang.upsilon import (UpsilonBridge, borel_kernel_identity,
                              borel_log_identity, ch_solver, gprime_series,
@@ -235,3 +236,34 @@ def test_gamma_with_only_a_leading_borel_datum():
         got, want = br.gamma_at(label, v), gamma_double_sum(br, label, v)
         assert (got.val, got.coeffs, got.trunc) == (want.val, want.coeffs, want.trunc)
         assert got.trunc == TRUNC
+
+
+class VacuumPointScaled(ModuleWrapper):
+    """The bridge's module with the vacuum's first raising support point
+    scaled by 17/16."""
+
+    def _e_transitions(self, label):
+        ts = self.base.e_transitions(label)
+        if self.base.level(label) == 0:
+            ts = [(ts[0][0], ts[0][1], ts[0][2] * Fraction(17, 16))] + list(ts[1:])
+        return ts
+
+
+def test_every_audit_reports_a_perturbed_support_point():
+    br = UpsilonBridge(13, 1, (Fraction(1, 5),), 1, trunc=TRUNC)
+    br.module = VacuumPointScaled(br.module)
+    # counts recorded with the hand-written audit loops
+    assert len(br.audit_t3(1, 1, hmod=HMOD)) == 18
+    assert len(br.audit_t4_ladder(1, range(-2, 3), range(-1, 2), hmod=HMOD)) == 12
+    assert br.audit_cubic(1, hmod=HMOD) == [("cubic", ((),))]
+
+
+def test_t3_failures_under_the_prefactor_control():
+    # the CLI's control at r = 1, trunc 14, residuals mod X^9, window 2;
+    # length and ends recorded with the hand-written audit loop
+    br = UpsilonBridge(13, 1, (Fraction(1, 5),), 1, trunc=14)
+    br.gpre = br.gpre * Fraction(17, 16)
+    fails = br.audit_t3(1, 2, hmod=9)
+    assert len(fails) == 50
+    assert fails[0] == ("t3", ((),), -2, -2)
+    assert fails[-1] == ("t3", ((1,),), 2, 2)
