@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 from toryang.horizontal import (apply_vertex_mode, boson_apply, boson_kappa,
@@ -125,6 +126,25 @@ class TestTensorCoefficient:
     def test_zero_currents_unit(self):
         t = horizontal_tensor_coeff([C1, C2], 0, P)
         assert t.n == 0 and t.num.d.get((), None) is not None
+
+
+# Recorded before the Vandermonde division ran on integers, with the hashing
+# scheme of tests/test_shuffle.py's star digests: sha256 of the repr of the
+# sorted (exponent strings, coefficient string) tuples of the numerator.
+TENSOR_DIGESTS = {
+    2: "61fe673565bf464acefbaa3f9f3d47fc4734e1da0f3ad0e3caec2b93f1700de2",
+    3: "e551268e3eeeedf48eae731da9795d0aa0438bcdf4e6c389e6fb6d5f7562f8b4",
+}
+
+
+def numerator_digest(num):
+    rows = tuple(sorted((tuple(str(k) for k in e), str(c)) for e, c in num.d.items()))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_two_factor_numerators_match_recorded_digest():
+    for n, digest in TENSOR_DIGESTS.items():
+        assert numerator_digest(horizontal_tensor_coeff([C1, C2], n, P).num) == digest
 
 
 def test_tt3_check_reports_a_scaled_lowering_constant(monkeypatch):

@@ -276,6 +276,21 @@ def test_star_numerators_match_recorded_digest(flavor, i, j):
     assert star_digest(flavor, i, j) == STAR_DIGESTS[(flavor, i, j)]
 
 
+# The closed-form oracle divides its own antisymmetrization by the
+# Vandermonde; recorded before that division ran on integers.
+SYMMETRIZED_DIGESTS = {
+    3: "a6b2d4b7b36f1e366c09a7475064fafe570590439aa114abe0182a42111df0df",
+    4: "bb07cd995e1ef6ea6fc856fcba5cbbb56576022f2a7799bf604aac2bf57baeb9",
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_symmetrized_numerators_match_recorded_digest(n):
+    num = L_element_symmetrized(n, PM).num
+    rows = tuple(sorted((tuple(str(k) for k in e), str(c)) for e, c in num.d.items()))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == SYMMETRIZED_DIGESTS[n]
+
+
 # -- mismatched operands ----------------------------------------------------
 
 def test_mixed_flavor_star_is_a_value_error():
