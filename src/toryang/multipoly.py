@@ -12,9 +12,15 @@ Products run on integers: `__mul__` writes each factor's coefficients as
 integer numerators over one common denominator (`scalars._int_content`),
 sums the integer products per exponent, and builds one Fraction per
 monomial over the product of the two denominators.  That is exactly the
-rational the Fraction loop summed, reduced once.  There is no second
-loop: every coefficient an MPoly holds is a Fraction, because the
-constructor turns ints into Fractions and no caller stores anything else.
+rational the Fraction loop summed, reduced once.  Division and evaluation
+run on integers the same way: `div_vandermonde` converts once and divides
+by each (x_a - x_b) with `_div_vandermonde_int`, whose synthetic division
+only adds, so the numerators stay integers (`div_linear` is its one-pair
+case); `eval` sums integer monomial values over one denominator.  The
+shuffle star product calls `_div_vandermonde_int` on its own integer sum.
+There is no second loop: every coefficient an MPoly holds is a Fraction,
+because the constructor turns ints into Fractions and no caller stores
+anything else.
 """
 
 from __future__ import annotations
@@ -25,6 +31,45 @@ from operator import add
 from .scalars import _cf, _int_content
 
 __all__ = ["MPoly"]
+
+
+def _over(n, nums, d):
+    """The MPoly with coefficients nums[e] / d."""
+    return MPoly(n, {e: Fraction(c, d) for e, c in nums.items()})
+
+
+def _div_vandermonde_int(nums, pairs):
+    """Exact quotient of {exponent: int} by prod (x_a - x_b) over pairs, in
+    order; ArithmeticError names the first pair that leaves a remainder.
+
+    Synthetic division in x_a from its top degree down: a term c x_a^k m goes
+    to the quotient as c x_a^(k-1) m and carries c x_a^(k-1) x_b m one degree
+    down.  It only adds, so the numerators stay integers.  What reaches
+    degree lo = min(0, lowest exponent of x_a) is the remainder.
+    """
+    for a, b in pairs:
+        rows = {}
+        for e, c in nums.items():
+            rows.setdefault(e[a], {})[e] = c
+        if not rows:
+            return {}
+        lo = min(0, min(rows))
+        quot = {}
+        for k in range(max(rows), lo, -1):
+            row = rows.pop(k, None)
+            if not row:
+                continue
+            below = rows.setdefault(k - 1, {})
+            for e, c in row.items():
+                if c:
+                    qe = e[:a] + (k - 1,) + e[a + 1:]
+                    quot[qe] = c
+                    be = qe[:b] + (qe[b] + 1,) + qe[b + 1:]
+                    below[be] = below.get(be, 0) + c
+        if any(rows.get(lo, {}).values()):
+            raise ArithmeticError("division by (x_%d - x_%d) is not exact" % (a, b))
+        nums = quot
+    return nums
 
 
 class MPoly:
@@ -106,8 +151,7 @@ class MPoly:
             for e2, c2 in right:
                 e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        den = da * db
-        return MPoly(self.n, {e: Fraction(c, den) for e, c in out.items()})
+        return _over(self.n, out, da * db)
 
     __rmul__ = __mul__
 
@@ -154,57 +198,35 @@ class MPoly:
             out[tuple(ne)] = c
         return MPoly(self.n, out)
 
-    def min_exp(self, i):
-        return min((e[i] for e in self.d), default=0)
-
     def div_linear(self, a, b):
         """Exact division by (x_a - x_b); raises if the remainder is nonzero."""
-        if self.is_zero():
-            return self
-        shift = min(0, self.min_exp(a))
-        p = self.shift_var(a, -shift)
-        # group by the exponent of x_a
-        rows = {}
-        for e, c in p.d.items():
-            rows.setdefault(e[a], {})[e] = c
-        quot = {}
-        carry = {}  # pending monomials at the current x_a degree
-        for k in range(max(rows) if rows else 0, 0, -1):
-            cur = dict(rows.get(k, {}))
-            for e, c in carry.items():
-                cur[e] = cur.get(e, 0) + c
-            carry = {}
-            for e, c in cur.items():
-                qe = list(e)
-                qe[a] -= 1
-                quot[tuple(qe)] = c
-                be = list(qe)
-                be[b] += 1
-                be = tuple(be)
-                carry[be] = carry.get(be, 0) + c
-        rem = dict(rows.get(0, {}))
-        for e, c in carry.items():
-            rem[e] = rem.get(e, 0) + c
-        if any(rem.values()):
-            raise ArithmeticError("division by (x_%d - x_%d) is not exact" % (a, b))
-        return MPoly(self.n, quot).shift_var(a, shift)
+        return self.div_vandermonde(((a, b),))
 
     def div_vandermonde(self, pairs):
-        """Exact division by prod (x_a - x_b) over the listed index pairs."""
-        p = self
-        for a, b in pairs:
-            p = p.div_linear(a, b)
-        return p
+        """Exact division by prod (x_a - x_b) over the listed index pairs, in
+        order, on integer numerators over one common denominator."""
+        nums, d = _int_content(self.d.values())
+        return _over(self.n, _div_vandermonde_int(dict(zip(self.d, nums)), pairs), d)
 
     def eval(self, point):
-        tot = Fraction(0)
-        for e, c in self.d.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v = v * x ** k
-            tot += v
-        return tot
+        """Value at a point of ints or Fractions, summed on integers.  With
+        x_i = p/q and lo <= 0 <= hi bounding the exponents of x_i, x_i^k is
+        p^(k-lo) q^(hi-k) over p^(-lo) q^hi; a zero coordinate under a
+        negative power makes that denominator zero (ZeroDivisionError)."""
+        nums, den = _int_content(self.d.values())
+        rows = []
+        for i, x in zip(range(self.n), point):
+            exps = [e[i] for e in self.d] + [0]
+            lo, hi = min(exps), max(exps)
+            p, q = x.numerator, x.denominator
+            rows.append((lo, [p ** (k - lo) * q ** (hi - k) for k in range(lo, hi + 1)]))
+            den *= p ** -lo * q ** hi
+        tot = 0
+        for e, c in zip(self.d, nums):
+            for (lo, row), k in zip(rows, e):
+                c *= row[k - lo]
+            tot += c
+        return Fraction(tot, den)
 
     def collapse_monomial(self, idxs, scales):
         """Substitute x_{idxs[t]} = scales[t] * s for a fresh variable s; the

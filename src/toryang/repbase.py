@@ -380,8 +380,9 @@ def word_images(module, ctx):
 
     The leftmost letter acts on the kept image of the rest of the word
     (`_apply_letter`, the step of `apply_word`); an empty image stays empty.
-    The memo belongs to one module and ctx, so callers make one per sweep
-    and drop it afterwards.
+    The memo belongs to one module and ctx.  Its keys start with the label
+    and no image is shared between labels, so `RelationSweep` makes one per
+    label and drops it when it moves on.
     """
     memo = {}
 
@@ -618,10 +619,11 @@ class RelationSweep:
 
     def __iter__(self):
         module, hmod = self.module, self.hmod
-        image = word_images(module, self.ctx)
         self.checked = self.nonvacuous = 0
         for level in range(self.level_bound + 1):
             for label in module.basis(level):
+                # no image is shared between labels: free each label's memo
+                image = word_images(module, self.ctx)
                 for inst_id, terms, rhs in self.instances:
                     triples = [(k, c, coeff) for coeff, word in terms
                                for k, c in image(label, word).items()]

@@ -8,12 +8,19 @@ exactly, never by sampling.  The star product antisymmetrizes one numerator
 over the (i, j)-shuffles and divides by the Vandermonde; the public default,
 the plain sum over the full symmetric group, is i!j! times that coset sum.
 
+Both steps run on integers: the twisted product T is written as integer
+numerators over one common denominator (`scalars._int_content`), the signed,
+permuted numerators are summed into one dict, `multipoly._div_vandermonde_int`
+divides that dict by each (x_a - x_b), and one Fraction per monomial is built
+at the end.  The closed-form oracle `L_element_symmetrized` keeps its own
+`MPoly.apply_perm` loop and goes through `MPoly.div_vandermonde`.
+
 `star` computes each distinct product once per process.  Two module-level
 tables, both kept for the life of the process with no size bound, hold:
 
 - the twisted kernel, keyed by (flavor, weights, i, j), where the weights
-  are ``params.qs`` ('m') or ``params.hs`` ('a'), with the (sigma, sign sigma)
-  list of the (i, j)-shuffles;
+  are ``params.qs`` ('m') or ``params.hs`` ('a'), with the exponent map and
+  sign of each (i, j)-shuffle;
 - the coset numerator of every product with i, j >= 1, keyed by
   (flavor, weights, i, frozenset of F's numerator terms, j, frozenset of G's).
 
@@ -29,8 +36,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
+from operator import itemgetter
 
-from .multipoly import MPoly
+from .multipoly import MPoly, _div_vandermonde_int, _over
+from .scalars import _int_content
 
 __all__ = [
     "ShuffleElement",
@@ -156,7 +165,8 @@ def _weights(flavor, params):
 
 def _twisted_kernel(flavor, i, j, params):
     """(-1)^(ij) times the cross kernels and the within-block Vandermonde,
-    with the (sigma, sign sigma) list of the (i, j)-shuffles and all pairs."""
+    with (exponent map, sign sigma) for each (i, j)-shuffle sigma and all
+    pairs.  x_k -> x_sigma(k) sends an exponent e to e o sigma^-1."""
     key = (flavor, _weights(flavor, params), i, j)
     hit = _TWISTED_KERNELS.get(key)
     if hit is None:
@@ -169,13 +179,15 @@ def _twisted_kernel(flavor, i, j, params):
         for (a, b) in allpairs:
             if (a < i) == (b < i):
                 K = K * (MPoly.var(n, a) - MPoly.var(n, b))
-        shuffles = [(sigma, _perm_sign(sigma)) for sigma in _shuffles(i, j)]
+        shuffles = [(itemgetter(*sorted(range(n), key=sigma.__getitem__)), _perm_sign(sigma))
+                    for sigma in _shuffles(i, j)]
         hit = _TWISTED_KERNELS[key] = (K, shuffles, allpairs)
     return hit
 
 
 def _coset_numerator(F, G, params):
-    """Numerator of the coset-convention product of F and G (i, j >= 1)."""
+    """Numerator of the coset-convention product of F and G (i, j >= 1),
+    antisymmetrized and divided on integers over T's common denominator."""
     i, j, n = F.n, G.n, F.n + G.n
     key = (F.flavor, _weights(F.flavor, params), i, frozenset(F.num.d.items()),
            j, frozenset(G.num.d.items()))
@@ -183,10 +195,14 @@ def _coset_numerator(F, G, params):
     if num is None:
         K, shuffles, allpairs = _twisted_kernel(F.flavor, i, j, params)
         T = _embed(F.num, n, 0) * _embed(G.num, n, i) * K
-        acc = MPoly.zero(n)
-        for sigma, sign in shuffles:
-            acc = acc + T.apply_perm(sigma) * sign
-        num = _COSET_NUMERATORS[key] = acc.div_vandermonde(allpairs)
+        nums, d = _int_content(T.d.values())
+        terms = list(zip(T.d, nums))
+        acc = {}
+        for image, sign in shuffles:
+            for e, c in terms:
+                e = image(e)
+                acc[e] = acc.get(e, 0) + sign * c
+        num = _COSET_NUMERATORS[key] = _over(n, _div_vandermonde_int(acc, allpairs), d)
     return num
 
 

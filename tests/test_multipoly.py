@@ -121,3 +121,126 @@ def test_product_with_cancellation_and_mixed_denominators():
     # (u - v)(u + v) with u^2 and v^2 both present: the cross terms cancel
     assert (a * c).d == ref_product(a.d, c.d)
     assert (-a * a + a * a).is_zero()
+
+
+# -- division and evaluation against Fraction schoolbooks ----------------------
+
+def ref_div_linear(p, a, b):
+    """Synthetic division of {exponent: Fraction} by (x_a - x_b), one x_a
+    degree at a time from the top, as dense Fraction rows."""
+    lo = min([0] + [e[a] for e in p])
+    hi = max([0] + [e[a] for e in p])
+    rows = {k: {} for k in range(lo, hi + 1)}
+    for e, c in p.items():
+        rows[e[a]][e] = c
+    quot = {}
+    for k in range(hi, lo, -1):
+        for e, c in rows[k].items():
+            qe = list(e)
+            qe[a] -= 1
+            quot[tuple(qe)] = quot.get(tuple(qe), Fraction(0)) + c
+            qe[b] += 1
+            rows[k - 1][tuple(qe)] = rows[k - 1].get(tuple(qe), Fraction(0)) + c
+    if any(rows[lo].values()):
+        raise ArithmeticError("division by (x_%d - x_%d) is not exact" % (a, b))
+    return {e: c for e, c in quot.items() if c}
+
+
+def ref_vandermonde(p, pairs):
+    for a, b in pairs:
+        p = ref_div_linear(p, a, b)
+    return p
+
+
+def linear_factor(a, b):
+    ea, eb = [0, 0, 0], [0, 0, 0]
+    ea[a], eb[b] = 1, 1
+    return {tuple(ea): Fraction(1), tuple(eb): Fraction(-1)}
+
+
+index_pairs = st.lists(st.permutations([0, 1, 2]).map(lambda s: (s[0], s[1])), max_size=3)
+
+
+@given(laurent_terms, index_pairs)
+@settings(max_examples=150, deadline=None)
+def test_vandermonde_division_recovers_the_cofactor(p, pairs):
+    # x_a and x_b both carry negative exponents in p (range -3..3)
+    p = {e: c for e, c in p.items() if c}
+    prod = p
+    for a, b in pairs:
+        prod = ref_product(prod, linear_factor(a, b))
+    got = MPoly(3, prod).div_vandermonde(pairs)
+    assert got.d == ref_vandermonde(prod, pairs) == p
+    assert all(type(c) is Fraction for c in got.d.values())
+    one_at_a_time = MPoly(3, prod)
+    for a, b in reversed(pairs):
+        one_at_a_time = one_at_a_time.div_linear(a, b)
+    assert one_at_a_time.d == p
+
+
+@given(laurent_terms, index_pairs.filter(bool))
+@settings(max_examples=150, deadline=None)
+def test_inexact_division_names_the_same_pair(p, pairs):
+    p = {e: c for e, c in p.items() if c}
+    try:
+        want = ref_vandermonde(p, pairs)
+    except ArithmeticError as exc:
+        with pytest.raises(ArithmeticError) as got:
+            MPoly(3, p).div_vandermonde(pairs)
+        assert str(got.value) == str(exc)
+    else:
+        assert MPoly(3, p).div_vandermonde(pairs).d == want
+
+
+def test_inexact_division_with_negative_exponents():
+    # x^-1 y^-2 (x - y) + x^-2: the remainder sits at x degree -2
+    p = {(0, -2, 0): Fraction(1), (-1, -1, 0): Fraction(-1), (-2, 0, 0): Fraction(2, 3)}
+    with pytest.raises(ArithmeticError, match=r"\(x_0 - x_1\)"):
+        MPoly(3, p).div_linear(0, 1)
+    with pytest.raises(ArithmeticError, match=r"\(x_2 - x_0\)"):
+        MPoly(3, p).div_vandermonde([(2, 0), (0, 1)])
+
+
+def test_division_of_zero():
+    zero = MPoly.zero(3)
+    assert zero.div_linear(0, 1).is_zero()
+    assert zero.div_vandermonde([(0, 1), (0, 2), (1, 2)]).is_zero()
+    assert zero.div_vandermonde([]).n == 3
+
+
+def ref_eval(p, point):
+    tot = Fraction(0)
+    for e, c in p.items():
+        for x, k in zip(point, e):
+            c *= Fraction(x) ** k
+        tot += c
+    return tot
+
+
+points = st.lists(st.one_of(st.integers(-4, 4), rationals), min_size=3, max_size=3)
+
+
+@given(laurent_terms, points)
+@settings(max_examples=200, deadline=None)
+def test_eval_matches_reference(p, point):
+    p = {e: c for e, c in p.items() if c}
+    try:
+        want = ref_eval(p, point)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            MPoly(3, p).eval(point)
+    else:
+        got = MPoly(3, p).eval(point)
+        assert type(got) is Fraction and got == want
+
+
+def test_eval_at_zero_coordinates():
+    p = MPoly(3, {(2, 0, -1): Fraction(3, 4), (0, 1, 1): Fraction(-2), (0, 0, 0): 5})
+    # x1 = 0 under nonnegative powers only: its terms vanish, 0^0 is 1
+    assert p.eval((0, Fraction(1, 2), 3)) == Fraction(-2, 1) * Fraction(3, 2) + 5
+    assert p.eval((Fraction(0), 2, Fraction(-1, 3))) == Fraction(4, 3) + 5
+    with pytest.raises(ZeroDivisionError):
+        p.eval((1, 2, 0))
+    with pytest.raises(ZeroDivisionError):
+        MPoly(1, {(-1,): 1}).eval((Fraction(0),))
+    assert MPoly.zero(2).eval((0, 0)) == 0

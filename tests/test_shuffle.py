@@ -1,8 +1,11 @@
 import hashlib
 from fractions import Fraction
+from itertools import combinations, permutations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toryang import shuffle
 from toryang.multipoly import MPoly
@@ -420,3 +423,107 @@ class TestStarMemo:
                 star(F, G, p, "bogus")
         assert shuffle._TWISTED_KERNELS == kernels
         assert shuffle._COSET_NUMERATORS == numerators
+
+
+# -- coset numerators against a Fraction schoolbook ---------------------------
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return out
+
+
+def ref_difference(n, l, k, scale=1, shift=0):
+    """{exponent: Fraction} of x_l - scale * x_k - shift."""
+    el, ek = [0] * n, [0] * n
+    el[l], ek[k] = 1, 1
+    out = {tuple(el): Fraction(1), tuple(ek): Fraction(-scale)}
+    if shift:
+        out[(0,) * n] = Fraction(-shift)
+    return out
+
+
+def ref_div_linear(p, a, b):
+    """Division by (x_a - x_b) through Fraction rows, from the top x_a degree."""
+    lo = min([0] + [e[a] for e in p])
+    hi = max([0] + [e[a] for e in p])
+    rows = {k: {} for k in range(lo, hi + 1)}
+    for e, c in p.items():
+        rows[e[a]][e] = c
+    quot = {}
+    for k in range(hi, lo, -1):
+        for e, c in rows[k].items():
+            qe = list(e)
+            qe[a] -= 1
+            quot[tuple(qe)] = c
+            qe[b] += 1
+            rows[k - 1][tuple(qe)] = rows[k - 1].get(tuple(qe), Fraction(0)) + c
+    assert not any(rows[lo].values())
+    return quot
+
+
+def ref_coset_numerator(F, G, p):
+    """F(x_1..x_i) G(x_i+1..x_n) times (-1)^(ij), the cross kernels and the
+    within-block Vandermonde, summed with signs over the (i, j)-shuffles and
+    divided by the Vandermonde, all in Fractions."""
+    i, j = F.n, G.n
+    n = i + j
+    T = ref_mul({e + (0,) * j: c for e, c in F.num.d.items()},
+                {(0,) * i + e: c * (-1) ** (i * j) for e, c in G.num.d.items()})
+    for k in range(i):
+        for l in range(i, n):
+            for w in (p.qs if F.flavor == "m" else p.hs):
+                T = ref_mul(T, ref_difference(n, l, k, w, 0) if F.flavor == "m"
+                            else ref_difference(n, l, k, 1, w))
+    for a, b in combinations(range(n), 2):
+        if (a < i) == (b < i):
+            T = ref_mul(T, ref_difference(n, a, b))
+    acc = {}
+    for left in combinations(range(n), i):
+        sigma = left + tuple(s for s in range(n) if s not in left)
+        sign = (-1) ** sum(sigma[x] > sigma[y] for x, y in combinations(range(n), 2))
+        for e, c in T.items():
+            ne = [0] * n
+            for pos, k in enumerate(e):
+                ne[sigma[pos]] = k
+            acc[tuple(ne)] = acc.get(tuple(ne), Fraction(0)) + sign * c
+    for a, b in combinations(range(n), 2):
+        acc = ref_div_linear(acc, a, b)
+    return {e: c for e, c in acc.items() if c}
+
+
+def symmetric_numerators(flavor, k):
+    """Symmetrized random Laurent ('m') or polynomial ('a') numerators."""
+    low, high = (-2, 2) if flavor == "m" else (0, 1)
+    terms = st.dictionaries(st.tuples(*[st.integers(low, high)] * k),
+                            st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+                            min_size=1, max_size=2)
+
+    def symmetrize(d):
+        out = {}
+        for perm in permutations(range(k)):
+            for e, c in d.items():
+                pe = tuple(e[s] for s in perm)
+                out[pe] = out.get(pe, Fraction(0)) + c
+        return ShuffleElement(flavor, k, MPoly(k, out))
+
+    return terms.map(symmetrize)
+
+
+@pytest.mark.parametrize("flavor", ["m", "a"])
+@pytest.mark.parametrize("i,j", [(2, 2), (1, 3), (3, 1)])
+def test_coset_numerator_matches_the_fraction_schoolbook(flavor, i, j):
+    points = (PM, PM_B) if flavor == "m" else (PA, PA_B)
+
+    @given(symmetric_numerators(flavor, i), symmetric_numerators(flavor, j),
+           st.sampled_from(points))
+    @settings(max_examples=8, deadline=None)
+    def check(F, G, p):
+        got = star(F, G, p, "coset").num
+        assert got.d == ref_coset_numerator(F, G, p)
+        assert all(type(c) is Fraction for c in got.d.values())
+
+    check()
