@@ -1,5 +1,7 @@
+import hashlib
 from fractions import Fraction
 
+from toryang import diffops
 from toryang.diffops import (HOp, QOp, beta_constant, check_theta_a_relations,
                              check_theta_m_relations, hall_image, jacobi_hop,
                              jacobi_qop, lambda_constant,
@@ -9,6 +11,7 @@ from toryang.diffops import (HOp, QOp, beta_constant, check_theta_a_relations,
                              serre_multiple_m, theta_a_e, theta_a_f,
                              theta_a_psi, theta_m_H, theta_m_e, theta_m_f,
                              theta_m_kappa)
+from toryang.params import default_toroidal, default_yangian
 
 Q = Fraction(2)
 H = Fraction(3)
@@ -183,3 +186,24 @@ def test_hall_image_cache_shared_across_q():
     for q in (Q, Fraction(5, 3)):
         for k, l in ((2, 1), (0, 2), (-2, 1), (3, 0)):
             assert (hall_image(k, l, q, cache) - hall_image(k, l, q)).is_zero(), (q, k, l)
+
+
+# Failure lists of both audits at window 3, criterion 6's point, with one
+# generator image scaled by 17/16: e_0 in the multiplicative audit and f_1
+# in the additive one.  Recorded before the audits shared their brackets;
+# the digest is sha256 of the repr of the pair of lists.
+SCALED_AUDIT_DIGEST = "a138cfcab6ae8fd255ff49ee658147b63863556ae7db2562a6743ef0acd3e5ed"
+
+
+def test_scaled_generator_audit_failures_match_recorded_digest(monkeypatch):
+    theta_m_e0, theta_a_f0 = diffops.theta_m_e, diffops.theta_a_f
+    scale = Fraction(17, 16)
+    monkeypatch.setattr(diffops, "theta_m_e",
+                        lambda q, i: theta_m_e0(q, i).scale(scale) if i == 0 else theta_m_e0(q, i))
+    monkeypatch.setattr(diffops, "theta_a_f",
+                        lambda h, j: theta_a_f0(h, j).scale(scale) if j == 1 else theta_a_f0(h, j))
+    q, h = default_toroidal(r=1).q1, default_yangian(r=0).h1
+    fm = check_theta_m_relations(q, window=3)
+    fa = check_theta_a_relations(h, window=3)
+    assert (len(fm), len(fa)) == (55, 16)
+    assert hashlib.sha256(repr((fm, fa)).encode()).hexdigest() == SCALED_AUDIT_DIGEST

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from toryang import partitions as pt
-from toryang.params import default_toroidal, default_yangian
+from toryang.params import default_toroidal, default_yangian, sample_generic_params
+from toryang.repbase import coeff_of
 from toryang.shuffle import K_element
 from toryang.toroidal import KTheoryFixedPointModule
+from toryang.yangian import CohomologyFixedPointModule
 from toryang.whittaker import (C_constant, D_constant, bott_lefschetz_consistency,
                                box_chain, fixed_weight, shuffle_matrix_coeff,
                                whittaker_eigencheck)
@@ -117,3 +119,99 @@ def test_c_constant_examples():
     assert C_constant(2, 1, 2, PK2) == -t1 * t2 / ((1 - t1) * (1 - t2))
     c0 = C_constant(0, 1, 1, PK1)
     assert c0 == -(t1 * t2 * PK1.chis[0]) / ((1 - t1) * (1 - t2))
+
+
+# -- the chain memo against a memo-free reference ----------------------------
+
+def reference_matrix_coeff(F, big, small, module, flavor, params, order):
+    """shuffle_matrix_coeff written out: F at the chain contents over
+    prod_{a<b} (c_a - c_b)^2 omega(c_a, c_b), times the mode-zero lowering
+    coefficients along the chain."""
+    boxes, chain = box_chain(small, big, order=order)
+    if flavor == "K":
+        contents = [pt.content_mult((i, j), params.q1, params.q2, params.chis[a - 1])
+                    for (a, i, j) in boxes]
+    else:
+        contents = [pt.content_add((i, j), params.h1, params.h2, params.xs[a - 1])
+                    for (a, i, j) in boxes]
+    den = Fraction(1)
+    for a in range(len(contents)):
+        for b in range(a + 1, len(contents)):
+            x, y = contents[a], contents[b]
+            if flavor == "K":
+                q1, q2, q3 = params.qs
+                omega = (x - q1 * y) * (x - q2 * y) * (x - q3 * y) / (x - y) ** 3
+            else:
+                h1, h2, h3 = params.hs
+                omega = (x - y - h1) * (x - y - h2) * (x - y - h3) / (x - y) ** 3
+            den *= (x - y) ** 2 * omega
+    val = F.num.eval(contents) / den
+    for k in range(len(chain) - 1, 0, -1):
+        val *= coeff_of(module.f_transitions(chain[k]), chain[k - 1])
+    return val
+
+
+def contains(big, small):
+    return all(pt.part(lb, j) >= pt.part(la, j)
+               for la, lb in zip(small, big) for j in range(1, len(la) + 1))
+
+
+def chain_pairs(r, level):
+    labels = [lab for lv in range(level + 1) for lab in pt.enum_multipartitions(r, lv)]
+    return [(small, big) for small in labels for big in labels
+            if sum(map(sum, big)) > sum(map(sum, small)) and contains(big, small)]
+
+
+def fixed_point_module(flavor, params, r):
+    cls = KTheoryFixedPointModule if flavor == "K" else CohomologyFixedPointModule
+    return cls(params, r)
+
+
+@pytest.mark.parametrize("flavor", ["K", "H"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_matrix_coeff_matches_memo_free_reference(flavor, r):
+    seed = f"chain-memo/{flavor}/{r}"
+    params = sample_generic_params(seed, "toroidal" if flavor == "K" else "yangian", r=r)
+    module = fixed_point_module(flavor, params, r)
+    ref_module = fixed_point_module(flavor, params, r)
+    nonzero = 0
+    for small, big in chain_pairs(r, 2):
+        n = sum(map(sum, big)) - sum(map(sum, small))
+        for j in range(r + 1):
+            F = K_element("m" if flavor == "K" else "a", n, params, power=j)
+            for order in ("canonical", "reverse-component"):
+                want = reference_matrix_coeff(F, big, small, ref_module, flavor, params, order)
+                for _ in range(2):  # cold, then warm
+                    got = shuffle_matrix_coeff(F, big, small, module, flavor, params, order)
+                    assert got == want, (small, big, j, order)
+                nonzero += want != 0
+    assert nonzero
+
+
+@pytest.mark.parametrize("flavor", ["K", "H"])
+def test_packs_with_the_same_labels_keep_their_own_values(flavor):
+    family = "toroidal" if flavor == "K" else "yangian"
+    packs = [sample_generic_params(f"two-packs/{flavor}/{i}", family, r=2) for i in (0, 1)]
+    small, big = ((), ()), ((1,), (1,))
+    vals = []
+    for params in packs:
+        F = K_element("m" if flavor == "K" else "a", 2, params, power=1)
+        module = fixed_point_module(flavor, params, 2)
+        got = shuffle_matrix_coeff(F, big, small, module, flavor, params)
+        want = reference_matrix_coeff(F, big, small, fixed_point_module(flavor, params, 2),
+                                      flavor, params, "canonical")
+        assert got == want
+        vals.append(got)
+    assert vals[0] != vals[1]
+
+
+@pytest.mark.parametrize("flavor", ["K", "H"])
+def test_control_trips_after_a_clean_run_on_the_same_pack(flavor):
+    family = "toroidal" if flavor == "K" else "yangian"
+    params = sample_generic_params(f"clean-then-perturbed/{flavor}", family, r=1)
+    _, fails = whittaker_eigencheck(flavor, 1, 1, 0, 2, params)
+    assert not fails
+    _, fails = whittaker_eigencheck(flavor, 1, 1, 0, 2, params, perturb=True)
+    assert any(f[0] == "label-dependence" for f in fails)
+    _, fails = whittaker_eigencheck(flavor, 1, 1, 0, 2, params)
+    assert not fails
