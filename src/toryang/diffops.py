@@ -9,11 +9,20 @@ before the shift) plus a central coefficient.  The `QOp` and `HOp`
 constructors are the one place that drops zero coefficients (and emptied
 shift slots): every operation only accumulates into plain dicts and hands
 them over.
+
+The two relation audits compute each generator image and each bracket of
+two generator images once per call (`_audit_brackets`).  The memo is a
+pair of dicts local to the call, keyed by value, ((kind, index),
+(kind, index)) for a bracket, and dropped when the audit returns.  A hit
+is sound because an image is an exact function of (kind, index) at the
+call's parameter and no operation mutates an operator.  Nothing is keyed
+by id(): a transient result's id can be reused by the next one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from math import comb, gcd
 
 from .scalars import _cf
@@ -289,33 +298,54 @@ def _nested_bracket(ops):
     return acc
 
 
+def _audit_brackets(param, images):
+    """gen(kind, i) = images[kind](param, i) and br(x, y) = [gen(*x), gen(*y)]
+    for generator keys x = (kind, i), each computed once per audit call (see
+    the module docstring for the keys and why a hit is sound)."""
+    gens, brackets = {}, {}
+
+    def gen(kind, i):
+        op = gens.get((kind, i))
+        if op is None:
+            op = gens[kind, i] = images[kind](param, i)
+        return op
+
+    def br(x, y):
+        out = brackets.get((x, y))
+        if out is None:
+            out = brackets[x, y] = gen(*x).bracket(gen(*y))
+        return out
+
+    return gen, br
+
+
 def check_theta_m_relations(q, window=2):
     """Audit of the limit-presentation relations on the multiplicative images.
 
     Returns a list of (relation, instance) failures; empty means all hold.
+    Each bracket of two generator images is computed once per call
+    (`_audit_brackets`).
     """
     fails = []
     W = range(-window, window + 1)
     sig = 1 + q + 1 / q
-    e = lambda i: theta_m_e(q, i)
-    f = lambda i: theta_m_f(q, i)
-    H = lambda k: theta_m_H(q, k)
+    gen, br = _audit_brackets(q, {"e": theta_m_e, "f": theta_m_f, "H": theta_m_H})
+    e = lambda i: gen("e", i)
+    f = lambda i: gen("f", i)
+    H = lambda k: gen("H", k)
 
     for k in W:
         for m in W:
-            if k and m and not H(k).bracket(H(m)).is_zero():
+            if k and m and not br(("H", k), ("H", m)).is_zero():
                 fails.append(("HH", (k, m)))
     for i in W:
         for j in W:
-            r = e(i + 3).bracket(e(j)) - e(i + 2).bracket(e(j + 1)).scale(sig) \
-                + e(i + 1).bracket(e(j + 2)).scale(sig) - e(i).bracket(e(j + 3))
-            if not r.is_zero():
-                fails.append(("cubic-e", (i, j)))
-            r = f(i + 3).bracket(f(j)) - f(i + 2).bracket(f(j + 1)).scale(sig) \
-                + f(i + 1).bracket(f(j + 2)).scale(sig) - f(i).bracket(f(j + 3))
-            if not r.is_zero():
-                fails.append(("cubic-f", (i, j)))
-            r = e(i).bracket(f(j))
+            for x in ("e", "f"):
+                r = br((x, i + 3), (x, j)) - br((x, i + 2), (x, j + 1)).scale(sig) \
+                    + br((x, i + 1), (x, j + 2)).scale(sig) - br((x, i), (x, j + 3))
+                if not r.is_zero():
+                    fails.append((f"cubic-{x}", (i, j)))
+            r = br(("e", i), ("f", j))
             want = H(i + j) if i + j != 0 else theta_m_kappa(q).scale(-1)
             if not (r - want).is_zero():
                 fails.append(("ef", (i, j)))
@@ -324,66 +354,65 @@ def check_theta_m_relations(q, window=2):
             continue
         for i in W:
             c = -(1 - q ** m) * (1 - q ** (-m))
-            if not (H(m).bracket(e(i)) - e(i + m).scale(c)).is_zero():
+            if not (br(("H", m), ("e", i)) - e(i + m).scale(c)).is_zero():
                 fails.append(("He", (m, i)))
-            if not (H(m).bracket(f(i)) - f(i + m).scale(-c)).is_zero():
+            if not (br(("H", m), ("f", i)) - f(i + m).scale(-c)).is_zero():
                 fails.append(("Hf", (m, i)))
-    if not _nested_bracket([e(0), e(1), e(-1)]).is_zero():
-        fails.append(("serre-e", ()))
-    if not _nested_bracket([f(0), f(1), f(-1)]).is_zero():
-        fails.append(("serre-f", ()))
+    for x in ("e", "f"):
+        if not gen(x, 0).bracket(br((x, 1), (x, -1))).is_zero():
+            fails.append((f"serre-{x}", ()))
     return fails
 
 
 def check_theta_a_relations(h, window=2):
-    """Audit of the additive limit relations on the shift-operator images."""
+    """Audit of the additive limit relations on the shift-operator images.
+
+    Each bracket of two generator images is computed once per call
+    (`_audit_brackets`).
+    """
     fails = []
     W = range(0, window + 1)
-    e = lambda j: theta_a_e(h, j)
-    f = lambda j: theta_a_f(h, j)
-    psi = lambda j: theta_a_psi(h, j)
+    gen, br = _audit_brackets(h, {"e": theta_a_e, "f": theta_a_f, "psi": theta_a_psi})
+    e = lambda j: gen("e", j)
+    f = lambda j: gen("f", j)
+    psi = lambda j: gen("psi", j)
     h0sq = h * h
+
+    def cubic(x, i, y, j):
+        """[x_{i+3}, y_j] - 3[x_{i+2}, y_{j+1}] + 3[x_{i+1}, y_{j+2}] - [x_i, y_{j+3}]
+        - h^2 ([x_{i+1}, y_j] - [x_i, y_{j+1}])."""
+        return br((x, i + 3), (y, j)) - br((x, i + 2), (y, j + 1)).scale(3) \
+            + br((x, i + 1), (y, j + 2)).scale(3) - br((x, i), (y, j + 3)) \
+            - (br((x, i + 1), (y, j)) - br((x, i), (y, j + 1))).scale(h0sq)
 
     for a in W:
         for b in W:
-            if not psi(a).bracket(psi(b)).is_zero():
+            if not br(("psi", a), ("psi", b)).is_zero():
                 fails.append(("psipsi", (a, b)))
     for i in W:
         for j in W:
-            r = e(i + 3).bracket(e(j)) - e(i + 2).bracket(e(j + 1)).scale(3) \
-                + e(i + 1).bracket(e(j + 2)).scale(3) - e(i).bracket(e(j + 3)) \
-                - (e(i + 1).bracket(e(j)) - e(i).bracket(e(j + 1))).scale(h0sq)
-            if not r.is_zero():
-                fails.append(("cubic-e", (i, j)))
-            r = f(i + 3).bracket(f(j)) - f(i + 2).bracket(f(j + 1)).scale(3) \
-                + f(i + 1).bracket(f(j + 2)).scale(3) - f(i).bracket(f(j + 3)) \
-                - (f(i + 1).bracket(f(j)) - f(i).bracket(f(j + 1))).scale(h0sq)
-            if not r.is_zero():
-                fails.append(("cubic-f", (i, j)))
-            if not (e(i).bracket(f(j)) - psi(i + j)).is_zero():
+            for x in ("e", "f"):
+                if not cubic(x, i, x, j).is_zero():
+                    fails.append((f"cubic-{x}", (i, j)))
+            if not (br(("e", i), ("f", j)) - psi(i + j)).is_zero():
                 fails.append(("ef", (i, j)))
     for k in W:
         for j in W:
-            r = psi(k + 3).bracket(e(j)) - psi(k + 2).bracket(e(j + 1)).scale(3) \
-                + psi(k + 1).bracket(e(j + 2)).scale(3) - psi(k).bracket(e(j + 3)) \
-                - (psi(k + 1).bracket(e(j)) - psi(k).bracket(e(j + 1))).scale(h0sq)
-            if not r.is_zero():
+            if not cubic("psi", k, "e", j).is_zero():
                 fails.append(("psie", (k, j)))
     for j in W:
-        if not psi(0).bracket(e(j)).is_zero():
+        if not br(("psi", 0), ("e", j)).is_zero():
             fails.append(("psi0e", j))
-        if not psi(1).bracket(e(j)).is_zero():
+        if not br(("psi", 1), ("e", j)).is_zero():
             fails.append(("psi1e", j))
-        if not (psi(2).bracket(e(j)) - e(j).scale(2 * h0sq)).is_zero():
+        if not (br(("psi", 2), ("e", j)) - e(j).scale(2 * h0sq)).is_zero():
             fails.append(("psi2e", j))
-        if not (psi(2).bracket(f(j)) + f(j).scale(2 * h0sq)).is_zero():
+        if not (br(("psi", 2), ("f", j)) + f(j).scale(2 * h0sq)).is_zero():
             fails.append(("psi2f", j))
     for idx in ((0, 0, 0), (0, 1, 0), (1, 0, 0)):
-        from itertools import permutations
-
         acc = None
         for (a, b, c) in permutations(idx):
-            t = _nested_bracket([e(a), e(b), e(c + 1)])
+            t = e(a).bracket(br(("e", b), ("e", c + 1)))
             acc = t if acc is None else acc + t
         if not acc.is_zero():
             fails.append(("serre", idx))

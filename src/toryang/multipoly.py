@@ -1,9 +1,12 @@
 """Sparse multivariate Laurent polynomials over exact rationals.
 
 Monomials are exponent tuples (negative entries allowed); no zero
-coefficients are stored.  The constructor is the one place that drops
-them: every operation below only accumulates into a plain dict,
-``out[e] = out.get(e, 0) + c``, and hands it to ``MPoly(...)``.
+coefficients are stored.  Two places drop them: the constructor, to which
+every Fraction loop below hands its plain dict accumulated as
+``out[e] = out.get(e, 0) + c``, and `_over`, which builds the MPoly of
+integer numerators over one denominator directly, skipping the
+constructor's per-entry `_cf` and `tuple` pass, for the integer kernels
+(`__mul__`, `div_vandermonde` and the shuffle star product).
 Everything the shuffle layer needs lives here: permutation of variables,
 exact division by variable differences, affine and monomial substitutions,
 and graded decompositions.
@@ -19,8 +22,8 @@ only adds, so the numerators stay integers (`div_linear` is its one-pair
 case); `eval` sums integer monomial values over one denominator.  The
 shuffle star product calls `_div_vandermonde_int` on its own integer sum.
 There is no second loop: every coefficient an MPoly holds is a Fraction,
-because the constructor turns ints into Fractions and no caller stores
-anything else.
+because the constructor turns ints into Fractions, `_over` builds
+Fractions, and no caller stores anything else.
 """
 
 from __future__ import annotations
@@ -32,10 +35,16 @@ from .scalars import _cf, _int_content
 
 __all__ = ["MPoly"]
 
+_new = object.__new__
+
 
 def _over(n, nums, d):
-    """The MPoly with coefficients nums[e] / d."""
-    return MPoly(n, {e: Fraction(c, d) for e, c in nums.items()})
+    """The MPoly with coefficients nums[e] / d over tuple keys, zero
+    numerators dropped; the constructor's per-entry pass is skipped."""
+    p = _new(MPoly)
+    p.n = n
+    p.d = {e: Fraction(c, d) for e, c in nums.items() if c}
+    return p
 
 
 def _div_vandermonde_int(nums, pairs):

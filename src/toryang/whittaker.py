@@ -6,6 +6,25 @@ the completed sum of all fixed-point classes; on each graded piece the
 action is a finite weighted sum over n-box extensions, evaluated through an
 ordered chain of one-box steps.  Both the K-theoretic and cohomological
 weights are covered.
+
+What depends only on the parameters is computed once per parameter pack
+and kept on the pack, in a dict that lives as long as the pack does:
+
+- `_weight_cache`: the fixed-point weight, keyed by (flavor, label);
+- `_chain_cache`: the one-box chain from small to big, its contents and
+  the kernel denominator prod (c_a - c_b)^2 omega(c_a, c_b), keyed by
+  (flavor, small, big, order);
+- `_module_cache`: the unperturbed fixed-point module that
+  `whittaker_eigencheck` reads, keyed by (flavor, r).
+
+Each value is an exact function of its key and of the pack's parameters,
+which are fixed when the pack is built, so a hit returns what a fresh
+computation would.  Packs with equal labels never share an entry, because
+each keeps its own dicts.  What a caller can vary is never kept: F's
+numerator at the contents and the lowering coefficients along the chain
+are read from the caller's F and module on every call, so a
+`PerturbedModule` shows its perturbation; `perturb=True` wraps the kept
+module in a fresh `PerturbedModule`, whose transitions are its own.
 """
 
 from __future__ import annotations
@@ -36,13 +55,20 @@ class GenericityWeightError(ValueError):
     pass
 
 
+def _pack_cache(params, name):
+    """The dict kept on the parameter pack under `name` (made on first use)."""
+    cache = getattr(params, name, None)
+    if cache is None:
+        cache = {}
+        setattr(params, name, cache)
+    return cache
+
+
 def fixed_weight(mlam, flavor, params):
     """K flavor: product of (1-w)^-1 over tangent weights; H flavor: product
     of w^-1 over the additively evaluated weights.  Memoized per parameter
     pack (weights are reused heavily across overlapping extension sweeps)."""
-    cache = getattr(params, "_weight_cache", None)
-    if cache is None:
-        cache = params._weight_cache = {}
+    cache = _pack_cache(params, "_weight_cache")
     key = (flavor, mlam)
     if key in cache:
         return cache[key]
@@ -76,7 +102,10 @@ def box_chain(small, big, order="canonical"):
     canonical: boxes sorted by (component, row, col); alternative: by
     (-component, row, col).  Both orders keep every intermediate label a
     valid diagram tuple (rows grow top to bottom, columns left to right).
+    ValueError when big does not contain small.
     """
+    if len(small) != len(big):
+        raise ValueError(f"{big} and {small} have different ranks")
     boxes = []
     for a in range(1, len(small) + 1):
         la, lb = small[a - 1], big[a - 1]
@@ -94,7 +123,8 @@ def box_chain(small, big, order="canonical"):
     for (a, i, j) in boxes:
         cur = pt.mp_add_box(cur, a, j)
         chain.append(cur)
-    assert chain[-1] == big
+    if chain[-1] != big:
+        raise ValueError(f"{big} does not contain {small}")
     return boxes, chain
 
 
@@ -115,26 +145,38 @@ def _kernel_value(flavor, params, x, y):
     return ((x - y - h1) * (x - y - h2) * (x - y - h3)) / (x - y) ** 3
 
 
+def _chain_kernel(flavor, params, small, big, order):
+    """(chain, contents, kernel denominator) of the one-box chain from small
+    to big, kept in the pack's `_chain_cache`."""
+    cache = _pack_cache(params, "_chain_cache")
+    key = (flavor, small, big, order)
+    hit = cache.get(key)
+    if hit is None:
+        boxes, chain = box_chain(small, big, order=order)
+        contents = chain_contents(boxes, flavor, params)
+        den = Fraction(1)
+        for a in range(len(contents)):
+            for b in range(a + 1, len(contents)):
+                den = den * (contents[a] - contents[b]) ** 2
+                den = den * _kernel_value(flavor, params, contents[a], contents[b])
+        hit = cache[key] = (chain, contents, den)
+    return hit
+
+
 def shuffle_matrix_coeff(F, big, small, module, flavor, params, order="canonical"):
     """Matrix coefficient of a lowering shuffle element between fixed-point
     classes, via the ordered one-box chain.
 
     Value: F at the chain contents over the kernel product, times the
-    product of mode-zero lowering coefficients along the chain.
+    product of mode-zero lowering coefficients along the chain.  The chain,
+    its contents and the kernel product come from the pack's chain cache;
+    F and the module's coefficients are read on every call.
     """
-    boxes, chain = box_chain(small, big, order=order)
-    n = len(boxes)
+    chain, contents, den = _chain_kernel(flavor, params, small, big, order)
+    n = len(contents)
     if F.n != n:
         raise ValueError("arity mismatch")
-    contents = chain_contents(boxes, flavor, params)
-    # F evaluated as a rational function
-    num = F.num.eval(contents)
-    den = Fraction(1)
-    for a in range(n):
-        for b in range(a + 1, n):
-            den = den * (contents[a] - contents[b]) ** 2
-            den = den * _kernel_value(flavor, params, contents[a], contents[b])
-    val = num / den
+    val = F.num.eval(contents) / den
     for q in range(n, 0, -1):
         val = val * coeff_of(module.f_transitions(chain[q]), chain[q - 1])
     return val
@@ -234,14 +276,19 @@ def whittaker_eigencheck(flavor, r, n, j, level_bound, params, perturb=False):
     Returns (constant, failures): the common eigenvalue over all labels up
     to the level bound, and any chain-dependence, label-dependence or
     closed-form mismatches.
-    perturb=True rescales one lowering coefficient as a negative control.
+    perturb=True rescales one lowering coefficient as a negative control:
+    the pack's kept module, built once per (flavor, r), is wrapped in a
+    fresh `PerturbedModule` and itself left unchanged.
     """
+    modules = _pack_cache(params, "_module_cache")
+    module = modules.get((flavor, r))
+    if module is None:
+        module = modules[flavor, r] = (KTheoryFixedPointModule if flavor == "K"
+                                       else CohomologyFixedPointModule)(params, r)
     if flavor == "K":
-        module = KTheoryFixedPointModule(params, r)
         F = K_element("m", n, params, power=j)
         want = C_constant(j, n, r, params)
     else:
-        module = CohomologyFixedPointModule(params, r)
         F = K_element("a", n, params, power=j)
         want = D_constant(j, n, r, params)
     if perturb:

@@ -275,26 +275,39 @@ def test_criterion_7_bridge():
 
 def test_criterion_8_whittaker():
     """Eigenvector property (label independence) for both flavors, r <= 2,
-    n <= 3, j <= r, levels <= 4, with the closed-form constants."""
+    n <= 3, j <= r, levels <= 4, with the closed-form constants, at the
+    default point and at a sampled second point."""
+    from toryang.params import sample_generic_params
     from toryang.whittaker import C_constant, D_constant, whittaker_eigencheck
 
     t0 = time.time()
     ok = True
-    for flavor, packs in (("K", {1: PT1, 2: PT2}), ("H", {1: PY1, 2: PY2})):
-        for r, p in packs.items():
+    seed = SECOND_POINT_SEED
+    points = [("default", {("K", 1): PT1, ("K", 2): PT2, ("H", 1): PY1, ("H", 2): PY2}),
+              (f"seed {seed}",
+               {(flavor, r): sample_generic_params(seed, family, r=r)
+                for flavor, family in (("K", "toroidal"), ("H", "yangian")) for r in (1, 2)})]
+    for point, packs in points:
+        for (flavor, r), p in packs.items():
             for n in (1, 2, 3):
                 for j in range(r + 1):
                     val, fails = whittaker_eigencheck(flavor, r, n, j, 4, p)
                     if fails:
                         ok = False
-                        print(f"  {flavor} r={r} n={n} j={j}: {fails[:2]}")
+                        print(f"  {point} {flavor} r={r} n={n} j={j}: {fails[:2]}")
                     want = (C_constant if flavor == "K" else D_constant)(j, n, r, p)
                     if want is not None and val != want:
                         ok = False
-                        print(f"  {flavor} r={r} n={n} j={j}: value {val} != {want}")
+                        print(f"  {point} {flavor} r={r} n={n} j={j}: value {val} != {want}")
+            # the negative control trips on every pack at this point
+            _, fails = whittaker_eigencheck(flavor, r, 1, 0, 4, p, perturb=True)
+            if not any(f[0] == "label-dependence" for f in fails):
+                ok = False
+                print(f"  {point} {flavor} r={r}: perturbed lowering coefficient not detected")
     dt = time.time() - t0
     assert dt < 300, "whittaker budget exceeded"
-    report(8, ok, f"eigenvector property and constants, r <= 2, n <= 3, L <= 4 ({dt:.0f}s)")
+    report(8, ok, f"eigenvector property and constants, r <= 2, n <= 3, L <= 4, "
+                  f"two points ({dt:.0f}s)")
 
 
 def test_criterion_9_horizontal():

@@ -47,6 +47,22 @@ def test_chain_orders_are_valid():
                 assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
 
 
+@pytest.mark.parametrize("small, big", [
+    (((2,),), ((1,),)),            # big lies inside small
+    (((1,),), ((1,),)),            # nothing to add is a valid empty chain
+    (((2, 1),), ((1, 1, 1),)),     # neither contains the other
+    (((),), ((), (1,))),           # different ranks
+    (((), ()), ((1,),)),
+])
+def test_box_chain_rejects_a_big_label_that_does_not_contain_small(small, big):
+    if small == big:
+        assert box_chain(small, big) == ([], [small])
+        return
+    for order in ("canonical", "reverse-component"):
+        with pytest.raises(ValueError):
+            box_chain(small, big, order=order)
+
+
 def test_single_box_coefficient_reduces_to_lowering_mode():
     module = KTheoryFixedPointModule(PK1, 1)
     F = K_element("m", 1, PK1, power=0)
