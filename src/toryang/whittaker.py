@@ -15,7 +15,8 @@ and kept on the pack, in a dict that lives as long as the pack does:
   the kernel denominator prod (c_a - c_b)^2 omega(c_a, c_b), keyed by
   (flavor, small, big, order);
 - `_module_cache`: the unperturbed fixed-point module that
-  `whittaker_eigencheck` reads, keyed by (flavor, r).
+  `whittaker_eigencheck` and `bott_lefschetz_consistency` read, keyed by
+  (flavor, r).
 
 Each value is an exact function of its key and of the pack's parameters,
 which are fixed when the pack is built, so a hit returns what a fresh
@@ -270,6 +271,17 @@ def D_constant(j, n, r, params):
     raise ValueError("0 <= j <= r")
 
 
+def _fixed_point_module(flavor, r, params):
+    """The unperturbed rank-r fixed-point module of the flavor, kept in the
+    pack's `_module_cache`."""
+    modules = _pack_cache(params, "_module_cache")
+    module = modules.get((flavor, r))
+    if module is None:
+        module = modules[flavor, r] = (KTheoryFixedPointModule if flavor == "K"
+                                       else CohomologyFixedPointModule)(params, r)
+    return module
+
+
 def whittaker_eigencheck(flavor, r, n, j, level_bound, params, perturb=False):
     """Verify the eigenvector property at desk scale.
 
@@ -280,11 +292,7 @@ def whittaker_eigencheck(flavor, r, n, j, level_bound, params, perturb=False):
     the pack's kept module, built once per (flavor, r), is wrapped in a
     fresh `PerturbedModule` and itself left unchanged.
     """
-    modules = _pack_cache(params, "_module_cache")
-    module = modules.get((flavor, r))
-    if module is None:
-        module = modules[flavor, r] = (KTheoryFixedPointModule if flavor == "K"
-                                       else CohomologyFixedPointModule)(params, r)
+    module = _fixed_point_module(flavor, r, params)
     if flavor == "K":
         F = K_element("m", n, params, power=j)
         want = C_constant(j, n, r, params)
@@ -315,8 +323,7 @@ def bott_lefschetz_consistency(flavor, r, level_bound, params):
     coefficient equals the transposed raising coefficient (mode -r with the
     K weights; mode 0 with the cohomological ones up to the rank sign).
     """
-    module = (KTheoryFixedPointModule if flavor == "K"
-              else CohomologyFixedPointModule)(params, r)
+    module = _fixed_point_module(flavor, r, params)
     fails = []
     for level in range(level_bound + 1):
         for mlam in pt.enum_multipartitions(r, level):
