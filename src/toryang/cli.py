@@ -362,6 +362,9 @@ def run(config):
             if config.get(key, 0) < 0:
                 raise ConfigError(f"--{key} {config[key]} is negative; every scale "
                                   "starts at 0")
+        if config.get("G", 12) < 1:
+            raise ConfigError(f"--G {config['G']}: needs G >= 1, genericity is "
+                              "certified against the relations up to G")
         for key in ("r", "n"):
             if config.get(key) is not None and config[key] < 1:
                 raise ConfigError(f"--{key} {config[key]}: needs {key} >= 1, there is "
@@ -391,6 +394,11 @@ def run(config):
                 raise ConfigError(f"suite {name!r} has no check at this configuration")
         except ConfigError as exc:
             return _error(report, 2, "config-error", exc)
+        except ZeroDivisionError:
+            # a resonance above the certified bound made some weight vanish
+            return _error(report, 3, "genericity-error",
+                          f"suite {name!r} divided by zero at a parameter point "
+                          f"certified generic only up to --G {config.get('G', 12)}")
         timings[name] = round(time.perf_counter() - t0, 3)
     checks.sort(key=lambda c: c.cid)
     report["checks"] = [c.to_json() for c in checks]

@@ -227,13 +227,8 @@ def default_toroidal(r=0, G=DEFAULT_G):
     return ToroidalParams(Fraction(2), Fraction(3), chis, G=G)
 
 
-def default_yangian(r=0, G=DEFAULT_G, zero_x=False):
+def default_yangian(r=0, G=DEFAULT_G):
     """h1=13, h2=1 (smallest vanishing combination has |a|+|b|=14 > 12)."""
-    if zero_x:
-        xs = (Fraction(0),) * r
-        p = YangianParams(Fraction(13), Fraction(1), (), G=G)
-        p.xs = xs
-        return p
     xs = (Fraction(1, 5), Fraction(1, 7), Fraction(1, 11))[:r]
     return YangianParams(Fraction(13), Fraction(1), xs, G=G)
 

@@ -28,25 +28,61 @@ first-insertion order and sums that are zero are dropped once, at the end,
 by `vsum`'s rule.  `apply_mode`, `_apply_diagonal` and each (instance,
 label) residual of the sweep are one `lincomb` call.
 
-`Module.t_eigenvalue` keeps the beta-free log coefficient of psi per
-(label, m) on the module instance, so a wrapper with other diagonal data
-keeps its own; the division by beta(m) is made on every call, so no
-callable is part of the key.
+Memos.  Every value a module, a series bridge or a parameter pack keeps
+for later follows one rule.  A `memoized` method (or a hand-keyed table
+from `memo_table`) stores it in a dict in the owner's own `__dict__`,
+keyed by the full tuple of the method's arguments, for as long as the
+owner lives; the owner's attributes that such a value reads are set before
+its first use.  The owner's `__dict__` is read directly, never through
+`getattr`, so a `ModuleWrapper`, whose `__getattr__` passes to its base,
+never serves the base's memo: a `PerturbedModule` keeps its own rows.  A
+value that depends on a callable argument is split so that the memoized
+part takes none (`Module.t_eigenvalue` keeps psi's beta-free log
+coefficient per (label, m) and divides by beta(m) on every call).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 from math import gcd
 
 from .scalars import ratfn_expand, ratfn_log_coeffs, is_zero_mod
 
 __all__ = [
+    "memo_table", "memoized",
     "vec", "vsum", "vadd", "vscale", "vsub", "lincomb", "is_vec_zero",
     "Module", "ModuleWrapper", "PerturbedModule", "apply_mode", "coeff_of", "apply_word",
     "word_images", "RelationSweep", "RelationReport", "check_relation",
     "RELATION_BUILDERS_T", "RELATION_BUILDERS_Y",
 ]
+
+
+# -- memos -----------------------------------------------------------------
+
+def memo_table(owner, name):
+    """The memo dict `name` in the owner's own `__dict__`, made on first use."""
+    table = owner.__dict__.get(name)
+    if table is None:
+        table = owner.__dict__[name] = {}
+    return table
+
+
+def memoized(method):
+    """Keep method(self, *args) in `memo_table(self, method.__qualname__)`
+    under the key args.  Arguments are passed by position."""
+    name = method.__qualname__
+
+    @wraps(method)
+    def memo(self, *args):
+        try:
+            return self.__dict__[name][args]
+        except KeyError:
+            pass
+        val = memo_table(self, name)[args] = method(self, *args)
+        return val
+
+    return memo
 
 
 # -- sparse vectors --------------------------------------------------------
@@ -150,14 +186,6 @@ class Module:
     level(label)         -> int; basis(level) -> list of labels
     """
 
-    def __init__(self):
-        self._e_cache = {}
-        self._f_cache = {}
-        self._psi_cache = {}
-        self._series_cache = {}
-        self._row_cache = {}
-        self._tlog_cache = {}
-
     # subclass hooks
     def _e_transitions(self, label):
         raise NotImplementedError
@@ -168,34 +196,27 @@ class Module:
     def _psi_rat(self, label):
         raise NotImplementedError
 
+    @memoized
     def e_transitions(self, label):
-        if label not in self._e_cache:
-            self._e_cache[label] = self._e_transitions(label)
-        return self._e_cache[label]
+        return self._e_transitions(label)
 
+    @memoized
     def f_transitions(self, label):
-        if label not in self._f_cache:
-            self._f_cache[label] = self._f_transitions(label)
-        return self._f_cache[label]
+        return self._f_transitions(label)
 
+    @memoized
     def psi_rat(self, label):
         """Diagonal eigenvalue psi(z) on the label, as a factored RatFn
         (constant, zeros, poles); num/den are multiplied out only when read."""
-        if label not in self._psi_cache:
-            self._psi_cache[label] = self._psi_rat(label)
-        return self._psi_cache[label]
+        return self._psi_rat(label)
 
     # -- generic operators ------------------------------------------------
+    @memoized
     def mode_row(self, kind, label, mode):
         """[(target, base * point**mode)] over the 'e' or 'f' transitions of
-        the label, computed once per (kind, label, mode)."""
-        key = (kind, label, mode)
-        row = self._row_cache.get(key)
-        if row is None:
-            ts = self.e_transitions(label) if kind == "e" else self.f_transitions(label)
-            row = self._row_cache[key] = [(tgt, base * point ** mode)
-                                          for tgt, base, point in ts]
-        return row
+        the label."""
+        ts = self.e_transitions(label) if kind == "e" else self.f_transitions(label)
+        return [(tgt, base * point ** mode) for tgt, base, point in ts]
 
     def apply_e(self, mode, v):
         return apply_mode(self, "e", mode, v)
@@ -203,12 +224,10 @@ class Module:
     def apply_f(self, mode, v):
         return apply_mode(self, "f", mode, v)
 
+    @memoized
     def psi_series(self, label, direction, order):
         """Truncated expansion of the diagonal eigenvalue (X = z^-1 or z)."""
-        key = (label, direction, order)
-        if key not in self._series_cache:
-            self._series_cache[key] = ratfn_expand(self.psi_rat(label), direction, order)
-        return self._series_cache[key]
+        return ratfn_expand(self.psi_rat(label), direction, order)
 
     def psi_coeff(self, label, sign, k):
         """Coefficient of z^-k (sign +1, expansion around infinity) or of z^k
@@ -224,22 +243,23 @@ class Module:
     def apply_psi_y(self, j, v, sig3):
         return _apply_diagonal(v, lambda label: self.psi_coeff(label, +1, j + 1) / sig3)
 
+    @memoized
+    def _t_log(self, label, m):
+        """The z^-|m| (m > 0) or z^|m| (m < 0) coefficient of log psi on the
+        label, from power sums of psi's zeros and poles (`ratfn_log_coeffs`)."""
+        n = abs(m)
+        return ratfn_log_coeffs(self.psi_rat(label), +1 if m > 0 else -1, n)[n - 1]
+
     def t_eigenvalue(self, label, m, beta):
         """Eigenvalue of the log-mode generator t_m extracted from psi.
 
         psi^+(z)/psi0 = exp(-sum_{m>0} beta_m/m t_m z^-m) and mirrored for
-        m < 0 on the opposite expansion.  The log coefficient comes from
-        power sums of psi's zeros and poles (`ratfn_log_coeffs`), computed
-        once per (label, m); the division by beta(m) is made on every call.
+        m < 0 on the opposite expansion: the log coefficient (`_t_log`)
+        divided by beta(m) on every call.
         """
         if m == 0:
             raise ValueError("t_0 is not defined")
-        key = (label, m)
-        coeff = self._tlog_cache.get(key)
-        if coeff is None:
-            n = abs(m)
-            coeff = self._tlog_cache[key] = ratfn_log_coeffs(
-                self.psi_rat(label), +1 if m > 0 else -1, n)[n - 1]
+        coeff = self._t_log(label, m)
         # for + direction: coeff = -beta_m/m * t_m ; for -: +beta_m/m * t_m
         bm = beta(m)
         if m > 0:
@@ -277,7 +297,6 @@ class ModuleWrapper(Module):
     read from the base."""
 
     def __init__(self, base):
-        super().__init__()
         self.base = base
 
     def __getattr__(self, name):

@@ -50,7 +50,6 @@ class VectorModule(Module):
     integer_graded = True
 
     def __init__(self, params, u=None):
-        super().__init__()
         self.params = params
         self.u = params.unit if u is None else u
 
@@ -78,7 +77,6 @@ class FockModule(Module):
     """Basis |lam> over partitions; highest vector is the empty diagram."""
 
     def __init__(self, params, u=None):
-        super().__init__()
         self.params = params
         self.u = params.unit if u is None else u
 
@@ -138,7 +136,6 @@ class FixedPointModule(Module):
     """
 
     def __init__(self, params, r, margin=1):
-        super().__init__()
         if len(params.framings) < r:
             raise ValueError("need r framing parameters")
         self.params = params
@@ -253,7 +250,6 @@ class TensorModule(Module):
     """
 
     def __init__(self, w1, w2):
-        super().__init__()
         self.w1 = w1
         self.w2 = w2
 

@@ -13,22 +13,23 @@ numerators (`scalars.ratfn_log_coeffs`).
 
 The exponent gamma(v) = -B(-d/dv)G'(v) of the glueing unit is a double sum
 over the Borel index i and the power n of the point v.  It is summed over
-i first: once per bridge, on first use, the label-independent weights
-(-1)^i C(n+i, i) G'_{n+i}; once per label, on integers, the series
-D_n = sum_i (-1)^i C(n+i, i) G'_{n+i} k_i; per call, Horner's rule in v.
-The (i, n) terms are those of the double sum, and at a transition point
-every partial result is known mod X^trunc or better, so the values and the
-truncation are those of the double sum.  The raising and lowering images
-keep mode-k rows [(target, base * norm * exp(k * point) * g)], with the
-glueing unit g evaluated on the post-action label, and act through the same
-row code as every module (`repbase.apply_mode`).  The comparison map from
-the renormalized K-theory module is the Fock-factorization solver
-(`toroidal.solve_intertwiner`) run against the bridge.  The audits of T3,
-T4t and the e half of T6t are instance lists run through the relation
-engine's sweep (`repbase.RelationSweep`); T3's right-hand side is psi+-
-over (1 - q3), through `over_one_minus_q3`.  All per-label and
-per-row data is memoized on first use; constructing a bridge computes none
-of it.
+i first: per bridge, the label-independent weights (-1)^i C(n+i, i)
+G'_{n+i}; per label, on integers, the series D_n = sum_i (-1)^i C(n+i, i)
+G'_{n+i} k_i; per call, Horner's rule in v.  The (i, n) terms are those of
+the double sum, and at a transition point every partial result is known
+mod X^trunc or better, so the values and the truncation are those of the
+double sum.  The raising and lowering images glue each transition once,
+as (target, base * norm * g, point) with the glueing unit g evaluated on
+the post-action label; the mode-k row multiplies each by exp(k * point),
+and acts through the same row code as every module (`repbase.apply_mode`).
+The comparison map from the renormalized K-theory module is the
+Fock-factorization solver (`toroidal.solve_intertwiner`) run against the
+bridge.  The audits of T3, T4t and the e half of T6t are instance lists
+run through the relation engine's sweep (`repbase.RelationSweep`); T3's
+right-hand side is psi+- over (1 - q3), through `over_one_minus_q3`.
+Per-label and per-row data follows the memo rule of `repbase`: it is
+computed on first use and kept on the bridge, so constructing a bridge
+computes none of it.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .params import series_yangian, series_toroidal
-from .repbase import (RelationSweep, apply_mode, _apply_diagonal, _commutator_words,
-                      _ladder_instances, _nested)
+from .repbase import (RelationSweep, apply_mode, memoized, _apply_diagonal,
+                      _commutator_words, _ladder_instances, _nested)
 from .scalars import (TSeries, series_exp, series_log, series_sqrt,
                       expm1_over, is_zero_mod, ratfn_log_coeffs, ScalarDomainError,
                       _int_content, _int_rows, _series)
@@ -99,7 +100,6 @@ class UpsilonBridge:
         self.module = CohomologyFixedPointModule(self.params, r)
         self.q3 = series_exp(self.params.h3)
         self.one_minus_q3 = 1 - self.q3
-        self._inv_one_minus_q3 = None  # zero at a degenerate direction
         self.gpre = series_sqrt(expm1_over(self.params.h3).inv()) \
             if self.params.h3 else TSeries(0, [1], trunc)
         # the homogenized presentation rescales the raising/lowering family
@@ -108,25 +108,16 @@ class UpsilonBridge:
         self.e_norm = self.params.h1
         self.f_norm = -self.params.h2
         self.gprime = gprime_series(trunc + 2)
-        self._kcache = {}
-        self._gamma_weights = None
-        self._dcache = {}
-        self._gcache = {}
-        self._bcache = {}
-        self._alpha_inv = {}
-        self._row_cache = {}
 
     # -- per-label diagonal data ------------------------------------------
+    @memoized
     def kcoeffs(self, label):
         """Coefficients of log psi(z) = sum k_i z^{-i-1} on the label.
 
         k_i = (p_{i+1}(poles) - p_{i+1}(zeros))/(i+1) from the power sums
         of psi's factors (psi -> 1 at z = infinity).
         """
-        if label not in self._kcache:
-            self._kcache[label] = ratfn_log_coeffs(self.module.psi_rat(label), +1,
-                                                   self.trunc)
-        return self._kcache[label]
+        return ratfn_log_coeffs(self.module.psi_rat(label), +1, self.trunc)
 
     def psi0(self, label):
         """Eigenvalue of the degree-zero diagonal mode: psi = 1 - h3 sum psi_i z^{-i-1}.
@@ -135,66 +126,61 @@ class UpsilonBridge:
         """
         return -self.kcoeffs(label)[0] / self.params.h3
 
+    @memoized
     def B_at(self, label, m):
         """Inverse Borel transform of log psi, evaluated at the integer m."""
-        key = (label, m)
-        if key not in self._bcache:
-            tot = TSeries(self.trunc, [], self.trunc)
-            for i, k in enumerate(self.kcoeffs(label)):
-                if k and k.val < self.trunc:
-                    tot = tot + k * Fraction(m ** i, factorial(i))
-            self._bcache[key] = tot
-        return self._bcache[key]
+        tot = TSeries(self.trunc, [], self.trunc)
+        for i, k in enumerate(self.kcoeffs(label)):
+            if k and k.val < self.trunc:
+                tot = tot + k * Fraction(m ** i, factorial(i))
+        return tot
 
+    @memoized
     def gamma_weights(self):
         """[(d_n, [(i, W_ni)]) for n = 0..trunc-2] with W_ni/d_n the rational
         (-1)^i C(n+i, i) G'_{n+i}, over the i < trunc with n + i inside G'
-        and G'_{n+i} != 0.  The weights do not depend on the label; they are
-        computed once per bridge, on first use."""
-        if self._gamma_weights is None:
-            gp, rows = self.gprime, []
-            for n in range(self.trunc - 1):
-                ws = [(i, (-1) ** i * comb(n + i, i) * gp.coeff(n + i))
-                      for i in range(min(self.trunc, gp.trunc - n)) if gp.coeff(n + i)]
-                nums, d = _int_content([w for _, w in ws])
-                rows.append((d, [(i, a) for (i, _), a in zip(ws, nums)]))
-            self._gamma_weights = rows
-        return self._gamma_weights
+        and G'_{n+i} != 0.  The weights do not depend on the label."""
+        gp, rows = self.gprime, []
+        for n in range(self.trunc - 1):
+            ws = [(i, (-1) ** i * comb(n + i, i) * gp.coeff(n + i))
+                  for i in range(min(self.trunc, gp.trunc - n)) if gp.coeff(n + i)]
+            nums, d = _int_content([w for _, w in ws])
+            rows.append((d, [(i, a) for (i, _), a in zip(ws, nums)]))
+        return rows
 
+    @memoized
     def gamma_sums(self, label):
         """[-D_n for n = 0..trunc-2] on the label, None where no term enters:
         D_n = sum_i W_ni/d_n k_i over the weights and the nonzero k_i of
-        valuation < trunc, summed once per label on integers (one TSeries
-        per n, known mod X^trunc)."""
-        if label not in self._dcache:
-            T = self.trunc
-            live = [(i, k) for i, k in enumerate(self.kcoeffs(label)) if k and k.val < T]
-            out = []
-            if live:
-                base = min(k.val for _, k in live)
-                width = max(k.val + len(k.coeffs) for _, k in live) - base
-                nums, dk = _int_rows([k.coeffs for _, k in live])
-                rows = {i: (k.val - base, row, k.trunc) for (i, k), row in zip(live, nums)}
-                for dw, ws in self.gamma_weights():
-                    acc, trunc, hit = [0] * width, T, False
-                    for i, w in ws:
-                        if i in rows:
-                            off, row, t = rows[i]
-                            hit, trunc = True, min(trunc, t)
-                            for j, c in enumerate(row):
-                                acc[off + j] -= w * c
-                    den = dk * dw
-                    out.append(_series(base, [Fraction(c, den) for c in acc], trunc)
-                               if hit else None)
-            self._dcache[label] = out
-        return self._dcache[label]
+        valuation < trunc, summed on integers (one TSeries per n, known mod
+        X^trunc)."""
+        T = self.trunc
+        live = [(i, k) for i, k in enumerate(self.kcoeffs(label)) if k and k.val < T]
+        out = []
+        if live:
+            base = min(k.val for _, k in live)
+            width = max(k.val + len(k.coeffs) for _, k in live) - base
+            nums, dk = _int_rows([k.coeffs for _, k in live])
+            rows = {i: (k.val - base, row, k.trunc) for (i, k), row in zip(live, nums)}
+            for dw, ws in self.gamma_weights():
+                acc, trunc, hit = [0] * width, T, False
+                for i, w in ws:
+                    if i in rows:
+                        off, row, t = rows[i]
+                        hit, trunc = True, min(trunc, t)
+                        for j, c in enumerate(row):
+                            acc[off + j] -= w * c
+                den = dk * dw
+                out.append(_series(base, [Fraction(c, den) for c in acc], trunc)
+                           if hit else None)
+        return out
 
     def gamma_at(self, label, v):
         """gamma(v) = -B(-d/dv) G'(v) evaluated at a series point v.
 
         With B(w) = sum_i k_i w^i/i! and G'(v) = sum_m G'_m v^m,
         gamma(v) = -sum_i (-1)^i k_i/i! G'^(i)(v) = -sum_n D_n v^n with
-        D_n = sum_i (-1)^i C(n+i, i) G'_{n+i} k_i.  The D_n are memoized per
+        D_n = sum_i (-1)^i C(n+i, i) G'_{n+i} k_i.  The D_n are kept per
         label (`gamma_sums`), so a call is Horner's rule in v, capped at
         O(X^trunc).  It sums the same finite set of (i, n) terms as the
         double sum over i and n; for a point of valuation >= 0 known mod
@@ -215,31 +201,27 @@ class UpsilonBridge:
         # above trunc only when D_0 is empty and the last step was a product
         return acc if acc.trunc <= T else _series(acc.val, acc.coeffs, T)
 
-    def g_at(self, label, v, key=None):
-        if key is not None and key in self._gcache:
-            return self._gcache[key]
-        val = self.gpre * series_exp(self.gamma_at(label, v) * Fraction(1, 2))
-        if key is not None:
-            self._gcache[key] = val
-        return val
+    def g_at(self, label, v):
+        """The glueing unit gpre * exp(gamma(v)/2) on the label."""
+        return self.gpre * series_exp(self.gamma_at(label, v) * Fraction(1, 2))
 
     # -- image operators ----------------------------------------------------
+    @memoized
+    def _glued_transitions(self, kind, label):
+        """[(target, base * norm * g, point)] over the 'e' or 'f' transitions
+        of the label, with the glueing unit g evaluated on the target."""
+        if kind == "e":
+            norm, ts = self.e_norm, self.module.e_transitions(label)
+        else:
+            norm, ts = self.f_norm, self.module.f_transitions(label)
+        return [(tgt, base * norm * self.g_at(tgt, point), point) for tgt, base, point in ts]
+
+    @memoized
     def mode_row(self, kind, label, k):
-        """[(target, base * norm * exp(k * point) * g)] over the 'e' or 'f'
-        transitions of the label, computed once per (kind, label, k); the
-        glueing unit is evaluated on the target."""
-        key = (kind, label, k)
-        row = self._row_cache.get(key)
-        if row is None:
-            if kind == "e":
-                norm, ts = self.e_norm, self.module.e_transitions(label)
-            else:
-                norm, ts = self.f_norm, self.module.f_transitions(label)
-            row = self._row_cache[key] = [
-                (tgt, base * norm * series_exp(point * k)
-                 * self.g_at(tgt, point, key=(kind, tgt, label)))
-                for tgt, base, point in ts]
-        return row
+        """[(target, c * exp(k * point))] over the glued transitions
+        (target, c, point) of the label."""
+        return [(tgt, c * series_exp(point * k))
+                for tgt, c, point in self._glued_transitions(kind, label)]
 
     def apply_e(self, k, vec):
         return apply_mode(self, "e", k, vec)
@@ -247,45 +229,53 @@ class UpsilonBridge:
     def apply_f(self, k, vec):
         return apply_mode(self, "f", k, vec)
 
+    @memoized
+    def _inv_one_minus_q3(self):
+        # raises at a degenerate direction, where 1 - q3 is zero
+        return self.one_minus_q3.inv()
+
     def over_one_minus_q3(self, x):
-        """x / (1 - q3), multiplying by the inverse computed on first use.
+        """x / (1 - q3), multiplying by the inverse of 1 - q3.
 
         A rational x is coerced as `x / (1 - q3)` coerces it, so the result
         and its truncation are those of the division."""
-        if self._inv_one_minus_q3 is None:
-            self._inv_one_minus_q3 = self.one_minus_q3.inv()
-        return self.one_minus_q3._coerce(x) * self._inv_one_minus_q3
+        return self.one_minus_q3._coerce(x) * self._inv_one_minus_q3()
 
     def H_eigen(self, label, m):
         return self.over_one_minus_q3(self.B_at(label, m))
 
-    def t_eigen(self, label, m):
-        if m not in self._alpha_inv:
-            q1, q2, q3 = (series_exp(self.params.h1), series_exp(self.params.h2), self.q3)
-            alpha_m = (1 - q1 ** (-m)) * (1 - q2 ** (-m)) * (1 - q3 ** (-m)) / m
-            self._alpha_inv[m] = alpha_m.inv()
-        return self.B_at(label, m) * self._alpha_inv[m]
+    @memoized
+    def _alpha_inv(self, m):
+        """1 / alpha_m, alpha_m = (1 - q1^-m)(1 - q2^-m)(1 - q3^-m)/m."""
+        q1, q2, q3 = (series_exp(self.params.h1), series_exp(self.params.h2), self.q3)
+        return ((1 - q1 ** (-m)) * (1 - q2 ** (-m)) * (1 - q3 ** (-m)) / m).inv()
 
-    def psi_pm_coeff(self, label, sign, k, kmax):
-        """Mode k >= 0 of the reconstructed diagonal exponential family.
+    def t_eigen(self, label, m):
+        return self.B_at(label, m) * self._alpha_inv(m)
+
+    @memoized
+    def _psi_pm_series(self, label, sign, kmax):
+        """The reconstructed diagonal exponential family psi+- (sign +1/-1)
+        on the label, as a z-direction series through mode kmax.
 
         Coefficients of the z-direction series live in the deformation ring,
         so scalar factors multiply coefficient-wise (never across levels).
         """
-        key = ("psipm", label, sign, kmax)
-        if key not in self._gcache:
-            h3 = self.params.h3
-            p0 = self.psi0(label)
-            order = kmax + 1
-            body = TSeries(order, [], order)
-            for m in range(1, kmax + 1):
-                b = self.B_at(label, sign * m) * sign
-                if b:
-                    body = body + TSeries(m, [b], order)
-            pref = series_exp(-h3 * p0 * Fraction(sign, 2))
-            ser = series_exp(body).map_coeffs(lambda c: c * pref)
-            self._gcache[key] = ser
-        return self._gcache[key].coeff(k)
+        h3 = self.params.h3
+        p0 = self.psi0(label)
+        order = kmax + 1
+        body = TSeries(order, [], order)
+        for m in range(1, kmax + 1):
+            b = self.B_at(label, sign * m) * sign
+            if b:
+                body = body + TSeries(m, [b], order)
+        pref = series_exp(-h3 * p0 * Fraction(sign, 2))
+        return series_exp(body).map_coeffs(lambda c: c * pref)
+
+    def psi_pm_coeff(self, label, sign, k, kmax):
+        """Mode k >= 0 of the reconstructed diagonal exponential family
+        (`_psi_pm_series`)."""
+        return self._psi_pm_series(label, sign, kmax).coeff(k)
 
     # -- hooks for the relation sweep -----------------------------------------
     def basis(self, level):

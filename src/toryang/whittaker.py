@@ -7,21 +7,10 @@ action is a finite weighted sum over n-box extensions, evaluated through an
 ordered chain of one-box steps.  Both the K-theoretic and cohomological
 weights are covered.
 
-What depends only on the parameters is computed once per parameter pack
-and kept on the pack, in a dict that lives as long as the pack does:
-
-- `_weight_cache`: the fixed-point weight, keyed by (flavor, label);
-- `_chain_cache`: the one-box chain from small to big, its contents and
-  the kernel denominator prod (c_a - c_b)^2 omega(c_a, c_b), keyed by
-  (flavor, small, big, order);
-- `_module_cache`: the unperturbed fixed-point module that
-  `whittaker_eigencheck` and `bott_lefschetz_consistency` read, keyed by
-  (flavor, r).
-
-Each value is an exact function of its key and of the pack's parameters,
-which are fixed when the pack is built, so a hit returns what a fresh
-computation would.  Packs with equal labels never share an entry, because
-each keeps its own dicts.  What a caller can vary is never kept: F's
+The fixed-point weights, the one-box chains with their kernel
+denominators, and the unperturbed fixed-point modules depend only on the
+parameters; they are kept on the parameter pack by the memo rule of
+`repbase` (`memo_table`).  What a caller can vary is never kept: F's
 numerator at the contents and the lowering coefficients along the chain
 are read from the caller's F and module on every call, so a
 `PerturbedModule` shows its perturbation; `perturb=True` wraps the kept
@@ -34,7 +23,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import partitions as pt
-from .repbase import PerturbedModule, coeff_of
+from .repbase import PerturbedModule, coeff_of, memo_table
 from .shuffle import K_element
 from .toroidal import KTheoryFixedPointModule
 from .yangian import CohomologyFixedPointModule
@@ -56,26 +45,15 @@ class GenericityWeightError(ValueError):
     pass
 
 
-def _pack_cache(params, name):
-    """The dict kept on the parameter pack under `name` (made on first use)."""
-    cache = getattr(params, name, None)
-    if cache is None:
-        cache = {}
-        setattr(params, name, cache)
-    return cache
-
-
 def fixed_weight(mlam, flavor, params):
     """K flavor: product of (1-w)^-1 over tangent weights; H flavor: product
     of w^-1 over the additively evaluated weights.  Memoized per parameter
     pack (weights are reused heavily across overlapping extension sweeps)."""
-    cache = _pack_cache(params, "_weight_cache")
+    cache = memo_table(params, "_weight_cache")
     key = (flavor, mlam)
-    if key in cache:
-        return cache[key]
-    val = _fixed_weight_raw(mlam, flavor, params)
-    cache[key] = val
-    return val
+    if key not in cache:
+        cache[key] = _fixed_weight_raw(mlam, flavor, params)
+    return cache[key]
 
 
 def _fixed_weight_raw(mlam, flavor, params):
@@ -147,9 +125,9 @@ def _kernel_value(flavor, params, x, y):
 
 
 def _chain_kernel(flavor, params, small, big, order):
-    """(chain, contents, kernel denominator) of the one-box chain from small
-    to big, kept in the pack's `_chain_cache`."""
-    cache = _pack_cache(params, "_chain_cache")
+    """(chain, contents, kernel denominator prod (c_a - c_b)^2 omega(c_a,
+    c_b)) of the one-box chain from small to big, kept on the pack."""
+    cache = memo_table(params, "_chain_cache")
     key = (flavor, small, big, order)
     hit = cache.get(key)
     if hit is None:
@@ -272,9 +250,9 @@ def D_constant(j, n, r, params):
 
 
 def _fixed_point_module(flavor, r, params):
-    """The unperturbed rank-r fixed-point module of the flavor, kept in the
-    pack's `_module_cache`."""
-    modules = _pack_cache(params, "_module_cache")
+    """The unperturbed rank-r fixed-point module of the flavor, kept on the
+    pack."""
+    modules = memo_table(params, "_module_cache")
     module = modules.get((flavor, r))
     if module is None:
         module = modules[flavor, r] = (KTheoryFixedPointModule if flavor == "K"

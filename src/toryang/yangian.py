@@ -251,7 +251,7 @@ def _sum_simple_poles(terms):
     return num, den
 
 
-def restrict_tensor(tensor, pred, levels, windows=None):
+def restrict_tensor(tensor, pred, levels):
     """Restrict a tensor module to the labels satisfying pred.
 
     Decides between the two closure patterns: either nothing escapes the

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from toryang import partitions as pt
-from toryang.params import default_toroidal, default_yangian
+from toryang.params import YangianParams, default_toroidal, default_yangian
 from toryang.repbase import (RELATION_BUILDERS_T, RELATION_BUILDERS_Y, PerturbedModule,
                              check_relation, vec)
 
@@ -34,7 +34,7 @@ PT2 = default_toroidal(r=2)
 PT3 = default_toroidal(r=3)
 PY0 = default_yangian(r=0)
 PY1 = default_yangian(r=1)
-PY1Z = default_yangian(r=1, zero_x=True)
+PY1Z = YangianParams(Fraction(13), Fraction(1), (Fraction(0),))
 PY2 = default_yangian(r=2)
 PY3 = default_yangian(r=3)
 

@@ -54,6 +54,25 @@ def test_genericity_failure_exit_code():
     assert code == 3 and report["status"] == "genericity-error"
 
 
+def test_resonance_above_the_certified_bound_is_a_genericity_error():
+    # q1 q2 = 1 passes the certification at G = 1 and then made the relations
+    # suite end in a ZeroDivisionError traceback (exit 1)
+    code, report = run({"suite": "relations", "G": 1, "L": 1, "I": 1,
+                        "params": {"q1": "2", "q2": "1/2"}})
+    assert code == 3 and report["status"] == "genericity-error"
+    assert "'relations'" in report["error"] and "--G 1" in report["error"]
+    assert "checks" not in report
+
+
+@pytest.mark.parametrize("G", [0, -1])
+def test_genericity_bound_below_one_is_config_error(G):
+    # at G = 0 nothing is certified: q1 = 1 used to end in a traceback
+    code, report = run({"suite": "relations", "G": G, "L": 1, "I": 1,
+                        "params": {"q1": "1", "q2": "3"}})
+    assert code == 2 and report["status"] == "config-error"
+    assert f"--G {G}" in report["error"]
+
+
 def test_negative_control_fails_with_counterexample():
     cfg = {"suite": "relations", "flavor": "toroidal", "module": "fock",
            "L": 2, "I": 1, "perturb": "psi"}

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from toryang import repbase
 from toryang.params import default_toroidal, default_yangian
-from toryang.repbase import (ModuleWrapper, PerturbedModule, RELATION_BUILDERS_T,
-                             RELATION_BUILDERS_Y, check_relation, lincomb)
+from toryang.repbase import (Module, ModuleWrapper, PerturbedModule, RELATION_BUILDERS_T,
+                             RELATION_BUILDERS_Y, check_relation, lincomb, memo_table)
 from toryang.scalars import TSeries
-from toryang.toroidal import KTheoryFixedPointModule
+from toryang.toroidal import DiagonalTwist, KTheoryFixedPointModule
 from toryang.yangian import CohomologyFixedPointModule
 
 P1 = default_toroidal(r=1)
@@ -209,8 +209,31 @@ def test_wrappers_keep_their_own_memo():
     for rel in ("T3", "T4t"):
         check_relation(M, rel, P2, 1, window=1)
     Pp = PerturbedModule(M, "psi")
-    assert Pp._tlog_cache is not M._tlog_cache
+    name = Module._t_log.__qualname__
+    assert memo_table(Pp, name) is not memo_table(M, name)
     assert not check_relation(Pp, "T3", P2, 1, window=1).ok
+    # every memoized method of a wrapper over a warm base serves the
+    # wrapper's own value: that of the same wrapper over a cold base
+    calls = [(method, args) for label in M.basis(1) for method, args in (
+        (Module.e_transitions, (label,)), (Module.f_transitions, (label,)),
+        (Module.psi_rat, (label,)), (Module.mode_row, ("e", label, 2)),
+        (Module.mode_row, ("f", label, -1)), (Module.psi_series, (label, +1, 4)),
+        (Module.psi_series, (label, -1, 3)), (Module._t_log, (label, 2)),
+        (Module._t_log, (label, -1)))]
+    for method, args in calls:
+        method(M, *args)
+    wrappers = [lambda base, kind=kind: PerturbedModule(base, kind)
+                for kind in PerturbedModule.KINDS]
+    wrappers.append(lambda base: DiagonalTwist(base, Fraction(2), Fraction(3), Fraction(5)))
+    for wrap in wrappers:
+        W, cold = wrap(M), wrap(KTheoryFixedPointModule(P2, 2))
+        assert all(method.__qualname__ not in vars(W) for method, _ in calls)
+        differs = False
+        for method, args in calls:
+            got = repr(method(W, *args))
+            assert got == repr(method(cold, *args))
+            differs |= got != repr(method(M, *args))
+        assert differs
 
 
 # -- non-vacuous pairs -----------------------------------------------------

@@ -13,7 +13,7 @@ from toryang.toroidal import (FockModule, IllDefinedCoproductError,
                               solve_fock_factorization, DiagonalTwist)
 from toryang import partitions as pt
 from toryang.params import default_yangian
-from toryang.scalars import series_zlog
+from toryang.scalars import series_log
 from toryang.yangian import CohomologyFixedPointModule
 
 P1 = default_toroidal(r=1)
@@ -217,7 +217,7 @@ def t_eigenvalue_via_log_series(module, label, m, beta):
     """Reference route: log of the expanded psi series over its constant."""
     n = abs(m)
     s = module.psi_series(label, +1 if m > 0 else -1, n + 1)
-    coeff = series_zlog(s / s.coeff(0)).coeff(n)
+    coeff = series_log(s / s.coeff(0)).coeff(n)
     return (-coeff if m > 0 else coeff) * m / beta(m)
 
 

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from toryang.repbase import ModuleWrapper
-from toryang.scalars import ScalarDomainError, TSeries, series_zlog
+from toryang.repbase import ModuleWrapper, memo_table
+from toryang.scalars import ScalarDomainError, TSeries, series_exp, series_log
 from toryang.upsilon import (UpsilonBridge, borel_kernel_identity,
                              borel_log_identity, ch_solver, gprime_series,
                              inverse_borel, limit_h3_diffop_identities,
@@ -11,6 +11,11 @@ from toryang.upsilon import (UpsilonBridge, borel_kernel_identity,
 
 TRUNC = 12
 HMOD = 8
+
+
+def memo(owner, method):
+    """The owner's memo table of a `memoized` method."""
+    return memo_table(owner, method.__qualname__)
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +114,7 @@ def test_kcoeffs_and_psi0_match_series_log(r):
     for level in range(3):
         for label in br.module.basis(level):
             ser = br.module.psi_series(label, +1, TRUNC + 1)
-            lg = series_zlog(ser)
+            lg = series_log(ser)
             ks = br.kcoeffs(label)
             assert len(ks) == TRUNC
             for i, k in enumerate(ks):
@@ -145,6 +150,30 @@ def test_bridge_mode_rows_match_recorded_digest(r):
             for level in range(3) for label in br.module.basis(level)
             for kind in ("e", "f") for k in range(-3, 4)]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == BRIDGE_ROWS[r]
+
+
+def mode_row_by_transition(br, kind, label, k):
+    """The mode-k row as base * norm * exp(k * point) * g, one transition at a
+    time, with the glueing unit g computed afresh on the target."""
+    norm, ts = ((br.e_norm, br.module.e_transitions(label)) if kind == "e"
+                else (br.f_norm, br.module.f_transitions(label)))
+    return [(tgt, base * norm * series_exp(point * k) * br.g_at(tgt, point))
+            for tgt, base, point in ts]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_bridge_mode_rows_match_the_product_by_transition(r):
+    xis = (Fraction(1, 5), Fraction(1, 7))[:r]
+    br, ref = (UpsilonBridge(13, 1, xis, r, trunc=TRUNC) for _ in range(2))
+    keys = [(kind, label, k) for level in range(3) for label in br.module.basis(level)
+            for kind in ("e", "f") for k in range(-2, 3)]
+
+    def entries(row):
+        return [(tgt, c.val, c.coeffs, c.trunc) for tgt, c in row]
+
+    for _ in ("cold", "warm"):
+        for key in keys:
+            assert entries(br.mode_row(*key)) == entries(mode_row_by_transition(ref, *key))
 
 
 def test_comparison_map_reports_a_perturbed_module():
@@ -213,7 +242,8 @@ def test_gamma_matches_double_sum(r, degenerate):
     else:
         br = UpsilonBridge(13, 1, xis, r, trunc=TRUNC)
     # nothing per label or per bridge is computed before first use
-    assert br._kcache == {} and br._dcache == {} and br._gamma_weights is None
+    assert all(memo(br, method) == {} for method in (
+        UpsilonBridge.kcoeffs, UpsilonBridge.gamma_sums, UpsilonBridge.gamma_weights))
     bump = TSeries(2, [Fraction(1, 3)], TRUNC)
     seen = 0
     for label, point in gamma_points(br, 2):
@@ -223,7 +253,7 @@ def test_gamma_matches_double_sum(r, degenerate):
             seen += 1
     assert seen > 0
     # at h3 = 0 every k_i vanishes, so the weights are never needed
-    assert (br._gamma_weights is None) == degenerate
+    assert (memo(br, UpsilonBridge.gamma_weights) == {}) == degenerate
 
 
 def test_gamma_with_only_a_leading_borel_datum():
@@ -231,7 +261,8 @@ def test_gamma_with_only_a_leading_borel_datum():
     # Horner step is a product, whose truncation the cap must bring to trunc
     br = UpsilonBridge(13, 1, (Fraction(1, 5),), 1, trunc=TRUNC)
     label = ((1,),)
-    br._kcache[label] = [TSeries(1, [Fraction(3)], TRUNC)] + [Fraction(0)] * (TRUNC - 1)
+    memo(br, UpsilonBridge.kcoeffs)[label,] = \
+        [TSeries(1, [Fraction(3)], TRUNC)] + [Fraction(0)] * (TRUNC - 1)
     for v in (br.params.h1, br.params.h1 + TSeries(2, [Fraction(1, 3)], TRUNC)):
         got, want = br.gamma_at(label, v), gamma_double_sum(br, label, v)
         assert (got.val, got.coeffs, got.trunc) == (want.val, want.coeffs, want.trunc)

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from toryang import partitions as pt
-from toryang.params import default_yangian
+from toryang.params import YangianParams, default_yangian
 from toryang.repbase import (RELATION_BUILDERS_Y, apply_word, check_relation,
                              vec, word_images, y_relation_instances)
 from toryang.toroidal import TensorModule
@@ -16,7 +16,7 @@ from toryang.yangian import (AdmissibleError, AFockModule, AVectorModule,
 
 P0 = default_yangian(r=0)
 P1 = default_yangian(r=1)
-P1Z = default_yangian(r=1, zero_x=True)
+P1Z = YangianParams(Fraction(13), Fraction(1), (Fraction(0),))
 P2 = default_yangian(r=2)
 P3 = default_yangian(r=3)
 
