@@ -592,21 +592,16 @@ def in_limit_span(op):
 def jacobi_qop(q, triples):
     """Exact Jacobi identity for the cocycle-twisted bracket (certifies the
     2-cocycle condition on the sampled monomials)."""
-    for (m1, m2, m3) in triples:
-        a = QOp.monomial(q, *m1)
-        b = QOp.monomial(q, *m2)
-        c = QOp.monomial(q, *m3)
-        s = a.bracket(b.bracket(c)) + b.bracket(c.bracket(a)) + c.bracket(a.bracket(b))
-        if not s.is_zero():
-            return False
-    return True
+    return _jacobi(QOp, q, triples)
 
 
 def jacobi_hop(h, triples):
-    for (m1, m2, m3) in triples:
-        a = HOp.monomial(h, *m1)
-        b = HOp.monomial(h, *m2)
-        c = HOp.monomial(h, *m3)
+    return _jacobi(HOp, h, triples)
+
+
+def _jacobi(cls, param, triples):
+    for triple in triples:
+        a, b, c = (cls.monomial(param, *m) for m in triple)
         s = a.bracket(b.bracket(c)) + b.bracket(c.bracket(a)) + c.bracket(a.bracket(b))
         if not s.is_zero():
             return False

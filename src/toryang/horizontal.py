@@ -21,7 +21,7 @@ from .multipoly import MPoly
 from .params import ToroidalParams
 from .partitions import enum_partitions
 from .repbase import RelationSweep, vsum
-from .shuffle import ShuffleElement
+from .shuffle import ShuffleElement, _kernel_factor
 
 __all__ = [
     "horizontal_params",
@@ -280,7 +280,7 @@ def horizontal_tensor_coeff(cs, n, params):
     """Vacuum coefficient of n raising currents on an m-fold product of
     vertex modules, as an exact shuffle element (sum over slot assignments)."""
     m = len(cs)
-    q1, q2, q3 = params.qs
+    q3 = params.q3
     total = MPoly.zero(n)
     for f in iproduct(range(m), repeat=n):
         term = MPoly.const(n, Fraction(1))
@@ -288,13 +288,13 @@ def horizontal_tensor_coeff(cs, n, params):
             term = term * cs[i]
         for i in range(n):
             for j in range(i + 1, n):
-                zi, zj = MPoly.var(n, i), MPoly.var(n, j)
                 if f[i] == f[j]:
+                    zi, zj = MPoly.var(n, i), MPoly.var(n, j)
                     term = term * (zi - q3 * zj) * (zi - zj / q3) * (zi - zj)
                 elif f[i] > f[j]:
-                    term = term * (zi - q1 * zj) * (zi - q2 * zj) * (zi - q3 * zj)
+                    term = term * _kernel_factor("m", n, i, j, params)
                 else:
-                    term = term * (-1) * (zj - q1 * zi) * (zj - q2 * zi) * (zj - q3 * zi)
+                    term = term * -_kernel_factor("m", n, j, i, params)
         total = total + term
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     num = total.div_vandermonde(pairs)

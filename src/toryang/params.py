@@ -5,11 +5,18 @@ generic rational points.  Genericity is certified explicitly: no small
 multiplicative relation q1^a * q2^b = 1 (resp. additive relation
 a*h1 + b*h2 = 0) may hold for 0 < |a| + |b| <= G.
 
-Each parameter pack also carries its family's weights.  The module formulas
-(`toroidal.py`) are written once over them: the additive family is the
+Each parameter pack also carries its family's weights (`mono`, `gap`,
+`frame`, `unit`), and `KERNEL_WEIGHTS` lists the exponent pairs (a, b) of
+the three kernel factors x - q1^a q2^b y.  The additive family is the
 multiplicative one after  q1^a q2^b w -> a*h1 + b*h2 + w  and
-1 - w/v -> w - v.  The normalization constants are conventions of each
-family, not substitutions.
+1 - w/v -> w - v.  The module formulas (`toroidal.py`), the fixed-point
+weights, chain contents and kernel values (`whittaker.py`), and the
+pairwise-product generators and wheel loci (`shuffle.py`) are written once
+over these weights.  The star product's kernel numerator
+(`shuffle._kernel_factor`) stays selected by the elements' flavor, since a
+star product reads of the pack only the weight tuple its memo key holds.
+The normalization constants are conventions of each family, not
+substitutions.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .scalars import h_gen, series_exp
 
 __all__ = [
     "GenericityError",
+    "KERNEL_WEIGHTS",
     "ToroidalParams",
     "YangianParams",
     "default_toroidal",
@@ -32,6 +40,9 @@ __all__ = [
 ]
 
 DEFAULT_G = 12
+
+# (a, b) of the kernel factors x - q1^a q2^b y, i.e. q1, q2 and q3 = 1/(q1 q2)
+KERNEL_WEIGHTS = ((1, 0), (0, 1), (-1, -1))
 
 
 class GenericityError(ValueError):

@@ -29,6 +29,14 @@ exactly what a fresh computation would.  `MPoly` values are never mutated
 in place, so returned elements may share a cached numerator.  The
 closed-form oracle `L_element_symmetrized` builds its own kernel product and
 reads neither table.
+
+The pairwise-product generators (`K_element`) and the wheel loci
+(`wheel_check`) are written once over the parameter pack's family weights
+(`params`: `mono`, `unit` and `KERNEL_WEIGHTS`).  The kernel numerator of
+the star product (`_kernel_factor`) and its memo keys (`_weights`) stay
+selected by the elements' flavor: a star product reads of the pack only the
+weight tuple (`qs` or `hs`) that its memo key holds, so the flavor, not the
+pack, names the family.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from math import comb, factorial
 from operator import itemgetter
 
 from .multipoly import MPoly, _div_vandermonde_int, _over
+from .params import KERNEL_WEIGHTS
 from .scalars import _int_content
 
 __all__ = [
@@ -245,29 +254,18 @@ def star_commutator(F, G, params, convention="plain"):
 
 
 def wheel_check(F, params):
-    """True iff the numerator vanishes on the wheel locus (vacuous for n < 3)."""
+    """True iff the numerator vanishes on the wheel locus (vacuous for n < 3):
+    x1/x2 = q_u, x2/x3 = q_v, resp. x1 - x2 = h_u, x2 - x3 = h_v, over the
+    six ordered pairs u = (a, b) != v = (c, d) of kernel weights, where
+    q_u = q1^a q2^b and h_u = a h1 + b h2."""
     if F.n < 3:
         return True
-    idxs = (0, 1, 2)
-    if F.flavor == "m":
-        qs = params.qs
-        for a in range(3):
-            for b in range(3):
-                if a == b:
-                    continue
-                # x1/x2 = q_{a+1}, x2/x3 = q_{b+1}
-                sub = F.num.collapse_monomial(idxs, (qs[a], Fraction(1), 1 / qs[b]))
-                if not sub.is_zero():
-                    return False
-        return True
-    hs = params.hs
-    for a in range(3):
-        for b in range(3):
-            if a == b:
-                continue
-            sub = F.num.collapse_affine(idxs, (hs[a], Fraction(0), -hs[b]))
-            if not sub.is_zero():
-                return False
+    collapse = F.num.collapse_monomial if F.flavor == "m" else F.num.collapse_affine
+    one = params.unit
+    for (a, b), (c, d) in permutations(KERNEL_WEIGHTS, 2):
+        locus = (params.mono(a, b, one), one, params.mono(-c, -d, one))
+        if not collapse((0, 1, 2), locus).is_zero():
+            return False
     return True
 
 
@@ -352,18 +350,13 @@ def K_element(flavor, n, params, power=0):
     for a in range(n):
         for b in range(a + 1, n):
             xa, xb = MPoly.var(n, a), MPoly.var(n, b)
-            if flavor == "m":
-                q1 = params.q1
-                num = num * (xa - q1 * xb) * (xb - q1 * xa)
-            else:
-                h1 = MPoly.const(n, params.h1)
-                num = num * (xa - xb - h1) * (xb - xa - h1)
+            num = num * (xa - params.mono(1, 0, xb)) * (xb - params.mono(1, 0, xa))
     for a in range(n):
         num = num.shift_var(a, power)
     return ShuffleElement(flavor, n, num)
 
 
-def L_element(flavor, j, params, convention="plain"):
+def L_element(flavor, j, params):
     """Nested star-commutator generator of the commutative family."""
     if j < 1:
         raise ValueError("j >= 1")
@@ -372,11 +365,11 @@ def L_element(flavor, j, params, convention="plain"):
     if flavor == "m":
         acc = x_power("m", -1)
         for _ in range(j - 2):
-            acc = star_commutator(x_power("m", 0), acc, params, convention)
-        return star_commutator(x_power("m", 1), acc, params, convention)
+            acc = star_commutator(x_power("m", 0), acc, params)
+        return star_commutator(x_power("m", 1), acc, params)
     acc = x_power("a", j - 1)
     for _ in range(j - 1):
-        acc = star_commutator(x_power("a", 0), acc, params, convention)
+        acc = star_commutator(x_power("a", 0), acc, params)
     return acc
 
 

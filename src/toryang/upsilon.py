@@ -402,34 +402,33 @@ def limit_h3_diffop_identities(trunc=10, xcap=8, hmod=9):
     from .scalars import h_gen
 
     h = h_gen(trunc)
-    qinv = lambda k: series_exp(-h * k)
     fails = []
     for k in (1, 2, -1):
-        # diagonal family: sum_i k^i/i! [(x-h)^i - x^i] on each x-degree
+        qinv = series_exp(-h * k)
+        # x^m-coefficient of sum_i k^i/i! (x-h)^i, for each x-degree m
+        sums = []
         for m in range(0, xcap + 1):
             tot = TSeries(trunc, [], trunc)
             for i in range(m, m + trunc + 1):
                 c = Fraction(k ** i, factorial(i)) * comb(i, m)
                 if c:
                     tot = tot + ((-h) ** (i - m)) * c
+            sums.append(tot)
+        # diagonal family: sum_i k^i/i! [(x-h)^i - x^i] on each x-degree
+        for m, tot in enumerate(sums):
             tot = tot - Fraction(k ** m, factorial(m))
-            want = (qinv(k) - 1) * Fraction(k ** m, factorial(m))
+            want = (qinv - 1) * Fraction(k ** m, factorial(m))
             if not is_zero_mod(tot - want, hmod):
                 fails.append(("H-poly", k, m))
         # central part: -sum_i k^i/i! (-h)^i = -q^{-k}
         cent = TSeries(trunc, [], trunc)
         for i in range(0, trunc + 2):
             cent = cent + (-((-h) ** i)) * Fraction(k ** i, factorial(i))
-        if not is_zero_mod(cent + qinv(k), hmod):
+        if not is_zero_mod(cent + qinv, hmod):
             fails.append(("H-central", k))
         # lowering family: sum_i k^i/i! (x-h)^i = q^{-k} e^{kx} degree-wise
-        for m in range(0, xcap + 1):
-            tot = TSeries(trunc, [], trunc)
-            for i in range(m, m + trunc + 1):
-                c = Fraction(k ** i, factorial(i)) * comb(i, m)
-                if c:
-                    tot = tot + ((-h) ** (i - m)) * c
-            want = qinv(k) * Fraction(k ** m, factorial(m))
+        for m, tot in enumerate(sums):
+            want = qinv * Fraction(k ** m, factorial(m))
             if not is_zero_mod(tot - want, hmod):
                 fails.append(("f-poly", k, m))
     return fails

@@ -7,14 +7,22 @@ action is a finite weighted sum over n-box extensions, evaluated through an
 ordered chain of one-box steps.  Both the K-theoretic and cohomological
 weights are covered.
 
+The tangent factors of the fixed-point weights, the chain contents and
+the kernel values are written once over the parameter pack's family
+weights (`params`: `mono`, `gap`, `frame` and `KERNEL_WEIGHTS`), so the
+pack alone decides the family; `flavor` only picks the module class, the
+generator family and the closed form.  (The star product's kernel
+numerator stays flavor-selected; the `shuffle` docstring says why.)
+
 The fixed-point weights, the one-box chains with their kernel
 denominators, and the unperturbed fixed-point modules depend only on the
 parameters; they are kept on the parameter pack by the memo rule of
-`repbase` (`memo_table`).  What a caller can vary is never kept: F's
-numerator at the contents and the lowering coefficients along the chain
-are read from the caller's F and module on every call, so a
-`PerturbedModule` shows its perturbation; `perturb=True` wraps the kept
-module in a fresh `PerturbedModule`, whose transitions are its own.
+`repbase` (`memoized`, with the pack as first argument).  What a caller
+can vary is never kept: F's numerator at the contents and the lowering
+coefficients along the chain are read from the caller's F and module on
+every call, so a `PerturbedModule` shows its perturbation; `perturb=True`
+wraps the kept module in a fresh `PerturbedModule`, whose transitions are
+its own.
 """
 
 from __future__ import annotations
@@ -23,7 +31,8 @@ from fractions import Fraction
 from math import factorial
 
 from . import partitions as pt
-from .repbase import PerturbedModule, coeff_of, memo_table
+from .params import KERNEL_WEIGHTS
+from .repbase import PerturbedModule, coeff_of, memoized
 from .shuffle import K_element
 from .toroidal import KTheoryFixedPointModule
 from .yangian import CohomologyFixedPointModule
@@ -46,32 +55,22 @@ class GenericityWeightError(ValueError):
 
 
 def fixed_weight(mlam, flavor, params):
-    """K flavor: product of (1-w)^-1 over tangent weights; H flavor: product
-    of w^-1 over the additively evaluated weights.  Memoized per parameter
-    pack (weights are reused heavily across overlapping extension sweeps)."""
-    cache = memo_table(params, "_weight_cache")
-    key = (flavor, mlam)
-    if key not in cache:
-        cache[key] = _fixed_weight_raw(mlam, flavor, params)
-    return cache[key]
+    """Product of 1/(1 - w) over the K-theoretic tangent weights w at the
+    fixed point, resp. of 1/w over the cohomological ones.  Kept on the pack
+    (weights recur across overlapping extension sweeps); the pack decides
+    the family."""
+    return _fixed_weight(params, mlam)
 
 
-def _fixed_weight_raw(mlam, flavor, params):
-    weights = pt.tangent_character(mlam)
-    if flavor == "K":
-        vals = pt.eval_mult(weights, params.q1, params.q2, params.chis)
-        acc = Fraction(1)
-        for sign, w in vals:
-            if w == 1:
-                raise GenericityWeightError(f"unit tangent weight at {mlam}")
-            acc = acc / (1 - w) if sign > 0 else acc * (1 - w)
-        return acc
-    vals = pt.eval_add(weights, params.h1, params.h2, params.xs)
+@memoized
+def _fixed_weight(p, mlam):
     acc = Fraction(1)
-    for sign, w in vals:
-        if w == 0:
-            raise GenericityWeightError(f"zero tangent weight at {mlam}")
-        acc = acc / w if sign > 0 else acc * w
+    for _, e1, e2, b, a in pt.tangent_character(mlam):  # every sign is +1
+        # 1 - t1^e1 t2^e2 chi_b/chi_a, resp. e1 h1 + e2 h2 + x_b - x_a
+        f = p.gap(p.mono(e1, e2, p.frame(a)), p.frame(b))
+        if f == 0:
+            raise GenericityWeightError(f"vanishing tangent factor at {mlam}")
+        acc = acc / f
     return acc
 
 
@@ -107,39 +106,30 @@ def box_chain(small, big, order="canonical"):
     return boxes, chain
 
 
-def chain_contents(boxes, flavor, params):
-    if flavor == "K":
-        return [pt.content_mult((i, j), params.q1, params.q2, params.chis[a - 1])
-                for (a, i, j) in boxes]
-    return [pt.content_add((i, j), params.h1, params.h2, params.xs[a - 1])
-            for (a, i, j) in boxes]
+def chain_contents(boxes, params):
+    return [params.mono(i - 1, j - 1, params.frame(a)) for (a, i, j) in boxes]
 
 
-def _kernel_value(flavor, params, x, y):
+def _kernel_value(params, x, y):
     """Full kernel weight omega(x, y) evaluated at scalars."""
-    if flavor == "K":
-        q1, q2, q3 = params.qs
-        return ((x - q1 * y) * (x - q2 * y) * (x - q3 * y)) / (x - y) ** 3
-    h1, h2, h3 = params.hs
-    return ((x - y - h1) * (x - y - h2) * (x - y - h3)) / (x - y) ** 3
+    num = 1
+    for (a, b) in KERNEL_WEIGHTS:
+        num = num * (x - params.mono(a, b, y))
+    return num / (x - y) ** 3
 
 
-def _chain_kernel(flavor, params, small, big, order):
+@memoized
+def _chain_kernel(params, small, big, order):
     """(chain, contents, kernel denominator prod (c_a - c_b)^2 omega(c_a,
     c_b)) of the one-box chain from small to big, kept on the pack."""
-    cache = memo_table(params, "_chain_cache")
-    key = (flavor, small, big, order)
-    hit = cache.get(key)
-    if hit is None:
-        boxes, chain = box_chain(small, big, order=order)
-        contents = chain_contents(boxes, flavor, params)
-        den = Fraction(1)
-        for a in range(len(contents)):
-            for b in range(a + 1, len(contents)):
-                den = den * (contents[a] - contents[b]) ** 2
-                den = den * _kernel_value(flavor, params, contents[a], contents[b])
-        hit = cache[key] = (chain, contents, den)
-    return hit
+    boxes, chain = box_chain(small, big, order=order)
+    contents = chain_contents(boxes, params)
+    den = Fraction(1)
+    for a in range(len(contents)):
+        for b in range(a + 1, len(contents)):
+            den = den * (contents[a] - contents[b]) ** 2
+            den = den * _kernel_value(params, contents[a], contents[b])
+    return chain, contents, den
 
 
 def shuffle_matrix_coeff(F, big, small, module, flavor, params, order="canonical"):
@@ -151,7 +141,7 @@ def shuffle_matrix_coeff(F, big, small, module, flavor, params, order="canonical
     its contents and the kernel product come from the pack's chain cache;
     F and the module's coefficients are read on every call.
     """
-    chain, contents, den = _chain_kernel(flavor, params, small, big, order)
+    chain, contents, den = _chain_kernel(params, small, big, order)
     n = len(contents)
     if F.n != n:
         raise ValueError("arity mismatch")
@@ -249,15 +239,12 @@ def D_constant(j, n, r, params):
     raise ValueError("0 <= j <= r")
 
 
-def _fixed_point_module(flavor, r, params):
+@memoized
+def _fixed_point_module(params, flavor, r):
     """The unperturbed rank-r fixed-point module of the flavor, kept on the
     pack."""
-    modules = memo_table(params, "_module_cache")
-    module = modules.get((flavor, r))
-    if module is None:
-        module = modules[flavor, r] = (KTheoryFixedPointModule if flavor == "K"
-                                       else CohomologyFixedPointModule)(params, r)
-    return module
+    cls = KTheoryFixedPointModule if flavor == "K" else CohomologyFixedPointModule
+    return cls(params, r)
 
 
 def whittaker_eigencheck(flavor, r, n, j, level_bound, params, perturb=False):
@@ -270,7 +257,7 @@ def whittaker_eigencheck(flavor, r, n, j, level_bound, params, perturb=False):
     the pack's kept module, built once per (flavor, r), is wrapped in a
     fresh `PerturbedModule` and itself left unchanged.
     """
-    module = _fixed_point_module(flavor, r, params)
+    module = _fixed_point_module(params, flavor, r)
     if flavor == "K":
         F = K_element("m", n, params, power=j)
         want = C_constant(j, n, r, params)
@@ -301,7 +288,7 @@ def bott_lefschetz_consistency(flavor, r, level_bound, params):
     coefficient equals the transposed raising coefficient (mode -r with the
     K weights; mode 0 with the cohomological ones up to the rank sign).
     """
-    module = _fixed_point_module(flavor, r, params)
+    module = _fixed_point_module(params, flavor, r)
     fails = []
     for level in range(level_bound + 1):
         for mlam in pt.enum_multipartitions(r, level):

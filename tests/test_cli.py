@@ -217,23 +217,33 @@ def test_bad_configuration_exits_2_without_traceback(argv, needle):
     assert "checks" not in report
 
 
-# sha256 of the JSON report (as the CLI prints it, without `timings`),
-# recorded before the comparison map moved onto the shared intertwining loop
-UPSILON_REPORTS = {
-    False: (0, "25842010fe06c06ef2b36cea4d416a6e2b9c35265776309414e2349631f0299c"),
-    True: (1, "b963f723e013294b0bf613a8ac69a4f60b532b561937e962e946e08cb69edb22"),
+# sha256 of the JSON report (as the CLI prints it, without `timings`), with
+# the exit code, per (suite, perturb).  The upsilon pair was recorded before
+# the comparison map moved onto the shared intertwining loop; the whittaker,
+# shuffle and horizontal pairs before their formulas were written once over
+# the family weights of the parameter pack.
+RECORDED_REPORTS = {
+    ("upsilon", False): (0, "25842010fe06c06ef2b36cea4d416a6e2b9c35265776309414e2349631f0299c"),
+    ("upsilon", True): (1, "b963f723e013294b0bf613a8ac69a4f60b532b561937e962e946e08cb69edb22"),
+    ("whittaker", False): (0, "f3a1c021b4b9ee3203c54f91f32b9bfdb67adae881702260bf60d6717b9b4cf0"),
+    ("whittaker", True): (1, "abeaff9d842f76001b6c6443b12c78e709ee9c65c030319c05dcc978c18e6351"),
+    ("shuffle", False): (0, "e8a07272246350e7904876a422e8cb2648918d40668f16494d28bcf4284ab1fb"),
+    ("shuffle", True): (1, "bfaf24b70e6e5130a87757afb5027ca520e15ec3c5cfd70bd259e1f10351db2e"),
+    ("horizontal", False): (0, "85e702c3be66e5fd8b589f4159dcc446193f09d59bf0059d5c8a5a1575d8b822"),
+    ("horizontal", True): (1, "f4abb54f82ccf10e3ac9f05330aba4a6e32c3e671df44f4127445e0bea264b81"),
 }
 
 
-@pytest.mark.parametrize("perturb", [False, True])
-def test_upsilon_report_matches_recorded_digest(perturb):
+@pytest.mark.parametrize("suite,perturb", RECORDED_REPORTS,
+                         ids=[f"{s}-{p}" for s, p in RECORDED_REPORTS])
+def test_report_matches_recorded_digest(suite, perturb):
     import hashlib
 
-    config = {"suite": "upsilon", "perturb": True} if perturb else {"suite": "upsilon"}
+    config = {"suite": suite, "perturb": True} if perturb else {"suite": suite}
     code, report = run(config)
     text = json.dumps(strip_timings(report), indent=2, sort_keys=True)
-    assert (code, hashlib.sha256(text.encode()).hexdigest()) == UPSILON_REPORTS[perturb]
-
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == \
+        RECORDED_REPORTS[suite, perturb]
 
 
 @pytest.mark.parametrize("argv,needle", [

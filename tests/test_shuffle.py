@@ -78,6 +78,39 @@ class TestWheel:
         assert wheel_check(acube, PA)
 
 
+def wheel_locus(flavor, p, u, v, s):
+    """The point of the (u, v) wheel locus over s: x1/x2 = q_u, x2/x3 = q_v,
+    resp. x1 - x2 = h_u, x2 - x3 = h_v."""
+    if flavor == "m":
+        return (p.qs[u] * s, s, s / p.qs[v])
+    return (p.hs[u] + s, s, s - p.hs[v])
+
+
+def wheel_factor(flavor, p, k, w):
+    """x_k - q_w x_(k+1), resp. x_k - x_(k+1) - h_w: zero where the ratio,
+    resp. difference, of the two variables is the weight w."""
+    x, y = MPoly.var(3, k), MPoly.var(3, k + 1)
+    return x - p.qs[w] * y if flavor == "m" else x - y - p.hs[w]
+
+
+@pytest.mark.parametrize("flavor", ["m", "a"])
+@pytest.mark.parametrize("u,v", list(permutations(range(3), 2)))
+def test_wheel_check_reads_every_locus(flavor, u, v):
+    # (x1 - q_w x2) over the two weights w != u kills the four loci with
+    # another first weight; (x2 - q_t x3) with t the third weight kills (u, t)
+    p = PM if flavor == "m" else PA
+    t = 3 - u - v
+    num = wheel_factor(flavor, p, 1, t)
+    for w in range(3):
+        if w != u:
+            num = num * wheel_factor(flavor, p, 0, w)
+    s = Fraction(3, 7)
+    for uu, vv in permutations(range(3), 2):
+        value = num.eval(wheel_locus(flavor, p, uu, vv, s))
+        assert (value != 0) == ((uu, vv) == (u, v))
+    assert not wheel_check(ShuffleElement(flavor, 3, num), p)
+
+
 class TestLimits:
     def test_k2_limit_value_from_leading_coefficients(self):
         # the degree-ratio oracle freezes the one-variable limit of the

@@ -28,6 +28,36 @@ def test_single_box_weights():
     assert fixed_weight(((1,),), "H", PH1) == 1 / (PH1.h1 * PH1.h2)
 
 
+def reference_weight(mlam, flavor, params):
+    """Product of 1/(1 - w), resp. 1/w, over the tangent character evaluated
+    by the per-family evaluators of `partitions`."""
+    weights = pt.tangent_character(mlam)
+    if flavor == "K":
+        vals = [(sign, 1 - w) for sign, w in
+                pt.eval_mult(weights, params.q1, params.q2, params.chis)]
+    else:
+        vals = pt.eval_add(weights, params.h1, params.h2, params.xs)
+    out = Fraction(1)
+    for sign, f in vals:
+        out = out / f if sign > 0 else out * f
+    return out
+
+
+@pytest.mark.parametrize("flavor", ["K", "H"])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("point", ["default", "sampled"])
+def test_fixed_weight_is_the_product_over_the_tangent_character(flavor, r, point):
+    family = "toroidal" if flavor == "K" else "yangian"
+    if point == "default":
+        params = default_toroidal(r) if flavor == "K" else default_yangian(r)
+    else:
+        params = sample_generic_params(7, family, r=r)
+    for level in range(4):
+        for mlam in pt.enum_multipartitions(r, level):
+            assert fixed_weight(mlam, flavor, params) == \
+                reference_weight(mlam, flavor, params), mlam
+
+
 def test_bott_lefschetz_duality():
     assert bott_lefschetz_consistency("K", 1, 4, PK1) == []
     assert bott_lefschetz_consistency("K", 2, 3, PK2) == []
