@@ -71,8 +71,8 @@ def _suite_relations(config, checks):
     L = config.get("L", 3)
     window = config.get("I", 2)
     perturb = config.get("perturb")
-    flavors = [config["flavor"]] if config.get("flavor") in ("toroidal", "yangian") \
-        else ["toroidal", "yangian"]
+    flavors = [config["flavor"]] if config.get("flavor") in FLAVORS["relations"] \
+        else FLAVORS["relations"]
     if perturb is True:
         perturb = "psi"
     families = {"toroidal": ("_tparams", KTheoryFixedPointModule, RELATION_BUILDERS_T),
@@ -101,15 +101,14 @@ def _suite_whittaker(config, checks):
     from .whittaker import whittaker_eigencheck
 
     perturb = config.get("perturb")
-    flavors = [config["flavor"]] if config.get("flavor") in ("K", "H") else ["K", "H"]
+    flavors = [config["flavor"]] if config.get("flavor") in FLAVORS["whittaker"] \
+        else FLAVORS["whittaker"]
     rs = [config["r"]] if config.get("r") else [1, 2]
     ns = [config["n"]] if config.get("n") else [1, 2]
     L = config.get("L", 2)
     for flavor in flavors:
         for r in rs:
             params = (config["_tparams"] if flavor == "K" else config["_yparams"])
-            if len(params.framings) < r:
-                params = (default_toroidal(r) if flavor == "K" else default_yangian(r))
             if not 1 <= r <= len(params.framings):
                 raise ConfigError(f"--r {r}: needs 1 <= r <= {len(params.framings)}, "
                                   "the number of framing parameters")
@@ -287,6 +286,9 @@ SUITES = {
 }
 
 
+# the suites that read --flavor, and the values each takes
+FLAVORS = {"relations": ("toroidal", "yangian"), "whittaker": ("K", "H")}
+
 PARAM_KEYS = ("q1", "q2", "chis", "h1", "h2", "xs")
 
 
@@ -358,6 +360,10 @@ def run(config):
                                           or kind not in PerturbedModule.KINDS):
             raise ConfigError(f"--perturb {kind!r}: relations takes psi|e|f, "
                               "every other suite only the bare flag")
+        flavor = config.get("flavor")
+        if flavor is not None and not any(flavor in FLAVORS.get(n, ()) for n in names):
+            raise ConfigError(f"--flavor {flavor!r}: relations takes toroidal|yangian, "
+                              "whittaker K|H, and no other suite reads it")
         for key in ("L", "I", "N"):
             if config.get(key, 0) < 0:
                 raise ConfigError(f"--{key} {config[key]} is negative; every scale "

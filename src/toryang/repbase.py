@@ -17,7 +17,9 @@ One loop, `RelationSweep`, checks operator identities, applying each word
 suffix to each basis vector once per sweep.  `check_relation` feeds it one
 defining relation and stops at the first failure; the series bridge's
 audits (`upsilon`) and `horizontal.tt3_check` feed it instance lists of
-their own, through the same hooks as the modules here.
+their own, through the same hooks as the modules here.  In the additive
+family, the kernel relation of g against g (Y1, Y2) and of psi against g
+(Y4, Y5) is one term list, `_additive_kernel_terms`.
 
 Exact linear combinations.  `lincomb` takes (label, a, b) triples and
 returns {label: sum of a * b}.  When every factor is an int or a Fraction
@@ -51,7 +53,7 @@ from .scalars import ratfn_expand, ratfn_log_coeffs, is_zero_mod
 
 __all__ = [
     "memo_table", "memoized",
-    "vec", "vsum", "vadd", "vscale", "vsub", "lincomb", "is_vec_zero",
+    "vec", "vsum", "lincomb", "is_vec_zero",
     "Module", "ModuleWrapper", "PerturbedModule", "apply_mode", "coeff_of", "apply_word",
     "word_images", "RelationSweep", "RelationReport", "check_relation",
     "RELATION_BUILDERS_T", "RELATION_BUILDERS_Y",
@@ -91,8 +93,8 @@ def _zero(c):
     return not c
 
 
-def vec(label, coeff=1):
-    return {label: coeff}
+def vec(label):
+    return {label: 1}
 
 
 def vsum(terms, start=()):
@@ -103,18 +105,6 @@ def vsum(terms, start=()):
     for k, c in terms:
         out[k] = out[k] + c if k in out else c
     return {k: c for k, c in out.items() if not _zero(c)}
-
-
-def vadd(u, v):
-    return vsum(v.items(), u)
-
-
-def vscale(u, c):
-    return {k: v * c for k, v in u.items()}
-
-
-def vsub(u, v):
-    return vsum(((k, -c) for k, c in v.items()), u)
 
 
 def lincomb(triples):
@@ -532,6 +522,20 @@ def t_relation_instances(rel, window, params):
     raise ValueError(f"unknown relation {rel}")
 
 
+def _additive_kernel_terms(x, g, i, j, sgn, s2, s3):
+    """x against g in the additive kernel relation at modes (i, j), x = g or
+    'psiy': the commutators [x_a, g_b] weighted by (z - w)^3 + s2 (z - w),
+    and the anticommutator {x_i, g_j} times -sgn * s3."""
+    terms = []
+    for c, (a, b) in [(1, (i + 3, j)), (-3, (i + 2, j + 1)), (3, (i + 1, j + 2)),
+                      (-1, (i, j + 3)), (s2, (i + 1, j)), (-s2, (i, j + 1))]:
+        terms.append((c, [(x, a), (g, b)]))
+        terms.append((-c, [(g, b), (x, a)]))
+    terms.append((-sgn * s3, [(x, i), (g, j)]))
+    terms.append((-sgn * s3, [(g, j), (x, i)]))
+    return terms
+
+
 def y_relation_instances(rel, window, params):
     """Instantiated operator identities for the additive family."""
     W = range(0, window + 1)
@@ -545,21 +549,8 @@ def y_relation_instances(rel, window, params):
         return ins
     if rel in ("Y1", "Y2"):
         g, sgn = ("e", 1) if rel == "Y1" else ("f", -1)
-        for i in W:
-            for j in W:
-                terms = []
-                for c, (a, b) in [(1, (i + 3, j)), (-3, (i + 2, j + 1)),
-                                  (3, (i + 1, j + 2)), (-1, (i, j + 3))]:
-                    terms.append((c, [(g, a), (g, b)]))
-                    terms.append((-c, [(g, b), (g, a)]))
-                for c, (a, b) in [(s2, (i + 1, j)), (-s2, (i, j + 1))]:
-                    terms.append((c, [(g, a), (g, b)]))
-                    terms.append((-c, [(g, b), (g, a)]))
-                # anticommutator term moves to the left side
-                terms.append((-sgn * s3, [(g, i), (g, j)]))
-                terms.append((-sgn * s3, [(g, j), (g, i)]))
-                ins.append((f"{rel}[{i},{j}]", terms, None))
-        return ins
+        return [(f"{rel}[{i},{j}]", _additive_kernel_terms(g, g, i, j, sgn, s2, s3), None)
+                for i in W for j in W]
     if rel == "Y3":
         for i in W:
             for j in W:
@@ -569,17 +560,8 @@ def y_relation_instances(rel, window, params):
         return ins
     if rel in ("Y4", "Y5"):
         g, sgn = ("e", 1) if rel == "Y4" else ("f", -1)
-        for i in W:
-            for j in W:
-                terms = []
-                for c, (a, b) in [(1, (i + 3, j)), (-3, (i + 2, j + 1)),
-                                  (3, (i + 1, j + 2)), (-1, (i, j + 3)),
-                                  (s2, (i + 1, j)), (-s2, (i, j + 1))]:
-                    terms.append((c, [("psiy", a), (g, b)]))
-                    terms.append((-c, [(g, b), ("psiy", a)]))
-                terms.append((-sgn * s3, [("psiy", i), (g, j)]))
-                terms.append((-sgn * s3, [(g, j), ("psiy", i)]))
-                ins.append((f"{rel}[{i},{j}]", terms, None))
+        ins = [(f"{rel}[{i},{j}]", _additive_kernel_terms("psiy", g, i, j, sgn, s2, s3), None)
+               for i in W for j in W]
         # the low-mode anchors
         for j in W:
             for k, rhsc in ((0, 0), (1, 0), (2, 2 * sgn)):

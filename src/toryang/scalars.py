@@ -6,6 +6,12 @@ Scalars are either `fractions.Fraction` (exact rationals) or `TSeries`
 nested scalars).  Everything interoperates through the usual arithmetic
 operators; there is no floating point anywhere.
 
+Rational functions have one form: a `RatFn` is its factors (constant,
+zeros, poles), built by `from_factors`.  Its `num`/`den` Poly views are
+multiplied out on first read, for the series expansion (`ratfn_expand`),
+evaluation and comparison; the log-modes (`ratfn_log_coeffs`) read the
+factors themselves.
+
 Integer-content kernels.  `_int_content` writes a list of Fractions as
 integer numerators over one common denominator, the lcm of their
 denominators.  When every coefficient is a Fraction, the hot products run
@@ -490,11 +496,6 @@ class Poly:
     def const(x):
         return Poly([x])
 
-    @staticmethod
-    def linear(a0, a1=1):
-        """a1*z + a0 (monic in z by default)."""
-        return Poly([a0, a1])
-
     def is_zero(self):
         return not self.c
 
@@ -555,50 +556,18 @@ class Poly:
             acc = acc * x + a
         return acc
 
-    def divmod(self, other):
-        """Euclidean division (coefficients must form a field)."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.c)
-        q = [Fraction(0)] * max(0, len(r) - len(other.c) + 1)
-        dlead = other.c[-1]
-        while len(r) >= len(other.c):
-            k = len(r) - len(other.c)
-            f = r[-1] / dlead
-            q[k] = f
-            for i, b in enumerate(other.c):
-                r[k + i] = r[k + i] - f * b
-            while r and not r[-1]:
-                r.pop()
-            if len(r) == 0:
-                break
-        return Poly(q), Poly(r)
-
     def __repr__(self):
         return "Poly(%s)" % (self.c,)
 
 
 class RatFn:
-    """Rational function in one variable z: num/den, both Poly.
-
-    `from_factors` keeps the factored form (constant, zeros, poles) in
-    `factors`; `num` and `den` are then multiplied out only when first read.
-    Products of factored functions, and their products with scalars, stay
-    factored.  A RatFn built from `num`/`den` directly has `factors` None.
+    """Rational function in one variable z, kept factored: `factors` is
+    (constant, zeros, poles), and every RatFn is built by `from_factors`.
+    `num` and `den` are Poly views, multiplied out when first read.
+    Products with RatFns and with scalars stay factored.
     """
 
     __slots__ = ("_num", "_den", "factors")
-
-    def __init__(self, num, den):
-        if not isinstance(num, Poly):
-            num = Poly.const(num)
-        if not isinstance(den, Poly):
-            den = Poly.const(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        self._num = num
-        self._den = den
-        self.factors = None
 
     @staticmethod
     def from_factors(constant, zeros, poles):
@@ -628,22 +597,13 @@ class RatFn:
         return self._den
 
     def __mul__(self, other):
+        constant, zeros, poles = self.factors
         if not isinstance(other, RatFn):
-            if self.factors is not None:
-                constant, zeros, poles = self.factors
-                return RatFn.from_factors(constant * other, zeros, poles)
-            return RatFn(self.num * other, self.den)
-        if self.factors is not None and other.factors is not None:
-            (ca, za, pa), (cb, zb, pb) = self.factors, other.factors
-            return RatFn.from_factors(ca * cb, za + zb, pa + pb)
-        return RatFn(self.num * other.num, self.den * other.den)
+            return RatFn.from_factors(constant * other, zeros, poles)
+        cb, zb, pb = other.factors
+        return RatFn.from_factors(constant * cb, zeros + zb, poles + pb)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, RatFn):
-            return RatFn(self.num, self.den * other)
-        return RatFn(self.num * other.den, self.den * other.num)
 
     def eval(self, x):
         d = self.den.eval(x)
@@ -699,8 +659,6 @@ def ratfn_log_coeffs(rf, direction, n):
     c_k = (p_k(1/poles) - p_k(1/zeros))/k; needs no root at 0.
     Here p_k is the k-th power sum and rf_0 the expansion's constant term.
     """
-    if rf.factors is None:
-        raise ScalarDomainError("log coefficients need a factored rational function")
     _, zeros, poles = rf.factors
     if direction == 1:
         if len(zeros) != len(poles):

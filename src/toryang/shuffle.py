@@ -465,16 +465,12 @@ def hall_u(k, l, params, cache=None):
             out = bracket
         else:
             # theta = alpha_1 * bracket; strip the lower exponential terms
-            theta = alpha(params, 1) * bracket
+            theta = params.alpha(1) * bracket
             corr = _theta_from_exp(k // d, l // d, d, params, cache)
             num = theta - corr
-            out = num * (1 / alpha(params, d))
+            out = num * (1 / params.alpha(d))
     cache[key] = out
     return out
-
-
-def alpha(params, m):
-    return params.alpha(m)
 
 
 def _theta_from_exp(k0, l0, d, params, cache):
@@ -488,7 +484,7 @@ def _theta_from_exp(k0, l0, d, params, cache):
         coeff = Fraction(1)
         elt = unit("m")
         for r in comp:
-            coeff = coeff * alpha(params, r)
+            coeff = coeff * params.alpha(r)
             elt = star(elt, hall_u(r * k0, r * l0, params, cache), params,
                        convention="coset")
         coeff = coeff / factorial(len(comp))
@@ -518,7 +514,7 @@ def hall_theta(n, params, cache=None):
         coeff = Fraction(1)
         elt = unit("m")
         for r in comp:
-            coeff = coeff * alpha(params, r)
+            coeff = coeff * params.alpha(r)
             elt = star(elt, hall_u(r, 0, params, cache), params, convention="coset")
         coeff = coeff / factorial(len(comp))
         term = elt * coeff

@@ -31,7 +31,6 @@ __all__ = [
     "solve_intertwiner",
     "solve_factorization",
     "solve_fock_factorization",
-    "kappa_twist_constant",
 ]
 
 
@@ -301,16 +300,6 @@ def _level_range(module, level, window=4):
     return range(0, level + 1)
 
 
-def kappa_twist_constant(params, r):
-    """Unit T with f -> f/T, psi -> psi/T matching the r-fold Fock tensor.
-
-    Pinned by requiring equal vacuum eigenvalues of the diagonal current on
-    the twisted fixed-point module and on the tensor of Fock modules, whose
-    psi constant is 1: T is the fixed-point psi constant.
-    """
-    return params.fixed_psi_norm(r)
-
-
 def fock_tensor(params, r):
     """Tensor of Fock modules matching the rank-r fixed-point basis.
 
@@ -444,9 +433,11 @@ def solve_factorization(mk, params, r, level_bound, modes, order,
 
 def solve_fock_factorization(params, r, level_bound):
     """Multiplicative Fock factorization: `solve_factorization` on the
-    fixed-point module twisted by the kappa constant (f and psi divided by
-    it), with both expansions of psi and the closed-form one-box ratio."""
-    T = kappa_twist_constant(params, r)
+    fixed-point module with f and psi divided by its psi constant
+    T = `params.fixed_psi_norm(r)`, which makes its vacuum eigenvalue that
+    of the Fock tensor, 1; with both expansions of psi and the closed-form
+    one-box ratio."""
+    T = params.fixed_psi_norm(r)
     mk = DiagonalTwist(KTheoryFixedPointModule(params, r),
                        f_scale=1 / T, psi_scale=1 / T)
     return solve_factorization(mk, params, r, level_bound, (-1, 0, 1, 2), 6,

@@ -397,8 +397,6 @@ def limit_h3_diffop_identities(trunc=10, xcap=8, hmod=9):
     x-degree.  The raising resummation is definitional (x^j monomials sum
     to e^{kx} directly) and carries no content to check.
     """
-    from math import comb
-
     from .scalars import h_gen
 
     h = h_gen(trunc)

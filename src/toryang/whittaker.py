@@ -54,7 +54,7 @@ class GenericityWeightError(ValueError):
     pass
 
 
-def fixed_weight(mlam, flavor, params):
+def fixed_weight(mlam, params):
     """Product of 1/(1 - w) over the K-theoretic tangent weights w at the
     fixed point, resp. of 1/w over the cohomological ones.  Kept on the pack
     (weights recur across overlapping extension sweeps); the pack decides
@@ -132,7 +132,7 @@ def _chain_kernel(params, small, big, order):
     return chain, contents, den
 
 
-def shuffle_matrix_coeff(F, big, small, module, flavor, params, order="canonical"):
+def shuffle_matrix_coeff(F, big, small, module, params, order="canonical"):
     """Matrix coefficient of a lowering shuffle element between fixed-point
     classes, via the ordered one-box chain.
 
@@ -151,7 +151,7 @@ def shuffle_matrix_coeff(F, big, small, module, flavor, params, order="canonical
     return val
 
 
-def whittaker_sum(mlam, F, flavor, params, module):
+def whittaker_sum(mlam, F, params, module):
     """Sum over all n-box extensions of the weight ratio times the chain
     matrix coefficient (the eigenvalue candidate at the given label), and
     the extensions whose two chain orders disagree (rank > 1)."""
@@ -159,18 +159,18 @@ def whittaker_sum(mlam, F, flavor, params, module):
     r = len(mlam)
     total = Fraction(0)
     chain_dependent = []
-    base_w = fixed_weight(mlam, flavor, params)
+    base_w = fixed_weight(mlam, params)
     for big in _extensions(mlam, n):
         if _two_in_a_row(mlam, big):
             # the pairwise-difference numerator kills these chains
             continue
-        coeff = shuffle_matrix_coeff(F, big, mlam, module, flavor, params)
+        coeff = shuffle_matrix_coeff(F, big, mlam, module, params)
         if r > 1:
-            alt = shuffle_matrix_coeff(F, big, mlam, module, flavor, params,
+            alt = shuffle_matrix_coeff(F, big, mlam, module, params,
                                        order="reverse-component")
             if alt != coeff:
                 chain_dependent.append(big)
-        w = fixed_weight(big, flavor, params)
+        w = fixed_weight(big, params)
         total += (w / base_w) * coeff
     return total, chain_dependent
 
@@ -271,7 +271,7 @@ def whittaker_eigencheck(flavor, r, n, j, level_bound, params, perturb=False):
     ref_label = None
     for level in range(level_bound + 1):
         for mlam in pt.enum_multipartitions(r, level):
-            val, chain_dependent = whittaker_sum(mlam, F, flavor, params, module)
+            val, chain_dependent = whittaker_sum(mlam, F, params, module)
             for big in chain_dependent:
                 failures.append(("chain-dependence", mlam, big))
             if ref is None:
@@ -292,10 +292,10 @@ def bott_lefschetz_consistency(flavor, r, level_bound, params):
     fails = []
     for level in range(level_bound + 1):
         for mlam in pt.enum_multipartitions(r, level):
-            w_lo = fixed_weight(mlam, flavor, params)
+            w_lo = fixed_weight(mlam, params)
             for (a, i, jrow) in pt.addable_boxes(mlam):
                 big = pt.mp_add_box(mlam, a, jrow)
-                w_hi = fixed_weight(big, flavor, params)
+                w_hi = fixed_weight(big, params)
                 f0 = coeff_of(module.f_transitions(big), mlam)
                 if flavor == "K":
                     e_tr = [(t, c * p ** (-r)) for (t, c, p) in module.e_transitions(mlam)]

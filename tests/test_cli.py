@@ -205,6 +205,10 @@ class TestSampling:
     (["whittaker", "--r", "0", "--n", "1", "--L", "0"], "--r 0"),
     (["whittaker", "--r", "1", "--n", "0", "--L", "0"], "--n 0"),
     (["relations", "--r", "0", "--L", "0", "--I", "1"], "--r 0"),
+    # a flavor no selected suite reads was ignored, and every family ran
+    (["relations", "--flavor", "K", "--L", "0", "--I", "1"], "toroidal|yangian"),
+    (["whittaker", "--flavor", "toroidal", "--r", "1", "--n", "1", "--L", "0"], "K|H"),
+    (["shuffle", "--flavor", "m"], "--flavor 'm'"),
 ])
 def test_bad_configuration_exits_2_without_traceback(argv, needle):
     # these ended in a ValueError traceback (exit 1) or passed with zero checks
@@ -217,11 +221,27 @@ def test_bad_configuration_exits_2_without_traceback(argv, needle):
     assert "checks" not in report
 
 
+@pytest.mark.parametrize("flavor,params", [
+    ("K", {"q1": "5", "q2": "7", "chis": ["3", "11"]}),
+    ("H", {"h1": "17", "h2": "3", "xs": ["1/3", "1/11"]}),
+])
+def test_whittaker_rank_beyond_the_given_framings_is_config_error(flavor, params):
+    # this ran at the default point instead and passed: K gave C = -3, the
+    # value at q1 = 2, q2 = 3, where the given point has -35/24
+    code, report = run({"suite": "whittaker", "flavor": flavor, "r": 3, "n": 1, "j": 3,
+                        "L": 1, "params": params})
+    assert code == 2 and report["status"] == "config-error"
+    assert report["error"].startswith("--r 3: needs 1 <= r <= 2")
+
+
 # sha256 of the JSON report (as the CLI prints it, without `timings`), with
-# the exit code, per (suite, perturb).  The upsilon pair was recorded before
-# the comparison map moved onto the shared intertwining loop; the whittaker,
+# the exit code, per (suite, perturb) or (suite, perturb, family) with the
+# family's RESONANT point.  The upsilon pair was recorded before the
+# comparison map moved onto the shared intertwining loop; the whittaker,
 # shuffle and horizontal pairs before their formulas were written once over
-# the family weights of the parameter pack.
+# the family weights of the parameter pack; the relations, limits and
+# genericity-error reports before both families' certification was written
+# once.
 RECORDED_REPORTS = {
     ("upsilon", False): (0, "25842010fe06c06ef2b36cea4d416a6e2b9c35265776309414e2349631f0299c"),
     ("upsilon", True): (1, "b963f723e013294b0bf613a8ac69a4f60b532b561937e962e946e08cb69edb22"),
@@ -231,19 +251,32 @@ RECORDED_REPORTS = {
     ("shuffle", True): (1, "bfaf24b70e6e5130a87757afb5027ca520e15ec3c5cfd70bd259e1f10351db2e"),
     ("horizontal", False): (0, "85e702c3be66e5fd8b589f4159dcc446193f09d59bf0059d5c8a5a1575d8b822"),
     ("horizontal", True): (1, "f4abb54f82ccf10e3ac9f05330aba4a6e32c3e671df44f4127445e0bea264b81"),
+    ("relations", True): (1, "72a5d4a22b7e32e3cda054a60511364ebf365cea598cb420c97c74392cbf3dca"),
+    ("limits", False): (0, "17fa45488c5750e561bbf0ba67d210394b7c3b26142c1cbb486a826c3e8e510d"),
+    ("limits", True): (1, "0e2307609205e4d6d0fc08ff3b4cd987aa81ea1760775fcc58844140e5babbc6"),
+    ("relations", False, "toroidal"):
+        (3, "a9bfbec489ceb9f1fcc4eba9f7f3cdf5f893158af472c45939cf7efb09c1d727"),
+    ("relations", False, "yangian"):
+        (3, "611431b94f16e052a030ea21671e7dfca57df5f7d904ef9aa4274579a6d8c8b9"),
 }
 
+# one framing relation per family: chi_1/chi_2 * q1 = 1, resp. 2*h2 + x_1 - x_2 = 0
+RESONANT = {"toroidal": {"q1": "2", "q2": "3", "chis": ["5", "10"]},
+            "yangian": {"h1": "13", "h2": "1", "xs": ["0", "2"]}}
 
-@pytest.mark.parametrize("suite,perturb", RECORDED_REPORTS,
-                         ids=[f"{s}-{p}" for s, p in RECORDED_REPORTS])
-def test_report_matches_recorded_digest(suite, perturb):
+
+@pytest.mark.parametrize("key", RECORDED_REPORTS,
+                         ids=["-".join(map(str, k)) for k in RECORDED_REPORTS])
+def test_report_matches_recorded_digest(key):
     import hashlib
 
+    suite, perturb, *family = key
     config = {"suite": suite, "perturb": True} if perturb else {"suite": suite}
+    if family:
+        config["params"] = RESONANT[family[0]]
     code, report = run(config)
     text = json.dumps(strip_timings(report), indent=2, sort_keys=True)
-    assert (code, hashlib.sha256(text.encode()).hexdigest()) == \
-        RECORDED_REPORTS[suite, perturb]
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == RECORDED_REPORTS[key]
 
 
 @pytest.mark.parametrize("argv,needle", [

@@ -20,7 +20,7 @@ from toryang.params import (default_toroidal, default_yangian, series_toroidal,
 from toryang.repbase import PerturbedModule
 from toryang.scalars import TSeries
 from toryang.toroidal import (DiagonalTwist, FockModule, KTheoryFixedPointModule,
-                              VectorModule, kappa_twist_constant, solve_factorization)
+                              VectorModule, solve_factorization)
 from toryang.yangian import AFockModule, AVectorModule, CohomologyFixedPointModule
 
 TP = default_toroidal(r=2)
@@ -127,7 +127,7 @@ def factorization_case(family):
     """(fixed-point side, params, modes, directions) as each family's wrapper
     hands them to the shared solver."""
     if family == "toroidal":
-        T = kappa_twist_constant(TP, 2)
+        T = TP.fixed_psi_norm(2)
         mk = DiagonalTwist(KTheoryFixedPointModule(TP, 2), f_scale=1 / T, psi_scale=1 / T)
         return mk, TP, (-1, 0, 1, 2), (+1, -1)
     return CohomologyFixedPointModule(YP, 2), YP, (0, 1, 2), (+1,)

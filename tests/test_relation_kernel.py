@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toryang import repbase
-from toryang.params import default_toroidal, default_yangian
+from toryang.params import default_toroidal, default_yangian, sample_generic_params
 from toryang.repbase import (Module, ModuleWrapper, PerturbedModule, RELATION_BUILDERS_T,
                              RELATION_BUILDERS_Y, check_relation, lincomb, memo_table)
 from toryang.scalars import TSeries
@@ -72,6 +72,45 @@ def test_counterexample_reports_are_pinned(name, kind):
     module = PerturbedModule(make(), kind)
     got = report_digest(module, relations, params, 2, 2)
     assert got == COUNTEREXAMPLE_DIGESTS[name, kind]
+
+
+
+def instances_digest(build, relations, params):
+    """sha256 over every instance of the relations at windows 0-3: its id,
+    each term's coefficient type and value with its word, and whether it
+    has a right-hand side."""
+    rows = [(window, rel, inst_id,
+             [(type(c).__name__, str(c), [tuple(letter) for letter in word])
+              for c, word in terms], rhs is not None)
+            for window in range(4) for rel in relations
+            for inst_id, terms, rhs in build(rel, window, params)]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# Recorded before the additive kernel relations Y1/Y2 and Y4/Y5 were built
+# through one helper.
+INSTANCE_DIGESTS = {
+    ("T", "default"):
+        "1f984ad4582a3d733c39fc1d81b208f24dd768df77a0167bf842eee45cce4316",
+    ("T", "seed7"):
+        "e225d8b7c5ab9b62c7ee702e8d439019a11d70f44e1bbb454c7882b5735749b4",
+    ("Y", "default"):
+        "f2089edd2fa95ba61f602b2fed0c80e166f017032ed9d97448e42b93bea74387",
+    ("Y", "seed7"):
+        "10ceca9ef1a423737149e1c6e5aa31302b66d0b4fe8a898bdb55ec259ce382d5",
+}
+
+
+@pytest.mark.parametrize("family,point", sorted(INSTANCE_DIGESTS))
+def test_relation_instances_are_pinned(family, point):
+    if family == "T":
+        build, relations, flavor = repbase.t_relation_instances, RELATION_BUILDERS_T, "toroidal"
+        default = default_toroidal()
+    else:
+        build, relations, flavor = repbase.y_relation_instances, RELATION_BUILDERS_Y, "yangian"
+        default = default_yangian()
+    params = default if point == "default" else sample_generic_params(7, flavor)
+    assert instances_digest(build, relations, params) == INSTANCE_DIGESTS[family, point]
 
 
 # -- the kernel against a schoolbook sum of products -----------------------

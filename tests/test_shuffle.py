@@ -12,7 +12,7 @@ from toryang.multipoly import MPoly
 from toryang.params import (ToroidalParams, YangianParams, default_toroidal,
                             default_yangian)
 from toryang.shuffle import (K_element, L_element, L_element_symmetrized,
-                             ShuffleElement, alpha, hall_theta, hall_u,
+                             ShuffleElement, hall_theta, hall_u,
                              limit_scaled, limit_shifted, stable_membership,
                              star, star_commutator, unit, wheel_check, x_power)
 
@@ -248,7 +248,7 @@ class TestHall:
         cache = {}
         th = hall_theta(2, PM, cache)
         br = star_commutator(hall_u(1, 1, PM, cache), hall_u(1, -1, PM, cache),
-                             PM, convention="coset") * alpha(PM, 1)
+                             PM, convention="coset") * PM.alpha(1)
         assert th.num == br.num
 
 

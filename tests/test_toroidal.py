@@ -4,12 +4,12 @@ import pytest
 
 from toryang.params import default_toroidal
 from toryang.repbase import (PerturbedModule, RELATION_BUILDERS_T, apply_word,
-                             check_relation, t_relation_instances, vadd, vec,
-                             vscale, word_images)
+                             check_relation, t_relation_instances, vec, vsum,
+                             word_images)
 from toryang.toroidal import (FockModule, IllDefinedCoproductError,
                               KTheoryFixedPointModule, TensorModule,
                               VectorModule, fock_factorization_ratio,
-                              fock_tensor, kappa_twist_constant, nest_label,
+                              fock_tensor, nest_label,
                               solve_fock_factorization, DiagonalTwist)
 from toryang import partitions as pt
 from toryang.params import default_yangian
@@ -169,9 +169,10 @@ def first_failure_by_direct_words(module, relation, params, level_bound, window)
                 acc = {}
                 for coeff, word in terms:
                     if coeff:
-                        acc = vadd(acc, vscale(apply_word(module, word, vec(label), ctx), coeff))
+                        image = apply_word(module, word, vec(label), ctx)
+                        acc = vsum(((k, c * coeff) for k, c in image.items()), acc)
                 if rhs is not None:
-                    acc = vadd(acc, {label: -rhs(module, label)})
+                    acc = vsum([(label, -rhs(module, label))], acc)
                 if acc:
                     return {"instance": inst_id, "level": level, "label": label,
                             "residual": {str(k): repr(c) for k, c in acc.items()}}
@@ -299,7 +300,7 @@ class TestFactorization:
             assert a == b
 
     def test_twist_constant_matches_vacuum_weights(self):
-        T = kappa_twist_constant(P2, 2)
+        T = P2.fixed_psi_norm(2)
         mk = DiagonalTwist(KTheoryFixedPointModule(P2, 2),
                            f_scale=1 / T, psi_scale=1 / T)
         assert mk.psi_series(((), ()), +1, 1).coeff(0) == 1
@@ -321,7 +322,7 @@ class TestTwoSidedIntertwiner:
     def test_fock_factorization_reports_an_extra_target_entry(self):
         from toryang.toroidal import solve_intertwiner
 
-        T = kappa_twist_constant(P2, 2)
+        T = P2.fixed_psi_norm(2)
         mk = DiagonalTwist(KTheoryFixedPointModule(P2, 2), f_scale=1 / T, psi_scale=1 / T)
         ft = fock_tensor(P2, 2)
         modes = (-1, 0, 1, 2)

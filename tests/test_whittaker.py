@@ -19,13 +19,13 @@ PH2 = default_yangian(r=2)
 
 
 def test_empty_weight_is_one():
-    assert fixed_weight(((),), "K", PK1) == 1
-    assert fixed_weight(((), ()), "H", PH2) == 1
+    assert fixed_weight(((),), PK1) == 1
+    assert fixed_weight(((), ()), PH2) == 1
 
 
 def test_single_box_weights():
-    assert fixed_weight(((1,),), "K", PK1) == 1 / ((1 - PK1.q1) * (1 - PK1.q2))
-    assert fixed_weight(((1,),), "H", PH1) == 1 / (PH1.h1 * PH1.h2)
+    assert fixed_weight(((1,),), PK1) == 1 / ((1 - PK1.q1) * (1 - PK1.q2))
+    assert fixed_weight(((1,),), PH1) == 1 / (PH1.h1 * PH1.h2)
 
 
 def reference_weight(mlam, flavor, params):
@@ -54,7 +54,7 @@ def test_fixed_weight_is_the_product_over_the_tangent_character(flavor, r, point
         params = sample_generic_params(7, family, r=r)
     for level in range(4):
         for mlam in pt.enum_multipartitions(r, level):
-            assert fixed_weight(mlam, flavor, params) == \
+            assert fixed_weight(mlam, params) == \
                 reference_weight(mlam, flavor, params), mlam
 
 
@@ -96,7 +96,7 @@ def test_box_chain_rejects_a_big_label_that_does_not_contain_small(small, big):
 def test_single_box_coefficient_reduces_to_lowering_mode():
     module = KTheoryFixedPointModule(PK1, 1)
     F = K_element("m", 1, PK1, power=0)
-    val = shuffle_matrix_coeff(F, ((1,),), ((),), module, "K", PK1)
+    val = shuffle_matrix_coeff(F, ((1,),), ((),), module, PK1)
     f0 = module.f_transitions(((1,),))[0][1]
     assert val == f0
 
@@ -104,7 +104,7 @@ def test_single_box_coefficient_reduces_to_lowering_mode():
 def test_two_boxes_same_row_vanish():
     module = KTheoryFixedPointModule(PK1, 1)
     F = K_element("m", 2, PK1, power=0)
-    val = shuffle_matrix_coeff(F, ((2,),), ((),), module, "K", PK1)
+    val = shuffle_matrix_coeff(F, ((2,),), ((),), module, PK1)
     assert val == 0
 
 
@@ -113,8 +113,8 @@ def test_two_chain_orders_agree_rank2():
     F = K_element("m", 2, PK2, power=0)
     small = ((), ())
     big = ((1,), (1,))
-    a = shuffle_matrix_coeff(F, big, small, module, "K", PK2)
-    b = shuffle_matrix_coeff(F, big, small, module, "K", PK2,
+    a = shuffle_matrix_coeff(F, big, small, module, PK2)
+    b = shuffle_matrix_coeff(F, big, small, module, PK2,
                              order="reverse-component")
     assert a == b != 0
 
@@ -228,7 +228,7 @@ def test_matrix_coeff_matches_memo_free_reference(flavor, r):
             for order in ("canonical", "reverse-component"):
                 want = reference_matrix_coeff(F, big, small, ref_module, flavor, params, order)
                 for _ in range(2):  # cold, then warm
-                    got = shuffle_matrix_coeff(F, big, small, module, flavor, params, order)
+                    got = shuffle_matrix_coeff(F, big, small, module, params, order)
                     assert got == want, (small, big, j, order)
                 nonzero += want != 0
     assert nonzero
@@ -243,7 +243,7 @@ def test_packs_with_the_same_labels_keep_their_own_values(flavor):
     for params in packs:
         F = K_element("m" if flavor == "K" else "a", 2, params, power=1)
         module = fixed_point_module(flavor, params, 2)
-        got = shuffle_matrix_coeff(F, big, small, module, flavor, params)
+        got = shuffle_matrix_coeff(F, big, small, module, params)
         want = reference_matrix_coeff(F, big, small, fixed_point_module(flavor, params, 2),
                                       flavor, params, "canonical")
         assert got == want
