@@ -312,6 +312,10 @@ def _build_params(config):
     try:
         if "q1" in praw or "q2" in praw:
             chis = [parse_rational(x) for x in praw.get("chis", ["5", "7", "11"])]
+            for i, chi in enumerate(chis, 1):
+                if chi == 0:
+                    raise ConfigError(f"--params chis: chi_{i} = 0; a framing "
+                                      "must be a nonzero rational")
             tp = ToroidalParams(parse_rational(praw.get("q1", "2")),
                                 parse_rational(praw.get("q2", "3")),
                                 tuple(chis[:max(r, 2)]), G=G)

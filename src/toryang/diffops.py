@@ -459,22 +459,13 @@ def hall_image(k, l, q, cache=None):
         br = hall_image(-1, 0, q, cache).bracket(hall_image(1, r, q, cache))
         ratio = _alpha_limit(q, 1) / _alpha_limit(q, abs(r))
         out = br.scale(sign * ratio)
-    elif k > 1:
+    else:  # |k| > 1; k < -1 mirrors the split of (-k, -l) through the lowering half
         from .shuffle import _empty_triangle_split
 
-        d = gcd(k, abs(l)) if l else k
-        (k1, l1), (k2, l2) = _empty_triangle_split(k, l)
-        br = hall_image(k2, l2, q, cache).bracket(hall_image(k1, l1, q, cache))
-        out = br.scale(_alpha_limit(q, 1) / _alpha_limit(q, d))
-    else:  # k < -1: mirror through the lowering half
-        from .shuffle import _empty_triangle_split
-
-        d = gcd(-k, abs(l)) if l else -k
-        (k1, l1), (k2, l2) = _empty_triangle_split(-k, -l)
-        x = (-k1, -l1)
-        y = (-k2, -l2)
-        # det(x, y) = det of the mirrored pair = same positive d
-        br = hall_image(y[0], y[1], q, cache).bracket(hall_image(x[0], x[1], q, cache))
+        s = 1 if k > 0 else -1
+        d = gcd(k, l)  # the mirrored pair keeps det = d
+        (k1, l1), (k2, l2) = _empty_triangle_split(s * k, s * l)
+        br = hall_image(s * k2, s * l2, q, cache).bracket(hall_image(s * k1, s * l1, q, cache))
         out = br.scale(_alpha_limit(q, 1) / _alpha_limit(q, d))
     cache[key] = out
     return out

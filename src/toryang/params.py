@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 
-from .scalars import h_gen, series_exp
+from .scalars import _cf, h_gen, series_exp
 
 __all__ = [
     "GenericityError",
@@ -91,10 +91,12 @@ class ToroidalParams:
     EQUAL_FRAMINGS = "chi_{i} = chi_{j}"
 
     def __init__(self, q1, q2, chis=(), G=DEFAULT_G, certify=True):
-        self.q1 = q1
-        self.q2 = q2
+        # ints become Fractions (a TSeries passes through), so no weight
+        # built from them is a float
+        self.q1 = q1 = _cf(q1)
+        self.q2 = q2 = _cf(q2)
         self.q3 = 1 / (q1 * q2)
-        self.chis = tuple(chis)
+        self.chis = tuple(map(_cf, chis))
         self.G = G
         self._monos = {}
         if certify:
@@ -172,10 +174,11 @@ class YangianParams:
     EQUAL_FRAMINGS = "x_{i} = x_{j}"
 
     def __init__(self, h1, h2, xs=(), G=DEFAULT_G, certify=True):
-        self.h1 = h1
-        self.h2 = h2
+        # ints become Fractions (a TSeries passes through), as in ToroidalParams
+        self.h1 = h1 = _cf(h1)
+        self.h2 = h2 = _cf(h2)
         self.h3 = -h1 - h2
-        self.xs = tuple(xs)
+        self.xs = tuple(map(_cf, xs))
         self.G = G
         self._monos = {}
         if certify:

@@ -2,9 +2,10 @@
 univariate rational functions.
 
 Scalars are either `fractions.Fraction` (exact rationals) or `TSeries`
-(truncated Laurent series in one formal symbol, rational coefficients or
-nested scalars).  Everything interoperates through the usual arithmetic
-operators; there is no floating point anywhere.
+(truncated Laurent series in one formal symbol with rational
+coefficients; a series never holds a series).  Everything interoperates
+through the usual arithmetic operators; there is no floating point
+anywhere.
 
 Rational functions have one form: a `RatFn` is its factors (constant,
 zeros, poles), built by `from_factors`.  Its `num`/`den` Poly views are
@@ -14,11 +15,11 @@ factors themselves.
 
 Integer-content kernels.  `_int_content` writes a list of Fractions as
 integer numerators over one common denominator, the lcm of their
-denominators.  When every coefficient is a Fraction, the hot products run
-their inner loops on Python ints and build one Fraction per output
-coefficient at the end:
-- `TSeries.__mul__` convolves the two numerator lists over the same index
-  window as the plain loop and divides by the product of the denominators;
+denominators.  The hot kernels run their inner loops on Python ints and
+build one Fraction per output coefficient at the end; none has another
+path:
+- `TSeries.__mul__` convolves the two numerator lists over the index window
+  the product is known in and divides by the product of the denominators;
 - `TSeries.inv` runs the inverse recurrence on numerators over powers of
   the leading numerator;
 - `series_exp` runs the derivative recurrence b_0 = 1,
@@ -27,19 +28,15 @@ coefficient at the end:
   numerators over one common denominator D: each power of a root is one
   convolution, and each power sum p_k one integer list over D^k and one
   TSeries, with the val and trunc the root-by-root product loop gives.
-Integer arithmetic is exact, so each output is the rational the Fraction
-loop would have summed, reduced once; `val` and `trunc` follow the same
-rules, so the series are equal coefficient for coefficient.  A coefficient
-list that holds a nested TSeries takes the Fraction-and-series loops
-(`series_exp` then sums s^n/n! by repeated products): the recurrence gives
-the same values there, but not always the same inner truncations, which
-depend on the order of the series operations.
+Integer arithmetic is exact, so each output is the rational a
+coefficient-by-coefficient Fraction sum gives, reduced once, with the same
+`val` and `trunc`.
 
-The kernels build their results with `_series`, which skips the public
-constructor's pass that turns int coefficients into Fractions (kernel
-coefficients are Fractions or TSeries already).  A nonzero rational times
-a series scales its coefficients and keeps its truncation, as division by
-a rational does.
+The public `TSeries` constructor turns int coefficients into Fractions and
+refuses any other type with a TypeError.  The kernels build their results
+with `_series`, which skips that pass (kernel coefficients are Fractions
+already).  A nonzero rational times a series scales its coefficients and
+keeps its truncation, as division by a rational does.
 """
 
 from __future__ import annotations
@@ -80,9 +77,13 @@ def _cf(x):
     return Fraction(x) if isinstance(x, int) else x
 
 
-def _rational(coeffs):
-    """True iff every coefficient is a Fraction (no nested series)."""
-    return all(type(c) is Fraction for c in coeffs)
+def _coefficient(x):
+    """x as a series coefficient: a Fraction (ints converted), else TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"TSeries coefficients are rationals, not {type(x).__name__}")
 
 
 def _int_content(coeffs):
@@ -117,13 +118,14 @@ class TSeries:
 
     The formal variable X is whatever the caller wants (the deformation
     symbol for scalar series, 1/z or z for expansions of functions of z).
-    Coefficients may be Fractions or nested TSeries.
+    Coefficients are Fractions; the constructor converts ints and raises
+    TypeError for anything else, a TSeries included.
     """
 
     __slots__ = ("val", "coeffs", "trunc")
 
     def __init__(self, val, coeffs, trunc):
-        self._canon(val, [_cf(c) for c in coeffs], trunc)
+        self._canon(val, [_coefficient(c) for c in coeffs], trunc)
 
     def _canon(self, val, coeffs, trunc):
         # canonical form: cut at trunc, strip leading and trailing zeros; the
@@ -223,23 +225,10 @@ class TSeries:
         trunc = min(self.trunc + o.val, o.trunc + self.val)
         val = self.val + o.val
         n = min(len(self.coeffs) + len(o.coeffs) - 1, trunc - val)
-        if _rational(self.coeffs) and _rational(o.coeffs):
-            an, da = _int_content(self.coeffs[:n])
-            bn, db = _int_content(o.coeffs[:n])
-            den = da * db
-            return _series(val, [Fraction(c, den) for c in _convolve(an, bn, n)], trunc)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            if i >= n:
-                break
-            for j, b in enumerate(o.coeffs):
-                if i + j >= n:
-                    break
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return _series(val, out, trunc)
+        an, da = _int_content(self.coeffs[:n])
+        bn, db = _int_content(o.coeffs[:n])
+        den = da * db
+        return _series(val, [Fraction(c, den) for c in _convolve(an, bn, n)], trunc)
 
     __rmul__ = __mul__
 
@@ -248,30 +237,16 @@ class TSeries:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero series")
         n = self.trunc - self.val  # relative precision
-        if _rational(self.coeffs):
-            # coeffs = A/d: the inverse's k-th coefficient is d B_k / A_0^(k+1)
-            # with B_0 = 1, B_k = -sum_{j=1..k} A_j A_0^(j-1) B_(k-j)
-            an, d = _int_content(self.coeffs)
-            a0 = an[0]
-            weighted = [a * a0 ** j for j, a in enumerate(an[1:])]
-            bn, out = [1], [Fraction(d, a0)]
-            for k in range(1, n):
-                m = min(k, len(weighted))
-                bn.append(-sum(map(mul, weighted[:m], bn[k - m:][::-1])))
-                out.append(Fraction(d * bn[k], a0 ** (k + 1)))
-            return _series(-self.val, out, self.trunc - 2 * self.val)
-        # 1 / (a0 X^v (1 + u)) with u of positive relative order
-        inv0 = 1 / self.coeffs[0]
-        rel = [c * inv0 for c in self.coeffs]
-        out = [Fraction(0)] * n
-        out[0] = _cf(1)
+        # coeffs = A/d: the inverse's k-th coefficient is d B_k / A_0^(k+1)
+        # with B_0 = 1, B_k = -sum_{j=1..k} A_j A_0^(j-1) B_(k-j)
+        an, d = _int_content(self.coeffs)
+        a0 = an[0]
+        weighted = [a * a0 ** j for j, a in enumerate(an[1:])]
+        bn, out = [1], [Fraction(d, a0)]
         for k in range(1, n):
-            s = 0
-            for j in range(1, min(k, len(rel) - 1) + 1):
-                if rel[j]:
-                    s = s + rel[j] * out[k - j]
-            out[k] = -s
-        out = [c * inv0 for c in out]
+            m = min(k, len(weighted))
+            bn.append(-sum(map(mul, weighted[:m], bn[k - m:][::-1])))
+            out.append(Fraction(d * bn[k], a0 ** (k + 1)))
         return _series(-self.val, out, self.trunc - 2 * self.val)
 
     def __truediv__(self, other):
@@ -319,9 +294,6 @@ class TSeries:
         """Multiply by X^k."""
         return _series(self.val + k, self.coeffs, self.trunc + k)
 
-    def map_coeffs(self, f):
-        return TSeries(self.val, [f(c) for c in self.coeffs], self.trunc)
-
     def __repr__(self):
         if self.is_zero():
             return f"O(X^{self.trunc})"
@@ -335,8 +307,8 @@ _new = object.__new__
 
 
 def _series(val, coeffs, trunc):
-    """A TSeries from coefficients that are already Fractions or TSeries, as
-    every kernel builds them: the constructor's int normalization is skipped.
+    """A TSeries from coefficients that are already Fractions, as every
+    kernel builds them: the constructor's int normalization is skipped.
     The list is not modified and may be kept by the series."""
     s = _new(TSeries)
     s._canon(val, coeffs, trunc)
@@ -374,33 +346,20 @@ def series_exp(s):
     if s.val < 1:
         raise ScalarDomainError("series_exp needs valuation >= 1")
     t = s.trunc
-    if _rational(s.coeffs):
-        # b = exp(s) solves b' = s' b: b_0 = 1, k b_k = sum_{j=v..k} j a_j b_(k-j).
-        # With a_j = A_j/d the integers N_k = (t-1)! d^k b_k satisfy
-        # k N_k = sum_j j A_j d^(j-1) N_(k-j) (the denominator of b_k divides
-        # k! d^k, so the division by k is exact)
-        an, d = _int_content(s.coeffs)
-        v = s.val
-        weighted = [(v + i) * a * d ** (v + i - 1) for i, a in enumerate(an)]
-        f = math.factorial(t - 1)
-        nn, out = [f], [Fraction(1)]
-        for k in range(1, t):
-            m = max(0, min(k - v + 1, len(weighted)))
-            nn.append(sum(map(mul, weighted[:m], nn[k - v - m + 1:k - v + 1][::-1])) // k)
-            out.append(Fraction(nn[k], f * d ** k))
-        return _series(0, out, t)
-    # nested coefficients: the sum of s^n/n!, whose inner truncations the
-    # recurrence above would not reproduce
-    out = TSeries(0, [1], t)
-    term = TSeries(0, [1], t)
-    n = 1
-    while True:
-        term = term * s / n
-        if term.is_zero() or term.val >= t:
-            break
-        out = out + term
-        n += 1
-    return out
+    # b = exp(s) solves b' = s' b: b_0 = 1, k b_k = sum_{j=v..k} j a_j b_(k-j).
+    # With a_j = A_j/d the integers N_k = (t-1)! d^k b_k satisfy
+    # k N_k = sum_j j A_j d^(j-1) N_(k-j) (the denominator of b_k divides
+    # k! d^k, so the division by k is exact)
+    an, d = _int_content(s.coeffs)
+    v = s.val
+    weighted = [(v + i) * a * d ** (v + i - 1) for i, a in enumerate(an)]
+    f = math.factorial(t - 1)
+    nn, out = [f], [Fraction(1)]
+    for k in range(1, t):
+        m = max(0, min(k - v + 1, len(weighted)))
+        nn.append(sum(map(mul, weighted[:m], nn[k - v - m + 1:k - v + 1][::-1])) // k)
+        out.append(Fraction(nn[k], f * d ** k))
+    return _series(0, out, t)
 
 
 def series_log(s):
@@ -621,7 +580,7 @@ class RatFn:
 def _poly_to_series_at_infinity(p, trunc):
     """Write p(z) = z^deg * (series in 1/z); return (deg, TSeries in X=1/z)."""
     d = p.degree()
-    return d, _series(0, p.c[::-1], trunc)
+    return d, TSeries(0, p.c[::-1], trunc)
 
 
 def ratfn_expand(rf, direction, order):
@@ -631,7 +590,8 @@ def ratfn_expand(rf, direction, order):
     direction -1: expansion in powers of z (around z = 0).
     Returns a TSeries in X where X = z^(-direction)... concretely X = 1/z
     for +1 and X = z for -1.  Raises ExpansionPoleError when the relevant
-    leading coefficient is not invertible.
+    leading coefficient is not invertible, and TypeError when num or den has
+    a coefficient that is not rational (series-valued factors).
     """
     if direction == 1:
         dn, sn = _poly_to_series_at_infinity(rf.num, order)
@@ -644,8 +604,8 @@ def ratfn_expand(rf, direction, order):
     elif direction == -1:
         if not rf.den.c or not _invertible(rf.den.c[0]):
             raise ExpansionPoleError("denominator has a zero at z = 0")
-        sn = _series(0, rf.num.c, order)
-        sd = _series(0, rf.den.c, order)
+        sn = TSeries(0, rf.num.c, order)
+        sd = TSeries(0, rf.den.c, order)
         return sn * sd.inv()
     raise ValueError("direction must be +1 or -1")
 
@@ -678,18 +638,17 @@ def ratfn_log_coeffs(rf, direction, n):
 def _power_sums(roots, n):
     """[p_1, ..., p_n] of the roots; Fraction(0)s when there are none.
 
-    Nonzero series roots with rational coefficients go through the integer
-    kernel: x = X^v A/d known mod X^t has x^k = X^(kv) A^k/d^k known mod
+    Nonzero series roots go through the integer kernel: x = X^v A/d known mod X^t has x^k = X^(kv) A^k/d^k known mod
     X^(t+(k-1)v), the val and trunc the product loop pw = pw * x gives (A_0^k
     never vanishes), and A^k needs only its first t - v numerators.  Over
     D = lcm of the roots' d, each p_k is one integer list over D^k, the lcm
-    of its denominators, and one TSeries.  Any other root (a rational, a
-    zero series, nested coefficients) is summed by the product loop.
+    of its denominators, and one TSeries.  A rational or zero series root is
+    summed by the product loop.
     """
     sums = [Fraction(0)] * n
     flat, looped = [], False
     for x in roots:
-        if isinstance(x, TSeries) and x.coeffs and _rational(x.coeffs):
+        if isinstance(x, TSeries) and x.coeffs:
             flat.append(x)
             continue
         looped = True

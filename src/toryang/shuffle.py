@@ -465,33 +465,32 @@ def hall_u(k, l, params, cache=None):
             out = bracket
         else:
             # theta = alpha_1 * bracket; strip the lower exponential terms
+            # (every one but the linear alpha_d * u_{d(k0,l0)})
+            lower = [c for c in _compositions(d) if c != (d,)]
             theta = params.alpha(1) * bracket
-            corr = _theta_from_exp(k // d, l // d, d, params, cache)
+            corr = _exp_terms(k // d, l // d, lower, params, cache)
             num = theta - corr
             out = num * (1 / params.alpha(d))
     cache[key] = out
     return out
 
 
-def _theta_from_exp(k0, l0, d, params, cache):
-    """Sum of the degree-d products of lower u's in the exponential identity
-    (everything except the linear alpha_d * u_{d(k0,l0)} term)."""
-    comps = _compositions(d)
+def _exp_terms(k0, l0, comps, params, cache):
+    """The terms of the exponential identity in the u_(r k0, r l0) over the
+    given compositions (nonempty): per composition, the ordered star
+    product of its u's times prod alpha_r / length!.  Ordered compositions
+    weighted by 1/length! reproduce the exponential."""
     tot = None
     for comp in comps:
-        if comp == (d,):
-            continue
         coeff = Fraction(1)
         elt = unit("m")
         for r in comp:
             coeff = coeff * params.alpha(r)
             elt = star(elt, hall_u(r * k0, r * l0, params, cache), params,
                        convention="coset")
-        coeff = coeff / factorial(len(comp))
-        term = elt * coeff
+        term = elt * (coeff / factorial(len(comp)))
         tot = term if tot is None else tot + term
-    # ordered compositions weighted by 1/length! reproduce the exponential
-    return tot if tot is not None else unit("m") * Fraction(0)
+    return tot
 
 
 def _compositions(d):
@@ -507,16 +506,4 @@ def _compositions(d):
 def hall_theta(n, params, cache=None):
     """theta_{n,0} from the exponential identity in the u_(r,0); ``cache``
     is passed to `hall_u`."""
-    if cache is None:
-        cache = {}
-    tot = None
-    for comp in _compositions(n):
-        coeff = Fraction(1)
-        elt = unit("m")
-        for r in comp:
-            coeff = coeff * params.alpha(r)
-            elt = star(elt, hall_u(r, 0, params, cache), params, convention="coset")
-        coeff = coeff / factorial(len(comp))
-        term = elt * coeff
-        tot = term if tot is None else tot + term
-    return tot
+    return _exp_terms(1, 0, _compositions(n), params, {} if cache is None else cache)

@@ -27,6 +27,9 @@ Fock-factorization solver (`toroidal.solve_intertwiner`) run against the
 bridge.  The audits of T3, T4t and the e half of T6t are instance lists
 run through the relation engine's sweep (`repbase.RelationSweep`); T3's
 right-hand side is psi+- over (1 - q3), through `over_one_minus_q3`.
+psi+- is kept as the list of its modes, each a series in the deformation
+symbol, from the exponential recurrence on the Borel data
+(`_psi_pm_series`); no series has series coefficients.
 Per-label and per-row data follows the memo rule of `repbase`: it is
 computed on first use and kept on the bridge, so constructing a bridge
 computes none of it.
@@ -255,27 +258,27 @@ class UpsilonBridge:
 
     @memoized
     def _psi_pm_series(self, label, sign, kmax):
-        """The reconstructed diagonal exponential family psi+- (sign +1/-1)
-        on the label, as a z-direction series through mode kmax.
+        """[psi+-_0, ..., psi+-_kmax]: the modes of the reconstructed diagonal
+        exponential family (sign +1/-1) on the label, each a series in the
+        deformation symbol.
 
-        Coefficients of the z-direction series live in the deformation ring,
-        so scalar factors multiply coefficient-wise (never across levels).
+        psi+-(z) = pref * exp(sum_m a_m z^(-sign m)) with a_m = sign B(sign m)
+        and pref = exp(-sign h3 psi_0 / 2).  The exponential's modes b_k
+        solve b' = a' b: b_0 = 1, k b_k = sum_{j=1..k} j a_j b_(k-j), on
+        flat series; a zero a_j enters no term.
         """
-        h3 = self.params.h3
-        p0 = self.psi0(label)
-        order = kmax + 1
-        body = TSeries(order, [], order)
-        for m in range(1, kmax + 1):
-            b = self.B_at(label, sign * m) * sign
-            if b:
-                body = body + TSeries(m, [b], order)
-        pref = series_exp(-h3 * p0 * Fraction(sign, 2))
-        return series_exp(body).map_coeffs(lambda c: c * pref)
+        a = {m: self.B_at(label, sign * m) * sign for m in range(1, kmax + 1)}
+        b = [Fraction(1)]
+        for k in range(1, kmax + 1):
+            b.append(sum(a[j] * b[k - j] * j for j in range(1, k + 1) if a[j])
+                     * Fraction(1, k))
+        pref = series_exp(-self.params.h3 * self.psi0(label) * Fraction(sign, 2))
+        return [c * pref for c in b]
 
     def psi_pm_coeff(self, label, sign, k, kmax):
-        """Mode k >= 0 of the reconstructed diagonal exponential family
-        (`_psi_pm_series`)."""
-        return self._psi_pm_series(label, sign, kmax).coeff(k)
+        """Mode k of the reconstructed diagonal exponential family
+        (`_psi_pm_series`), 0 <= k <= kmax."""
+        return self._psi_pm_series(label, sign, kmax)[k]
 
     # -- hooks for the relation sweep -----------------------------------------
     def basis(self, level):

@@ -1,10 +1,13 @@
 import copy
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import toryang
 from toryang.cli import parse_rational, run
 from toryang.params import (GenericityError, YangianParams,
                             sample_generic_params)
@@ -14,6 +17,16 @@ def strip_timings(report):
     r = copy.deepcopy(report)
     r.pop("timings", None)
     return r
+
+
+def child_env():
+    """The environment with the imported package's source directory first on
+    PYTHONPATH, so a child `python -m toryang` runs the same code as the
+    tests, installed or not."""
+    src = str(Path(toryang.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_parse_rational():
@@ -165,10 +178,25 @@ def test_bad_params_file_is_config_error(tmp_path, capsys, payload, needle):
     assert report["status"] == "config-error" and needle in report["error"]
 
 
+@pytest.mark.parametrize("chis", [["0"], ["0", "7"]])
+def test_zero_framing_is_config_error(tmp_path, capsys, chis):
+    # a lone zero framing exited 3, blaming a resonance above --G 12; with a
+    # second framing the message was only "Fraction(1, 0)"
+    from toryang.cli import main
+
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"q1": "2", "q2": "3", "chis": chis}))
+    argv = ["relations", "--r", "1", "--L", "2", "--I", "1", "--module", "fixedpoint"]
+    assert main(argv + ["--params", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "config-error" and "checks" not in report
+    assert "chi_1 = 0" in report["error"] and "framing" in report["error"]
+
+
 def test_cli_process_invocation():
     out = subprocess.run(
         [sys.executable, "-m", "toryang", "limits"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert out.returncode == 0
     report = json.loads(out.stdout)
     assert report["status"] == "pass"
@@ -213,7 +241,7 @@ class TestSampling:
 def test_bad_configuration_exits_2_without_traceback(argv, needle):
     # these ended in a ValueError traceback (exit 1) or passed with zero checks
     out = subprocess.run([sys.executable, "-m", "toryang", *argv],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=child_env())
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     report = json.loads(out.stdout)

@@ -135,3 +135,24 @@ def test_certify_matches_the_per_family_loops(family, G):
     # every branch is reached, and a zero toroidal framing
     assert kinds >= {"pass", "unit", "framing", "equal"}, kinds
     assert ("zero" in kinds) == (family == "toroidal")
+
+
+def test_packs_from_python_ints_stay_exact():
+    # both packs kept ints as given, so q3, frame, the normalizations and
+    # the fixed-point coefficients built from them were floats
+    from toryang.toroidal import KTheoryFixedPointModule, VectorModule
+    from toryang.yangian import CohomologyFixedPointModule
+
+    tp = ToroidalParams(2, 3, (5, 7))
+    yp = YangianParams(13, 1, (0, 1000))
+    values = [tp.q3, tp.frame(1), tp.lower_norm, tp.fixed_raise_norm,
+              tp.mono(-1, 0, tp.frame(1)), yp.lower_norm, yp.fixed_raise_norm,
+              yp.fixed_lower_norm(yp.frame(1), 2), yp.frame(2)]
+    for module in (KTheoryFixedPointModule(tp, 2), CohomologyFixedPointModule(yp, 2),
+                   VectorModule(yp, F(1, 5))):
+        for level in range(3):
+            for label in module.basis(level):
+                for _, coeff, point in module.e_transitions(label) + module.f_transitions(label):
+                    values += [coeff, point]
+    assert len(values) > 9
+    assert all(type(v) is F for v in values), {type(v) for v in values}

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from toryang.repbase import ModuleWrapper, memo_table
-from toryang.scalars import ScalarDomainError, TSeries, series_exp, series_log
+from toryang.scalars import ScalarDomainError, TSeries, ratfn_expand, series_exp
 from toryang.upsilon import (UpsilonBridge, borel_kernel_identity,
                              borel_log_identity, ch_solver, gprime_series,
                              inverse_borel, limit_h3_diffop_identities,
@@ -102,25 +102,58 @@ def test_limit_module_trivialization():
 
 @pytest.mark.parametrize("r", [1, 2])
 def test_kcoeffs_and_psi0_match_series_log(r):
-    """Power-sum Borel data against log of the expanded psi series, exactly
-    (value, valuation and truncation of every coefficient)."""
+    """Power-sum Borel data against the log of psi expanded at infinity,
+    exactly (value, valuation and truncation of every coefficient).  The
+    reference expands psi(z) = prod (1 - a/z) / prod (1 - b/z) over its
+    zeros a and poles b as the list [q_0, q_1, ...] of its z^-k
+    coefficients, each a series, and takes the log by
+    k c_k = k q_k - sum_{j<k} j c_j q_(k-j)."""
     xis = (Fraction(1, 5), Fraction(1, 7))[:r]
     br = UpsilonBridge(13, 1, xis, r, trunc=TRUNC)
+    n = TRUNC + 1
+
+    def times(p, f):
+        # every entry is a sum of true products: no exact 0 enters as a factor
+        return [sum(p[i] * f[k - i] for i in range(max(0, k - len(f) + 1), min(k, len(p) - 1) + 1))
+                for k in range(min(len(p) + len(f) - 1, n))]
+
+    def geometric(b):
+        out = [1]
+        while len(out) < n:
+            out.append(out[-1] * b)
+        return out
 
     def same(a, b):
-        return (type(a) is type(b) and a.val == b.val and a.coeffs == b.coeffs
+        return (type(a) is type(b) is TSeries and a.val == b.val and a.coeffs == b.coeffs
                 and a.trunc == b.trunc)
 
     for level in range(3):
         for label in br.module.basis(level):
-            ser = br.module.psi_series(label, +1, TRUNC + 1)
-            lg = series_log(ser)
+            constant, zeros, poles = br.module.psi_rat(label).factors
+            q = [constant]
+            for a in zeros:
+                q = times(q, [1, -a])
+            for b in poles:
+                q = times(q, geometric(b))
+            assert q[0] == 1
+            c = [Fraction(0)]
+            for k in range(1, n):
+                c.append((q[k] * k - sum((c[j] * q[k - j] * j for j in range(1, k)),
+                                         Fraction(0))) * Fraction(1, k))
             ks = br.kcoeffs(label)
             assert len(ks) == TRUNC
             for i, k in enumerate(ks):
-                assert same(k, lg.coeff(i + 1))
-            want = -br.module.psi_series(label, +1, 2).coeff(1) / br.params.h3
-            assert same(br.psi0(label), want)
+                assert same(k, c[i + 1])
+            assert same(br.psi0(label), -q[1] / br.params.h3)
+
+
+def test_expanding_a_series_valued_psi_is_a_type_error(bridge):
+    # its z-expansion would be a series with series coefficients; the bridge
+    # reads psi through its factors (`kcoeffs`) and `psi_pm_coeff` instead
+    psi = bridge.module.psi_rat(((1,),))
+    for direction in (+1, -1):
+        with pytest.raises(TypeError):
+            ratfn_expand(psi, direction, 4)
 
 
 # sha256 of the bridge's mode-k rows, recorded when each coefficient was
@@ -150,6 +183,32 @@ def test_bridge_mode_rows_match_recorded_digest(r):
             for level in range(3) for label in br.module.basis(level)
             for kind in ("e", "f") for k in range(-3, 4)]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == BRIDGE_ROWS[r]
+
+
+# sha256 of every psi+- coefficient at trunc 14 (levels <= 2, kmax 2 and 4,
+# both signs), recorded when psi+- was the exp of a series with series
+# coefficients; each value compared by type, valuation, coefficients and
+# truncation
+PSI_PM = {
+    1: "377d234aaf9f5a74510e0ce807ef1060d11e79a651324916a1658cf66ee50fe1",
+    2: "4fb0069d8565c60c7235c5b9c1c2291b5a5880719dd7b3e6526a1c9b608f9c33",
+}
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_psi_pm_coefficients_match_recorded_digest(r):
+    import hashlib
+
+    def entry(x):
+        if isinstance(x, TSeries):
+            return ("TSeries", x.val, tuple(map(str, x.coeffs)), x.trunc)
+        return (type(x).__name__, str(x))
+
+    br = UpsilonBridge(13, 1, (Fraction(1, 5), Fraction(1, 7))[:r], r, trunc=14)
+    vals = [(canon(label), sign, kmax, k, entry(br.psi_pm_coeff(label, sign, k, kmax)))
+            for level in range(3) for label in br.module.basis(level)
+            for kmax in (2, 4) for sign in (1, -1) for k in range(kmax + 1)]
+    assert hashlib.sha256(repr(vals).encode()).hexdigest() == PSI_PM[r]
 
 
 def mode_row_by_transition(br, kind, label, k):
