@@ -20,7 +20,7 @@ from fractions import Fraction
 from .params import (GenericityError, ToroidalParams, YangianParams,
                      default_toroidal, default_yangian, sample_generic_params)
 from .repbase import (PerturbedModule, RELATION_BUILDERS_T, RELATION_BUILDERS_Y,
-                      check_relation)
+                      _additive_kernel_terms, check_relation)
 
 __all__ = ["run", "main", "parse_rational"]
 
@@ -153,20 +153,17 @@ def _suite_shuffle(config, checks):
                     if not c.is_zero():
                         comm_ok = False
         checks.append(Check(f"shuffle:{flavor}:commutativity", comm_ok))
-    # relation images under the arity-one assignment
+    # the Y1 relation's image under the arity-one assignment: each word
+    # [(e, a), (e, b)] of its term list is the star product of x^a and x^b
     sig2 = yp.sigma2() + (Fraction(1, 16) if perturb else 0)
     sig3 = yp.sigma3()
     img_ok = True
     for i in (0, 1):
         for j in (0, 1):
             acc = None
-            terms = [(1, (i + 3, j)), (-3, (i + 2, j + 1)), (3, (i + 1, j + 2)),
-                     (-1, (i, j + 3)), (sig2, (i + 1, j)), (-sig2, (i, j + 1))]
-            for cc, (a, b) in terms:
-                t = star_commutator(x_power("a", a), x_power("a", b), yp) * cc
+            for cc, [(_, a), (_, b)] in _additive_kernel_terms("e", "e", i, j, 1, sig2, sig3):
+                t = star(x_power("a", a), x_power("a", b), yp) * cc
                 acc = t if acc is None else acc + t
-            for (a, b) in ((i, j), (j, i)):
-                acc = acc - star(x_power("a", a), x_power("a", b), yp) * sig3
             if not acc.is_zero():
                 img_ok = False
     checks.append(Check("shuffle:a:relation-image", img_ok))
@@ -289,6 +286,9 @@ SUITES = {
 # the suites that read --flavor, and the values each takes
 FLAVORS = {"relations": ("toroidal", "yangian"), "whittaker": ("K", "H")}
 
+# the values --module takes
+MODULES = ("vector", "fock", "fixedpoint", "all")
+
 PARAM_KEYS = ("q1", "q2", "chis", "h1", "h2", "xs")
 
 
@@ -368,6 +368,10 @@ def run(config):
         if flavor is not None and not any(flavor in FLAVORS.get(n, ()) for n in names):
             raise ConfigError(f"--flavor {flavor!r}: relations takes toroidal|yangian, "
                               "whittaker K|H, and no other suite reads it")
+        module = config.get("module")
+        if module is not None and module not in MODULES:
+            raise ConfigError(f"--module {module!r} has no check; relations takes "
+                              f"{'|'.join(MODULES)}")
         for key in ("L", "I", "N"):
             if config.get(key, 0) < 0:
                 raise ConfigError(f"--{key} {config[key]} is negative; every scale "
@@ -427,7 +431,7 @@ def main(argv=None):
     ap.add_argument("--suite", dest="suite_opt", default=None,
                     choices=sorted(SUITES) + ["all"])
     ap.add_argument("--flavor", help="toroidal|yangian (relations) or K|H (whittaker)")
-    ap.add_argument("--module", help="vector|fock|fixedpoint|all")
+    ap.add_argument("--module", help="|".join(MODULES))
     ap.add_argument("--r", type=int)
     ap.add_argument("--n", type=int)
     ap.add_argument("--j", type=int)

@@ -1,14 +1,29 @@
 """Centrally extended difference-operator algebras and the limit
 homomorphisms into them.
 
-Two flavors: the multiplicative one generated by Z, D with D Z = q Z D, and
-the additive one generated by x, the shift \\partial with \\partial x =
-(x+h) \\partial.  Both carry an explicit 2-cocycle supported on opposite
-shift powers; elements are kept in normal-ordered form (Z before D, x
-before the shift) plus a central coefficient.  The `QOp` and `HOp`
-constructors are the one place that drops zero coefficients (and emptied
-shift slots): every operation only accumulates into plain dicts and hands
-them over.
+Two families: the multiplicative one generated by Z, D with D Z = q Z D,
+and the additive one generated by x, the shift \\partial with \\partial x =
+(x+h) \\partial.  Both are one operator body, `_ShiftOp`: an element is
+`terms` = {(i, j): c} in normal order (c Z^i D^j for `QOp`, c x^i shift^j
+for `HOp`) plus a `central` coefficient, over `param` (q or h).  Its
+constructor is the one place that drops zero coefficients: every operation
+only accumulates into a plain dict and hands it over.  The linear-space
+methods, the associative product `mul` and the bracket
+[A, B] = AB - BA + cocycle are written once.  Each family keeps only the two
+rules that are not substitutions of each other:
+
+- `_reorder(a, j, b, k)`, the normal-ordered product of the monomials (a, j)
+  and (b, k): q^(jb) Z^(a+b) D^(j+k) for `QOp`, and x^a (x + jh)^b
+  shift^(j+k), expanded binomially, for `HOp`;
+- `_cocycle(a, j, b, -j)`, the central 2-cocycle on two monomials with
+  opposite nonzero shifts; it vanishes on every other pair and is bilinear,
+  so the bracket sums it over the monomial pairs.
+
+The binomial rows of (x + jh)^b come from `_SHIFT_ROWS`, a process-wide
+table keyed by the value (h, j, b) and kept for the life of the process with
+no size bound, like `shuffle`'s star tables.  A row is an exact function of
+its key, so a hit returns what a fresh expansion would.  Every caller passes
+a rational h: a series h (`TSeries`) is unhashable and cannot key the table.
 
 The two relation audits compute each generator image and each bracket of
 two generator images once per call (`_audit_brackets`).  The memo is a
@@ -42,14 +57,15 @@ __all__ = [
 ]
 
 
-class QOp:
-    """sum over (i, j) of c_{ij} Z^i D^j, plus central * c.  The constructor
-    drops zero coefficients; callers only accumulate."""
+class _ShiftOp:
+    """sum over (i, j) of c_{ij} times the normal-ordered monomial (i, j),
+    plus central * c.  The constructor drops zero coefficients; callers only
+    accumulate.  A family subclass supplies `_reorder` and `_cocycle`."""
 
-    __slots__ = ("terms", "central", "q")
+    __slots__ = ("param", "terms", "central")
 
-    def __init__(self, q, terms=None, central=0):
-        self.q = q
+    def __init__(self, param, terms=None, central=0):
+        self.param = param
         self.terms = {}
         if terms:
             for k, c in terms.items():
@@ -58,196 +74,135 @@ class QOp:
                     self.terms[k] = c
         self.central = _cf(central)
 
-    @staticmethod
-    def monomial(q, i, j, c=1):
-        return QOp(q, {(i, j): c})
+    @classmethod
+    def monomial(cls, param, i, j, c=1):
+        return cls(param, {(i, j): c})
 
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
-        return QOp(self.q, out, self.central + other.central)
+        return type(self)(self.param, out, self.central + other.central)
 
     def __neg__(self):
-        return QOp(self.q, {k: -c for k, c in self.terms.items()}, -self.central)
+        return type(self)(self.param, {k: -c for k, c in self.terms.items()}, -self.central)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return QOp(self.q, {k: v * c for k, v in self.terms.items()}, self.central * c)
+        return type(self)(self.param, {k: v * c for k, v in self.terms.items()},
+                          self.central * c)
 
     def is_zero(self):
         return not self.terms and not self.central
 
     def __eq__(self, other):
-        return self.q == other.q and self.terms == other.terms and self.central == other.central
+        return (type(self) is type(other) and self.param == other.param
+                and self.terms == other.terms and self.central == other.central)
 
-    def __hash__(self):
-        raise TypeError
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms}, central={self.central})"
+
+    def _mul_into(self, out, other, negate=False):
+        """Add (or subtract) the normal-ordered product of the operator parts
+        of self and other into the dict out."""
+        reorder = self._reorder
+        for (a, j), c1 in self.terms.items():
+            for (b, k), c2 in other.terms.items():
+                c = -c1 * c2 if negate else c1 * c2
+                for key, w in reorder(a, j, b, k):
+                    out[key] = out.get(key, 0) + c * w
+        return out
 
     def mul(self, other):
         """Associative product of the operator parts (normal-ordered); only
         defined away from the central line."""
         if self.central or other.central:
             raise ValueError("associative product is defined on operator parts")
-        q = self.q
-        out = {}
-        for (a, j), c1 in self.terms.items():
-            for (b, k), c2 in other.terms.items():
-                key = (a + b, j + k)
-                out[key] = out.get(key, 0) + c1 * c2 * q ** (j * b)
-        return QOp(q, out)
-
-    def bracket(self, other):
-        """Lie bracket with the cocycle correction on the shift-opposite part."""
-        q = self.q
-        out = {}
-        central = Fraction(0)
-        for (a, j), c1 in self.terms.items():
-            for (b, k), c2 in other.terms.items():
-                key = (a + b, j + k)
-                out[key] = out.get(key, 0) + c1 * c2 * (q ** (j * b) - q ** (k * a))
-                central += c1 * c2 * _cocycle_q(q, a, j, b, k)
-        return QOp(q, out, central)
-
-    def __repr__(self):
-        return f"QOp({self.terms}, central={self.central})"
+        return type(self)(self.param, self._mul_into({}, other))
 
 
-def _cocycle_q(q, a, j, b, k):
-    """Cocycle on normal-ordered monomials Z^a D^j, Z^b D^k (k = -j)."""
-    if j + k != 0 or j == 0:
-        return Fraction(0)
-    if j > 0:
-        return sum((q ** (a * i + b * (j + i)) for i in range(-j, 0)), Fraction(0))
-    return -sum((q ** (b * i + a * (-j + i)) for i in range(j, 0)), Fraction(0))
+def _bracket(self, other):
+    """Lie bracket: self other - other self, plus the family's cocycle summed
+    over the monomial pairs with opposite nonzero shifts (it is bilinear and
+    vanishes on every other pair).  Bound as `bracket` in each family's class
+    body, so each keeps its own name."""
+    out = self._mul_into({}, other)
+    other._mul_into(out, self, negate=True)
+    central = sum((c1 * c2 * self._cocycle(a, j, b, k)
+                   for (a, j), c1 in self.terms.items()
+                   for (b, k), c2 in other.terms.items() if j and j + k == 0),
+                  Fraction(0))
+    return type(self)(self.param, out, central)
 
 
-class HOp:
-    """sum over j of p_j(x) shift^j, plus central * c; p_j sparse in x.  The
-    constructor drops zero coefficients and empty slots; callers only
-    accumulate."""
+class QOp(_ShiftOp):
+    """c Z^i D^j under the key (i, j), over q = param, with D Z = q Z D."""
 
-    __slots__ = ("terms", "central", "h")
+    __slots__ = ()
 
-    def __init__(self, h, terms=None, central=0):
-        self.h = h
-        self.terms = {}
-        if terms:
-            for j, poly in terms.items():
-                poly = {e: _cf(c) for e, c in poly.items() if c}
-                if poly:
-                    self.terms[j] = poly
-        self.central = _cf(central)
+    bracket = _bracket
 
-    @staticmethod
-    def monomial(h, i, j, c=1):
-        return HOp(h, {j: {i: c}})
+    def _reorder(self, a, j, b, k):
+        """Z^a D^j Z^b D^k = q^(jb) Z^(a+b) D^(j+k)."""
+        return (((a + b, j + k), self.param ** (j * b)),)
 
-    def __add__(self, other):
-        out = {j: dict(p) for j, p in self.terms.items()}
-        for j, p in other.terms.items():
-            slot = out.setdefault(j, {})
-            for e, c in p.items():
-                slot[e] = slot.get(e, 0) + c
-        return HOp(self.h, out, self.central + other.central)
+    def _cocycle(self, a, j, b, k):
+        """Cocycle on Z^a D^j, Z^b D^k with k = -j != 0."""
+        q = self.param
+        if j > 0:
+            return sum((q ** (a * i + b * (j + i)) for i in range(-j, 0)), Fraction(0))
+        return -sum((q ** (b * i + a * (-j + i)) for i in range(j, 0)), Fraction(0))
 
-    def __neg__(self):
-        return HOp(self.h,
-                   {j: {e: -c for e, c in p.items()} for j, p in self.terms.items()},
-                   -self.central)
 
-    def __sub__(self, other):
-        return self + (-other)
+_SHIFT_ROWS = {}
 
-    def scale(self, c):
-        return HOp(self.h,
-                   {j: {e: v * c for e, v in p.items()} for j, p in self.terms.items()},
-                   self.central * c)
 
-    def is_zero(self):
-        return not self.terms and not self.central
+def _shift_row(h, j, b):
+    """The row [(m, C(b, m) (jh)^(b-m))] of (x + jh)^b, only m = b when
+    j = 0, kept in `_SHIFT_ROWS` (see the module docstring)."""
+    key = (h, j, b)
+    row = _SHIFT_ROWS.get(key)
+    if row is None:
+        row = _SHIFT_ROWS[key] = [(m, comb(b, m) * (j * h) ** (b - m))
+                                  for m in range(b + 1) if j or m == b]
+    return row
 
-    def __eq__(self, other):
-        return self.h == other.h and self.terms == other.terms and self.central == other.central
 
-    def __hash__(self):
-        raise TypeError
+class HOp(_ShiftOp):
+    """c x^i shift^j under the key (i, j), over h = param, with
+    shift x = (x + h) shift."""
 
-    def _mul_polys(self, p1, p2):
-        out = {}
-        for e1, c1 in p1.items():
-            for e2, c2 in p2.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return out
+    __slots__ = ()
 
-    def _shift_poly(self, p, j):
-        """p(x + j*h) expanded."""
-        h = self.h
-        out = {}
-        for e, c in p.items():
-            for m in range(e + 1):
-                add = c * comb(e, m) * (j * h) ** (e - m)
-                if add:
-                    out[m] = out.get(m, 0) + add
-        return out
+    bracket = _bracket
 
-    def mul(self, other):
-        """Associative product of the operator parts (normal-ordered)."""
-        if self.central or other.central:
-            raise ValueError("associative product is defined on operator parts")
-        acc = {}
-        for j1, p1 in self.terms.items():
-            for j2, p2 in other.terms.items():
-                prod = self._mul_polys(p1, self._shift_poly(p2, j1))
-                slot = acc.setdefault(j1 + j2, {})
-                for e, c in prod.items():
-                    slot[e] = slot.get(e, 0) + c
-        return HOp(self.h, acc)
+    def _reorder(self, a, j, b, k):
+        """x^a shift^j x^b shift^k = x^a (x + jh)^b shift^(j+k)."""
+        return [((a + m, j + k), w) for m, w in _shift_row(self.param, j, b)]
 
-    def bracket(self, other):
-        h = self.h
-        acc = {}
-        central = Fraction(0)
-        for j1, p1 in self.terms.items():
-            for j2, p2 in other.terms.items():
-                a = self._mul_polys(p1, self._shift_poly(p2, j1))
-                b = self._mul_polys(p2, self._shift_poly(p1, j2))
-                slot = acc.setdefault(j1 + j2, {})
-                for e, c in a.items():
-                    slot[e] = slot.get(e, 0) + c
-                for e, c in b.items():
-                    slot[e] = slot.get(e, 0) - c
-                central += _cocycle_h(h, p1, j1, p2, j2)
-        return HOp(h, acc, central)
+    def _cocycle(self, a, r, b, s):
+        """Cocycle on f shift^r, g shift^s with f = x^a, g = x^b, s = -r != 0:
+        the sum over -r <= l < 0 of f(lh) g((l + r)h) for r > 0, and minus
+        the sum over r <= l < 0 of g(lh) f((l - r)h) for r < 0."""
+        h = self.param
+        if r > 0:
+            return sum(((l * h) ** a * ((l + r) * h) ** b for l in range(-r, 0)), Fraction(0))
+        return -sum(((l * h) ** b * ((l - r) * h) ** a for l in range(r, 0)), Fraction(0))
 
     def poly(self, j):
-        return dict(self.terms.get(j, {}))
+        """The x-polynomial {i: c} multiplying shift^j."""
+        return {i: c for (i, s), c in self.terms.items() if s == j}
 
     def top_degree_part(self, j):
-        p = self.terms.get(j, {})
+        p = self.poly(j)
         if not p:
             return None, None
         d = max(p)
         return d, p[d]
-
-    def __repr__(self):
-        return f"HOp({self.terms}, central={self.central})"
-
-
-def _eval_poly(p, x):
-    return sum((c * x ** e for e, c in p.items()), Fraction(0))
-
-
-def _cocycle_h(h, f, r, g, s):
-    if r + s != 0 or r == 0:
-        return Fraction(0)
-    if r > 0:
-        return sum((_eval_poly(f, l * h) * _eval_poly(g, (l + r) * h)
-                    for l in range(-r, 0)), Fraction(0))
-    return -sum((_eval_poly(g, l * h) * _eval_poly(f, (l - r) * h)
-                 for l in range(r, 0)), Fraction(0))
 
 
 # -- images of the limit presentations --------------------------------------
@@ -275,21 +230,14 @@ def theta_a_e(h, j):
 
 def theta_a_f(h, j):
     # -shift^{-1} x^j = -(x - h)^j shift^{-1}
-    out = {}
-    for m in range(j + 1):
-        out[m] = -Fraction(comb(j, m)) * (-h) ** (j - m)
-    return HOp(h, {-1: out})
+    return HOp(h, {(m, -1): -comb(j, m) * (-h) ** (j - m) for m in range(j + 1)})
 
 
 def theta_a_psi(h, j):
     """(x-h)^j - x^j as a pure multiplication operator, plus -(-h)^j central."""
-    out = {}
-    for m in range(j + 1):
-        c = Fraction(comb(j, m)) * (-h) ** (j - m)
-        if m == j:
-            c -= 1
-        out[m] = c
-    return HOp(h, {0: out}, central=-((-h) ** j))
+    out = {(m, 0): comb(j, m) * (-h) ** (j - m) for m in range(j + 1)}
+    out[j, 0] -= 1
+    return HOp(h, out, central=-((-h) ** j))
 
 
 def _nested_bracket(ops):

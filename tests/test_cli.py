@@ -237,6 +237,8 @@ class TestSampling:
     (["relations", "--flavor", "K", "--L", "0", "--I", "1"], "toroidal|yangian"),
     (["whittaker", "--flavor", "toroidal", "--r", "1", "--n", "1", "--L", "0"], "K|H"),
     (["shuffle", "--flavor", "m"], "--flavor 'm'"),
+    # a misspelled module ran no module, and the message did not name --module
+    (["relations", "--module", "fixedpiont", "--L", "0", "--I", "0"], "--module 'fixedpiont'"),
 ])
 def test_bad_configuration_exits_2_without_traceback(argv, needle):
     # these ended in a ValueError traceback (exit 1) or passed with zero checks

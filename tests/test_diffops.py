@@ -11,7 +11,8 @@ from toryang.diffops import (HOp, QOp, beta_constant, check_theta_a_relations,
                              serre_multiple_m, theta_a_e, theta_a_f,
                              theta_a_psi, theta_m_H, theta_m_e, theta_m_f,
                              theta_m_kappa)
-from toryang.params import default_toroidal, default_yangian
+from toryang.params import (default_toroidal, default_yangian,
+                            sample_generic_params)
 
 Q = Fraction(2)
 H = Fraction(3)
@@ -153,9 +154,16 @@ def test_images_lie_in_limit_span():
     assert not in_limit_span(QOp.monomial(qs, 2, 0, 1))
 
 
-def test_bracket_is_mul_commutator_plus_cocycle():
-    from toryang.diffops import _cocycle_q
+def _additive_cocycle(f, r, g):
+    """sum over l of f(lh) g((l + r)h) for r > 0, and minus the same sum with
+    f and g swapped for r < 0; f and g are {degree: coefficient}."""
+    ev = lambda p, x: sum((c * x ** e for e, c in p.items()), Fraction(0))
+    if r > 0:
+        return sum((ev(f, l * H) * ev(g, (l + r) * H) for l in range(-r, 0)), Fraction(0))
+    return -sum((ev(g, l * H) * ev(f, (l - r) * H) for l in range(r, 0)), Fraction(0))
 
+
+def test_bracket_is_mul_commutator_plus_cocycle():
     pairs = [((1, 2), (3, -2)), ((0, 1), (2, -1)), ((2, 0), (1, 3)),
              ((1, -1), (-1, 1))]
     for (m1, m2) in pairs:
@@ -163,11 +171,28 @@ def test_bracket_is_mul_commutator_plus_cocycle():
         direct = a.bracket(b)
         via_mul = a.mul(b) - b.mul(a)
         assert direct.terms == via_mul.terms
-        assert direct.central == _cocycle_q(Q, m1[0], m1[1], m2[0], m2[1])
+        assert direct.central == QOp(Q)._cocycle(m1[0], m1[1], m2[0], m2[1])
     ha, hb = HOp.monomial(H, 2, 1), HOp.monomial(H, 1, -1)
     direct = ha.bracket(hb)
     via = ha.mul(hb) - hb.mul(ha)
     assert direct.terms == via.terms
+    # f shift^r against g shift^-r: the central term is the cocycle of (f, g)
+    for f, r, g in (({2: 1}, 2, {1: 1}), ({0: 3, 1: -2}, 2, {2: Fraction(1, 4)}),
+                    ({0: 1, 3: 5}, -1, {0: 1, 2: -1}), ({0: 1}, -3, {3: 2})):
+        a = sum((HOp.monomial(H, e, r, c) for e, c in f.items()), HOp(H))
+        b = sum((HOp.monomial(H, e, -r, c) for e, c in g.items()), HOp(H))
+        direct = a.bracket(b)
+        assert direct.terms == (a.mul(b) - b.mul(a)).terms
+        assert direct.central == _additive_cocycle(f, r, g) != 0, (f, r, g)
+
+
+def test_families_never_compare_equal():
+    assert (QOp.monomial(3, 1, 1) == HOp.monomial(3, 1, 1)) is False
+    assert QOp(3) != HOp(3)
+
+
+def test_both_families_bind_the_one_bracket():
+    assert QOp.__dict__["bracket"] is HOp.__dict__["bracket"]
 
 
 def test_normal_ordering_defining_relation():
@@ -186,6 +211,35 @@ def test_hall_image_cache_shared_across_q():
     for q in (Q, Fraction(5, 3)):
         for k, l in ((2, 1), (0, 2), (-2, 1), (3, 0)):
             assert (hall_image(k, l, q, cache) - hall_image(k, l, q)).is_zero(), (q, k, l)
+
+
+def _operator_grid(cls, param):
+    monos = [cls.monomial(param, i, j) for i in range(4) for j in range(-2, 3)]
+    return monos + [monos[0] + monos[7], monos[3].scale(Fraction(-2, 3)) + monos[16],
+                    monos[9] - monos[12]]
+
+
+# `mul` and `bracket` of every ordered pair from `_operator_grid`, for both
+# families at (q, h) = (2, 3) and at the seed-3 sampled point (17/11, 209/10),
+# each result as its sorted ((i, j), c) list and its central coefficient.
+# Recorded while `HOp` stored {shift: {x-degree: c}}, with those terms read
+# under (x-degree, shift) keys; the digest is sha256 of the repr of the list.
+OPERATOR_DIGEST = "b8dcdf0162631a306d591e23f774a84d8901be97558e2337ae788217c83662ca"
+
+
+def test_products_and_brackets_match_recorded_digest():
+    points = [(Q, H), (sample_generic_params(3, "toroidal").q1,
+                       sample_generic_params(3, "yangian").h1)]
+    assert points[1] == (Fraction(17, 11), Fraction(209, 10))
+    rows = []
+    for q, h in points:
+        for cls, param in ((QOp, q), (HOp, h)):
+            ops = _operator_grid(cls, param)
+            for a in ops:
+                for b in ops:
+                    for r in (a.mul(b), a.bracket(b)):
+                        rows.append((sorted(r.terms.items()), r.central))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == OPERATOR_DIGEST
 
 
 # Failure lists of both audits at window 3, criterion 6's point, with one
