@@ -289,6 +289,10 @@ FLAVORS = {"relations": ("toroidal", "yangian"), "whittaker": ("K", "H")}
 # the values --module takes
 MODULES = ("vector", "fock", "fixedpoint", "all")
 
+# the suites that read each suite-specific option
+READERS = {"flavor": tuple(FLAVORS), "module": ("relations",), "j": ("whittaker",),
+           "n": ("whittaker",)}
+
 PARAM_KEYS = ("q1", "q2", "chis", "h1", "h2", "xs")
 
 
@@ -364,6 +368,10 @@ def run(config):
                                           or kind not in PerturbedModule.KINDS):
             raise ConfigError(f"--perturb {kind!r}: relations takes psi|e|f, "
                               "every other suite only the bare flag")
+        for key, readers in READERS.items():
+            if config.get(key) is not None and not set(readers) & set(names):
+                raise ConfigError(f"--{key} {config[key]!r}: no selected suite reads it, "
+                                  f"only {' and '.join(readers)}")
         flavor = config.get("flavor")
         if flavor is not None and not any(flavor in FLAVORS.get(n, ()) for n in names):
             raise ConfigError(f"--flavor {flavor!r}: relations takes toroidal|yangian, "

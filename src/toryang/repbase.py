@@ -27,8 +27,15 @@ it adds the products as integer (numerator, denominator) pairs and builds
 one Fraction per label at the end; any other factor (a TSeries) sends the
 sum through `vsum` of the products.  Either way the labels keep
 first-insertion order and sums that are zero are dropped once, at the end,
-by `vsum`'s rule.  `apply_mode`, `_apply_diagonal` and each (instance,
-label) residual of the sweep are one `lincomb` call.
+by `vsum`'s rule.  `apply_mode` and `_apply_diagonal`, the public actions,
+are one `lincomb` call each.  The sweep keeps its word images on a rational
+`Module` as integer numerators over one denominator instead: each (letter,
+label) row is compiled once to (den, [(target, n)]), a letter is one lcm
+over the rows it reads, one integer accumulation and one gcd pass, and a
+residual one integer sum over the lcm of its terms' denominators, turned
+into Fractions only when it fails.  It gives the residual `lincomb` gives,
+to the key order and the int or Fraction type of each value; on series
+values it runs `lincomb` itself.
 
 Memos.  Every value a module, a series bridge or a parameter pack keeps
 for later follows one rule.  A `memoized` method (or a hand-keyed table
@@ -37,17 +44,20 @@ keyed by the full tuple of the method's arguments, for as long as the
 owner lives; the owner's attributes that such a value reads are set before
 its first use.  The owner's `__dict__` is read directly, never through
 `getattr`, so a `ModuleWrapper`, whose `__getattr__` passes to its base,
-never serves the base's memo: a `PerturbedModule` keeps its own rows.  A
-value that depends on a callable argument is split so that the memoized
-part takes none (`Module.t_eigenvalue` keeps psi's beta-free log
-coefficient per (label, m) and divides by beta(m) on every call).
+never serves the base's memo: a `PerturbedModule` keeps its own rows, the
+sweep's compiled rows (`Module._int_mode_row`, `Module._int_psi_coeff`)
+included.  A value that depends on a callable argument is split so that
+the memoized part takes none (`Module.t_eigenvalue` keeps psi's beta-free
+log coefficient per (label, m) and divides by beta(m) on every call); the
+sweep compiles the t and psiy values, which depend on its ctx, once per
+sweep.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import ratfn_expand, ratfn_log_coeffs, is_zero_mod
 
@@ -167,6 +177,22 @@ def is_vec_zero(u, hmod=None):
     return True
 
 
+class _Inexact(Exception):
+    """A value that is neither an int nor a Fraction: the relation sweep
+    goes on through `word_images` and `lincomb`."""
+
+
+def _rational(c):
+    """(numerator, denominator, is_int) of an int or a Fraction; any other
+    value raises _Inexact."""
+    t = type(c)
+    if t is Fraction:
+        return c.numerator, c.denominator, False
+    if t is int:
+        return c, 1, True
+    raise _Inexact
+
+
 class Module:
     """Base class: subclasses provide transitions and the diagonal data.
 
@@ -229,9 +255,13 @@ class Module:
     def apply_psi(self, sign, k, v):
         return _apply_diagonal(v, lambda label: self.psi_coeff(label, sign, k))
 
-    # yangian-normalized psi_j modes: psi(z) = 1 + sig3 * sum psi_j z^-j-1
+    def psi_y_eigenvalue(self, label, j, sig3):
+        """The yangian-normalized mode psi_j on the label:
+        psi(z) = 1 + sig3 * sum psi_j z^-j-1."""
+        return self.psi_coeff(label, +1, j + 1) / sig3
+
     def apply_psi_y(self, j, v, sig3):
-        return _apply_diagonal(v, lambda label: self.psi_coeff(label, +1, j + 1) / sig3)
+        return _apply_diagonal(v, lambda label: self.psi_y_eigenvalue(label, j, sig3))
 
     @memoized
     def _t_log(self, label, m):
@@ -259,11 +289,31 @@ class Module:
     def apply_t(self, m, v, beta):
         return _apply_diagonal(v, lambda label: self.t_eigenvalue(label, m, beta))
 
+    # -- compiled rows of the relation sweep's integer path ---------------
+    @memoized
+    def _int_mode_row(self, kind, label, mode):
+        """`mode_row(kind, label, mode)` over one denominator: (den,
+        [(target, n)], ints) with each coefficient n/den, den the lcm of the
+        coefficients' denominators, and ints None when every coefficient is
+        a Fraction, else each coefficient's is-an-int flag.  Raises
+        _Inexact when some coefficient is neither an int nor a Fraction."""
+        parts = [(tgt,) + _rational(c) for tgt, c in self.mode_row(kind, label, mode)]
+        den = lcm(*(d for _, _, d, _ in parts))
+        ints = tuple(is_int for _, _, _, is_int in parts)
+        return den, [(tgt, n * (den // d)) for tgt, n, d, _ in parts], \
+            ints if any(ints) else None
+
+    @memoized
+    def _int_psi_coeff(self, label, sign, k):
+        """`psi_coeff(label, sign, k)` as (n, den, is_int) (`_rational`)."""
+        return _rational(self.psi_coeff(label, sign, k))
+
 
 def apply_mode(rows, kind, mode, v):
     """Mode `mode` of the 'e' or 'f' current on the vector v, read from
     `rows.mode_row(kind, label, mode)`: every module and the series bridge
-    act through this one function."""
+    act through this one function.  The relation sweep reads the same rows
+    of a rational module compiled (`Module._int_mode_row`)."""
     return lincomb((tgt, c, coeff) for label, c in v.items()
                    for tgt, coeff in rows.mode_row(kind, label, mode))
 
@@ -383,6 +433,30 @@ def apply_word(module, word, v, ctx):
     return v
 
 
+def _suffix_images(start, step):
+    """image(label, word) = step(word[0], image(label, word[1:])), with
+    image(label, ()) = start(label) and every suffix's image computed once
+    and kept; an empty (falsy) image stays empty.  `word_images` and the
+    relation sweep's integer path are this one recursion over two vector
+    forms."""
+    memo = {}
+
+    def image(label, word):
+        key = (label, word)
+        r = memo.get(key)
+        if r is None:
+            if not word:
+                r = start(label)
+            else:
+                r = image(label, word[1:])
+                if r:
+                    r = step(word[0], r)
+            memo[key] = r
+        return r
+
+    return image
+
+
 def word_images(module, ctx):
     """image(label, word) = apply_word(module, word, vec(label), ctx), word a
     tuple, with every suffix's image computed once and kept.
@@ -393,22 +467,124 @@ def word_images(module, ctx):
     and no image is shared between labels, so `RelationSweep` makes one per
     label and drops it when it moves on.
     """
-    memo = {}
+    return _suffix_images(vec, lambda letter, v: _apply_letter(module, letter, v, ctx))
 
-    def image(label, word):
-        key = (label, word)
-        r = memo.get(key)
+
+# -- the relation sweep's integer path ---------------------------------------
+#
+# A vector is (D, {label: n}, ints): the entry n/D on each label, D > 0, no
+# entry zero, and ints the set of labels whose entry `lincomb` gives as an
+# int (None when there is none).  The empty vector is ().
+
+def _int_vec(D, nums, ints):
+    """The vector with entries nums/D, zeros dropped, reduced by one gcd
+    pass."""
+    if not nums or 0 in nums.values():
+        nums = {k: n for k, n in nums.items() if n}
+        if not nums:
+            return ()
+    g = gcd(D, *nums.values())
+    if g > 1:
+        D //= g
+        nums = {k: n // g for k, n in nums.items()}
+    if ints:
+        ints = {k for k in ints if k in nums}
+    return D, nums, ints or None
+
+
+def _int_start(label):
+    return 1, {label: 1}, {label}
+
+
+def _int_mode(module, kind, mode, v):
+    """Mode `mode` of the 'e' or 'f' current on v, read from the compiled
+    rows (`Module._int_mode_row`): one lcm over the rows, one integer
+    accumulation, one gcd pass."""
+    D, nums, ints = v
+    rows = [(label, n, module._int_mode_row(kind, label, mode)) for label, n in nums.items()]
+    L = lcm(*(row[0] for _, _, row in rows))
+    out = {}
+    get = out.get
+    for _, n, (den, entries, _) in rows:
+        s = n * (L // den)
+        for tgt, a in entries:
+            out[tgt] = get(tgt, 0) + s * a
+    if ints:
+        frac = {tgt for label, _, (_, entries, flags) in rows
+                for i, (tgt, _) in enumerate(entries)
+                if label not in ints or flags is None or not flags[i]}
+        ints = out.keys() - frac
+    return _int_vec(D * L, out, ints)
+
+
+def _int_diagonal(value, v):
+    """The diagonal operator with value(label) = (n, den, is_int) on v."""
+    D, nums, ints = v
+    vals = [(label, n, value(label)) for label, n in nums.items()]
+    L = lcm(*(d for _, _, (_, d, _) in vals))
+    out = {label: n * a * (L // d) for label, n, (a, d, _) in vals}
+    if ints:
+        ints = {label for label, _, (_, _, is_int) in vals if is_int and label in ints}
+    return _int_vec(D * L, out, ints)
+
+
+def _int_stepper(module, ctx):
+    """step(letter, v), the letter of `_apply_letter` on an integer vector
+    of a `Module`.  e and f read `Module._int_mode_row`, psi+- read
+    `Module._int_psi_coeff`; psiy and t, whose values depend on ctx, are
+    compiled once per stepper from `psi_y_eigenvalue` and `t_eigenvalue`.
+    A value that is neither an int nor a Fraction raises _Inexact."""
+    table = {}
+
+    def ctx_value(gen, idx, label):
+        key = (gen, idx, label)
+        r = table.get(key)
         if r is None:
-            if not word:
-                r = vec(label)
-            else:
-                r = image(label, word[1:])
-                if r:
-                    r = _apply_letter(module, word[0], r, ctx)
-            memo[key] = r
+            c = (module.psi_y_eigenvalue(label, idx, ctx["sig3"]) if gen == "psiy"
+                 else module.t_eigenvalue(label, idx, ctx["beta"]))
+            r = table[key] = _rational(c)
         return r
 
-    return image
+    def step(letter, v):
+        gen, idx = letter
+        if gen == "e" or gen == "f":
+            return _int_mode(module, gen, idx, v)
+        if gen == "psi+" or gen == "psi-":
+            sign = +1 if gen == "psi+" else -1
+            return _int_diagonal(lambda label: module._int_psi_coeff(label, sign, idx), v)
+        if gen == "psiy" or gen == "t":
+            return _int_diagonal(lambda label: ctx_value(gen, idx, label), v)
+        raise ValueError(f"unknown generator {gen}")
+
+    return step
+
+
+def _int_residual(image, label, terms, rhs):
+    """(live, residual) of one (instance, label) pair on the integer path:
+    the sum of c * image(label, word) over terms [(n, d, is_int, word)]
+    (c = n/d), minus rhs = (n, d, is_int) or None, over the lcm of the
+    denominators.  live says whether any image or rhs is nonzero; the
+    residual is {} when the sum is zero, else `lincomb`'s vector of it."""
+    parts = [(n, d, is_int, img) for n, d, is_int, word in terms
+             for img in (image(label, word),) if img]
+    if not parts and rhs is None:
+        return False, {}
+    L = lcm(*(d * img[0] for _, d, _, img in parts), *(() if rhs is None else (rhs[1],)))
+    acc = {}
+    get = acc.get
+    for n, d, _, (D, nums, _) in parts:
+        s = n * (L // (d * D))
+        for k, a in nums.items():
+            acc[k] = get(k, 0) + s * a
+    if rhs is not None:
+        acc[label] = get(label, 0) - rhs[0] * (L // rhs[1])
+    if not any(acc.values()):
+        return True, {}
+    frac = {k for _, _, is_int, (_, nums, ints) in parts for k in nums
+            if not (is_int and ints and k in ints)}
+    if rhs is not None and not rhs[2]:
+        frac.add(label)
+    return True, {k: Fraction(n, L) if k in frac else n // L for k, n in acc.items() if n}
 
 
 def _commutator_words(w1, w2):
@@ -607,35 +783,66 @@ class RelationSweep:
     """The failing (instance_id, level, label, residual), in the order of
     levels, then the module's basis, then the instances, which are in the
     builders' format with rhs(module, label) the right-hand side.  Each
-    residual, sum of coeff * image(word) minus rhs, is one `lincomb` call,
-    compared with zero exactly or mod X^hmod.  `checked` and `nonvacuous`
-    count the pairs swept so far, as in `RelationReport`."""
+    residual, sum of coeff * image(word) minus rhs, is compared with zero
+    exactly or mod X^hmod.  `checked` and `nonvacuous` count the pairs swept
+    so far, as in `RelationReport`.
+
+    On a `Module` whose compiled rows, coefficients and right-hand sides are
+    ints and Fractions, every word image is an integer vector over one
+    denominator (`_int_stepper`) and each residual one integer sum over the
+    lcm of its terms' denominators (`_int_residual`); a Fraction is built
+    only for a failing residual.  At the first other value (a series), and
+    on any other module (the series bridge, the boson states), the sweep
+    goes on with `word_images` and one `lincomb` per residual.  Both paths
+    give the same residuals, to the key order and the int or Fraction type
+    of each value."""
 
     def __init__(self, module, instances, ctx, level_bound, hmod=None):
         self.module, self.ctx, self.level_bound, self.hmod = module, ctx, level_bound, hmod
         self.instances = [(inst_id, [(coeff, tuple(word)) for coeff, word in terms
                                      if not _zero(coeff)], rhs)
                           for inst_id, terms, rhs in instances]
+        try:
+            self._int_terms = [[_rational(coeff) + (word,) for coeff, word in terms]
+                               for _, terms, _ in self.instances]
+        except _Inexact:
+            self._int_terms = None
         self.checked = self.nonvacuous = 0
 
+    def _lincomb_pair(self, image, label, terms, rhs):
+        triples = [(k, c, coeff) for coeff, word in terms
+                   for k, c in image(label, word).items()]
+        if rhs is not None:
+            d = rhs(self.module, label)
+            if not _zero(d):
+                triples.append((label, d, -1))
+        return bool(triples), lincomb(triples)
+
+    def _int_pair(self, image, label, terms, rhs):
+        d = 0 if rhs is None else rhs(self.module, label)
+        return _int_residual(image, label, terms, None if _zero(d) else _rational(d))
+
     def __iter__(self):
-        module, hmod = self.module, self.hmod
+        module, ctx, hmod = self.module, self.ctx, self.hmod
         self.checked = self.nonvacuous = 0
+        exact = self._int_terms is not None and isinstance(module, Module)
+        step = _int_stepper(module, ctx) if exact else None
         for level in range(self.level_bound + 1):
             for label in module.basis(level):
                 # no image is shared between labels: free each label's memo
-                image = word_images(module, self.ctx)
-                for inst_id, terms, rhs in self.instances:
-                    triples = [(k, c, coeff) for coeff, word in terms
-                               for k, c in image(label, word).items()]
-                    if rhs is not None:
-                        d = rhs(module, label)
-                        if not _zero(d):
-                            triples.append((label, d, -1))
+                image = _suffix_images(_int_start, step) if exact \
+                    else word_images(module, ctx)
+                for i, (inst_id, terms, rhs) in enumerate(self.instances):
+                    if exact:
+                        try:
+                            live, acc = self._int_pair(image, label, self._int_terms[i], rhs)
+                        except _Inexact:
+                            exact, image = False, word_images(module, ctx)
+                    if not exact:
+                        live, acc = self._lincomb_pair(image, label, terms, rhs)
                     self.checked += 1
-                    if triples:
+                    if live:
                         self.nonvacuous += 1
-                    acc = lincomb(triples)
                     if not is_vec_zero(acc, hmod=hmod):
                         yield inst_id, level, label, acc
 

@@ -326,3 +326,18 @@ def test_relation_comparing_only_zeros_is_config_error(argv, needle, capsys):
     assert report["status"] == "config-error" and "checks" not in report
     assert needle in report["error"]
     assert "--L" in report["error"] and "--I" in report["error"]
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["limits", "--module", "vector", "--L", "1"], "--module 'vector'"),
+    (["shuffle", "--j", "3"], "--j 3"),
+    (["limits", "--n", "2"], "--n 2"),
+])
+def test_option_no_selected_suite_reads_exits_2(argv, needle):
+    # each of these ran the suite's usual checks and exited 0
+    out = subprocess.run([sys.executable, "-m", "toryang", *argv],
+                         capture_output=True, text=True, env=child_env())
+    assert out.returncode == 2
+    report = json.loads(out.stdout)
+    assert report["status"] == "config-error" and needle in report["error"]
+    assert "no selected suite reads it" in report["error"] and "checks" not in report

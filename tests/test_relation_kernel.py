@@ -1,5 +1,6 @@
 """The relation engine's exact linear-combination kernel (`repbase.lincomb`),
-the memo behind `Module.t_eigenvalue`, and what `check_relation` reports."""
+the memo behind `Module.t_eigenvalue`, the sweep's integer path, and what
+`check_relation` reports."""
 
 import hashlib
 import json
@@ -13,8 +14,10 @@ from toryang import repbase
 from toryang.params import default_toroidal, default_yangian, sample_generic_params
 from toryang.repbase import (Module, ModuleWrapper, PerturbedModule, RELATION_BUILDERS_T,
                              RELATION_BUILDERS_Y, check_relation, lincomb, memo_table)
-from toryang.scalars import TSeries
-from toryang.toroidal import DiagonalTwist, KTheoryFixedPointModule
+from toryang.scalars import RatFn, TSeries
+from toryang.toroidal import (DiagonalTwist, FockModule, KTheoryFixedPointModule,
+                              VectorModule, fock_tensor)
+from toryang.upsilon import UpsilonBridge
 from toryang.yangian import CohomologyFixedPointModule
 
 P1 = default_toroidal(r=1)
@@ -286,3 +289,275 @@ def test_nonvacuous_counts():
     # f after f kills every label of level <= 1; level 2 is reached
     rep = check_relation(M, "T2", P2, 2, window=3)
     assert rep.ok and 0 < rep.nonvacuous < rep.checked
+
+
+# -- sweep outcomes across the module zoo ------------------------------------
+
+def outcome_digest(modules, relations, params, level_bound, window):
+    """sha256 over every report of every module: the relation, verdict,
+    `checked` and `nonvacuous`, and the counterexample's instance, level,
+    label and residual items (the values' reprs, so an int and a Fraction
+    differ) in key order."""
+    rows = []
+    for module in modules:
+        for rel in relations:
+            rep = check_relation(module, rel, params, level_bound, window=window)
+            row = [rel, rep.ok, rep.checked, rep.nonvacuous]
+            ce = rep.counterexample
+            if ce is not None:
+                row += [ce["instance"], ce["level"], repr(ce["label"]),
+                        list(ce["residual"].items())]
+            rows.append(row)
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def zoo_point(point, family):
+    if family == "T":
+        return default_toroidal(2) if point == "default" else \
+            sample_generic_params(7, "toroidal", r=2)
+    return default_yangian(2) if point == "default" else \
+        sample_generic_params(7, "yangian", r=2)
+
+
+def zoo_modules(name, family, params):
+    """The module `name` of the family, then (for the vector, Fock and
+    fixed-point modules) its three `PerturbedModule` controls."""
+    fixed_point = KTheoryFixedPointModule if family == "T" else CohomologyFixedPointModule
+    make = {"vector": lambda: VectorModule(params, Fraction(1, 5)),
+            "fock": lambda: FockModule(params, Fraction(1, 5)),
+            "fixedpoint-r1": lambda: fixed_point(params, 1),
+            "fixedpoint-r2": lambda: fixed_point(params, 2),
+            "tensor": lambda: fock_tensor(params, 2),
+            "twist": lambda: DiagonalTwist(fixed_point(params, 2), Fraction(2),
+                                           Fraction(1, 2))}[name]
+    kinds = () if name in ("tensor", "twist") else PerturbedModule.KINDS
+    return [make()] + [PerturbedModule(make(), kind) for kind in kinds]
+
+
+# Recorded from the engine that summed every letter and every residual with
+# `lincomb` (levels <= 2, window 2).
+SWEEP_OUTCOME_DIGESTS = {
+    ("default", "T", "vector"):
+        "b4659bcb3e3653a69ba7e311d85fc638fe15605c48652927a5239c51a011d86e",
+    ("default", "T", "fock"):
+        "33673f0d15eb9b08dfe2b7adb1889b5467b0628347ae9f9632ee03750f079086",
+    ("default", "T", "fixedpoint-r1"):
+        "690893c84b1f2d3cd4dbea7672c0b242c053ac0f9bd596d332e3ff5f82254e2f",
+    ("default", "T", "fixedpoint-r2"):
+        "63fe13167cdbb306e5e91d4d302bc5d4c83c96bcb3257f49a4d5e00456950a20",
+    ("default", "T", "tensor"):
+        "e87b3fef6c7721e12d98b9c653a847a10e46317e6f270a2c609419ac381ee886",
+    ("default", "T", "twist"):
+        "e87b3fef6c7721e12d98b9c653a847a10e46317e6f270a2c609419ac381ee886",
+    ("default", "Y", "vector"):
+        "ffbe263cde6f2ba9619c82be1e47b9ffdca7b9dd1949c06121dc96fe812ffd1a",
+    ("default", "Y", "fock"):
+        "106e49bbac4c8e6d1e5aa5e594ad1071b0389b01a22b17f5feea3aefd0e529a8",
+    ("default", "Y", "fixedpoint-r1"):
+        "2b2df40014c68b9d26c9cc6afef6e4618283a6a479de0a20351ea18d45b6f380",
+    ("default", "Y", "fixedpoint-r2"):
+        "2e2bd9aeac59ffbfe991f662f16110e4ca44c022f339fb05c3da547bf226c5fc",
+    ("default", "Y", "tensor"):
+        "ab78e7ee0e03026e9fcd49ed5704e1d819abda9f35e3981d50e78299cbee1320",
+    ("default", "Y", "twist"):
+        "ab78e7ee0e03026e9fcd49ed5704e1d819abda9f35e3981d50e78299cbee1320",
+    ("seed7", "T", "vector"):
+        "f53d4ed343627f9649aefa1a988361b5b37529368367fb3200a4cab88614753b",
+    ("seed7", "T", "fock"):
+        "012dd525610c5e28118f2fa239d3d391ac8719076cbbf1677f26a4d31cb0407a",
+    ("seed7", "T", "fixedpoint-r1"):
+        "a2a5663cb082decbc5929adec5dd0f9c196b51b7872adeb58a55ae21fc8de3d1",
+    ("seed7", "T", "fixedpoint-r2"):
+        "2a001fac211adde47243f2eaa3a64e606ff4be11fedda41e4ba912564db3e44f",
+    ("seed7", "T", "tensor"):
+        "e87b3fef6c7721e12d98b9c653a847a10e46317e6f270a2c609419ac381ee886",
+    ("seed7", "T", "twist"):
+        "e87b3fef6c7721e12d98b9c653a847a10e46317e6f270a2c609419ac381ee886",
+    ("seed7", "Y", "vector"):
+        "a700e087894834337d35608ae82eb2aa32b04e1aa9df4731341310ad255afc5b",
+    ("seed7", "Y", "fock"):
+        "2937a0664d8b378643cc6352a7ed60bab58f8977480a32368f3c42678952ae73",
+    ("seed7", "Y", "fixedpoint-r1"):
+        "a860ed55246acde47ba9c9d813cc4a3a1cb56d17afc4f25c10b58909429c7783",
+    ("seed7", "Y", "fixedpoint-r2"):
+        "c6e34a8b12696c681d858d506eeff46ab6783aed7d3b2e5ae899d19f09c9bbe2",
+    ("seed7", "Y", "tensor"):
+        "ab78e7ee0e03026e9fcd49ed5704e1d819abda9f35e3981d50e78299cbee1320",
+    ("seed7", "Y", "twist"):
+        "ab78e7ee0e03026e9fcd49ed5704e1d819abda9f35e3981d50e78299cbee1320",
+}
+
+
+@pytest.mark.parametrize("point,family,name", sorted(SWEEP_OUTCOME_DIGESTS))
+def test_sweep_outcomes_are_pinned(point, family, name):
+    params = zoo_point(point, family)
+    relations = RELATION_BUILDERS_T if family == "T" else RELATION_BUILDERS_Y
+    got = outcome_digest(zoo_modules(name, family, params), relations, params, 2, 2)
+    assert got == SWEEP_OUTCOME_DIGESTS[point, family, name]
+
+
+# -- the sweep's integer path ------------------------------------------------
+
+def sweep_ctx(family, params):
+    return {"beta": params.beta} if family == "T" else {"sig3": params.sigma3()}
+
+
+def unit_image(step, letter, label):
+    """The value of a diagonal letter on the label, read off the integer
+    path's image of the basis vector."""
+    img = step(letter, repbase._int_start(label))
+    return Fraction(img[1][label], img[0]) if img else 0
+
+
+@pytest.mark.parametrize("family,make", [
+    ("T", lambda: KTheoryFixedPointModule(P2, 2)),
+    ("T", lambda: fock_tensor(P2, 2)),
+    ("Y", lambda: CohomologyFixedPointModule(Y2, 2)),
+    ("Y", lambda: VectorModule(Y2, Fraction(1, 5))),
+])
+def test_compiled_rows_match_their_hooks(family, make):
+    M = make()
+    params = P2 if family == "T" else Y2
+    step = repbase._int_stepper(M, sweep_ctx(family, params))
+    for level in range(3):
+        for label in M.basis(level):
+            for kind in ("e", "f"):
+                for mode in range(-2, 3):
+                    den, entries, ints = M._int_mode_row(kind, label, mode)
+                    row = M.mode_row(kind, label, mode)
+                    assert [tgt for tgt, _ in entries] == [tgt for tgt, _ in row]
+                    assert [Fraction(n, den) for _, n in entries] == [c for _, c in row]
+                    assert ints is None and all(type(c) is Fraction for _, c in row)
+            for sign in (+1, -1):
+                for k in range(-1, 4):
+                    n, den, is_int = M._int_psi_coeff(label, sign, k)
+                    c = M.psi_coeff(label, sign, k)
+                    assert Fraction(n, den) == c and is_int == (type(c) is int)
+            if family == "T":
+                for m in (-2, -1, 1, 2):
+                    assert unit_image(step, ("t", m), label) == M.t_eigenvalue(label, m, P2.beta)
+            else:
+                for j in range(3):
+                    assert unit_image(step, ("psiy", j), label) == \
+                        M.psi_y_eigenvalue(label, j, Y2.sigma3())
+
+
+def test_wrappers_keep_their_own_compiled_rows():
+    M = KTheoryFixedPointModule(P2, 2)
+    calls = [(method, args) for level in range(3) for label in M.basis(level)
+             for method, args in (
+                 (Module._int_mode_row, ("e", label, 1)), (Module._int_mode_row, ("f", label, -1)),
+                 (Module._int_psi_coeff, (label, +1, 2)), (Module._int_psi_coeff, (label, -1, 1)))]
+    for method, args in calls:
+        method(M, *args)
+    for kind in PerturbedModule.KINDS:
+        W = PerturbedModule(M, kind)
+        cold = PerturbedModule(KTheoryFixedPointModule(P2, 2), kind)
+        assert all(method.__qualname__ not in vars(W) for method, _ in calls)
+        differs = False
+        for method, args in calls:
+            got = method(W, *args)
+            assert got == method(cold, *args)
+            differs |= got != method(M, *args)
+        assert differs
+        for method, _ in calls:
+            assert memo_table(W, method.__qualname__) is not memo_table(M, method.__qualname__)
+
+
+class NotAModule:
+    """A module's hooks behind an object that is not a `Module`, so that a
+    sweep over it runs `word_images` and `lincomb` throughout."""
+
+    def __init__(self, module):
+        self.module = module
+
+    def __getattr__(self, name):
+        return getattr(self.module, name)
+
+
+class IntLadder(Module):
+    """Labels 0, 1, 2, ... at their own level, with int rows: e raises j
+    with coefficient j + 1, f lowers it with coefficient 2, both at support
+    point 1, and psi = 1.  [e_0, f_0] is -2 on every label, not psi's 0."""
+
+    def level(self, j):
+        return j
+
+    def basis(self, level):
+        return [level]
+
+    def _e_transitions(self, j):
+        return [(j + 1, j + 1, 1)]
+
+    def _f_transitions(self, j):
+        return [(j - 1, 2, 1)] if j else []
+
+    def _psi_rat(self, j):
+        return RatFn.from_factors(1, [], [])
+
+
+def report_row(rep):
+    return (rep.relation, rep.ok, rep.checked, rep.nonvacuous, rep.counterexample)
+
+
+def test_int_rows_give_an_int_residual_as_lincomb_does():
+    rep = check_relation(IntLadder(), "T3", P1, 1, window=0)
+    assert report_row(rep) == ("T3", False, 1, 1, {"instance": "T3[0,0]", "level": 0,
+                                                   "label": 0, "residual": {"0": "-2"}})
+    for rel in RELATION_BUILDERS_T:
+        assert report_row(check_relation(IntLadder(), rel, P1, 2, window=0)) == \
+            report_row(check_relation(NotAModule(IntLadder()), rel, P1, 2, window=0))
+
+
+@pytest.fixture
+def lincomb_calls(monkeypatch):
+    calls = []
+    inner = repbase.lincomb
+
+    def counted(triples):
+        calls.append(1)
+        return inner(triples)
+
+    monkeypatch.setattr(repbase, "lincomb", counted)
+    return calls
+
+
+class FloatAbove(ModuleWrapper):
+    """The base module with its raising coefficients above level 0 made
+    floats: a sweep meets its first inexact row partway."""
+
+    def _e_transitions(self, label):
+        ts = self.base.e_transitions(label)
+        return ts if self.level(label) == 0 else [(t, float(c), p) for t, c, p in ts]
+
+
+def test_sweep_switches_to_lincomb_at_the_first_inexact_value(lincomb_calls):
+    for rel in ("T1", "T3", "T4t", "T6t"):
+        got = check_relation(FloatAbove(KTheoryFixedPointModule(P2, 2)), rel, P2, 2, window=1)
+        assert lincomb_calls
+        want = check_relation(NotAModule(FloatAbove(KTheoryFixedPointModule(P2, 2))),
+                              rel, P2, 2, window=1)
+        assert report_row(got) == report_row(want)
+        del lincomb_calls[:]
+
+
+def series_module():
+    br = UpsilonBridge(13, 1, (Fraction(1, 5),), 1, trunc=10)
+    return br.module, br.params
+
+
+def test_series_module_reports_are_pinned():
+    module, params = series_module()
+    reps = [check_relation(module, rel, params, 1, window=1, hmod=6) for rel in ("Y1", "Y2")]
+    assert [report_row(rep) for rep in reps] == [("Y1", True, 8, 8, None),
+                                                 ("Y2", True, 8, 0, None)]
+
+
+def test_rational_sweeps_never_call_lincomb(lincomb_calls):
+    M = KTheoryFixedPointModule(P2, 2)
+    for rel in RELATION_BUILDERS_T:
+        assert check_relation(M, rel, P2, 1, window=2).ok
+    assert lincomb_calls == []
+    module, params = series_module()
+    assert check_relation(module, "Y1", params, 1, window=1, hmod=6).ok
+    assert lincomb_calls
