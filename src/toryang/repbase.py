@@ -252,6 +252,11 @@ class Module:
             return 0
         return self.psi_series(label, sign, k + 1).coeff(k)
 
+    @memoized
+    def _psi_jump(self, label, k):
+        """psi+_k - psi-_(-k) on the label: T3's right-hand side times beta_1."""
+        return self.psi_coeff(label, +1, k) - self.psi_coeff(label, -1, -k)
+
     def apply_psi(self, sign, k, v):
         return _apply_diagonal(v, lambda label: self.psi_coeff(label, sign, k))
 
@@ -671,8 +676,7 @@ def t_relation_instances(rel, window, params):
                 k = i + j
 
                 def rhs(module, label, k=k, beta1=beta1):
-                    return (module.psi_coeff(label, +1, k)
-                            - module.psi_coeff(label, -1, -k)) / beta1
+                    return module._psi_jump(label, k) / beta1
 
                 ins.append((f"T3[{i},{j}]", terms, rhs))
         return ins

@@ -13,38 +13,33 @@ multiplied out on first read, for the series expansion (`ratfn_expand`),
 evaluation and comparison; the log-modes (`ratfn_log_coeffs`) read the
 factors themselves.
 
-Integer-content kernels.  `_int_content` writes a list of Fractions as
-integer numerators over one common denominator, the lcm of their
-denominators.  The hot kernels run their inner loops on Python ints and
-build one Fraction per output coefficient at the end; none has another
-path:
-- `TSeries.__mul__` convolves the two numerator lists over the index window
-  the product is known in and divides by the product of the denominators;
-- `TSeries.inv` runs the inverse recurrence on numerators over powers of
-  the leading numerator;
-- `series_exp` runs the derivative recurrence b_0 = 1,
-  k b_k = sum_j j a_j b_(k-j) on the integers (trunc-1)! d^k b_k;
-- `ratfn_log_coeffs` takes the power sums of series roots on their
-  numerators over one common denominator D: each power of a root is one
-  convolution, and each power sum p_k one integer list over D^k and one
-  TSeries, with the val and trunc the root-by-root product loop gives.
-Integer arithmetic is exact, so each output is the rational a
-coefficient-by-coefficient Fraction sum gives, reduced once, with the same
-`val` and `trunc`.
-
-The public `TSeries` constructor turns int coefficients into Fractions and
-refuses any other type with a TypeError.  The kernels build their results
-with `_series`, which skips that pass (kernel coefficients are Fractions
-already).  A nonzero rational times a series scales its coefficients and
-keeps its truncation, as division by a rational does.
+Integer kernels.  A `TSeries` keeps its coefficients as integer numerators
+over one denominator (`nums`, `den`, canonical as its class docstring
+says), and every kernel reads and writes that form; none has another path.
+Each result goes through `_series`, which cuts it at trunc, strips zeros at
+both ends and reduces it by one gcd pass.  Sums write both numerator lists
+over the lcm of the denominators; a rational factor or divisor scales the
+numerators and the denominator; `TSeries.__mul__` convolves the numerator
+lists over the window the product is known in; `TSeries.inv` runs the
+inverse recurrence over powers of the leading numerator, and `series_exp`
+the recurrence k b_k = sum_j j a_j b_(k-j) on the integers
+(t-1)! d^k b_k; `ratfn_log_coeffs` takes each power sum p_k of series
+roots as one integer list over D^k, D the lcm of the roots' denominators.
+Integer arithmetic is exact, so each result is the series a
+coefficient-by-coefficient Fraction computation gives, with the same `val`
+and `trunc`.  `coeffs` and `coeff(k)` build Fractions when read, so no
+kernel reads them.  The public constructor takes ints and Fractions and
+raises TypeError for anything else.  A nonzero rational times a series
+keeps its truncation, as division by a rational does; division by a
+rational zero raises ZeroDivisionError.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
-from operator import mul
+from itertools import zip_longest
+from operator import add, mul
 
 __all__ = [
     "TSeries",
@@ -78,33 +73,27 @@ def _cf(x):
 
 
 def _coefficient(x):
-    """x as a series coefficient: a Fraction (ints converted), else TypeError."""
-    if isinstance(x, Fraction):
+    """x if it is a rational (an int or a Fraction), else TypeError."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"TSeries coefficients are rationals, not {type(x).__name__}")
 
 
 def _int_content(coeffs):
-    """(numerators, d) with coeffs[i] == numerators[i] / d for Fraction coeffs,
-    d the lcm of their denominators (1 when there are none)."""
+    """(numerators, d) with coeffs[i] == numerators[i] / d for rational
+    coeffs, d the lcm of their denominators (1 when there are none)."""
     d = math.lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
-def _int_rows(rows):
-    """([numerators of each row], d) for lists of Fractions, over the one
-    common denominator d of all of them."""
-    nums, d = _int_content([c for row in rows for c in row])
-    it = iter(nums)
-    return [list(islice(it, len(row))) for row in rows], d
-
-
 def _convolve(a, b, n):
     """The first n coefficients of the product of the integer lists a and b."""
-    rb = b[::-1]
     la, lb = len(a), len(b)
+    if la == 1 or lb == 1:
+        # most products in the bridge have a monomial factor
+        x, ys = (a[0], b) if la == 1 else (b[0], a)
+        return [x * y for y in ys[:n]]
+    rb = b[::-1]
     out = []
     for k in range(n):
         lo, hi = max(0, k - lb + 1), min(k, la - 1) + 1
@@ -113,93 +102,119 @@ def _convolve(a, b, n):
     return out
 
 
+def _lift(nums, base, scale):
+    """[scale * nums[k] * base^(n-1-k)] for n = len(nums): the values
+    scale * nums[k] / base^(k+1) written over base^n."""
+    out, p = [], scale
+    for c in reversed(nums):
+        out.append(c * p)
+        p *= base
+    out.reverse()
+    return out
+
+
 class TSeries:
-    """Truncated Laurent series  sum_{k=val}^{trunc-1} coeffs[k-val] * X^k + O(X^trunc).
+    """Truncated Laurent series  sum_{k=val}^{trunc-1} c_k X^k + O(X^trunc).
 
     The formal variable X is whatever the caller wants (the deformation
     symbol for scalar series, 1/z or z for expansions of functions of z).
-    Coefficients are Fractions; the constructor converts ints and raises
-    TypeError for anything else, a TSeries included.
+    The coefficients are kept as integer numerators over one denominator,
+    c_(val+i) = nums[i] / den, in canonical form: den > 0,
+    gcd(den, *nums) == 1 and no zero numerator at either end; the zero
+    series has val == trunc, nums == [] and den == 1.  `coeffs` is the list
+    of Fractions, built when it is read.  The constructor takes ints and
+    Fractions and raises TypeError for anything else, a TSeries included.
     """
 
-    __slots__ = ("val", "coeffs", "trunc")
+    __slots__ = ("val", "nums", "den", "trunc")
 
     def __init__(self, val, coeffs, trunc):
-        self._canon(val, [_coefficient(c) for c in coeffs], trunc)
+        self._canon(val, *_int_content([_coefficient(c) for c in coeffs]), trunc)
 
-    def _canon(self, val, coeffs, trunc):
-        # canonical form: cut at trunc, strip leading and trailing zeros; the
-        # list is sliced, never modified, so callers may pass a shared one
-        lo, hi = 0, min(len(coeffs), trunc - val)
-        while lo < hi and not coeffs[lo]:
+    def _canon(self, val, nums, den, trunc):
+        # canonical form: cut at trunc, strip zeros at both ends, then one
+        # gcd pass that also makes den positive; the list is sliced, never
+        # modified, so callers may pass a shared one
+        lo, hi = 0, min(len(nums), trunc - val)
+        while lo < hi and not nums[lo]:
             lo += 1
-        while hi > lo and not coeffs[hi - 1]:
+        while hi > lo and not nums[hi - 1]:
             hi -= 1
         if hi <= lo:
-            self.val, self.coeffs = trunc, []
+            self.val, self.nums, self.den = trunc, [], 1
         else:
-            self.val = val + lo
-            self.coeffs = coeffs if lo == 0 and hi == len(coeffs) else coeffs[lo:hi]
+            if lo or hi < len(nums):
+                nums = nums[lo:hi]
+            if den != 1:
+                g = math.gcd(den, *nums)
+                if den < 0:
+                    g = -g
+                if g != 1:
+                    nums, den = [c // g for c in nums], den // g
+            self.val, self.nums, self.den = val + lo, nums, den
         self.trunc = trunc
 
     # -- queries ---------------------------------------------------------
+    @property
+    def coeffs(self):
+        """[c_val, c_(val+1), ...] as Fractions, a new list on every read."""
+        den = self.den
+        return [Fraction(c, den) for c in self.nums]
+
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def coeff(self, k):
         """Coefficient of X^k (0 if outside the stored window; k must be < trunc)."""
         if k >= self.trunc:
             raise ScalarDomainError(f"coefficient X^{k} beyond truncation {self.trunc}")
         i = k - self.val
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.nums):
+            return Fraction(self.nums[i], self.den)
         return Fraction(0)
-
-    def constant(self):
-        """The X^0 coefficient."""
-        return self.coeff(0)
 
     # -- arithmetic ------------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, TSeries):
             return other
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return TSeries(self.trunc, [], self.trunc)
-            return TSeries(0, [other], self.trunc)
+            return _series(0, [other.numerator], other.denominator, self.trunc)
         return None
+
+    def _plus(self, o, sign):
+        """self + sign * o, on the numerators over the lcm of the two
+        denominators."""
+        trunc = min(self.trunc, o.trunc)
+        if not o.nums:
+            return _series(self.val, self.nums, self.den, trunc)
+        if not self.nums:
+            return _series(o.val, o.nums if sign > 0 else [-c for c in o.nums], o.den, trunc)
+        den = math.lcm(self.den, o.den)
+        fa, fb = den // self.den, sign * (den // o.den)
+        a = self.nums if fa == 1 else [fa * c for c in self.nums]
+        b = o.nums if fb == 1 else [fb * c for c in o.nums]
+        val = min(self.val, o.val)
+        out = [0] * (max(self.val + len(a), o.val + len(b)) - val)
+        i, j = self.val - val, o.val - val
+        out[i:i + len(a)] = a
+        out[j:j + len(b)] = map(add, out[j:j + len(b)], b)
+        return _series(val, out, den, trunc)
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        trunc = min(self.trunc, o.trunc)
-        if self.is_zero():
-            return _series(o.val, o.coeffs, trunc)
-        if o.is_zero():
-            return _series(self.val, self.coeffs, trunc)
-        val = min(self.val, o.val)
-        n = max(self.val + len(self.coeffs), o.val + len(o.coeffs)) - val
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            out[self.val - val + i] = c
-        for i, c in enumerate(o.coeffs):
-            out[o.val - val + i] = out[o.val - val + i] + c
-        return _series(val, out, trunc)
+        return NotImplemented if o is None else self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _series(self.val, [-c for c in self.coeffs], self.trunc)
+        return _series(self.val, [-c for c in self.nums], self.den, self.trunc)
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else self._plus(o, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -208,53 +223,54 @@ class TSeries:
         if isinstance(other, (int, Fraction)) and other:
             # a nonzero rational scales the known coefficients, as division
             # by it does: the precision stays X^trunc at any valuation
-            return _series(self.val, [c * other for c in self.coeffs], self.trunc)
+            return _series(self.val, [other.numerator * c for c in self.nums],
+                           self.den * other.denominator, self.trunc)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
+        if not self.nums or not o.nums:
             # product of zero with anything: precision of a zero mod X^t times
             # a unit of valuation v is zero mod X^(t+v)
-            if self.is_zero() and o.is_zero():
+            if not self.nums and not o.nums:
                 t = min(self.trunc + o.trunc, max(self.trunc, o.trunc))
-            elif self.is_zero():
+            elif not self.nums:
                 t = self.trunc + o.val
             else:
                 t = o.trunc + self.val
-            return _series(t, [], t)
+            return _series(t, [], 1, t)
         trunc = min(self.trunc + o.val, o.trunc + self.val)
         val = self.val + o.val
-        n = min(len(self.coeffs) + len(o.coeffs) - 1, trunc - val)
-        an, da = _int_content(self.coeffs[:n])
-        bn, db = _int_content(o.coeffs[:n])
-        den = da * db
-        return _series(val, [Fraction(c, den) for c in _convolve(an, bn, n)], trunc)
+        n = min(len(self.nums) + len(o.nums) - 1, trunc - val)
+        return _series(val, _convolve(self.nums[:n], o.nums[:n], n), self.den * o.den, trunc)
 
     __rmul__ = __mul__
 
     def inv(self):
         """Multiplicative inverse; leading coefficient must be invertible."""
-        if self.is_zero():
+        if not self.nums:
             raise ZeroDivisionError("inverse of zero series")
         n = self.trunc - self.val  # relative precision
-        # coeffs = A/d: the inverse's k-th coefficient is d B_k / A_0^(k+1)
-        # with B_0 = 1, B_k = -sum_{j=1..k} A_j A_0^(j-1) B_(k-j)
-        an, d = _int_content(self.coeffs)
+        # c_j = A_j/d: the inverse's k-th coefficient is d B_k / A_0^(k+1)
+        # with B_0 = 1, B_k = -sum_{j=1..k} A_j A_0^(j-1) B_(k-j), all
+        # written over A_0^n
+        an = self.nums
         a0 = an[0]
         weighted = [a * a0 ** j for j, a in enumerate(an[1:])]
-        bn, out = [1], [Fraction(d, a0)]
+        bn = [1]
         for k in range(1, n):
             m = min(k, len(weighted))
             bn.append(-sum(map(mul, weighted[:m], bn[k - m:][::-1])))
-            out.append(Fraction(d * bn[k], a0 ** (k + 1)))
-        return _series(-self.val, out, self.trunc - 2 * self.val)
+        return _series(-self.val, _lift(bn, a0, self.den), a0 ** n, self.trunc - 2 * self.val)
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("series divided by zero")
+            return _series(self.val, [other.denominator * c for c in self.nums],
+                           self.den * other.numerator, self.trunc)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if isinstance(other, (int, Fraction)):
-            return _series(self.val, [c / other for c in self.coeffs], self.trunc)
         return self * o.inv()
 
     def __rtruediv__(self, other):
@@ -283,16 +299,12 @@ class TSeries:
             return NotImplemented
         return (self - o).is_zero()
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
-
     def __hash__(self):
         raise TypeError("TSeries is unhashable (truncated equality)")
 
     def shift(self, k):
         """Multiply by X^k."""
-        return _series(self.val + k, self.coeffs, self.trunc + k)
+        return _series(self.val + k, self.nums, self.den, self.trunc + k)
 
     def __repr__(self):
         if self.is_zero():
@@ -306,12 +318,13 @@ class TSeries:
 _new = object.__new__
 
 
-def _series(val, coeffs, trunc):
-    """A TSeries from coefficients that are already Fractions, as every
-    kernel builds them: the constructor's int normalization is skipped.
-    The list is not modified and may be kept by the series."""
+def _series(val, nums, den, trunc):
+    """The TSeries sum_i nums[i]/den X^(val+i) + O(X^trunc), for integer
+    numerators over a nonzero integer den of either sign, as every kernel
+    builds its result; it is brought to canonical form.  The list is not
+    modified and may be kept by the series."""
     s = _new(TSeries)
-    s._canon(val, coeffs, trunc)
+    s._canon(val, nums, den, trunc)
     return s
 
 
@@ -342,24 +355,22 @@ def series_exp(s):
             return Fraction(1)
         raise ScalarDomainError("series_exp needs zero constant term")
     if s.is_zero():
-        return TSeries(0, [1], s.trunc + s.val if s.coeffs else s.trunc)
+        return TSeries(0, [1], s.trunc)
     if s.val < 1:
         raise ScalarDomainError("series_exp needs valuation >= 1")
     t = s.trunc
     # b = exp(s) solves b' = s' b: b_0 = 1, k b_k = sum_{j=v..k} j a_j b_(k-j).
     # With a_j = A_j/d the integers N_k = (t-1)! d^k b_k satisfy
     # k N_k = sum_j j A_j d^(j-1) N_(k-j) (the denominator of b_k divides
-    # k! d^k, so the division by k is exact)
-    an, d = _int_content(s.coeffs)
-    v = s.val
-    weighted = [(v + i) * a * d ** (v + i - 1) for i, a in enumerate(an)]
+    # k! d^k, so the division by k is exact); b is written over (t-1)! d^(t-1)
+    d, v = s.den, s.val
+    weighted = [(v + i) * a * d ** (v + i - 1) for i, a in enumerate(s.nums)]
     f = math.factorial(t - 1)
-    nn, out = [f], [Fraction(1)]
+    nn = [f]
     for k in range(1, t):
         m = max(0, min(k - v + 1, len(weighted)))
         nn.append(sum(map(mul, weighted[:m], nn[k - v - m + 1:k - v + 1][::-1])) // k)
-        out.append(Fraction(nn[k], f * d ** k))
-    return _series(0, out, t)
+    return _series(0, _lift(nn, d, 1), f * d ** (t - 1), t)
 
 
 def series_log(s):
@@ -368,7 +379,7 @@ def series_log(s):
         if s == 1:
             return Fraction(0)
         raise ScalarDomainError("series_log needs constant term 1")
-    if s.val != 0 or s.coeffs[0] != 1:
+    if s.val != 0 or s.nums[:1] != [s.den]:
         raise ScalarDomainError("series_log needs constant term 1")
     u = s - 1
     if u.is_zero():
@@ -410,10 +421,10 @@ def series_sqrt(s):
         raise ScalarDomainError("square root of a truncated zero is ambiguous")
     if s.val % 2:
         raise ScalarDomainError("series_sqrt needs even valuation")
-    lead = frac_sqrt(s.coeffs[0])
+    lead = frac_sqrt(Fraction(s.nums[0], s.den))
     # Newton iteration on  r <- (r + s/r)/2  starting from the leading term
     half_val = s.val // 2
-    body = _series(0, s.coeffs, s.trunc - s.val)  # valuation-0 unit part
+    body = _series(0, s.nums, s.den, s.trunc - s.val)  # valuation-0 unit part
     r = TSeries(0, [lead], body.trunc)
     for _ in range(body.trunc.bit_length() + 2):
         r = (r + body * r.inv()) / 2
@@ -434,8 +445,8 @@ def expm1_over(s):
             return Fraction(1)
         raise ScalarDomainError("expm1_over needs a series (or exactly 0)")
     if s.is_zero():
-        return TSeries(0, [1], s.trunc - s.val if s.coeffs else s.trunc)
-    return (series_exp(s) - 1).shift(-s.val) * _series(0, s.coeffs, s.trunc - s.val).inv()
+        return TSeries(0, [1], s.trunc)
+    return (series_exp(s) - 1).shift(-s.val) * _series(0, s.nums, s.den, s.trunc - s.val).inv()
 
 
 # -- dense univariate polynomials over an exact scalar domain -------------
@@ -464,13 +475,7 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(other)
-        n = max(len(self.c), len(other.c))
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.c):
-            out[i] = out[i] + a
-        for i, b in enumerate(other.c):
-            out[i] = out[i] + b
-        return Poly(out)
+        return Poly([a + b for a, b in zip_longest(self.c, other.c, fillvalue=Fraction(0))])
 
     __radd__ = __add__
 
@@ -577,12 +582,6 @@ class RatFn:
         return f"RatFn({self.num!r}/{self.den!r})"
 
 
-def _poly_to_series_at_infinity(p, trunc):
-    """Write p(z) = z^deg * (series in 1/z); return (deg, TSeries in X=1/z)."""
-    d = p.degree()
-    return d, TSeries(0, p.c[::-1], trunc)
-
-
 def ratfn_expand(rf, direction, order):
     """Expand num/den as a truncated series.
 
@@ -594,15 +593,16 @@ def ratfn_expand(rf, direction, order):
     a coefficient that is not rational (series-valued factors).
     """
     if direction == 1:
-        dn, sn = _poly_to_series_at_infinity(rf.num, order)
-        dd, sd = _poly_to_series_at_infinity(rf.den, order)
-        if rf.den.is_zero() or not _invertible(rf.den.c[-1]):
+        # p(z) = z^deg p * (series in X = 1/z)
+        sn = TSeries(0, rf.num.c[::-1], order)
+        sd = TSeries(0, rf.den.c[::-1], order)
+        if rf.den.is_zero() or not rf.den.c[-1]:
             raise ExpansionPoleError("denominator leading coefficient not invertible")
         if rf.num.is_zero():
             return TSeries(order, [], order)
-        return (sn * sd.inv()).shift(dd - dn)
+        return (sn * sd.inv()).shift(rf.den.degree() - rf.num.degree())
     elif direction == -1:
-        if not rf.den.c or not _invertible(rf.den.c[0]):
+        if not rf.den.c or not rf.den.c[0]:
             raise ExpansionPoleError("denominator has a zero at z = 0")
         sn = TSeries(0, rf.num.c, order)
         sd = TSeries(0, rf.den.c, order)
@@ -624,7 +624,7 @@ def ratfn_log_coeffs(rf, direction, n):
         if len(zeros) != len(poles):
             raise ScalarDomainError("log needs constant term 1: zero and pole counts differ")
     elif direction == -1:
-        if not all(_invertible(x) for x in zeros + poles):
+        if not all(zeros + poles):
             raise ExpansionPoleError("a zero or pole at z = 0")
         zeros = [1 / a for a in zeros]
         poles = [1 / b for b in poles]
@@ -648,7 +648,7 @@ def _power_sums(roots, n):
     sums = [Fraction(0)] * n
     flat, looped = [], False
     for x in roots:
-        if isinstance(x, TSeries) and x.coeffs:
+        if isinstance(x, TSeries) and x.nums:
             flat.append(x)
             continue
         looped = True
@@ -659,8 +659,8 @@ def _power_sums(roots, n):
             sums[k] = sums[k] + pw
     if not flat:
         return sums
-    base, D = _int_rows([x.coeffs for x in flat])
-    powers = base
+    D = math.lcm(*[x.den for x in flat])
+    powers = base = [[c * (D // x.den) for c in x.nums] for x in flat]
     for k in range(1, n + 1):
         if k > 1:
             powers = [_convolve(p, a, min(len(p) + len(a) - 1, x.trunc - x.val))
@@ -672,16 +672,9 @@ def _power_sums(roots, n):
         for p, off in zip(powers, offs):
             for j, c in enumerate(p[:max(0, len(num) - off)]):
                 num[off + j] += c
-        dk = D ** k
-        pk = _series(val, [Fraction(c, dk) for c in num], trunc)
+        pk = _series(val, num, D ** k, trunc)
         sums[k - 1] = sums[k - 1] + pk if looped else pk
     return sums
-
-
-def _invertible(c):
-    if isinstance(c, TSeries):
-        return not c.is_zero()
-    return c != 0
 
 
 def series_zlog(s):

@@ -9,7 +9,8 @@ inverse Borel transform, and the glueing unit g built from it.  The module
 keeps psi factored as (constant, zeros, poles), so the coefficients of
 log psi are power sums of the poles minus power sums of the zeros, with no
 series expansion or series logarithm; the power sums run on integer
-numerators (`scalars.ratfn_log_coeffs`).
+numerators (`scalars.ratfn_log_coeffs`), and the Borel sums D_n below on
+each k_i's stored numerators, with no Fraction built on the way.
 
 The exponent gamma(v) = -B(-d/dv)G'(v) of the glueing unit is a double sum
 over the Borel index i and the power n of the point v.  It is summed over
@@ -38,14 +39,14 @@ computes none of it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .params import series_yangian, series_toroidal
 from .repbase import (RelationSweep, apply_mode, memoized, _apply_diagonal,
                       _commutator_words, _ladder_instances, _nested)
 from .scalars import (TSeries, series_exp, series_log, series_sqrt,
                       expm1_over, is_zero_mod, ratfn_log_coeffs, ScalarDomainError,
-                      _int_content, _int_rows, _series)
+                      _int_content, _series)
 from .yangian import CohomologyFixedPointModule
 from .toroidal import KTheoryFixedPointModule, DiagonalTwist, solve_intertwiner
 
@@ -87,8 +88,8 @@ def gprime_series(order):
     sv = TSeries(0, s, order)
     g = -series_log(sv)
     # derivative
-    dc = [(g.val + i) * c for i, c in enumerate(g.coeffs)]
-    return TSeries(g.val - 1, dc, g.trunc - 1)
+    dc = [(g.val + i) * c for i, c in enumerate(g.nums)]
+    return _series(g.val - 1, dc, g.den, g.trunc - 1)
 
 
 class UpsilonBridge:
@@ -162,9 +163,10 @@ class UpsilonBridge:
         out = []
         if live:
             base = min(k.val for _, k in live)
-            width = max(k.val + len(k.coeffs) for _, k in live) - base
-            nums, dk = _int_rows([k.coeffs for _, k in live])
-            rows = {i: (k.val - base, row, k.trunc) for (i, k), row in zip(live, nums)}
+            width = max(k.val + len(k.nums) for _, k in live) - base
+            dk = lcm(*[k.den for _, k in live])
+            rows = {i: (k.val - base, [c * (dk // k.den) for c in k.nums], k.trunc)
+                    for i, k in live}
             for dw, ws in self.gamma_weights():
                 acc, trunc, hit = [0] * width, T, False
                 for i, w in ws:
@@ -173,9 +175,7 @@ class UpsilonBridge:
                         hit, trunc = True, min(trunc, t)
                         for j, c in enumerate(row):
                             acc[off + j] -= w * c
-                den = dk * dw
-                out.append(_series(base, [Fraction(c, den) for c in acc], trunc)
-                           if hit else None)
+                out.append(_series(base, acc, dk * dw, trunc) if hit else None)
         return out
 
     def gamma_at(self, label, v):
@@ -202,7 +202,7 @@ class UpsilonBridge:
         if acc is None:
             return TSeries(T, [], T)
         # above trunc only when D_0 is empty and the last step was a product
-        return acc if acc.trunc <= T else _series(acc.val, acc.coeffs, T)
+        return acc if acc.trunc <= T else _series(acc.val, acc.nums, acc.den, T)
 
     def g_at(self, label, v):
         """The glueing unit gpre * exp(gamma(v)/2) on the label."""

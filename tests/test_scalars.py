@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -346,6 +347,109 @@ def test_exp_matches_repeated_products(a):
     if s.is_zero():
         return
     assert stored(series_exp(s)) == stored(ref_exp_products(s))
+
+
+# -- the stored form: integer numerators over one denominator ----------------
+
+nonzero_rationals = st.one_of(st.integers(-9, 9), rationals).filter(bool)
+
+
+def assert_canonical(s):
+    """s.nums / s.den in canonical form, and coeffs / coeff() read from it."""
+    assert type(s.den) is int and s.den > 0
+    assert all(type(c) is int for c in s.nums)
+    if not s.nums:
+        assert (s.val, s.den) == (s.trunc, 1)
+    else:
+        assert s.nums[0] and s.nums[-1]
+        assert math.gcd(s.den, *s.nums) == 1
+        assert s.val + len(s.nums) <= s.trunc
+    assert all(type(c) is Fraction for c in s.coeffs)
+    assert s.coeffs == [Fraction(c, s.den) for c in s.nums]
+    for k in range(min(s.val, 0) - 1, s.trunc):
+        assert s.coeff(k) == (s.coeffs[k - s.val] if 0 <= k - s.val < len(s.nums) else 0)
+    return s
+
+
+def ref_add(a, b, sign):
+    (_, ta, tra), (_, tb, trb) = canonical(*a), canonical(*b)
+    out = dict(ta)
+    for k, c in tb.items():
+        out[k] = out.get(k, 0) + sign * c
+    return canonical_dict(out, min(tra, trb))
+
+
+def ref_scale(a, q):
+    """a times the nonzero rational q: every coefficient scaled, trunc kept."""
+    _, terms, trunc = canonical(*a)
+    return canonical_dict({k: c * q for k, c in terms.items()}, trunc)
+
+
+@given(flat_series(), flat_series())
+@settings(max_examples=150, deadline=None)
+def test_sum_and_difference_match_schoolbook(a, b):
+    x, y = TSeries(*a), TSeries(*b)
+    assert stored(assert_canonical(x + y)) == as_tuple(*ref_add(a, b, 1))
+    assert stored(assert_canonical(x - y)) == as_tuple(*ref_add(a, b, -1))
+    assert stored(assert_canonical(-x)) == as_tuple(*ref_add((a[2], [], a[2]), a, -1))
+    assert stored(y + x) == stored(x + y)
+
+
+@given(flat_series(), nonzero_rationals)
+@settings(max_examples=150, deadline=None)
+def test_rational_scaling_and_division_match_schoolbook(a, q):
+    s = TSeries(*a)
+    for got in (s * q, q * s):
+        assert stored(assert_canonical(got)) == as_tuple(*ref_scale(a, Fraction(q)))
+    assert stored(assert_canonical(s / q)) == as_tuple(*ref_scale(a, 1 / Fraction(q)))
+    assert stored(assert_canonical(s + q)) == as_tuple(*ref_add(a, (0, [q], s.trunc), 1))
+    assert stored(assert_canonical(q - s)) == as_tuple(*ref_add((0, [q], s.trunc), a, -1))
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            s / zero
+
+
+@given(flat_series(), flat_series(), st.integers(-3, 3))
+@settings(max_examples=150, deadline=None)
+def test_every_kernel_leaves_the_canonical_form(a, b, k):
+    x, y = assert_canonical(TSeries(*a)), assert_canonical(TSeries(*b))
+    assert_canonical(x * y)
+    assert_canonical(x * 0)
+    assert_canonical(x.shift(k))
+    if x:
+        assert_canonical(x.inv())
+        assert_canonical(y / x)
+        assert_canonical(x ** 2)
+    if x and x.val >= 1:
+        assert_canonical(series_exp(x))
+        assert_canonical(expm1_over(x))
+    if x and x.val == 0 and x.coeff(0) == 1:
+        assert_canonical(series_log(x))
+    rf = RatFn.from_factors(1, [x, Fraction(1, 3)], [y, Fraction(-2)])
+    for c in ratfn_log_coeffs(rf, 1, 4):
+        if isinstance(c, TSeries):
+            assert_canonical(c)
+
+
+def test_stored_form_cases():
+    s = TSeries(-1, [Fraction(2, 3), 0, Fraction(-4, 9), 0], 5)
+    assert (s.val, s.nums, s.den, s.trunc) == (-1, [6, 0, -4], 9, 5)
+    assert s.coeffs == [Fraction(2, 3), Fraction(0), Fraction(-4, 9)]
+    assert s.coeff(0) == s.coeffs[1] == 0 and s.coeff(-2) == 0
+    # a negative rational divisor leaves the denominator positive
+    t = s / Fraction(-2, 3)
+    assert (t.val, t.nums, t.den, t.trunc) == (-1, [-3, 0, 2], 3, 5)
+    # a cancelled leading term and a cut at the lower trunc, then one gcd pass
+    u = s + TSeries(-1, [Fraction(-2, 3), Fraction(1, 2), 0, 7], 2)
+    assert (u.val, u.nums, u.den, u.trunc) == (0, [9, -8], 18, 2)
+    zero = s - s
+    assert (zero.val, zero.nums, zero.den, zero.trunc) == (5, [], 1, 5)
+    with pytest.raises(ZeroDivisionError):
+        zero / 0
+    with pytest.raises(AttributeError):
+        s.coeffs = [Fraction(1)]
+    with pytest.raises(TypeError):
+        hash(s)
 
 
 # -- power sums of factored rational functions against the product loop ------

@@ -211,6 +211,43 @@ def test_psi_pm_coefficients_match_recorded_digest(r):
     assert hashlib.sha256(repr(vals).encode()).hexdigest() == PSI_PM[r]
 
 
+# sha256 of the bridge's series values at trunc 14 (levels <= 2): the Borel
+# data, B, t and H at m = +-1, +-2, the glueing unit on every raising and
+# lowering transition, and the constants of the rank-1 comparison map at
+# level <= 1; recorded when every TSeries kernel built one Fraction per
+# coefficient, each value compared as PSI_PM compares it
+BRIDGE_VALUES = {
+    1: "b65896d0fdc46cb649df157b7480fe3088b05ce033427653132514638af94c3c",
+    2: "c0115e42d8a6eb0860b5509765fce7d5579a5a4cdc7ee664fee0ba06acfb5de7",
+}
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_bridge_values_match_recorded_digest(r):
+    import hashlib
+
+    def entry(x):
+        if isinstance(x, TSeries):
+            return ("TSeries", x.val, tuple(map(str, x.coeffs)), x.trunc)
+        return (type(x).__name__, str(x))
+
+    br = UpsilonBridge(13, 1, (Fraction(1, 5), Fraction(1, 7))[:r], r, trunc=14)
+    vals = []
+    for level in range(3):
+        for label in br.module.basis(level):
+            vals.append((canon(label), [entry(k) for k in br.kcoeffs(label)]))
+            for m in (-2, -1, 1, 2):
+                vals.append((canon(label), m, entry(br.B_at(label, m)),
+                             entry(br.t_eigen(label, m)), entry(br.H_eigen(label, m))))
+            ts = br.module.e_transitions(label) + br.module.f_transitions(label)
+            vals.extend((canon(label), canon(tgt), entry(br.g_at(tgt, point)))
+                        for tgt, _, point in ts)
+    if r == 1:
+        consts, _ = ch_solver(13, 1, (Fraction(1, 5),), 1, 1, trunc=14)
+        vals.extend((canon(label), entry(c)) for label, c in consts.items())
+    assert hashlib.sha256(repr(vals).encode()).hexdigest() == BRIDGE_VALUES[r]
+
+
 def mode_row_by_transition(br, kind, label, k):
     """The mode-k row as base * norm * exp(k * point) * g, one transition at a
     time, with the glueing unit g computed afresh on the target."""
