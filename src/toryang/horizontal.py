@@ -17,7 +17,7 @@ from functools import partial
 from itertools import product as iproduct
 from math import comb, factorial
 
-from .multipoly import MPoly
+from .multipoly import MPoly, _mpoly
 from .params import ToroidalParams
 from .partitions import enum_partitions
 from .repbase import RelationSweep, vsum
@@ -204,11 +204,8 @@ def matrix_coeff_series(params, c, n, order):
                     budget + (d_next if pos > 1 else 0))
 
     rec(n, 0, {vac: Fraction(1)}, (), 0)
-    out = MPoly.zero(n - 1)
-    for ds, val in results.items():
-        out = out + MPoly.monomial(n - 1, ds, val)
     kern = _kernel_series_product(params, n, order)
-    return _truncate_total(out * kern, order)
+    return _truncate_total(MPoly(n - 1, results) * kern, order)
 
 
 def _kernel_series_product(params, n, order):
@@ -225,19 +222,19 @@ def _kernel_series_product(params, n, order):
     out = MPoly.const(n - 1, 1)
     for i in range(n):
         for j in range(i + 1, n):
-            # y = z_j / z_i = u_i u_{i+1} ... u_{j-1}
-            ser = MPoly.zero(n - 1)
-            for k in range(order + 1):
-                e = [0] * (n - 1)
-                for t in range(i, j):
-                    e[t] = k
-                ser = ser + MPoly.monomial(n - 1, e, coef[k])
-            out = _truncate_total(out * ser, order)
+            out = _truncate_total(out * _ratio_series(n, i, j, coef), order)
     return out
 
 
+def _ratio_series(n, i, j, coef):
+    """sum_k coef[k] y^k in the n - 1 consecutive ratios, where
+    y = z_j / z_i = u_i u_{i+1} ... u_{j-1}."""
+    return MPoly(n - 1, {(0,) * i + (k,) * (j - i) + (0,) * (n - 1 - j): c
+                         for k, c in enumerate(coef)})
+
+
 def _truncate_total(p, order):
-    return MPoly(p.n, {e: c for e, c in p.d.items() if sum(e) <= order})
+    return _mpoly(p.n, {e: c for e, c in p.nums.items() if sum(e) <= order}, p.den)
 
 
 def closed_form_series(params, c, n, order):
@@ -255,13 +252,7 @@ def closed_form_series(params, c, n, order):
                     if k - t >= 0:
                         tot += numc * (k - t + 1)
                 coef.append(tot)
-            ser = MPoly.zero(n - 1)
-            for k in range(order + 1):
-                e = [0] * (n - 1)
-                for t in range(i, j):
-                    e[t] = k
-                ser = ser + MPoly.monomial(n - 1, e, coef[k])
-            out = _truncate_total(out * ser, order)
+            out = _truncate_total(out * _ratio_series(n, i, j, coef), order)
     return out
 
 

@@ -1,50 +1,72 @@
 """Sparse multivariate Laurent polynomials over exact rationals.
 
-Monomials are exponent tuples (negative entries allowed); no zero
-coefficients are stored.  Two places drop them: the constructor, to which
-every Fraction loop below hands its plain dict accumulated as
-``out[e] = out.get(e, 0) + c``, and `_over`, which builds the MPoly of
-integer numerators over one denominator directly, skipping the
-constructor's per-entry `_cf` and `tuple` pass, for the integer kernels
-(`__mul__`, `div_vandermonde` and the shuffle star product).
-Everything the shuffle layer needs lives here: permutation of variables,
-exact division by variable differences, affine and monomial substitutions,
-and graded decompositions.
+Monomials are exponent tuples (negative entries allowed).  Everything the
+shuffle layer needs lives here: permutation of variables, exact division by
+variable differences, affine and monomial substitutions, and graded
+decompositions.
 
-Products run on integers: `__mul__` writes each factor's coefficients as
-integer numerators over one common denominator (`scalars._int_content`),
-sums the integer products per exponent, and builds one Fraction per
-monomial over the product of the two denominators.  That is exactly the
-rational the Fraction loop summed, reduced once.  Division and evaluation
-run on integers the same way: `div_vandermonde` converts once and divides
-by each (x_a - x_b) with `_div_vandermonde_int`, whose synthetic division
-only adds, so the numerators stay integers (`div_linear` is its one-pair
-case); `eval` sums integer monomial values over one denominator.  The
-shuffle star product calls `_div_vandermonde_int` on its own integer sum.
-There is no second loop: every coefficient an MPoly holds is a Fraction,
-because the constructor turns ints into Fractions, `_over` builds
-Fractions, and no caller stores anything else.
+Integer kernels.  An `MPoly` keeps its coefficients as integer numerators
+over one denominator, c_e = nums[e] / den, in canonical form (see the class
+docstring), and every kernel reads and writes that form; none has another
+path.  Each result goes through `_mpoly`, which drops zero numerators and
+reduces by one gcd pass.  Sums write both numerator dicts over the lcm of
+the denominators; a rational factor or divisor scales the numerators and
+the denominator; the product sums integer products per exponent over the
+product of the denominators.  `div_vandermonde` divides by each
+(x_a - x_b) with `_div_vandermonde_int`, whose synthetic division only
+adds, so the numerators stay integers (`div_linear` is its one-pair case);
+the shuffle star product calls `_div_vandermonde_int` on its own integer
+sum.  `eval` and `collapse_monomial` write each coordinate x = p/q as
+x^k = p^(k-lo) q^(hi-k) / (p^-lo q^hi) over the exponent range lo..hi, and
+`collapse_affine` writes (s + p/q)^k over q^hi, so both stay on integers.
+Integer arithmetic is exact, so each result is the polynomial a
+coefficient-by-coefficient Fraction computation gives.  `d` builds the
+{exponent: Fraction} dict when it is read, so no kernel reads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, gcd, lcm
 from operator import add
 
-from .scalars import _cf, _int_content
+from .scalars import _coefficient
 
 __all__ = ["MPoly"]
 
 _new = object.__new__
 
 
-def _over(n, nums, d):
-    """The MPoly with coefficients nums[e] / d over tuple keys, zero
-    numerators dropped; the constructor's per-entry pass is skipped."""
+def _mpoly(n, nums, den):
+    """The MPoly sum nums[e]/den x^e in n variables, for integer numerators
+    over a nonzero integer den of either sign, as every kernel builds its
+    result; zero numerators are dropped and one gcd pass makes the form
+    canonical.  The dict is not modified and may be kept by the result."""
+    if 0 in nums.values():
+        nums = {e: c for e, c in nums.items() if c}
+    if not nums:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {e: c // g for e, c in nums.items()}
+            den //= g
     p = _new(MPoly)
-    p.n = n
-    p.d = {e: Fraction(c, d) for e, c in nums.items() if c}
+    p.n, p.nums, p.den = n, nums, den
     return p
+
+
+def _powers(x, exps):
+    """(lo, row, den) with x^k == row[k - lo] / den for every k in exps:
+    with x = p/q and lo <= 0 <= hi bounding exps, row[k - lo] is
+    p^(k-lo) q^(hi-k) and den is p^-lo q^hi (zero when x is zero and some
+    k is negative)."""
+    lo, hi = min(exps, default=0), max(exps, default=0)
+    lo, hi = min(lo, 0), max(hi, 0)
+    p, q = x.numerator, x.denominator
+    return lo, [p ** (k - lo) * q ** (hi - k) for k in range(lo, hi + 1)], p ** -lo * q ** hi
 
 
 def _div_vandermonde_int(nums, pairs):
@@ -82,16 +104,31 @@ def _div_vandermonde_int(nums, pairs):
 
 
 class MPoly:
-    __slots__ = ("n", "d")
+    """Laurent polynomial  sum_e c_e x^e  in n variables.
+
+    The coefficients are kept as integer numerators over one denominator,
+    c_e = nums[e] / den, in canonical form: den > 0,
+    gcd(den, *nums.values()) == 1 and no zero numerator is stored; the zero
+    polynomial has nums == {} and den == 1.  Two polynomials are equal
+    exactly when their stored forms are.  `d` is the {exponent: Fraction}
+    dict, built when it is read.  The constructor takes ints and Fractions
+    and raises TypeError for anything else.
+    """
+
+    __slots__ = ("n", "nums", "den")
 
     def __init__(self, n, d=None):
-        self.n = n
-        self.d = {}
-        if d:
-            for e, c in d.items():
-                c = _cf(c)
-                if c:
-                    self.d[tuple(e)] = c
+        terms = [(tuple(e), _coefficient(c)) for e, c in d.items()] if d else []
+        den = lcm(*[c.denominator for _, c in terms])
+        p = _mpoly(n, {e: c.numerator * (den // c.denominator) for e, c in terms}, den)
+        self.n, self.nums, self.den = n, p.nums, p.den
+
+    @property
+    def d(self):
+        """{exponent: Fraction} of the nonzero coefficients, a new dict on
+        every read."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.nums.items()}
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -100,7 +137,7 @@ class MPoly:
 
     @staticmethod
     def zero(n):
-        return MPoly(n)
+        return _mpoly(n, {}, 1)
 
     @staticmethod
     def monomial(n, exps, c=1):
@@ -110,62 +147,79 @@ class MPoly:
     def var(n, i, power=1):
         e = [0] * n
         e[i] = power
-        return MPoly(n, {tuple(e): 1})
+        return _mpoly(n, {tuple(e): 1}, 1)
 
     # -- basics -------------------------------------------------------------
     def is_zero(self):
-        return not self.d
+        return not self.nums
 
     def __bool__(self):
-        return bool(self.d)
+        return bool(self.nums)
 
     def __eq__(self, other):
-        if isinstance(other, MPoly):
-            return self.n == other.n and self.d == other.d
-        return self == MPoly.const(self.n, other)
+        if isinstance(other, (int, Fraction)):
+            other = MPoly.const(self.n, other)
+        elif not isinstance(other, MPoly):
+            return NotImplemented
+        return self.n == other.n and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         raise TypeError("MPoly unhashable")
 
+    def _plus(self, o, sign):
+        """self + sign * o, on the numerators over the lcm of the two
+        denominators."""
+        den = lcm(self.den, o.den)
+        fa, fb = den // self.den, sign * (den // o.den)
+        out = dict(self.nums) if fa == 1 else {e: fa * c for e, c in self.nums.items()}
+        get = out.get
+        for e, c in o.nums.items():
+            out[e] = get(e, 0) + fb * c
+        return _mpoly(self.n, out, den)
+
     def __add__(self, other):
         if not isinstance(other, MPoly):
             other = MPoly.const(self.n, other)
-        out = dict(self.d)
-        for e, c in other.d.items():
-            out[e] = out.get(e, 0) + c
-        return MPoly(self.n, out)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.n, {e: -c for e, c in self.d.items()})
+        return _mpoly(self.n, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, MPoly):
             other = MPoly.const(self.n, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, MPoly):
-            other = _cf(other)
-            return MPoly(self.n, {e: c * other for e, c in self.d.items()})
-        an, da = _int_content(self.d.values())
-        bn, db = _int_content(other.d.values())
-        right = list(zip(other.d, bn))
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            p = other.numerator
+            return _mpoly(self.n, {e: p * c for e, c in self.nums.items()},
+                          self.den * other.denominator)
+        right = list(other.nums.items())
         out = {}
-        for e1, c1 in zip(self.d, an):
+        get = out.get
+        for e1, c1 in self.nums.items():
             for e2, c2 in right:
                 e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return _over(self.n, out, da * db)
+                out[e] = get(e, 0) + c1 * c2
+        return _mpoly(self.n, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, c):
-        return MPoly(self.n, {e: v / c for e, v in self.d.items()})
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        if not c:
+            raise ZeroDivisionError("polynomial divided by zero")
+        q = c.denominator
+        return _mpoly(self.n, {e: q * v for e, v in self.nums.items()}, self.den * c.numerator)
 
     def __pow__(self, k):
         if k < 0:
@@ -183,12 +237,12 @@ class MPoly:
     def apply_perm(self, sigma):
         """Substitute x_i -> x_sigma(i) (sigma a 0-based tuple)."""
         out = {}
-        for e, c in self.d.items():
+        for e, c in self.nums.items():
             ne = [0] * self.n
             for i, ei in enumerate(e):
                 ne[sigma[i]] = ei
             out[tuple(ne)] = c
-        return MPoly(self.n, out)
+        return _mpoly(self.n, out, self.den)
 
     def is_symmetric(self):
         for i in range(self.n - 1):
@@ -200,12 +254,8 @@ class MPoly:
 
     def shift_var(self, i, k):
         """Multiply by x_i^k."""
-        out = {}
-        for e, c in self.d.items():
-            ne = list(e)
-            ne[i] += k
-            out[tuple(ne)] = c
-        return MPoly(self.n, out)
+        return _mpoly(self.n, {e[:i] + (e[i] + k,) + e[i + 1:]: c
+                               for e, c in self.nums.items()}, self.den)
 
     def div_linear(self, a, b):
         """Exact division by (x_a - x_b); raises if the remainder is nonzero."""
@@ -213,25 +263,21 @@ class MPoly:
 
     def div_vandermonde(self, pairs):
         """Exact division by prod (x_a - x_b) over the listed index pairs, in
-        order, on integer numerators over one common denominator."""
-        nums, d = _int_content(self.d.values())
-        return _over(self.n, _div_vandermonde_int(dict(zip(self.d, nums)), pairs), d)
+        order, on the integer numerators."""
+        return _mpoly(self.n, _div_vandermonde_int(self.nums, pairs), self.den)
 
     def eval(self, point):
-        """Value at a point of ints or Fractions, summed on integers.  With
-        x_i = p/q and lo <= 0 <= hi bounding the exponents of x_i, x_i^k is
-        p^(k-lo) q^(hi-k) over p^(-lo) q^hi; a zero coordinate under a
-        negative power makes that denominator zero (ZeroDivisionError)."""
-        nums, den = _int_content(self.d.values())
+        """Value at a point of ints or Fractions, summed on integers (see
+        `_powers`); a zero coordinate under a negative power makes the
+        denominator zero (ZeroDivisionError)."""
+        den = self.den
         rows = []
         for i, x in zip(range(self.n), point):
-            exps = [e[i] for e in self.d] + [0]
-            lo, hi = min(exps), max(exps)
-            p, q = x.numerator, x.denominator
-            rows.append((lo, [p ** (k - lo) * q ** (hi - k) for k in range(lo, hi + 1)]))
-            den *= p ** -lo * q ** hi
+            lo, row, xden = _powers(x, [e[i] for e in self.nums])
+            rows.append((lo, row))
+            den *= xden
         tot = 0
-        for e, c in zip(self.d, nums):
+        for e, c in self.nums.items():
             for (lo, row), k in zip(rows, e):
                 c *= row[k - lo]
             tot += c
@@ -240,44 +286,62 @@ class MPoly:
     def collapse_monomial(self, idxs, scales):
         """Substitute x_{idxs[t]} = scales[t] * s for a fresh variable s; the
         remaining variables keep their slots.  Result has n - len(idxs) + 1
-        variables with s in slot 0."""
+        variables with s in slot 0.  A zero scale under a negative power
+        raises ZeroDivisionError."""
         keep = [i for i in range(self.n) if i not in idxs]
+        den = self.den
+        rows = []
+        for i, x in zip(idxs, scales):
+            lo, row, xden = _powers(x, [e[i] for e in self.nums])
+            rows.append((i, lo, row))
+            den *= xden
+        if not den:
+            raise ZeroDivisionError("zero scale under a negative power")
         out = {}
-        for e, c in self.d.items():
+        get = out.get
+        for e, c in self.nums.items():
             sdeg = 0
-            coef = c
-            for t, i in enumerate(idxs):
-                sdeg += e[i]
-                coef = coef * scales[t] ** e[i]
+            for i, lo, row in rows:
+                k = e[i]
+                sdeg += k
+                c *= row[k - lo]
             ne = (sdeg,) + tuple(e[i] for i in keep)
-            out[ne] = out.get(ne, 0) + coef
-        return MPoly(len(keep) + 1, out)
+            out[ne] = get(ne, 0) + c
+        return _mpoly(len(keep) + 1, out, den)
 
     def collapse_affine(self, idxs, shifts):
-        """Substitute x_{idxs[t]} = s + shifts[t]; exponents there must be >= 0."""
-        from math import comb
+        """Substitute x_{idxs[t]} = s + shifts[t]; exponents there must be >= 0.
 
+        With shift p/q and hi the top exponent of that variable,
+        (s + p/q)^k = sum_m C(k, m) p^(k-m) q^(hi-k+m) s^m / q^hi."""
         keep = [i for i in range(self.n) if i not in idxs]
+        den = self.den
+        tables = []
+        for i, x in zip(idxs, shifts):
+            exps = [e[i] for e in self.nums]
+            if min(exps, default=0) < 0:
+                raise ValueError("affine substitution needs nonnegative exponents")
+            hi = max(exps, default=0)
+            p, q = x.numerator, x.denominator
+            tables.append((i, [[comb(k, m) * p ** (k - m) * q ** (hi - k + m)
+                                for m in range(k + 1)] for k in range(hi + 1)]))
+            den *= q ** hi
         out = {}
-        for e, c in self.d.items():
+        for e, c in self.nums.items():
             # expand prod (s + shift_t)^{e_t} binomially
             terms = {0: c}
-            for t, i in enumerate(idxs):
-                k = e[i]
-                if k < 0:
-                    raise ValueError("affine substitution needs nonnegative exponents")
+            for i, table in tables:
+                row = table[e[i]]
                 new = {}
                 for deg, cc in terms.items():
-                    for m in range(k + 1):
-                        add = cc * comb(k, m) * shifts[t] ** (k - m)
-                        if add:
-                            new[deg + m] = new.get(deg + m, 0) + add
+                    for m, f in enumerate(row):
+                        new[deg + m] = new.get(deg + m, 0) + cc * f
                 terms = new
             rest = tuple(e[i] for i in keep)
             for deg, cc in terms.items():
                 ne = (deg,) + rest
                 out[ne] = out.get(ne, 0) + cc
-        return MPoly(len(keep) + 1, out)
+        return _mpoly(len(keep) + 1, out, den)
 
     def graded_parts(self, idxs):
         """Decompose by total degree in the variables idxs.
@@ -286,20 +350,19 @@ class MPoly:
         Returns dict degree -> MPoly (same variable count).
         """
         out = {}
-        for e, c in self.d.items():
+        for e, c in self.nums.items():
             deg = sum(e[i] for i in idxs)
             out.setdefault(deg, {})[e] = c
-        return {k: MPoly(self.n, v) for k, v in out.items()}
+        return {k: _mpoly(self.n, v, self.den) for k, v in out.items()}
 
     def xi_shift_parts(self, idxs):
         """Decompose f(x_1,..,x_i + xi,..) by the degree in xi.
 
-        Returns dict degree -> MPoly in the original n variables.
+        Returns dict degree -> MPoly in the original n variables (the binomial
+        coefficients are integers, so every part keeps the denominator).
         """
-        from math import comb
-
         out = {}
-        for e, c in self.d.items():
+        for e, c in self.nums.items():
             # each shifted variable contributes binomially
             new_terms = {e: {0: c}}
             for i in idxs:
@@ -309,23 +372,21 @@ class MPoly:
                     if k < 0:
                         raise ValueError("xi-shift needs nonnegative exponents")
                     for m in range(k + 1):
-                        ne = list(ee)
-                        ne[i] = m
-                        ne = tuple(ne)
+                        ne = ee[:i] + (m,) + ee[i + 1:]
                         f = comb(k, m)
+                        slot = nxt.setdefault(ne, {})
                         for dd, cc in degs.items():
-                            add = cc * f
-                            slot = nxt.setdefault(ne, {})
-                            slot[dd + (k - m)] = slot.get(dd + (k - m), 0) + add
+                            slot[dd + (k - m)] = slot.get(dd + (k - m), 0) + cc * f
                 new_terms = nxt
             for ee, degs in new_terms.items():
                 for dd, cc in degs.items():
                     slot = out.setdefault(dd, {})
                     slot[ee] = slot.get(ee, 0) + cc
-        return {k: MPoly(self.n, v) for k, v in out.items() if any(v.values())}
+        parts = {k: _mpoly(self.n, v, self.den) for k, v in out.items()}
+        return {k: p for k, p in parts.items() if p}
 
     def __repr__(self):
-        if not self.d:
+        if not self.nums:
             return "MPoly(0)"
         parts = []
         for e, c in sorted(self.d.items()):

@@ -29,9 +29,10 @@ Integer arithmetic is exact, so each result is the series a
 coefficient-by-coefficient Fraction computation gives, with the same `val`
 and `trunc`.  `coeffs` and `coeff(k)` build Fractions when read, so no
 kernel reads them.  The public constructor takes ints and Fractions and
-raises TypeError for anything else.  A nonzero rational times a series
-keeps its truncation, as division by a rational does; division by a
-rational zero raises ZeroDivisionError.
+raises TypeError for anything else.  A rational times a series keeps its
+truncation, as division by a rational does, so a rational zero factor gives
+the zero series mod X^trunc; division by a rational zero raises
+ZeroDivisionError.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _coefficient(x):
     """x if it is a rational (an int or a Fraction), else TypeError."""
     if isinstance(x, (int, Fraction)):
         return x
-    raise TypeError(f"TSeries coefficients are rationals, not {type(x).__name__}")
+    raise TypeError(f"coefficients are rationals, not {type(x).__name__}")
 
 
 def _int_content(coeffs):
@@ -220,9 +221,10 @@ class TSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and other:
-            # a nonzero rational scales the known coefficients, as division
-            # by it does: the precision stays X^trunc at any valuation
+        if isinstance(other, (int, Fraction)):
+            # an exact rational scales the known coefficients, as division
+            # by it does: the precision stays X^trunc at any valuation, and
+            # a zero factor gives the zero series mod X^trunc
             return _series(self.val, [other.numerator * c for c in self.nums],
                            self.den * other.denominator, self.trunc)
         o = self._coerce(other)

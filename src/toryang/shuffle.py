@@ -8,12 +8,14 @@ exactly, never by sampling.  The star product antisymmetrizes one numerator
 over the (i, j)-shuffles and divides by the Vandermonde; the public default,
 the plain sum over the full symmetric group, is i!j! times that coset sum.
 
-Both steps run on integers: the twisted product T is written as integer
-numerators over one common denominator (`scalars._int_content`), the signed,
-permuted numerators are summed into one dict, `multipoly._div_vandermonde_int`
-divides that dict by each (x_a - x_b), and one Fraction per monomial is built
-at the end.  The closed-form oracle `L_element_symmetrized` keeps its own
-`MPoly.apply_perm` loop and goes through `MPoly.div_vandermonde`.
+Both steps run on integers: the twisted product T is an `MPoly`, stored
+as integer numerators over one denominator (`nums`, `den`); its signed,
+permuted numerators are summed into one dict,
+`multipoly._div_vandermonde_int` divides that dict by each (x_a - x_b), and
+the quotient over T's denominator is the result, reduced by one gcd pass.
+No Fraction is built on the way.  The closed-form oracle
+`L_element_symmetrized` keeps its own `MPoly.apply_perm` loop and goes
+through `MPoly.div_vandermonde`.
 
 `star` computes each distinct product once per process.  Two module-level
 tables, both kept for the life of the process with no size bound, hold:
@@ -22,7 +24,9 @@ tables, both kept for the life of the process with no size bound, hold:
   are ``params.qs`` ('m') or ``params.hs`` ('a'), with the exponent map and
   sign of each (i, j)-shuffle;
 - the coset numerator of every product with i, j >= 1, keyed by
-  (flavor, weights, i, frozenset of F's numerator terms, j, frozenset of G's).
+  (flavor, weights, i, F's denominator, frozenset of F's numerator items,
+  j, G's denominator, frozenset of G's); the stored form is canonical, so
+  equal numerators give equal keys.
 
 Each key holds every input its value is computed from, so a hit returns
 exactly what a fresh computation would.  `MPoly` values are never mutated
@@ -46,9 +50,8 @@ from itertools import combinations, permutations
 from math import comb, factorial
 from operator import itemgetter
 
-from .multipoly import MPoly, _div_vandermonde_int, _over
+from .multipoly import MPoly, _div_vandermonde_int, _mpoly
 from .params import KERNEL_WEIGHTS
-from .scalars import _int_content
 
 __all__ = [
     "ShuffleElement",
@@ -115,11 +118,12 @@ class ShuffleElement:
         """c with self == c * other, or None; both must be nonzero."""
         if self.n != other.n or self.num.is_zero() or other.num.is_zero():
             return None
-        e0 = next(iter(other.num.d))
-        if e0 not in self.num.d:
+        a, b = self.num, other.num
+        e0 = next(iter(b.nums))
+        if e0 not in a.nums:
             return None
-        c = self.num.d[e0] / other.num.d[e0]
-        return c if self.num == other.num * c else None
+        c = Fraction(a.nums[e0] * b.den, b.nums[e0] * a.den)
+        return c if a == b * c else None
 
     def __repr__(self):
         return f"ShuffleElement({self.flavor}, n={self.n}, {self.num!r})"
@@ -148,11 +152,8 @@ def _kernel_factor(flavor, n, l, k, params):
 
 
 def _embed(num, n, offset):
-    out = {}
-    for e, c in num.d.items():
-        ne = (0,) * offset + e + (0,) * (n - offset - len(e))
-        out[ne] = c
-    return MPoly(n, out)
+    left, right = (0,) * offset, (0,) * (n - offset - num.n)
+    return _mpoly(n, {left + e + right: c for e, c in num.nums.items()}, num.den)
 
 
 def _shuffles(i, j):
@@ -198,20 +199,19 @@ def _coset_numerator(F, G, params):
     """Numerator of the coset-convention product of F and G (i, j >= 1),
     antisymmetrized and divided on integers over T's common denominator."""
     i, j, n = F.n, G.n, F.n + G.n
-    key = (F.flavor, _weights(F.flavor, params), i, frozenset(F.num.d.items()),
-           j, frozenset(G.num.d.items()))
+    key = (F.flavor, _weights(F.flavor, params), i, F.num.den, frozenset(F.num.nums.items()),
+           j, G.num.den, frozenset(G.num.nums.items()))
     num = _COSET_NUMERATORS.get(key)
     if num is None:
         K, shuffles, allpairs = _twisted_kernel(F.flavor, i, j, params)
         T = _embed(F.num, n, 0) * _embed(G.num, n, i) * K
-        nums, d = _int_content(T.d.values())
-        terms = list(zip(T.d, nums))
+        terms = list(T.nums.items())
         acc = {}
         for image, sign in shuffles:
             for e, c in terms:
                 e = image(e)
                 acc[e] = acc.get(e, 0) + sign * c
-        num = _COSET_NUMERATORS[key] = _over(n, _div_vandermonde_int(acc, allpairs), d)
+        num = _COSET_NUMERATORS[key] = _mpoly(n, _div_vandermonde_int(acc, allpairs), T.den)
     return num
 
 
@@ -226,8 +226,8 @@ def star(F, G, params, convention="plain"):
     carries an i!j! multiplicity over the coset convention 'coset').
 
     For i, j >= 1 the coset numerator is memoized for the whole process, with
-    no size bound, under (flavor, weights, i, frozenset(F.num.d.items()), j,
-    frozenset(G.num.d.items())), the weights being params.qs ('m') or
+    no size bound, under (flavor, weights, i, F's denominator and frozenset of
+    numerator items, j, G's), the weights being params.qs ('m') or
     params.hs ('a'); the twisted kernel is built once per (flavor, weights,
     i, j).  The key holds every input the numerator depends on, so a hit is
     exactly the fresh result; the i!j! factor of 'plain' is applied after
@@ -239,9 +239,9 @@ def star(F, G, params, convention="plain"):
         raise ValueError("convention must be 'plain' or 'coset'")
     i, j, n = F.n, G.n, F.n + G.n
     if i == 0:
-        out = ShuffleElement(G.flavor, n, G.num * F.num.d.get((), Fraction(0)))
+        out = ShuffleElement(G.flavor, n, G.num * F.num.eval(()))
     elif j == 0:
-        out = ShuffleElement(F.flavor, n, F.num * G.num.d.get((), Fraction(0)))
+        out = ShuffleElement(F.flavor, n, F.num * G.num.eval(()))
     else:
         out = ShuffleElement(F.flavor, n, _coset_numerator(F, G, params))
     if convention == "plain":

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -244,3 +246,234 @@ def test_eval_at_zero_coordinates():
     with pytest.raises(ZeroDivisionError):
         MPoly(1, {(-1,): 1}).eval((Fraction(0),))
     assert MPoly.zero(2).eval((0, 0)) == 0
+
+
+# -- the stored form: integer numerators over one denominator -----------------
+
+def assert_canonical(p):
+    """p.nums / p.den in canonical form, and d read from it."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.nums.values())
+    assert all(type(e) is tuple and len(e) == p.n for e in p.nums)
+    if p.nums:
+        assert math.gcd(p.den, *p.nums.values()) == 1
+    else:
+        assert p.den == 1
+    assert all(type(c) is Fraction for c in p.d.values())
+    assert p.d == {e: Fraction(c, p.den) for e, c in p.nums.items()}
+    return p
+
+
+def random_terms(rng, n, size=5, lo=-3, hi=3):
+    """{exponent: Fraction} with up to size terms, some of them zero."""
+    return {tuple(rng.randint(lo, hi) for _ in range(n)):
+            Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(rng.randint(0, size))}
+
+
+def random_rational(rng, nonzero=False):
+    while True:
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+        if q or not nonzero:
+            return q
+
+
+def nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_sum(a, b, sign):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return nonzero(out)
+
+
+def ref_scale(a, q):
+    return nonzero({e: c * q for e, c in a.items()})
+
+
+def ref_perm(a, sigma):
+    out = {}
+    for e, c in a.items():
+        ne = [0] * len(e)
+        for i, k in enumerate(e):
+            ne[sigma[i]] = k
+        out[tuple(ne)] = c
+    return nonzero(out)
+
+
+def ref_shift(a, i, k):
+    return nonzero({tuple(x + k * (t == i) for t, x in enumerate(e)): c for e, c in a.items()})
+
+
+def ref_graded(a, idxs):
+    out = {}
+    for e, c in a.items():
+        out.setdefault(sum(e[i] for i in idxs), {})[e] = c
+    return {k: nonzero(v) for k, v in out.items()}
+
+
+def ref_collapse_monomial(a, n, idxs, scales):
+    keep = [i for i in range(n) if i not in idxs]
+    out = {}
+    for e, c in a.items():
+        for i, x in zip(idxs, scales):
+            c = c * Fraction(x) ** e[i]
+        ne = (sum(e[i] for i in idxs),) + tuple(e[i] for i in keep)
+        out[ne] = out.get(ne, Fraction(0)) + c
+    return nonzero(out)
+
+
+def ref_collapse_affine(a, n, idxs, shifts):
+    """prod (s + shift_t)^(e_t) multiplied out one linear factor at a time."""
+    keep = [i for i in range(n) if i not in idxs]
+    out = {}
+    for e, c in a.items():
+        poly = {0: c}
+        for i, x in zip(idxs, shifts):
+            for _ in range(e[i]):
+                nxt = {}
+                for deg, v in poly.items():
+                    nxt[deg + 1] = nxt.get(deg + 1, Fraction(0)) + v
+                    nxt[deg] = nxt.get(deg, Fraction(0)) + v * x
+                poly = nxt
+        for deg, v in poly.items():
+            ne = (deg,) + tuple(e[i] for i in keep)
+            out[ne] = out.get(ne, Fraction(0)) + v
+    return nonzero(out)
+
+
+def ref_xi_shift(a, idxs):
+    """{xi degree: {exponent: coefficient}} of f(.., x_i + xi, ..), each
+    shifted variable multiplied out one linear factor at a time."""
+    out = {}
+    for e, c in a.items():
+        poly = {(0, e): c}  # (xi degree, exponent) -> coefficient
+        for i in idxs:
+            base = {(dd, ee[:i] + (0,) + ee[i + 1:]): v for (dd, ee), v in poly.items()}
+            for _ in range(e[i]):
+                nxt = {}
+                for (dd, ee), v in base.items():
+                    up = ee[:i] + (ee[i] + 1,) + ee[i + 1:]
+                    nxt[(dd, up)] = nxt.get((dd, up), Fraction(0)) + v
+                    nxt[(dd + 1, ee)] = nxt.get((dd + 1, ee), Fraction(0)) + v
+                base = nxt
+            poly = base
+        for (dd, ee), v in poly.items():
+            slot = out.setdefault(dd, {})
+            slot[ee] = slot.get(ee, Fraction(0)) + v
+    parts = {k: nonzero(v) for k, v in out.items()}
+    return {k: v for k, v in parts.items() if v}
+
+
+SEEDS = range(24)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sums_and_scalars_match_schoolbook(seed):
+    rng = random.Random(seed)
+    a, b = random_terms(rng, 3), random_terms(rng, 3)
+    if rng.random() < 0.3:
+        b.update({e: -c for e, c in a.items()})  # cancellation down to few terms
+    x, y = MPoly(3, a), MPoly(3, b)
+    a, b = nonzero(a), nonzero(b)
+    assert assert_canonical(x + y).d == ref_sum(a, b, 1)
+    assert assert_canonical(x - y).d == ref_sum(a, b, -1)
+    assert assert_canonical(-x).d == ref_scale(a, -1)
+    q = random_rational(rng)
+    assert assert_canonical(x + q).d == ref_sum(a, {(0, 0, 0): q}, 1)
+    assert assert_canonical(q - x).d == ref_sum({(0, 0, 0): q}, a, -1)
+    for got in (x * q, q * x):
+        assert assert_canonical(got).d == ref_scale(a, q)
+    q = random_rational(rng, nonzero=True)
+    assert assert_canonical(x / q).d == ref_scale(a, 1 / q)
+    assert assert_canonical(x * int(q.numerator)).d == ref_scale(a, q.numerator)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_structure_kernels_match_schoolbook(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    a = random_terms(rng, n, size=6)
+    p = MPoly(n, a)
+    a = nonzero(a)
+    sigma = tuple(rng.sample(range(n), n))
+    assert assert_canonical(p.apply_perm(sigma)).d == ref_perm(a, sigma)
+    i, k = rng.randrange(n), rng.randint(-2, 2)
+    assert assert_canonical(p.shift_var(i, k)).d == ref_shift(a, i, k)
+    idxs = sorted(rng.sample(range(n), rng.randint(1, n)))
+    parts = p.graded_parts(idxs)
+    assert {deg: assert_canonical(q).d for deg, q in parts.items()} == ref_graded(a, idxs)
+    scales = [random_rational(rng, nonzero=True) for _ in idxs]
+    got = p.collapse_monomial(idxs, scales)
+    assert got.n == n - len(idxs) + 1
+    assert assert_canonical(got).d == ref_collapse_monomial(a, n, idxs, scales)
+    # the affine and xi shifts need nonnegative exponents in the shifted slots
+    b = nonzero(random_terms(rng, n, size=6, lo=0))
+    q = MPoly(n, b)
+    shifts = [random_rational(rng) for _ in idxs]
+    got = q.collapse_affine(idxs, shifts)
+    assert got.n == n - len(idxs) + 1
+    assert assert_canonical(got).d == ref_collapse_affine(b, n, idxs, shifts)
+    parts = q.xi_shift_parts(idxs)
+    assert {deg: assert_canonical(r).d for deg, r in parts.items()} == ref_xi_shift(b, idxs)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_kernel_leaves_the_canonical_form(seed):
+    rng = random.Random(seed)
+    x, y = MPoly(3, random_terms(rng, 3)), MPoly(3, random_terms(rng, 3))
+    for p in (x, y, x * y, x * x - x * x, x ** 2, MPoly.zero(3), MPoly.const(3, Fraction(-4, 6)),
+              MPoly.var(3, 1, -2), MPoly.monomial(3, (1, 0, 2), Fraction(9, -6))):
+        assert_canonical(p)
+    pairs = [(0, 1), (2, 0)]
+    lin = (MPoly.var(3, 0) - MPoly.var(3, 1)) * (MPoly.var(3, 2) - MPoly.var(3, 0))
+    assert assert_canonical((x * lin).div_vandermonde(pairs)) == x
+    assert assert_canonical((y * lin).div_linear(0, 1)) == y * (MPoly.var(3, 2) - MPoly.var(3, 0))
+    point = [random_rational(rng, nonzero=True) for _ in range(3)]
+    assert type(x.eval(point)) is Fraction
+    assert x.eval(point) == ref_eval(x.d, point)
+
+
+def test_stored_form_cases():
+    p = MPoly(2, {(1, 0): Fraction(2, 3), (0, 1): Fraction(-4, 9), (0, 0): 0})
+    assert (p.n, p.nums, p.den) == (2, {(1, 0): 6, (0, 1): -4}, 9)
+    assert p.d == {(1, 0): Fraction(2, 3), (0, 1): Fraction(-4, 9)}
+    # a negative rational divisor leaves the denominator positive
+    q = p / Fraction(-2, 3)
+    assert (q.nums, q.den) == ({(1, 0): -3, (0, 1): 2}, 3)
+    # a cancelled term, then one gcd pass over what is left
+    r = p + MPoly(2, {(1, 0): Fraction(-2, 3), (0, 1): Fraction(-2, 9)})
+    assert (r.nums, r.den) == ({(0, 1): -2}, 3)
+    zero = p - p
+    assert (zero.nums, zero.den) == ({}, 1) and zero == MPoly.zero(2) == 0
+    assert (p * 0).nums == {} and (p * 0).den == 1
+    # integer coefficients keep the denominator 1
+    s = MPoly(2, {(1, 1): 4, (0, 0): -6})
+    assert (s.nums, s.den) == ({(1, 1): 4, (0, 0): -6}, 1)
+    # d is a fresh dict on every read: writing to it leaves p as it was
+    p.d[(5, 5)] = Fraction(1)
+    assert (5, 5) not in p.d
+    with pytest.raises(AttributeError):
+        p.d = {}
+    with pytest.raises(TypeError):
+        hash(p)
+    with pytest.raises(TypeError):
+        MPoly(1, {(0,): 0.5})
+    with pytest.raises(TypeError):
+        p * 0.5
+
+
+def test_zero_scale_under_a_negative_power_raises():
+    p = MPoly(2, {(-1, 1): 1, (0, 2): 3})
+    with pytest.raises(ZeroDivisionError):
+        p.collapse_monomial((0,), (Fraction(0),))
+    # a zero scale under nonnegative powers only: 0^0 is 1
+    assert p.collapse_monomial((1,), (0,)) == MPoly.zero(2)
+    with pytest.raises(ValueError):
+        p.collapse_affine((0,), (1,))
+    with pytest.raises(ValueError):
+        p.xi_shift_parts((0,))

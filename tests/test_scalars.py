@@ -528,8 +528,9 @@ def test_rational_scaling_keeps_precision():
     for scaled in (s * 2, 2 * s, s * Fraction(-3, 4), Fraction(-3, 4) * s):
         assert scaled.trunc == 3 and scaled.val == -2
     assert stored(s * 2) == stored(s / Fraction(1, 2))
-    # a zero factor keeps the product rule: zero mod X^(3 + val)
-    assert stored(s * 0) == (1, [], 1)
+    # an exact rational zero loses no precision: zero mod X^trunc
+    for zero in (0, Fraction(0)):
+        assert stored(s * zero) == stored(zero * s) == (3, [], 3)
 
 
 def test_coefficients_are_rationals():

@@ -153,6 +153,20 @@ class TestLElements:
             ratio = nested.scalar_ratio(closed)
             assert ratio == expected_ratio
 
+    def test_scalar_ratio_cases(self):
+        # proportional numerators over different denominators, and the
+        # near misses: one term off, one term missing, another arity
+        F = ShuffleElement("m", 2, MPoly(2, {(1, 0): Fraction(2, 3), (0, 1): Fraction(-1, 5)}))
+        G = ShuffleElement("m", 2, MPoly(2, {(1, 0): Fraction(-10, 7), (0, 1): Fraction(3, 7)}))
+        assert F.scalar_ratio(G) == Fraction(-7, 15) and G.scalar_ratio(F) == Fraction(-15, 7)
+        assert G * F.scalar_ratio(G) == F
+        off = ShuffleElement("m", 2, MPoly(2, {(1, 0): Fraction(-10, 7), (0, 1): Fraction(4, 7)}))
+        short = ShuffleElement("m", 2, MPoly(2, {(1, 0): Fraction(2, 3)}))
+        assert F.scalar_ratio(off) is None and F.scalar_ratio(short) is None
+        assert short.scalar_ratio(F) is None
+        assert F.scalar_ratio(ShuffleElement("m", 1, MPoly(1, {(1,): 1}))) is None
+        assert F.scalar_ratio(F * 0) is None
+
 
 class TestCommutativity:
     def test_pairwise_degree_four(self):
