@@ -22,20 +22,18 @@ family, the kernel relation of g against g (Y1, Y2) and of psi against g
 (Y4, Y5) is one term list, `_additive_kernel_terms`.
 
 Exact linear combinations.  `lincomb` takes (label, a, b) triples and
-returns {label: sum of a * b}.  When every factor is an int or a Fraction
-it adds the products as integer (numerator, denominator) pairs and builds
-one Fraction per label at the end; any other factor (a TSeries) sends the
-sum through `vsum` of the products.  Either way the labels keep
-first-insertion order and sums that are zero are dropped once, at the end,
-by `vsum`'s rule.  `apply_mode` and `_apply_diagonal`, the public actions,
-are one `lincomb` call each.  The sweep keeps its word images on a rational
-`Module` as integer numerators over one denominator instead: each (letter,
-label) row is compiled once to (den, [(target, n)]), a letter is one lcm
-over the rows it reads, one integer accumulation and one gcd pass, and a
-residual one integer sum over the lcm of its terms' denominators, turned
-into Fractions only when it fails.  It gives the residual `lincomb` gives,
-to the key order and the int or Fraction type of each value; on series
-values it runs `lincomb` itself.
+returns `vsum` of the products a * b: the labels keep first-insertion order
+and sums that are zero are dropped once, at the end.  `apply_mode` and
+`_apply_diagonal`, the public actions, are one `lincomb` call each.  The
+sweep keeps its word images on a rational `Module` as integer numerators
+over one denominator instead: each (letter, label) row is compiled once to
+(den, [(target, n)]), a diagonal value to the row (den, [(label, n)]), a
+letter is one lcm over the rows it reads, one integer accumulation and one
+gcd pass, and a residual one integer sum over the lcm of its terms'
+denominators, turned into Fractions only when it fails.  A basis vector is
+{label: Fraction(1)}, so every rational entry of a word image or a residual
+is a Fraction on both paths, and both give the same residuals, to the key
+order; on series values the sweep runs `lincomb` itself.
 
 Memos.  Every value a module, a series bridge or a parameter pack keeps
 for later follows one rule.  A `memoized` method (or a hand-keyed table
@@ -45,7 +43,7 @@ owner lives; the owner's attributes that such a value reads are set before
 its first use.  The owner's `__dict__` is read directly, never through
 `getattr`, so a `ModuleWrapper`, whose `__getattr__` passes to its base,
 never serves the base's memo: a `PerturbedModule` keeps its own rows, the
-sweep's compiled rows (`Module._int_mode_row`, `Module._int_psi_coeff`)
+sweep's compiled rows (`Module._int_mode_row`, `Module._int_psi_row`)
 included.  A value that depends on a callable argument is split so that
 the memoized part takes none (`Module.t_eigenvalue` keeps psi's beta-free
 log coefficient per (label, m) and divides by beta(m) on every call); the
@@ -104,7 +102,7 @@ def _zero(c):
 
 
 def vec(label):
-    return {label: 1}
+    return {label: Fraction(1)}
 
 
 def vsum(terms, start=()):
@@ -118,52 +116,10 @@ def vsum(terms, start=()):
 
 
 def lincomb(triples):
-    """The vector {label: sum of a * b} over the (label, a, b) triples, in
-    `vsum`'s first-insertion order, with sums that are zero dropped once,
-    at the end, by the same rule.
-
-    When every a and b is an int or a Fraction, each label's products are
-    added as integer (numerator, denominator) pairs over the lcm of the
-    denominators seen, and one Fraction is built per label at the end (an
-    int when every factor for that label is an int, as the plain sum
-    gives).  Any other factor sends the whole sum through `vsum` of the
-    products a * b, so series values and truncations are those of the plain
-    sum."""
-    triples = list(triples)
-    acc = {}
-    for k, a, b in triples:
-        ta, tb = type(a), type(b)
-        if ta is Fraction:
-            an, ad = a.numerator, a.denominator
-        elif ta is int:
-            an, ad = a, 1
-        else:
-            return vsum((k, a * b) for k, a, b in triples)
-        if tb is Fraction:
-            bn, bd = b.numerator, b.denominator
-        elif tb is int:
-            bn, bd = b, 1
-        else:
-            return vsum((k, a * b) for k, a, b in triples)
-        n, d = an * bn, ad * bd
-        frac = ta is Fraction or tb is Fraction
-        s = acc.get(k)
-        if s is None:
-            acc[k] = [n, d, frac]
-            continue
-        D = s[1]
-        if D == d:
-            s[0] += n
-        elif D % d == 0:
-            s[0] += n * (D // d)
-        else:
-            g = gcd(D, d)
-            s[0] = s[0] * (d // g) + n * (D // g)
-            s[1] = D * (d // g)
-        if frac:
-            s[2] = True
-    return {k: Fraction(n, d) if frac else n
-            for k, (n, d, frac) in acc.items() if n}
+    """The vector {label: sum of a * b} over the (label, a, b) triples: `vsum`
+    of the products, in its first-insertion order, with sums that are zero
+    dropped once, at the end."""
+    return vsum((k, a * b) for k, a, b in triples)
 
 
 def is_vec_zero(u, hmod=None):
@@ -183,14 +139,19 @@ class _Inexact(Exception):
 
 
 def _rational(c):
-    """(numerator, denominator, is_int) of an int or a Fraction; any other
-    value raises _Inexact."""
-    t = type(c)
-    if t is Fraction:
-        return c.numerator, c.denominator, False
-    if t is int:
-        return c, 1, True
+    """(numerator, denominator) of an int or a Fraction; any other value
+    raises _Inexact."""
+    if type(c) is Fraction or type(c) is int:
+        return c.numerator, c.denominator
     raise _Inexact
+
+
+def _int_row(row):
+    """The row [(target, c)] over one denominator: (den, [(target, n)]) with
+    each c = n/den and den the lcm of the c's denominators (`_rational`)."""
+    parts = [(tgt,) + _rational(c) for tgt, c in row]
+    den = lcm(*(d for _, _, d in parts))
+    return den, [(tgt, n * (den // d)) for tgt, n, d in parts]
 
 
 class Module:
@@ -297,21 +258,14 @@ class Module:
     # -- compiled rows of the relation sweep's integer path ---------------
     @memoized
     def _int_mode_row(self, kind, label, mode):
-        """`mode_row(kind, label, mode)` over one denominator: (den,
-        [(target, n)], ints) with each coefficient n/den, den the lcm of the
-        coefficients' denominators, and ints None when every coefficient is
-        a Fraction, else each coefficient's is-an-int flag.  Raises
-        _Inexact when some coefficient is neither an int nor a Fraction."""
-        parts = [(tgt,) + _rational(c) for tgt, c in self.mode_row(kind, label, mode)]
-        den = lcm(*(d for _, _, d, _ in parts))
-        ints = tuple(is_int for _, _, _, is_int in parts)
-        return den, [(tgt, n * (den // d)) for tgt, n, d, _ in parts], \
-            ints if any(ints) else None
+        """`mode_row(kind, label, mode)` compiled by `_int_row`."""
+        return _int_row(self.mode_row(kind, label, mode))
 
     @memoized
-    def _int_psi_coeff(self, label, sign, k):
-        """`psi_coeff(label, sign, k)` as (n, den, is_int) (`_rational`)."""
-        return _rational(self.psi_coeff(label, sign, k))
+    def _int_psi_row(self, label, sign, k):
+        """The diagonal row [(label, psi_coeff(label, sign, k))] compiled by
+        `_int_row`."""
+        return _int_row([(label, self.psi_coeff(label, sign, k))])
 
 
 def apply_mode(rows, kind, mode, v):
@@ -477,11 +431,10 @@ def word_images(module, ctx):
 
 # -- the relation sweep's integer path ---------------------------------------
 #
-# A vector is (D, {label: n}, ints): the entry n/D on each label, D > 0, no
-# entry zero, and ints the set of labels whose entry `lincomb` gives as an
-# int (None when there is none).  The empty vector is ().
+# A vector is (D, {label: n}): the entry n/D on each label, D > 0 and no
+# entry zero.  The empty vector is ().
 
-def _int_vec(D, nums, ints):
+def _int_vec(D, nums):
     """The vector with entries nums/D, zeros dropped, reduced by one gcd
     pass."""
     if not nums or 0 in nums.values():
@@ -492,73 +445,56 @@ def _int_vec(D, nums, ints):
     if g > 1:
         D //= g
         nums = {k: n // g for k, n in nums.items()}
-    if ints:
-        ints = {k for k in ints if k in nums}
-    return D, nums, ints or None
+    return D, nums
 
 
 def _int_start(label):
-    return 1, {label: 1}, {label}
+    return 1, {label: 1}
 
 
-def _int_mode(module, kind, mode, v):
-    """Mode `mode` of the 'e' or 'f' current on v, read from the compiled
-    rows (`Module._int_mode_row`): one lcm over the rows, one integer
-    accumulation, one gcd pass."""
-    D, nums, ints = v
-    rows = [(label, n, module._int_mode_row(kind, label, mode)) for label, n in nums.items()]
-    L = lcm(*(row[0] for _, _, row in rows))
+def _int_apply(row, v):
+    """The letter with the compiled row row(label) = (den, [(target, n)]) on
+    each label, on v: one lcm over the rows, one integer accumulation, one
+    gcd pass."""
+    D, nums = v
+    rows = [(n, row(label)) for label, n in nums.items()]
+    L = lcm(*(den for _, (den, _) in rows))
     out = {}
     get = out.get
-    for _, n, (den, entries, _) in rows:
+    for n, (den, entries) in rows:
         s = n * (L // den)
         for tgt, a in entries:
             out[tgt] = get(tgt, 0) + s * a
-    if ints:
-        frac = {tgt for label, _, (_, entries, flags) in rows
-                for i, (tgt, _) in enumerate(entries)
-                if label not in ints or flags is None or not flags[i]}
-        ints = out.keys() - frac
-    return _int_vec(D * L, out, ints)
-
-
-def _int_diagonal(value, v):
-    """The diagonal operator with value(label) = (n, den, is_int) on v."""
-    D, nums, ints = v
-    vals = [(label, n, value(label)) for label, n in nums.items()]
-    L = lcm(*(d for _, _, (_, d, _) in vals))
-    out = {label: n * a * (L // d) for label, n, (a, d, _) in vals}
-    if ints:
-        ints = {label for label, _, (_, _, is_int) in vals if is_int and label in ints}
-    return _int_vec(D * L, out, ints)
+    return _int_vec(D * L, out)
 
 
 def _int_stepper(module, ctx):
     """step(letter, v), the letter of `_apply_letter` on an integer vector
-    of a `Module`.  e and f read `Module._int_mode_row`, psi+- read
-    `Module._int_psi_coeff`; psiy and t, whose values depend on ctx, are
-    compiled once per stepper from `psi_y_eigenvalue` and `t_eigenvalue`.
-    A value that is neither an int nor a Fraction raises _Inexact."""
+    of a `Module`, by `_int_apply`.  e and f read `Module._int_mode_row`,
+    psi+- read `Module._int_psi_row`; the psiy and t rows, whose values
+    depend on ctx, are compiled once per stepper from `psi_y_eigenvalue`
+    and `t_eigenvalue`.  A value that is neither an int nor a Fraction
+    raises _Inexact."""
     table = {}
 
-    def ctx_value(gen, idx, label):
+    def ctx_row(gen, idx, label):
         key = (gen, idx, label)
         r = table.get(key)
         if r is None:
             c = (module.psi_y_eigenvalue(label, idx, ctx["sig3"]) if gen == "psiy"
                  else module.t_eigenvalue(label, idx, ctx["beta"]))
-            r = table[key] = _rational(c)
+            r = table[key] = _int_row([(label, c)])
         return r
 
     def step(letter, v):
         gen, idx = letter
         if gen == "e" or gen == "f":
-            return _int_mode(module, gen, idx, v)
+            return _int_apply(lambda label: module._int_mode_row(gen, label, idx), v)
         if gen == "psi+" or gen == "psi-":
             sign = +1 if gen == "psi+" else -1
-            return _int_diagonal(lambda label: module._int_psi_coeff(label, sign, idx), v)
+            return _int_apply(lambda label: module._int_psi_row(label, sign, idx), v)
         if gen == "psiy" or gen == "t":
-            return _int_diagonal(lambda label: ctx_value(gen, idx, label), v)
+            return _int_apply(lambda label: ctx_row(gen, idx, label), v)
         raise ValueError(f"unknown generator {gen}")
 
     return step
@@ -566,18 +502,18 @@ def _int_stepper(module, ctx):
 
 def _int_residual(image, label, terms, rhs):
     """(live, residual) of one (instance, label) pair on the integer path:
-    the sum of c * image(label, word) over terms [(n, d, is_int, word)]
-    (c = n/d), minus rhs = (n, d, is_int) or None, over the lcm of the
-    denominators.  live says whether any image or rhs is nonzero; the
-    residual is {} when the sum is zero, else `lincomb`'s vector of it."""
-    parts = [(n, d, is_int, img) for n, d, is_int, word in terms
+    the sum of c * image(label, word) over terms [(n, d, word)] (c = n/d),
+    minus rhs = (n, d) or None, over the lcm of the denominators.  live says
+    whether any image or rhs is nonzero; the residual is {} when the sum is
+    zero, else its vector of Fractions."""
+    parts = [(n, d, img) for n, d, word in terms
              for img in (image(label, word),) if img]
     if not parts and rhs is None:
         return False, {}
-    L = lcm(*(d * img[0] for _, d, _, img in parts), *(() if rhs is None else (rhs[1],)))
+    L = lcm(*(d * img[0] for _, d, img in parts), *(() if rhs is None else (rhs[1],)))
     acc = {}
     get = acc.get
-    for n, d, _, (D, nums, _) in parts:
+    for n, d, (D, nums) in parts:
         s = n * (L // (d * D))
         for k, a in nums.items():
             acc[k] = get(k, 0) + s * a
@@ -585,11 +521,7 @@ def _int_residual(image, label, terms, rhs):
         acc[label] = get(label, 0) - rhs[0] * (L // rhs[1])
     if not any(acc.values()):
         return True, {}
-    frac = {k for _, _, is_int, (_, nums, ints) in parts for k in nums
-            if not (is_int and ints and k in ints)}
-    if rhs is not None and not rhs[2]:
-        frac.add(label)
-    return True, {k: Fraction(n, L) if k in frac else n // L for k, n in acc.items() if n}
+    return True, {k: Fraction(n, L) for k, n in acc.items() if n}
 
 
 def _commutator_words(w1, w2):
@@ -798,8 +730,8 @@ class RelationSweep:
     only for a failing residual.  At the first other value (a series), and
     on any other module (the series bridge, the boson states), the sweep
     goes on with `word_images` and one `lincomb` per residual.  Both paths
-    give the same residuals, to the key order and the int or Fraction type
-    of each value."""
+    give the same residuals, to the key order, with every rational entry a
+    Fraction."""
 
     def __init__(self, module, instances, ctx, level_bound, hmod=None):
         self.module, self.ctx, self.level_bound, self.hmod = module, ctx, level_bound, hmod

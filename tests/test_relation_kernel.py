@@ -423,16 +423,16 @@ def test_compiled_rows_match_their_hooks(family, make):
         for label in M.basis(level):
             for kind in ("e", "f"):
                 for mode in range(-2, 3):
-                    den, entries, ints = M._int_mode_row(kind, label, mode)
+                    den, entries = M._int_mode_row(kind, label, mode)
                     row = M.mode_row(kind, label, mode)
                     assert [tgt for tgt, _ in entries] == [tgt for tgt, _ in row]
                     assert [Fraction(n, den) for _, n in entries] == [c for _, c in row]
-                    assert ints is None and all(type(c) is Fraction for _, c in row)
+                    assert all(type(c) is Fraction for _, c in row)
             for sign in (+1, -1):
                 for k in range(-1, 4):
-                    n, den, is_int = M._int_psi_coeff(label, sign, k)
-                    c = M.psi_coeff(label, sign, k)
-                    assert Fraction(n, den) == c and is_int == (type(c) is int)
+                    den, entries = M._int_psi_row(label, sign, k)
+                    assert [(tgt, Fraction(n, den)) for tgt, n in entries] == \
+                        [(label, M.psi_coeff(label, sign, k))]
             if family == "T":
                 for m in (-2, -1, 1, 2):
                     assert unit_image(step, ("t", m), label) == M.t_eigenvalue(label, m, P2.beta)
@@ -447,7 +447,7 @@ def test_wrappers_keep_their_own_compiled_rows():
     calls = [(method, args) for level in range(3) for label in M.basis(level)
              for method, args in (
                  (Module._int_mode_row, ("e", label, 1)), (Module._int_mode_row, ("f", label, -1)),
-                 (Module._int_psi_coeff, (label, +1, 2)), (Module._int_psi_coeff, (label, -1, 1)))]
+                 (Module._int_psi_row, (label, +1, 2)), (Module._int_psi_row, (label, -1, 1)))]
     for method, args in calls:
         method(M, *args)
     for kind in PerturbedModule.KINDS:
@@ -496,17 +496,40 @@ class IntLadder(Module):
         return RatFn.from_factors(1, [], [])
 
 
+class HalfLadder(IntLadder):
+    """`IntLadder` with one Fraction row coefficient: e raises 0 with 1/2."""
+
+    def _e_transitions(self, j):
+        return [(j + 1, Fraction(1, 2) if j == 0 else j + 1, 1)]
+
+
 def report_row(rep):
     return (rep.relation, rep.ok, rep.checked, rep.nonvacuous, rep.counterexample)
 
 
-def test_int_rows_give_an_int_residual_as_lincomb_does():
+def test_int_rows_give_a_fraction_residual_on_both_paths():
     rep = check_relation(IntLadder(), "T3", P1, 1, window=0)
     assert report_row(rep) == ("T3", False, 1, 1, {"instance": "T3[0,0]", "level": 0,
-                                                   "label": 0, "residual": {"0": "-2"}})
-    for rel in RELATION_BUILDERS_T:
-        assert report_row(check_relation(IntLadder(), rel, P1, 2, window=0)) == \
-            report_row(check_relation(NotAModule(IntLadder()), rel, P1, 2, window=0))
+                                                   "label": 0,
+                                                   "residual": {"0": "Fraction(-2, 1)"}})
+    for ladder in (IntLadder, HalfLadder):
+        for rel in RELATION_BUILDERS_T:
+            assert report_row(check_relation(ladder(), rel, P1, 2, window=0)) == \
+                report_row(check_relation(NotAModule(ladder()), rel, P1, 2, window=0))
+
+
+@pytest.mark.parametrize("family", ["T", "Y"])
+@pytest.mark.parametrize("name", ["vector", "fixedpoint-r2", "tensor"])
+def test_both_sweep_paths_give_the_same_reports(family, name):
+    """A module and the same module behind `NotAModule`, whose sweep runs
+    `word_images` and `lincomb`, give the same reports, the reprs of the
+    residual values included."""
+    params = zoo_point("default", family)
+    relations = RELATION_BUILDERS_T if family == "T" else RELATION_BUILDERS_Y
+    for module in zoo_modules(name, family, params):
+        for rel in relations:
+            assert report_row(check_relation(module, rel, params, 1, window=1)) == \
+                report_row(check_relation(NotAModule(module), rel, params, 1, window=1))
 
 
 @pytest.fixture
@@ -561,3 +584,32 @@ def test_rational_sweeps_never_call_lincomb(lincomb_calls):
     module, params = series_module()
     assert check_relation(module, "Y1", params, 1, window=1, hmod=6).ok
     assert lincomb_calls
+
+
+# -- the degree-three relations past their instantiated modes ----------------
+
+def sym3_sweep(module, family, g, modes, level_bound):
+    """The sweep of the g half of T6 (family 'T') or Y6 ('Y') at every mode
+    triple in modes**3."""
+    params = P2 if family == "T" else Y2
+    shifts = (+1, -1) if family == "T" else (0, +1)
+    instances = [((i1, i2, i3), repbase._sym3_nested(g, i1, i2, i3, *shifts), None)
+                 for i1 in modes for i2 in modes for i3 in modes]
+    return repbase.RelationSweep(module, instances, sweep_ctx(family, params), level_bound)
+
+
+@pytest.mark.parametrize("family,make,modes,nonvacuous", [
+    ("T", lambda: KTheoryFixedPointModule(P2, 2), range(-2, 3), {"e": 1000, "f": 1250}),
+    ("Y", lambda: CohomologyFixedPointModule(Y2, 2), range(0, 3), {"e": 216, "f": 270}),
+], ids=["T6", "Y6"])
+def test_degree_three_relations_hold_past_their_instantiated_modes(family, make, modes,
+                                                                   nonvacuous):
+    """`t_relation_instances` and `y_relation_instances` build T6 and Y6 only
+    at mode triples in [-1, 1] and [0, 1] and leave the others to the
+    mode-shifting relations (T4t/T5t, Y4/Y5): the wider triples hold as
+    well, and the e and f controls each trip their own half."""
+    for g, level_bound in (("e", 2), ("f", 3)):
+        sweep = sym3_sweep(make(), family, g, modes, level_bound)
+        assert list(sweep) == [] and sweep.nonvacuous == nonvacuous[g]
+        control = sym3_sweep(PerturbedModule(make(), g), family, g, modes, level_bound)
+        assert next(iter(control), None) is not None
