@@ -7,7 +7,9 @@ Boson states are monomials in the creation modes, labelled by partitions;
 all vertex-operator modes are finite-rank between graded pieces, so every
 computation here is exact.  The bracket check `tt3_check` is one instance
 per mode pair, run through the relation engine's sweep
-(`repbase.RelationSweep`) over the boson states (`BosonStates`).
+(`repbase.RelationSweep`) over the boson states (`BosonStates`); the sweep
+compiles each e and f row once from `BosonStates.mode_row` and each psi+-
+row from the mode on one state, as it does for every module.
 """
 
 from __future__ import annotations
@@ -143,14 +145,22 @@ def apply_vertex_mode(params, spec, k, vec):
 class BosonStates:
     """The boson Fock space as a module for the relation sweep: level d holds
     the partitions of d, and e, f and psi+- act by the vertex-operator
-    modes, psi- at index n being the mode z^n."""
+    modes, psi- at index n being the mode z^n.  The sweep reads e and f
+    from `mode_row`, the mode on one state."""
 
     def __init__(self, params, c):
-        self.apply_e = partial(apply_vertex_mode, params, etilde_spec(params, c))
-        self.apply_f = partial(apply_vertex_mode, params, ftilde_spec(params, c))
+        self.params = params
+        self.specs = {"e": etilde_spec(params, c), "f": ftilde_spec(params, c)}
+        self.apply_e = partial(apply_vertex_mode, params, self.specs["e"])
+        self.apply_f = partial(apply_vertex_mode, params, self.specs["f"])
         psi = {sign: psitilde_spec(params, sign) for sign in (+1, -1)}
         self.apply_psi = lambda sign, n, vec: apply_vertex_mode(params, psi[sign], sign * n, vec)
         self.basis = enum_partitions
+
+    def mode_row(self, kind, label, k):
+        """[(target, c)]: mode k of the 'e' or 'f' vertex operator on the
+        state `label`."""
+        return list(apply_vertex_mode(self.params, self.specs[kind], k, {label: 1}).items())
 
 
 def tt3_check(params, c, window=2, degree_cap=2):

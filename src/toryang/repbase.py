@@ -25,15 +25,16 @@ Exact linear combinations.  `lincomb` takes (label, a, b) triples and
 returns `vsum` of the products a * b: the labels keep first-insertion order
 and sums that are zero are dropped once, at the end.  `apply_mode` and
 `_apply_diagonal`, the public actions, are one `lincomb` call each.  The
-sweep keeps its word images on a rational `Module` as integer numerators
-over one denominator instead: each (letter, label) row is compiled once to
-(den, [(target, n)]), a diagonal value to the row (den, [(label, n)]), a
-letter is one lcm over the rows it reads, one integer accumulation and one
-gcd pass, and a residual one integer sum over the lcm of its terms'
-denominators, turned into Fractions only when it fails.  A basis vector is
-{label: Fraction(1)}, so every rational entry of a word image or a residual
-is a Fraction on both paths, and both give the same residuals, to the key
-order; on series values the sweep runs `lincomb` itself.
+sweep keeps its word images as numerators over one denominator instead,
+on every object it sweeps: each (letter, label) is compiled once to a row
+(den, [(target, n)]), n an int, or a TSeries as its own numerator over 1;
+a letter is one lcm over the rows it reads, one accumulation and one gcd
+pass, and a residual one sum over the lcm of its terms' denominators,
+turned into Fractions (or series over that lcm) only when it fails.  A
+basis vector is {label: Fraction(1)}, so every rational entry of a word
+image or a residual is a Fraction, and the sweep gives the residuals of
+`lincomb` over `word_images`; where the public actions read the same rows
+(every `Module`, the series bridge), in the same key order.
 
 Memos.  Every value a module, a series bridge or a parameter pack keeps
 for later follows one rule.  A `memoized` method (or a hand-keyed table
@@ -43,12 +44,11 @@ owner lives; the owner's attributes that such a value reads are set before
 its first use.  The owner's `__dict__` is read directly, never through
 `getattr`, so a `ModuleWrapper`, whose `__getattr__` passes to its base,
 never serves the base's memo: a `PerturbedModule` keeps its own rows, the
-sweep's compiled rows (`Module._int_mode_row`, `Module._int_psi_row`)
-included.  A value that depends on a callable argument is split so that
-the memoized part takes none (`Module.t_eigenvalue` keeps psi's beta-free
-log coefficient per (label, m) and divides by beta(m) on every call); the
-sweep compiles the t and psiy values, which depend on its ctx, once per
-sweep.
+sweep's compiled e, f and psi+- rows (`_compile_row`) included.  A value
+that depends on a callable argument is split so that the memoized part
+takes none (`Module.t_eigenvalue` keeps psi's beta-free log coefficient per
+(label, m) and divides by beta(m) on every call); the sweep compiles the t
+and psiy rows, which depend on its ctx, once per sweep.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from fractions import Fraction
 from functools import wraps
 from math import gcd, lcm
 
-from .scalars import ratfn_expand, ratfn_log_coeffs, is_zero_mod
+from .scalars import TSeries, ratfn_expand, ratfn_log_coeffs, is_zero_mod
 
 __all__ = [
     "memo_table", "memoized",
@@ -133,17 +133,16 @@ def is_vec_zero(u, hmod=None):
     return True
 
 
-class _Inexact(Exception):
-    """A value that is neither an int nor a Fraction: the relation sweep
-    goes on through `word_images` and `lincomb`."""
-
-
 def _rational(c):
-    """(numerator, denominator) of an int or a Fraction; any other value
-    raises _Inexact."""
-    if type(c) is Fraction or type(c) is int:
+    """(numerator, denominator) of a value on the sweep's vectors: an int or
+    a Fraction as its own pair, a TSeries as its own numerator over 1.  Any
+    other value raises TypeError naming its type."""
+    t = type(c)
+    if t is Fraction or t is int:
         return c.numerator, c.denominator
-    raise _Inexact
+    if t is TSeries:
+        return c, 1
+    raise TypeError(f"the relation sweep takes ints, Fractions and TSeries, not {t.__name__}")
 
 
 def _int_row(row):
@@ -151,7 +150,7 @@ def _int_row(row):
     each c = n/den and den the lcm of the c's denominators (`_rational`)."""
     parts = [(tgt,) + _rational(c) for tgt, c in row]
     den = lcm(*(d for _, _, d in parts))
-    return den, [(tgt, n * (den // d)) for tgt, n, d in parts]
+    return den, [(tgt, n if d == den else n * (den // d)) for tgt, n, d in parts]
 
 
 class Module:
@@ -191,9 +190,11 @@ class Module:
     @memoized
     def mode_row(self, kind, label, mode):
         """[(target, base * point**mode)] over the 'e' or 'f' transitions of
-        the label."""
+        the label; an int point is raised as a Fraction, so that a negative
+        mode stays exact."""
         ts = self.e_transitions(label) if kind == "e" else self.f_transitions(label)
-        return [(tgt, base * point ** mode) for tgt, base, point in ts]
+        return [(tgt, base * (Fraction(point) if type(point) is int else point) ** mode)
+                for tgt, base, point in ts]
 
     def apply_e(self, mode, v):
         return apply_mode(self, "e", mode, v)
@@ -255,24 +256,12 @@ class Module:
     def apply_t(self, m, v, beta):
         return _apply_diagonal(v, lambda label: self.t_eigenvalue(label, m, beta))
 
-    # -- compiled rows of the relation sweep's integer path ---------------
-    @memoized
-    def _int_mode_row(self, kind, label, mode):
-        """`mode_row(kind, label, mode)` compiled by `_int_row`."""
-        return _int_row(self.mode_row(kind, label, mode))
-
-    @memoized
-    def _int_psi_row(self, label, sign, k):
-        """The diagonal row [(label, psi_coeff(label, sign, k))] compiled by
-        `_int_row`."""
-        return _int_row([(label, self.psi_coeff(label, sign, k))])
-
 
 def apply_mode(rows, kind, mode, v):
     """Mode `mode` of the 'e' or 'f' current on the vector v, read from
     `rows.mode_row(kind, label, mode)`: every module and the series bridge
-    act through this one function.  The relation sweep reads the same rows
-    of a rational module compiled (`Module._int_mode_row`)."""
+    act through this one function.  The relation sweep reads the same rows,
+    compiled (`_compile_row`)."""
     return lincomb((tgt, c, coeff) for label, c in v.items()
                    for tgt, coeff in rows.mode_row(kind, label, mode))
 
@@ -359,10 +348,12 @@ class PerturbedModule(ModuleWrapper):
 # -- operator words and relation instantiation ----------------------------
 
 def _apply_letter(module, letter, v, ctx):
-    """One letter of a word on v: the step of `apply_word` and of the sweep's
-    memo, which does not go through `apply_word` because the traced
+    """One letter of a word on v: the step of `apply_word` and of
+    `word_images`, which does not go through `apply_word` because the traced
     benchmark keys each `apply_word` call by its input vector, and a
-    series-valued vector cannot be hashed (`perfbench/layers.py`)."""
+    series-valued vector cannot be hashed (`perfbench/layers.py`).  The
+    sweep compiles every letter but e and f from it, on a basis vector
+    (`_compile_row`)."""
     gen, idx = letter
     if gen == "e":
         return module.apply_e(idx, v)
@@ -396,8 +387,7 @@ def _suffix_images(start, step):
     """image(label, word) = step(word[0], image(label, word[1:])), with
     image(label, ()) = start(label) and every suffix's image computed once
     and kept; an empty (falsy) image stays empty.  `word_images` and the
-    relation sweep's integer path are this one recursion over two vector
-    forms."""
+    relation sweep are this one recursion over two vector forms."""
     memo = {}
 
     def image(label, word):
@@ -429,22 +419,27 @@ def word_images(module, ctx):
     return _suffix_images(vec, lambda letter, v: _apply_letter(module, letter, v, ctx))
 
 
-# -- the relation sweep's integer path ---------------------------------------
+# -- the relation sweep's vectors and compiled rows --------------------------
 #
 # A vector is (D, {label: n}): the entry n/D on each label, D > 0 and no
-# entry zero.  The empty vector is ().
+# entry zero, n an int or a TSeries (`_rational`).  The empty vector is ().
 
 def _int_vec(D, nums):
     """The vector with entries nums/D, zeros dropped, reduced by one gcd
-    pass."""
-    if not nums or 0 in nums.values():
+    pass; a TSeries numerator has no gcd, and a vector holding one keeps
+    its D."""
+    if not nums or not all(nums.values()):
         nums = {k: n for k, n in nums.items() if n}
         if not nums:
             return ()
-    g = gcd(D, *nums.values())
-    if g > 1:
-        D //= g
-        nums = {k: n // g for k, n in nums.items()}
+    if D > 1:
+        try:
+            g = gcd(D, *nums.values())
+        except TypeError:
+            return D, nums
+        if g > 1:
+            D //= g
+            nums = {k: n // g for k, n in nums.items()}
     return D, nums
 
 
@@ -454,58 +449,68 @@ def _int_start(label):
 
 def _int_apply(row, v):
     """The letter with the compiled row row(label) = (den, [(target, n)]) on
-    each label, on v: one lcm over the rows, one integer accumulation, one
-    gcd pass."""
+    each label, on v: one lcm over the rows, one accumulation, one gcd
+    pass.  A product is scaled only by a factor other than 1 and added only
+    to an entry already there, so a series numerator builds no extra
+    TSeries."""
     D, nums = v
     rows = [(n, row(label)) for label, n in nums.items()]
     L = lcm(*(den for _, (den, _) in rows))
     out = {}
     get = out.get
     for n, (den, entries) in rows:
-        s = n * (L // den)
+        s = n if den == L else n * (L // den)
         for tgt, a in entries:
-            out[tgt] = get(tgt, 0) + s * a
+            y = get(tgt)
+            out[tgt] = s * a if y is None else y + s * a
     return _int_vec(D * L, out)
 
 
-def _int_stepper(module, ctx):
-    """step(letter, v), the letter of `_apply_letter` on an integer vector
-    of a `Module`, by `_int_apply`.  e and f read `Module._int_mode_row`,
-    psi+- read `Module._int_psi_row`; the psiy and t rows, whose values
-    depend on ctx, are compiled once per stepper from `psi_y_eigenvalue`
-    and `t_eigenvalue`.  A value that is neither an int nor a Fraction
-    raises _Inexact."""
-    table = {}
+def _compile_row(module, letter, label, ctx):
+    """The letter on the basis vector of the label as a row over one
+    denominator, (den, [(target, n)]) (`_int_row`): e and f read
+    `mode_row(kind, label, mode)`, every other letter is applied to
+    vec(label) (`_apply_letter`)."""
+    gen, idx = letter
+    if gen == "e" or gen == "f":
+        return _int_row(module.mode_row(gen, label, idx))
+    return _int_row(_apply_letter(module, letter, vec(label), ctx).items())
 
-    def ctx_row(gen, idx, label):
-        key = (gen, idx, label)
-        r = table.get(key)
-        if r is None:
-            c = (module.psi_y_eigenvalue(label, idx, ctx["sig3"]) if gen == "psiy"
-                 else module.t_eigenvalue(label, idx, ctx["beta"]))
-            r = table[key] = _int_row([(label, c)])
-        return r
+
+def _int_stepper(module, ctx):
+    """step(letter, v), the letter of `_apply_letter` on a vector, by
+    `_int_apply` over the rows of `_compile_row`, each compiled once: the e,
+    f and psi+- rows in the module's own memo, keyed by (letter, label); the
+    psiy and t rows, whose values depend on ctx, once per stepper."""
+    kept, local = memo_table(module, "_compile_row"), {}
 
     def step(letter, v):
-        gen, idx = letter
-        if gen == "e" or gen == "f":
-            return _int_apply(lambda label: module._int_mode_row(gen, label, idx), v)
-        if gen == "psi+" or gen == "psi-":
-            sign = +1 if gen == "psi+" else -1
-            return _int_apply(lambda label: module._int_psi_row(label, sign, idx), v)
-        if gen == "psiy" or gen == "t":
-            return _int_apply(lambda label: ctx_row(gen, idx, label), v)
-        raise ValueError(f"unknown generator {gen}")
+        table = local if letter[0] == "psiy" or letter[0] == "t" else kept
+
+        def row(label):
+            r = table.get((letter, label))
+            if r is None:
+                r = table[letter, label] = _compile_row(module, letter, label, ctx)
+            return r
+
+        return _int_apply(row, v)
 
     return step
 
 
+def _over(n, L):
+    """The value n/L of an accumulated numerator: a Fraction, or a TSeries."""
+    if type(n) is int:
+        return Fraction(n, L)
+    return n if L == 1 else n / L
+
+
 def _int_residual(image, label, terms, rhs):
-    """(live, residual) of one (instance, label) pair on the integer path:
-    the sum of c * image(label, word) over terms [(n, d, word)] (c = n/d),
-    minus rhs = (n, d) or None, over the lcm of the denominators.  live says
+    """(live, residual) of one (instance, label) pair: the sum of
+    c * image(label, word) over terms [(n, d, word)] (c = n/d), minus
+    rhs = (n, d) or None, over the lcm of the denominators.  live says
     whether any image or rhs is nonzero; the residual is {} when the sum is
-    zero, else its vector of Fractions."""
+    zero, else its vector of Fractions and TSeries (`_over`)."""
     parts = [(n, d, img) for n, d, word in terms
              for img in (image(label, word),) if img]
     if not parts and rhs is None:
@@ -514,14 +519,19 @@ def _int_residual(image, label, terms, rhs):
     acc = {}
     get = acc.get
     for n, d, (D, nums) in parts:
-        s = n * (L // (d * D))
+        f = L // (d * D)
+        s = n if f == 1 else n * f
         for k, a in nums.items():
-            acc[k] = get(k, 0) + s * a
+            y = get(k)
+            acc[k] = s * a if y is None else y + s * a
     if rhs is not None:
-        acc[label] = get(label, 0) - rhs[0] * (L // rhs[1])
+        n, d = rhs
+        x = n if d == L else n * (L // d)
+        y = get(label)
+        acc[label] = -x if y is None else y - x
     if not any(acc.values()):
         return True, {}
-    return True, {k: Fraction(n, L) for k, n in acc.items() if n}
+    return True, {k: _over(n, L) for k, n in acc.items() if n}
 
 
 def _commutator_words(w1, w2):
@@ -723,59 +733,33 @@ class RelationSweep:
     exactly or mod X^hmod.  `checked` and `nonvacuous` count the pairs swept
     so far, as in `RelationReport`.
 
-    On a `Module` whose compiled rows, coefficients and right-hand sides are
-    ints and Fractions, every word image is an integer vector over one
-    denominator (`_int_stepper`) and each residual one integer sum over the
-    lcm of its terms' denominators (`_int_residual`); a Fraction is built
-    only for a failing residual.  At the first other value (a series), and
-    on any other module (the series bridge, the boson states), the sweep
-    goes on with `word_images` and one `lincomb` per residual.  Both paths
-    give the same residuals, to the key order, with every rational entry a
-    Fraction."""
+    Every object swept (a `Module`, the series bridge, the boson states)
+    runs one path.  A word image is a vector (D, {label: n}) over one
+    denominator, each letter read from compiled rows (`_int_stepper`), and
+    each residual one sum over the lcm of its terms' denominators
+    (`_int_residual`), with a Fraction built only for a failing residual.
+    A coefficient, row value or right-hand side is an int, a Fraction or a
+    TSeries (`_rational`); anything else raises TypeError."""
 
     def __init__(self, module, instances, ctx, level_bound, hmod=None):
         self.module, self.ctx, self.level_bound, self.hmod = module, ctx, level_bound, hmod
-        self.instances = [(inst_id, [(coeff, tuple(word)) for coeff, word in terms
+        self.instances = [(inst_id, [_rational(coeff) + (tuple(word),) for coeff, word in terms
                                      if not _zero(coeff)], rhs)
                           for inst_id, terms, rhs in instances]
-        try:
-            self._int_terms = [[_rational(coeff) + (word,) for coeff, word in terms]
-                               for _, terms, _ in self.instances]
-        except _Inexact:
-            self._int_terms = None
         self.checked = self.nonvacuous = 0
-
-    def _lincomb_pair(self, image, label, terms, rhs):
-        triples = [(k, c, coeff) for coeff, word in terms
-                   for k, c in image(label, word).items()]
-        if rhs is not None:
-            d = rhs(self.module, label)
-            if not _zero(d):
-                triples.append((label, d, -1))
-        return bool(triples), lincomb(triples)
-
-    def _int_pair(self, image, label, terms, rhs):
-        d = 0 if rhs is None else rhs(self.module, label)
-        return _int_residual(image, label, terms, None if _zero(d) else _rational(d))
 
     def __iter__(self):
-        module, ctx, hmod = self.module, self.ctx, self.hmod
+        module, hmod = self.module, self.hmod
         self.checked = self.nonvacuous = 0
-        exact = self._int_terms is not None and isinstance(module, Module)
-        step = _int_stepper(module, ctx) if exact else None
+        step = _int_stepper(module, self.ctx)
         for level in range(self.level_bound + 1):
             for label in module.basis(level):
                 # no image is shared between labels: free each label's memo
-                image = _suffix_images(_int_start, step) if exact \
-                    else word_images(module, ctx)
-                for i, (inst_id, terms, rhs) in enumerate(self.instances):
-                    if exact:
-                        try:
-                            live, acc = self._int_pair(image, label, self._int_terms[i], rhs)
-                        except _Inexact:
-                            exact, image = False, word_images(module, ctx)
-                    if not exact:
-                        live, acc = self._lincomb_pair(image, label, terms, rhs)
+                image = _suffix_images(_int_start, step)
+                for inst_id, terms, rhs in self.instances:
+                    d = 0 if rhs is None else rhs(module, label)
+                    live, acc = _int_residual(image, label, terms,
+                                              None if _zero(d) else _rational(d))
                     self.checked += 1
                     if live:
                         self.nonvacuous += 1

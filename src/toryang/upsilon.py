@@ -23,6 +23,8 @@ double sum.  The raising and lowering images glue each transition once,
 as (target, base * norm * g, point) with the glueing unit g evaluated on
 the post-action label; the mode-k row multiplies each by exp(k * point),
 and acts through the same row code as every module (`repbase.apply_mode`).
+The relation sweep reads the same rows, compiled with each series as its
+own numerator over 1, on the one path it runs for every object.
 The comparison map from the renormalized K-theory module is the
 Fock-factorization solver (`toroidal.solve_intertwiner`) run against the
 bridge.  The audits of T3, T4t and the e half of T6t are instance lists

@@ -1,6 +1,7 @@
 """The relation engine's exact linear-combination kernel (`repbase.lincomb`),
-the memo behind `Module.t_eigenvalue`, the sweep's integer path, and what
-`check_relation` reports."""
+the memo behind `Module.t_eigenvalue`, the sweep's compiled rows, the sweep
+against a schoolbook reference (`lincomb` over `word_images`) on every kind
+of object it sweeps, and what `check_relation` reports."""
 
 import hashlib
 import json
@@ -10,10 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toryang import repbase
+from toryang import horizontal, repbase, upsilon
+from toryang.horizontal import (BosonStates, apply_vertex_mode, etilde_spec, ftilde_spec,
+                                horizontal_params, tt3_check)
 from toryang.params import default_toroidal, default_yangian, sample_generic_params
 from toryang.repbase import (Module, ModuleWrapper, PerturbedModule, RELATION_BUILDERS_T,
-                             RELATION_BUILDERS_Y, check_relation, lincomb, memo_table)
+                             RELATION_BUILDERS_Y, check_relation, is_vec_zero, lincomb,
+                             memo_table, word_images)
 from toryang.scalars import RatFn, TSeries
 from toryang.toroidal import (DiagonalTwist, FockModule, KTheoryFixedPointModule,
                               VectorModule, fock_tensor)
@@ -396,17 +400,24 @@ def test_sweep_outcomes_are_pinned(point, family, name):
     assert got == SWEEP_OUTCOME_DIGESTS[point, family, name]
 
 
-# -- the sweep's integer path ------------------------------------------------
+# -- the sweep's compiled rows -----------------------------------------------
 
 def sweep_ctx(family, params):
     return {"beta": params.beta} if family == "T" else {"sig3": params.sigma3()}
 
 
 def unit_image(step, letter, label):
-    """The value of a diagonal letter on the label, read off the integer
-    path's image of the basis vector."""
+    """The value of a diagonal letter on the label, read off the sweep's
+    image of the basis vector."""
     img = step(letter, repbase._int_start(label))
     return Fraction(img[1][label], img[0]) if img else 0
+
+
+def kept_row(module, letter, label):
+    """The compiled row of an e, f or psi+- letter on the label, as a sweep
+    keeps it in the module's own memo."""
+    repbase._int_stepper(module, {})(letter, repbase._int_start(label))
+    return memo_table(module, "_compile_row")[letter, label]
 
 
 @pytest.mark.parametrize("family,make", [
@@ -418,21 +429,25 @@ def unit_image(step, letter, label):
 def test_compiled_rows_match_their_hooks(family, make):
     M = make()
     params = P2 if family == "T" else Y2
-    step = repbase._int_stepper(M, sweep_ctx(family, params))
+    ctx = sweep_ctx(family, params)
+    step = repbase._int_stepper(M, ctx)
     for level in range(3):
         for label in M.basis(level):
             for kind in ("e", "f"):
                 for mode in range(-2, 3):
-                    den, entries = M._int_mode_row(kind, label, mode)
+                    den, entries = repbase._compile_row(M, (kind, mode), label, ctx)
                     row = M.mode_row(kind, label, mode)
                     assert [tgt for tgt, _ in entries] == [tgt for tgt, _ in row]
                     assert [Fraction(n, den) for _, n in entries] == [c for _, c in row]
                     assert all(type(c) is Fraction for _, c in row)
-            for sign in (+1, -1):
+                    assert kept_row(M, (kind, mode), label) == (den, entries)
+            for sign, gen in ((+1, "psi+"), (-1, "psi-")):
                 for k in range(-1, 4):
-                    den, entries = M._int_psi_row(label, sign, k)
+                    den, entries = repbase._compile_row(M, (gen, k), label, ctx)
+                    c = M.psi_coeff(label, sign, k)
                     assert [(tgt, Fraction(n, den)) for tgt, n in entries] == \
-                        [(label, M.psi_coeff(label, sign, k))]
+                        ([(label, c)] if c else [])
+                    assert kept_row(M, (gen, k), label) == (den, entries)
             if family == "T":
                 for m in (-2, -1, 1, 2):
                     assert unit_image(step, ("t", m), label) == M.t_eigenvalue(label, m, P2.beta)
@@ -442,37 +457,39 @@ def test_compiled_rows_match_their_hooks(family, make):
                         M.psi_y_eigenvalue(label, j, Y2.sigma3())
 
 
+def test_boson_rows_match_the_vertex_modes():
+    params = horizontal_params()
+    c = (1 - params.q3) * Fraction(1, 5)
+    states = BosonStates(params, c)
+    for kind, spec in (("e", etilde_spec(params, c)), ("f", ftilde_spec(params, c))):
+        for degree in range(3):
+            for mu in states.basis(degree):
+                for k in range(-2, 3):
+                    row = states.mode_row(kind, mu, k)
+                    want = apply_vertex_mode(params, spec, k, {mu: Fraction(1)})
+                    assert row == list(want.items())
+                    assert all(type(c) is Fraction for _, c in row)
+                    den, entries = repbase._compile_row(states, (kind, k), mu, {})
+                    assert [(tgt, Fraction(n, den)) for tgt, n in entries] == row
+
+
 def test_wrappers_keep_their_own_compiled_rows():
     M = KTheoryFixedPointModule(P2, 2)
-    calls = [(method, args) for level in range(3) for label in M.basis(level)
-             for method, args in (
-                 (Module._int_mode_row, ("e", label, 1)), (Module._int_mode_row, ("f", label, -1)),
-                 (Module._int_psi_row, (label, +1, 2)), (Module._int_psi_row, (label, -1, 1)))]
-    for method, args in calls:
-        method(M, *args)
+    rows = [(letter, label) for level in range(3) for label in M.basis(level)
+            for letter in (("e", 1), ("f", -1), ("psi+", 2), ("psi-", 1))]
+    for letter, label in rows:
+        kept_row(M, letter, label)
     for kind in PerturbedModule.KINDS:
         W = PerturbedModule(M, kind)
         cold = PerturbedModule(KTheoryFixedPointModule(P2, 2), kind)
-        assert all(method.__qualname__ not in vars(W) for method, _ in calls)
+        assert "_compile_row" not in vars(W)
         differs = False
-        for method, args in calls:
-            got = method(W, *args)
-            assert got == method(cold, *args)
-            differs |= got != method(M, *args)
+        for letter, label in rows:
+            got = kept_row(W, letter, label)
+            assert got == kept_row(cold, letter, label)
+            differs |= got != kept_row(M, letter, label)
         assert differs
-        for method, _ in calls:
-            assert memo_table(W, method.__qualname__) is not memo_table(M, method.__qualname__)
-
-
-class NotAModule:
-    """A module's hooks behind an object that is not a `Module`, so that a
-    sweep over it runs `word_images` and `lincomb` throughout."""
-
-    def __init__(self, module):
-        self.module = module
-
-    def __getattr__(self, name):
-        return getattr(self.module, name)
+        assert memo_table(W, "_compile_row") is not memo_table(M, "_compile_row")
 
 
 class IntLadder(Module):
@@ -503,8 +520,60 @@ class HalfLadder(IntLadder):
         return [(j + 1, Fraction(1, 2) if j == 0 else j + 1, 1)]
 
 
+def test_int_points_give_exact_rows_at_every_mode():
+    assert IntLadder().mode_row("e", 0, -1) == [(1, 1)]
+    for ladder in (IntLadder(), HalfLadder()):
+        for kind in ("e", "f"):
+            for label in range(3):
+                for mode in range(-2, 3):
+                    assert all(type(c) in (int, Fraction)
+                               for _, c in ladder.mode_row(kind, label, mode))
+
+
+# -- the sweep against a schoolbook reference -------------------------------
+
+def reference_pairs(module, instances, ctx, level_bound):
+    """Every (instance_id, level, label, live, residual) of a sweep, in its
+    order, summed the schoolbook way: one `lincomb` over the items of each
+    term's `word_images` image and the right-hand side."""
+    for level in range(level_bound + 1):
+        for label in module.basis(level):
+            image = word_images(module, ctx)
+            for inst_id, terms, rhs in instances:
+                triples = [(k, c, coeff) for coeff, word in terms if coeff
+                           for k, c in image(label, tuple(word)).items()]
+                d = 0 if rhs is None else rhs(module, label)
+                if d:
+                    triples.append((label, d, -1))
+                yield inst_id, level, label, bool(triples), lincomb(triples)
+
+
 def report_row(rep):
     return (rep.relation, rep.ok, rep.checked, rep.nonvacuous, rep.counterexample)
+
+
+def in_order(row):
+    """A report row with its residual's items listed in key order."""
+    ce = row[-1]
+    return row if ce is None else row[:-1] + ({**ce, "residual": list(ce["residual"].items())},)
+
+
+def reference_report(module, rel, params, level_bound, window, hmod=None):
+    """`report_row(check_relation(...))`, from `reference_pairs`."""
+    if rel.startswith("T"):
+        build, ctx = repbase.t_relation_instances, {"beta": params.beta}
+    else:
+        build, ctx = repbase.y_relation_instances, {"sig3": params.sigma3()}
+    checked = nonvacuous = 0
+    for inst_id, level, label, live, resid in reference_pairs(
+            module, build(rel, window, params), ctx, level_bound):
+        checked += 1
+        nonvacuous += live
+        if not is_vec_zero(resid, hmod):
+            return (rel, False, checked, nonvacuous,
+                    {"instance": inst_id, "level": level, "label": label,
+                     "residual": {str(k): repr(c) for k, c in resid.items()}})
+    return (rel, True, checked, nonvacuous, None)
 
 
 def test_int_rows_give_a_fraction_residual_on_both_paths():
@@ -514,54 +583,42 @@ def test_int_rows_give_a_fraction_residual_on_both_paths():
                                                    "residual": {"0": "Fraction(-2, 1)"}})
     for ladder in (IntLadder, HalfLadder):
         for rel in RELATION_BUILDERS_T:
-            assert report_row(check_relation(ladder(), rel, P1, 2, window=0)) == \
-                report_row(check_relation(NotAModule(ladder()), rel, P1, 2, window=0))
+            assert in_order(report_row(check_relation(ladder(), rel, P1, 2, window=0))) == \
+                in_order(reference_report(ladder(), rel, P1, 2, window=0))
+
+
+class SeriesLadder(HalfLadder):
+    """`HalfLadder` with series raising coefficients above label 0: its rows
+    mix Fractions and series, and a word image can hold a series over a
+    denominator > 1."""
+
+    def _e_transitions(self, j):
+        if j == 0:
+            return super()._e_transitions(j)
+        return [(j + 1, TSeries(0, [j + 1, 1], 4), 1)]
+
+
+def test_mixed_rows_match_the_reference():
+    rows = [in_order(report_row(check_relation(SeriesLadder(), rel, P1, 2, window=0)))
+            for rel in RELATION_BUILDERS_T]
+    assert rows == [in_order(reference_report(SeriesLadder(), rel, P1, 2, window=0))
+                    for rel in RELATION_BUILDERS_T]
+    # T1's residual is a series with denominator 3
+    assert rows[1][-1]["residual"] == [("2", "(10/3)*X^0 + (5/3)*X^1 + O(X^4)")]
 
 
 @pytest.mark.parametrize("family", ["T", "Y"])
-@pytest.mark.parametrize("name", ["vector", "fixedpoint-r2", "tensor"])
+@pytest.mark.parametrize("name", ["vector", "fock", "fixedpoint-r1", "fixedpoint-r2",
+                                  "tensor", "twist"])
 def test_both_sweep_paths_give_the_same_reports(family, name):
-    """A module and the same module behind `NotAModule`, whose sweep runs
-    `word_images` and `lincomb`, give the same reports, the reprs of the
-    residual values included."""
+    """Each zoo module and its controls give the reports of the schoolbook
+    reference, the reprs of the residual values, in key order, included."""
     params = zoo_point("default", family)
     relations = RELATION_BUILDERS_T if family == "T" else RELATION_BUILDERS_Y
     for module in zoo_modules(name, family, params):
         for rel in relations:
-            assert report_row(check_relation(module, rel, params, 1, window=1)) == \
-                report_row(check_relation(NotAModule(module), rel, params, 1, window=1))
-
-
-@pytest.fixture
-def lincomb_calls(monkeypatch):
-    calls = []
-    inner = repbase.lincomb
-
-    def counted(triples):
-        calls.append(1)
-        return inner(triples)
-
-    monkeypatch.setattr(repbase, "lincomb", counted)
-    return calls
-
-
-class FloatAbove(ModuleWrapper):
-    """The base module with its raising coefficients above level 0 made
-    floats: a sweep meets its first inexact row partway."""
-
-    def _e_transitions(self, label):
-        ts = self.base.e_transitions(label)
-        return ts if self.level(label) == 0 else [(t, float(c), p) for t, c, p in ts]
-
-
-def test_sweep_switches_to_lincomb_at_the_first_inexact_value(lincomb_calls):
-    for rel in ("T1", "T3", "T4t", "T6t"):
-        got = check_relation(FloatAbove(KTheoryFixedPointModule(P2, 2)), rel, P2, 2, window=1)
-        assert lincomb_calls
-        want = check_relation(NotAModule(FloatAbove(KTheoryFixedPointModule(P2, 2))),
-                              rel, P2, 2, window=1)
-        assert report_row(got) == report_row(want)
-        del lincomb_calls[:]
+            assert in_order(report_row(check_relation(module, rel, params, 1, window=1))) == \
+                in_order(reference_report(module, rel, params, 1, window=1))
 
 
 def series_module():
@@ -576,14 +633,156 @@ def test_series_module_reports_are_pinned():
                                                  ("Y2", True, 8, 0, None)]
 
 
-def test_rational_sweeps_never_call_lincomb(lincomb_calls):
-    M = KTheoryFixedPointModule(P2, 2)
-    for rel in RELATION_BUILDERS_T:
-        assert check_relation(M, rel, P2, 1, window=2).ok
-    assert lincomb_calls == []
+def test_series_module_matches_the_reference():
     module, params = series_module()
-    assert check_relation(module, "Y1", params, 1, window=1, hmod=6).ok
-    assert lincomb_calls
+    rows = {}
+    for kind in (None,) + PerturbedModule.KINDS:
+        swept = module if kind is None else PerturbedModule(module, kind)
+        for rel in ("Y1", "Y2"):
+            row = in_order(report_row(check_relation(swept, rel, params, 3, window=1, hmod=6)))
+            assert row == in_order(reference_report(swept, rel, params, 3, window=1, hmod=6))
+            rows[kind, rel] = row[1]
+    # the e and f controls each trip their own relation
+    assert rows == {(None, "Y1"): True, (None, "Y2"): True, ("psi", "Y1"): True,
+                    ("psi", "Y2"): True, ("e", "Y1"): False, ("e", "Y2"): True,
+                    ("f", "Y1"): True, ("f", "Y2"): False}
+
+
+def shown(fails):
+    return [(inst_id, level, label, [(k, repr(c)) for k, c in resid.items()])
+            for inst_id, level, label, resid in fails]
+
+
+@pytest.fixture
+def reference_checked(monkeypatch):
+    """Make the sweeps of the bridge audits and of `tt3_check` check
+    themselves, run to the end, against `reference_pairs`: the failures,
+    the reprs of their residuals in key order, and the counts.  Returns the
+    number of failures each sweep compared."""
+    compared = []
+
+    class ReferenceCheckedSweep(repbase.RelationSweep):
+        def __init__(self, module, instances, ctx, level_bound, hmod=None):
+            instances = list(instances)
+            super().__init__(module, instances, ctx, level_bound, hmod)
+            self.reference = (module, instances, ctx, level_bound)
+
+        def __iter__(self):
+            got = list(super().__iter__())
+            pairs = list(reference_pairs(*self.reference))
+            want = [(inst_id, level, label, resid) for inst_id, level, label, _, resid in pairs
+                    if not is_vec_zero(resid, self.hmod)]
+            assert shown(got) == shown(want)
+            assert (self.checked, self.nonvacuous) == \
+                (len(pairs), sum(live for _, _, _, live, _ in pairs))
+            compared.append(len(got))
+            return iter(got)
+
+    monkeypatch.setattr(upsilon, "RelationSweep", ReferenceCheckedSweep)
+    monkeypatch.setattr(horizontal, "RelationSweep", ReferenceCheckedSweep)
+    return compared
+
+
+@pytest.mark.parametrize("r,failing", [(1, 50), (2, 75)])
+def test_bridge_audits_match_the_reference(reference_checked, r, failing):
+    """The bridge's T3, T4t and cubic audits and their gpre control (the
+    CLI's, at rank r) give the reference's series residuals."""
+    for control in (False, True):
+        br = UpsilonBridge(13, 1, (Fraction(1, 5), Fraction(1, 7))[:r], r, trunc=14)
+        if control:
+            br.gpre = br.gpre * Fraction(17, 16)
+        fails = (br.audit_t3(1, 2, hmod=9)
+                 + br.audit_t4_ladder(1, range(-2, 3), range(-1, 2), hmod=9)
+                 + br.audit_cubic(1, hmod=9))
+        assert len(fails) == (failing if control else 0)
+    assert len(reference_checked) == 6 and sum(reference_checked) == failing
+
+
+def test_boson_bracket_matches_the_reference(reference_checked, monkeypatch):
+    params = horizontal_params()
+    c = (1 - params.q3) * Fraction(1, 5)
+    assert tt3_check(params, c, window=2, degree_cap=2) == []
+
+    def scaled(params, c):
+        spec = ftilde_spec(params, c)
+        spec.c = spec.c * Fraction(17, 16)
+        return spec
+
+    monkeypatch.setattr(horizontal, "ftilde_spec", scaled)
+    assert len(tt3_check(params, c, window=2, degree_cap=2)) == 70
+    assert reference_checked == [0, 70]
+
+
+# -- one path, no fallback ----------------------------------------------------
+
+class FloatAbove(ModuleWrapper):
+    """The base module with its raising coefficients above level 0 made
+    floats: a sweep meets its first float partway."""
+
+    def _e_transitions(self, label):
+        ts = self.base.e_transitions(label)
+        return ts if self.level(label) == 0 else [(t, float(c), p) for t, c, p in ts]
+
+
+def test_sweep_rejects_a_float_by_name():
+    with pytest.raises(TypeError, match="not float"):
+        repbase._rational(0.5)
+    for rel in ("T1", "T3", "T4t", "T6t"):
+        with pytest.raises(TypeError, match="not float"):
+            check_relation(FloatAbove(KTheoryFixedPointModule(P2, 2)), rel, P2, 2, window=1)
+
+
+@pytest.fixture
+def lincomb_calls(monkeypatch):
+    """One entry per `lincomb` call: the (module id, letter, label) whose row
+    `_compile_row` was compiling, or None for a call outside it."""
+    calls, compiling = [], []
+    inner_lincomb, inner_compile = repbase.lincomb, repbase._compile_row
+
+    def counted(triples):
+        calls.append(compiling[-1] if compiling else None)
+        return inner_lincomb(triples)
+
+    def compile_row(module, letter, label, ctx):
+        compiling.append((id(module), letter, label))
+        try:
+            return inner_compile(module, letter, label, ctx)
+        finally:
+            compiling.pop()
+
+    monkeypatch.setattr(repbase, "lincomb", counted)
+    monkeypatch.setattr(repbase, "_compile_row", compile_row)
+    return calls
+
+
+def test_sweeps_build_no_image_or_residual_by_lincomb(lincomb_calls):
+    """On every kind of object swept (rational modules of both families, a
+    series-valued module, the series bridge, the boson states) no word image
+    and no residual is built by `lincomb`: its only calls compile a row of a
+    letter other than e and f, each (letter, label) at most once per
+    sweep."""
+    M, V = KTheoryFixedPointModule(P2, 2), CohomologyFixedPointModule(Y2, 2)
+    S, params = series_module()
+    br = UpsilonBridge(13, 1, (Fraction(1, 5),), 1, trunc=10)
+    hp = horizontal_params()
+    sweeps = [lambda rel=rel: check_relation(M, rel, P2, 1, window=2).ok
+              for rel in RELATION_BUILDERS_T]
+    sweeps += [lambda rel=rel: check_relation(V, rel, Y2, 1, window=2).ok
+               for rel in RELATION_BUILDERS_Y]
+    sweeps += [lambda rel=rel: check_relation(S, rel, params, 1, window=1, hmod=6).ok
+               for rel in ("Y1", "Y2")]
+    sweeps += [lambda: br.audit_t3(1, 1, hmod=6) == [],
+               lambda: br.audit_t4_ladder(1, range(-1, 2), range(-1, 2), hmod=6) == [],
+               lambda: br.audit_cubic(1, hmod=6) == [],
+               lambda: tt3_check(hp, (1 - hp.q3) * Fraction(1, 5), window=1) == []]
+    letters = set()
+    for sweep in sweeps:
+        del lincomb_calls[:]
+        assert sweep()
+        assert None not in lincomb_calls
+        assert len(set(lincomb_calls)) == len(lincomb_calls)
+        letters |= {letter[0] for _, letter, _ in lincomb_calls}
+    assert letters == {"psi+", "psi-", "psiy", "t"}
 
 
 # -- the degree-three relations past their instantiated modes ----------------
