@@ -9,7 +9,8 @@ computation here is exact.  The bracket check `tt3_check` is one instance
 per mode pair, run through the relation engine's sweep
 (`repbase.RelationSweep`) over the boson states (`BosonStates`); the sweep
 compiles each e and f row once from `BosonStates.mode_row` and each psi+-
-row from the mode on one state, as it does for every module.
+row from the mode on one state, through the hook every swept object
+answers (`BosonStates.sweep_row`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import comb, factorial
 from .multipoly import MPoly, _mpoly
 from .params import ToroidalParams
 from .partitions import enum_partitions
-from .repbase import RelationSweep, vsum
+from .repbase import RelationSweep, _int_row, vsum
 from .shuffle import ShuffleElement, _kernel_factor
 
 __all__ = [
@@ -161,6 +162,17 @@ class BosonStates:
         """[(target, c)]: mode k of the 'e' or 'f' vertex operator on the
         state `label`."""
         return list(apply_vertex_mode(self.params, self.specs[kind], k, {label: 1}).items())
+
+    def sweep_row(self, letter, label, ctx):
+        """The letter on the state `label`, compiled for the relation sweep
+        (`repbase._compile_row`): e and f from `mode_row`, psi+- from its
+        vertex mode on the state."""
+        gen, k = letter
+        if gen == "e" or gen == "f":
+            return _int_row(self.mode_row(gen, label, k))
+        if gen == "psi+" or gen == "psi-":
+            return _int_row(self.apply_psi(+1 if gen == "psi+" else -1, k, {label: 1}).items())
+        raise ValueError(f"the boson states have no {gen} letter")
 
 
 def tt3_check(params, c, window=2, degree_cap=2):

@@ -8,33 +8,40 @@ labels.  Raising and lowering currents always have the delta-supported shape
 so the mode-k operator multiplies the base coefficient c by p**k.  Each
 module computes the mode-k row [(target, c * p**k)] of a label once and
 keeps it.  The diagonal current is stored per label as a rational function
-of z kept in factored form (constant, zeros, poles).  Its modes come from
-the series expansion, made on demand; its log-modes come from power sums of
-the zeros and poles without any expansion.  This removes all
-formal-distribution bookkeeping.
+of z kept in factored form (constant, zeros, poles).  Its log-modes come
+from power sums of the zeros and poles without any expansion, and its modes
+from the exponential of the log-modes, k b_k = sum_j j c_j b_(k-j): one
+table per (label, sign), `Module.psi_modes`, read by the psi+-, psiy and t
+letters and extended in place when a larger mode is read (`RatFnModes`).
+`psi_series`, the expansion by `ratfn_expand`, stays as an independent
+route.  This removes all formal-distribution bookkeeping.
 
 One loop, `RelationSweep`, checks operator identities, applying each word
 suffix to each basis vector once per sweep.  `check_relation` feeds it one
 defining relation and stops at the first failure; the series bridge's
 audits (`upsilon`) and `horizontal.tt3_check` feed it instance lists of
-their own, through the same hooks as the modules here.  In the additive
-family, the kernel relation of g against g (Y1, Y2) and of psi against g
-(Y4, Y5) is one term list, `_additive_kernel_terms`.
+their own.  Every object it sweeps answers one hook, `sweep_row`, for every
+letter.  In the additive family, the kernel relation of g against g (Y1,
+Y2) and of psi against g (Y4, Y5) is one term list, `_additive_kernel_terms`.
 
 Exact linear combinations.  `lincomb` takes (label, a, b) triples and
 returns `vsum` of the products a * b: the labels keep first-insertion order
 and sums that are zero are dropped once, at the end.  `apply_mode` and
-`_apply_diagonal`, the public actions, are one `lincomb` call each.  The
-sweep keeps its word images as numerators over one denominator instead,
+`_apply_diagonal`, the public actions, are one `lincomb` call each; a sweep
+makes none.  It keeps its word images as numerators over one denominator,
 on every object it sweeps: each (letter, label) is compiled once to a row
-(den, [(target, n)]), n an int, or a TSeries as its own numerator over 1;
-a letter is one lcm over the rows it reads, one accumulation and one gcd
-pass, and a residual one sum over the lcm of its terms' denominators,
-turned into Fractions (or series over that lcm) only when it fails.  A
-basis vector is {label: Fraction(1)}, so every rational entry of a word
-image or a residual is a Fraction, and the sweep gives the residuals of
-`lincomb` over `word_images`; where the public actions read the same rows
-(every `Module`, the series bridge), in the same key order.
+(den, [(target, n)]), n an int, or a TSeries as its own numerator over 1.
+A `Module` builds an e or f row from the transitions of its (kind, label),
+kept once as (target, base numerator, base denominator, point), and the
+point's power at the mode, with no Fraction product; a diagonal letter's
+row is its eigenvalue on the label.  A letter is one lcm over the rows it
+reads, one accumulation and one gcd pass, and a residual one sum over the
+lcm of its terms' denominators, turned into Fractions (or series over that
+lcm) only when it fails; a right-hand side is computed once per (label,
+rhs).  A basis vector is {label: Fraction(1)}, so every rational entry of a
+word image or a residual is a Fraction, and the sweep gives the residuals
+of `lincomb` over `word_images`; where the public actions read the same
+rows (every `Module`, the series bridge), in the same key order.
 
 Memos.  Every value a module, a series bridge or a parameter pack keeps
 for later follows one rule.  A `memoized` method (or a hand-keyed table
@@ -43,12 +50,12 @@ keyed by the full tuple of the method's arguments, for as long as the
 owner lives; the owner's attributes that such a value reads are set before
 its first use.  The owner's `__dict__` is read directly, never through
 `getattr`, so a `ModuleWrapper`, whose `__getattr__` passes to its base,
-never serves the base's memo: a `PerturbedModule` keeps its own rows, the
-sweep's compiled e, f and psi+- rows (`_compile_row`) included.  A value
-that depends on a callable argument is split so that the memoized part
-takes none (`Module.t_eigenvalue` keeps psi's beta-free log coefficient per
-(label, m) and divides by beta(m) on every call); the sweep compiles the t
-and psiy rows, which depend on its ctx, once per sweep.
+never serves the base's memo: a `PerturbedModule` keeps its own rows and
+tables, the sweep's compiled e, f and psi+- rows (`_compile_row`) included.
+A value that depends on a callable argument is split so that the memoized
+part takes none (`Module.t_eigenvalue` reads psi's beta-free log table per
+(label, sign) and divides by beta(m) on every call); the sweep compiles the
+t and psiy rows, which depend on its ctx, once per sweep.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from fractions import Fraction
 from functools import wraps
 from math import gcd, lcm
 
-from .scalars import TSeries, ratfn_expand, ratfn_log_coeffs, is_zero_mod
+from .scalars import RatFnModes, ratfn_expand, is_zero_mod, _over, _rational
 
 __all__ = [
     "memo_table", "memoized",
@@ -133,24 +140,23 @@ def is_vec_zero(u, hmod=None):
     return True
 
 
-def _rational(c):
-    """(numerator, denominator) of a value on the sweep's vectors: an int or
-    a Fraction as its own pair, a TSeries as its own numerator over 1.  Any
-    other value raises TypeError naming its type."""
-    t = type(c)
-    if t is Fraction or t is int:
-        return c.numerator, c.denominator
-    if t is TSeries:
-        return c, 1
-    raise TypeError(f"the relation sweep takes ints, Fractions and TSeries, not {t.__name__}")
+def _over_lcm(parts):
+    """The entries [(target, n, d)], each n/d, over one denominator:
+    (den, [(target, n * den/d)]) with den the lcm of the d's."""
+    den = lcm(*(d for _, _, d in parts))
+    return den, [(tgt, n if d == den else n * (den // d)) for tgt, n, d in parts]
 
 
 def _int_row(row):
-    """The row [(target, c)] over one denominator: (den, [(target, n)]) with
-    each c = n/den and den the lcm of the c's denominators (`_rational`)."""
-    parts = [(tgt,) + _rational(c) for tgt, c in row]
-    den = lcm(*(d for _, _, d in parts))
-    return den, [(tgt, n if d == den else n * (den // d)) for tgt, n, d in parts]
+    """The row [(target, c)] over one denominator, (den, [(target, n)]), each
+    c = n/den (`_rational`, `_over_lcm`)."""
+    return _over_lcm([(tgt,) + _rational(c) for tgt, c in row])
+
+
+def _eigen_row(label, c):
+    """The compiled row of a diagonal letter with eigenvalue c on the label:
+    the label alone, or no entry when c is zero."""
+    return _int_row([(label, c)] if c else [])
 
 
 class Module:
@@ -196,6 +202,15 @@ class Module:
         return [(tgt, base * (Fraction(point) if type(point) is int else point) ** mode)
                 for tgt, base, point in ts]
 
+    @memoized
+    def _mode_table(self, kind, label):
+        """The 'e' or 'f' transitions of the label as (target, n, d, point),
+        base = n/d (`_rational`) and an int point raised as a Fraction: the
+        mode-free data of every mode's row (`sweep_row`)."""
+        ts = self.e_transitions(label) if kind == "e" else self.f_transitions(label)
+        return [(tgt,) + _rational(base) + (Fraction(point) if type(point) is int else point,)
+                for tgt, base, point in ts]
+
     def apply_e(self, mode, v):
         return apply_mode(self, "e", mode, v)
 
@@ -204,20 +219,23 @@ class Module:
 
     @memoized
     def psi_series(self, label, direction, order):
-        """Truncated expansion of the diagonal eigenvalue (X = z^-1 or z)."""
+        """Truncated expansion of the diagonal eigenvalue (X = z^-1 or z), by
+        `ratfn_expand`: independent of the mode table (`psi_modes`)."""
         return ratfn_expand(self.psi_rat(label), direction, order)
+
+    @memoized
+    def psi_modes(self, label, sign):
+        """The modes of the diagonal eigenvalue on the label around infinity
+        (sign +1) or 0 (sign -1): one log and psi table (`RatFnModes`), which
+        the psi+-, psiy and t letters read and extend in place."""
+        return RatFnModes(self.psi_rat(label), sign)
 
     def psi_coeff(self, label, sign, k):
         """Coefficient of z^-k (sign +1, expansion around infinity) or of z^k
         (sign -1, around 0) of the diagonal eigenvalue; 0 when k < 0."""
         if k < 0:
             return 0
-        return self.psi_series(label, sign, k + 1).coeff(k)
-
-    @memoized
-    def _psi_jump(self, label, k):
-        """psi+_k - psi-_(-k) on the label: T3's right-hand side times beta_1."""
-        return self.psi_coeff(label, +1, k) - self.psi_coeff(label, -1, -k)
+        return self.psi_modes(label, sign).coeff(k)
 
     def apply_psi(self, sign, k, v):
         return _apply_diagonal(v, lambda label: self.psi_coeff(label, sign, k))
@@ -230,23 +248,16 @@ class Module:
     def apply_psi_y(self, j, v, sig3):
         return _apply_diagonal(v, lambda label: self.psi_y_eigenvalue(label, j, sig3))
 
-    @memoized
-    def _t_log(self, label, m):
-        """The z^-|m| (m > 0) or z^|m| (m < 0) coefficient of log psi on the
-        label, from power sums of psi's zeros and poles (`ratfn_log_coeffs`)."""
-        n = abs(m)
-        return ratfn_log_coeffs(self.psi_rat(label), +1 if m > 0 else -1, n)[n - 1]
-
     def t_eigenvalue(self, label, m, beta):
         """Eigenvalue of the log-mode generator t_m extracted from psi.
 
         psi^+(z)/psi0 = exp(-sum_{m>0} beta_m/m t_m z^-m) and mirrored for
-        m < 0 on the opposite expansion: the log coefficient (`_t_log`)
-        divided by beta(m) on every call.
+        m < 0 on the opposite expansion: the z^-|m| or z^|m| coefficient of
+        log psi (`psi_modes`) divided by beta(m) on every call.
         """
         if m == 0:
             raise ValueError("t_0 is not defined")
-        coeff = self._t_log(label, m)
+        coeff = self.psi_modes(label, +1 if m > 0 else -1).log_coeff(abs(m))
         # for + direction: coeff = -beta_m/m * t_m ; for -: +beta_m/m * t_m
         bm = beta(m)
         if m > 0:
@@ -255,6 +266,27 @@ class Module:
 
     def apply_t(self, m, v, beta):
         return _apply_diagonal(v, lambda label: self.t_eigenvalue(label, m, beta))
+
+    def sweep_row(self, letter, label, ctx):
+        """The letter on the basis vector of the label, compiled for the
+        relation sweep: (den, [(target, n)]).  An e or f row is
+        base * point**mode over the transitions' mode-free table
+        (`_mode_table`), with no Fraction product; every other letter is
+        diagonal, its row the eigenvalue on the label (`_eigen_row`)."""
+        gen, idx = letter
+        if gen == "e" or gen == "f":
+            return _over_lcm([(tgt, n * pn, d * pd)
+                              for tgt, n, d, point in self._mode_table(gen, label)
+                              for pn, pd in (_rational(point ** idx),)])
+        if gen == "psi+" or gen == "psi-":
+            c = self.psi_coeff(label, +1 if gen == "psi+" else -1, idx)
+        elif gen == "psiy":
+            c = self.psi_y_eigenvalue(label, idx, ctx["sig3"])
+        elif gen == "t":
+            c = self.t_eigenvalue(label, idx, ctx["beta"])
+        else:
+            raise ValueError(f"unknown generator {gen}")
+        return _eigen_row(label, c)
 
 
 def apply_mode(rows, kind, mode, v):
@@ -352,8 +384,7 @@ def _apply_letter(module, letter, v, ctx):
     `word_images`, which does not go through `apply_word` because the traced
     benchmark keys each `apply_word` call by its input vector, and a
     series-valued vector cannot be hashed (`perfbench/layers.py`).  The
-    sweep compiles every letter but e and f from it, on a basis vector
-    (`_compile_row`)."""
+    sweep reads the same letters from compiled rows (`_compile_row`)."""
     gen, idx = letter
     if gen == "e":
         return module.apply_e(idx, v)
@@ -387,20 +418,25 @@ def _suffix_images(start, step):
     """image(label, word) = step(word[0], image(label, word[1:])), with
     image(label, ()) = start(label) and every suffix's image computed once
     and kept; an empty (falsy) image stays empty.  `word_images` and the
-    relation sweep are this one recursion over two vector forms."""
+    relation sweep are this one recursion over two vector forms.  It runs
+    from the longest suffix kept, so `image` does not call itself and its
+    memo is freed with it, without the cycle collector."""
     memo = {}
 
     def image(label, word):
-        key = (label, word)
-        r = memo.get(key)
+        r = memo.get((label, word))
+        if r is not None:
+            return r
+        i = 1
+        while i < len(word) and (label, word[i:]) not in memo:
+            i += 1
+        r = memo.get((label, word[i:]))
         if r is None:
-            if not word:
-                r = start(label)
-            else:
-                r = image(label, word[1:])
-                if r:
-                    r = step(word[0], r)
-            memo[key] = r
+            r = memo[label, ()] = start(label)
+        for j in range(i - 1, -1, -1):
+            if r:
+                r = step(word[j], r)
+            memo[label, word[j:]] = r
         return r
 
     return image
@@ -468,13 +504,12 @@ def _int_apply(row, v):
 
 def _compile_row(module, letter, label, ctx):
     """The letter on the basis vector of the label as a row over one
-    denominator, (den, [(target, n)]) (`_int_row`): e and f read
-    `mode_row(kind, label, mode)`, every other letter is applied to
-    vec(label) (`_apply_letter`)."""
-    gen, idx = letter
-    if gen == "e" or gen == "f":
-        return _int_row(module.mode_row(gen, label, idx))
-    return _int_row(_apply_letter(module, letter, vec(label), ctx).items())
+    denominator, (den, [(target, n)]), from the hook every swept object
+    answers, `sweep_row(letter, label, ctx)`: a `Module` from its mode-free
+    transition table and its diagonal eigenvalues, the series bridge and
+    the boson states from their `mode_row` and their diagonal or vertex
+    modes."""
+    return module.sweep_row(letter, label, ctx)
 
 
 def _int_stepper(module, ctx):
@@ -496,13 +531,6 @@ def _int_stepper(module, ctx):
         return _int_apply(row, v)
 
     return step
-
-
-def _over(n, L):
-    """The value n/L of an accumulated numerator: a Fraction, or a TSeries."""
-    if type(n) is int:
-        return Fraction(n, L)
-    return n if L == 1 else n / L
 
 
 def _int_residual(image, label, terms, rhs):
@@ -573,6 +601,15 @@ def _ladder_instances(rel, m_range, j_range):
             for m in m_range if m for j in j_range]
 
 
+def _t3_side(k, beta1):
+    """T3's right-hand side on a label, (psi+_k - psi-_(-k))/beta_1: one
+    callable per k, which a sweep calls once per (label, k)."""
+    def rhs(module, label):
+        return (module.psi_coeff(label, +1, k) - module.psi_coeff(label, -1, -k)) / beta1
+
+    return rhs
+
+
 def _cubic_coeffs_t(p):
     return [1, -p.sigma1(), p.sigma2(), -1]
 
@@ -612,15 +649,11 @@ def t_relation_instances(rel, window, params):
         return ins
     if rel == "T3":
         beta1 = params.beta(1)
+        sides = {k: _t3_side(k, beta1) for k in range(-2 * window, 2 * window + 1)}
         for i in W:
             for j in W:
                 terms = [(1, [("e", i), ("f", j)]), (-1, [("f", j), ("e", i)])]
-                k = i + j
-
-                def rhs(module, label, k=k, beta1=beta1):
-                    return module._psi_jump(label, k) / beta1
-
-                ins.append((f"T3[{i},{j}]", terms, rhs))
+                ins.append((f"T3[{i},{j}]", terms, sides[i + j]))
         return ins
     if rel == "T4t" or rel == "T5t":
         return [(f"{rel}[{m},{j}]", terms, rhs)
@@ -756,10 +789,13 @@ class RelationSweep:
             for label in module.basis(level):
                 # no image is shared between labels: free each label's memo
                 image = _suffix_images(_int_start, step)
+                # each right-hand side once per label, shared by its instances
+                sides = {None: None}
                 for inst_id, terms, rhs in self.instances:
-                    d = 0 if rhs is None else rhs(module, label)
-                    live, acc = _int_residual(image, label, terms,
-                                              None if _zero(d) else _rational(d))
+                    if rhs not in sides:
+                        d = rhs(module, label)
+                        sides[rhs] = None if _zero(d) else _rational(d)
+                    live, acc = _int_residual(image, label, terms, sides[rhs])
                     self.checked += 1
                     if live:
                         self.nonvacuous += 1

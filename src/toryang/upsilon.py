@@ -23,8 +23,9 @@ double sum.  The raising and lowering images glue each transition once,
 as (target, base * norm * g, point) with the glueing unit g evaluated on
 the post-action label; the mode-k row multiplies each by exp(k * point),
 and acts through the same row code as every module (`repbase.apply_mode`).
-The relation sweep reads the same rows, compiled with each series as its
-own numerator over 1, on the one path it runs for every object.
+The relation sweep reads the same rows, and t from its eigenvalue,
+compiled with each series as its own numerator over 1 (`sweep_row`), on
+the one path it runs for every object.
 The comparison map from the renormalized K-theory module is the
 Fock-factorization solver (`toroidal.solve_intertwiner`) run against the
 bridge.  The audits of T3, T4t and the e half of T6t are instance lists
@@ -45,7 +46,7 @@ from math import comb, factorial, lcm
 
 from .params import series_yangian, series_toroidal
 from .repbase import (RelationSweep, apply_mode, memoized, _apply_diagonal,
-                      _commutator_words, _ladder_instances, _nested)
+                      _commutator_words, _eigen_row, _int_row, _ladder_instances, _nested)
 from .scalars import (TSeries, series_exp, series_log, series_sqrt,
                       expm1_over, is_zero_mod, ratfn_log_coeffs, ScalarDomainError,
                       _int_content, _series)
@@ -290,6 +291,17 @@ class UpsilonBridge:
         # `t_eigen` carries its own alpha normalization, so beta is not read
         return _apply_diagonal(vec, lambda label: self.t_eigen(label, m))
 
+    def sweep_row(self, letter, label, ctx):
+        """The letter on the basis vector of the label, compiled for the
+        relation sweep (`repbase._compile_row`): e and f from `mode_row`, t
+        from its eigenvalue `t_eigen`."""
+        gen, idx = letter
+        if gen == "e" or gen == "f":
+            return _int_row(self.mode_row(gen, label, idx))
+        if gen == "t":
+            return _eigen_row(label, self.t_eigen(label, idx))
+        raise ValueError(f"the bridge has no {gen} letter")
+
     # -- audits: instance lists through the relation sweep ---------------------
     def _sweep(self, tag, instances, level_bound, hmod):
         sweep = RelationSweep(self, instances, {"beta": None}, level_bound, hmod)
@@ -304,8 +316,11 @@ class UpsilonBridge:
             return bridge.over_one_minus_q3(plus - minus)
 
         W = range(-window, window + 1)
+        # one right-hand side per k, which the sweep reads once per (label, k)
+        sides = {k: lambda bridge, label, k=k: rhs(bridge, label, k)
+                 for k in range(-2 * window, 2 * window + 1)}
         return self._sweep("t3", [((i, j), _commutator_words([("e", i)], [("f", j)]),
-                                   lambda bridge, label, k=i + j: rhs(bridge, label, k))
+                                   sides[i + j])
                                   for i in W for j in W], level_bound, hmod)
 
     def audit_t4_ladder(self, level_bound, i_range, j_range, hmod):
@@ -382,7 +397,7 @@ def ch_solver(alpha, beta, xis, r, level_bound, trunc=16, hmod=9):
             # diagonal log-mode match: K-side exponential modes vs Borel data
             for m in (1, 2):
                 for sgn in (+1, -1):
-                    hk = bridge.over_one_minus_q3(ratfn_log_coeffs(psi, sgn, m)[m - 1] / sgn)
+                    hk = bridge.over_one_minus_q3(mk.psi_modes(mlam, sgn).log_coeff(m) / sgn)
                     if not is_zero_mod(hk - bridge.H_eigen(mlam, sgn * m), hmod):
                         fails.append(("H-mode", sgn * m, mlam))
             # central normalization: vacuum weight halves match

@@ -122,7 +122,9 @@ def test_criterion_2_gamma_eigenvalues():
 
 
 def test_criterion_3_psi_leading_terms():
-    """Diagonal series leading coefficients through z^-3 for ranks <= 3."""
+    """Diagonal series leading coefficients through z^-3 for ranks <= 3, read
+    both from the expansion (`psi_series`) and from the mode table the
+    relation sweep reads (`psi_coeff`)."""
     from math import comb
 
     from toryang.yangian import CohomologyFixedPointModule
@@ -135,11 +137,12 @@ def test_criterion_3_psi_leading_terms():
         for n in range(0, 4):
             for mlam in pt.enum_multipartitions(r, n):
                 s = V.psi_series(mlam, +1, 4)
-                ok &= s.coeff(1) == -r * s3
-                ok &= s.coeff(2) == s3 * sum(xs) + comb(r, 2) * s3 ** 2
-                ok &= s.coeff(3) == (2 * sig3 * n - s3 * sum(x * x for x in xs)
-                                     - (r - 1) * s3 ** 2 * sum(xs)
-                                     - comb(r, 3) * s3 ** 3)
+                for c in (s.coeff, lambda k: V.psi_coeff(mlam, +1, k)):
+                    ok &= c(1) == -r * s3
+                    ok &= c(2) == s3 * sum(xs) + comb(r, 2) * s3 ** 2
+                    ok &= c(3) == (2 * sig3 * n - s3 * sum(x * x for x in xs)
+                                   - (r - 1) * s3 ** 2 * sum(xs)
+                                   - comb(r, 3) * s3 ** 3)
     report(3, ok, f"diagonal series leading terms, r <= 3, levels <= 3 ({time.time()-t0:.0f}s)")
 
 

@@ -1,10 +1,13 @@
 """The relation engine's exact linear-combination kernel (`repbase.lincomb`),
-the memo behind `Module.t_eigenvalue`, the sweep's compiled rows, the sweep
+the mode tables behind `Module.t_eigenvalue` and `psi_coeff`, the sweep's
+compiled rows, the sweep
 against a schoolbook reference (`lincomb` over `word_images`) on every kind
 of object it sweeps, and what `check_relation` reports."""
 
+import gc
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +21,7 @@ from toryang.params import default_toroidal, default_yangian, sample_generic_par
 from toryang.repbase import (Module, ModuleWrapper, PerturbedModule, RELATION_BUILDERS_T,
                              RELATION_BUILDERS_Y, check_relation, is_vec_zero, lincomb,
                              memo_table, word_images)
-from toryang.scalars import RatFn, TSeries
+from toryang.scalars import RatFn, TSeries, _over
 from toryang.toroidal import (DiagonalTwist, FockModule, KTheoryFixedPointModule,
                               VectorModule, fock_tensor)
 from toryang.upsilon import UpsilonBridge
@@ -193,27 +196,34 @@ def test_kernel_cases():
     same_vector(lincomb([("a", zero, 1), ("b", 1, 1)]), {"b": 1})
 
 
-# -- the t-eigenvalue memo -------------------------------------------------
+# -- the mode tables behind t and psi ----------------------------------------
 
 @pytest.fixture
 def log_calls(monkeypatch):
+    """One entry per mode table built (`repbase.RatFnModes`)."""
     calls = []
-    inner = repbase.ratfn_log_coeffs
+    inner = repbase.RatFnModes
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(repbase, "ratfn_log_coeffs", counted)
+    monkeypatch.setattr(repbase, "RatFnModes", counted)
     return calls
 
 
 def test_t_eigenvalue_is_computed_once(log_calls):
+    """One mode table per (label, sign), read by every t and psi mode of
+    that sign."""
     M = KTheoryFixedPointModule(P2, 2)
     label = M.basis(1)[0]
     first = M.t_eigenvalue(label, 2, P2.beta)
     assert len(log_calls) == 1
     assert M.t_eigenvalue(label, 2, P2.beta) == first
+    assert len(log_calls) == 1
+    M.t_eigenvalue(label, 3, P2.beta)
+    M.psi_coeff(label, +1, 5)
+    M.psi_y_eigenvalue(label, 1, Y2.sigma3())
     assert len(log_calls) == 1
     M.t_eigenvalue(label, -2, P2.beta)
     M.t_eigenvalue(M.basis(1)[1], 2, P2.beta)
@@ -255,7 +265,7 @@ def test_wrappers_keep_their_own_memo():
     for rel in ("T3", "T4t"):
         check_relation(M, rel, P2, 1, window=1)
     Pp = PerturbedModule(M, "psi")
-    name = Module._t_log.__qualname__
+    name = Module.psi_modes.__qualname__
     assert memo_table(Pp, name) is not memo_table(M, name)
     assert not check_relation(Pp, "T3", P2, 1, window=1).ok
     # every memoized method of a wrapper over a warm base serves the
@@ -264,8 +274,9 @@ def test_wrappers_keep_their_own_memo():
         (Module.e_transitions, (label,)), (Module.f_transitions, (label,)),
         (Module.psi_rat, (label,)), (Module.mode_row, ("e", label, 2)),
         (Module.mode_row, ("f", label, -1)), (Module.psi_series, (label, +1, 4)),
-        (Module.psi_series, (label, -1, 3)), (Module._t_log, (label, 2)),
-        (Module._t_log, (label, -1)))]
+        (Module.psi_series, (label, -1, 3)), (Module.psi_coeff, (label, +1, 4)),
+        (Module.psi_coeff, (label, -1, 3)), (Module.t_eigenvalue, (label, 2, P2.beta)),
+        (Module.t_eigenvalue, (label, -1, P2.beta)))]
     for method, args in calls:
         method(M, *args)
     wrappers = [lambda base, kind=kind: PerturbedModule(base, kind)
@@ -530,6 +541,86 @@ def test_int_points_give_exact_rows_at_every_mode():
                                for _, c in ladder.mode_row(kind, label, mode))
 
 
+def row_values(den, entries):
+    """[(target, value)] of a compiled row, a series value as (val, trunc,
+    coeffs)."""
+    return [(tgt, value if type(value) is Fraction else (value.val, value.trunc, value.coeffs))
+            for tgt, n in entries for value in (_over(n, den),)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: KTheoryFixedPointModule(P2, 2),
+    lambda: PerturbedModule(KTheoryFixedPointModule(P2, 2), "e"),
+    lambda: PerturbedModule(KTheoryFixedPointModule(P2, 2), "f"),
+    lambda: CohomologyFixedPointModule(Y2, 2),
+    lambda: VectorModule(P2, Fraction(1, 5)),
+    lambda: fock_tensor(P2, 2),
+    IntLadder, HalfLadder, lambda: SeriesLadder(),
+], ids=["M2", "M2-e", "M2-f", "V2", "vector", "tensor", "int", "half", "series"])
+def test_mode_free_rows_match_mode_row(make):
+    """The sweep's e and f rows, built from each (kind, label)'s transition
+    table at every mode, equal `mode_row`'s values at modes -4..4."""
+    M = make()
+    for label in [label for level in range(3) for label in M.basis(level)]:
+        for kind in ("e", "f"):
+            for mode in range(-4, 5):
+                try:
+                    want = [(tgt, c if type(c) is not TSeries else (c.val, c.trunc, c.coeffs))
+                            for tgt, c in M.mode_row(kind, label, mode)]
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        M.sweep_row((kind, mode), label, {})
+                    continue
+                assert row_values(*M.sweep_row((kind, mode), label, {})) == want
+
+
+def test_a_sweep_builds_each_transition_table_once(monkeypatch):
+    """A window-3 sweep reads each (kind, label)'s transitions once, for its
+    mode-free table, whatever the number of modes, and no `mode_row`."""
+    counts = Counter()
+    for kind in ("e", "f"):
+        inner = getattr(Module, f"{kind}_transitions")
+
+        def counted(self, label, kind=kind, inner=inner):
+            counts[id(self), kind, label] += 1
+            return inner(self, label)
+
+        monkeypatch.setattr(Module, f"{kind}_transitions", counted)
+    M = KTheoryFixedPointModule(P2, 2)
+    for rel in ("T1", "T2", "T3", "T4t", "T5t", "T6"):
+        assert check_relation(M, rel, P2, 2, window=3).ok
+    swept = {(id(M), kind, label) for kind in ("e", "f")
+             for level in range(3) for label in M.basis(level)}
+    assert swept <= set(counts) and set(counts.values()) == {1}
+    assert Module.mode_row.__qualname__ not in vars(M)
+
+
+def test_suffix_memos_are_freed_without_the_cycle_collector():
+    """A sweep's per-label image memos are freed by reference counting:
+    after one `check_relation` with the cycle collector off, a collection
+    finds no memo among the unreachable objects."""
+    M = KTheoryFixedPointModule(P2, 2)
+    labels = {label for level in range(3) for label in M.basis(level)}
+
+    def is_memo(obj):
+        return type(obj) is dict and any(type(key) is tuple and len(key) == 2 and
+                                         key[0] in labels and type(key[1]) is tuple
+                                         for key in obj)
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert check_relation(M, "T1", P2, 2, window=1).ok
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        memos = [obj for obj in gc.garbage if is_memo(obj)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert memos == []
+
+
 # -- the sweep against a schoolbook reference -------------------------------
 
 def reference_pairs(module, instances, ctx, level_bound):
@@ -734,33 +825,30 @@ def test_sweep_rejects_a_float_by_name():
 
 @pytest.fixture
 def lincomb_calls(monkeypatch):
-    """One entry per `lincomb` call: the (module id, letter, label) whose row
-    `_compile_row` was compiling, or None for a call outside it."""
-    calls, compiling = [], []
+    """(lincomb calls, compiled letters): one entry per `lincomb` call, and
+    the letter of every row `_compile_row` compiles."""
+    calls, letters = [], []
     inner_lincomb, inner_compile = repbase.lincomb, repbase._compile_row
 
     def counted(triples):
-        calls.append(compiling[-1] if compiling else None)
+        calls.append(triples)
         return inner_lincomb(triples)
 
     def compile_row(module, letter, label, ctx):
-        compiling.append((id(module), letter, label))
-        try:
-            return inner_compile(module, letter, label, ctx)
-        finally:
-            compiling.pop()
+        letters.append(letter)
+        return inner_compile(module, letter, label, ctx)
 
     monkeypatch.setattr(repbase, "lincomb", counted)
     monkeypatch.setattr(repbase, "_compile_row", compile_row)
-    return calls
+    return calls, letters
 
 
 def test_sweeps_build_no_image_or_residual_by_lincomb(lincomb_calls):
     """On every kind of object swept (rational modules of both families, a
-    series-valued module, the series bridge, the boson states) no word image
-    and no residual is built by `lincomb`: its only calls compile a row of a
-    letter other than e and f, each (letter, label) at most once per
-    sweep."""
+    series-valued module, the series bridge, the boson states) a sweep
+    builds no row, no word image and no residual by `lincomb`: every row,
+    those of the diagonal letters included, is compiled from its hook."""
+    calls, compiled = lincomb_calls
     M, V = KTheoryFixedPointModule(P2, 2), CohomologyFixedPointModule(Y2, 2)
     S, params = series_module()
     br = UpsilonBridge(13, 1, (Fraction(1, 5),), 1, trunc=10)
@@ -775,14 +863,10 @@ def test_sweeps_build_no_image_or_residual_by_lincomb(lincomb_calls):
                lambda: br.audit_t4_ladder(1, range(-1, 2), range(-1, 2), hmod=6) == [],
                lambda: br.audit_cubic(1, hmod=6) == [],
                lambda: tt3_check(hp, (1 - hp.q3) * Fraction(1, 5), window=1) == []]
-    letters = set()
     for sweep in sweeps:
-        del lincomb_calls[:]
         assert sweep()
-        assert None not in lincomb_calls
-        assert len(set(lincomb_calls)) == len(lincomb_calls)
-        letters |= {letter[0] for _, letter, _ in lincomb_calls}
-    assert letters == {"psi+", "psi-", "psiy", "t"}
+        assert calls == []
+    assert {letter[0] for letter in compiled} == {"e", "f", "psi+", "psi-", "psiy", "t"}
 
 
 # -- the degree-three relations past their instantiated modes ----------------

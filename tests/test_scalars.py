@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from toryang.scalars import (ExpansionPoleError, Poly, RatFn, ScalarDomainError,
                              TSeries, expm1_over, frac_sqrt, is_zero_mod,
                              ratfn_expand, ratfn_log_coeffs, series_exp,
-                             series_log, series_sqrt, series_zlog)
+                             series_log, series_sqrt, series_zlog, _over, _PowerSums)
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
 
@@ -521,6 +521,48 @@ def test_log_coeffs_product_loop_cases():
         assert [shape(c) for c in got] == [shape(c) for c in ref_log_coeffs(rf, direction, 6)]
         if not zeros and not poles:
             assert all(type(c) is Fraction and c == 0 for c in got)
+
+
+def power_sums(roots, n):
+    """[p_1, ..., p_n] from the integer numerators S_k over D^k."""
+    sums = _PowerSums(roots, ())
+    return [_over(s, sums.D ** k) for k, s in enumerate(sums.extend(n), 1)]
+
+
+def schoolbook_power_sums(roots, n):
+    """[p_1, ..., p_n] root by root, pw = pw * x, from Fraction(0)."""
+    sums = [Fraction(0)] * n
+    for x in roots:
+        pw = Fraction(x) if type(x) is int else x
+        for k in range(n):
+            if k:
+                pw = pw * x
+            sums[k] = sums[k] + pw
+    return sums
+
+
+@given(st.lists(st.one_of(st.integers(-9, 9), rationals,
+                          flat_series(min_val=-1, max_val=3, max_len=6)
+                          .map(lambda a: TSeries(*a))), max_size=5),
+       st.integers(1, 7))
+@settings(max_examples=200, deadline=None)
+def test_power_sums_match_the_schoolbook_loop(roots, n):
+    got = power_sums(roots, n)
+    assert [shape(c) for c in got] == [shape(c) for c in schoolbook_power_sums(roots, n)]
+    if all(type(x) is not TSeries for x in roots):
+        assert all(type(c) is Fraction for c in got)
+
+
+def test_power_sums_cases():
+    T = 9
+    mono = TSeries(1, [Fraction(13, 5)], T)
+    cases = [[], [3], [-2, 5, 0], [Fraction(-7, 6), Fraction(5, 4), 2],
+             [TSeries(4, [], 4)], [TSeries(4, [], 4), Fraction(1, 3)],
+             [Fraction(2, 3), mono, -1, TSeries(0, [Fraction(1, 2), 0, 3], 6)],
+             [TSeries(6, [], 6), mono, Fraction(-1, 9)]]
+    for roots in cases:
+        got = power_sums(roots, 6)
+        assert [shape(c) for c in got] == [shape(c) for c in schoolbook_power_sums(roots, 6)]
 
 
 def test_rational_scaling_keeps_precision():
