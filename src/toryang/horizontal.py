@@ -160,12 +160,14 @@ class BosonStates:
 
     def mode_row(self, kind, label, k):
         """[(target, c)]: mode k of the 'e' or 'f' vertex operator on the
-        state `label`."""
+        state `label`; any other kind raises ValueError."""
+        if kind not in self.specs:
+            raise ValueError(f"unknown row kind {kind!r}; expected 'e' or 'f'")
         return list(apply_vertex_mode(self.params, self.specs[kind], k, {label: 1}).items())
 
-    def sweep_row(self, letter, label, ctx):
+    def sweep_row(self, letter, label):
         """The letter on the state `label`, compiled for the relation sweep
-        (`repbase._compile_row`): e and f from `mode_row`, psi+- from its
+        (`repbase.RelationSweep`): e and f from `mode_row`, psi+- from its
         vertex mode on the state."""
         gen, k = letter
         if gen == "e" or gen == "f":
@@ -198,7 +200,7 @@ def tt3_check(params, c, window=2, degree_cap=2):
                            (-rho ** (i - j), [("psi+", i + j)]),
                            (rho ** (j - i), [("psi-", -(i + j))])], None)
                  for i in W for j in W]
-    sweep = RelationSweep(BosonStates(params, c), instances, {}, degree_cap)
+    sweep = RelationSweep(BosonStates(params, c), instances, degree_cap)
     return [(mu, i, j) for (i, j), _, mu, _ in sweep]
 
 

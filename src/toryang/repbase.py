@@ -51,11 +51,9 @@ owner lives; the owner's attributes that such a value reads are set before
 its first use.  The owner's `__dict__` is read directly, never through
 `getattr`, so a `ModuleWrapper`, whose `__getattr__` passes to its base,
 never serves the base's memo: a `PerturbedModule` keeps its own rows and
-tables, the sweep's compiled e, f and psi+- rows (`_compile_row`) included.
-A value that depends on a callable argument is split so that the memoized
-part takes none (`Module.t_eigenvalue` reads psi's beta-free log table per
-(label, sign) and divides by beta(m) on every call); the sweep compiles the
-t and psiy rows, which depend on its ctx, once per sweep.
+tables, the sweep's compiled rows (`sweep_row`) included.  A letter reads
+its parameters (beta for t, sigma3 for psiy) from the object swept, so
+every compiled row is kept in that object's one memo.
 """
 
 from __future__ import annotations
@@ -193,23 +191,30 @@ class Module:
         return self._psi_rat(label)
 
     # -- generic operators ------------------------------------------------
+    def transitions(self, kind, label):
+        """The 'e' or 'f' transitions of the label; any other kind raises
+        ValueError."""
+        if kind == "e":
+            return self.e_transitions(label)
+        if kind == "f":
+            return self.f_transitions(label)
+        raise ValueError(f"unknown row kind {kind!r}; expected 'e' or 'f'")
+
     @memoized
     def mode_row(self, kind, label, mode):
         """[(target, base * point**mode)] over the 'e' or 'f' transitions of
         the label; an int point is raised as a Fraction, so that a negative
         mode stays exact."""
-        ts = self.e_transitions(label) if kind == "e" else self.f_transitions(label)
         return [(tgt, base * (Fraction(point) if type(point) is int else point) ** mode)
-                for tgt, base, point in ts]
+                for tgt, base, point in self.transitions(kind, label)]
 
     @memoized
     def _mode_table(self, kind, label):
         """The 'e' or 'f' transitions of the label as (target, n, d, point),
         base = n/d (`_rational`) and an int point raised as a Fraction: the
         mode-free data of every mode's row (`sweep_row`)."""
-        ts = self.e_transitions(label) if kind == "e" else self.f_transitions(label)
         return [(tgt,) + _rational(base) + (Fraction(point) if type(point) is int else point,)
-                for tgt, base, point in ts]
+                for tgt, base, point in self.transitions(kind, label)]
 
     def apply_e(self, mode, v):
         return apply_mode(self, "e", mode, v)
@@ -240,34 +245,34 @@ class Module:
     def apply_psi(self, sign, k, v):
         return _apply_diagonal(v, lambda label: self.psi_coeff(label, sign, k))
 
-    def psi_y_eigenvalue(self, label, j, sig3):
+    def psi_y_eigenvalue(self, label, j):
         """The yangian-normalized mode psi_j on the label:
-        psi(z) = 1 + sig3 * sum psi_j z^-j-1."""
-        return self.psi_coeff(label, +1, j + 1) / sig3
+        psi(z) = 1 + sig3 * sum psi_j z^-j-1, sig3 = params.sigma3()."""
+        return self.psi_coeff(label, +1, j + 1) / self.params.sigma3()
 
-    def apply_psi_y(self, j, v, sig3):
-        return _apply_diagonal(v, lambda label: self.psi_y_eigenvalue(label, j, sig3))
+    def apply_psi_y(self, j, v):
+        return _apply_diagonal(v, lambda label: self.psi_y_eigenvalue(label, j))
 
-    def t_eigenvalue(self, label, m, beta):
+    def t_eigenvalue(self, label, m):
         """Eigenvalue of the log-mode generator t_m extracted from psi.
 
         psi^+(z)/psi0 = exp(-sum_{m>0} beta_m/m t_m z^-m) and mirrored for
         m < 0 on the opposite expansion: the z^-|m| or z^|m| coefficient of
-        log psi (`psi_modes`) divided by beta(m) on every call.
+        log psi (`psi_modes`) divided by beta_m = params.beta(m).
         """
         if m == 0:
             raise ValueError("t_0 is not defined")
         coeff = self.psi_modes(label, +1 if m > 0 else -1).log_coeff(abs(m))
         # for + direction: coeff = -beta_m/m * t_m ; for -: +beta_m/m * t_m
-        bm = beta(m)
+        bm = self.params.beta(m)
         if m > 0:
             return -coeff * m / bm
         return coeff * m / bm
 
-    def apply_t(self, m, v, beta):
-        return _apply_diagonal(v, lambda label: self.t_eigenvalue(label, m, beta))
+    def apply_t(self, m, v):
+        return _apply_diagonal(v, lambda label: self.t_eigenvalue(label, m))
 
-    def sweep_row(self, letter, label, ctx):
+    def sweep_row(self, letter, label):
         """The letter on the basis vector of the label, compiled for the
         relation sweep: (den, [(target, n)]).  An e or f row is
         base * point**mode over the transitions' mode-free table
@@ -281,9 +286,9 @@ class Module:
         if gen == "psi+" or gen == "psi-":
             c = self.psi_coeff(label, +1 if gen == "psi+" else -1, idx)
         elif gen == "psiy":
-            c = self.psi_y_eigenvalue(label, idx, ctx["sig3"])
+            c = self.psi_y_eigenvalue(label, idx)
         elif gen == "t":
-            c = self.t_eigenvalue(label, idx, ctx["beta"])
+            c = self.t_eigenvalue(label, idx)
         else:
             raise ValueError(f"unknown generator {gen}")
         return _eigen_row(label, c)
@@ -293,7 +298,7 @@ def apply_mode(rows, kind, mode, v):
     """Mode `mode` of the 'e' or 'f' current on the vector v, read from
     `rows.mode_row(kind, label, mode)`: every module and the series bridge
     act through this one function.  The relation sweep reads the same rows,
-    compiled (`_compile_row`)."""
+    compiled (`sweep_row`)."""
     return lincomb((tgt, c, coeff) for label, c in v.items()
                    for tgt, coeff in rows.mode_row(kind, label, mode))
 
@@ -379,12 +384,12 @@ class PerturbedModule(ModuleWrapper):
 
 # -- operator words and relation instantiation ----------------------------
 
-def _apply_letter(module, letter, v, ctx):
+def _apply_letter(module, letter, v):
     """One letter of a word on v: the step of `apply_word` and of
     `word_images`, which does not go through `apply_word` because the traced
     benchmark keys each `apply_word` call by its input vector, and a
     series-valued vector cannot be hashed (`perfbench/layers.py`).  The
-    sweep reads the same letters from compiled rows (`_compile_row`)."""
+    sweep reads the same letters from compiled rows (`sweep_row`)."""
     gen, idx = letter
     if gen == "e":
         return module.apply_e(idx, v)
@@ -395,20 +400,20 @@ def _apply_letter(module, letter, v, ctx):
     if gen == "psi-":
         return module.apply_psi(-1, idx, v)
     if gen == "psiy":
-        return module.apply_psi_y(idx, v, ctx["sig3"])
+        return module.apply_psi_y(idx, v)
     if gen == "t":
-        return module.apply_t(idx, v, ctx["beta"])
+        return module.apply_t(idx, v)
     raise ValueError(f"unknown generator {gen}")
 
 
-def apply_word(module, word, v, ctx):
+def apply_word(module, word, v):
     """Apply a composition of mode operators, leftmost letter acting last.
 
     Letters: ('e', i), ('f', i), ('psi+', k), ('psi-', k), ('psiy', j),
-    ('t', m).  ctx supplies beta/sig3 where needed.
+    ('t', m).
     """
     for letter in reversed(word):
-        v = _apply_letter(module, letter, v, ctx)
+        v = _apply_letter(module, letter, v)
         if not v:
             return v
     return v
@@ -442,17 +447,17 @@ def _suffix_images(start, step):
     return image
 
 
-def word_images(module, ctx):
-    """image(label, word) = apply_word(module, word, vec(label), ctx), word a
+def word_images(module):
+    """image(label, word) = apply_word(module, word, vec(label)), word a
     tuple, with every suffix's image computed once and kept.
 
     The leftmost letter acts on the kept image of the rest of the word
     (`_apply_letter`, the step of `apply_word`); an empty image stays empty.
-    The memo belongs to one module and ctx.  Its keys start with the label
-    and no image is shared between labels, so `RelationSweep` makes one per
-    label and drops it when it moves on.
+    The memo belongs to one module.  Its keys start with the label and no
+    image is shared between labels, so `RelationSweep` makes one per label
+    and drops it when it moves on.
     """
-    return _suffix_images(vec, lambda letter, v: _apply_letter(module, letter, v, ctx))
+    return _suffix_images(vec, lambda letter, v: _apply_letter(module, letter, v))
 
 
 # -- the relation sweep's vectors and compiled rows --------------------------
@@ -502,30 +507,19 @@ def _int_apply(row, v):
     return _int_vec(D * L, out)
 
 
-def _compile_row(module, letter, label, ctx):
-    """The letter on the basis vector of the label as a row over one
-    denominator, (den, [(target, n)]), from the hook every swept object
-    answers, `sweep_row(letter, label, ctx)`: a `Module` from its mode-free
-    transition table and its diagonal eigenvalues, the series bridge and
-    the boson states from their `mode_row` and their diagonal or vertex
-    modes."""
-    return module.sweep_row(letter, label, ctx)
-
-
-def _int_stepper(module, ctx):
+def _int_stepper(module):
     """step(letter, v), the letter of `_apply_letter` on a vector, by
-    `_int_apply` over the rows of `_compile_row`, each compiled once: the e,
-    f and psi+- rows in the module's own memo, keyed by (letter, label); the
-    psiy and t rows, whose values depend on ctx, once per stepper."""
-    kept, local = memo_table(module, "_compile_row"), {}
+    `_int_apply` over the rows of the hook every swept object answers,
+    `sweep_row(letter, label)`: the letter on the basis vector of the label
+    over one denominator, (den, [(target, n)]).  Each row is compiled once
+    and kept in the object's own memo, keyed by (letter, label)."""
+    rows = memo_table(module, "_sweep_rows")
 
     def step(letter, v):
-        table = local if letter[0] == "psiy" or letter[0] == "t" else kept
-
         def row(label):
-            r = table.get((letter, label))
+            r = rows.get((letter, label))
             if r is None:
-                r = table[letter, label] = _compile_row(module, letter, label, ctx)
+                r = rows[letter, label] = module.sweep_row(letter, label)
             return r
 
         return _int_apply(row, v)
@@ -774,8 +768,8 @@ class RelationSweep:
     A coefficient, row value or right-hand side is an int, a Fraction or a
     TSeries (`_rational`); anything else raises TypeError."""
 
-    def __init__(self, module, instances, ctx, level_bound, hmod=None):
-        self.module, self.ctx, self.level_bound, self.hmod = module, ctx, level_bound, hmod
+    def __init__(self, module, instances, level_bound, hmod=None):
+        self.module, self.level_bound, self.hmod = module, level_bound, hmod
         self.instances = [(inst_id, [_rational(coeff) + (tuple(word),) for coeff, word in terms
                                      if not _zero(coeff)], rhs)
                           for inst_id, terms, rhs in instances]
@@ -784,7 +778,7 @@ class RelationSweep:
     def __iter__(self):
         module, hmod = self.module, self.hmod
         self.checked = self.nonvacuous = 0
-        step = _int_stepper(module, self.ctx)
+        step = _int_stepper(module)
         for level in range(self.level_bound + 1):
             for label in module.basis(level):
                 # no image is shared between labels: free each label's memo
@@ -809,11 +803,8 @@ def check_relation(module, relation, params, level_bound, window=3, hmod=None):
     Returns a RelationReport; the sweep stops at the first failing
     (instance, label), which is recorded.
     """
-    if relation.startswith("T"):
-        build, ctx = t_relation_instances, {"beta": params.beta}
-    else:
-        build, ctx = y_relation_instances, {"sig3": params.sigma3()}
-    sweep = RelationSweep(module, build(relation, window, params), ctx, level_bound, hmod)
+    build = t_relation_instances if relation.startswith("T") else y_relation_instances
+    sweep = RelationSweep(module, build(relation, window, params), level_bound, hmod)
     for inst_id, level, label, resid in sweep:
         bad = {str(k): repr(c) for k, c in resid.items()}
         return RelationReport(relation, False, {"instance": inst_id, "level": level,

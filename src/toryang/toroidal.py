@@ -251,6 +251,7 @@ class TensorModule(Module):
     def __init__(self, w1, w2):
         self.w1 = w1
         self.w2 = w2
+        self.params = w1.params
 
     def level(self, label):
         l1, l2 = label

@@ -218,8 +218,10 @@ class UpsilonBridge:
         of the label, with the glueing unit g evaluated on the target."""
         if kind == "e":
             norm, ts = self.e_norm, self.module.e_transitions(label)
-        else:
+        elif kind == "f":
             norm, ts = self.f_norm, self.module.f_transitions(label)
+        else:
+            raise ValueError(f"unknown row kind {kind!r}; expected 'e' or 'f'")
         return [(tgt, base * norm * self.g_at(tgt, point), point) for tgt, base, point in ts]
 
     @memoized
@@ -287,13 +289,12 @@ class UpsilonBridge:
     def basis(self, level):
         return self.module.basis(level)
 
-    def apply_t(self, m, vec, beta):
-        # `t_eigen` carries its own alpha normalization, so beta is not read
+    def apply_t(self, m, vec):
         return _apply_diagonal(vec, lambda label: self.t_eigen(label, m))
 
-    def sweep_row(self, letter, label, ctx):
+    def sweep_row(self, letter, label):
         """The letter on the basis vector of the label, compiled for the
-        relation sweep (`repbase._compile_row`): e and f from `mode_row`, t
+        relation sweep (`repbase.RelationSweep`): e and f from `mode_row`, t
         from its eigenvalue `t_eigen`."""
         gen, idx = letter
         if gen == "e" or gen == "f":
@@ -304,7 +305,7 @@ class UpsilonBridge:
 
     # -- audits: instance lists through the relation sweep ---------------------
     def _sweep(self, tag, instances, level_bound, hmod):
-        sweep = RelationSweep(self, instances, {"beta": None}, level_bound, hmod)
+        sweep = RelationSweep(self, instances, level_bound, hmod)
         return [(tag, label) + inst_id for inst_id, _, label, _ in sweep]
 
     def audit_t3(self, level_bound, window, hmod):

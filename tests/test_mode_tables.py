@@ -69,7 +69,7 @@ def test_psi_table_extends_in_place():
     assert len(nums) == 3 and len(sums) == 2
     M.psi_coeff(label, +1, 11)
     M.psi_coeff(label, +1, 5)
-    M.t_eigenvalue(label, 3, P2.beta)
+    M.t_eigenvalue(label, 3)
     assert M.psi_modes(label, +1) is modes
     assert modes.nums is nums and modes.sums.nums is sums
     assert len(nums) == 12 and len(sums) == 11

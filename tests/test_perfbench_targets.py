@@ -60,8 +60,8 @@ def test_observers_read_real_arguments():
 
     module = KTheoryFixedPointModule(params, 1)
     label = module.basis(1)[0]
-    word, v, ctx = [("e", 0), ("f", 1)], {label: Fraction(2, 3)}, {"beta": params.beta}
-    hooks["repbase.apply_word"]((module, word, v, ctx), {}, apply_word(module, word, v, ctx))
+    word, v = [("e", 0), ("f", 1)], {label: Fraction(2, 3)}
+    hooks["repbase.apply_word"]((module, word, v), {}, apply_word(module, word, v))
 
     bridge = UpsilonBridge(13, 1, (Fraction(1, 5),), 1, trunc=6)
     label = bridge.basis(1)[0]

@@ -7,6 +7,7 @@ of object it sweeps, and what `check_relation` reports."""
 import gc
 import hashlib
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -217,29 +218,20 @@ def test_t_eigenvalue_is_computed_once(log_calls):
     that sign."""
     M = KTheoryFixedPointModule(P2, 2)
     label = M.basis(1)[0]
-    first = M.t_eigenvalue(label, 2, P2.beta)
+    first = M.t_eigenvalue(label, 2)
     assert len(log_calls) == 1
-    assert M.t_eigenvalue(label, 2, P2.beta) == first
+    assert M.t_eigenvalue(label, 2) == first
     assert len(log_calls) == 1
-    M.t_eigenvalue(label, 3, P2.beta)
+    M.t_eigenvalue(label, 3)
     M.psi_coeff(label, +1, 5)
-    M.psi_y_eigenvalue(label, 1, Y2.sigma3())
     assert len(log_calls) == 1
-    M.t_eigenvalue(label, -2, P2.beta)
-    M.t_eigenvalue(M.basis(1)[1], 2, P2.beta)
+    M.t_eigenvalue(label, -2)
+    M.t_eigenvalue(M.basis(1)[1], 2)
     assert len(log_calls) == 3
-
-
-def test_t_eigenvalue_divides_by_each_beta():
-    def beta3(m):
-        return 3 * P2.beta(m) + m
-
-    M = KTheoryFixedPointModule(P2, 2)
-    for label in M.basis(0) + M.basis(1):
-        for m in (1, -1, 3):
-            for beta in (P2.beta, beta3):
-                cold = KTheoryFixedPointModule(P2, 2).t_eigenvalue(label, m, beta)
-                assert M.t_eigenvalue(label, m, beta) == cold
+    V = CohomologyFixedPointModule(Y2, 2)
+    V.psi_coeff(label, +1, 5)
+    V.psi_y_eigenvalue(label, 1)
+    assert len(log_calls) == 4
 
 
 class OtherLabelPsi(ModuleWrapper):
@@ -256,11 +248,11 @@ class OtherLabelPsi(ModuleWrapper):
 def test_wrappers_keep_their_own_memo():
     M = KTheoryFixedPointModule(P2, 2)
     a, b = M.basis(1)[:2]
-    warm = {m: M.t_eigenvalue(a, m, P2.beta) for m in (1, -1, 2)}
+    warm = {m: M.t_eigenvalue(a, m) for m in (1, -1, 2)}
     W = OtherLabelPsi(M, b)
     for m in warm:
-        assert W.t_eigenvalue(a, m, P2.beta) == M.t_eigenvalue(b, m, P2.beta) != warm[m]
-    assert M.t_eigenvalue(a, 1, P2.beta) == warm[1]
+        assert W.t_eigenvalue(a, m) == M.t_eigenvalue(b, m) != warm[m]
+    assert M.t_eigenvalue(a, 1) == warm[1]
     # the T3 control still trips after the base's memos are warm
     for rel in ("T3", "T4t"):
         check_relation(M, rel, P2, 1, window=1)
@@ -275,8 +267,8 @@ def test_wrappers_keep_their_own_memo():
         (Module.psi_rat, (label,)), (Module.mode_row, ("e", label, 2)),
         (Module.mode_row, ("f", label, -1)), (Module.psi_series, (label, +1, 4)),
         (Module.psi_series, (label, -1, 3)), (Module.psi_coeff, (label, +1, 4)),
-        (Module.psi_coeff, (label, -1, 3)), (Module.t_eigenvalue, (label, 2, P2.beta)),
-        (Module.t_eigenvalue, (label, -1, P2.beta)))]
+        (Module.psi_coeff, (label, -1, 3)), (Module.t_eigenvalue, (label, 2)),
+        (Module.t_eigenvalue, (label, -1)))]
     for method, args in calls:
         method(M, *args)
     wrappers = [lambda base, kind=kind: PerturbedModule(base, kind)
@@ -413,10 +405,6 @@ def test_sweep_outcomes_are_pinned(point, family, name):
 
 # -- the sweep's compiled rows -----------------------------------------------
 
-def sweep_ctx(family, params):
-    return {"beta": params.beta} if family == "T" else {"sig3": params.sigma3()}
-
-
 def unit_image(step, letter, label):
     """The value of a diagonal letter on the label, read off the sweep's
     image of the basis vector."""
@@ -425,10 +413,10 @@ def unit_image(step, letter, label):
 
 
 def kept_row(module, letter, label):
-    """The compiled row of an e, f or psi+- letter on the label, as a sweep
-    keeps it in the module's own memo."""
-    repbase._int_stepper(module, {})(letter, repbase._int_start(label))
-    return memo_table(module, "_compile_row")[letter, label]
+    """The compiled row of a letter on the label, as a sweep keeps it in the
+    module's own memo."""
+    repbase._int_stepper(module)(letter, repbase._int_start(label))
+    return memo_table(module, "_sweep_rows")[letter, label]
 
 
 @pytest.mark.parametrize("family,make", [
@@ -439,14 +427,12 @@ def kept_row(module, letter, label):
 ])
 def test_compiled_rows_match_their_hooks(family, make):
     M = make()
-    params = P2 if family == "T" else Y2
-    ctx = sweep_ctx(family, params)
-    step = repbase._int_stepper(M, ctx)
+    step = repbase._int_stepper(M)
     for level in range(3):
         for label in M.basis(level):
             for kind in ("e", "f"):
                 for mode in range(-2, 3):
-                    den, entries = repbase._compile_row(M, (kind, mode), label, ctx)
+                    den, entries = M.sweep_row((kind, mode), label)
                     row = M.mode_row(kind, label, mode)
                     assert [tgt for tgt, _ in entries] == [tgt for tgt, _ in row]
                     assert [Fraction(n, den) for _, n in entries] == [c for _, c in row]
@@ -454,18 +440,17 @@ def test_compiled_rows_match_their_hooks(family, make):
                     assert kept_row(M, (kind, mode), label) == (den, entries)
             for sign, gen in ((+1, "psi+"), (-1, "psi-")):
                 for k in range(-1, 4):
-                    den, entries = repbase._compile_row(M, (gen, k), label, ctx)
+                    den, entries = M.sweep_row((gen, k), label)
                     c = M.psi_coeff(label, sign, k)
                     assert [(tgt, Fraction(n, den)) for tgt, n in entries] == \
                         ([(label, c)] if c else [])
                     assert kept_row(M, (gen, k), label) == (den, entries)
             if family == "T":
                 for m in (-2, -1, 1, 2):
-                    assert unit_image(step, ("t", m), label) == M.t_eigenvalue(label, m, P2.beta)
+                    assert unit_image(step, ("t", m), label) == M.t_eigenvalue(label, m)
             else:
                 for j in range(3):
-                    assert unit_image(step, ("psiy", j), label) == \
-                        M.psi_y_eigenvalue(label, j, Y2.sigma3())
+                    assert unit_image(step, ("psiy", j), label) == M.psi_y_eigenvalue(label, j)
 
 
 def test_boson_rows_match_the_vertex_modes():
@@ -480,7 +465,7 @@ def test_boson_rows_match_the_vertex_modes():
                     want = apply_vertex_mode(params, spec, k, {mu: Fraction(1)})
                     assert row == list(want.items())
                     assert all(type(c) is Fraction for _, c in row)
-                    den, entries = repbase._compile_row(states, (kind, k), mu, {})
+                    den, entries = states.sweep_row((kind, k), mu)
                     assert [(tgt, Fraction(n, den)) for tgt, n in entries] == row
 
 
@@ -493,14 +478,14 @@ def test_wrappers_keep_their_own_compiled_rows():
     for kind in PerturbedModule.KINDS:
         W = PerturbedModule(M, kind)
         cold = PerturbedModule(KTheoryFixedPointModule(P2, 2), kind)
-        assert "_compile_row" not in vars(W)
+        assert "_sweep_rows" not in vars(W)
         differs = False
         for letter, label in rows:
             got = kept_row(W, letter, label)
             assert got == kept_row(cold, letter, label)
             differs |= got != kept_row(M, letter, label)
         assert differs
-        assert memo_table(W, "_compile_row") is not memo_table(M, "_compile_row")
+        assert memo_table(W, "_sweep_rows") is not memo_table(M, "_sweep_rows")
 
 
 class IntLadder(Module):
@@ -569,14 +554,17 @@ def test_mode_free_rows_match_mode_row(make):
                             for tgt, c in M.mode_row(kind, label, mode)]
                 except ZeroDivisionError:
                     with pytest.raises(ZeroDivisionError):
-                        M.sweep_row((kind, mode), label, {})
+                        M.sweep_row((kind, mode), label)
                     continue
-                assert row_values(*M.sweep_row((kind, mode), label, {})) == want
+                assert row_values(*M.sweep_row((kind, mode), label)) == want
 
 
 def test_a_sweep_builds_each_transition_table_once(monkeypatch):
     """A window-3 sweep reads each (kind, label)'s transitions once, for its
-    mode-free table, whatever the number of modes, and no `mode_row`."""
+    mode-free table, whatever the number of modes, and no `mode_row`.
+    Across successive sweeps of one module each (letter, label) row, those
+    of t and psiy included, is compiled once; a `PerturbedModule` over a
+    warm base compiles its own."""
     counts = Counter()
     for kind in ("e", "f"):
         inner = getattr(Module, f"{kind}_transitions")
@@ -586,13 +574,89 @@ def test_a_sweep_builds_each_transition_table_once(monkeypatch):
             return inner(self, label)
 
         monkeypatch.setattr(Module, f"{kind}_transitions", counted)
+    rows = Counter()
+    inner_row = Module.sweep_row
+
+    def counted_row(self, letter, label):
+        rows[id(self), letter, label] += 1
+        return inner_row(self, letter, label)
+
+    monkeypatch.setattr(Module, "sweep_row", counted_row)
     M = KTheoryFixedPointModule(P2, 2)
     for rel in ("T1", "T2", "T3", "T4t", "T5t", "T6"):
         assert check_relation(M, rel, P2, 2, window=3).ok
-    swept = {(id(M), kind, label) for kind in ("e", "f")
-             for level in range(3) for label in M.basis(level)}
+    V = CohomologyFixedPointModule(Y2, 2)
+    for rel in ("Y0", "Y3", "Y4"):
+        assert check_relation(V, rel, Y2, 2, window=3).ok
+    swept = {(id(module), kind, label) for module in (M, V) for kind in ("e", "f")
+             for level in range(3) for label in module.basis(level)}
     assert swept <= set(counts) and set(counts.values()) == {1}
     assert Module.mode_row.__qualname__ not in vars(M)
+    gens = {(owner, letter[0]) for owner, letter, _ in rows}
+    assert {(id(M), "t"), (id(V), "psiy")} <= gens
+
+    def compiled(module):
+        return {(letter, label) for owner, letter, label in rows if owner == id(module)}
+
+    Pp = PerturbedModule(M, "psi")
+    cold = PerturbedModule(KTheoryFixedPointModule(P2, 2), "psi")
+    for module in (Pp, cold):
+        assert check_relation(module, "T4t", P2, 2, window=3).ok
+    assert compiled(Pp) == compiled(cold) and compiled(Pp) <= compiled(M)
+    assert {letter[0] for letter, _ in compiled(Pp)} == {"e", "t"}
+    assert set(rows.values()) == {1}
+
+
+@pytest.mark.parametrize("family", ["T", "Y"])
+def test_reports_do_not_depend_on_the_sweep_order(family):
+    """A module keeps its compiled rows from one sweep to the next, so every
+    report, counterexample included, is that of a fresh module, whichever
+    relations were swept before it: in the builders' order and in reverse,
+    on fresh and warm modules, on the psi, e and f controls, and on a
+    control over a warm base."""
+    make, params, relations = SWEEPS["M2" if family == "T" else "V2"]
+
+    def reports(module, order):
+        rows = {rel: in_order(report_row(check_relation(module, rel, params, 1, window=2)))
+                for rel in order}
+        return [rows[rel] for rel in relations]
+
+    for kind in (None,) + PerturbedModule.KINDS:
+        def wrap(base, kind=kind):
+            return base if kind is None else PerturbedModule(base, kind)
+
+        want = [in_order(report_row(check_relation(wrap(make()), rel, params, 1, window=2)))
+                for rel in relations]
+        # the module passes every relation and each control trips one
+        assert all(row[1] for row in want) == (kind is None)
+        for order in (relations, relations[::-1]):
+            module = wrap(make())
+            assert reports(module, order) == want
+            assert reports(module, order[::-1]) == want
+        warm = make()
+        reports(warm, relations)
+        assert reports(wrap(warm), relations[::-1]) == want
+
+
+@pytest.mark.parametrize("name", ["M2", "bridge", "bosons"])
+def test_an_unknown_row_kind_raises(name):
+    """Every `mode_row`, and a `Module`'s mode-free table, reads the 'e' and
+    'f' kinds only: any other kind raises ValueError naming it."""
+    if name == "M2":
+        rows = KTheoryFixedPointModule(P2, 2)
+    elif name == "bridge":
+        rows = UpsilonBridge(13, 1, (Fraction(1, 5),), 1, trunc=6)
+    else:
+        params = horizontal_params()
+        rows = BosonStates(params, (1 - params.q3) * Fraction(1, 5))
+    label = rows.basis(1)[0]
+    reads = [lambda kind: rows.mode_row(kind, label, 1)]
+    if name == "M2":
+        reads.append(lambda kind: rows._mode_table(kind, label))
+    for read in reads:
+        for kind in ("psi+", "t", "E", None):
+            with pytest.raises(ValueError, match=re.escape(f"unknown row kind {kind!r}")):
+                read(kind)
 
 
 def test_suffix_memos_are_freed_without_the_cycle_collector():
@@ -623,13 +687,13 @@ def test_suffix_memos_are_freed_without_the_cycle_collector():
 
 # -- the sweep against a schoolbook reference -------------------------------
 
-def reference_pairs(module, instances, ctx, level_bound):
+def reference_pairs(module, instances, level_bound):
     """Every (instance_id, level, label, live, residual) of a sweep, in its
     order, summed the schoolbook way: one `lincomb` over the items of each
     term's `word_images` image and the right-hand side."""
     for level in range(level_bound + 1):
         for label in module.basis(level):
-            image = word_images(module, ctx)
+            image = word_images(module)
             for inst_id, terms, rhs in instances:
                 triples = [(k, c, coeff) for coeff, word in terms if coeff
                            for k, c in image(label, tuple(word)).items()]
@@ -651,13 +715,10 @@ def in_order(row):
 
 def reference_report(module, rel, params, level_bound, window, hmod=None):
     """`report_row(check_relation(...))`, from `reference_pairs`."""
-    if rel.startswith("T"):
-        build, ctx = repbase.t_relation_instances, {"beta": params.beta}
-    else:
-        build, ctx = repbase.y_relation_instances, {"sig3": params.sigma3()}
+    build = repbase.t_relation_instances if rel.startswith("T") else repbase.y_relation_instances
     checked = nonvacuous = 0
     for inst_id, level, label, live, resid in reference_pairs(
-            module, build(rel, window, params), ctx, level_bound):
+            module, build(rel, window, params), level_bound):
         checked += 1
         nonvacuous += live
         if not is_vec_zero(resid, hmod):
@@ -753,10 +814,10 @@ def reference_checked(monkeypatch):
     compared = []
 
     class ReferenceCheckedSweep(repbase.RelationSweep):
-        def __init__(self, module, instances, ctx, level_bound, hmod=None):
+        def __init__(self, module, instances, level_bound, hmod=None):
             instances = list(instances)
-            super().__init__(module, instances, ctx, level_bound, hmod)
-            self.reference = (module, instances, ctx, level_bound)
+            super().__init__(module, instances, level_bound, hmod)
+            self.reference = (module, instances, level_bound)
 
         def __iter__(self):
             got = list(super().__iter__())
@@ -826,20 +887,21 @@ def test_sweep_rejects_a_float_by_name():
 @pytest.fixture
 def lincomb_calls(monkeypatch):
     """(lincomb calls, compiled letters): one entry per `lincomb` call, and
-    the letter of every row `_compile_row` compiles."""
+    the letter of every row a swept object's `sweep_row` compiles."""
     calls, letters = [], []
-    inner_lincomb, inner_compile = repbase.lincomb, repbase._compile_row
+    inner_lincomb = repbase.lincomb
 
     def counted(triples):
         calls.append(triples)
         return inner_lincomb(triples)
 
-    def compile_row(module, letter, label, ctx):
-        letters.append(letter)
-        return inner_compile(module, letter, label, ctx)
-
     monkeypatch.setattr(repbase, "lincomb", counted)
-    monkeypatch.setattr(repbase, "_compile_row", compile_row)
+    for cls in (Module, UpsilonBridge, BosonStates):
+        def compile_row(self, letter, label, inner=cls.sweep_row):
+            letters.append(letter)
+            return inner(self, letter, label)
+
+        monkeypatch.setattr(cls, "sweep_row", compile_row)
     return calls, letters
 
 
@@ -874,11 +936,10 @@ def test_sweeps_build_no_image_or_residual_by_lincomb(lincomb_calls):
 def sym3_sweep(module, family, g, modes, level_bound):
     """The sweep of the g half of T6 (family 'T') or Y6 ('Y') at every mode
     triple in modes**3."""
-    params = P2 if family == "T" else Y2
     shifts = (+1, -1) if family == "T" else (0, +1)
     instances = [((i1, i2, i3), repbase._sym3_nested(g, i1, i2, i3, *shifts), None)
                  for i1 in modes for i2 in modes for i3 in modes]
-    return repbase.RelationSweep(module, instances, sweep_ctx(family, params), level_bound)
+    return repbase.RelationSweep(module, instances, level_bound)
 
 
 @pytest.mark.parametrize("family,make,modes,nonvacuous", [

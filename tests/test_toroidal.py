@@ -126,7 +126,7 @@ class TestFixedPoint:
         for mlam in pt.enum_multipartitions(1, 2):
             for (tgt, c, p) in M.e_transitions(mlam):
                 for m in (1, 2, -1):
-                    dt = M.t_eigenvalue(tgt, m, P1.beta) - M.t_eigenvalue(mlam, m, P1.beta)
+                    dt = M.t_eigenvalue(tgt, m) - M.t_eigenvalue(mlam, m)
                     assert dt == p ** m
 
     def test_t_eigenvalue_two_routes(self):
@@ -136,7 +136,7 @@ class TestFixedPoint:
         u = Fraction(1, 5)
         for j in (-1, 0, 2):
             for m in (1, 2, 3):
-                got = V.t_eigenvalue(j, m, P1.beta)
+                got = V.t_eigenvalue(j, m)
                 zeros = [q1 ** j * q2 * u, q1 ** j * q3 * u]
                 poles = [q1 ** j * u, q1 ** (j - 1) * u]
                 want = (sum(z ** m for z in zeros) - sum(p ** m for p in poles)) / P1.beta(m)
@@ -161,7 +161,6 @@ class TestNegativeControl:
 
 def first_failure_by_direct_words(module, relation, params, level_bound, window):
     """Reference sweep: every word applied afresh to every basis vector."""
-    ctx = {"beta": params.beta}
     instances = t_relation_instances(relation, window, params)
     for level in range(level_bound + 1):
         for label in module.basis(level):
@@ -169,7 +168,7 @@ def first_failure_by_direct_words(module, relation, params, level_bound, window)
                 acc = {}
                 for coeff, word in terms:
                     if coeff:
-                        image = apply_word(module, word, vec(label), ctx)
+                        image = apply_word(module, word, vec(label))
                         acc = vsum(((k, c * coeff) for k, c in image.items()), acc)
                 if rhs is not None:
                     acc = vsum([(label, -rhs(module, label))], acc)
@@ -184,15 +183,14 @@ class TestRelationEngine:
 
     def test_memo_matches_direct_words(self):
         M = KTheoryFixedPointModule(P2, 2)
-        ctx = {"beta": P2.beta}
-        image = word_images(M, ctx)
+        image = word_images(M)
         for rel in RELATION_BUILDERS_T:
             for _, terms, _ in t_relation_instances(rel, 3, P2):
                 for level in range(3):
                     for label in M.basis(level):
                         for _, word in terms:
                             assert image(label, tuple(word)) == \
-                                apply_word(M, word, vec(label), ctx)
+                                apply_word(M, word, vec(label))
 
     def test_perturbed_e_keeps_its_own_rows(self):
         M = KTheoryFixedPointModule(P2, 2)
@@ -214,17 +212,24 @@ class TestRelationEngine:
         assert not check_relation(Pp, "T3", P2, 1, window=1).ok
 
 
+def log_coeff_via_series(module, label, sign, n):
+    """Reference route: the z^-n (sign +1) or z^n (sign -1) coefficient of
+    the log of the expanded psi series over its constant."""
+    s = module.psi_series(label, sign, n + 1)
+    return series_log(s / s.coeff(0)).coeff(n)
+
+
 def t_eigenvalue_via_log_series(module, label, m, beta):
-    """Reference route: log of the expanded psi series over its constant."""
-    n = abs(m)
-    s = module.psi_series(label, +1 if m > 0 else -1, n + 1)
-    coeff = series_log(s / s.coeff(0)).coeff(n)
+    """Reference route: `log_coeff_via_series` at the sign of m, over beta(m)."""
+    coeff = log_coeff_via_series(module, label, +1 if m > 0 else -1, abs(m))
     return (-coeff if m > 0 else coeff) * m / beta(m)
 
 
 class TestFactoredPsi:
-    """Module.t_eigenvalue from power sums of psi's factors against the
-    log-of-series route, on every kind of module that carries psi."""
+    """The log modes of psi from power sums of its factors against the
+    log-of-series route, on every kind of module that carries psi, and
+    Module.t_eigenvalue from them on every module of the multiplicative
+    family, the one with t letters."""
 
     def modules(self):
         Y2 = default_yangian(r=2)
@@ -244,8 +249,12 @@ class TestFactoredPsi:
                 for label in module.basis(level):
                     assert module.psi_rat(label).factors is not None
                     for m in (1, 2, 3, -1, -2, -3):
-                        got = module.t_eigenvalue(label, m, P2.beta)
-                        assert got == t_eigenvalue_via_log_series(module, label, m, P2.beta)
+                        sign, n = (+1 if m > 0 else -1), abs(m)
+                        assert module.psi_modes(label, sign).log_coeff(n) == \
+                            log_coeff_via_series(module, label, sign, n)
+                        if module.params is P2:
+                            got = module.t_eigenvalue(label, m)
+                            assert got == t_eigenvalue_via_log_series(module, label, m, P2.beta)
 
     def test_tensor_psi_concatenates_factors(self):
         T = fock_tensor(P2, 2)

@@ -93,15 +93,14 @@ class TestFixedPoint:
 
     def test_relation_memo_matches_direct_words(self):
         V = CohomologyFixedPointModule(P2, 2)
-        ctx = {"sig3": P2.sigma3()}
-        image = word_images(V, ctx)
+        image = word_images(V)
         for rel in RELATION_BUILDERS_Y:
             for _, terms, _ in y_relation_instances(rel, 3, P2):
                 for level in range(3):
                     for label in V.basis(level):
                         for _, word in terms:
                             assert image(label, tuple(word)) == \
-                                apply_word(V, word, vec(label), ctx)
+                                apply_word(V, word, vec(label))
 
     def test_rank1_gammas(self):
         V = CohomologyFixedPointModule(P1Z, 1)
