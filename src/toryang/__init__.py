@@ -8,7 +8,7 @@ eigenvector property of summed fixed-point classes.
 
 from .params import (GenericityError, ToroidalParams, YangianParams,
                      default_toroidal, default_yangian, sample_generic_params)
-from .scalars import (Poly, RatFn, TSeries, ratfn_expand, series_exp,
+from .scalars import (RatFn, TSeries, ratfn_expand, series_exp,
                       series_log, series_sqrt)
 
 __version__ = "0.1.0"

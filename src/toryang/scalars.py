@@ -8,10 +8,11 @@ through the usual arithmetic operators; there is no floating point
 anywhere.
 
 Rational functions have one form: a `RatFn` is its factors (constant,
-zeros, poles), built by `from_factors`.  Its `num`/`den` Poly views are
-multiplied out on first read, for the series expansion (`ratfn_expand`),
-evaluation and comparison; the log-modes (`ratfn_log_coeffs`) and the
-kept mode tables (`RatFnModes`) read the factors themselves.
+zeros, poles), built by `from_factors`, and every reader works from them.
+The series expansion (`ratfn_expand`) multiplies out the numerator and
+denominator coefficient lists it needs; evaluation, the log-modes
+(`ratfn_log_coeffs`) and the kept mode tables (`RatFnModes`) read the
+factors themselves.
 
 Integer kernels.  A `TSeries` keeps its coefficients as integer numerators
 over one denominator (`nums`, `den`, canonical as its class docstring
@@ -43,12 +44,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
 from operator import add, mul
 
 __all__ = [
     "TSeries",
-    "Poly",
     "RatFn",
     "h_gen",
     "series_exp",
@@ -456,116 +455,30 @@ def expm1_over(s):
     return (series_exp(s) - 1).shift(-s.val) * _series(0, s.nums, s.den, s.trunc - s.val).inv()
 
 
-# -- dense univariate polynomials over an exact scalar domain -------------
+# -- factored rational functions ---------------------------------------------
 
-class Poly:
-    """Dense univariate polynomial, coefficients ascending."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs):
-        coeffs = [_cf(x) for x in coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.c = coeffs
-
-    @staticmethod
-    def const(x):
-        return Poly([x])
-
-    def is_zero(self):
-        return not self.c
-
-    def degree(self):
-        return len(self.c) - 1 if self.c else -1
-
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(other)
-        return Poly([a + b for a, b in zip_longest(self.c, other.c, fillvalue=Fraction(0))])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly([-a for a in self.c])
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return Poly([a * other for a in self.c])
-        if self.is_zero() or other.is_zero():
-            return Poly([])
-        out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
-        for i, a in enumerate(self.c):
-            if not a:
-                continue
-            for j, b in enumerate(other.c):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(other)
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("Poly is unhashable")
-
-    def eval(self, x):
-        acc = 0
-        for a in reversed(self.c):
-            acc = acc * x + a
-        return acc
-
-    def __repr__(self):
-        return "Poly(%s)" % (self.c,)
+def _linear_product(constant, roots):
+    """Coefficients, lowest first, of constant * prod (z - root)."""
+    c = [constant]
+    for a in roots:
+        c = [-a * c[0]] + [lo - a * hi for lo, hi in zip(c, c[1:])] + [c[-1]]
+    return c
 
 
 class RatFn:
     """Rational function in one variable z, kept factored: `factors` is
     (constant, zeros, poles), and every RatFn is built by `from_factors`.
-    `num` and `den` are Poly views, multiplied out when first read.
     Products with RatFns and with scalars stay factored.
     """
 
-    __slots__ = ("_num", "_den", "factors")
+    __slots__ = ("factors",)
 
     @staticmethod
     def from_factors(constant, zeros, poles):
         """constant * prod (z - zero) / prod (z - pole)."""
         rf = RatFn.__new__(RatFn)
-        rf._num = rf._den = None
         rf.factors = (constant, tuple(zeros), tuple(poles))
         return rf
-
-    @property
-    def num(self):
-        if self._num is None:
-            constant, zeros, _ = self.factors
-            num = Poly([constant])
-            for a in zeros:
-                num = num * Poly([-a, 1])
-            self._num = num
-        return self._num
-
-    @property
-    def den(self):
-        if self._den is None:
-            den = Poly([1])
-            for b in self.factors[2]:
-                den = den * Poly([-b, 1])
-            self._den = den
-        return self._den
 
     def __mul__(self, other):
         constant, zeros, poles = self.factors
@@ -577,43 +490,43 @@ class RatFn:
     __rmul__ = __mul__
 
     def eval(self, x):
-        d = self.den.eval(x)
+        """The value at z = x, a Fraction for rational input; a pole at x
+        raises ZeroDivisionError, also where a zero cancels it."""
+        constant, zeros, poles = self.factors
+        d = math.prod(x - b for b in poles)
         if not d:
             raise ZeroDivisionError("pole at evaluation point")
-        return self.num.eval(x) / d
-
-    def eq(self, other):
-        return (self.num * other.den - other.num * self.den).is_zero()
+        return math.prod((x - a for a in zeros), start=Fraction(1) * constant) / d
 
     def __repr__(self):
-        return f"RatFn({self.num!r}/{self.den!r})"
+        return f"RatFn.from_factors{self.factors!r}"
 
 
 def ratfn_expand(rf, direction, order):
-    """Expand num/den as a truncated series.
+    """Expand rf = constant * prod (z - zero) / prod (z - pole) as a
+    truncated series, from the coefficient lists of its numerator and its
+    (monic) denominator.
 
-    direction +1: expansion in powers of 1/z (around z = infinity);
-    direction -1: expansion in powers of z (around z = 0).
-    Returns a TSeries in X where X = z^(-direction)... concretely X = 1/z
-    for +1 and X = z for -1.  Raises ExpansionPoleError when the relevant
-    leading coefficient is not invertible, and TypeError when num or den has
-    a coefficient that is not rational (series-valued factors).
+    direction +1: expansion in powers of X = 1/z (around z = infinity);
+    direction -1: expansion in powers of X = z (around z = 0).
+    A zero constant gives O(X^order) in either direction.  Raises
+    ExpansionPoleError for direction -1 when rf has a pole at 0, and
+    TypeError when a factor is not rational (series-valued factors).
     """
+    constant, zeros, poles = rf.factors
+    num, den = _linear_product(constant, zeros), _linear_product(1, poles)
     if direction == 1:
-        # p(z) = z^deg p * (series in X = 1/z)
-        sn = TSeries(0, rf.num.c[::-1], order)
-        sd = TSeries(0, rf.den.c[::-1], order)
-        if rf.den.is_zero() or not rf.den.c[-1]:
-            raise ExpansionPoleError("denominator leading coefficient not invertible")
-        if rf.num.is_zero():
+        # p(z) = z^deg p * (series in X = 1/z); den is monic, so its
+        # reversed series is a unit
+        sn = TSeries(0, num[::-1], order)
+        sd = TSeries(0, den[::-1], order)
+        if not constant:
             return TSeries(order, [], order)
-        return (sn * sd.inv()).shift(rf.den.degree() - rf.num.degree())
+        return (sn * sd.inv()).shift(len(poles) - len(zeros))
     elif direction == -1:
-        if not rf.den.c or not rf.den.c[0]:
+        if not den[0]:
             raise ExpansionPoleError("denominator has a zero at z = 0")
-        sn = TSeries(0, rf.num.c, order)
-        sd = TSeries(0, rf.den.c, order)
-        return sn * sd.inv()
+        return TSeries(0, num, order) * TSeries(0, den, order).inv()
     raise ValueError("direction must be +1 or -1")
 
 

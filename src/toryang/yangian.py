@@ -12,6 +12,7 @@ matrix-coefficient bookkeeping: the mode-j coefficient is
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import partitions as pt
@@ -216,11 +217,21 @@ class AdmissibleError(ValueError):
 
 def check_admissible(module, labels):
     """Verify the diagonal eigenvalue is reconstructed from the raising and
-    lowering data (the defining admissibility identity)."""
+    lowering data (the defining admissibility identity)
+    psi(z) = 1 + sum_i w_i/(z - p_i), summed over the transitions.
+
+    Write psi = P/Q with P = c prod (z - zero), Q = prod (z - pole), and the
+    right side as R/S with S = prod_i (z - p_i) and
+    R = S + sum_i w_i prod_(j != i) (z - p_j).  The identity is P S = R Q
+    as polynomials.  Both sides have degree at most
+    D = max(#zeros, #poles) + #terms, and two such polynomials are equal
+    once they agree at D + 1 points, so comparing them at z = 0, ..., D is
+    an exact proof; neither side has a pole to avoid.
+    """
     sig3 = module.params.sigma3()
     for alpha in labels:
-        rf = module.psi_rat(alpha)
-        # build 1 + sig3 [ sum_f d*c/(z - pt) - sum_e c*d/(z - pt) ]
+        constant, zeros, poles = module.psi_rat(alpha).factors
+        # terms w/(z - pt) of sig3 [ sum_f d*c/(z - pt) - sum_e c*d/(z - pt) ]
         terms = []
         for (tgt, d, ptf) in module.f_transitions(alpha):
             c_back = coeff_of(module.e_transitions(tgt), alpha)
@@ -228,27 +239,13 @@ def check_admissible(module, labels):
         for (tgt, c, pte) in module.e_transitions(alpha):
             d_back = coeff_of(module.f_transitions(tgt), alpha)
             terms.append((-sig3 * c * d_back, pte))
-        num, den = _sum_simple_poles(terms)
-        if not rf.num * den == rf.den * num:
-            raise AdmissibleError(f"diagonal data of {alpha!r} is not admissible")
+        for z in range(max(len(zeros), len(poles)) + len(terms) + 1):
+            lin = [z - p for _, p in terms]
+            S = math.prod(lin)
+            R = S + sum(w * math.prod(lin[:i] + lin[i + 1:]) for i, (w, _) in enumerate(terms))
+            if constant * math.prod(z - a for a in zeros) * S != R * math.prod(z - b for b in poles):
+                raise AdmissibleError(f"diagonal data of {alpha!r} is not admissible")
     return True
-
-
-def _sum_simple_poles(terms):
-    """1 + sum c/(z - a) as a (num, den) polynomial pair."""
-    from .scalars import Poly
-
-    den = Poly([1])
-    for _, a in terms:
-        den = den * Poly([-a, 1])
-    num = Poly(list(den.c))
-    for i, (c, a) in enumerate(terms):
-        part = Poly([c])
-        for j, (_, b) in enumerate(terms):
-            if j != i:
-                part = part * Poly([-b, 1])
-        num = num + part
-    return num, den
 
 
 def restrict_tensor(tensor, pred, levels):

@@ -124,43 +124,69 @@ def test_criterion_2_gamma_eigenvalues():
 def test_criterion_3_psi_leading_terms():
     """Diagonal series leading coefficients through z^-3 for ranks <= 3, read
     both from the expansion (`psi_series`) and from the mode table the
-    relation sweep reads (`psi_coeff`)."""
+    relation sweep reads (`psi_coeff`), at the default point and at a
+    sampled second point."""
     from math import comb
 
+    from toryang.params import sample_generic_params
     from toryang.yangian import CohomologyFixedPointModule
 
     t0 = time.time()
     ok = True
-    for r, p in ((1, PY1), (2, PY2), (3, PY3)):
-        V = CohomologyFixedPointModule(p, r)
-        s3, sig3, xs = p.h3, p.sigma3(), p.xs[:r]
-        for n in range(0, 4):
-            for mlam in pt.enum_multipartitions(r, n):
-                s = V.psi_series(mlam, +1, 4)
-                for c in (s.coeff, lambda k: V.psi_coeff(mlam, +1, k)):
-                    ok &= c(1) == -r * s3
-                    ok &= c(2) == s3 * sum(xs) + comb(r, 2) * s3 ** 2
-                    ok &= c(3) == (2 * sig3 * n - s3 * sum(x * x for x in xs)
-                                   - (r - 1) * s3 ** 2 * sum(xs)
-                                   - comb(r, 3) * s3 ** 3)
-    report(3, ok, f"diagonal series leading terms, r <= 3, levels <= 3 ({time.time()-t0:.0f}s)")
+    seed = SECOND_POINT_SEED
+    points = [(PY1, PY2, PY3),
+              tuple(sample_generic_params(seed, "yangian", r=r) for r in (1, 2, 3))]
+    for packs in points:
+        for r, p in zip((1, 2, 3), packs):
+            V = CohomologyFixedPointModule(p, r)
+            s3, sig3, xs = p.h3, p.sigma3(), p.xs[:r]
+            for n in range(0, 4):
+                for mlam in pt.enum_multipartitions(r, n):
+                    s = V.psi_series(mlam, +1, 4)
+                    for c in (s.coeff, lambda k: V.psi_coeff(mlam, +1, k)):
+                        ok &= c(1) == -r * s3
+                        ok &= c(2) == s3 * sum(xs) + comb(r, 2) * s3 ** 2
+                        ok &= c(3) == (2 * sig3 * n - s3 * sum(x * x for x in xs)
+                                       - (r - 1) * s3 ** 2 * sum(xs)
+                                       - comb(r, 3) * s3 ** 3)
+    report(3, ok, f"diagonal series leading terms, r <= 3, levels <= 3, two points "
+                  f"({time.time()-t0:.0f}s)")
 
 
 def test_criterion_4_fock_factorizations():
     """Both diagonal factorization maps onto Fock tensors, solved and fully
-    verified to level 3 at rank 2, including one-box-ratio path independence."""
-    from toryang.toroidal import solve_fock_factorization
-    from toryang.yangian import solve_fock_factorization_add
+    verified to level 3 at rank 2, including one-box-ratio path independence,
+    at the default point and at a sampled second point."""
+    from toryang.params import sample_generic_params
+    from toryang.toroidal import (DiagonalTwist, KTheoryFixedPointModule, solve_factorization,
+                                  solve_fock_factorization)
+    from toryang.yangian import CohomologyFixedPointModule, solve_fock_factorization_add
+
+    def control_trips(mk, p, r, directions):
+        # the negative control: a rescaled psi misses the Fock tensor's series
+        _, fails = solve_factorization(PerturbedModule(mk, "psi"), p, r, 3, (0,), 6,
+                                       directions=directions)
+        return any(f[0] == "psi-series" for f in fails)
 
     t0 = time.time()
     ok = True
-    for r, p in ((1, PT1), (2, PT2)):
-        consts, fails = solve_fock_factorization(p, r, 3)
-        ok &= not fails and consts[((),) * r] == 1
-    for r, p in ((1, PY1), (2, PY2)):
-        consts, fails = solve_fock_factorization_add(p, r, 3)
-        ok &= not fails and consts[((),) * r] == 1
-    report(4, ok, f"Fock-tensor factorizations, r <= 2, level 3 ({time.time()-t0:.0f}s)")
+    seed = SECOND_POINT_SEED
+    points = [(PT1, PT2, PY1, PY2),
+              (*(sample_generic_params(seed, "toroidal", r=r) for r in (1, 2)),
+               *(sample_generic_params(seed, "yangian", r=r) for r in (1, 2)))]
+    for pt1, pt2, py1, py2 in points:
+        for r, p in ((1, pt1), (2, pt2)):
+            consts, fails = solve_fock_factorization(p, r, 3)
+            ok &= not fails and consts[((),) * r] == 1
+            T = p.fixed_psi_norm(r)
+            mk = DiagonalTwist(KTheoryFixedPointModule(p, r), f_scale=1 / T, psi_scale=1 / T)
+            ok &= control_trips(mk, p, r, (+1, -1))
+        for r, p in ((1, py1), (2, py2)):
+            consts, fails = solve_fock_factorization_add(p, r, 3)
+            ok &= not fails and consts[((),) * r] == 1
+            ok &= control_trips(CohomologyFixedPointModule(p, r), p, r, (+1,))
+    report(4, ok, f"Fock-tensor factorizations, r <= 2, level 3, two points "
+                  f"({time.time()-t0:.0f}s)")
 
 
 def test_criterion_5_shuffle():

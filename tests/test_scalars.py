@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toryang.scalars import (ExpansionPoleError, Poly, RatFn, ScalarDomainError,
+from toryang.scalars import (ExpansionPoleError, RatFn, ScalarDomainError,
                              TSeries, expm1_over, frac_sqrt, is_zero_mod,
                              ratfn_expand, ratfn_log_coeffs, series_exp,
                              series_log, series_sqrt, series_zlog, _over, _PowerSums)
@@ -113,21 +113,80 @@ def test_ratfn_expand_pole_error():
         ratfn_expand(rf, -1, 4)
 
 
+# -- schoolbook references for factored rational functions ------------------
+
+def linear_product(constant, roots):
+    """Schoolbook: the coefficients, lowest first, of
+    constant * prod (z - root) as Fractions."""
+    c = [Fraction(constant)]
+    for a in roots:
+        shifted = [Fraction(0)] + c  # z * c
+        c = [x - a * y for x, y in zip(shifted, c + [Fraction(0)])]
+    return c
+
+
+def poly_eval(c, x):
+    return sum((ci * x ** i for i, ci in enumerate(c)), Fraction(0))
+
+
+def power_series_quotient(num, den, n):
+    """Schoolbook long division: the first n coefficients of num/den as a
+    power series, den[0] != 0."""
+    q = []
+    for k in range(n):
+        acc = num[k] if k < len(num) else Fraction(0)
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * q[k - j]
+        q.append(acc / den[0])
+    return q
+
+
 @given(rationals, st.lists(rationals, max_size=4), st.lists(rationals, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_expand_times_denominator_reproduces_numerator(constant, zeros, poles):
     rf = RatFn.from_factors(constant, zeros, poles)
-    numpoly, denpoly = rf.num, rf.den
+    num, den = linear_product(constant, zeros), linear_product(1, poles)
     order = 8
     ser = ratfn_expand(rf, +1, order)
-    if numpoly.is_zero():
+    if not constant:
         assert ser.is_zero()
         return
-    dd, dn = denpoly.degree(), numpoly.degree()
-    sd = TSeries(0, list(reversed(denpoly.c)), order)
-    sn = TSeries(0, list(reversed(numpoly.c)), order)
+    sd = TSeries(0, den[::-1], order)
+    sn = TSeries(0, num[::-1], order)
     # den(z) * expansion - num(z) = 0 through the working order
-    assert (sd * ser - sn.shift(dd - dn)).is_zero()
+    assert (sd * ser - sn.shift(len(poles) - len(zeros))).is_zero()
+
+
+# constants and roots that are 0 often, so the zero-constant, root-at-0 and
+# pole-at-0 branches are all drawn
+zero_or_rational = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@given(zero_or_rational, st.lists(zero_or_rational, max_size=4),
+       st.lists(zero_or_rational, max_size=4), st.sampled_from([1, 4, 9]))
+@settings(max_examples=120, deadline=None)
+def test_ratfn_expand_matches_schoolbook_division(constant, zeros, poles, order):
+    rf = RatFn.from_factors(constant, zeros, poles)
+    num, den = linear_product(constant, zeros), linear_product(1, poles)
+    for direction in (+1, -1):
+        if direction == -1 and not den[0]:
+            with pytest.raises(ExpansionPoleError):
+                ratfn_expand(rf, direction, order)
+            continue
+        s = ratfn_expand(rf, direction, order)
+        if not constant:
+            assert (s.val, s.nums, s.trunc) == (order, [], order)
+            continue
+        if direction == 1:
+            # in X = 1/z: X^(#poles - #zeros) * reversed num / reversed den
+            shift = len(poles) - len(zeros)
+            coeffs = power_series_quotient(num[::-1], den[::-1], order)
+        else:
+            shift, coeffs = 0, power_series_quotient(num, den, order)
+        want = {shift + k: c for k, c in enumerate(coeffs) if c}
+        assert s.trunc == shift + order
+        assert s.val == min(want, default=s.trunc)
+        assert {k: s.coeff(k) for k in range(s.val, s.trunc) if s.coeff(k)} == want
 
 
 def test_is_zero_mod():
@@ -149,26 +208,23 @@ F_ZEROS = (Fraction(2), Fraction(-1, 3), Fraction(5, 7))
 F_POLES = (Fraction(1, 2), Fraction(3), Fraction(-4, 5))
 
 
-def eager(constant, zeros, poles):
-    num = Poly([constant])
-    for a in zeros:
-        num = num * Poly([-a, 1])
-    den = Poly([1])
-    for b in poles:
-        den = den * Poly([-b, 1])
-    return num, den
-
-
-def test_factored_num_den_are_the_eager_product():
-    num, den = eager(F_CONST, F_ZEROS, F_POLES)
+def test_factored_eval_is_the_schoolbook_product():
+    num, den = linear_product(F_CONST, F_ZEROS), linear_product(1, F_POLES)
     x = Fraction(7, 3)
-    # eval is the first reader here, so it multiplies num/den out itself
-    assert RatFn.from_factors(F_CONST, F_ZEROS, F_POLES).eval(x) == num.eval(x) / den.eval(x)
-    with pytest.raises(ZeroDivisionError):
-        RatFn.from_factors(F_CONST, F_ZEROS, F_POLES).eval(F_POLES[1])
     rf = RatFn.from_factors(F_CONST, F_ZEROS, F_POLES)
-    assert rf.num.c == num.c and rf.den.c == den.c
+    assert rf.eval(x) == poly_eval(num, x) / poly_eval(den, x)
+    with pytest.raises(ZeroDivisionError):
+        rf.eval(F_POLES[1])
     assert rf.factors == (F_CONST, F_ZEROS, F_POLES)
+
+
+def test_eval_stays_exact_and_raises_at_every_pole():
+    value = RatFn.from_factors(3, (1, 5), (2,)).eval(4)
+    assert type(value) is Fraction and value == Fraction(3 * 3 * -1, 2)
+    assert type(RatFn.from_factors(2, (), ()).eval(7)) is Fraction
+    # a zero at the same point does not cancel the pole
+    with pytest.raises(ZeroDivisionError):
+        RatFn.from_factors(1, (2,), (2,)).eval(2)
 
 
 def test_factored_products_keep_factors():
@@ -179,7 +235,8 @@ def test_factored_products_keep_factors():
     prod = a * b
     assert prod.factors == (F_CONST * 2, F_ZEROS + (Fraction(9),),
                             F_POLES + (Fraction(-6),))
-    assert prod.num == a.num * b.num and prod.den == a.den * b.den
+    x = Fraction(7, 3)
+    assert prod.eval(x) == a.eval(x) * b.eval(x)
 
 
 def test_log_coeffs_match_series_log():

@@ -5,8 +5,9 @@ import pytest
 
 from toryang import partitions as pt
 from toryang.params import YangianParams, default_yangian
-from toryang.repbase import (RELATION_BUILDERS_Y, apply_word, check_relation,
-                             vec, word_images, y_relation_instances)
+from toryang.repbase import (RELATION_BUILDERS_Y, PerturbedModule, apply_word,
+                             check_relation, vec, word_images, y_relation_instances)
+from toryang.scalars import RatFn, ratfn_expand
 from toryang.toroidal import TensorModule
 from toryang.yangian import (AdmissibleError, AFockModule, AVectorModule,
                              CohomologyFixedPointModule, check_admissible,
@@ -202,11 +203,46 @@ class TestFockConstants:
                         assert fock_constant(tgt[0], P1Z) * c == cf * cc
 
 
+# modules whose diagonal data is admissible, with the levels checked
+ADMISSIBLE = {
+    "aV": (lambda: AVectorModule(P0, Fraction(1, 5)), range(-2, 3)),
+    "aF": (lambda: AFockModule(P0, Fraction(1, 5)), range(3)),
+    "V1": (lambda: CohomologyFixedPointModule(P1, 1), range(3)),
+    "V2": (lambda: CohomologyFixedPointModule(P2, 2), range(3)),
+}
+
+
 class TestAdmissible:
     def test_vector_and_fock_admissible(self):
         assert check_admissible(AVectorModule(P0, Fraction(1, 5)), range(-2, 3))
         labels = [l for n in range(4) for l in pt.enum_partitions(n)]
         assert check_admissible(AFockModule(P0, Fraction(1, 5)), labels)
+
+    def test_every_point_up_to_the_degree_bound_is_read(self):
+        # psi = 2(z - 1)/(z - 2) and no transitions: P S = R Q holds at z = 0
+        # and fails at z = 1 = D, the last point the degree bound asks for
+        class Bare:
+            params = P0
+
+            def psi_rat(self, label):
+                return RatFn.from_factors(2, (1,), (2,))
+
+            def e_transitions(self, label):
+                return []
+
+            f_transitions = e_transitions
+
+        with pytest.raises(AdmissibleError):
+            check_admissible(Bare(), [0])
+
+    @pytest.mark.parametrize("name", ADMISSIBLE)
+    def test_each_perturbation_breaks_admissibility(self, name):
+        build, levels = ADMISSIBLE[name]
+        labels = [l for lv in levels for l in build().basis(lv)]
+        assert check_admissible(build(), labels)
+        for kind in PerturbedModule.KINDS:
+            with pytest.raises(AdmissibleError):
+                check_admissible(PerturbedModule(build(), kind), labels)
 
     def test_tensor_psi_and_audit(self):
         u = Fraction(1, 5)
@@ -214,7 +250,8 @@ class TestAdmissible:
         a = W.psi_rat((0, 0))
         b1 = AVectorModule(P0, u).psi_rat(0)
         b2 = AVectorModule(P0, u - P0.h3).psi_rat(0)
-        assert a.eq(b1 * b2)
+        for direction in (+1, -1):
+            assert ratfn_expand(a, direction, 6) == ratfn_expand(b1 * b2, direction, 6)
         assert check_relation(W, "Y3", P0, 1, window=2).ok
 
     def test_restriction_staircase(self):
