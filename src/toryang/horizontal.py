@@ -16,7 +16,7 @@ answers (`BosonStates.sweep_row`).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import product as iproduct
 from math import comb, factorial
 
@@ -114,21 +114,33 @@ def psitilde_spec(params, sign):
 
 
 def apply_vertex_mode(params, spec, k, vec):
-    """Mode z^{-k} of the vertex operator applied to a state dict; exact."""
+    """Mode z^{-k} of the vertex operator applied to a state dict; exact.
+    The per-mode constants v(n) kappa(n) by n, its t-th power and
+    u(n)^t / t! by (n, t) are computed once per call, in caches local to it."""
     from collections import Counter
+
+    @cache
+    def vk(n):
+        return spec.v(n) * boson_kappa(params, n)
+
+    @cache
+    def down(n, t):
+        return vk(n) ** t
+
+    @cache
+    def up(n, t):
+        return spec.u(n) ** t / factorial(t)
 
     def terms():
         for mu, c0 in vec.items():
-            counts = sorted(Counter(mu).items())
-            choices = [[(n, t) for t in range(m + 1)] for n, m in counts]
+            choices = [[(n, m, t) for t in range(m + 1)] for n, m in sorted(Counter(mu).items())]
             for pick in iproduct(*choices) if choices else [()]:
                 acoef = c0 * spec.c
                 removed = 0
                 rest = []
-                for (n, t) in pick:
-                    m = dict(counts)[n]
+                for n, m, t in pick:
                     if t:
-                        acoef = acoef * comb(m, t) * (spec.v(n) * boson_kappa(params, n)) ** t
+                        acoef = acoef * comb(m, t) * down(n, t)
                     removed += n * t
                     rest.extend([n] * (m - t))
                 created_weight = removed - k
@@ -138,7 +150,7 @@ def apply_vertex_mode(params, spec, k, vec):
                 for nu in enum_partitions(created_weight):
                     ccoef = acoef
                     for n, t in sorted(Counter(nu).items()):
-                        ccoef = ccoef * spec.u(n) ** t / factorial(t)
+                        ccoef = ccoef * up(n, t)
                     yield tuple(sorted(rest + list(nu), reverse=True)), ccoef
     return vsum(terms())
 

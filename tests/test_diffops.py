@@ -1,5 +1,8 @@
 import hashlib
 from fractions import Fraction
+from math import gcd
+
+import pytest
 
 from toryang import diffops
 from toryang.diffops import (HOp, QOp, beta_constant, check_theta_a_relations,
@@ -171,7 +174,9 @@ def test_bracket_is_mul_commutator_plus_cocycle():
         direct = a.bracket(b)
         via_mul = a.mul(b) - b.mul(a)
         assert direct.terms == via_mul.terms
-        assert direct.central == QOp(Q)._cocycle(m1[0], m1[1], m2[0], m2[1])
+        op = QOp(Q)
+        cocycle = op._cocycle(op._context(), m1[0], m1[1], m2[0])
+        assert direct.central == sum(Fraction(n, d) for n, d in cocycle)
     ha, hb = HOp.monomial(H, 2, 1), HOp.monomial(H, 1, -1)
     direct = ha.bracket(hb)
     via = ha.mul(hb) - hb.mul(ha)
@@ -261,3 +266,39 @@ def test_scaled_generator_audit_failures_match_recorded_digest(monkeypatch):
     fa = check_theta_a_relations(h, window=3)
     assert (len(fm), len(fa)) == (55, 16)
     assert hashlib.sha256(repr((fm, fa)).encode()).hexdigest() == SCALED_AUDIT_DIGEST
+
+
+# The same negative control at the acceptance tests' second parameter point:
+# both audits pass there unperturbed and trip with e_0 (multiplicative) or
+# f_1 (additive) scaled by 17/16.
+def test_scaled_generator_audits_trip_at_a_second_point(monkeypatch):
+    q, h = sample_generic_params(7, "toroidal").q1, sample_generic_params(7, "yangian").h1
+    assert check_theta_m_relations(q, window=3) == []
+    assert check_theta_a_relations(h, window=3) == []
+    theta_m_e0, theta_a_f0 = diffops.theta_m_e, diffops.theta_a_f
+    scale = Fraction(17, 16)
+    monkeypatch.setattr(diffops, "theta_m_e",
+                        lambda q, i: theta_m_e0(q, i).scale(scale) if i == 0 else theta_m_e0(q, i))
+    monkeypatch.setattr(diffops, "theta_a_f",
+                        lambda h, j: theta_a_f0(h, j).scale(scale) if j == 1 else theta_a_f0(h, j))
+    assert check_theta_m_relations(q, window=3) != []
+    assert check_theta_a_relations(h, window=3) != []
+
+
+def test_a_float_parameter_or_coefficient_raises():
+    for cls in (QOp, HOp):
+        for make in (lambda: cls(2.0), lambda: cls.monomial(Q, 1, 1, 0.5),
+                     lambda: cls(Q, {(0, 1): 1}, central=0.25),
+                     lambda: cls.monomial(Q, 1, 1).scale(1.5)):
+            with pytest.raises(TypeError, match="float"):
+                make()
+
+
+def test_interior_counts_are_ints_by_pick():
+    # Pick's theorem on the triangle with legs (0, l) and (k, 0): the
+    # numerator k l - k - l - gcd + 2 is even for every lattice pair
+    for k in range(1, 7):
+        for l in range(-6, 7):
+            got = lattice_interior_count(k, l)
+            d = gcd(k, abs(l)) if l else k
+            assert type(got) is int and 2 * got == k * l - k - l - d + 2, (k, l)

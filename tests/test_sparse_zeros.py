@@ -81,6 +81,39 @@ class TestQOp:
         assert a.bracket(a).terms == {} and a.bracket(a).is_zero()
 
 
+def stored(op):
+    return op.nums, op.cnum, op.den
+
+
+class TestStoredForm:
+    """After a cancellation no zero numerator is kept and the denominator is
+    reduced; equal operators built two ways are stored identically."""
+
+    def test_cancellation_reduces_the_denominator(self):
+        for cls, p in ((QOp, q), (HOp, h)):
+            a = cls(p, {(1, 1): Fraction(1, 6), (2, 0): Fraction(1, 4)}, central=Fraction(5, 12))
+            b = cls(p, {(1, 1): Fraction(-1, 6), (0, 1): Fraction(1, 2)}, central=Fraction(-5, 12))
+            s = a + b
+            assert stored(s) == ({(2, 0): 1, (0, 1): 2}, 0, 4) and no_zero(s.nums)
+            assert stored(a - a) == ({}, 0, 1)
+
+    def test_bracket_cancellation_reduces_the_denominator(self):
+        # [Z/3, D/5] - (1 - q)/15 Z D = 0 and [x/3, shift/5] + h/15 shift = 0
+        z = QOp(q, {(1, 0): Fraction(1, 3)}).bracket(QOp(q, {(0, 1): Fraction(1, 5)}))
+        assert stored(z) == ({(1, 1): -2}, 0, 15)
+        assert stored(z - QOp(q, {(1, 1): (1 - q) / 15})) == ({}, 0, 1)
+        x = HOp(h, {(1, 0): Fraction(1, 3)}).bracket(HOp(h, {(0, 1): Fraction(1, 5)}))
+        assert stored(x + HOp(h, {(0, 1): h / 15})) == ({}, 0, 1)
+
+    def test_equal_operators_are_stored_identically(self):
+        for cls, p in ((QOp, q), (HOp, h)):
+            one = cls(p, {(2, 1): Fraction(3, 4), (0, -1): Fraction(-1, 6)}, central=Fraction(1, 3))
+            two = (cls.monomial(p, 2, 1, Fraction(9, 8)) + cls(p, {(0, -1): Fraction(-1, 4)},
+                   central=Fraction(1, 2))).scale(Fraction(2, 3))
+            assert one == two and stored(one) == stored(two)
+            assert stored(one) == ({(2, 1): 9, (0, -1): -2}, 4, 12)
+
+
 class TestHOp:
     X = HOp.monomial(h, 1, 0)
     S = HOp.monomial(h, 0, 1)
