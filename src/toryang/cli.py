@@ -416,6 +416,9 @@ def run(config):
                 raise ConfigError(f"suite {name!r} has no check at this configuration")
         except ConfigError as exc:
             return _error(report, 2, "config-error", exc)
+        except GenericityError as exc:
+            # a weight the certification does not cover vanished
+            return _error(report, 3, "genericity-error", exc)
         except ZeroDivisionError:
             # a resonance above the certified bound made some weight vanish
             return _error(report, 3, "genericity-error",

@@ -24,6 +24,7 @@ from .multipoly import MPoly, _mpoly
 from .params import ToroidalParams
 from .partitions import enum_partitions
 from .repbase import RelationSweep, _int_row, vsum
+from .scalars import _exact
 from .shuffle import ShuffleElement, _kernel_factor
 
 __all__ = [
@@ -47,10 +48,10 @@ __all__ = [
 def horizontal_params(rho=Fraction(2), q1=Fraction(3), G=12):
     """Parameters with a rational fourth root of q3 = rho^4 adjoined from
     the start (q2 is then forced by q1 q2 q3 = 1)."""
-    rho = Fraction(rho)
+    rho, q1 = _exact(rho), _exact(q1)
     q3 = rho ** 4
-    q2 = 1 / (Fraction(q1) * q3)
-    p = ToroidalParams(Fraction(q1), q2, (), G=G)
+    q2 = 1 / (q1 * q3)
+    p = ToroidalParams(q1, q2, (), G=G)
     p.rho = rho
     return p
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 
-from .scalars import _cf, h_gen, series_exp
+from .scalars import _exact, h_gen, series_exp
 
 __all__ = [
     "GenericityError",
@@ -91,12 +91,12 @@ class ToroidalParams:
     EQUAL_FRAMINGS = "chi_{i} = chi_{j}"
 
     def __init__(self, q1, q2, chis=(), G=DEFAULT_G, certify=True):
-        # ints become Fractions (a TSeries passes through), so no weight
-        # built from them is a float
-        self.q1 = q1 = _cf(q1)
-        self.q2 = q2 = _cf(q2)
+        # ints become Fractions (a TSeries passes through) and a float raises
+        # TypeError, so no weight built from them is a float
+        self.q1 = q1 = _exact(q1)
+        self.q2 = q2 = _exact(q2)
         self.q3 = 1 / (q1 * q2)
-        self.chis = tuple(map(_cf, chis))
+        self.chis = tuple(map(_exact, chis))
         self.G = G
         self._monos = {}
         if certify:
@@ -174,11 +174,11 @@ class YangianParams:
     EQUAL_FRAMINGS = "x_{i} = x_{j}"
 
     def __init__(self, h1, h2, xs=(), G=DEFAULT_G, certify=True):
-        # ints become Fractions (a TSeries passes through), as in ToroidalParams
-        self.h1 = h1 = _cf(h1)
-        self.h2 = h2 = _cf(h2)
+        # exact values only, as in ToroidalParams
+        self.h1 = h1 = _exact(h1)
+        self.h2 = h2 = _exact(h2)
         self.h3 = -h1 - h2
-        self.xs = tuple(map(_cf, xs))
+        self.xs = tuple(map(_exact, xs))
         self.G = G
         self._monos = {}
         if certify:
@@ -259,10 +259,10 @@ def series_yangian(alpha, beta, xis=(), trunc=16, G=DEFAULT_G, degenerate=False)
     degenerate=True permits alpha + beta = 0 (the collapsed third parameter)
     and skips the direction certification accordingly."""
     if not degenerate:
-        YangianParams(Fraction(alpha), Fraction(beta), (), G=G)  # certify direction
-    h1 = h_gen(trunc, Fraction(alpha))
-    h2 = h_gen(trunc, Fraction(beta))
-    xs = tuple(h_gen(trunc, Fraction(x)) for x in xis)
+        YangianParams(alpha, beta, (), G=G)  # certify direction
+    h1 = h_gen(trunc, alpha)
+    h2 = h_gen(trunc, beta)
+    xs = tuple(h_gen(trunc, x) for x in xis)
     return YangianParams(h1, h2, xs, G=G, certify=False)
 
 

@@ -10,9 +10,9 @@ anywhere.
 Rational functions have one form: a `RatFn` is its factors (constant,
 zeros, poles), built by `from_factors`, and every reader works from them.
 The series expansion (`ratfn_expand`) multiplies out the numerator and
-denominator coefficient lists it needs; evaluation, the log-modes
-(`ratfn_log_coeffs`) and the kept mode tables (`RatFnModes`) read the
-factors themselves.
+denominator coefficient lists it needs; evaluation and the kept mode
+tables (`RatFnModes`: power sums, log modes and modes) read the factors
+themselves.
 
 Integer kernels.  A `TSeries` keeps its coefficients as integer numerators
 over one denominator (`nums`, `den`, canonical as its class docstring
@@ -24,12 +24,11 @@ numerators and the denominator; `TSeries.__mul__` convolves the numerator
 lists over the window the product is known in; `TSeries.inv` runs the
 inverse recurrence over powers of the leading numerator, and `series_exp`
 the recurrence k b_k = sum_j j a_j b_(k-j) on the integers
-(t-1)! d^k b_k; the power sums of a RatFn's roots (`_PowerSums`, read by
-`ratfn_log_coeffs`) are, for each k, one numerator over D^k, D the lcm of
-the roots' denominators: an int sum of the rational roots' numerators to
-the k-th power, plus one integer list for the series roots; and
-`RatFnModes` runs the exponential recurrence on those power sums over
-k! D^k, to give a RatFn's modes without expanding it.
+(t-1)! d^k b_k; `RatFnModes` keeps the power sums of a RatFn's roots,
+for each k one numerator over D^k, D the lcm of the roots' denominators
+(an int sum of the rational roots' numerators to the k-th power, plus one
+integer list for the series roots), and runs the exponential recurrence
+on them over k! D^k, to give a RatFn's modes without expanding it.
 Integer arithmetic is exact, so each result is the series a
 coefficient-by-coefficient Fraction computation gives, with the same `val`
 and `trunc`.  `coeffs` and `coeff(k)` build Fractions when read, so no
@@ -57,7 +56,6 @@ __all__ = [
     "frac_sqrt",
     "is_zero_mod",
     "ratfn_expand",
-    "ratfn_log_coeffs",
     "RatFnModes",
     "ScalarDomainError",
     "ExpansionPoleError",
@@ -70,11 +68,6 @@ class ScalarDomainError(ValueError):
 
 class ExpansionPoleError(ValueError):
     """Raised when a rational function cannot be expanded in the requested direction."""
-
-
-def _cf(x):
-    # normalize plain ints to Fraction so coefficient lists stay exact
-    return Fraction(x) if isinstance(x, int) else x
 
 
 def _coefficient(x):
@@ -530,36 +523,6 @@ def ratfn_expand(rf, direction, order):
     raise ValueError("direction must be +1 or -1")
 
 
-def _log_roots(rf, direction):
-    """(poles, zeros) of rf whose power sums give its log modes
-    (`ratfn_log_coeffs`): rf's own for direction +1, which needs as many
-    zeros as poles; their inverses for direction -1, which needs no root at
-    0."""
-    _, zeros, poles = rf.factors
-    if direction == 1:
-        if len(zeros) != len(poles):
-            raise ScalarDomainError("log needs constant term 1: zero and pole counts differ")
-        return poles, zeros
-    if direction == -1:
-        if not all(zeros + poles):
-            raise ExpansionPoleError("a zero or pole at z = 0")
-        return [Fraction(1) / b for b in poles], [Fraction(1) / a for a in zeros]
-    raise ValueError("direction must be +1 or -1")
-
-
-def ratfn_log_coeffs(rf, direction, n):
-    """Coefficients c_1..c_n of log(rf/rf_0) from the factors of rf.
-
-    direction +1: log(rf/rf_0) = sum_k c_k z^-k around z = infinity, with
-    c_k = (p_k(poles) - p_k(zeros))/k; needs as many zeros as poles.
-    direction -1: log(rf/rf_0) = sum_k c_k z^k around z = 0, with
-    c_k = (p_k(1/poles) - p_k(1/zeros))/k; needs no root at 0.
-    Here p_k is the k-th power sum and rf_0 the expansion's constant term.
-    """
-    sums = _PowerSums(*_log_roots(rf, direction))
-    return [sums.log_coeff(k) for k in range(1, n + 1)]
-
-
 def _over(n, d):
     """The value n/d of an int or TSeries numerator n over a positive int d:
     a Fraction, or a TSeries."""
@@ -580,22 +543,60 @@ def _rational(c):
     raise TypeError(f"exact values are ints, Fractions and TSeries, not {t.__name__}")
 
 
-class _PowerSums:
-    """S_k = D^k (p_k(poles) - p_k(zeros)) for k = 1, 2, ..., p_k the k-th
-    power sum and D the lcm of the roots' denominators, kept in `nums` and
-    extended in place (`extend`).  S_k is an int when every root is
-    rational, else a TSeries.
+def _exact(x):
+    """x as an exact parameter: an int becomes a Fraction, a Fraction or a
+    TSeries stays as it is, and any other value raises TypeError naming its
+    type."""
+    return _over(*_rational(x))
 
-    A rational root, or a zero series, is kept as its numerator A = D x (an
-    int, or a zero series) and its power A^k is multiplied by A once per
-    order, as the product loop pw = pw * x does.  A nonzero series root
-    x = X^v A/d known mod X^t has x^k = X^(kv) A^k/d^k known mod
-    X^(t+(k-1)v), the val and trunc the product loop gives (A_0^k never
-    vanishes), and A^k needs only its first t - v numerators; these are
-    summed over D^k as one integer list and one TSeries.
+
+class RatFnModes:
+    """The modes of a factored RatFn rf = constant * prod (z - zero) /
+    prod (z - pole) in X = 1/z (direction +1, around z = infinity) or X = z
+    (direction -1, around z = 0), from the power sums of its roots, kept
+    and extended in place when a larger order is read.
+
+    Around infinity the roots are rf's own, and rf must have as many zeros
+    as poles (ScalarDomainError otherwise); around 0 they are the inverses
+    of rf's, and rf must have no root at 0 (ExpansionPoleError otherwise).
+    Either way rf = rf_0 prod(1 - zero X)/prod(1 - pole X), rf_0 its
+    constant term; every module's psi has this form, since it starts at a
+    nonzero constant at z = infinity and at z = 0.
+
+    `sums` keeps S_k = D^k (p_k(poles) - p_k(zeros)) for k = 1, 2, ...,
+    p_k the k-th power sum and D the lcm of the roots' denominators: an int
+    when every root is rational, else a TSeries.  A rational root, or a
+    zero series, is kept as its numerator A = D x (an int, or a zero
+    series) and its power A^k is multiplied by A once per order, as the
+    product loop pw = pw * x does.  A nonzero series root x = X^v A/d
+    known mod X^t has x^k = X^(kv) A^k/d^k known mod X^(t+(k-1)v), the val
+    and trunc the product loop gives (A_0^k never vanishes), and A^k needs
+    only its first t - v numerators; these are summed over D^k as one
+    integer list and one TSeries.
+
+    `log_coeff(n)` is c_n of log(rf/rf_0) = sum_n c_n X^n, n c_n = S_n/D^n.
+    `coeff(k)` is the X^k coefficient of rf, the value `ratfn_expand`
+    gives: rf = rf_0 exp(sum_n c_n X^n), whose modes b_k solve
+    k b_k = sum_j j c_j b_(k-j) with b_0 = 1.  On the integers
+    N_k = k! D^k b_k, kept in `nums`, this is
+    N_k = sum_j S_j N_(k-j) (k-1)!/(k-j)!, and the coefficient is
+    rf_0 N_k/(k! D^k), one Fraction per read.
     """
 
-    def __init__(self, poles, zeros):
+    def __init__(self, rf, direction):
+        constant, zeros, poles = rf.factors
+        b0 = Fraction(1) * constant
+        if direction == 1:
+            if len(zeros) != len(poles):
+                raise ScalarDomainError("log needs constant term 1: zero and pole counts differ")
+        elif direction == -1:
+            if not all(zeros + poles):
+                raise ExpansionPoleError("a zero or pole at z = 0")
+            b0 = b0 * math.prod(-a for a in zeros) / math.prod(-b for b in poles)
+            zeros, poles = [Fraction(1) / a for a in zeros], [Fraction(1) / b for b in poles]
+        else:
+            raise ValueError("direction must be +1 or -1")
+        self.b0 = _rational(b0)
         roots = [(x, 1) for x in poles] + [(x, -1) for x in zeros]
         flat = [(sign, x) for x, sign in roots if isinstance(x, TSeries) and x.nums]
         looped = [(sign,) + _rational(x) for x, sign in roots
@@ -605,12 +606,12 @@ class _PowerSums:
         self.flat = [(sign, x, [c * (D // x.den) for c in x.nums]) for sign, x in flat]
         self.powers = [a for _, a in self.looped]
         self.flat_powers = [a for _, _, a in self.flat]
-        self.nums = []
+        self.sums, self.nums = [], [1]
 
     def extend(self, n):
-        """[S_1, ..., S_n]: `nums`, extended in place to at least n entries."""
-        nums = self.nums
-        for k in range(len(nums) + 1, n + 1):
+        """[S_1, ..., S_n]: `sums`, extended in place to at least n entries."""
+        sums = self.sums
+        for k in range(len(sums) + 1, n + 1):
             if k > 1:
                 self.powers = [p * a for p, (_, a) in zip(self.powers, self.looped)]
                 self.flat_powers = [_convolve(p, a, min(len(p) + len(a) - 1, x.trunc - x.val))
@@ -628,62 +629,16 @@ class _PowerSums:
                     for j, c in enumerate(p[:max(0, len(num) - off)]):
                         num[off + j] += sign * c
                 s = _series(val, num, 1, trunc) + s
-            nums.append(s)
-        return nums
+            sums.append(s)
+        return sums
 
     def log_coeff(self, n):
-        """S_n/(n D^n), n >= 1: the X^n coefficient of the log of
-        prod(1 - zero X)/prod(1 - pole X), a Fraction or a TSeries."""
+        """c_n, n >= 1: a Fraction or a TSeries."""
         return _over(self.extend(n)[n - 1], n * self.D ** n)
-
-
-class RatFnModes:
-    """The modes of a factored RatFn rf in X = 1/z (direction +1, around
-    z = infinity) or X = z (direction -1, around z = 0), kept and extended
-    in place when a larger order is read.
-
-    `log_coeff(n)` is c_n of log(rf/rf_0) = sum_n c_n X^n, as
-    `ratfn_log_coeffs` gives it: n c_n = S_n/D^n with S_n the power sums of
-    `_PowerSums`.  `coeff(k)` is the X^k coefficient of rf, the value
-    `ratfn_expand` gives: rf = rf_0 exp(sum_n c_n X^n), whose modes b_k
-    solve k b_k = sum_j j c_j b_(k-j) with b_0 = 1.  On the integers
-    N_k = k! D^k b_k this is N_k = sum_j S_j N_(k-j) (k-1)!/(k-j)!, and the
-    coefficient is rf_0 N_k/(k! D^k), one Fraction per read.  Where rf has
-    no log modes (direction +1 with unequal zero and pole counts, direction
-    -1 with a root at 0), `coeff` reads `ratfn_expand` at twice the order
-    asked for when the one kept is too short, and `log_coeff` raises as
-    `ratfn_log_coeffs` does.
-    """
-
-    def __init__(self, rf, direction):
-        self.rf, self.direction = rf, direction
-        self.sums = self.expansion = None
-        try:
-            self.sums = _PowerSums(*_log_roots(rf, direction))
-        except (ScalarDomainError, ExpansionPoleError):
-            return
-        constant, zeros, poles = rf.factors
-        # rf_0: the constant at infinity, constant * prod(-zeros)/prod(-poles) at 0
-        b0 = Fraction(1) * constant
-        if direction == -1:
-            b0 = b0 * math.prod(-a for a in zeros) / math.prod(-b for b in poles)
-        self.b0 = _rational(b0)
-        self.nums = [1]
-
-    def log_coeff(self, n):
-        """c_n, n >= 1."""
-        if self.sums is None:
-            _log_roots(self.rf, self.direction)  # raises: rf has no log modes
-        return self.sums.log_coeff(n)
 
     def coeff(self, k):
         """The X^k coefficient of rf, k >= 0."""
-        if self.sums is None:
-            s = self.expansion
-            if s is None or k >= s.trunc:
-                s = self.expansion = ratfn_expand(self.rf, self.direction, 2 * k + 2)
-            return s.coeff(k)
-        S, N = self.sums.extend(k), self.nums
+        S, N = self.extend(k), self.nums
         for m in range(len(N), k + 1):
             acc, f = 0, 1
             for j in range(1, m + 1):
@@ -692,7 +647,7 @@ class RatFnModes:
                 f *= m - j
             N.append(acc)
         n, d = self.b0
-        return _over(n * N[k], d * math.factorial(k) * self.sums.D ** k)
+        return _over(n * N[k], d * math.factorial(k) * self.D ** k)
 
 
 def series_zlog(s):

@@ -9,8 +9,9 @@ inverse Borel transform, and the glueing unit g built from it.  The module
 keeps psi factored as (constant, zeros, poles), so the coefficients of
 log psi are power sums of the poles minus power sums of the zeros, with no
 series expansion or series logarithm; the power sums run on integer
-numerators (`scalars.ratfn_log_coeffs`), and the Borel sums D_n below on
-each k_i's stored numerators, with no Fraction built on the way.
+numerators in the module's kept mode table (`Module.psi_modes`,
+`scalars.RatFnModes`), and the Borel sums D_n below on each k_i's stored
+numerators, with no Fraction built on the way.
 
 The exponent gamma(v) = -B(-d/dv)G'(v) of the glueing unit is a double sum
 over the Borel index i and the power n of the point v.  It is summed over
@@ -48,7 +49,7 @@ from .params import series_yangian, series_toroidal
 from .repbase import (RelationSweep, apply_mode, memoized, _apply_diagonal,
                       _commutator_words, _eigen_row, _int_row, _ladder_instances, _nested)
 from .scalars import (TSeries, series_exp, series_log, series_sqrt,
-                      expm1_over, is_zero_mod, ratfn_log_coeffs, ScalarDomainError,
+                      expm1_over, is_zero_mod, ScalarDomainError,
                       _int_content, _series)
 from .yangian import CohomologyFixedPointModule
 from .toroidal import KTheoryFixedPointModule, DiagonalTwist, solve_intertwiner
@@ -122,9 +123,11 @@ class UpsilonBridge:
         """Coefficients of log psi(z) = sum k_i z^{-i-1} on the label.
 
         k_i = (p_{i+1}(poles) - p_{i+1}(zeros))/(i+1) from the power sums
-        of psi's factors (psi -> 1 at z = infinity).
+        of psi's factors (psi -> 1 at z = infinity), read from the module's
+        mode table, which keeps them.
         """
-        return ratfn_log_coeffs(self.module.psi_rat(label), +1, self.trunc)
+        modes = self.module.psi_modes(label, +1)
+        return [modes.log_coeff(n) for n in range(1, self.trunc + 1)]
 
     def psi0(self, label):
         """Eigenvalue of the degree-zero diagonal mode: psi = 1 - h3 sum psi_i z^{-i-1}.

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import partitions as pt
-from .params import KERNEL_WEIGHTS
+from .params import KERNEL_WEIGHTS, GenericityError
 from .repbase import PerturbedModule, coeff_of, memoized
 from .shuffle import K_element
 from .toroidal import KTheoryFixedPointModule
@@ -50,10 +50,6 @@ __all__ = [
 ]
 
 
-class GenericityWeightError(ValueError):
-    pass
-
-
 def fixed_weight(mlam, params):
     """Product of 1/(1 - w) over the K-theoretic tangent weights w at the
     fixed point, resp. of 1/w over the cohomological ones.  Kept on the pack
@@ -69,7 +65,7 @@ def _fixed_weight(p, mlam):
         # 1 - t1^e1 t2^e2 chi_b/chi_a, resp. e1 h1 + e2 h2 + x_b - x_a
         f = p.gap(p.mono(e1, e2, p.frame(a)), p.frame(b))
         if f == 0:
-            raise GenericityWeightError(f"vanishing tangent factor at {mlam}")
+            raise GenericityError(f"vanishing tangent factor at {mlam}")
         acc = acc / f
     return acc
 

@@ -77,6 +77,51 @@ def test_resonance_above_the_certified_bound_is_a_genericity_error():
     assert "checks" not in report
 
 
+def test_vanishing_fixed_point_weight_is_a_genericity_error(tmp_path, capsys):
+    # 2*h2 + x_1 - x_2 = 0 passes the certification at G = 1; a vanishing
+    # tangent factor of a fixed-point weight used to end in a traceback
+    # (exit 1)
+    from toryang.cli import main
+
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"h1": "1", "h2": "1", "xs": ["0", "2"]}))
+    argv = ["whittaker", "--flavor", "H", "--G", "1", "--r", "2", "--L", "2"]
+    assert main(argv + ["--params", str(path)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "genericity-error" and "checks" not in report
+    assert "vanishing tangent factor" in report["error"]
+
+
+# points that pass the certification at G = 1 and are resonant at order 2
+# or 3, each with the relation it satisfies
+RESONANT_AT_G1 = [
+    {"q1": "2", "q2": "1/2"},  # q1 q2 = 1
+    {"q1": "2", "q2": "4"},  # q1^2 / q2 = 1
+    {"q1": "2", "q2": "3", "chis": ["5", "20"]},  # chi_1/chi_2 * q1^2 = 1
+    {"q1": "-1", "q2": "3"},  # q1^2 = 1
+    {"h1": "1", "h2": "1", "xs": ["0", "2"]},  # 2*h2 + x_1 - x_2 = 0
+    {"h1": "1", "h2": "-1"},  # h1 + h2 = 0
+    {"h1": "2", "h2": "1", "xs": ["0", "4"]},  # 2*h1 + x_1 - x_2 = 0
+    {"h1": "1", "h2": "2"},  # 2*h1 - h2 = 0
+]
+
+
+@pytest.mark.parametrize("suite", ["relations", "whittaker", "shuffle", "limits"])
+def test_resonant_points_end_in_a_report(tmp_path, capsys, suite):
+    # whatever a resonance above the certified bound breaks, the run ends in
+    # an exit code and a JSON report, never in a traceback
+    from toryang.cli import main
+
+    path = tmp_path / "p.json"
+    for params in RESONANT_AT_G1:
+        path.write_text(json.dumps(params))
+        code = main([suite, "--G", "1", "--L", "2", "--I", "1", "--params", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert code in (0, 1, 2, 3) and report["config"]["params"] == params
+        assert report["status"] == {0: "pass", 1: "fail", 2: "config-error",
+                                    3: "genericity-error"}[code]
+
+
 @pytest.mark.parametrize("G", [0, -1])
 def test_genericity_bound_below_one_is_config_error(G):
     # at G = 0 nothing is certified: q1 = 1 used to end in a traceback

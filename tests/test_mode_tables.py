@@ -1,8 +1,9 @@
 """The per-label mode tables of the diagonal current (`Module.psi_modes`,
 `scalars.RatFnModes`): psi's modes from the exponential recurrence on its
 log modes, against the independent expansion (`psi_series`, by
-`ratfn_expand`), and the log modes against `ratfn_log_coeffs`, at both
-signs, on every kind of module that carries psi."""
+`ratfn_expand`), and the log modes against `series_log` of that expansion
+and against the power sums summed root by root, at both signs, on every
+kind of module that carries psi."""
 
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from toryang.params import default_toroidal, default_yangian, series_yangian
 from toryang.repbase import PerturbedModule
 from toryang.scalars import (ExpansionPoleError, RatFn, RatFnModes, ScalarDomainError,
-                             TSeries, ratfn_expand, ratfn_log_coeffs)
+                             TSeries, ratfn_expand, series_log)
 from toryang.toroidal import (DiagonalTwist, FockModule, KTheoryFixedPointModule,
                               VectorModule, fock_tensor)
 from toryang.yangian import CohomologyFixedPointModule
@@ -57,53 +58,70 @@ def test_psi_table_matches_the_expansion(name):
             want = [s.coeff(k) for k in range(ORDER)]
             assert table(module, label, sign, [ORDER - 1]) == want
             assert table(fresh, label, sign, [2, ORDER - 1, 5]) == want
-            assert module.psi_modes(label, sign).sums is not None
+            assert len(module.psi_modes(label, sign).sums) == ORDER - 1
 
 
 def test_psi_table_extends_in_place():
     M = KTheoryFixedPointModule(P2, 2)
     label = M.basis(2)[1]
     modes = M.psi_modes(label, +1)
-    nums, sums = modes.nums, modes.sums.nums
+    nums, sums = modes.nums, modes.sums
     M.psi_coeff(label, +1, 2)
     assert len(nums) == 3 and len(sums) == 2
     M.psi_coeff(label, +1, 11)
     M.psi_coeff(label, +1, 5)
     M.t_eigenvalue(label, 3)
     assert M.psi_modes(label, +1) is modes
-    assert modes.nums is nums and modes.sums.nums is sums
+    assert modes.nums is nums and modes.sums is sums
     assert len(nums) == 12 and len(sums) == 11
 
 
-@pytest.mark.parametrize("name", ["M2", "V2", "tensor", "twist", "perturbed-psi"])
-def test_log_table_matches_the_power_sums(name):
-    module = MODULES[name]()
-    for label in labels(module, range(3)):
-        for sign in (+1, -1):
-            modes = module.psi_modes(label, sign)
-            want = ratfn_log_coeffs(module.psi_rat(label), sign, ORDER)
-            assert [modes.log_coeff(n) for n in (3, ORDER, 1)] == [want[2], want[-1], want[0]]
-            assert [modes.log_coeff(n) for n in range(1, ORDER + 1)] == want
-
-
-def test_tables_without_log_modes_read_the_expansion():
-    """Unequal zero and pole counts (sign +1) and a zero at 0 (sign -1)
-    have no log modes: psi's modes come from `ratfn_expand`, and the log
-    modes raise as `ratfn_log_coeffs` does."""
+def test_tables_without_log_modes_raise():
+    """Unequal zero and pole counts (sign +1) and a zero at 0 (sign -1) are
+    no module's psi: making their table raises."""
     cases = [(RatFn.from_factors(Fraction(3), (Fraction(2), Fraction(-1, 3)), (Fraction(5),)), +1,
               ScalarDomainError),
              (RatFn.from_factors(Fraction(3), (Fraction(0), Fraction(2)), (Fraction(5), 7)), -1,
               ExpansionPoleError)]
     for rf, sign, error in cases:
-        modes = RatFnModes(rf, sign)
-        s = ratfn_expand(rf, sign, 2 * ORDER)
-        want = [s.coeff(k) for k in range(ORDER)]
-        assert [modes.coeff(k) for k in (1, ORDER - 1, 4)] == [want[1], want[-1], want[4]]
-        assert [modes.coeff(k) for k in range(ORDER)] == want
         with pytest.raises(error):
-            modes.log_coeff(2)
-        with pytest.raises(error):
-            ratfn_log_coeffs(rf, sign, 2)
+            RatFnModes(rf, sign)
+
+
+def schoolbook_log_coeffs(rf, sign, n):
+    """c_1..c_n as (p_k(poles) - p_k(zeros))/k, each power sum summed root
+    by root, pw = pw * x, with the inverse roots for sign -1."""
+    _, zeros, poles = rf.factors
+    if sign == -1:
+        zeros, poles = [1 / a for a in zeros], [1 / b for b in poles]
+    out = []
+    for k in range(1, n + 1):
+        c = Fraction(0)
+        for roots, sgn in ((poles, 1), (zeros, -1)):
+            for x in roots:
+                pw = x
+                for _ in range(k - 1):
+                    pw = pw * x
+                c = c + sgn * pw
+        out.append(c / k)
+    return out
+
+
+@pytest.mark.parametrize("name", ["M2", "V2", "tensor", "twist", "perturbed-psi"])
+def test_log_table_matches_the_power_sums(name):
+    """The log modes, read in any order, equal the power sums summed root
+    by root, and the log modes of `series_log` of the expansion."""
+    module = MODULES[name]()
+    for label in labels(module, range(3)):
+        for sign in (+1, -1):
+            modes = module.psi_modes(label, sign)
+            rf = module.psi_rat(label)
+            want = schoolbook_log_coeffs(rf, sign, ORDER)
+            assert [modes.log_coeff(n) for n in (3, ORDER, 1)] == [want[2], want[-1], want[0]]
+            assert [modes.log_coeff(n) for n in range(1, ORDER + 1)] == want
+            s = ratfn_expand(rf, sign, ORDER + 1)
+            lg = series_log(s / s.coeff(0))
+            assert want == [lg.coeff(n) for n in range(1, ORDER + 1)]
 
 
 def shape(c):
@@ -111,9 +129,10 @@ def shape(c):
 
 
 def test_log_table_on_series_roots():
-    """Series roots, signed by zero or pole, give `ratfn_log_coeffs`'s
-    series, truncation included: on hand-made roots (a zero series among
-    them) and on the bridge's series-valued fixed-point module."""
+    """Series roots, signed by zero or pole, give the series of the power
+    sums summed root by root, truncation included: on hand-made roots (a
+    zero series among them) and on the bridge's series-valued fixed-point
+    module."""
     T = 10
     mono = [TSeries(1, [Fraction(c, 5)], T) for c in (13, -3, 1)]
     long0 = TSeries(0, [Fraction(1, j + 2) for j in range(T)], T)
@@ -127,5 +146,5 @@ def test_log_table_on_series_roots():
         rf = RatFn.from_factors(Fraction(3), zeros, poles)
         for sign in signs:
             modes = RatFnModes(rf, sign)
-            want = ratfn_log_coeffs(rf, sign, 6)
+            want = schoolbook_log_coeffs(rf, sign, 6)
             assert [shape(modes.log_coeff(n)) for n in range(1, 7)] == [shape(c) for c in want]

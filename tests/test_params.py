@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from toryang.params import GenericityError, ToroidalParams, YangianParams
+from toryang.horizontal import horizontal_params
+from toryang.params import GenericityError, ToroidalParams, YangianParams, series_yangian
 
 
 def pairs_upto(G):
@@ -145,7 +146,9 @@ def test_packs_from_python_ints_stay_exact():
 
     tp = ToroidalParams(2, 3, (5, 7))
     yp = YangianParams(13, 1, (0, 1000))
-    values = [tp.q3, tp.frame(1), tp.lower_norm, tp.fixed_raise_norm,
+    hp = horizontal_params(2, 3)
+    values = [hp.rho, hp.q1, hp.q2, hp.q3,
+              tp.q3, tp.frame(1), tp.lower_norm, tp.fixed_raise_norm,
               tp.mono(-1, 0, tp.frame(1)), yp.lower_norm, yp.fixed_raise_norm,
               yp.fixed_lower_norm(yp.frame(1), 2), yp.frame(2)]
     for module in (KTheoryFixedPointModule(tp, 2), CohomologyFixedPointModule(yp, 2),
@@ -154,5 +157,26 @@ def test_packs_from_python_ints_stay_exact():
             for label in module.basis(level):
                 for _, coeff, point in module.e_transitions(label) + module.f_transitions(label):
                     values += [coeff, point]
-    assert len(values) > 9
+    assert len(values) > 13
     assert all(type(v) is F for v in values), {type(v) for v in values}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ToroidalParams(0.5, 3.0, (5, 7)),
+    lambda: ToroidalParams(2, 3, (5, 7.0)),
+    lambda: YangianParams(13.0, 1, (F(1, 5),)),
+    lambda: YangianParams(13, 1, (0.2,)),
+    lambda: series_yangian(13, 1, (0.2,)),
+    lambda: series_yangian(0.5, 1),
+    lambda: horizontal_params(q1=0.3),
+    lambda: horizontal_params(rho=2.0),
+], ids=["toroidal-q", "toroidal-chi", "yangian-h", "yangian-x", "series-x", "series-h",
+        "horizontal-q1", "horizontal-rho"])
+def test_float_parameters_raise_type_error(make):
+    # a float used to pass the packs as it was (ToroidalParams(0.5, 3.0, ...)
+    # certified with q3 = 0.666...), and series_yangian and horizontal_params
+    # turned it into the rational Fraction(x), 5404319552844595/18014398509481984
+    # for 0.3
+    with pytest.raises(TypeError, match="float"):
+        make()
+

@@ -234,6 +234,21 @@ def test_t_eigenvalue_is_computed_once(log_calls):
     assert len(log_calls) == 4
 
 
+def test_bridge_kcoeffs_read_the_module_table(log_calls):
+    """The bridge's log psi modes come from its module's kept mode table:
+    the first read builds the label's table in `bridge.module`'s
+    `psi_modes` memo, and a second read builds none."""
+    br = UpsilonBridge(13, 1, (Fraction(1, 5),), 1, trunc=10)
+    label = br.module.basis(2)[0]
+    ks = br.kcoeffs(label)
+    assert len(log_calls) == 1 and len(ks) == 10
+    modes = memo_table(br.module, Module.psi_modes.__qualname__)[label, +1]
+    assert len(modes.sums) == 10
+    del br.__dict__[UpsilonBridge.kcoeffs.__qualname__]
+    assert [repr(k) for k in br.kcoeffs(label)] == [repr(k) for k in ks]
+    assert len(log_calls) == 1 and br.module.psi_modes(label, +1) is modes
+
+
 class OtherLabelPsi(ModuleWrapper):
     """The base module with the diagonal data of another label."""
 

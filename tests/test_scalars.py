@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toryang.scalars import (ExpansionPoleError, RatFn, ScalarDomainError,
+from toryang.scalars import (ExpansionPoleError, RatFn, RatFnModes, ScalarDomainError,
                              TSeries, expm1_over, frac_sqrt, is_zero_mod,
-                             ratfn_expand, ratfn_log_coeffs, series_exp,
-                             series_log, series_sqrt, series_zlog, _over, _PowerSums)
+                             ratfn_expand, series_exp, series_log, series_sqrt,
+                             series_zlog, _over)
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
 
@@ -239,24 +239,30 @@ def test_factored_products_keep_factors():
     assert prod.eval(x) == a.eval(x) * b.eval(x)
 
 
+def log_coeffs(rf, direction, n):
+    """c_1..c_n of log(rf/rf_0), read from one mode table."""
+    modes = RatFnModes(rf, direction)
+    return [modes.log_coeff(k) for k in range(1, n + 1)]
+
+
 def test_log_coeffs_match_series_log():
     rf = RatFn.from_factors(F_CONST, F_ZEROS, F_POLES)
     n = 7
     for direction in (+1, -1):
         s = ratfn_expand(rf, direction, n + 1)
         lg = series_log(s / s.coeff(0))
-        assert ratfn_log_coeffs(rf, direction, n) == [lg.coeff(k) for k in range(1, n + 1)]
+        assert log_coeffs(rf, direction, n) == [lg.coeff(k) for k in range(1, n + 1)]
 
 
 def test_log_coeffs_domain_errors():
     uneven = RatFn.from_factors(1, F_ZEROS, F_POLES[:2])
     with pytest.raises(ScalarDomainError):
-        ratfn_log_coeffs(uneven, +1, 4)
+        RatFnModes(uneven, +1)
     # the series route refuses the same input
     with pytest.raises(ScalarDomainError):
         series_log(ratfn_expand(uneven, +1, 5))
     with pytest.raises(ExpansionPoleError):
-        ratfn_log_coeffs(RatFn.from_factors(1, F_ZEROS, (0,) + F_POLES[1:]), -1, 4)
+        RatFnModes(RatFn.from_factors(1, F_ZEROS, (0,) + F_POLES[1:]), -1)
 
 
 # -- integer-content kernels against schoolbook references -------------------
@@ -483,7 +489,7 @@ def test_every_kernel_leaves_the_canonical_form(a, b, k):
     if x and x.val == 0 and x.coeff(0) == 1:
         assert_canonical(series_log(x))
     rf = RatFn.from_factors(1, [x, Fraction(1, 3)], [y, Fraction(-2)])
-    for c in ratfn_log_coeffs(rf, 1, 4):
+    for c in log_coeffs(rf, 1, 4):
         if isinstance(c, TSeries):
             assert_canonical(c)
 
@@ -555,10 +561,10 @@ def test_log_coeffs_match_the_product_loop(roots, direction, n):
     zeros, poles = roots
     if direction == -1 and not all(zeros + poles):
         with pytest.raises(ExpansionPoleError):
-            ratfn_log_coeffs(RatFn.from_factors(3, zeros, poles), direction, n)
+            RatFnModes(RatFn.from_factors(3, zeros, poles), direction)
         return
     rf = RatFn.from_factors(3, zeros, poles)
-    got = ratfn_log_coeffs(rf, direction, n)
+    got = log_coeffs(rf, direction, n)
     assert [shape(c) for c in got] == [shape(c) for c in ref_log_coeffs(rf, direction, n)]
 
 
@@ -574,16 +580,17 @@ def test_log_coeffs_product_loop_cases():
              ((TSeries(5, [], 5), mono[0]), (mono[1], mono[2]), 1)]
     for zeros, poles, direction in cases:
         rf = RatFn.from_factors(1, zeros, poles)
-        got = ratfn_log_coeffs(rf, direction, 6)
+        got = log_coeffs(rf, direction, 6)
         assert [shape(c) for c in got] == [shape(c) for c in ref_log_coeffs(rf, direction, 6)]
         if not zeros and not poles:
             assert all(type(c) is Fraction and c == 0 for c in got)
 
 
 def power_sums(roots, n):
-    """[p_1, ..., p_n] from the integer numerators S_k over D^k."""
-    sums = _PowerSums(roots, ())
-    return [_over(s, sums.D ** k) for k, s in enumerate(sums.extend(n), 1)]
+    """[p_1, ..., p_n] from the integer numerators S_k over D^k of the mode
+    table with the roots as poles and as many zeros at 0."""
+    modes = RatFnModes(RatFn.from_factors(1, (0,) * len(roots), roots), +1)
+    return [_over(s, modes.D ** k) for k, s in enumerate(modes.extend(n), 1)]
 
 
 def schoolbook_power_sums(roots, n):
