@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, gcd, lcm
 
-from .scalars import _over, _rational
+from .scalars import _exact, _over, _rational
 
 __all__ = [
     "QOp", "HOp", "theta_m_e", "theta_m_f", "theta_m_H", "theta_m_kappa", "theta_a_e",
@@ -248,11 +248,12 @@ def theta_m_e(q, i):
 
 def theta_m_f(q, i):
     # -D^{-1} Z^i = -q^{-i} Z^i D^{-1} in normal order
-    return QOp.monomial(q, i, -1, -(q ** (-i)))
+    return QOp.monomial(q, i, -1, -(_exact(q) ** (-i)))
 
 
 def theta_m_H(q, k):
-    return QOp(q, {(k, 0): -(1 - q ** (-k))}, central=-(q ** (-k)))
+    p = _exact(q) ** (-k)
+    return QOp(q, {(k, 0): -(1 - p)}, central=-p)
 
 
 def theta_m_kappa(q):
@@ -308,7 +309,7 @@ def check_theta_m_relations(q, window=2):
     the list of (relation, instance) failures, empty when all hold.  Each
     bracket of two generator images is computed once (`_audit_brackets`)."""
     fails = []
-    W = range(-window, window + 1)
+    q, W = _exact(q), range(-window, window + 1)
     sig = 1 + q + 1 / q
     gen, br = _audit_brackets(q, {"e": theta_m_e, "f": theta_m_f, "H": theta_m_H})
 
@@ -411,6 +412,7 @@ def hall_image(k, l, q, cache=None):
     caller-owned and keyed by (k, l, q), so one dict may serve several q."""
     if cache is None:
         cache = {}
+    q = _exact(q)
     key = (k, l, q)
     if key in cache:
         return cache[key]
@@ -451,6 +453,7 @@ def pick_closed_form(k, l, q):
     For k > 0:  q^f(k,l) (1-q^-1)/(1-q^-d) (1-q)^{k-1} Z^l D^k.
     For k < 0:  -q^{-f} (1-q)/(1-q^d) (1-q^-1)^{|k|-1} D^{-|k|} Z^{-|l|}-form.
     For k = 0:  sign(l) (1-q^-1)(1-q)/(1-q^l) (Z^l - c/(1-q^l))."""
+    q = _exact(q)
     if k > 0:
         d = gcd(k, abs(l)) if l else k
         f = lattice_interior_count(k, l)
@@ -472,6 +475,7 @@ def pick_printed_central(l, q):
     """The central coefficient of the row element as printed in the source
     derivation; kept separate because it disagrees with the recursion by a
     factor (1 - q) (documented inconsistency)."""
+    q = _exact(q)
     pref = (1 if l > 0 else -1) * (1 - 1 / q) * (1 - q) / (1 - q ** l)
     return -pref * (1 - q) / (1 - q ** l)
 
@@ -479,6 +483,7 @@ def pick_printed_central(l, q):
 # -- nested commutator constants ---------------------------------------------
 
 def lambda_constant(N, n, q):
+    q = _exact(q)
     return (q ** (N - 1) - 1) ** (n - 2) * (q ** (N - 1) - q ** (n - 1)) / (q ** N - 1) ** (n - 1)
 
 

@@ -21,8 +21,14 @@ suffix to each basis vector once per sweep.  `check_relation` feeds it one
 defining relation and stops at the first failure; the series bridge's
 audits (`upsilon`) and `horizontal.tt3_check` feed it instance lists of
 their own.  Every object it sweeps answers one hook, `sweep_row`, for every
-letter.  In the additive family, the kernel relation of g against g (Y1,
-Y2) and of psi against g (Y4, Y5) is one term list, `_additive_kernel_terms`.
+letter.  It puts each instance list in normal form once: terms collected
+per word; an instance left with no term and no right-hand side, a formal
+tautology, counted as holding by construction and never swept; and one
+whose terms are a rational multiple of an earlier one's, an alias, reading
+that one's residual, scaled.  `checked` and `nonvacuous` still count every
+instance, and every failing instance is reported.  In the additive family,
+the kernel relation of g against g (Y1, Y2) and of psi against g (Y4, Y5)
+is one term list, `_additive_kernel_terms`.
 
 Exact linear combinations.  `lincomb` takes (label, a, b) triples and
 returns `vsum` of the products a * b: the labels keep first-insertion order
@@ -581,6 +587,12 @@ def _sym3_nested(letter, i1, i2, i3, shift_mid, shift_last):
     return out
 
 
+def _sym3_instances(rel, modes, shift_mid, shift_last):
+    """T6 or Y6 at every mode triple in modes**3, e half first."""
+    return [(f"{rel}{g}[{i1},{i2},{i3}]", _sym3_nested(g, i1, i2, i3, shift_mid, shift_last),
+             None) for g in ("e", "f") for i1 in modes for i2 in modes for i3 in modes]
+
+
 # Each builder returns a list of instances; an instance is
 # (instance_id, [(coeff_fn(params), word), ...], rhs_diag_fn or None).
 # Residual = sum coeff * word(v) - diagonal(v); must vanish.
@@ -616,58 +628,33 @@ def t_relation_instances(rel, window, params):
     which the sweep covers at the full window.
     """
     W = range(-window, window + 1)
-    ins = []
     if rel == "T0":
-        for a in range(0, window + 1):
-            for b in range(0, window + 1):
-                for s1 in ("psi+", "psi-"):
-                    for s2 in ("psi+", "psi-"):
-                        terms = _commutator_words([(s1, a)], [(s2, b)])
-                        ins.append((f"[{s1}_{a},{s2}_{b}]", terms, None))
-        return ins
+        return [(f"[{s1}_{a},{s2}_{b}]", _commutator_words([(s1, a)], [(s2, b)]), None)
+                for a in range(window + 1) for b in range(window + 1)
+                for s1 in ("psi+", "psi-") for s2 in ("psi+", "psi-")]
     if rel == "T1" or rel == "T2":
-        g = "e" if rel == "T1" else "f"
-        cs = _cubic_coeffs_t(params)
-        for i in W:
-            for j in W:
-                terms = []
-                for k in range(4):
-                    if g == "e":
-                        terms.append((cs[k], [(g, i + 3 - k), (g, j + k)]))
-                        terms.append((cs[k], [(g, j + 3 - k), (g, i + k)]))
-                    else:
-                        # opposite kernel order for the lowering family
-                        terms.append((cs[k], [(g, i + k), (g, j + 3 - k)]))
-                        terms.append((cs[k], [(g, j + k), (g, i + 3 - k)]))
-                ins.append((f"{rel}[{i},{j}]", terms, None))
-        return ins
+        g, cs = ("e" if rel == "T1" else "f"), _cubic_coeffs_t(params)
+
+        def word(a, b, k):
+            # opposite kernel order for the lowering family
+            return [(g, a + 3 - k), (g, b + k)] if g == "e" else [(g, a + k), (g, b + 3 - k)]
+
+        # each term at (i, j) and at (j, i): T1[i, j] = T1[j, i]
+        return [(f"{rel}[{i},{j}]", [(cs[k], word(a, b, k)) for k in range(4)
+                                     for a, b in ((i, j), (j, i))], None)
+                for i in W for j in W]
     if rel == "T3":
         beta1 = params.beta(1)
         sides = {k: _t3_side(k, beta1) for k in range(-2 * window, 2 * window + 1)}
-        for i in W:
-            for j in W:
-                terms = [(1, [("e", i), ("f", j)]), (-1, [("f", j), ("e", i)])]
-                ins.append((f"T3[{i},{j}]", terms, sides[i + j]))
-        return ins
+        return [(f"T3[{i},{j}]", _commutator_words([("e", i)], [("f", j)]), sides[i + j])
+                for i in W for j in W]
     if rel == "T4t" or rel == "T5t":
         return [(f"{rel}[{m},{j}]", terms, rhs)
                 for (m, j), terms, rhs in _ladder_instances(rel, W, W)]
     if rel == "T6":
-        sw = range(-1, 2)
-        ins = []
-        for g in ("e", "f"):
-            for i1 in sw:
-                for i2 in sw:
-                    for i3 in sw:
-                        terms = _sym3_nested(g, i1, i2, i3, +1, -1)
-                        ins.append((f"T6{g}[{i1},{i2},{i3}]", terms, None))
-        return ins
+        return _sym3_instances(rel, range(-1, 2), +1, -1)
     if rel == "T6t":
-        ins = []
-        for g in ("e", "f"):
-            terms = _nested(g, (0, 1, -1))
-            ins.append((f"T6t{g}", terms, None))
-        return ins
+        return [(f"T6t{g}", _nested(g, (0, 1, -1)), None) for g in ("e", "f")]
     raise ValueError(f"unknown relation {rel}")
 
 
@@ -689,24 +676,16 @@ def y_relation_instances(rel, window, params):
     """Instantiated operator identities for the additive family."""
     W = range(0, window + 1)
     s2, s3 = params.sigma2(), params.sigma3()
-    ins = []
     if rel == "Y0":
-        for a in W:
-            for b in W:
-                terms = [(1, [("psiy", a), ("psiy", b)]), (-1, [("psiy", b), ("psiy", a)])]
-                ins.append((f"Y0[{a},{b}]", terms, None))
-        return ins
+        return [(f"Y0[{a},{b}]", _commutator_words([("psiy", a)], [("psiy", b)]), None)
+                for a in W for b in W]
     if rel in ("Y1", "Y2"):
         g, sgn = ("e", 1) if rel == "Y1" else ("f", -1)
         return [(f"{rel}[{i},{j}]", _additive_kernel_terms(g, g, i, j, sgn, s2, s3), None)
                 for i in W for j in W]
     if rel == "Y3":
-        for i in W:
-            for j in W:
-                terms = [(1, [("e", i), ("f", j)]), (-1, [("f", j), ("e", i)]),
-                         (-1, [("psiy", i + j)])]
-                ins.append((f"Y3[{i},{j}]", terms, None))
-        return ins
+        return [(f"Y3[{i},{j}]", _commutator_words([("e", i)], [("f", j)])
+                 + [(-1, [("psiy", i + j)])], None) for i in W for j in W]
     if rel in ("Y4", "Y5"):
         g, sgn = ("e", 1) if rel == "Y4" else ("f", -1)
         ins = [(f"{rel}[{i},{j}]", _additive_kernel_terms("psiy", g, i, j, sgn, s2, s3), None)
@@ -719,14 +698,7 @@ def y_relation_instances(rel, window, params):
                 ins.append((f"{rel}'[{k},{j}]", terms, None))
         return ins
     if rel == "Y6":
-        sw = range(0, 2)
-        for g in ("e", "f"):
-            for i1 in sw:
-                for i2 in sw:
-                    for i3 in sw:
-                        terms = _sym3_nested(g, i1, i2, i3, 0, +1)
-                        ins.append((f"Y6{g}[{i1},{i2},{i3}]", terms, None))
-        return ins
+        return _sym3_instances(rel, range(0, 2), 0, +1)
     raise ValueError(f"unknown relation {rel}")
 
 
@@ -738,18 +710,39 @@ class RelationReport:
     """`checked` counts the (instance, label) pairs swept; `nonvacuous` those
     among them where some word image with a nonzero coefficient, or the
     right-hand side, is nonzero, so that the check compares more than 0
-    with 0."""
+    with 0.  `distinct` and `by_construction` count the instances swept and
+    the formal tautologies (`RelationSweep`)."""
 
-    def __init__(self, relation, ok, counterexample=None, checked=0, nonvacuous=0):
+    def __init__(self, relation, ok, counterexample=None, checked=0, nonvacuous=0,
+                 distinct=0, by_construction=0):
         self.relation = relation
         self.ok = ok
         self.counterexample = counterexample
         self.checked = checked
         self.nonvacuous = nonvacuous
+        self.distinct = distinct
+        self.by_construction = by_construction
 
     def __repr__(self):
         return (f"RelationReport({self.relation}, ok={self.ok}, checked={self.checked}, "
                 f"nonvacuous={self.nonvacuous})")
+
+
+def _collect(terms):
+    """(kept, dead): the terms [(coeff, word)] summed per word, kept
+    [(n, d, word)] the sums `_zero` keeps (n/d, `_rational`), dead the
+    words whose nonzero coefficients cancel."""
+    acc = {}
+    for coeff, word in terms:
+        if not _zero(coeff):
+            n, d = (coeff, 1) if type(coeff) is int else _rational(coeff)
+            w = tuple(word)
+            y = acc.get(w)
+            if y is not None:
+                n, d = (y[0] + n, d) if y[1] == d else (y[0] * d + n * y[1], y[1] * d)
+            acc[w] = n, d
+    return ([(n, d, w) for w, (n, d) in acc.items() if not _zero(n)],
+            [w for w, (n, d) in acc.items() if _zero(n)])
 
 
 class RelationSweep:
@@ -757,8 +750,21 @@ class RelationSweep:
     levels, then the module's basis, then the instances, which are in the
     builders' format with rhs(module, label) the right-hand side.  Each
     residual, sum of coeff * image(word) minus rhs, is compared with zero
-    exactly or mod X^hmod.  `checked` and `nonvacuous` count the pairs swept
-    so far, as in `RelationReport`.
+    exactly or mod X^hmod.
+
+    The instances are normalized once, here (`_collect`): terms are summed
+    per word and zero sums dropped.  An instance left with no term and no
+    rhs holds by construction (`by_construction`) and is never swept.  One
+    whose terms are r times an earlier one's, its representative, is an
+    alias (`aliases`: id -> (representative id, r)) and reads r times the
+    representative's residual; with an rhs only an exact duplicate is an
+    alias, and a series coefficient makes none.  `distinct` counts the
+    instances swept; `instances` keeps each as (id, [(n, d, word)], rhs,
+    dead words, representative's slot, r).  `checked` and `nonvacuous`
+    count every (instance, label) pair swept so far, as in
+    `RelationReport`, reading the images of the words that cancelled (dead)
+    too, and every failing pair is yielded, aliases included, each after
+    its representative.
 
     Every object swept (a `Module`, the series bridge, the boson states)
     runs one path.  A word image is a vector (D, {label: n}) over one
@@ -770,10 +776,31 @@ class RelationSweep:
 
     def __init__(self, module, instances, level_bound, hmod=None):
         self.module, self.level_bound, self.hmod = module, level_bound, hmod
-        self.instances = [(inst_id, [_rational(coeff) + (tuple(word),) for coeff, word in terms
-                                     if not _zero(coeff)], rhs)
-                          for inst_id, terms, rhs in instances]
-        self.checked = self.nonvacuous = 0
+        self.instances, self.aliases, reps = [], {}, {}
+        self.checked = self.nonvacuous = self.distinct = self.by_construction = 0
+        for inst_id, terms, rhs in instances:
+            kept, dead = _collect(terms)
+            rep = ratio = None
+            if kept and all(type(n) is int for n, _, _ in kept):
+                # key: the sorted words and their coefficients as a primitive
+                # int vector with first entry > 0
+                L = lcm(*[d for _, d, _ in kept])
+                items = sorted([(w, n if d == L else n * (L // d)) for n, d, w in kept])
+                xs = [x for _, x in items]
+                g = gcd(*xs) if xs[0] > 0 else -gcd(*xs)
+                key = (rhs, tuple([w for w, _ in items]), tuple([x // g for x in xs]))
+                hit = reps.get(key)
+                if hit is None:
+                    reps[key] = self.distinct, inst_id, g, L
+                elif rhs is None or g * hit[3] == L * hit[2]:
+                    rep, ratio = hit[0], Fraction(g * hit[3], L * hit[2])
+                    self.aliases[inst_id] = hit[1], ratio
+            if rep is None:
+                if kept or rhs is not None:
+                    self.distinct += 1
+                else:
+                    self.by_construction += 1
+            self.instances.append((inst_id, kept, rhs, dead, rep, ratio))
 
     def __iter__(self):
         module, hmod = self.module, self.hmod
@@ -785,15 +812,26 @@ class RelationSweep:
                 image = _suffix_images(_int_start, step)
                 # each right-hand side once per label, shared by its instances
                 sides = {None: None}
-                for inst_id, terms, rhs in self.instances:
-                    if rhs not in sides:
-                        d = rhs(module, label)
-                        sides[rhs] = None if _zero(d) else _rational(d)
-                    live, acc = _int_residual(image, label, terms, sides[rhs])
+                found = []  # (live, residual, failed) of each distinct instance
+                for inst_id, terms, rhs, dead, rep, ratio in self.instances:
+                    if rep is not None:
+                        live, acc, failed = found[rep]
+                        if failed and ratio != 1:
+                            acc = {k: c * ratio for k, c in acc.items()}
+                    elif terms or rhs is not None:
+                        if rhs not in sides:
+                            d = rhs(module, label)
+                            sides[rhs] = None if _zero(d) else _rational(d)
+                        live, acc = _int_residual(image, label, terms, sides[rhs])
+                        failed = not is_vec_zero(acc, hmod=hmod)
+                        found.append((live, acc, failed))
+                    else:
+                        live = failed = False
+                    if not live and dead:
+                        live = any(image(label, w) for w in dead)
                     self.checked += 1
-                    if live:
-                        self.nonvacuous += 1
-                    if not is_vec_zero(acc, hmod=hmod):
+                    self.nonvacuous += live
+                    if failed:
                         yield inst_id, level, label, acc
 
 
@@ -809,5 +847,7 @@ def check_relation(module, relation, params, level_bound, window=3, hmod=None):
         bad = {str(k): repr(c) for k, c in resid.items()}
         return RelationReport(relation, False, {"instance": inst_id, "level": level,
                                                 "label": label, "residual": bad},
-                              sweep.checked, sweep.nonvacuous)
-    return RelationReport(relation, True, None, sweep.checked, sweep.nonvacuous)
+                              sweep.checked, sweep.nonvacuous, sweep.distinct,
+                              sweep.by_construction)
+    return RelationReport(relation, True, None, sweep.checked, sweep.nonvacuous,
+                          sweep.distinct, sweep.by_construction)

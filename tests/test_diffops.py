@@ -302,3 +302,29 @@ def test_interior_counts_are_ints_by_pick():
             got = lattice_interior_count(k, l)
             d = gcd(k, abs(l)) if l else k
             assert type(got) is int and 2 * got == k * l - k - l - d + 2, (k, l)
+
+
+PAIRS = ((1, 2), (2, 1), (0, 3), (-2, 1))
+
+# The multiplicative entry points, each as a function of q.
+Q_CALLS = {
+    "theta_m_e": lambda q: theta_m_e(q, 1),
+    "theta_m_f": lambda q: theta_m_f(q, 1),
+    "theta_m_H": lambda q: theta_m_H(q, 1),
+    "hall_image": lambda q: [hall_image(k, l, q) for k, l in PAIRS],
+    "pick_closed_form": lambda q: [pick_closed_form(k, l, q) for k, l in PAIRS],
+    "check_theta_m_relations": lambda q: check_theta_m_relations(q, 1),
+    "nested_ratio_multiplicative": lambda q: nested_ratio_multiplicative(3, 3, q),
+    "lambda_constant": lambda q: [lambda_constant(N, n, q) for N, n in ((3, 3), (4, 3), (5, 2))],
+    "pick_printed_central": lambda q: [pick_printed_central(l, q) for l in (1, -2, 3)],
+    "serre_multiple_m": lambda q: serre_multiple_m(4, q),
+}
+
+
+@pytest.mark.parametrize("name", sorted(Q_CALLS))
+def test_an_int_q_is_the_fraction_it_stands_for(name):
+    """Every multiplicative limit function takes an int q exactly, as the
+    additive side takes an int h: q ** (-i) and 1 / q stay Fractions."""
+    got, want = Q_CALLS[name](2), Q_CALLS[name](Fraction(2))
+    assert got == want and repr(got) == repr(want)
+    assert "." not in repr(got)

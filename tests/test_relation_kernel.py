@@ -880,6 +880,150 @@ def test_boson_bracket_matches_the_reference(reference_checked, monkeypatch):
     assert reference_checked == [0, 70]
 
 
+# -- instances in normal form ---------------------------------------------------
+
+# (distinct, by construction) of each relation at window 3.
+NORMAL_FORM_COUNTS = {
+    "T0": (28, 8), "T1": (28, 0), "T2": (28, 0), "T3": (49, 0), "T4t": (42, 0),
+    "T5t": (42, 0), "T6": (20, 0), "T6t": (2, 0),
+    "Y0": (6, 4), "Y1": (10, 0), "Y2": (10, 0), "Y3": (16, 0), "Y4": (28, 0),
+    "Y5": (28, 0), "Y6": (8, 0),
+}
+
+
+def rank2(family):
+    """(module, params, builder, relations) of the default rank-2 point."""
+    if family == "T":
+        return (KTheoryFixedPointModule(P2, 2), P2, repbase.t_relation_instances,
+                RELATION_BUILDERS_T)
+    return (CohomologyFixedPointModule(Y2, 2), Y2, repbase.y_relation_instances,
+            RELATION_BUILDERS_Y)
+
+
+def test_normal_form_counts():
+    for family in ("T", "Y"):
+        module, params, _, relations = rank2(family)
+        for rel in relations:
+            rep = check_relation(module, rel, params, 1, window=3)
+            assert rep.ok and (rep.distinct, rep.by_construction) == NORMAL_FORM_COUNTS[rel]
+
+
+def collected(terms):
+    """{word: sum of its coefficients}, the zero sums dropped."""
+    out = {}
+    for c, word in terms:
+        out[tuple(word)] = out.get(tuple(word), 0) + Fraction(c)
+    return {w: c for w, c in out.items() if c}
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("family", ["T", "Y"])
+def test_normal_form_is_sound(family, window):
+    """Each alias's terms are its ratio times those of its representative,
+    which comes first, each formal tautology has no term and no right-hand
+    side, and no two instances swept are multiples of each other."""
+    module, params, build, relations = rank2(family)
+    for rel in relations:
+        instances = build(rel, window, params)
+        sweep = repbase.RelationSweep(module, instances, 0)
+        terms = {inst_id: collected(t) for inst_id, t, _ in instances}
+        rhs = {inst_id: r for inst_id, _, r in instances}
+        for (inst_id, t, _), (kept_id, kept, _, dead, _, _) in zip(instances, sweep.instances):
+            assert kept_id == inst_id
+            assert {w: Fraction(n, d) for n, d, w in kept} == terms[inst_id]
+            assert set(dead) == {tuple(w) for c, w in t if c} - set(terms[inst_id])
+        order = {inst_id: k for k, (inst_id, _, _) in enumerate(instances)}
+        for alias, (rep_id, ratio) in sweep.aliases.items():
+            assert ratio and terms[alias] == {w: ratio * c for w, c in terms[rep_id].items()}
+            assert rhs[alias] is None or (rhs[alias] is rhs[rep_id] and ratio == 1)
+            assert rep_id not in sweep.aliases and order[rep_id] < order[alias]
+        swept = [inst_id for inst_id, kept, r, _, rep, _ in sweep.instances
+                 if rep is None and (kept or r is not None)]
+        rest = [inst_id for inst_id in terms if inst_id not in sweep.aliases
+                and inst_id not in swept]
+        assert (len(swept), len(rest)) == (sweep.distinct, sweep.by_construction)
+        assert all(not terms[inst_id] and rhs[inst_id] is None for inst_id in rest)
+        assert len(swept) + len(rest) + len(sweep.aliases) == len(instances)
+        # the terms of each instance swept, scaled to a leading coefficient 1
+        shapes = [frozenset((w, c / t[min(t)]) for w, c in t.items())
+                  for t in (terms[inst_id] for inst_id in swept)]
+        assert len(set(shapes)) == len(shapes), rel
+
+
+def test_only_rational_multiples_alias():
+    """Equal words with coefficients that are not proportional, a right-hand
+    side other than the representative's, or a series coefficient make no
+    alias; a scaled copy reads the scaled residual."""
+    e0, e1, f0 = [("e", 0)], [("e", 1)], [("f", 0)]
+    side, other = repbase._t3_side(0, Fraction(1)), repbase._t3_side(1, Fraction(1))
+    instances = [
+        ("a", [(1, e0 + e1), (2, e1 + e0)], None),
+        ("b", [(Fraction(-3, 2), e0 + e1), (-3, e1 + e0)], None),
+        ("c", [(1, e0 + e1), (3, e1 + e0)], None),
+        ("d", [(1, e0 + e1), (1, e1), (-1, e0 + e1), (-1, e1)], None),
+        ("e", [(1, f0 + e0)], side),
+        ("f", [(2, f0 + e0)], side),
+        ("g", [(1, f0 + e0)], other),
+        ("h", [(1, f0 + e0)], side),
+        ("i", [(TSeries(0, [1], 3), e0 + e1), (2, e1 + e0)], None),
+    ]
+    module = KTheoryFixedPointModule(P2, 2)
+    sweep = repbase.RelationSweep(module, instances, 1)
+    assert sweep.aliases == {"b": ("a", Fraction(-3, 2)), "h": ("e", 1)}
+    assert (sweep.distinct, sweep.by_construction) == (6, 1)
+    got = list(sweep)
+    pairs = list(reference_pairs(module, instances, 1))
+    assert shown(got) == shown([(inst_id, level, label, resid)
+                                for inst_id, level, label, _, resid in pairs
+                                if not is_vec_zero(resid)])
+    assert {inst_id for inst_id, _, _, _ in got} >= {"a", "b", "e", "h"}
+    assert (sweep.checked, sweep.nonvacuous) == \
+        (len(pairs), sum(live for _, _, _, live, _ in pairs))
+
+
+@pytest.mark.parametrize("family", ["T", "Y"])
+def test_normal_form_reports_every_failing_pair(family):
+    """On the psi, e and f controls the sweep yields every failing pair of
+    the schoolbook sum over the uncollected terms, aliases included: the
+    instance, level, label and residual, and the same counts."""
+    module, params, build, relations = rank2(family)
+    alias_failures = 0
+    for kind in PerturbedModule.KINDS:
+        control = PerturbedModule(module, kind)
+        for rel in relations:
+            instances = build(rel, 2, params)
+            sweep = repbase.RelationSweep(control, instances, 2)
+            got = list(sweep)
+            pairs = list(reference_pairs(control, instances, 2))
+            want = [(inst_id, level, label, resid)
+                    for inst_id, level, label, _, resid in pairs if not is_vec_zero(resid)]
+            assert shown(got) == shown(want), (kind, rel)
+            assert (sweep.checked, sweep.nonvacuous) == \
+                (len(pairs), sum(live for _, _, _, live, _ in pairs))
+            alias_failures += sum(inst_id in sweep.aliases for inst_id, _, _, _ in got)
+    assert alias_failures
+
+
+def test_sweep_sums_each_distinct_residual_once(monkeypatch):
+    """T6 sums 20 residuals per label, not 54, and T0 28, not 64: aliases
+    and formal tautologies are never summed."""
+    sums = []
+    inner = repbase._int_residual
+
+    def counted(*args):
+        sums.append(args[2])
+        return inner(*args)
+
+    monkeypatch.setattr(repbase, "_int_residual", counted)
+    module = KTheoryFixedPointModule(P2, 2)
+    labels = len(module.basis(0)) + len(module.basis(1))
+    assert labels == 3
+    for rel, distinct in (("T6", 20), ("T0", 28)):
+        sums.clear()
+        assert check_relation(module, rel, P2, 1, window=3).ok
+        assert len(sums) == distinct * labels, rel
+
+
 # -- one path, no fallback ----------------------------------------------------
 
 class FloatAbove(ModuleWrapper):
