@@ -6,7 +6,8 @@ Exit codes: 0 all selected checks pass; 1 at least one check failed;
 All numeric configuration travels as rational strings ("3/2", "7") so no
 floating point can leak in.  Reports are reproducible: the only
 non-deterministic fields are the per-check timings, kept separate from the
-payload.
+payload.  Every option a suite reads is declared once, in `OPTIONS`, and
+`run` checks the given options against it before any suite starts.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
-from .params import (GenericityError, ToroidalParams, YangianParams,
+from .params import (DEFAULT_G, GenericityError, ToroidalParams, YangianParams,
                      default_toroidal, default_yangian, sample_generic_params)
 from .repbase import (PerturbedModule, RELATION_BUILDERS_T, RELATION_BUILDERS_Y,
                       _additive_kernel_terms, check_relation)
@@ -31,61 +33,58 @@ def parse_rational(s):
     s = s.strip()
     if "." in s or "e" in s.lower():
         raise ValueError(f"not an exact rational: {s!r}")
-    f = Fraction(s)
-    return f
+    return Fraction(s)
 
 
-class Check:
-    def __init__(self, cid, ok, details=None):
-        self.cid = cid
-        self.ok = ok
-        self.details = details
-
-    def to_json(self):
-        out = {"id": self.cid, "status": "pass" if self.ok else "fail"}
-        if self.details is not None:
-            out["details"] = self.details
-        return out
-
-
-def _modules(config, params, fixed_point):
-    from .toroidal import FockModule, VectorModule
-
-    which = config.get("module", "all")
-    r = config.get("r", 2)
-    out = []
-    if which in ("vector", "all"):
-        out.append(("vector", VectorModule(params, Fraction(1, 5))))
-    if which in ("fock", "all"):
-        out.append(("fock", FockModule(params, Fraction(1, 5))))
-    if which in ("fixedpoint", "all"):
-        for rr in range(1, r + 1):
-            out.append((f"fixedpoint-r{rr}", fixed_point(params, rr)))
+def _result(cid, ok, details=None):
+    """One check's entry in the report."""
+    out = {"id": cid, "status": "pass" if ok else "fail"}
+    if details is not None:
+        out["details"] = details
     return out
 
 
+def _read(config, key, suite=None, capped=True):
+    """Option `key` as `suite` reads it (every suite, if None): the given
+    value, else the default.  A value the suite does not take (another
+    selected suite does) reads as the default, one above the cap as the cap
+    unless `capped` is false, and one replacing a tuple default as a 1-tuple."""
+    opt = (COMMON if suite is None else OPTIONS[suite])[key]
+    value = config.get(key)
+    if value is None or opt.values and value not in opt.values:
+        return opt.default
+    if isinstance(opt.default, tuple):
+        return (value,)
+    return min(value, opt.cap) if capped and opt.cap is not None else value
+
+
 def _suite_relations(config, checks):
-    from .toroidal import KTheoryFixedPointModule
+    from .toroidal import FockModule, KTheoryFixedPointModule, VectorModule
     from .yangian import CohomologyFixedPointModule
 
-    L = config.get("L", 3)
-    window = config.get("I", 2)
-    perturb = config.get("perturb")
-    flavors = [config["flavor"]] if config.get("flavor") in FLAVORS["relations"] \
-        else FLAVORS["relations"]
+    L = _read(config, "L", "relations", capped=False)
+    fixed_point_level = _read(config, "L", "relations")
+    window = _read(config, "I", "relations")
+    which = _read(config, "module", "relations")
+    r = _read(config, "r", "relations")
+    perturb = _read(config, "perturb")
     if perturb is True:
         perturb = "psi"
     families = {"toroidal": ("_tparams", KTheoryFixedPointModule, RELATION_BUILDERS_T),
                 "yangian": ("_yparams", CohomologyFixedPointModule, RELATION_BUILDERS_Y)}
-    for flavor in flavors:
+    for flavor in _read(config, "flavor", "relations"):
         pkey, fixed_point, relations = families[flavor]
         params = config[pkey]
         try:
-            modules = _modules(config, params, fixed_point)
+            modules = [(name, cls(params, Fraction(1, 5)), L)
+                       for name, cls in (("vector", VectorModule), ("fock", FockModule))
+                       if which in (name, "all")]
+            if which in ("fixedpoint", "all"):
+                modules += [(f"fixedpoint-r{rr}", fixed_point(params, rr), fixed_point_level)
+                            for rr in range(1, r + 1)]
         except ValueError as exc:
-            raise ConfigError(f"--r {config.get('r', 2)}: {exc}") from None
-        for name, module in modules:
-            lvl = L if "fixedpoint" not in name else min(L, 3)
+            raise ConfigError(f"--r {r}: {exc}") from None
+        for name, module, lvl in modules:
             if perturb:
                 module = PerturbedModule(module, perturb)
             for rel in relations:
@@ -94,32 +93,28 @@ def _suite_relations(config, checks):
                 if not rep.nonvacuous:
                     what = "compares only 0 with 0" if rep.checked else "has no instance"
                     raise ConfigError(f"{cid} {what} at --L {L} --I {window}")
-                checks.append(Check(cid, rep.ok, rep.counterexample))
+                checks.append(_result(cid, rep.ok, rep.counterexample))
 
 
 def _suite_whittaker(config, checks):
     from .whittaker import whittaker_eigencheck
 
-    perturb = config.get("perturb")
-    flavors = [config["flavor"]] if config.get("flavor") in FLAVORS["whittaker"] \
-        else FLAVORS["whittaker"]
-    rs = [config["r"]] if config.get("r") else [1, 2]
-    ns = [config["n"]] if config.get("n") else [1, 2]
-    L = config.get("L", 2)
-    for flavor in flavors:
-        for r in rs:
+    perturb = _read(config, "perturb")
+    L = _read(config, "L", "whittaker")
+    only_j = _read(config, "j", "whittaker")
+    for flavor in _read(config, "flavor", "whittaker"):
+        for r in _read(config, "r", "whittaker"):
             params = (config["_tparams"] if flavor == "K" else config["_yparams"])
             if not 1 <= r <= len(params.framings):
                 raise ConfigError(f"--r {r}: needs 1 <= r <= {len(params.framings)}, "
                                   "the number of framing parameters")
-            js = [config["j"]] if config.get("j") is not None else list(range(r + 1))
-            if not all(0 <= j <= r for j in js):
-                raise ConfigError(f"--j {config['j']}: the eigenvalue needs 0 <= j <= r = {r}")
-            for n in ns:
-                for j in js:
+            if only_j is not None and only_j > r:
+                raise ConfigError(f"--j {only_j}: the eigenvalue needs 0 <= j <= r = {r}")
+            for n in _read(config, "n", "whittaker"):
+                for j in range(r + 1) if only_j is None else [only_j]:
                     val, fails = whittaker_eigencheck(flavor, r, n, j, L, params,
                                                       perturb=bool(perturb))
-                    checks.append(Check(
+                    checks.append(_result(
                         f"whittaker:{flavor}:r{r}:n{n}:j{j}",
                         not fails,
                         {"eigenvalue": str(val), "failures": [str(f) for f in fails]}))
@@ -131,17 +126,17 @@ def _suite_shuffle(config, checks):
 
     tp = config["_tparams"]
     yp = config["_yparams"]
-    perturb = config.get("perturb")
-    deg = config.get("L", 4)
+    perturb = _read(config, "perturb")
+    deg = _read(config, "L", "shuffle")
     for flavor, p in (("m", tp), ("a", yp)):
         gens = {}
         for jj in range(1, deg):
             gens[("K", jj)] = K_element(flavor, jj, p)
             gens[("L", jj)] = L_element(flavor, jj, p)
         ok = all(wheel_check(g, p) for g in gens.values())
-        checks.append(Check(f"shuffle:{flavor}:wheel", ok))
+        checks.append(_result(f"shuffle:{flavor}:wheel", ok))
         ok = all(stable_membership(g) for g in gens.values())
-        checks.append(Check(f"shuffle:{flavor}:membership", ok))
+        checks.append(_result(f"shuffle:{flavor}:membership", ok))
         comm_ok = True
         for (na, ia) in gens:
             for (nb, ib) in gens:
@@ -152,7 +147,7 @@ def _suite_shuffle(config, checks):
                             * Fraction(1, 16) if ia + ib == 2 else c
                     if not c.is_zero():
                         comm_ok = False
-        checks.append(Check(f"shuffle:{flavor}:commutativity", comm_ok))
+        checks.append(_result(f"shuffle:{flavor}:commutativity", comm_ok))
     # the Y1 relation's image under the arity-one assignment: each word
     # [(e, a), (e, b)] of its term list is the star product of x^a and x^b
     sig2 = yp.sigma2() + (Fraction(1, 16) if perturb else 0)
@@ -166,24 +161,24 @@ def _suite_shuffle(config, checks):
                 acc = t if acc is None else acc + t
             if not acc.is_zero():
                 img_ok = False
-    checks.append(Check("shuffle:a:relation-image", img_ok))
+    checks.append(_result("shuffle:a:relation-image", img_ok))
 
 
 def _suite_limits(config, checks):
     from .diffops import (check_theta_a_relations, check_theta_m_relations,
-                          hall_image, jacobi_hop, jacobi_qop,
-                          lambda_constant, nested_ratio_additive,
+                          hall_image, jacobi_hop, jacobi_qop, nested_ratio_additive,
                           nested_ratio_multiplicative, pick_closed_form,
                           serre_multiple_a, serre_multiple_m)
 
     q = config["_tparams"].q1
     h = config["_yparams"].h1
-    perturb = config.get("perturb")
-    bound = config.get("L", 3)
-    fails = check_theta_m_relations(q, window=config.get("I", 2))
-    checks.append(Check("limits:theta-m-relations", not fails, [str(f) for f in fails]))
-    fails = check_theta_a_relations(h, window=config.get("I", 2))
-    checks.append(Check("limits:theta-a-relations", not fails, [str(f) for f in fails]))
+    perturb = _read(config, "perturb")
+    bound = _read(config, "L", "limits")
+    window = _read(config, "I", "limits")
+    fails = check_theta_m_relations(q, window=window)
+    checks.append(_result("limits:theta-m-relations", not fails, [str(f) for f in fails]))
+    fails = check_theta_a_relations(h, window=window)
+    checks.append(_result("limits:theta-a-relations", not fails, [str(f) for f in fails]))
     cache = {}
     ok = True
     for k in range(-bound, bound + 1):
@@ -196,22 +191,22 @@ def _suite_limits(config, checks):
                 want = want.scale(Fraction(17, 16))
             if not (got - want).is_zero():
                 ok = False
-    checks.append(Check("limits:pick-closed-forms", ok))
+    checks.append(_result("limits:pick-closed-forms", ok))
     ok = True
     for N in range(2, 7):
         for n in range(3, 5):
             lam_ok, _ = nested_ratio_multiplicative(N, n, q)
             bet_ok, _ = nested_ratio_additive(N, n, h)
             ok = ok and lam_ok and bet_ok
-    checks.append(Check("limits:nested-ratios", ok))
-    checks.append(Check("limits:serre-multiples",
-                        all(serre_multiple_m(n, q) and serre_multiple_a(n, h)
-                            for n in (3, 4, 5))))
-    checks.append(Check("limits:jacobi",
-                        jacobi_qop(q, [((1, 2), (0, -2), (-1, 1)),
-                                       ((2, -1), (1, 1), (-3, 0))])
-                        and jacobi_hop(h, [((1, 2), (0, -2), (1, 1)),
-                                           ((2, -1), (1, 1), (3, 0))])))
+    checks.append(_result("limits:nested-ratios", ok))
+    checks.append(_result("limits:serre-multiples",
+                          all(serre_multiple_m(n, q) and serre_multiple_a(n, h)
+                              for n in (3, 4, 5))))
+    checks.append(_result("limits:jacobi",
+                          jacobi_qop(q, [((1, 2), (0, -2), (-1, 1)),
+                                         ((2, -1), (1, 1), (-3, 0))])
+                          and jacobi_hop(h, [((1, 2), (0, -2), (1, 1)),
+                                             ((2, -1), (1, 1), (3, 0))])))
 
 
 def _suite_upsilon(config, checks):
@@ -219,32 +214,32 @@ def _suite_upsilon(config, checks):
                           ch_solver, limit_h3_diffop_identities,
                           limit_h3_module_check)
 
-    perturb = config.get("perturb")
-    trunc = config.get("N", 14)
+    perturb = _read(config, "perturb")
+    trunc = _read(config, "N", "upsilon")
     hmod = min(9, trunc - 4)
-    L = min(config.get("L", 2), 2)
+    L = _read(config, "L", "upsilon")
     br = UpsilonBridge(13, 1, (Fraction(1, 5),), 1, trunc=trunc)
     if perturb:
         br.gpre = br.gpre * Fraction(17, 16)
-    checks.append(Check("upsilon:specialization", True,
-                        {"direction": ["13", "1"], "shifts": ["1/5"],
-                         "truncation": trunc, "residual-order": hmod}))
-    checks.append(Check("upsilon:borel-log-identity", borel_log_identity(8)))
+    checks.append(_result("upsilon:specialization", True,
+                          {"direction": ["13", "1"], "shifts": ["1/5"],
+                           "truncation": trunc, "residual-order": hmod}))
+    checks.append(_result("upsilon:borel-log-identity", borel_log_identity(8)))
     fails = borel_kernel_identity(br, L, 3, hmod=hmod)
-    checks.append(Check("upsilon:borel-kernel", not fails, [str(f) for f in fails[:3]]))
+    checks.append(_result("upsilon:borel-kernel", not fails, [str(f) for f in fails[:3]]))
     fails = br.audit_t3(L, 2, hmod=hmod)
-    checks.append(Check("upsilon:t3-audit", not fails, [str(f) for f in fails[:3]]))
+    checks.append(_result("upsilon:t3-audit", not fails, [str(f) for f in fails[:3]]))
     fails = br.audit_t4_ladder(L, range(-2, 3), range(-1, 2), hmod=hmod)
-    checks.append(Check("upsilon:ladder-audit", not fails, [str(f) for f in fails[:3]]))
+    checks.append(_result("upsilon:ladder-audit", not fails, [str(f) for f in fails[:3]]))
     fails = br.audit_cubic(L, hmod=hmod)
-    checks.append(Check("upsilon:cubic-audit", not fails, [str(f) for f in fails[:3]]))
+    checks.append(_result("upsilon:cubic-audit", not fails, [str(f) for f in fails[:3]]))
     _, fails = ch_solver(13, 1, (Fraction(1, 5),), 1, min(L + 1, 3),
                          trunc=trunc, hmod=hmod)
-    checks.append(Check("upsilon:comparison-map", not fails, [str(f) for f in fails[:3]]))
+    checks.append(_result("upsilon:comparison-map", not fails, [str(f) for f in fails[:3]]))
     fails = limit_h3_diffop_identities(hmod=hmod)
-    checks.append(Check("upsilon:limit-diffop", not fails, [str(f) for f in fails[:3]]))
+    checks.append(_result("upsilon:limit-diffop", not fails, [str(f) for f in fails[:3]]))
     fails = limit_h3_module_check(1, level_bound=L, hmod=min(8, hmod))
-    checks.append(Check("upsilon:limit-module", not fails, [str(f) for f in fails[:3]]))
+    checks.append(_result("upsilon:limit-module", not fails, [str(f) for f in fails[:3]]))
 
 
 def _suite_horizontal(config, checks):
@@ -253,24 +248,24 @@ def _suite_horizontal(config, checks):
                              single_factor_closed_form, tt3_check)
     from .shuffle import stable_membership, wheel_check
 
-    perturb = config.get("perturb")
+    perturb = _read(config, "perturb")
     p = horizontal_params()
     c = (1 - p.q3) * Fraction(1, 5)
-    order = config.get("N", 6)
-    fails = tt3_check(p, c, window=2, degree_cap=min(config.get("L", 2), 2))
-    checks.append(Check("horizontal:tt3", not fails, [str(f) for f in fails[:3]]))
+    order = _read(config, "N", "horizontal")
+    fails = tt3_check(p, c, window=2, degree_cap=_read(config, "L", "horizontal"))
+    checks.append(_result("horizontal:tt3", not fails, [str(f) for f in fails[:3]]))
     for n in (2, 3):
         a = matrix_coeff_series(p, c, n, order)
         b = closed_form_series(p, c, n, order)
         if perturb:
             b = b * Fraction(17, 16)
-        checks.append(Check(f"horizontal:product-formula:n{n}", a == b))
+        checks.append(_result(f"horizontal:product-formula:n{n}", a == b))
     t = horizontal_tensor_coeff([c, (1 - p.q3) * Fraction(2, 7)], 2, p)
-    checks.append(Check("horizontal:tensor-membership",
-                        wheel_check(t, p) and stable_membership(t)))
+    checks.append(_result("horizontal:tensor-membership",
+                          wheel_check(t, p) and stable_membership(t)))
     t1 = horizontal_tensor_coeff([c], 2, p)
-    checks.append(Check("horizontal:single-factor",
-                        t1.num == single_factor_closed_form(p, c, 2).num))
+    checks.append(_result("horizontal:single-factor",
+                          t1.num == single_factor_closed_form(p, c, 2).num))
 
 
 SUITES = {
@@ -283,17 +278,49 @@ SUITES = {
 }
 
 
-# the suites that read --flavor, and the values each takes
-FLAVORS = {"relations": ("toroidal", "yangian"), "whittaker": ("K", "H")}
+class Opt(NamedTuple):
+    """One option as a suite reads it.  A tuple default lists the values the
+    suite sweeps when the option is not given."""
+    default: object = None
+    least: int | None = None  # the least value the suite takes ...
+    why: str = "every scale starts at 0"  # ... and the reason the error gives
+    cap: int | None = None  # the largest value the suite uses
+    values: tuple = ()  # the values the suite takes, when it takes few
 
-# the values --module takes
-MODULES = ("vector", "fock", "fixedpoint", "all")
 
-# the suites that read each suite-specific option
-READERS = {"flavor": tuple(FLAVORS), "module": ("relations",), "j": ("whittaker",),
-           "n": ("whittaker",)}
+NO_CHECK = "there is no check below 1"
 
-PARAM_KEYS = ("q1", "q2", "chis", "h1", "h2", "xs")
+# the options every suite reads
+COMMON = {"G": Opt(DEFAULT_G, 1, "genericity is certified against the relations up to G"),
+          "seed": Opt(), "params": Opt({}), "perturb": Opt()}
+
+# every option each suite reads
+OPTIONS = {
+    "relations": {
+        "flavor": Opt(("toroidal", "yangian"), values=("toroidal", "yangian")),
+        "module": Opt("all", values=("vector", "fock", "fixedpoint", "all")),
+        # the cap bounds the fixed-point modules' level only
+        "r": Opt(2, 1, NO_CHECK), "L": Opt(3, 0, cap=3), "I": Opt(2, 0)},
+    "whittaker": {
+        "flavor": Opt(("K", "H"), values=("K", "H")),
+        "r": Opt((1, 2), 1, NO_CHECK), "n": Opt((1, 2), 1, NO_CHECK),
+        "j": Opt(None, 0, "the eigenvalue index j runs over 0..r"),  # None: every j
+        "L": Opt(2, 0)},
+    "shuffle": {"L": Opt(4, 2, "below it the shuffle battery has no generator")},
+    "limits": {"L": Opt(3, 1, "at L 0 the closed-form sweep has no (k, l) pair"),
+               "I": Opt(2, 0)},
+    "upsilon": {"N": Opt(14, 5, "below it the series bridge's residual order N - 4 "
+                         "is <= 0"), "L": Opt(2, 0, cap=2)},
+    "horizontal": {"N": Opt(6, 0), "L": Opt(2, 0, cap=2)},
+}
+
+# per family: where run keeps its parameter pack, the pack's class and
+# default point, and the --params keys with their defaults, the framings last
+FAMILIES = (("toroidal", "_tparams", ToroidalParams, default_toroidal,
+             {"q1": "2", "q2": "3", "chis": ["5", "7", "11"]}),
+            ("yangian", "_yparams", YangianParams, default_yangian,
+             {"h1": "13", "h2": "1", "xs": ["1/5", "1/7", "1/11"]}))
+PARAM_KEYS = tuple(key for *_, keys in FAMILIES for key in keys)
 
 
 def _check_params(praw):
@@ -309,39 +336,31 @@ def _check_params(praw):
 
 
 def _build_params(config):
-    G = config.get("G", 12)
-    r = config.get("r", 2)
-    praw = config.get("params", {})
+    G = _read(config, "G")
+    # at least the two framings of whittaker's default ranks 1, 2
+    rank = max(_read(config, "r", "relations"), 2)
+    praw = _read(config, "params")
+    seed = _read(config, "seed")
     _check_params(praw)
     try:
-        if "q1" in praw or "q2" in praw:
-            chis = [parse_rational(x) for x in praw.get("chis", ["5", "7", "11"])]
-            for i, chi in enumerate(chis, 1):
-                if chi == 0:
-                    raise ConfigError(f"--params chis: chi_{i} = 0; a framing "
-                                      "must be a nonzero rational")
-            tp = ToroidalParams(parse_rational(praw.get("q1", "2")),
-                                parse_rational(praw.get("q2", "3")),
-                                tuple(chis[:max(r, 2)]), G=G)
-        elif config.get("seed") is not None:
-            tp = sample_generic_params(config["seed"], "toroidal", r=max(r, 2), G=G)
-        else:
-            tp = default_toroidal(max(r, 2), G=G)
-        if "h1" in praw or "h2" in praw:
-            xs = [parse_rational(x) for x in praw.get("xs", ["1/5", "1/7", "1/11"])]
-            yp = YangianParams(parse_rational(praw.get("h1", "13")),
-                               parse_rational(praw.get("h2", "1")),
-                               tuple(xs[:max(r, 2)]), G=G)
-        elif config.get("seed") is not None:
-            yp = sample_generic_params(config["seed"], "yangian", r=max(r, 2), G=G)
-        else:
-            yp = default_yangian(max(r, 2), G=G)
+        for flavor, pkey, cls, default, defaults in FAMILIES:
+            x, y, frames = defaults
+            if x in praw or y in praw:
+                given = {**defaults, **praw}
+                framings = [parse_rational(v) for v in given[frames]]
+                if flavor == "toroidal" and 0 in framings:
+                    raise ConfigError(f"--params chis: chi_{framings.index(0) + 1} = 0; "
+                                      "a framing must be a nonzero rational")
+                config[pkey] = cls(parse_rational(given[x]), parse_rational(given[y]),
+                                   tuple(framings[:rank]), G=G)
+            elif seed is not None:
+                config[pkey] = sample_generic_params(seed, flavor, r=rank, G=G)
+            else:
+                config[pkey] = default(rank, G=G)
     except GenericityError:
         raise
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc))
-    config["_tparams"] = tp
-    config["_yparams"] = yp
 
 
 class ConfigError(ValueError):
@@ -354,6 +373,27 @@ def _error(report, code, status, exc):
     return code, report
 
 
+def _check_options(config, names):
+    """Reject a given option that no selected suite reads, a value no
+    selected suite takes, and a value below a selected suite's least one."""
+    for key, value in config.items():
+        if key == "suite" or key.startswith("_") or value is None:
+            continue
+        readers = {"every suite": COMMON[key]} if key in COMMON else \
+            {n: OPTIONS[n][key] for n in names if key in OPTIONS[n]}
+        if not readers:
+            every = " and ".join(n for n in OPTIONS if key in OPTIONS[n]) or "no suite"
+            raise ConfigError(f"--{key} {value!r}: no selected suite reads it, only {every}")
+        takes = {n: opt.values for n, opt in readers.items() if opt.values}
+        if takes and not any(value in vals for vals in takes.values()):
+            raise ConfigError(f"--{key} {value!r} has no check; " + ", ".join(
+                f"{n} takes {'|'.join(vals)}" for n, vals in takes.items()))
+        for n, opt in readers.items():
+            if opt.least is not None and value < opt.least:
+                raise ConfigError(f"--{key} {value}: {n} needs {key} >= {opt.least}, "
+                                  f"{opt.why}")
+
+
 def run(config):
     """Execute the selected suites; returns (exit_code, report_dict)."""
     report = {"schema": SCHEMA, "config": {k: v for k, v in config.items()
@@ -363,43 +403,12 @@ def run(config):
         if suite != "all" and suite not in SUITES:
             raise ConfigError(f"unknown suite {suite!r}")
         names = list(SUITES) if suite == "all" else [suite]
-        kind = config.get("perturb")
+        kind = _read(config, "perturb")
         if kind and kind is not True and (names != ["relations"]
                                           or kind not in PerturbedModule.KINDS):
             raise ConfigError(f"--perturb {kind!r}: relations takes psi|e|f, "
                               "every other suite only the bare flag")
-        for key, readers in READERS.items():
-            if config.get(key) is not None and not set(readers) & set(names):
-                raise ConfigError(f"--{key} {config[key]!r}: no selected suite reads it, "
-                                  f"only {' and '.join(readers)}")
-        flavor = config.get("flavor")
-        if flavor is not None and not any(flavor in FLAVORS.get(n, ()) for n in names):
-            raise ConfigError(f"--flavor {flavor!r}: relations takes toroidal|yangian, "
-                              "whittaker K|H, and no other suite reads it")
-        module = config.get("module")
-        if module is not None and module not in MODULES:
-            raise ConfigError(f"--module {module!r} has no check; relations takes "
-                              f"{'|'.join(MODULES)}")
-        for key in ("L", "I", "N"):
-            if config.get(key, 0) < 0:
-                raise ConfigError(f"--{key} {config[key]} is negative; every scale "
-                                  "starts at 0")
-        if config.get("G", 12) < 1:
-            raise ConfigError(f"--G {config['G']}: needs G >= 1, genericity is "
-                              "certified against the relations up to G")
-        for key in ("r", "n"):
-            if config.get(key) is not None and config[key] < 1:
-                raise ConfigError(f"--{key} {config[key]}: needs {key} >= 1, there is "
-                                  f"no check at {key} = {config[key]}")
-        if "upsilon" in names and config.get("N", 14) <= 4:
-            raise ConfigError(f"--N {config['N']} leaves the series bridge a "
-                              "residual order <= 0; it needs N >= 5")
-        if "shuffle" in names and config.get("L", 4) < 2:
-            raise ConfigError(f"--L {config['L']} leaves the shuffle battery no "
-                              "generator; it needs L >= 2")
-        if "limits" in names and config.get("L", 3) < 1:
-            raise ConfigError(f"--L {config['L']} leaves the closed-form sweep no "
-                              "(k, l) pair; it needs L >= 1")
+        _check_options(config, names)
         _build_params(config)
     except GenericityError as exc:
         return _error(report, 3, "genericity-error", exc)
@@ -423,12 +432,11 @@ def run(config):
             # a resonance above the certified bound made some weight vanish
             return _error(report, 3, "genericity-error",
                           f"suite {name!r} divided by zero at a parameter point "
-                          f"certified generic only up to --G {config.get('G', 12)}")
+                          f"certified generic only up to --G {_read(config, 'G')}")
         timings[name] = round(time.perf_counter() - t0, 3)
-    checks.sort(key=lambda c: c.cid)
-    report["checks"] = [c.to_json() for c in checks]
+    report["checks"] = sorted(checks, key=lambda c: c["id"])
     report["timings"] = timings
-    ok = all(c.ok for c in checks)
+    ok = all(c["status"] == "pass" for c in checks)
     report["status"] = "pass" if ok else "fail"
     return (0 if ok else 1), report
 
@@ -437,19 +445,17 @@ def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="toryang-verify",
         description="exact verification suites for the toroidal/Yangian package")
-    ap.add_argument("suite", nargs="?", default=None,
-                    choices=sorted(SUITES) + ["all"])
-    ap.add_argument("--suite", dest="suite_opt", default=None,
+    ap.add_argument("suite", nargs="?", default="all",
                     choices=sorted(SUITES) + ["all"])
     ap.add_argument("--flavor", help="toroidal|yangian (relations) or K|H (whittaker)")
-    ap.add_argument("--module", help="|".join(MODULES))
+    ap.add_argument("--module", help="|".join(OPTIONS["relations"]["module"].values))
     ap.add_argument("--r", type=int)
     ap.add_argument("--n", type=int)
     ap.add_argument("--j", type=int)
     ap.add_argument("--L", type=int, help="level bound")
     ap.add_argument("--I", type=int, help="mode window")
     ap.add_argument("--N", type=int, help="series truncation order")
-    ap.add_argument("--G", type=int, default=12, help="genericity bound")
+    ap.add_argument("--G", type=int, default=DEFAULT_G, help="genericity bound")
     ap.add_argument("--seed", type=int, help="sample parameters from this seed")
     ap.add_argument("--params", help="JSON file with rational parameter strings")
     ap.add_argument("--out", help="write the JSON report here")
@@ -459,11 +465,8 @@ def main(argv=None):
                          "also takes psi|e|f")
     args = ap.parse_args(argv)
 
-    config = {"suite": args.suite_opt or args.suite or "all", "G": args.G}
-    for key in ("flavor", "module", "r", "n", "j", "L", "I", "N", "seed", "perturb"):
-        val = getattr(args, key)
-        if val is not None:
-            config[key] = val
+    config = {key: val for key, val in vars(args).items()
+              if val is not None and key not in ("params", "out")}
     if args.params:
         try:
             with open(args.params) as fh:
@@ -471,11 +474,7 @@ def main(argv=None):
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-    try:
-        code, report = run(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    code, report = run(config)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:

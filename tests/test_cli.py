@@ -377,6 +377,13 @@ def test_relation_comparing_only_zeros_is_config_error(argv, needle, capsys):
     (["limits", "--module", "vector", "--L", "1"], "--module 'vector'"),
     (["shuffle", "--j", "3"], "--j 3"),
     (["limits", "--n", "2"], "--n 2"),
+    (["shuffle", "--I", "3"], "--I 3"),
+    (["limits", "--N", "2", "--L", "1"], "--N 2"),
+    (["whittaker", "--I", "5"], "--I 5"),
+    (["upsilon", "--I", "7"], "--I 7"),
+    (["horizontal", "--I", "7"], "--I 7"),
+    (["relations", "--N", "3"], "--N 3"),
+    (["shuffle", "--r", "3"], "--r 3"),
 ])
 def test_option_no_selected_suite_reads_exits_2(argv, needle):
     # each of these ran the suite's usual checks and exited 0
@@ -386,3 +393,135 @@ def test_option_no_selected_suite_reads_exits_2(argv, needle):
     report = json.loads(out.stdout)
     assert report["status"] == "config-error" and needle in report["error"]
     assert "no selected suite reads it" in report["error"] and "checks" not in report
+
+
+def test_suite_flag_is_an_unknown_option(capsys):
+    # `--suite whittaker` after the positional suite used to run whittaker
+    from toryang.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["relations", "--suite", "whittaker"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --suite whittaker" in capsys.readouterr().err
+
+
+def no_suite_runs(monkeypatch):
+    """Replace every suite by one that fails the test if it runs."""
+    from toryang import cli
+
+    def boom(config, checks):
+        raise AssertionError("a suite ran")
+
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, boom)
+
+
+def one_passing_check(monkeypatch):
+    """Replace every suite by one that reports a single passing check."""
+    from toryang import cli
+
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name,
+                            lambda config, checks: checks.append(cli._result("stub", True)))
+
+
+def a_value_some_suite_takes(key):
+    from toryang.cli import OPTIONS
+
+    opt = next(entry[key] for entry in OPTIONS.values() if key in entry)
+    return opt.values[0] if opt.values else opt.least
+
+
+@pytest.mark.parametrize("suite", ["relations", "whittaker", "shuffle", "limits",
+                                   "upsilon", "horizontal"])
+def test_every_option_the_suite_does_not_read_exits_2(monkeypatch, suite):
+    from toryang.cli import OPTIONS
+
+    no_suite_runs(monkeypatch)
+    unread = {key for entry in OPTIONS.values() for key in entry} - set(OPTIONS[suite])
+    assert unread
+    for key in sorted(unread):
+        value = a_value_some_suite_takes(key)
+        code, report = run({"suite": suite, key: value})
+        assert code == 2 and report["status"] == "config-error", key
+        assert report["error"].startswith(f"--{key} {value!r}: no selected suite reads it")
+        assert "timings" not in report and "checks" not in report
+
+
+def scale_floors():
+    from toryang.cli import COMMON, OPTIONS
+
+    return [(suite, key, opt.least) for suite, entry in OPTIONS.items()
+            for key, opt in {**COMMON, **entry}.items() if opt.least is not None]
+
+
+@pytest.mark.parametrize("suite,key,least", scale_floors())
+def test_every_scale_below_its_least_value_exits_2(monkeypatch, suite, key, least):
+    no_suite_runs(monkeypatch)
+    code, report = run({"suite": suite, key: least - 1})
+    assert code == 2 and report["status"] == "config-error"
+    assert report["error"].startswith(f"--{key} {least - 1}: ")
+    assert f"needs {key} >= {least}" in report["error"]
+    assert "timings" not in report and "checks" not in report
+    # the least value itself passes the option check
+    one_passing_check(monkeypatch)
+    code, report = run({"suite": suite, key: least})
+    assert code == 0 and report["status"] == "pass"
+
+
+def test_every_listed_value_is_taken_and_no_other():
+    from toryang.cli import OPTIONS
+
+    cases = [(suite, key, opt.values) for suite, entry in OPTIONS.items()
+             for key, opt in entry.items() if opt.values]
+    assert {(suite, key) for suite, key, _ in cases} == {
+        ("relations", "flavor"), ("relations", "module"), ("whittaker", "flavor")}
+    for suite, key, values in cases:
+        with pytest.MonkeyPatch.context() as mp:
+            no_suite_runs(mp)
+            code, report = run({"suite": suite, key: "bogus"})
+            assert code == 2 and f"{suite} takes {'|'.join(values)}" in report["error"]
+            one_passing_check(mp)
+            for value in values:
+                assert run({"suite": suite, key: value})[0] == 0
+
+
+def test_all_rejects_a_scale_below_any_suite_least_value(monkeypatch):
+    # relations takes --L 1, but shuffle needs L >= 2
+    no_suite_runs(monkeypatch)
+    code, report = run({"suite": "all", "L": 1})
+    assert code == 2 and report["error"].startswith("--L 1: shuffle needs L >= 2")
+
+
+def test_read_applies_the_table():
+    from toryang.cli import _read
+    from toryang.params import DEFAULT_G
+
+    assert _read({}, "G") == DEFAULT_G
+    assert _read({}, "L", "upsilon") == 2 and _read({"L": 5}, "L", "upsilon") == 2
+    assert _read({"L": 5}, "L", "relations") == 3
+    assert _read({"L": 5}, "L", "relations", capped=False) == 5
+    assert _read({}, "r", "whittaker") == (1, 2) and _read({"r": 3}, "r", "whittaker") == (3,)
+    # a flavor only another selected suite takes reads as the default sweep
+    assert _read({"flavor": "K"}, "flavor", "relations") == ("toroidal", "yangian")
+    assert _read({"flavor": "K"}, "flavor", "whittaker") == ("K",)
+
+
+def test_readme_table_lists_every_option_with_its_default_and_least_value():
+    from toryang.cli import OPTIONS
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = text[text.index("| suite | option |"):].split("\n\n")[0].splitlines()[2:]
+    listed = {}
+    suite = None
+    for row in rows:
+        cells = [c.strip() for c in row.strip("|").split("|")]
+        suite = cells[0].strip("`") or suite
+        listed[(suite, cells[1].strip("`-"))] = cells[2:]
+    assert set(listed) == {(s, k) for s, entry in OPTIONS.items() for k in entry}
+    for (suite, key), (default, least, notes) in listed.items():
+        opt = OPTIONS[suite][key]
+        assert least == ("" if opt.least is None else str(opt.least)), (suite, key)
+        assert (f"cap {opt.cap}" in notes) == (opt.cap is not None), (suite, key)
+        if isinstance(opt.default, int):
+            assert default == str(opt.default), (suite, key)

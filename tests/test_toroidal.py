@@ -6,7 +6,7 @@ from toryang.params import default_toroidal
 from toryang.repbase import (PerturbedModule, RELATION_BUILDERS_T, apply_word,
                              check_relation, t_relation_instances, vec, vsum,
                              word_images)
-from toryang.toroidal import (FockModule, IllDefinedCoproductError,
+from toryang.toroidal import (FixedPointModule, FockModule, IllDefinedCoproductError,
                               KTheoryFixedPointModule, TensorModule,
                               VectorModule, fock_factorization_ratio,
                               fock_tensor, nest_label,
@@ -77,6 +77,43 @@ class TestFock:
             for (t, c, p) in Fu.e_transitions(lam):
                 c1, p1 = t1[t]
                 assert c == c1 and p == p1 * Fraction(3, 7)
+
+
+def multipartition_counts(r, top):
+    """Coefficients of prod_k (1 - x^k)^(-r) up to x^top: the series 1 times
+    r geometric factors 1/(1 - x^k) for each k."""
+    c = [1] + [0] * top
+    for k in range(1, top + 1):
+        for _ in range(r):
+            for n in range(k, top + 1):
+                c[n] += c[n - k]
+    return c
+
+
+def test_multipartition_counts_match_the_known_values():
+    assert multipartition_counts(1, 6) == [1, 1, 2, 3, 5, 7, 11]
+    assert multipartition_counts(2, 6) == [1, 2, 5, 10, 20, 36, 65]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_fixed_point_basis_counts_the_r_multipartitions(r):
+    M = FixedPointModule(default_toroidal(r=3), r)
+    assert [len(M.basis(n)) for n in range(7)] == multipartition_counts(r, 6)
+
+
+def test_fock_bases_count_the_partitions_and_their_tensor_the_pairs():
+    # the Fock tensor's levels split over 0..n, so they count 2-multipartitions
+    assert [len(FockModule(P1, Fraction(1, 5)).basis(n)) for n in range(7)] == \
+        multipartition_counts(1, 6)
+    assert [len(fock_tensor(P2, 2).basis(n)) for n in range(7)] == multipartition_counts(2, 6)
+
+
+def test_tensor_of_vector_modules_sweeps_nine_plus_abs_n_splittings():
+    # level n of V x V pairs [u]_k with [u]_(n-k) for k in the window
+    # -4 + min(n, 0) .. 4 + max(n, 0)
+    V = VectorModule(P1)
+    T = TensorModule(V, V)
+    assert [len(T.basis(n)) for n in range(-3, 4)] == [9 + abs(n) for n in range(-3, 4)]
 
 
 class TestFixedPoint:
