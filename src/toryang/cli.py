@@ -345,7 +345,8 @@ def _build_params(config):
     try:
         for flavor, pkey, cls, default, defaults in FAMILIES:
             x, y, frames = defaults
-            if x in praw or y in praw:
+            # any key of the family builds its pack; the defaults fill the rest
+            if any(key in praw for key in defaults):
                 given = {**defaults, **praw}
                 framings = [parse_rational(v) for v in given[frames]]
                 if flavor == "toroidal" and 0 in framings:

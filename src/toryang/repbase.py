@@ -5,22 +5,23 @@ labels.  Raising and lowering currents always have the delta-supported shape
 
     e(z) v_label = sum over transitions (target, c, p) of  c * delta-power(p)
 
-so the mode-k operator multiplies the base coefficient c by p**k.  Each
-module computes the mode-k row [(target, c * p**k)] of a label once and
-keeps it.  The diagonal current is stored per label as a rational function
-of z kept in factored form (constant, zeros, poles).  Its log-modes come
-from power sums of the zeros and poles without any expansion, and its modes
-from the exponential of the log-modes, k b_k = sum_j j c_j b_(k-j): one
-table per (label, sign), `Module.psi_modes`, read by the psi+-, psiy and t
-letters and extended in place when a larger mode is read (`RatFnModes`).
-`psi_series`, the expansion by `ratfn_expand`, stays as an independent
-route.  This removes all formal-distribution bookkeeping.
+so the mode-k operator multiplies c by `point_power(p, k)`: p**k, or
+exp(k * p) on the series bridge.  Each module computes the mode-k row of a
+label once and keeps it.  The diagonal current is stored per label as a
+rational function of z in factored form (constant, zeros, poles).  Its
+log-modes come from power sums of the zeros and poles without any
+expansion, and its modes from the exponential of the log-modes,
+k b_k = sum_j j c_j b_(k-j): one table per (label, sign),
+`Module.psi_modes`, read by the psi+-, psiy and t letters and extended in
+place when a larger mode is read (`RatFnModes`).  `psi_series`, the
+expansion by `ratfn_expand`, stays as an independent route.
 
 One loop, `RelationSweep`, checks operator identities, applying each word
 suffix to each basis vector once per sweep.  `check_relation` feeds it one
 defining relation and stops at the first failure; the series bridge's
 audits (`upsilon`) and `horizontal.tt3_check` feed it instance lists of
-their own.  Every object it sweeps answers one hook, `sweep_row`, for every
+their own.  Every object it sweeps, a `Module` (the series bridge is one,
+with no psi) or the boson states, answers one hook, `sweep_row`, for every
 letter.  It puts each instance list in normal form once: terms collected
 per word; an instance left with no term and no right-hand side, a formal
 tautology, counted as holding by construction and never swept; and one
@@ -39,7 +40,7 @@ on every object it sweeps: each (letter, label) is compiled once to a row
 (den, [(target, n)]), n an int, or a TSeries as its own numerator over 1.
 A `Module` builds an e or f row from the transitions of its (kind, label),
 kept once as (target, base numerator, base denominator, point), and the
-point's power at the mode, with no Fraction product; a diagonal letter's
+point's factor at the mode, with no Fraction product; a diagonal letter's
 row is its eigenvalue on the label.  A letter is one lcm over the rows it
 reads, one accumulation and one gcd pass, and a residual one sum over the
 lcm of its terms' denominators, turned into Fractions (or series over that
@@ -47,7 +48,7 @@ lcm) only when it fails; a right-hand side is computed once per (label,
 rhs).  A basis vector is {label: Fraction(1)}, so every rational entry of a
 word image or a residual is a Fraction, and the sweep gives the residuals
 of `lincomb` over `word_images`; where the public actions read the same
-rows (every `Module`, the series bridge), in the same key order.
+rows (every `Module`), in the same key order.
 
 Memos.  Every value a module, a series bridge or a parameter pack keeps
 for later follows one rule.  A `memoized` method (or a hand-keyed table
@@ -206,20 +207,24 @@ class Module:
             return self.f_transitions(label)
         raise ValueError(f"unknown row kind {kind!r}; expected 'e' or 'f'")
 
+    def point_power(self, point, mode):
+        """The support point's factor at the mode, point**mode; an int point
+        is raised as a Fraction, so that a negative mode stays exact."""
+        return (Fraction(point) if type(point) is int else point) ** mode
+
     @memoized
     def mode_row(self, kind, label, mode):
-        """[(target, base * point**mode)] over the 'e' or 'f' transitions of
-        the label; an int point is raised as a Fraction, so that a negative
-        mode stays exact."""
-        return [(tgt, base * (Fraction(point) if type(point) is int else point) ** mode)
+        """[(target, base * point_power(point, mode))] over the 'e' or 'f'
+        transitions of the label."""
+        return [(tgt, base * self.point_power(point, mode))
                 for tgt, base, point in self.transitions(kind, label)]
 
     @memoized
     def _mode_table(self, kind, label):
         """The 'e' or 'f' transitions of the label as (target, n, d, point),
-        base = n/d (`_rational`) and an int point raised as a Fraction: the
-        mode-free data of every mode's row (`sweep_row`)."""
-        return [(tgt,) + _rational(base) + (Fraction(point) if type(point) is int else point,)
+        base = n/d (`_rational`): the mode-free data of every mode's row
+        (`sweep_row`)."""
+        return [(tgt,) + _rational(base) + (point,)
                 for tgt, base, point in self.transitions(kind, label)]
 
     def apply_e(self, mode, v):
@@ -281,14 +286,14 @@ class Module:
     def sweep_row(self, letter, label):
         """The letter on the basis vector of the label, compiled for the
         relation sweep: (den, [(target, n)]).  An e or f row is
-        base * point**mode over the transitions' mode-free table
+        base * point_power(point, mode) over the transitions' mode-free table
         (`_mode_table`), with no Fraction product; every other letter is
         diagonal, its row the eigenvalue on the label (`_eigen_row`)."""
         gen, idx = letter
         if gen == "e" or gen == "f":
             return _over_lcm([(tgt, n * pn, d * pd)
                               for tgt, n, d, point in self._mode_table(gen, label)
-                              for pn, pd in (_rational(point ** idx),)])
+                              for pn, pd in (_rational(self.point_power(point, idx)),)])
         if gen == "psi+" or gen == "psi-":
             c = self.psi_coeff(label, +1 if gen == "psi+" else -1, idx)
         elif gen == "psiy":
@@ -302,9 +307,9 @@ class Module:
 
 def apply_mode(rows, kind, mode, v):
     """Mode `mode` of the 'e' or 'f' current on the vector v, read from
-    `rows.mode_row(kind, label, mode)`: every module and the series bridge
-    act through this one function.  The relation sweep reads the same rows,
-    compiled (`sweep_row`)."""
+    `rows.mode_row(kind, label, mode)`: every module, the series bridge
+    included, acts through this one function.  The relation sweep reads the
+    same rows, compiled (`sweep_row`)."""
     return lincomb((tgt, c, coeff) for label, c in v.items()
                    for tgt, coeff in rows.mode_row(kind, label, mode))
 
@@ -347,6 +352,9 @@ class ModuleWrapper(Module):
 
     def _psi_rat(self, label):
         return self.base.psi_rat(label)
+
+    def point_power(self, point, mode):
+        return self.base.point_power(point, mode)
 
 
 class PerturbedModule(ModuleWrapper):

@@ -20,13 +20,15 @@ G'_{n+i}; per label, on integers, the series D_n = sum_i (-1)^i C(n+i, i)
 G'_{n+i} k_i; per call, Horner's rule in v.  The (i, n) terms are those of
 the double sum, and at a transition point every partial result is known
 mod X^trunc or better, so the values and the truncation are those of the
-double sum.  The raising and lowering images glue each transition once,
-as (target, base * norm * g, point) with the glueing unit g evaluated on
-the post-action label; the mode-k row multiplies each by exp(k * point),
-and acts through the same row code as every module (`repbase.apply_mode`).
-The relation sweep reads the same rows, and t from its eigenvalue,
-compiled with each series as its own numerator over 1 (`sweep_row`), on
-the one path it runs for every object.
+double sum.  The bridge is a `repbase.Module`: its raising and lowering
+transitions are the additive module's, each glued once as (target,
+base * norm * g, point) with the glueing unit g evaluated on the
+post-action label, and an additive support point acts multiplicatively,
+its factor at mode k exp(k * point) (`point_power`).  So its rows, its
+public actions and the rows the relation sweep compiles, each series its
+own numerator over 1, are those of every module; t is read from its
+eigenvalue `t_eigen`.  The bridge has no psi: a psi+, psi- or psiy letter
+raises ValueError.
 The comparison map from the renormalized K-theory module is the
 Fock-factorization solver (`toroidal.solve_intertwiner`) run against the
 bridge.  The audits of T3, T4t and the e half of T6t are instance lists
@@ -46,8 +48,8 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .params import series_yangian, series_toroidal
-from .repbase import (RelationSweep, apply_mode, memoized, _apply_diagonal,
-                      _commutator_words, _eigen_row, _int_row, _ladder_instances, _nested)
+from .repbase import (Module, RelationSweep, memoized, _commutator_words,
+                      _ladder_instances, _nested)
 from .scalars import (TSeries, series_exp, series_log, series_sqrt,
                       expm1_over, is_zero_mod, ScalarDomainError,
                       _int_content, _series)
@@ -96,9 +98,10 @@ def gprime_series(order):
     return _series(g.val - 1, dc, g.den, g.trunc - 1)
 
 
-class UpsilonBridge:
+class UpsilonBridge(Module):
     """Image operators on the rank-r additive fixed-point module over the
-    series ring, with per-label Borel data."""
+    series ring, with per-label Borel data: a `Module` whose e and f
+    transitions are the additive module's, glued, and which has no psi."""
 
     def __init__(self, alpha, beta, xis, r, trunc=16, degenerate=False):
         self.params = series_yangian(alpha, beta, xis, trunc=trunc,
@@ -214,31 +217,28 @@ class UpsilonBridge:
         """The glueing unit gpre * exp(gamma(v)/2) on the label."""
         return self.gpre * series_exp(self.gamma_at(label, v) * Fraction(1, 2))
 
-    # -- image operators ----------------------------------------------------
-    @memoized
-    def _glued_transitions(self, kind, label):
-        """[(target, base * norm * g, point)] over the 'e' or 'f' transitions
-        of the label, with the glueing unit g evaluated on the target."""
-        if kind == "e":
-            norm, ts = self.e_norm, self.module.e_transitions(label)
-        elif kind == "f":
-            norm, ts = self.f_norm, self.module.f_transitions(label)
-        else:
-            raise ValueError(f"unknown row kind {kind!r}; expected 'e' or 'f'")
-        return [(tgt, base * norm * self.g_at(tgt, point), point) for tgt, base, point in ts]
+    # -- the module: glued transitions acting through `point_power` -----------
+    def basis(self, level):
+        return self.module.basis(level)
 
-    @memoized
-    def mode_row(self, kind, label, k):
-        """[(target, c * exp(k * point))] over the glued transitions
-        (target, c, point) of the label."""
-        return [(tgt, c * series_exp(point * k))
-                for tgt, c, point in self._glued_transitions(kind, label)]
+    def _e_transitions(self, label):
+        return [(tgt, base * self.e_norm * self.g_at(tgt, point), point)
+                for tgt, base, point in self.module.e_transitions(label)]
 
-    def apply_e(self, k, vec):
-        return apply_mode(self, "e", k, vec)
+    def _f_transitions(self, label):
+        return [(tgt, base * self.f_norm * self.g_at(tgt, point), point)
+                for tgt, base, point in self.module.f_transitions(label)]
 
-    def apply_f(self, k, vec):
-        return apply_mode(self, "f", k, vec)
+    def point_power(self, point, mode):
+        """An additive support point acts multiplicatively: exp(mode * point)."""
+        return series_exp(point * mode)
+
+    def _psi_rat(self, label):
+        raise ValueError("the bridge has no psi letters; it answers e, f and t")
+
+    # bound in the class body, where the traced benchmark looks them up
+    apply_e = Module.apply_e
+    apply_f = Module.apply_f
 
     @memoized
     def _inv_one_minus_q3(self):
@@ -264,6 +264,9 @@ class UpsilonBridge:
     def t_eigen(self, label, m):
         return self.B_at(label, m) * self._alpha_inv(m)
 
+    def t_eigenvalue(self, label, m):
+        return self.t_eigen(label, m)
+
     @memoized
     def _psi_pm_series(self, label, sign, kmax):
         """[psi+-_0, ..., psi+-_kmax]: the modes of the reconstructed diagonal
@@ -287,24 +290,6 @@ class UpsilonBridge:
         """Mode k of the reconstructed diagonal exponential family
         (`_psi_pm_series`), 0 <= k <= kmax."""
         return self._psi_pm_series(label, sign, kmax)[k]
-
-    # -- hooks for the relation sweep -----------------------------------------
-    def basis(self, level):
-        return self.module.basis(level)
-
-    def apply_t(self, m, vec):
-        return _apply_diagonal(vec, lambda label: self.t_eigen(label, m))
-
-    def sweep_row(self, letter, label):
-        """The letter on the basis vector of the label, compiled for the
-        relation sweep (`repbase.RelationSweep`): e and f from `mode_row`, t
-        from its eigenvalue `t_eigen`."""
-        gen, idx = letter
-        if gen == "e" or gen == "f":
-            return _int_row(self.mode_row(gen, label, idx))
-        if gen == "t":
-            return _eigen_row(label, self.t_eigen(label, idx))
-        raise ValueError(f"the bridge has no {gen} letter")
 
     # -- audits: instance lists through the relation sweep ---------------------
     def _sweep(self, tag, instances, level_bound, hmod):

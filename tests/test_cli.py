@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import toryang
-from toryang.cli import parse_rational, run
+from toryang.cli import FAMILIES, _build_params, parse_rational, run
 from toryang.params import (GenericityError, YangianParams,
                             sample_generic_params)
 
@@ -236,6 +236,37 @@ def test_zero_framing_is_config_error(tmp_path, capsys, chis):
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "config-error" and "checks" not in report
     assert "chi_1 = 0" in report["error"] and "framing" in report["error"]
+
+
+@pytest.mark.parametrize("framings,pkey,attr", [
+    ({"xs": ["1/3", "1/13"]}, "_yparams", "xs"),
+    ({"chis": ["3", "13"]}, "_tparams", "chis"),
+])
+def test_params_file_with_only_the_framings_is_read(framings, pkey, attr):
+    # the framings were read only with q1/q2 (h1/h2) given, so a file with
+    # only the framings ran the default point
+    config = {"suite": "whittaker", "params": framings}
+    _build_params(config)
+    (key, vals), = framings.items()
+    assert getattr(config[pkey], attr) == tuple(parse_rational(v) for v in vals)
+    defaults = next(keys for *_, keys in FAMILIES if key in keys)
+    x = next(k for k in defaults if k != key)
+    assert getattr(config[pkey], x) == parse_rational(defaults[x])
+
+
+def test_whittaker_reads_a_params_file_with_only_the_framings():
+    # reported -12/455, the default point's eigenvalue
+    code, report = run({"suite": "whittaker", "flavor": "H", "r": 2, "n": 1, "j": 2,
+                        "L": 1, "params": {"xs": ["1/3", "1/13"]}})
+    assert code == 0
+    assert [c["details"]["eigenvalue"] for c in report["checks"]] == ["-16/507"]  # -(1/3 + 1/13)/13
+
+
+def test_a_zero_framing_alone_is_config_error():
+    # a framings-only file was ignored, so its zero framing went unseen
+    code, report = run({"suite": "whittaker", "flavor": "K", "r": 1, "n": 1, "L": 1,
+                        "params": {"chis": ["0"]}})
+    assert code == 2 and "chi_1 = 0" in report["error"]
 
 
 def test_cli_process_invocation():

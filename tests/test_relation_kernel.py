@@ -666,7 +666,7 @@ def test_an_unknown_row_kind_raises(name):
         rows = BosonStates(params, (1 - params.q3) * Fraction(1, 5))
     label = rows.basis(1)[0]
     reads = [lambda kind: rows.mode_row(kind, label, 1)]
-    if name == "M2":
+    if name != "bosons":
         reads.append(lambda kind: rows._mode_table(kind, label))
     for read in reads:
         for kind in ("psi+", "t", "E", None):
@@ -1055,7 +1055,7 @@ def lincomb_calls(monkeypatch):
         return inner_lincomb(triples)
 
     monkeypatch.setattr(repbase, "lincomb", counted)
-    for cls in (Module, UpsilonBridge, BosonStates):
+    for cls in (Module, BosonStates):
         def compile_row(self, letter, label, inner=cls.sweep_row):
             letters.append(letter)
             return inner(self, letter, label)
