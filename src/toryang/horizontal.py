@@ -16,7 +16,7 @@ answers (`BosonStates.sweep_row`).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import product as iproduct
 from math import comb, factorial
 
@@ -159,14 +159,13 @@ def apply_vertex_mode(params, spec, k, vec):
 class BosonStates:
     """The boson Fock space as a module for the relation sweep: level d holds
     the partitions of d, and e, f and psi+- act by the vertex-operator
-    modes, psi- at index n being the mode z^n.  The sweep reads e and f
-    from `mode_row`, the mode on one state."""
+    modes, psi- at index n being the mode z^n.  The sweep, and with it
+    `repbase.apply_word`, reads e and f from `mode_row`, the mode on one
+    state, and psi+- from `apply_psi`."""
 
     def __init__(self, params, c):
         self.params = params
         self.specs = {"e": etilde_spec(params, c), "f": ftilde_spec(params, c)}
-        self.apply_e = partial(apply_vertex_mode, params, self.specs["e"])
-        self.apply_f = partial(apply_vertex_mode, params, self.specs["f"])
         psi = {sign: psitilde_spec(params, sign) for sign in (+1, -1)}
         self.apply_psi = lambda sign, n, vec: apply_vertex_mode(params, psi[sign], sign * n, vec)
         self.basis = enum_partitions

@@ -31,24 +31,20 @@ instance, and every failing instance is reported.  In the additive family,
 the kernel relation of g against g (Y1, Y2) and of psi against g (Y4, Y5)
 is one term list, `_additive_kernel_terms`.
 
-Exact linear combinations.  `lincomb` takes (label, a, b) triples and
-returns `vsum` of the products a * b: the labels keep first-insertion order
-and sums that are zero are dropped once, at the end.  `apply_mode` and
-`_apply_diagonal`, the public actions, are one `lincomb` call each; a sweep
-makes none.  It keeps its word images as numerators over one denominator,
-on every object it sweeps: each (letter, label) is compiled once to a row
-(den, [(target, n)]), n an int, or a TSeries as its own numerator over 1.
-A `Module` builds an e or f row from the transitions of its (kind, label),
-kept once as (target, base numerator, base denominator, point), and the
-point's factor at the mode, with no Fraction product; a diagonal letter's
-row is its eigenvalue on the label.  A letter is one lcm over the rows it
-reads, one accumulation and one gcd pass, and a residual one sum over the
-lcm of its terms' denominators, turned into Fractions (or series over that
-lcm) only when it fails; a right-hand side is computed once per (label,
-rhs).  A basis vector is {label: Fraction(1)}, so every rational entry of a
-word image or a residual is a Fraction, and the sweep gives the residuals
-of `lincomb` over `word_images`; where the public actions read the same
-rows (every `Module`), in the same key order.
+Exact linear combinations.  A sweep keeps its word images as numerators
+over one denominator, on every object it sweeps: each (letter, label) is
+compiled once to a row (den, [(target, n)]), n an int, or a TSeries as its
+own numerator over 1.  A `Module` builds an e or f row from the transitions
+of its (kind, label), kept once as (target, base numerator, base
+denominator, point), and the point's factor at the mode, with no Fraction
+product; a diagonal letter's row is its eigenvalue on the label.  A letter
+is one lcm over the rows it reads, one accumulation and one gcd pass, and a
+residual one sum over the lcm of its terms' denominators, turned into
+Fractions (or series over that lcm) only when it fails; a right-hand side is
+computed once per (label, rhs).  The public actions, `apply_word` and
+`Module.apply_e`/`apply_f`/`apply_psi`/`apply_psi_y`/`apply_t`, run on the
+same compiled rows and return a vector of Fractions and TSeries.  The
+Fraction schoolbook they are checked against lives in the tests.
 
 Memos.  Every value a module, a series bridge or a parameter pack keeps
 for later follows one rule.  A `memoized` method (or a hand-keyed table
@@ -73,9 +69,9 @@ from .scalars import RatFnModes, ratfn_expand, is_zero_mod, _over, _rational
 
 __all__ = [
     "memo_table", "memoized",
-    "vec", "vsum", "lincomb", "is_vec_zero",
-    "Module", "ModuleWrapper", "PerturbedModule", "apply_mode", "coeff_of", "apply_word",
-    "word_images", "RelationSweep", "RelationReport", "check_relation",
+    "vec", "vsum", "is_vec_zero",
+    "Module", "ModuleWrapper", "PerturbedModule", "coeff_of", "apply_word",
+    "RelationSweep", "RelationReport", "check_relation",
     "RELATION_BUILDERS_T", "RELATION_BUILDERS_Y",
 ]
 
@@ -125,13 +121,6 @@ def vsum(terms, start=()):
     for k, c in terms:
         out[k] = out[k] + c if k in out else c
     return {k: c for k, c in out.items() if not _zero(c)}
-
-
-def lincomb(triples):
-    """The vector {label: sum of a * b} over the (label, a, b) triples: `vsum`
-    of the products, in its first-insertion order, with sums that are zero
-    dropped once, at the end."""
-    return vsum((k, a * b) for k, a, b in triples)
 
 
 def is_vec_zero(u, hmod=None):
@@ -228,10 +217,10 @@ class Module:
                 for tgt, base, point in self.transitions(kind, label)]
 
     def apply_e(self, mode, v):
-        return apply_mode(self, "e", mode, v)
+        return apply_word(self, [("e", mode)], v)
 
     def apply_f(self, mode, v):
-        return apply_mode(self, "f", mode, v)
+        return apply_word(self, [("f", mode)], v)
 
     @memoized
     def psi_series(self, label, direction, order):
@@ -254,7 +243,7 @@ class Module:
         return self.psi_modes(label, sign).coeff(k)
 
     def apply_psi(self, sign, k, v):
-        return _apply_diagonal(v, lambda label: self.psi_coeff(label, sign, k))
+        return apply_word(self, [("psi+" if sign > 0 else "psi-", k)], v)
 
     def psi_y_eigenvalue(self, label, j):
         """The yangian-normalized mode psi_j on the label:
@@ -262,7 +251,7 @@ class Module:
         return self.psi_coeff(label, +1, j + 1) / self.params.sigma3()
 
     def apply_psi_y(self, j, v):
-        return _apply_diagonal(v, lambda label: self.psi_y_eigenvalue(label, j))
+        return apply_word(self, [("psiy", j)], v)
 
     def t_eigenvalue(self, label, m):
         """Eigenvalue of the log-mode generator t_m extracted from psi.
@@ -281,7 +270,7 @@ class Module:
         return coeff * m / bm
 
     def apply_t(self, m, v):
-        return _apply_diagonal(v, lambda label: self.t_eigenvalue(label, m))
+        return apply_word(self, [("t", m)], v)
 
     def sweep_row(self, letter, label):
         """The letter on the basis vector of the label, compiled for the
@@ -303,20 +292,6 @@ class Module:
         else:
             raise ValueError(f"unknown generator {gen}")
         return _eigen_row(label, c)
-
-
-def apply_mode(rows, kind, mode, v):
-    """Mode `mode` of the 'e' or 'f' current on the vector v, read from
-    `rows.mode_row(kind, label, mode)`: every module, the series bridge
-    included, acts through this one function.  The relation sweep reads the
-    same rows, compiled (`sweep_row`)."""
-    return lincomb((tgt, c, coeff) for label, c in v.items()
-                   for tgt, coeff in rows.mode_row(kind, label, mode))
-
-
-def _apply_diagonal(v, eigenvalue):
-    """The diagonal operator with eigenvalue(label) on each label, on v."""
-    return lincomb((label, c, eigenvalue(label)) for label, c in v.items())
 
 
 def coeff_of(transitions, label):
@@ -364,7 +339,10 @@ class PerturbedModule(ModuleWrapper):
     first lowering coefficient; 'e' the first raising support point (a plain
     coefficient rescale of a single raising edge is a gauge transformation
     at small levels and would slip through the quadratic relations).
-    Any other kind raises ValueError.
+    Any other kind raises ValueError.  psi is the base's or 17/16 times it,
+    a factor constant in z, so psi's log modes past the constant, and with
+    them t, are the base's: t is read from the base, which also lets the
+    series bridge, whose t does not come from a psi, be wrapped.
     """
 
     KINDS = ("psi", "e", "f")
@@ -395,51 +373,19 @@ class PerturbedModule(ModuleWrapper):
             return r * self.FACTOR
         return r
 
+    def t_eigenvalue(self, label, m):
+        return self.base.t_eigenvalue(label, m)
+
 
 # -- operator words and relation instantiation ----------------------------
-
-def _apply_letter(module, letter, v):
-    """One letter of a word on v: the step of `apply_word` and of
-    `word_images`, which does not go through `apply_word` because the traced
-    benchmark keys each `apply_word` call by its input vector, and a
-    series-valued vector cannot be hashed (`perfbench/layers.py`).  The
-    sweep reads the same letters from compiled rows (`sweep_row`)."""
-    gen, idx = letter
-    if gen == "e":
-        return module.apply_e(idx, v)
-    if gen == "f":
-        return module.apply_f(idx, v)
-    if gen == "psi+":
-        return module.apply_psi(+1, idx, v)
-    if gen == "psi-":
-        return module.apply_psi(-1, idx, v)
-    if gen == "psiy":
-        return module.apply_psi_y(idx, v)
-    if gen == "t":
-        return module.apply_t(idx, v)
-    raise ValueError(f"unknown generator {gen}")
-
-
-def apply_word(module, word, v):
-    """Apply a composition of mode operators, leftmost letter acting last.
-
-    Letters: ('e', i), ('f', i), ('psi+', k), ('psi-', k), ('psiy', j),
-    ('t', m).
-    """
-    for letter in reversed(word):
-        v = _apply_letter(module, letter, v)
-        if not v:
-            return v
-    return v
-
 
 def _suffix_images(start, step):
     """image(label, word) = step(word[0], image(label, word[1:])), with
     image(label, ()) = start(label) and every suffix's image computed once
-    and kept; an empty (falsy) image stays empty.  `word_images` and the
-    relation sweep are this one recursion over two vector forms.  It runs
-    from the longest suffix kept, so `image` does not call itself and its
-    memo is freed with it, without the cycle collector."""
+    and kept; an empty (falsy) image stays empty.  The relation sweep runs
+    it over compiled vectors, and the tests' Fraction schoolbook over plain
+    dicts.  It runs from the longest suffix kept, so `image` does not call
+    itself and its memo is freed with it, without the cycle collector."""
     memo = {}
 
     def image(label, word):
@@ -459,19 +405,6 @@ def _suffix_images(start, step):
         return r
 
     return image
-
-
-def word_images(module):
-    """image(label, word) = apply_word(module, word, vec(label)), word a
-    tuple, with every suffix's image computed once and kept.
-
-    The leftmost letter acts on the kept image of the rest of the word
-    (`_apply_letter`, the step of `apply_word`); an empty image stays empty.
-    The memo belongs to one module.  Its keys start with the label and no
-    image is shared between labels, so `RelationSweep` makes one per label
-    and drops it when it moves on.
-    """
-    return _suffix_images(vec, lambda letter, v: _apply_letter(module, letter, v))
 
 
 # -- the relation sweep's vectors and compiled rows --------------------------
@@ -522,11 +455,11 @@ def _int_apply(row, v):
 
 
 def _int_stepper(module):
-    """step(letter, v), the letter of `_apply_letter` on a vector, by
-    `_int_apply` over the rows of the hook every swept object answers,
-    `sweep_row(letter, label)`: the letter on the basis vector of the label
-    over one denominator, (den, [(target, n)]).  Each row is compiled once
-    and kept in the object's own memo, keyed by (letter, label)."""
+    """step(letter, v), the letter on a vector, by `_int_apply` over the
+    rows of the hook every swept object answers, `sweep_row(letter,
+    label)`: the letter on the basis vector of the label over one
+    denominator, (den, [(target, n)]).  Each row is compiled once and kept
+    in the object's own memo, keyed by (letter, label)."""
     rows = memo_table(module, "_sweep_rows")
 
     def step(letter, v):
@@ -539,6 +472,22 @@ def _int_stepper(module):
         return _int_apply(row, v)
 
     return step
+
+
+def apply_word(module, word, v):
+    """Apply a composition of mode operators, leftmost letter acting last,
+    to the vector v, on the compiled rows of the relation sweep.
+
+    Letters: ('e', i), ('f', i), ('psi+', k), ('psi-', k), ('psiy', j),
+    ('t', m).
+    """
+    den, entries = _int_row(v.items())
+    u, step = _int_vec(den, dict(entries)), _int_stepper(module)
+    for letter in reversed(word):
+        if not u:
+            break
+        u = step(letter, u)
+    return {k: _over(n, u[0]) for k, n in u[1].items()} if u else {}
 
 
 def _int_residual(image, label, terms, rhs):

@@ -1,8 +1,9 @@
-"""The relation engine's exact linear-combination kernel (`repbase.lincomb`),
-the mode tables behind `Module.t_eigenvalue` and `psi_coeff`, the sweep's
-compiled rows, the sweep
-against a schoolbook reference (`lincomb` over `word_images`) on every kind
-of object it sweeps, and what `check_relation` reports."""
+"""The Fraction schoolbook's exact linear-combination kernel
+(`reference.lincomb`), the mode tables behind `Module.t_eigenvalue` and
+`psi_coeff`, the sweep's compiled rows, the sweep and the public actions
+against that schoolbook (`reference.lincomb` over `reference.word_images`,
+`reference.apply_word`) on every kind of object swept, and what
+`check_relation` reports."""
 
 import gc
 import hashlib
@@ -20,13 +21,15 @@ from toryang.horizontal import (BosonStates, apply_vertex_mode, etilde_spec, fti
                                 horizontal_params, tt3_check)
 from toryang.params import default_toroidal, default_yangian, sample_generic_params
 from toryang.repbase import (Module, ModuleWrapper, PerturbedModule, RELATION_BUILDERS_T,
-                             RELATION_BUILDERS_Y, check_relation, is_vec_zero, lincomb,
-                             memo_table, word_images)
+                             RELATION_BUILDERS_Y, check_relation, is_vec_zero, memo_table)
 from toryang.scalars import RatFn, TSeries, _over
 from toryang.toroidal import (DiagonalTwist, FockModule, KTheoryFixedPointModule,
                               VectorModule, fock_tensor)
 from toryang.upsilon import UpsilonBridge
 from toryang.yangian import CohomologyFixedPointModule
+
+import reference
+from reference import lincomb, word_images
 
 P1 = default_toroidal(r=1)
 P2 = default_toroidal(r=2)
@@ -1045,16 +1048,16 @@ def test_sweep_rejects_a_float_by_name():
 
 @pytest.fixture
 def lincomb_calls(monkeypatch):
-    """(lincomb calls, compiled letters): one entry per `lincomb` call, and
-    the letter of every row a swept object's `sweep_row` compiles."""
+    """(lincomb calls, compiled letters): one entry per `reference.lincomb`
+    call, and the letter of every row a swept object's `sweep_row` compiles."""
     calls, letters = [], []
-    inner_lincomb = repbase.lincomb
+    inner_lincomb = reference.lincomb
 
     def counted(triples):
         calls.append(triples)
         return inner_lincomb(triples)
 
-    monkeypatch.setattr(repbase, "lincomb", counted)
+    monkeypatch.setattr(reference, "lincomb", counted)
     for cls in (Module, BosonStates):
         def compile_row(self, letter, label, inner=cls.sweep_row):
             letters.append(letter)
@@ -1116,3 +1119,81 @@ def test_degree_three_relations_hold_past_their_instantiated_modes(family, make,
         assert list(sweep) == [] and sweep.nonvacuous == nonvacuous[g]
         control = sym3_sweep(PerturbedModule(make(), g), family, g, modes, level_bound)
         assert next(iter(control), None) is not None
+
+
+# -- the public actions on the compiled rows ----------------------------------
+
+def family_words(family, letters):
+    """Every word of every instance of the family's relations at window 2
+    whose letters all lie in `letters`, in first-seen order."""
+    if family == "T":
+        build, relations, params = repbase.t_relation_instances, RELATION_BUILDERS_T, P2
+    else:
+        build, relations, params = repbase.y_relation_instances, RELATION_BUILDERS_Y, Y2
+    words = {tuple(word): None for rel in relations for _, terms, _ in build(rel, 2, params)
+             for _, word in terms}
+    return [word for word in words if all(gen in letters for gen, _ in word)]
+
+
+def boson_states():
+    params = horizontal_params()
+    return BosonStates(params, (1 - params.q3) * Fraction(1, 5))
+
+
+PUBLIC_ACTIONS = {"e": lambda mod, k, v: mod.apply_e(k, v),
+                  "f": lambda mod, k, v: mod.apply_f(k, v),
+                  "psi+": lambda mod, k, v: mod.apply_psi(+1, k, v),
+                  "psi-": lambda mod, k, v: mod.apply_psi(-1, k, v),
+                  "psiy": lambda mod, k, v: mod.apply_psi_y(k, v),
+                  "t": lambda mod, k, v: mod.apply_t(k, v)}
+
+# (object, relation family, the letters it answers) of each kind swept
+PUBLIC_CASES = {
+    "M2": (lambda: KTheoryFixedPointModule(P2, 2), "T", ("e", "f", "psi+", "psi-", "t")),
+    "V2": (lambda: CohomologyFixedPointModule(Y2, 2), "Y", ("e", "f", "psiy")),
+    "series": (lambda: series_module()[0], "Y", ("e", "f", "psiy")),
+    "bridge": (lambda: UpsilonBridge(13, 1, (Fraction(1, 5),), 1, trunc=10), "T",
+               ("e", "f", "t")),
+    "bosons": (boson_states, "T", ("e", "f", "psi+", "psi-")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_CASES))
+def test_public_actions_match_the_reference(name):
+    """`repbase.apply_word`, which runs on the sweep's compiled rows, gives
+    the schoolbook's vector (`reference.apply_word`) for every word of every
+    instance at window 2 on every label of level <= 1: the keys in order,
+    the value types and each series' (val, trunc, coeffs).  So does each
+    `Module.apply_*` on one letter.  Cold, and again on the warm object."""
+    make, family, letters = PUBLIC_CASES[name]
+    obj = make()
+    words = family_words(family, letters)
+    labels = [label for level in range(2) for label in obj.basis(level)]
+    nonzero = 0
+    for _ in ("cold", "warm"):
+        for label in labels:
+            for word in words:
+                got = repbase.apply_word(obj, word, repbase.vec(label))
+                same_vector(got, reference.apply_word(obj, word, repbase.vec(label)))
+                nonzero += bool(got)
+            if isinstance(obj, Module):
+                for gen, idx in {word[0]: None for word in words}:
+                    v = {label: Fraction(2, 3)}
+                    same_vector(PUBLIC_ACTIONS[gen](obj, idx, v),
+                                reference.apply_word(obj, [(gen, idx)], v))
+    assert {gen for word in words for gen, _ in word} == set(letters) and nonzero
+
+
+def test_wrappers_have_the_base_t_rows():
+    """Every package wrapper's psi is the base's times a constant in z, so
+    its t is the base's: a `PerturbedModule` of each kind reads t from its
+    base, and that equals t computed from its own psi (`Module.t_eigenvalue`),
+    as it does for a `DiagonalTwist`, which computes it."""
+    M = KTheoryFixedPointModule(P2, 2)
+    wrappers = [PerturbedModule(M, kind) for kind in PerturbedModule.KINDS]
+    wrappers.append(DiagonalTwist(M, Fraction(2), Fraction(3), Fraction(5)))
+    for W in wrappers:
+        for label in [label for level in range(3) for label in M.basis(level)]:
+            for m in (-2, -1, 1, 2):
+                assert W.sweep_row(("t", m), label) == M.sweep_row(("t", m), label)
+                assert Module.t_eigenvalue(W, label, m) == M.t_eigenvalue(label, m)

@@ -12,8 +12,10 @@ import pytest
 
 from toryang.diffops import HOp, QOp
 from toryang.multipoly import MPoly
-from toryang.repbase import apply_mode, vsum
+from toryang.repbase import vsum
 from toryang.scalars import TSeries
+
+from reference import apply_mode
 
 q = Fraction(3)
 h = Fraction(2, 5)

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from toryang.params import default_toroidal
-from toryang.repbase import (PerturbedModule, RELATION_BUILDERS_T, apply_word,
+from toryang.repbase import (PerturbedModule, RELATION_BUILDERS_T, RELATION_BUILDERS_Y,
                              check_relation, t_relation_instances, vec, vsum,
-                             word_images)
+                             y_relation_instances)
 from toryang.toroidal import (FixedPointModule, FockModule, IllDefinedCoproductError,
                               KTheoryFixedPointModule, TensorModule,
                               VectorModule, fock_factorization_ratio,
@@ -15,6 +15,8 @@ from toryang import partitions as pt
 from toryang.params import default_yangian
 from toryang.scalars import series_log
 from toryang.yangian import CohomologyFixedPointModule
+
+from reference import apply_word, word_images
 
 P1 = default_toroidal(r=1)
 P2 = default_toroidal(r=2)
@@ -106,6 +108,30 @@ def test_fock_bases_count_the_partitions_and_their_tensor_the_pairs():
     assert [len(FockModule(P1, Fraction(1, 5)).basis(n)) for n in range(7)] == \
         multipartition_counts(1, 6)
     assert [len(fock_tensor(P2, 2).basis(n)) for n in range(7)] == multipartition_counts(2, 6)
+
+
+@pytest.mark.parametrize("flavor", ["toroidal", "yangian"])
+def test_relation_checks_count_every_label_and_instance(flavor):
+    """Each relation check of the CLI's default `relations` suite (vector
+    and Fock modules at u = 1/5, fixed-point modules of rank 1 and 2, levels
+    <= 3, window 2) reports as `checked` its instance count times the labels
+    at levels <= 3, counted independently: one per level on the vector
+    chain, the r-multipartitions of n on the Fock (r = 1) and fixed-point
+    bases."""
+    if flavor == "toroidal":
+        params, fixed_point = default_toroidal(r=2), KTheoryFixedPointModule
+        build, relations = t_relation_instances, RELATION_BUILDERS_T
+    else:
+        params, fixed_point = default_yangian(r=2), CohomologyFixedPointModule
+        build, relations = y_relation_instances, RELATION_BUILDERS_Y
+    modules = [(VectorModule(params, Fraction(1, 5)), [1] * 4),
+               (FockModule(params, Fraction(1, 5)), multipartition_counts(1, 3))]
+    modules += [(fixed_point(params, r), multipartition_counts(r, 3)) for r in (1, 2)]
+    for module, counts in modules:
+        for rel in relations:
+            rep = check_relation(module, rel, params, 3, window=2)
+            assert rep.ok and rep.checked == sum(counts) * len(build(rel, 2, params)), \
+                (type(module).__name__, rel)
 
 
 def test_tensor_of_vector_modules_sweeps_nine_plus_abs_n_splittings():

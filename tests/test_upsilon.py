@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from toryang.repbase import (ModuleWrapper, PerturbedModule, RelationSweep, apply_word,
-                             memo_table, vec, _nested)
+from toryang.repbase import (ModuleWrapper, PerturbedModule, RelationSweep, memo_table,
+                             vec, _ladder_instances, _nested)
 from toryang.scalars import ScalarDomainError, TSeries, ratfn_expand, series_exp, _over
 from toryang.upsilon import (UpsilonBridge, borel_kernel_identity,
                              borel_log_identity, ch_solver, gprime_series,
                              inverse_borel, limit_h3_diffop_identities,
                              limit_h3_module_check)
+
+from reference import apply_word
 
 TRUNC = 12
 HMOD = 8
@@ -431,7 +433,7 @@ def test_sweep_rows_match_mode_rows_and_t_eigen(r):
 @pytest.mark.parametrize("gen", ["psi+", "psi-", "psiy"])
 def test_a_psi_letter_on_the_bridge_raises(bridge, gen):
     """The bridge has no psi: a psi letter raises ValueError on the sweep's
-    route (`sweep_row`) and on the dict route (`apply_word`)."""
+    route (`sweep_row`) and on the schoolbook's (`reference.apply_word`)."""
     label = bridge.basis(1)[0]
     with pytest.raises(ValueError, match="no psi"):
         bridge.sweep_row((gen, 1), label)
@@ -462,3 +464,15 @@ def test_the_e_perturbed_bridge_trips_the_cubic_relation():
     fails = [(level, label) for _, level, label, _ in
              RelationSweep(PerturbedModule(br, "e"), cubic, 1, 9)]
     assert fails == [(0, ((),)), (1, ((1,),))]
+
+
+def test_a_wrapped_bridge_answers_t_letters():
+    """A `PerturbedModule` reads t from its base, so a wrapped bridge sweeps
+    the T4t ladder at levels <= 1: the e control fails all 12 pairs, and the
+    bridge none."""
+    br = UpsilonBridge(13, 1, (Fraction(1, 5),), 1, trunc=14)
+    ladder = _ladder_instances("T4t", range(-1, 2), range(-1, 2))
+    sweep = RelationSweep(br, ladder, 1, 9)
+    assert list(sweep) == [] and sweep.checked == 12
+    control = RelationSweep(PerturbedModule(br, "e"), ladder, 1, 9)
+    assert len(list(control)) == control.checked == 12

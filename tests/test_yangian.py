@@ -5,8 +5,8 @@ import pytest
 
 from toryang import partitions as pt
 from toryang.params import YangianParams, default_yangian
-from toryang.repbase import (RELATION_BUILDERS_Y, PerturbedModule, apply_word,
-                             check_relation, vec, word_images, y_relation_instances)
+from toryang.repbase import (RELATION_BUILDERS_Y, PerturbedModule, check_relation, vec,
+                             y_relation_instances)
 from toryang.scalars import RatFn, ratfn_expand
 from toryang.toroidal import TensorModule
 from toryang.yangian import (AdmissibleError, AFockModule, AVectorModule,
@@ -14,6 +14,8 @@ from toryang.yangian import (AdmissibleError, AFockModule, AVectorModule,
                              fock_constant, gamma_heart, gamma_sharp,
                              gamma_spade, restrict_tensor,
                              solve_fock_factorization_add)
+
+from reference import apply_word, word_images
 
 P0 = default_yangian(r=0)
 P1 = default_yangian(r=1)
