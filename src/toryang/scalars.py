@@ -26,8 +26,8 @@ inverse recurrence over powers of the leading numerator, and `series_exp`
 the recurrence k b_k = sum_j j a_j b_(k-j) on the integers
 (t-1)! d^k b_k; `RatFnModes` keeps the power sums of a RatFn's roots,
 for each k one numerator over D^k, D the lcm of the roots' denominators
-(an int sum of the rational roots' numerators to the k-th power, plus one
-integer list for the series roots), and runs the exponential recurrence
+(int powers of the rational and one-term roots, integer lists for longer
+series), and runs the exponential recurrence
 on them over k! D^k, to give a RatFn's modes without expanding it.
 Integer arithmetic is exact, so each result is the series a
 coefficient-by-coefficient Fraction computation gives, with the same `val`
@@ -245,15 +245,18 @@ class TSeries:
     __rmul__ = __mul__
 
     def inv(self):
-        """Multiplicative inverse; leading coefficient must be invertible."""
+        """Multiplicative inverse, known mod X^(trunc-2v) at valuation v; a
+        one-term series a/d X^v gives d/a X^(-v), as its recurrence does."""
         if not self.nums:
             raise ZeroDivisionError("inverse of zero series")
+        an = self.nums
+        a0 = an[0]
+        if len(an) == 1:
+            return _series(-self.val, [self.den], a0, self.trunc - 2 * self.val)
         n = self.trunc - self.val  # relative precision
         # c_j = A_j/d: the inverse's k-th coefficient is d B_k / A_0^(k+1)
         # with B_0 = 1, B_k = -sum_{j=1..k} A_j A_0^(j-1) B_(k-j), all
         # written over A_0^n
-        an = self.nums
-        a0 = an[0]
         weighted = [a * a0 ** j for j, a in enumerate(an[1:])]
         bn = [1]
         for k in range(1, n):
@@ -565,14 +568,14 @@ class RatFnModes:
 
     `sums` keeps S_k = D^k (p_k(poles) - p_k(zeros)) for k = 1, 2, ...,
     p_k the k-th power sum and D the lcm of the roots' denominators: an int
-    when every root is rational, else a TSeries.  A rational root, or a
-    zero series, is kept as its numerator A = D x (an int, or a zero
-    series) and its power A^k is multiplied by A once per order, as the
-    product loop pw = pw * x does.  A nonzero series root x = X^v A/d
-    known mod X^t has x^k = X^(kv) A^k/d^k known mod X^(t+(k-1)v), the val
-    and trunc the product loop gives (A_0^k never vanishes), and A^k needs
-    only its first t - v numerators; these are summed over D^k as one
-    integer list and one TSeries.
+    when every root is rational, else a TSeries.  A rational root (the
+    one-term case at X^0), or a zero series, is kept as its numerator
+    A = D x and its power A^k is multiplied by A once per order, as the
+    product loop pw = pw * x does.  A nonzero series root x = X^v A/D known
+    mod X^t has x^k = X^(kv) A^k/D^k known mod X^(t+(k-1)v), the val and
+    trunc the product loop gives; A^k is one int for a one-term root, else
+    the list of its first t - v numerators (`_convolve`).  These are summed
+    per valuation kv as one integer list and one TSeries.
 
     `log_coeff(n)` is c_n of log(rf/rf_0) = sum_n c_n X^n, n c_n = S_n/D^n.
     `coeff(k)` is the X^k coefficient of rf, the value `ratfn_expand`
@@ -598,14 +601,15 @@ class RatFnModes:
             raise ValueError("direction must be +1 or -1")
         self.b0 = _rational(b0)
         roots = [(x, 1) for x in poles] + [(x, -1) for x in zeros]
-        flat = [(sign, x) for x, sign in roots if isinstance(x, TSeries) and x.nums]
+        series = [(sign, x) for x, sign in roots if isinstance(x, TSeries) and x.nums]
         looped = [(sign,) + _rational(x) for x, sign in roots
                   if not (isinstance(x, TSeries) and x.nums)]
-        self.D = D = math.lcm(*[d for _, _, d in looped], *[x.den for _, x in flat])
+        self.D = D = math.lcm(*[d for _, _, d in looped], *[x.den for _, x in series])
         self.looped = [(sign, a if d == D else a * (D // d)) for sign, a, d in looped]
-        self.flat = [(sign, x, [c * (D // x.den) for c in x.nums]) for sign, x in flat]
+        self.series = [(sign, x.val, x.trunc - x.val, x.nums[0] * (D // x.den) if len(x.nums) == 1
+                        else [c * (D // x.den) for c in x.nums]) for sign, x in series]
         self.powers = [a for _, a in self.looped]
-        self.flat_powers = [a for _, _, a in self.flat]
+        self.series_powers = [a for _, _, _, a in self.series]
         self.sums, self.nums = [], [1]
 
     def extend(self, n):
@@ -614,21 +618,26 @@ class RatFnModes:
         for k in range(len(sums) + 1, n + 1):
             if k > 1:
                 self.powers = [p * a for p, (_, a) in zip(self.powers, self.looped)]
-                self.flat_powers = [_convolve(p, a, min(len(p) + len(a) - 1, x.trunc - x.val))
-                                    for p, (_, x, a) in zip(self.flat_powers, self.flat)]
+                self.series_powers = [p * a if type(a) is int
+                                      else _convolve(p, a, min(len(p) + len(a) - 1, rel))
+                                      for p, (_, _, rel, a) in zip(self.series_powers, self.series)]
             s = 0
             for p, (sign, _) in zip(self.powers, self.looped):
                 s = s + p if sign > 0 else s - p
-            if self.flat:
-                val = min(k * x.val for _, x, _ in self.flat)
-                trunc = min(x.trunc + (k - 1) * x.val for _, x, _ in self.flat)
-                offs = [k * x.val - val for _, x, _ in self.flat]
-                num = [0] * min(trunc - val,
-                                max(o + len(p) for o, p in zip(offs, self.flat_powers)))
-                for (sign, _, _), p, off in zip(self.flat, self.flat_powers, offs):
-                    for j, c in enumerate(p[:max(0, len(num) - off)]):
-                        num[off + j] += sign * c
-                s = _series(val, num, 1, trunc) + s
+            if self.series:
+                val = min(k * v for _, v, _, _ in self.series)
+                trunc = min(k * v + rel for _, v, rel, _ in self.series)
+                num = [0] * (trunc - val)
+                for (sign, v, _, _), p in zip(self.series, self.series_powers):
+                    off = k * v - val
+                    if type(p) is int:
+                        if off < len(num):
+                            num[off] += sign * p
+                    else:
+                        for j, c in enumerate(p[:max(0, len(num) - off)]):
+                            num[off + j] += sign * c
+                ser = _series(val, num, 1, trunc)
+                s = ser + s if self.looped else ser
             sums.append(s)
         return sums
 

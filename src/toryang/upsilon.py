@@ -10,8 +10,11 @@ keeps psi factored as (constant, zeros, poles), so the coefficients of
 log psi are power sums of the poles minus power sums of the zeros, with no
 series expansion or series logarithm; the power sums run on integer
 numerators in the module's kept mode table (`Module.psi_modes`,
-`scalars.RatFnModes`), and the Borel sums D_n below on each k_i's stored
-numerators, with no Fraction built on the way.
+`scalars.RatFnModes`), where each root, a rational multiple of the
+deformation symbol, keeps its powers as ints.  The inverse Borel transform
+B(m) = sum_i k_i m^i/i! and the Borel sums D_n below share the label's
+k-rows (`_krows`: each k_i's numerators over one denominator), and each
+is one integer pass over them, with no Fraction built on the way.
 
 The exponent gamma(v) = -B(-d/dv)G'(v) of the glueing unit is a double sum
 over the Borel index i and the power n of the point v.  It is summed over
@@ -139,14 +142,43 @@ class UpsilonBridge(Module):
         """
         return -self.kcoeffs(label)[0] / self.params.h3
 
+    def _krows(self, label):
+        """The label's k-rows, which `B_at` and `gamma_sums` read:
+        (base, width, dk, {i: (offset, numerators, trunc)}) with
+        k_i = X^(base+offset) sum_j numerators[j] X^j / dk mod X^trunc, for
+        the nonzero k_i of valuation < trunc, and every offset + len(numerators)
+        <= width; None when there is no such k_i.  Not kept: the readers
+        keep their results, and the rows are cheap to rebuild from the kept
+        `kcoeffs`."""
+        T = self.trunc
+        live = [(i, k) for i, k in enumerate(self.kcoeffs(label)) if k and k.val < T]
+        if not live:
+            return None
+        base = min(k.val for _, k in live)
+        width = max(k.val + len(k.nums) for _, k in live) - base
+        dk = lcm(*[k.den for _, k in live])
+        return base, width, dk, {i: (k.val - base, [c * (dk // k.den) for c in k.nums], k.trunc)
+                                 for i, k in live}
+
     @memoized
     def B_at(self, label, m):
-        """Inverse Borel transform of log psi, evaluated at the integer m."""
-        tot = TSeries(self.trunc, [], self.trunc)
-        for i, k in enumerate(self.kcoeffs(label)):
-            if k and k.val < self.trunc:
-                tot = tot + k * Fraction(m ** i, factorial(i))
-        return tot
+        """Inverse Borel transform of log psi, evaluated at the integer m:
+        B(m) = sum_i k_i m^i/i!, summed on the k-rows over dk f!, f the
+        largest i, known mod X^trunc or the least trunc of a k_i."""
+        T = self.trunc
+        krows = self._krows(label)
+        if krows is None:
+            return TSeries(T, [], T)
+        base, width, dk, rows = krows
+        f = factorial(max(rows))
+        acc, trunc = [0] * width, T
+        for i, (off, row, t) in rows.items():
+            trunc = min(trunc, t)
+            w = m ** i * (f // factorial(i))
+            if w:
+                for j, c in enumerate(row):
+                    acc[off + j] += w * c
+        return _series(base, acc, dk * f, trunc)
 
     @memoized
     def gamma_weights(self):
@@ -164,20 +196,14 @@ class UpsilonBridge(Module):
     @memoized
     def gamma_sums(self, label):
         """[-D_n for n = 0..trunc-2] on the label, None where no term enters:
-        D_n = sum_i W_ni/d_n k_i over the weights and the nonzero k_i of
-        valuation < trunc, summed on integers (one TSeries per n, known mod
-        X^trunc)."""
-        T = self.trunc
-        live = [(i, k) for i, k in enumerate(self.kcoeffs(label)) if k and k.val < T]
+        D_n = sum_i W_ni/d_n k_i over the weights and the k-rows (`_krows`),
+        summed on integers (one TSeries per n, known mod X^trunc)."""
+        krows = self._krows(label)
         out = []
-        if live:
-            base = min(k.val for _, k in live)
-            width = max(k.val + len(k.nums) for _, k in live) - base
-            dk = lcm(*[k.den for _, k in live])
-            rows = {i: (k.val - base, [c * (dk // k.den) for c in k.nums], k.trunc)
-                    for i, k in live}
+        if krows is not None:
+            base, width, dk, rows = krows
             for dw, ws in self.gamma_weights():
-                acc, trunc, hit = [0] * width, T, False
+                acc, trunc, hit = [0] * width, self.trunc, False
                 for i, w in ws:
                     if i in rows:
                         off, row, t = rows[i]

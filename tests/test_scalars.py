@@ -365,6 +365,32 @@ def test_inverse_matches_recurrence(a):
     assert (s * inv - 1).is_zero()
 
 
+def integer_form(s):
+    return s.val, s.nums, s.den, s.trunc
+
+
+@pytest.mark.parametrize("v", [-3, -1, 0, 1, 2, 5])
+def test_one_term_inverse_matches_recurrence(v):
+    """A one-term series a/d X^v inverts to d/a X^(-v) mod X^(trunc-2v),
+    in the integer form the recurrence gives."""
+    for c in (Fraction(1), Fraction(-1), Fraction(13, 5), Fraction(-4, 9), Fraction(7)):
+        for extra in (1, 4):
+            a = (v, [c], v + extra)
+            x = TSeries(*a)
+            inv = x.inv()
+            val, terms, trunc = ref_inv(a)
+            want = TSeries(val, as_tuple(val, terms, trunc)[1], trunc)
+            assert integer_form(inv) == integer_form(want)
+            assert integer_form(inv) == (-v, [c.denominator * (1 if c > 0 else -1)],
+                                         abs(c.numerator), x.trunc - 2 * v)
+            # the product is 1 mod X^(trunc - v), as far as it is known: past
+            # X^(trunc - 2v) at v >= 0, short of it at v < 0
+            prod = x * inv
+            assert integer_form(prod - 1) == (x.trunc - v, [], 1, x.trunc - v)
+            if v >= 0:
+                assert is_zero_mod(prod - 1, x.trunc - 2 * v)
+
+
 def ref_exp_flat(a):
     """sum_n s^n / n! on coefficient dicts, through X^(trunc-1)."""
     _, terms, trunc = canonical(*a)
@@ -627,6 +653,50 @@ def test_power_sums_cases():
     for roots in cases:
         got = power_sums(roots, 6)
         assert [shape(c) for c in got] == [shape(c) for c in schoolbook_power_sums(roots, 6)]
+
+
+def inverse_power_sums(roots, n):
+    """[p_1, ..., p_n] of the roots' inverses, from the mode table around 0
+    with the roots as poles."""
+    modes = RatFnModes(RatFn.from_factors(1, (), roots), -1)
+    return [_over(s, modes.D ** k) for k, s in enumerate(modes.extend(n), 1)]
+
+
+def test_power_sums_of_one_term_roots():
+    """One-term series roots at valuations 0, 1 and 2 keep their powers as
+    ints; mixed with rationals, a zero series and longer series, the power
+    sums are the product loop's around infinity (the roots as poles, and
+    as poles and zeros in turn) and around 0."""
+    T = 9
+    one = [TSeries(0, [Fraction(3, 5)], T), TSeries(1, [Fraction(-7, 4)], T),
+           TSeries(2, [Fraction(11, 6)], T - 2), TSeries(1, [Fraction(2, 3)], T + 3)]
+    zero = TSeries(5, [], 5)
+    longer = [TSeries(0, [Fraction(1, 2), 0, 3], 6), TSeries(1, [Fraction(-2, 3), Fraction(1, 4)], 8)]
+    cases = [one, one[1:2] * 3, [one[1], one[3]],
+             [Fraction(2, 3), one[1], -1, one[2]],
+             [zero, one[0], one[1]],
+             [one[2], longer[0], Fraction(-1, 9), one[0]],
+             [longer[1], one[1], zero, one[2], 4],
+             [longer[0], longer[1], one[3], Fraction(5, 7)]]
+    for roots in cases:
+        got = power_sums(roots, 7)
+        assert [shape(c) for c in got] == [shape(c) for c in schoolbook_power_sums(roots, 7)]
+        modes = RatFnModes(RatFn.from_factors(1, (0,) * len(roots), roots), +1)
+        assert [type(a) is int for _, _, _, a in modes.series] == \
+            [len(x.nums) == 1 for x in roots if isinstance(x, TSeries) and x.nums]
+        # poles and zeros alternate: S_k/D^k = p_k(poles) - p_k(zeros)
+        poles, zeros = roots[::2], roots[1::2]
+        pad = (0,) * (len(poles) - len(zeros))
+        modes = RatFnModes(RatFn.from_factors(1, zeros + list(pad), poles), +1)
+        got = [_over(s, modes.D ** k) for k, s in enumerate(modes.extend(7), 1)]
+        want = [a - b for a, b in zip(schoolbook_power_sums(poles, 7),
+                                      schoolbook_power_sums(zeros, 7))]
+        assert [shape(c) for c in got] == [shape(c) for c in want]
+        if all(roots):
+            inverses = [Fraction(1) / x for x in roots]
+            got = inverse_power_sums(roots, 7)
+            assert [shape(c) for c in got] == \
+                [shape(c) for c in schoolbook_power_sums(inverses, 7)]
 
 
 def test_rational_scaling_keeps_precision():

@@ -368,6 +368,61 @@ def test_gamma_with_only_a_leading_borel_datum():
         assert got.trunc == TRUNC
 
 
+def schoolbook_B(br, label, m):
+    """B(m) = sum_i k_i m^i/i! in TSeries arithmetic, one term at a time,
+    over the nonzero k_i of valuation < trunc."""
+    from math import factorial
+
+    tot = TSeries(br.trunc, [], br.trunc)
+    for i, k in enumerate(br.kcoeffs(label)):
+        if k and k.val < br.trunc:
+            tot = tot + k * Fraction(m ** i, factorial(i))
+    return tot
+
+
+@pytest.mark.parametrize("r,degenerate", [(1, False), (2, False), (1, True), (2, True)])
+def test_B_at_matches_the_schoolbook_sum(r, degenerate):
+    xis = (Fraction(1, 5), Fraction(1, 7))[:r]
+    if degenerate:
+        br = UpsilonBridge(1, -1, xis, r, trunc=TRUNC, degenerate=True)
+    else:
+        br = UpsilonBridge(13, 1, xis, r, trunc=TRUNC)
+    for level in range(3):
+        for label in br.module.basis(level):
+            for m in range(-3, 4):
+                got, want = br.B_at(label, m), schoolbook_B(br, label, m)
+                assert (got.val, got.coeffs, got.trunc) == (want.val, want.coeffs, want.trunc)
+                assert got.trunc == TRUNC and got.is_zero() == degenerate
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_bridge_psi_roots_are_one_term(r, monkeypatch):
+    """Every root of every label's psi table is one term, c X, at levels <= 3:
+    its powers are ints, and building the labels' Borel data convolves
+    nothing.  Box contents that became longer series would fail here."""
+    from toryang import scalars
+
+    br = UpsilonBridge(13, 1, (Fraction(1, 5), Fraction(1, 7))[:r], r, trunc=TRUNC)
+    convolved = []
+    inner = scalars._convolve
+
+    def counted(a, b, n):
+        convolved.append(n)
+        return inner(a, b, n)
+
+    monkeypatch.setattr(scalars, "_convolve", counted)
+    for level in range(4):
+        for label in br.module.basis(level):
+            _, zeros, poles = br.module.psi_rat(label).factors
+            assert all(type(x) is TSeries and len(x.nums) == 1 and x.val == 1
+                       for x in zeros + poles)
+            br.kcoeffs(label)
+            modes = br.module.psi_modes(label, +1)
+            assert not modes.looped and len(modes.series) == len(zeros + poles)
+            assert all(type(a) is int for a in modes.series_powers)
+    assert convolved == []
+
+
 class VacuumPointScaled(ModuleWrapper):
     """The bridge's module with the vacuum's first raising support point
     scaled by 17/16."""
