@@ -181,8 +181,16 @@ class QOp(_ShiftOp):
 
     def _context(self):
         """pw(e), q^e as an int pair: from the pair of q for e >= 0, of 1/q
-        for e < 0."""
-        pairs = _rational(self.param), _rational(Fraction(1) / self.param)
+        for e < 0.  For a rational q = n/d, 1/q is d/n with the sign on the
+        numerator; a series q keeps its inverse."""
+        n, d = _rational(self.param)
+        if type(n) is not int:
+            inv = _rational(Fraction(1) / self.param)
+        elif n:
+            inv = (d, n) if n > 0 else (-d, -n)
+        else:
+            raise ZeroDivisionError("q = 0 has no inverse")
+        pairs = (n, d), inv
         return lambda e: (pairs[e < 0][0] ** abs(e), pairs[e < 0][1] ** abs(e))
 
     def _reorder(self, pw, a, j, b, k):

@@ -7,6 +7,8 @@ discriminant of its variables.  Equality is decided by comparing numerators
 exactly, never by sampling.  The star product antisymmetrizes one numerator
 over the (i, j)-shuffles and divides by the Vandermonde; the public default,
 the plain sum over the full symmetric group, is i!j! times that coset sum.
+The star commutator is one such antisymmetrization too, with the
+commutator kernel in place of the star kernel (`star_commutator`).
 
 Both steps run on integers: the twisted product T is an `MPoly`, stored
 as integer numerators over one denominator (`nums`, `den`); its signed,
@@ -17,16 +19,18 @@ No Fraction is built on the way.  The closed-form oracle
 `L_element_symmetrized` keeps its own `MPoly.apply_perm` loop and goes
 through `MPoly.div_vandermonde`.
 
-`star` computes each distinct product once per process.  Two module-level
-tables, both kept for the life of the process with no size bound, hold:
+`star` and `star_commutator` compute each distinct product once per
+process.  Two module-level tables, both kept for the life of the process
+with no size bound, hold:
 
-- the twisted kernel, keyed by (flavor, weights, i, j), where the weights
-  are ``params.qs`` ('m') or ``params.hs`` ('a'), with the exponent map and
-  sign of each (i, j)-shuffle;
-- the coset numerator of every product with i, j >= 1, keyed by
-  (flavor, weights, i, F's denominator, frozenset of F's numerator items,
-  j, G's denominator, frozenset of G's); the stored form is canonical, so
-  equal numerators give equal keys.
+- the twisted kernel, keyed by (kernel, flavor, weights, i, j), where the
+  kernel is 'star' or 'commutator' and the weights are ``params.qs`` ('m')
+  or ``params.hs`` ('a'), with the exponent map and sign of each
+  (i, j)-shuffle;
+- the coset numerator of every product or commutator with i, j >= 1,
+  keyed by (kernel, flavor, weights, i, F's denominator, frozenset of F's
+  numerator items, j, G's denominator, frozenset of G's); the stored form
+  is canonical, so equal numerators give equal keys.
 
 Each key holds every input its value is computed from, so a hit returns
 exactly what a fresh computation would.  `MPoly` values are never mutated
@@ -164,7 +168,8 @@ def _shuffles(i, j):
         yield tuple(list(left) + right)
 
 
-# Process-wide memo tables of `star` (see the module docstring).
+# Process-wide memo tables of `star` and `star_commutator` (see the module
+# docstring).
 _TWISTED_KERNELS = {}
 _COSET_NUMERATORS = {}
 
@@ -173,18 +178,26 @@ def _weights(flavor, params):
     return params.qs if flavor == "m" else params.hs
 
 
-def _twisted_kernel(flavor, i, j, params):
-    """(-1)^(ij) times the cross kernels and the within-block Vandermonde,
-    with (exponent map, sign sigma) for each (i, j)-shuffle sigma and all
-    pairs.  x_k -> x_sigma(k) sends an exponent e to e o sigma^-1."""
-    key = (flavor, _weights(flavor, params), i, j)
+def _twisted_kernel(kind, flavor, i, j, params):
+    """The kernel of `kind` with the within-block Vandermonde, and (exponent
+    map, sign sigma) for each (i, j)-shuffle sigma and all pairs.  The star
+    kernel is (-1)^(ij) times the cross kernels kf(x_l, x_k), k < i <= l;
+    the commutator kernel subtracts the swapped cross kernels kf(x_k, x_l)
+    (see `star_commutator`).  x_k -> x_sigma(k) sends an exponent e to
+    e o sigma^-1."""
+    key = (kind, flavor, _weights(flavor, params), i, j)
     hit = _TWISTED_KERNELS.get(key)
     if hit is None:
         n = i + j
+        cross = [(k, l) for k in range(i) for l in range(i, n)]
         K = MPoly.const(n, (-1) ** (i * j))
-        for k in range(i):
-            for l in range(i, n):
-                K = K * _kernel_factor(flavor, n, l, k, params)
+        for k, l in cross:
+            K = K * _kernel_factor(flavor, n, l, k, params)
+        if kind == "commutator":
+            swapped = MPoly.const(n, 1)
+            for k, l in cross:
+                swapped = swapped * _kernel_factor(flavor, n, k, l, params)
+            K = K - swapped
         allpairs = list(combinations(range(n), 2))
         for (a, b) in allpairs:
             if (a < i) == (b < i):
@@ -195,15 +208,16 @@ def _twisted_kernel(flavor, i, j, params):
     return hit
 
 
-def _coset_numerator(F, G, params):
-    """Numerator of the coset-convention product of F and G (i, j >= 1),
-    antisymmetrized and divided on integers over T's common denominator."""
+def _coset_numerator(kind, F, G, params):
+    """Numerator of the coset-convention product ('star') or commutator
+    ('commutator') of F and G (i, j >= 1), antisymmetrized and divided on
+    integers over T's common denominator."""
     i, j, n = F.n, G.n, F.n + G.n
-    key = (F.flavor, _weights(F.flavor, params), i, F.num.den, frozenset(F.num.nums.items()),
-           j, G.num.den, frozenset(G.num.nums.items()))
+    key = (kind, F.flavor, _weights(F.flavor, params), i, F.num.den,
+           frozenset(F.num.nums.items()), j, G.num.den, frozenset(G.num.nums.items()))
     num = _COSET_NUMERATORS.get(key)
     if num is None:
-        K, shuffles, allpairs = _twisted_kernel(F.flavor, i, j, params)
+        K, shuffles, allpairs = _twisted_kernel(kind, F.flavor, i, j, params)
         T = _embed(F.num, n, 0) * _embed(G.num, n, i) * K
         terms = list(T.nums.items())
         acc = {}
@@ -213,6 +227,13 @@ def _coset_numerator(F, G, params):
                 acc[e] = acc.get(e, 0) + sign * c
         num = _COSET_NUMERATORS[key] = _mpoly(n, _div_vandermonde_int(acc, allpairs), T.den)
     return num
+
+
+def _check_operands(F, G, convention):
+    if F.flavor != G.flavor:
+        raise ValueError(f"star of flavors {F.flavor!r} and {G.flavor!r}")
+    if convention not in ("plain", "coset"):
+        raise ValueError("convention must be 'plain' or 'coset'")
 
 
 def star(F, G, params, convention="plain"):
@@ -226,31 +247,55 @@ def star(F, G, params, convention="plain"):
     carries an i!j! multiplicity over the coset convention 'coset').
 
     For i, j >= 1 the coset numerator is memoized for the whole process, with
-    no size bound, under (flavor, weights, i, F's denominator and frozenset of
-    numerator items, j, G's), the weights being params.qs ('m') or
-    params.hs ('a'); the twisted kernel is built once per (flavor, weights,
-    i, j).  The key holds every input the numerator depends on, so a hit is
-    exactly the fresh result; the i!j! factor of 'plain' is applied after
-    the lookup, so either convention may fill the entry.
+    no size bound, under ('star', flavor, weights, i, F's denominator and
+    frozenset of numerator items, j, G's), the weights being params.qs ('m')
+    or params.hs ('a'); the twisted kernel is built once per ('star',
+    flavor, weights, i, j).  The key holds every input the numerator depends
+    on, so a hit is exactly the fresh result; the i!j! factor of 'plain' is
+    applied after the lookup, so either convention may fill the entry.
     """
-    if F.flavor != G.flavor:
-        raise ValueError(f"star of flavors {F.flavor!r} and {G.flavor!r}")
-    if convention not in ("plain", "coset"):
-        raise ValueError("convention must be 'plain' or 'coset'")
+    _check_operands(F, G, convention)
     i, j, n = F.n, G.n, F.n + G.n
     if i == 0:
         out = ShuffleElement(G.flavor, n, G.num * F.num.eval(()))
     elif j == 0:
         out = ShuffleElement(F.flavor, n, F.num * G.num.eval(()))
     else:
-        out = ShuffleElement(F.flavor, n, _coset_numerator(F, G, params))
+        out = ShuffleElement(F.flavor, n, _coset_numerator("star", F, G, params))
     if convention == "plain":
         out = out * (factorial(i) * factorial(j))
     return out
 
 
 def star_commutator(F, G, params, convention="plain"):
-    return star(F, G, params, convention) - star(G, F, params, convention)
+    """[F, G] = star(F, G) - star(G, F), as one antisymmetrization.
+
+    Relabelling the variables of star(G, F) so that G's block comes last is
+    a permutation of sign (-1)^(ij), and it turns that product's cross
+    kernels kf(x_l, x_k) (x_k in G's block, x_l in F's) into kf(x_k, x_l)
+    with x_k in F's block and x_l in G's.  So for i, j >= 1 both products
+    are antisymmetrizations of F(x_A) G(x_B) V_A V_B times a kernel over the
+    same (i, j)-shuffles, and their difference is one, with the commutator
+    kernel
+
+        K_c = (-1)^(ij) prod kf(x_l, x_k) - prod kf(x_k, x_l),  k < i <= l,
+
+    (the product of (-1)^(ij) from `star` and the (-1)^(ij) of the swap
+    being 1) in place of the star kernel; V_A, V_B are the within-block
+    Vandermondes and kf is `_kernel_factor`.  The numerator and the kernel
+    are memoized as in `star`, under keys that begin with 'commutator', so
+    star and commutator entries never meet; 'plain' multiplies by i!j! as
+    `star` does.  An arity-0 operand is a scalar, and the commutator is
+    star(F, G) - star(G, F) as written, the zero element of arity n.
+    """
+    _check_operands(F, G, convention)
+    i, j, n = F.n, G.n, F.n + G.n
+    if i == 0 or j == 0:
+        return star(F, G, params, convention) - star(G, F, params, convention)
+    out = ShuffleElement(F.flavor, n, _coset_numerator("commutator", F, G, params))
+    if convention == "plain":
+        out = out * (factorial(i) * factorial(j))
+    return out
 
 
 def wheel_check(F, params):

@@ -192,62 +192,73 @@ def test_criterion_4_fock_factorizations():
 def test_criterion_5_shuffle():
     """Wheel condition, stable-subalgebra membership, pairwise commutativity
     to degree 4 (both flavors), and vanishing of the quadratic and cubic
-    relation images under the arity-one assignment."""
+    relation images under the arity-one assignment, at the default point and
+    at a sampled second point.  The negative control: the additive quadratic
+    image with its sigma2 terms scaled by 17/16 is nonzero at both points."""
     from itertools import permutations
 
+    from toryang.params import sample_generic_params
     from toryang.shuffle import (K_element, L_element, star, star_commutator,
                                  stable_membership, wheel_check, x_power)
 
+    def additive_quadratic_image(p, i, j, s2):
+        acc = None
+        for c, (a, b) in [(1, (i + 3, j)), (-3, (i + 2, j + 1)),
+                          (3, (i + 1, j + 2)), (-1, (i, j + 3)),
+                          (s2, (i + 1, j)), (-s2, (i, j + 1))]:
+            term = star_commutator(x_power("a", a), x_power("a", b), p) * c
+            acc = term if acc is None else acc + term
+        for (a, b) in ((i, j), (j, i)):
+            acc = acc - star(x_power("a", a), x_power("a", b), p) * p.sigma3()
+        return acc
+
     t0 = time.time()
     ok = True
-    for flavor, p in (("m", PT1), ("a", PY0)):
-        gens = {}
-        for j in (1, 2, 3):
-            gens[("K", j)] = K_element(flavor, j, p)
-            gens[("L", j)] = L_element(flavor, j, p)
-        ok &= all(wheel_check(g, p) for g in gens.values())
-        ok &= all(stable_membership(g) for g in gens.values())
-        for (na, ia) in gens:
-            for (nb, ib) in gens:
-                if ia + ib <= 4 and (na, ia) <= (nb, ib):
-                    ok &= star_commutator(gens[(na, ia)], gens[(nb, ib)], p).is_zero()
-    # quadratic family images
-    s1m, s2m = PT1.sigma1(), PT1.sigma2()
-    for i in (-1, 0, 1):
-        for j in (-1, 0, 1):
-            acc = None
-            for k, c in enumerate((1, -s1m, s2m, -1)):
-                for (a, b) in ((i + 3 - k, j + k), (j + 3 - k, i + k)):
-                    term = star(x_power("m", a), x_power("m", b), PT1) * c
+    seed = SECOND_POINT_SEED
+    points = [(PT1, PY0),
+              (sample_generic_params(seed, "toroidal", r=1),
+               sample_generic_params(seed, "yangian", r=0))]
+    for pt1, py0 in points:
+        for flavor, p in (("m", pt1), ("a", py0)):
+            gens = {}
+            for j in (1, 2, 3):
+                gens[("K", j)] = K_element(flavor, j, p)
+                gens[("L", j)] = L_element(flavor, j, p)
+            ok &= all(wheel_check(g, p) for g in gens.values())
+            ok &= all(stable_membership(g) for g in gens.values())
+            for (na, ia) in gens:
+                for (nb, ib) in gens:
+                    if ia + ib <= 4 and (na, ia) <= (nb, ib):
+                        ok &= star_commutator(gens[(na, ia)], gens[(nb, ib)], p).is_zero()
+        # quadratic family images
+        s1m, s2m = pt1.sigma1(), pt1.sigma2()
+        for i in (-1, 0, 1):
+            for j in (-1, 0, 1):
+                acc = None
+                for k, c in enumerate((1, -s1m, s2m, -1)):
+                    for (a, b) in ((i + 3 - k, j + k), (j + 3 - k, i + k)):
+                        term = star(x_power("m", a), x_power("m", b), pt1) * c
+                        acc = term if acc is None else acc + term
+                ok &= acc.is_zero()
+        for i in (0, 1):
+            for j in (0, 1):
+                ok &= additive_quadratic_image(py0, i, j, py0.sigma2()).is_zero()
+        ok &= not additive_quadratic_image(py0, 0, 0, py0.sigma2() * Fraction(17, 16)).is_zero()
+        # cubic family images
+        for flavor, p, mid, last, idxs in (
+                ("m", pt1, 1, -1, ((0, 0, 0), (1, 0, -1), (1, 1, 0))),
+                ("a", py0, 0, 1, ((0, 0, 0), (0, 1, 2), (1, 1, 0)))):
+            for idx in idxs:
+                acc = None
+                for (a, b, c) in permutations(idx):
+                    inner = star_commutator(x_power(flavor, b + mid),
+                                            x_power(flavor, c + last), p)
+                    term = star_commutator(x_power(flavor, a), inner, p)
                     acc = term if acc is None else acc + term
-            ok &= acc.is_zero()
-    s2, s3 = PY0.sigma2(), PY0.sigma3()
-    for i in (0, 1):
-        for j in (0, 1):
-            acc = None
-            for c, (a, b) in [(1, (i + 3, j)), (-3, (i + 2, j + 1)),
-                              (3, (i + 1, j + 2)), (-1, (i, j + 3)),
-                              (s2, (i + 1, j)), (-s2, (i, j + 1))]:
-                term = star_commutator(x_power("a", a), x_power("a", b), PY0) * c
-                acc = term if acc is None else acc + term
-            for (a, b) in ((i, j), (j, i)):
-                acc = acc - star(x_power("a", a), x_power("a", b), PY0) * s3
-            ok &= acc.is_zero()
-    # cubic family images
-    for flavor, p, mid, last, idxs in (
-            ("m", PT1, 1, -1, ((0, 0, 0), (1, 0, -1), (1, 1, 0))),
-            ("a", PY0, 0, 1, ((0, 0, 0), (0, 1, 2), (1, 1, 0)))):
-        for idx in idxs:
-            acc = None
-            for (a, b, c) in permutations(idx):
-                inner = star_commutator(x_power(flavor, b + mid),
-                                        x_power(flavor, c + last), p)
-                term = star_commutator(x_power(flavor, a), inner, p)
-                acc = term if acc is None else acc + term
-            ok &= acc.is_zero()
+                ok &= acc.is_zero()
     dt = time.time() - t0
     assert dt < 180, "shuffle budget exceeded"
-    report(5, ok, f"shuffle wheel/membership/commutativity/images ({dt:.0f}s)")
+    report(5, ok, f"shuffle wheel/membership/commutativity/images, two points ({dt:.0f}s)")
 
 
 def test_criterion_6_limit_algebras():

@@ -134,3 +134,25 @@ def test_cancellations_leave_the_zero_operator(family, p):
             assert z.is_zero() and z.den == 1 and z.nums == {} and z.cnum == 0
         ab = family(p, *rand_pair(rng, family, central=False))
         check(ab.mul(ab) - ab.mul(ab), ({}, Fraction(0)))
+
+
+@pytest.mark.parametrize("q", [2, -3, -1, 7], ids=str)
+def test_an_int_q_matches_the_schoolbook(q):
+    """An int q, positive or negative, reads 1/q from its own int pair,
+    with the sign on the numerator."""
+    pw = QOp(q)._context()
+    assert pw(-1) == (1 if q > 0 else -1, abs(q)) and pw(-2) == (1, q * q)
+    rng = random.Random(f"int {q}")
+    for _ in range(8):
+        sa, sb = rand_pair(rng, QOp), rand_pair(rng, QOp)
+        check(QOp(q, *sa).bracket(QOp(q, *sb)), sb_bracket(QOp, Fraction(q), sa, sb))
+        ma, mb = rand_pair(rng, QOp, central=False), rand_pair(rng, QOp, central=False)
+        check(QOp(q, *ma).mul(QOp(q, *mb)), sb_mul(QOp, Fraction(q), ma, mb))
+
+
+@pytest.mark.parametrize("q", [0, Fraction(0)], ids=repr)
+def test_q_zero_has_no_inverse(q):
+    a, b = QOp.monomial(q, 1, 1), QOp.monomial(q, 0, -1)
+    for op in (a.mul, a.bracket):
+        with pytest.raises(ZeroDivisionError):
+            op(b)

@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 from types import SimpleNamespace
 
 import pytest
@@ -472,6 +473,95 @@ class TestStarMemo:
         assert shuffle._COSET_NUMERATORS == numerators
 
 
+# -- the commutator's entries in the same tables ------------------------------
+
+def cold_commutator(F, G, p, convention="plain"):
+    clear_star_memo()
+    return star_commutator(F, G, p, convention)
+
+
+class TestCommutatorMemo:
+    def test_repeat_commutator_hits_the_memo(self):
+        clear_star_memo()
+        first = star_commutator(K_element("m", 2, PM, power=1), x_power("m", 2), PM, "coset")
+        again = star_commutator(K_element("m", 2, PM, power=1), x_power("m", 2), PM, "coset")
+        assert again.num is first.num
+        assert len(shuffle._COSET_NUMERATORS) == 1
+        assert len(shuffle._TWISTED_KERNELS) == 1
+
+    def test_star_and_commutator_entries_kept_apart(self):
+        for flavor, p in (("m", PM), ("a", PA)):
+            for F, G in pairs_for(flavor, p):
+                want = {"star": cold_star(F, G, p), "commutator": cold_commutator(F, G, p)}
+                assert want["star"] != want["commutator"]
+                for order in (("star", "commutator"), ("commutator", "star")):
+                    clear_star_memo()
+                    got = {kind: (star if kind == "star" else star_commutator)(F, G, p)
+                           for kind in order}
+                    assert got == want
+                    assert len(shuffle._COSET_NUMERATORS) == 2
+                    assert len(shuffle._TWISTED_KERNELS) == 2
+
+    def test_swapped_operands_give_the_negative(self):
+        for flavor, p in (("m", PM), ("a", PA)):
+            for F, G in pairs_for(flavor, p):
+                for convention in ("plain", "coset"):
+                    clear_star_memo()
+                    fg = star_commutator(F, G, p, convention)
+                    gf = star_commutator(G, F, p, convention)
+                    assert not fg.is_zero() and gf == fg * -1
+                    assert gf == cold_commutator(G, F, p, convention)
+                    assert fg == cold_commutator(F, G, p, convention)
+                    assert cold_commutator(G, F, p, convention) == fg * -1
+
+    def test_parameter_points_and_flavors_kept_apart(self):
+        for flavor, points in (("m", (PM, PM_B)), ("a", (PA, PA_B))):
+            for F, G in pairs_for(flavor, PM if flavor == "m" else PA):
+                clear_star_memo()
+                warm = [star_commutator(F, G, p) for p in points]
+                warm += [star_commutator(F, G, p) for p in points]
+                assert warm[0] != warm[1]
+                for got, p in zip(warm, points + points):
+                    assert got == cold_commutator(F, G, p)
+        shared = SimpleNamespace(qs=PM.qs, hs=PM.qs)
+        clear_star_memo()
+        m = star_commutator(x_power("m", 1), x_power("m", 0), shared)
+        a = star_commutator(x_power("a", 1), x_power("a", 0), shared)
+        assert m.num != a.num
+        assert m == cold_commutator(x_power("m", 1), x_power("m", 0), shared)
+        assert a == cold_commutator(x_power("a", 1), x_power("a", 0), shared)
+
+    def test_invalid_operands_leave_both_tables_unchanged(self):
+        clear_star_memo()
+        star_commutator(x_power("m", 2), x_power("m", 0), PM, "coset")
+        star(x_power("a", 1), x_power("a", 0), PA)
+        kernels, numerators = dict(shuffle._TWISTED_KERNELS), dict(shuffle._COSET_NUMERATORS)
+        for F, G, p, convention in ((x_power("m", 2), x_power("m", 0), PM, "bogus"),
+                                    (x_power("a", 1), K_element("a", 2, PA), PA, "bogus"),
+                                    (unit("m"), x_power("m", 1), PM, "bogus"),
+                                    (x_power("m", 1), x_power("a", 0), PM, "plain"),
+                                    (x_power("a", 1), x_power("m", 0), PA, "coset"),
+                                    (unit("m"), x_power("a", 1), PM, "plain")):
+            with pytest.raises(ValueError):
+                star_commutator(F, G, p, convention)
+        assert shuffle._TWISTED_KERNELS == kernels
+        assert shuffle._COSET_NUMERATORS == numerators
+
+    def test_closed_form_oracle_reads_neither_table(self, monkeypatch):
+        class Unreadable(dict):
+            def get(self, *args):
+                raise AssertionError("a memo table was read")
+
+            __getitem__ = __contains__ = get
+
+        L_element("m", 3, PM)  # fills both tables with commutator entries
+        for name in ("_TWISTED_KERNELS", "_COSET_NUMERATORS"):
+            monkeypatch.setattr(shuffle, name, Unreadable(getattr(shuffle, name)))
+        with pytest.raises(AssertionError):
+            star_commutator(x_power("m", 1), x_power("m", 0), PM)
+        assert not L_element_symmetrized(3, PM).is_zero()
+
+
 # -- coset numerators against a Fraction schoolbook ---------------------------
 
 def ref_mul(a, b):
@@ -574,3 +664,40 @@ def test_coset_numerator_matches_the_fraction_schoolbook(flavor, i, j):
         assert all(type(c) is Fraction for c in got.d.values())
 
     check()
+
+
+def ref_commutator_numerator(F, G, p):
+    """ref_coset_numerator(F, G) - ref_coset_numerator(G, F)."""
+    out = ref_coset_numerator(F, G, p)
+    for e, c in ref_coset_numerator(G, F, p).items():
+        out[e] = out.get(e, Fraction(0)) - c
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("flavor", ["m", "a"])
+@pytest.mark.parametrize("i,j", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)])
+def test_commutator_matches_the_fraction_schoolbook(flavor, i, j):
+    points = (PM, PM_B) if flavor == "m" else (PA, PA_B)
+
+    @given(symmetric_numerators(flavor, i), symmetric_numerators(flavor, j),
+           st.sampled_from(points), st.sampled_from(("plain", "coset")))
+    @settings(max_examples=6, deadline=None)
+    def check(F, G, p, convention):
+        got = star_commutator(F, G, p, convention)
+        scale = factorial(i) * factorial(j) if convention == "plain" else 1
+        assert (got.flavor, got.n) == (flavor, i + j)
+        assert got.num.d == {e: c * scale for e, c in ref_commutator_numerator(F, G, p).items()}
+
+    check()
+
+
+@pytest.mark.parametrize("flavor", ["m", "a"])
+def test_commutator_with_an_arity_zero_operand_is_zero(flavor):
+    p = PM if flavor == "m" else PA
+    scalars = (unit(flavor), ShuffleElement(flavor, 0, MPoly.const(0, Fraction(-3, 5))))
+    for F in scalars + (x_power(flavor, 1), K_element(flavor, 2, p), L_element(flavor, 3, p)):
+        for c in scalars:
+            for convention in ("plain", "coset"):
+                for out in (star_commutator(F, c, p, convention),
+                            star_commutator(c, F, p, convention)):
+                    assert out == ShuffleElement(flavor, F.n, MPoly.zero(F.n))
