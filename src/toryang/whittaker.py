@@ -8,21 +8,22 @@ ordered chain of one-box steps.  Both the K-theoretic and cohomological
 weights are covered.
 
 The tangent factors of the fixed-point weights, the chain contents and
-the kernel values are written once over the parameter pack's family
+the kernel factors are written once over the parameter pack's family
 weights (`params`: `mono`, `gap`, `frame` and `KERNEL_WEIGHTS`), so the
 pack alone decides the family; `flavor` only picks the module class, the
 generator family and the closed form.  (The star product's kernel
 numerator stays flavor-selected; the `shuffle` docstring says why.)
 
-The fixed-point weights, the one-box chains with their kernel
-denominators, and the unperturbed fixed-point modules depend only on the
-parameters; they are kept on the parameter pack by the memo rule of
-`repbase` (`memoized`, with the pack as first argument).  What a caller
-can vary is never kept: F's numerator at the contents and the lowering
-coefficients along the chain are read from the caller's F and module on
-every call, so a `PerturbedModule` shows its perturbation; `perturb=True`
-wraps the kept module in a fresh `PerturbedModule`, whose transitions are
-its own.
+A summand is F's numerator at a chain's contents times the chain weight
+w(big)/w(lam) * (lowering coefficients along the chain) / (kernel
+denominator).  Each value is kept where it is valid (`repbase`'s memo rule):
+- on the pack: weights, chains and kernel denominators (integer products,
+  each made one `Fraction`), and the unperturbed modules;
+- on the module: the chain weights, lowering products included, as one
+  list per (pack, label, n) that serves every j.  A `PerturbedModule` keeps
+  its own, so `perturb=True`, which wraps the kept module, shows it;
+- in the call: F's numerator per content tuple, over one
+  `whittaker_eigencheck`'s labels.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import factorial
 
 from . import partitions as pt
 from .params import KERNEL_WEIGHTS, GenericityError
-from .repbase import PerturbedModule, coeff_of, memoized
+from .repbase import PerturbedModule, memoized
 from .shuffle import K_element
 from .toroidal import KTheoryFixedPointModule
 from .yangian import CohomologyFixedPointModule
@@ -46,28 +47,34 @@ __all__ = [
     "whittaker_eigencheck",
     "C_constant",
     "D_constant",
-    "bott_lefschetz_consistency",
 ]
 
 
 def fixed_weight(mlam, params):
     """Product of 1/(1 - w) over the K-theoretic tangent weights w at the
-    fixed point, resp. of 1/w over the cohomological ones.  Kept on the pack
-    (weights recur across overlapping extension sweeps); the pack decides
+    fixed point, resp. of 1/w over the cohomological ones; the pack decides
     the family."""
     return _fixed_weight(params, mlam)
 
 
 @memoized
 def _fixed_weight(p, mlam):
-    acc = Fraction(1)
+    num = den = 1
     for _, e1, e2, b, a in pt.tangent_character(mlam):  # every sign is +1
-        # 1 - t1^e1 t2^e2 chi_b/chi_a, resp. e1 h1 + e2 h2 + x_b - x_a
-        f = p.gap(p.mono(e1, e2, p.frame(a)), p.frame(b))
-        if f == 0:
+        n, d = _tangent_factor(p, e1, e2, b, a)
+        if d == 0:
             raise GenericityError(f"vanishing tangent factor at {mlam}")
-        acc = acc / f
-    return acc
+        num *= n
+        den *= d
+    return Fraction(num, den)
+
+
+@memoized
+def _tangent_factor(p, e1, e2, b, a):
+    """(denominator, numerator) of 1 - t1^e1 t2^e2 chi_b/chi_a, resp.
+    e1 h1 + e2 h2 + x_b - x_a, kept on the pack."""
+    f = p.gap(p.mono(e1, e2, p.frame(a)), p.frame(b))
+    return f.denominator, f.numerator
 
 
 def box_chain(small, big, order="canonical"):
@@ -106,68 +113,91 @@ def chain_contents(boxes, params):
     return [params.mono(i - 1, j - 1, params.frame(a)) for (a, i, j) in boxes]
 
 
-def _kernel_value(params, x, y):
-    """Full kernel weight omega(x, y) evaluated at scalars."""
-    num = 1
-    for (a, b) in KERNEL_WEIGHTS:
-        num = num * (x - params.mono(a, b, y))
-    return num / (x - y) ** 3
+@memoized
+def _chain_kernel(params, small, big, order):
+    """(chain, contents tuple, kernel denominator) of the chain from small
+    to big: prod_{a<b} (c_a - c_b)^2 omega(c_a, c_b), a pair's factor
+    prod_k (c_a - m_k c_b) / (c_a - c_b) over the kernel monomials m_k."""
+    boxes, chain = box_chain(small, big, order=order)
+    contents = tuple(chain_contents(boxes, params))
+    num = den = 1
+    for a, x in enumerate(contents):
+        for y in contents[a + 1:]:
+            d = x - y
+            num *= d.denominator
+            den *= d.numerator
+            for (k1, k2) in KERNEL_WEIGHTS:
+                f = x - params.mono(k1, k2, y)
+                num *= f.numerator
+                den *= f.denominator
+    return chain, contents, Fraction(num, den)
 
 
 @memoized
-def _chain_kernel(params, small, big, order):
-    """(chain, contents, kernel denominator prod (c_a - c_b)^2 omega(c_a,
-    c_b)) of the one-box chain from small to big, kept on the pack."""
-    boxes, chain = box_chain(small, big, order=order)
-    contents = chain_contents(boxes, params)
-    den = Fraction(1)
-    for a in range(len(contents)):
-        for b in range(a + 1, len(contents)):
-            den = den * (contents[a] - contents[b]) ** 2
-            den = den * _kernel_value(params, contents[a], contents[b])
-    return chain, contents, den
+def _lowering_table(module, label):
+    """{target: coefficient} of the label's lowering transitions."""
+    return {tgt: c for tgt, c, _ in module.f_transitions(label)}
+
+
+def _chain_weight(module, params, small, big, order):
+    """(contents, g) of the chain from small to big: g, the module's
+    lowering coefficients along the chain over the kernel denominator, is
+    the matrix coefficient but F."""
+    chain, contents, kernel = _chain_kernel(params, small, big, order)
+    num, den = kernel.denominator, kernel.numerator
+    for q in range(len(chain) - 1, 0, -1):
+        c = _lowering_table(module, chain[q]).get(chain[q - 1], 0)
+        num *= c.numerator
+        den *= c.denominator
+    return contents, Fraction(num, den)
 
 
 def shuffle_matrix_coeff(F, big, small, module, params, order="canonical"):
     """Matrix coefficient of a lowering shuffle element between fixed-point
-    classes, via the ordered one-box chain.
-
-    Value: F at the chain contents over the kernel product, times the
-    product of mode-zero lowering coefficients along the chain.  The chain,
-    its contents and the kernel product come from the pack's chain cache;
-    F and the module's coefficients are read on every call.
-    """
-    chain, contents, den = _chain_kernel(params, small, big, order)
-    n = len(contents)
-    if F.n != n:
+    classes, via the ordered one-box chain: F's numerator at the chain
+    contents times the chain weight (`_chain_weight`)."""
+    contents, g = _chain_weight(module, params, small, big, order)
+    if F.n != len(contents):
         raise ValueError("arity mismatch")
-    val = F.num.eval(contents) / den
-    for q in range(n, 0, -1):
-        val = val * coeff_of(module.f_transitions(chain[q]), chain[q - 1])
-    return val
+    return F.num.eval(contents) * g
 
 
-def whittaker_sum(mlam, F, params, module):
-    """Sum over all n-box extensions of the weight ratio times the chain
-    matrix coefficient (the eigenvalue candidate at the given label), and
-    the extensions whose two chain orders disagree (rank > 1)."""
-    n = F.n
-    r = len(mlam)
-    total = Fraction(0)
-    chain_dependent = []
+@memoized
+def _weighted_chains(module, params, mlam, n):
+    """[(big, [(contents, g) per chain order])] over the n-box extensions
+    of mlam, g the weight ratio w(big)/w(mlam) times the chain weight; the
+    canonical order first, and the reverse-component one at rank > 1."""
+    orders = ("canonical", "reverse-component") if len(mlam) > 1 else ("canonical",)
     base_w = fixed_weight(mlam, params)
+    out = []
     for big in _extensions(mlam, n):
         if _two_in_a_row(mlam, big):
             # the pairwise-difference numerator kills these chains
             continue
-        coeff = shuffle_matrix_coeff(F, big, mlam, module, params)
-        if r > 1:
-            alt = shuffle_matrix_coeff(F, big, mlam, module, params,
-                                       order="reverse-component")
-            if alt != coeff:
-                chain_dependent.append(big)
-        w = fixed_weight(big, params)
-        total += (w / base_w) * coeff
+        ratio = fixed_weight(big, params) / base_w
+        out.append((big, tuple((contents, ratio * g) for contents, g in
+                               (_chain_weight(module, params, mlam, big, o) for o in orders))))
+    return out
+
+
+def whittaker_sum(mlam, F, params, module, fvals=None):
+    """Sum over all n-box extensions of the weight ratio times the chain
+    matrix coefficient (the eigenvalue candidate at the given label), and
+    the extensions whose two chain orders disagree (rank > 1).  `fvals`
+    keeps F's numerator per content tuple across the caller's sums."""
+    fvals = {} if fvals is None else fvals
+    total = Fraction(0)
+    chain_dependent = []
+    for big, chains in _weighted_chains(module, params, mlam, F.n):
+        vals = []
+        for contents, g in chains:
+            v = fvals.get(contents)
+            if v is None:
+                v = fvals[contents] = F.num.eval(contents)
+            vals.append(v * g)
+        if vals[-1] != vals[0]:
+            chain_dependent.append(big)
+        total += vals[0]
     return total, chain_dependent
 
 
@@ -262,12 +292,11 @@ def whittaker_eigencheck(flavor, r, n, j, level_bound, params, perturb=False):
         want = D_constant(j, n, r, params)
     if perturb:
         module = PerturbedModule(module, "f")
-    failures = []
-    ref = None
-    ref_label = None
+    failures, fvals = [], {}
+    ref = ref_label = None
     for level in range(level_bound + 1):
         for mlam in pt.enum_multipartitions(r, level):
-            val, chain_dependent = whittaker_sum(mlam, F, params, module)
+            val, chain_dependent = whittaker_sum(mlam, F, params, module, fvals)
             for big in chain_dependent:
                 failures.append(("chain-dependence", mlam, big))
             if ref is None:
@@ -277,29 +306,4 @@ def whittaker_eigencheck(flavor, r, n, j, level_bound, params, perturb=False):
     if want is not None and ref is not None and ref != want:
         failures.append(("closed-form", ref, want))
     return ref, failures
-
-
-def bott_lefschetz_consistency(flavor, r, level_bound, params):
-    """One-box duality: the weight ratio times the mode-zero lowering
-    coefficient equals the transposed raising coefficient (mode -r with the
-    K weights; mode 0 with the cohomological ones up to the rank sign).
-    """
-    module = _fixed_point_module(params, flavor, r)
-    fails = []
-    for level in range(level_bound + 1):
-        for mlam in pt.enum_multipartitions(r, level):
-            w_lo = fixed_weight(mlam, params)
-            for (a, i, jrow) in pt.addable_boxes(mlam):
-                big = pt.mp_add_box(mlam, a, jrow)
-                w_hi = fixed_weight(big, params)
-                f0 = coeff_of(module.f_transitions(big), mlam)
-                if flavor == "K":
-                    e_tr = [(t, c * p ** (-r)) for (t, c, p) in module.e_transitions(mlam)]
-                else:
-                    sign = (-1) ** (r - 1)
-                    e_tr = [(t, c * sign) for (t, c, p) in module.e_transitions(mlam)]
-                ecoeff = dict(e_tr)[big]
-                if (w_hi / w_lo) * f0 != ecoeff:
-                    fails.append((mlam, big))
-    return fails
 

@@ -85,14 +85,16 @@ def test_criterion_1_relation_suites():
 
 def test_criterion_2_gamma_eigenvalues():
     """Diagonal commutator eigenvalues: rank-1 closed forms for |lam| <= 6
-    and the rank-2 forms to level 4, module vs closed-form oracle."""
+    and the rank-2 forms to level 4, module vs closed-form oracle, at the
+    default point and at a sampled second point (rank 1 at its h1, h2 with
+    x = 0).  The negative control: a rescaled lowering coefficient moves
+    some eigenvalue off the closed forms at both points."""
     from math import comb
 
+    from toryang.params import sample_generic_params
     from toryang.yangian import CohomologyFixedPointModule, gamma_sharp, gamma_spade
 
     t0 = time.time()
-    s1, s2 = PY1Z.h1, PY1Z.h2
-    V1 = CohomologyFixedPointModule(PY1Z, 1)
     ok = True
 
     def gmod(module, mlam, m):
@@ -101,24 +103,39 @@ def test_criterion_2_gamma_eigenvalues():
         fe = module.apply_f(0, module.apply_e(m, v))
         return ef.get(mlam, 0) - fe.get(mlam, 0)
 
-    for n in range(0, 7):
-        for lam in pt.enum_partitions(n):
-            ok &= gmod(V1, (lam,), 0) == -1 / (s1 * s2) == gamma_sharp(lam, 0, PY1Z)
-            ok &= gmod(V1, (lam,), 1) == 0 == gamma_sharp(lam, 1, PY1Z)
-            ok &= gmod(V1, (lam,), 2) == 2 * n == gamma_sharp(lam, 2, PY1Z)
-    s1, s2 = PY2.h1, PY2.h2
-    xs = PY2.xs
-    V2 = CohomologyFixedPointModule(PY2, 2)
-    for n in range(0, 5):
-        for mlam in pt.enum_multipartitions(2, n):
-            g0, g1, g2 = (gmod(V2, mlam, m) for m in (0, 1, 2))
-            ok &= g0 == -2 / (s1 * s2)
-            ok &= g1 == (sum(xs) - comb(2, 2) * (s1 + s2)) / (s1 * s2)
-            ok &= g2 == 2 * n - (sum(x * x for x in xs) - (s1 + s2) * sum(xs)
-                                 + comb(2, 3) * (s1 + s2) ** 2) / (s1 * s2)
-            ok &= all(gamma_spade(mlam, m, PY2, 2) == g
-                      for m, g in ((0, g0), (1, g1), (2, g2)))
-    report(2, ok, f"gamma eigenvalue closed forms ({time.time()-t0:.0f}s)")
+    seed = SECOND_POINT_SEED
+    py1 = sample_generic_params(seed, "yangian", r=1)
+    points = [(PY1Z, PY2),
+              (YangianParams(py1.h1, py1.h2, (Fraction(0),)),
+               sample_generic_params(seed, "yangian", r=2))]
+    for py1z, py2 in points:
+        s1, s2 = py1z.h1, py1z.h2
+        V1 = CohomologyFixedPointModule(py1z, 1)
+        for n in range(0, 7):
+            for lam in pt.enum_partitions(n):
+                ok &= gmod(V1, (lam,), 0) == -1 / (s1 * s2) == gamma_sharp(lam, 0, py1z)
+                ok &= gmod(V1, (lam,), 1) == 0 == gamma_sharp(lam, 1, py1z)
+                ok &= gmod(V1, (lam,), 2) == 2 * n == gamma_sharp(lam, 2, py1z)
+        s1, s2 = py2.h1, py2.h2
+        xs = py2.xs
+        V2 = CohomologyFixedPointModule(py2, 2)
+        for n in range(0, 5):
+            for mlam in pt.enum_multipartitions(2, n):
+                g0, g1, g2 = (gmod(V2, mlam, m) for m in (0, 1, 2))
+                ok &= g0 == -2 / (s1 * s2)
+                ok &= g1 == (sum(xs) - comb(2, 2) * (s1 + s2)) / (s1 * s2)
+                ok &= g2 == 2 * n - (sum(x * x for x in xs) - (s1 + s2) * sum(xs)
+                                     + comb(2, 3) * (s1 + s2) ** 2) / (s1 * s2)
+                ok &= all(gamma_spade(mlam, m, py2, 2) == g
+                          for m, g in ((0, g0), (1, g1), (2, g2)))
+        # the negative control trips at this point too
+        W1, W2 = PerturbedModule(V1, "f"), PerturbedModule(V2, "f")
+        ok &= any(gmod(W1, (lam,), m) != gamma_sharp(lam, m, py1z)
+                  for n in range(0, 3) for lam in pt.enum_partitions(n) for m in (0, 1, 2))
+        ok &= any(gmod(W2, mlam, m) != gamma_spade(mlam, m, py2, 2)
+                  for n in range(0, 3) for mlam in pt.enum_multipartitions(2, n)
+                  for m in (0, 1, 2))
+    report(2, ok, f"gamma eigenvalue closed forms, two points ({time.time()-t0:.0f}s)")
 
 
 def test_criterion_3_psi_leading_terms():

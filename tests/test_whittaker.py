@@ -4,13 +4,13 @@ import pytest
 
 from toryang import partitions as pt
 from toryang.params import default_toroidal, default_yangian, sample_generic_params
-from toryang.repbase import coeff_of
+from toryang.repbase import PerturbedModule, coeff_of
 from toryang.shuffle import K_element
 from toryang.toroidal import KTheoryFixedPointModule
 from toryang.yangian import CohomologyFixedPointModule
 from toryang.whittaker import (C_constant, D_constant, _extensions, _two_in_a_row,
-                               bott_lefschetz_consistency, box_chain, chain_contents,
-                               fixed_weight, shuffle_matrix_coeff, whittaker_eigencheck)
+                               box_chain, chain_contents, fixed_weight, shuffle_matrix_coeff,
+                               whittaker_eigencheck, whittaker_sum)
 
 PK1 = default_toroidal(r=1)
 PK2 = default_toroidal(r=2)
@@ -56,6 +56,31 @@ def test_fixed_weight_is_the_product_over_the_tangent_character(flavor, r, point
         for mlam in pt.enum_multipartitions(r, level):
             assert fixed_weight(mlam, params) == \
                 reference_weight(mlam, flavor, params), mlam
+
+
+def bott_lefschetz_consistency(flavor, r, level_bound, params):
+    """One-box duality: the weight ratio times the mode-zero lowering
+    coefficient equals the transposed raising coefficient (mode -r with the
+    K weights; mode 0 with the cohomological ones up to the rank sign).
+    """
+    module = fixed_point_module(flavor, params, r)
+    fails = []
+    for level in range(level_bound + 1):
+        for mlam in pt.enum_multipartitions(r, level):
+            w_lo = fixed_weight(mlam, params)
+            for (a, i, jrow) in pt.addable_boxes(mlam):
+                big = pt.mp_add_box(mlam, a, jrow)
+                w_hi = fixed_weight(big, params)
+                f0 = coeff_of(module.f_transitions(big), mlam)
+                if flavor == "K":
+                    e_tr = [(t, c * p ** (-r)) for (t, c, p) in module.e_transitions(mlam)]
+                else:
+                    sign = (-1) ** (r - 1)
+                    e_tr = [(t, c * sign) for (t, c, p) in module.e_transitions(mlam)]
+                ecoeff = dict(e_tr)[big]
+                if (w_hi / w_lo) * f0 != ecoeff:
+                    fails.append((mlam, big))
+    return fails
 
 
 def test_bott_lefschetz_duality():
@@ -286,3 +311,56 @@ def test_skipped_chains_vanish_at_their_contents():
                                     F = K_element(flavor, n, params, power=power)
                                     assert F.num.eval(contents) == 0, (flavor, small, big)
     assert skipped == 70
+
+
+# -- the kept sum against a memo-free schoolbook ------------------------------
+
+def reference_sum(mlam, F, module, flavor, params):
+    """whittaker_sum written out: over every extension of mlam by F.n boxes
+    with no two new boxes in one row of a component, the tangent-character
+    weight ratio times `reference_matrix_coeff`; and the extensions whose
+    two chain orders disagree (rank > 1)."""
+    total, dependent = Fraction(0), []
+    for big in pt.enum_multipartitions(len(mlam), sum(map(sum, mlam)) + F.n):
+        if not contains(big, mlam) or any(pt.part(lb, j) - pt.part(la, j) >= 2
+                                          for la, lb in zip(mlam, big)
+                                          for j in range(1, len(lb) + 1)):
+            continue
+        ratio = reference_weight(big, flavor, params) / reference_weight(mlam, flavor, params)
+        coeff = reference_matrix_coeff(F, big, mlam, module, flavor, params, "canonical")
+        if len(mlam) > 1 and coeff != reference_matrix_coeff(F, big, mlam, module, flavor,
+                                                             params, "reverse-component"):
+            dependent.append(big)
+        total += ratio * coeff
+    return total, dependent
+
+
+@pytest.mark.parametrize("flavor", ["K", "H"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_whittaker_sum_matches_memo_free_reference(flavor, r):
+    family = "toroidal" if flavor == "K" else "yangian"
+    params = sample_generic_params(f"kept-sum/{flavor}/{r}", family, r=r)
+    module = fixed_point_module(flavor, params, r)
+    ref_module = fixed_point_module(flavor, params, r)
+    labels = [lab for lv in range(3) for lab in pt.enum_multipartitions(r, lv)]
+    Fs = [K_element("m" if flavor == "K" else "a", n, params, power=j)
+          for n in (1, 2, 3) for j in range(r + 1)]
+
+    def check(module, ref_module):
+        vals = {}
+        for i, F in enumerate(Fs):
+            fvals = {}
+            for mlam in labels:
+                want = reference_sum(mlam, F, ref_module, flavor, params)
+                assert whittaker_sum(mlam, F, params, module) == want, (mlam, F.n)  # cold
+                assert whittaker_sum(mlam, F, params, module, fvals) == want  # warm
+                vals[mlam, i] = want
+        return vals
+
+    clean = check(module, ref_module)
+    # a perturbed wrapper of the warm module keeps its own sums
+    perturbed = check(PerturbedModule(module, "f"), PerturbedModule(ref_module, "f"))
+    assert any(perturbed[k][0] != clean[k][0] for k in clean)
+    if r > 1:
+        assert any(perturbed[k][1] for k in perturbed)
+    assert check(module, ref_module) == clean
