@@ -210,7 +210,7 @@ def tt3_check(params, c, window=2, degree_cap=2):
     # psi+ has no mode z^n and psi- no mode z^-n for n > 0: those words act by 0
     instances = [((i, j), [(beta1, [("e", i), ("f", j)]), (-beta1, [("f", j), ("e", i)]),
                            (-rho ** (i - j), [("psi+", i + j)]),
-                           (rho ** (j - i), [("psi-", -(i + j))])], None)
+                           (rho ** (j - i), [("psi-", -(i + j))])])
                  for i in W for j in W]
     sweep = RelationSweep(BosonStates(params, c), instances, degree_cap)
     return [(mu, i, j) for (i, j), _, mu, _ in sweep]

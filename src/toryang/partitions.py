@@ -35,7 +35,6 @@ __all__ = [
     "content_add",
     "content_mult",
     "tangent_character",
-    "normal_character",
     "eval_mult",
     "eval_add",
 ]
@@ -78,10 +77,6 @@ def enum_multipartitions(r, n):
 
 def size(lam):
     return sum(lam)
-
-
-def mp_size(mlam):
-    return sum(sum(lam) for lam in mlam)
 
 
 def conjugate(lam):
@@ -205,29 +200,6 @@ def tangent_character(mlam):
                 out.append((1, -arm(lb, box), leg(la, box) + 1, b, a))
             for box in boxes(lb):
                 out.append((1, arm(la, box) + 1, -leg(lb, box), b, a))
-    return out
-
-
-def normal_character(mlam, mmu):
-    """Signed weights of the normal fiber for a one-box extension mlam < mmu."""
-    r = len(mlam)
-    diff = [
-        (a, i, j)
-        for a in range(1, r + 1)
-        for (i, j) in boxes(mmu[a - 1])
-        if i > part(mlam[a - 1], j)
-    ]
-    if mp_size(mmu) != mp_size(mlam) + 1 or len(diff) != 1:
-        raise ValueError("second label must extend the first by exactly one box")
-    out = [(-1, 1, 1, 1, 1)]  # the -t1*t2 term (chi_1/chi_1 = 1)
-    for a in range(1, r + 1):
-        for b in range(1, r + 1):
-            la, mb = mlam[a - 1], mmu[b - 1]
-            mua = mmu[a - 1]
-            for box in boxes(la):
-                out.append((1, -arm(mlam[b - 1], box), leg(mua, box) + 1, b, a))
-            for box in boxes(mb):
-                out.append((1, arm(mua, box) + 1, -leg(mlam[b - 1], box), b, a))
     return out
 
 

@@ -20,16 +20,20 @@ One loop, `RelationSweep`, checks operator identities, applying each word
 suffix to each basis vector once per sweep.  `check_relation` feeds it one
 defining relation and stops at the first failure; the series bridge's
 audits (`upsilon`) and `horizontal.tt3_check` feed it instance lists of
-their own.  Every object it sweeps, a `Module` (the series bridge is one,
-with no psi) or the boson states, answers one hook, `sweep_row`, for every
-letter.  It puts each instance list in normal form once: terms collected
-per word; an instance left with no term and no right-hand side, a formal
-tautology, counted as holding by construction and never swept; and one
-whose terms are a rational multiple of an earlier one's, an alias, reading
-that one's residual, scaled.  `checked` and `nonvacuous` still count every
-instance, and every failing instance is reported.  In the additive family,
-the kernel relation of g against g (Y1, Y2) and of psi against g (Y4, Y5)
-is one term list, `_additive_kernel_terms`.
+their own.  An instance is (id, [(coeff, word)]), and the relation states
+that the sum of coeff * word vanishes: a diagonal right-hand side, such as
+T3's psi+- or Y3's psiy, is one more word of diagonal letters.  Every
+object it sweeps, a `Module` (the series bridge is one, whose psi+- are
+its reconstructed family over 1 - q3) or the boson states, answers one
+hook, `sweep_row`, for every letter.  It puts each instance list in normal
+form once: terms collected per word; an instance left with no term, a
+formal tautology, counted as holding by construction and never swept; and
+one whose terms are a rational multiple of an earlier one's, an alias,
+reading that one's residual, scaled.  `checked` and `nonvacuous` still
+count every instance, and every failing instance is reported.  In the
+additive family, the kernel relation of g against g (Y1, Y2) and of psi
+against g (Y4, Y5) is one term list, `_additive_kernel_terms`, and in the
+multiplicative family T3 on a module and on the bridge is `_t3_terms`.
 
 Exact linear combinations.  A sweep keeps its word images as numerators
 over one denominator, on every object it sweeps: each (letter, label) is
@@ -40,11 +44,11 @@ denominator, point), and the point's factor at the mode, with no Fraction
 product; a diagonal letter's row is its eigenvalue on the label.  A letter
 is one lcm over the rows it reads, one accumulation and one gcd pass, and a
 residual one sum over the lcm of its terms' denominators, turned into
-Fractions (or series over that lcm) only when it fails; a right-hand side is
-computed once per (label, rhs).  The public actions, `apply_word` and
-`Module.apply_e`/`apply_f`/`apply_psi`/`apply_psi_y`/`apply_t`, run on the
-same compiled rows and return a vector of Fractions and TSeries.  The
-Fraction schoolbook they are checked against lives in the tests.
+Fractions (or series over that lcm) only when it fails.  The public
+actions, `apply_word` and `Module.apply_e`/`apply_f`/`apply_psi`/
+`apply_psi_y`/`apply_t`, run on the same compiled rows and return a vector
+of Fractions and TSeries.  The Fraction schoolbook they are checked
+against lives in the tests.
 
 Memos.  Every value a module, a series bridge or a parameter pack keeps
 for later follows one rule.  A `memoized` method (or a hand-keyed table
@@ -159,7 +163,7 @@ class Module:
     e_transitions(label) -> [(target, base_coeff, point)]
     f_transitions(label) -> [(target, base_coeff, point)]
     psi_rat(label)       -> RatFn in z, built with RatFn.from_factors
-    level(label)         -> int; basis(level) -> list of labels
+    basis(level)         -> list of labels
     """
 
     # subclass hooks
@@ -312,9 +316,6 @@ class ModuleWrapper(Module):
 
     def __getattr__(self, name):
         return getattr(self.base, name)
-
-    def level(self, label):
-        return self.base.level(label)
 
     def basis(self, level):
         return self.base.basis(level)
@@ -490,17 +491,17 @@ def apply_word(module, word, v):
     return {k: _over(n, u[0]) for k, n in u[1].items()} if u else {}
 
 
-def _int_residual(image, label, terms, rhs):
+def _int_residual(image, label, terms):
     """(live, residual) of one (instance, label) pair: the sum of
-    c * image(label, word) over terms [(n, d, word)] (c = n/d), minus
-    rhs = (n, d) or None, over the lcm of the denominators.  live says
-    whether any image or rhs is nonzero; the residual is {} when the sum is
-    zero, else its vector of Fractions and TSeries (`_over`)."""
+    c * image(label, word) over terms [(n, d, word)] (c = n/d), over the lcm
+    of the denominators.  live says whether any image is nonzero; the
+    residual is {} when the sum is zero, else its vector of Fractions and
+    TSeries (`_over`)."""
     parts = [(n, d, img) for n, d, word in terms
              for img in (image(label, word),) if img]
-    if not parts and rhs is None:
+    if not parts:
         return False, {}
-    L = lcm(*(d * img[0] for _, d, img in parts), *(() if rhs is None else (rhs[1],)))
+    L = lcm(*(d * img[0] for _, d, img in parts))
     acc = {}
     get = acc.get
     for n, d, (D, nums) in parts:
@@ -509,11 +510,6 @@ def _int_residual(image, label, terms, rhs):
         for k, a in nums.items():
             y = get(k)
             acc[k] = s * a if y is None else y + s * a
-    if rhs is not None:
-        n, d = rhs
-        x = n if d == L else n * (L // d)
-        y = get(label)
-        acc[label] = -x if y is None else y - x
     if not any(acc.values()):
         return True, {}
     return True, {k: _over(n, L) for k, n in acc.items() if n}
@@ -546,13 +542,13 @@ def _sym3_nested(letter, i1, i2, i3, shift_mid, shift_last):
 
 def _sym3_instances(rel, modes, shift_mid, shift_last):
     """T6 or Y6 at every mode triple in modes**3, e half first."""
-    return [(f"{rel}{g}[{i1},{i2},{i3}]", _sym3_nested(g, i1, i2, i3, shift_mid, shift_last),
-             None) for g in ("e", "f") for i1 in modes for i2 in modes for i3 in modes]
+    return [(f"{rel}{g}[{i1},{i2},{i3}]", _sym3_nested(g, i1, i2, i3, shift_mid, shift_last))
+            for g in ("e", "f") for i1 in modes for i2 in modes for i3 in modes]
 
 
 # Each builder returns a list of instances; an instance is
-# (instance_id, [(coeff_fn(params), word), ...], rhs_diag_fn or None).
-# Residual = sum coeff * word(v) - diagonal(v); must vanish.
+# (instance_id, [(coeff, word), ...]), and its residual, the sum of
+# coeff * word(v), must vanish.
 
 
 def _ladder_instances(rel, m_range, j_range):
@@ -560,17 +556,17 @@ def _ladder_instances(rel, m_range, j_range):
     g = e and sign +, T5t with g = f and sign -."""
     g, sgn = ("e", 1) if rel == "T4t" else ("f", -1)
     return [((m, j), [(1, [("t", m), (g, j)]), (-1, [(g, j), ("t", m)]),
-                      (-sgn, [(g, m + j)])], None)
+                      (-sgn, [(g, m + j)])])
             for m in m_range if m for j in j_range]
 
 
-def _t3_side(k, beta1):
-    """T3's right-hand side on a label, (psi+_k - psi-_(-k))/beta_1: one
-    callable per k, which a sweep calls once per (label, k)."""
-    def rhs(module, label):
-        return (module.psi_coeff(label, +1, k) - module.psi_coeff(label, -1, -k)) / beta1
-
-    return rhs
+def _t3_terms(i, j, c):
+    """T3[i, j], [e_i, f_j] = c (psi+_(i+j) - psi-_(-(i+j))), as terms: c is
+    1/beta_1 on a module and 1 on the series bridge, whose psi+- letters
+    carry the 1/(1 - q3).  psi+ has no mode k < 0 and psi- none k > 0
+    (`Module.psi_coeff`): those words act by 0."""
+    return _commutator_words([("e", i)], [("f", j)]) + [(-c, [("psi+", i + j)]),
+                                                        (c, [("psi-", -(i + j))])]
 
 
 def _cubic_coeffs_t(p):
@@ -586,7 +582,7 @@ def t_relation_instances(rel, window, params):
     """
     W = range(-window, window + 1)
     if rel == "T0":
-        return [(f"[{s1}_{a},{s2}_{b}]", _commutator_words([(s1, a)], [(s2, b)]), None)
+        return [(f"[{s1}_{a},{s2}_{b}]", _commutator_words([(s1, a)], [(s2, b)]))
                 for a in range(window + 1) for b in range(window + 1)
                 for s1 in ("psi+", "psi-") for s2 in ("psi+", "psi-")]
     if rel == "T1" or rel == "T2":
@@ -598,20 +594,17 @@ def t_relation_instances(rel, window, params):
 
         # each term at (i, j) and at (j, i): T1[i, j] = T1[j, i]
         return [(f"{rel}[{i},{j}]", [(cs[k], word(a, b, k)) for k in range(4)
-                                     for a, b in ((i, j), (j, i))], None)
+                                     for a, b in ((i, j), (j, i))])
                 for i in W for j in W]
     if rel == "T3":
-        beta1 = params.beta(1)
-        sides = {k: _t3_side(k, beta1) for k in range(-2 * window, 2 * window + 1)}
-        return [(f"T3[{i},{j}]", _commutator_words([("e", i)], [("f", j)]), sides[i + j])
-                for i in W for j in W]
+        c = 1 / params.beta(1)
+        return [(f"T3[{i},{j}]", _t3_terms(i, j, c)) for i in W for j in W]
     if rel == "T4t" or rel == "T5t":
-        return [(f"{rel}[{m},{j}]", terms, rhs)
-                for (m, j), terms, rhs in _ladder_instances(rel, W, W)]
+        return [(f"{rel}[{m},{j}]", terms) for (m, j), terms in _ladder_instances(rel, W, W)]
     if rel == "T6":
         return _sym3_instances(rel, range(-1, 2), +1, -1)
     if rel == "T6t":
-        return [(f"T6t{g}", _nested(g, (0, 1, -1)), None) for g in ("e", "f")]
+        return [(f"T6t{g}", _nested(g, (0, 1, -1))) for g in ("e", "f")]
     raise ValueError(f"unknown relation {rel}")
 
 
@@ -634,25 +627,25 @@ def y_relation_instances(rel, window, params):
     W = range(0, window + 1)
     s2, s3 = params.sigma2(), params.sigma3()
     if rel == "Y0":
-        return [(f"Y0[{a},{b}]", _commutator_words([("psiy", a)], [("psiy", b)]), None)
+        return [(f"Y0[{a},{b}]", _commutator_words([("psiy", a)], [("psiy", b)]))
                 for a in W for b in W]
     if rel in ("Y1", "Y2"):
         g, sgn = ("e", 1) if rel == "Y1" else ("f", -1)
-        return [(f"{rel}[{i},{j}]", _additive_kernel_terms(g, g, i, j, sgn, s2, s3), None)
+        return [(f"{rel}[{i},{j}]", _additive_kernel_terms(g, g, i, j, sgn, s2, s3))
                 for i in W for j in W]
     if rel == "Y3":
         return [(f"Y3[{i},{j}]", _commutator_words([("e", i)], [("f", j)])
-                 + [(-1, [("psiy", i + j)])], None) for i in W for j in W]
+                 + [(-1, [("psiy", i + j)])]) for i in W for j in W]
     if rel in ("Y4", "Y5"):
         g, sgn = ("e", 1) if rel == "Y4" else ("f", -1)
-        ins = [(f"{rel}[{i},{j}]", _additive_kernel_terms("psiy", g, i, j, sgn, s2, s3), None)
+        ins = [(f"{rel}[{i},{j}]", _additive_kernel_terms("psiy", g, i, j, sgn, s2, s3))
                for i in W for j in W]
         # the low-mode anchors
         for j in W:
             for k, rhsc in ((0, 0), (1, 0), (2, 2 * sgn)):
                 terms = [(1, [("psiy", k), (g, j)]), (-1, [(g, j), ("psiy", k)]),
                          (-rhsc, [(g, j)])]
-                ins.append((f"{rel}'[{k},{j}]", terms, None))
+                ins.append((f"{rel}'[{k},{j}]", terms))
         return ins
     if rel == "Y6":
         return _sym3_instances(rel, range(0, 2), 0, +1)
@@ -665,10 +658,10 @@ RELATION_BUILDERS_Y = ("Y0", "Y1", "Y2", "Y3", "Y4", "Y5", "Y6")
 
 class RelationReport:
     """`checked` counts the (instance, label) pairs swept; `nonvacuous` those
-    among them where some word image with a nonzero coefficient, or the
-    right-hand side, is nonzero, so that the check compares more than 0
-    with 0.  `distinct` and `by_construction` count the instances swept and
-    the formal tautologies (`RelationSweep`)."""
+    among them where some word image with a nonzero coefficient is nonzero,
+    so that the check compares more than 0 with 0.  `distinct` and
+    `by_construction` count the instances swept and the formal tautologies
+    (`RelationSweep`)."""
 
     def __init__(self, relation, ok, counterexample=None, checked=0, nonvacuous=0,
                  distinct=0, by_construction=0):
@@ -705,20 +698,18 @@ def _collect(terms):
 class RelationSweep:
     """The failing (instance_id, level, label, residual), in the order of
     levels, then the module's basis, then the instances, which are in the
-    builders' format with rhs(module, label) the right-hand side.  Each
-    residual, sum of coeff * image(word) minus rhs, is compared with zero
-    exactly or mod X^hmod.
+    builders' format (id, [(coeff, word)]).  Each residual, the sum of
+    coeff * image(word), is compared with zero exactly or mod X^hmod.
 
     The instances are normalized once, here (`_collect`): terms are summed
-    per word and zero sums dropped.  An instance left with no term and no
-    rhs holds by construction (`by_construction`) and is never swept.  One
-    whose terms are r times an earlier one's, its representative, is an
-    alias (`aliases`: id -> (representative id, r)) and reads r times the
-    representative's residual; with an rhs only an exact duplicate is an
-    alias, and a series coefficient makes none.  `distinct` counts the
-    instances swept; `instances` keeps each as (id, [(n, d, word)], rhs,
-    dead words, representative's slot, r).  `checked` and `nonvacuous`
-    count every (instance, label) pair swept so far, as in
+    per word and zero sums dropped.  An instance left with no term holds by
+    construction (`by_construction`) and is never swept.  One whose terms
+    are r times an earlier one's, its representative, is an alias
+    (`aliases`: id -> (representative id, r)) and reads r times the
+    representative's residual; a series coefficient makes none.  `distinct`
+    counts the instances swept; `instances` keeps each as
+    (id, [(n, d, word)], dead words, representative's slot, r).  `checked`
+    and `nonvacuous` count every (instance, label) pair swept so far, as in
     `RelationReport`, reading the images of the words that cancelled (dead)
     too, and every failing pair is yielded, aliases included, each after
     its representative.
@@ -728,14 +719,14 @@ class RelationSweep:
     denominator, each letter read from compiled rows (`_int_stepper`), and
     each residual one sum over the lcm of its terms' denominators
     (`_int_residual`), with a Fraction built only for a failing residual.
-    A coefficient, row value or right-hand side is an int, a Fraction or a
-    TSeries (`_rational`); anything else raises TypeError."""
+    A coefficient or row value is an int, a Fraction or a TSeries
+    (`_rational`); anything else raises TypeError."""
 
     def __init__(self, module, instances, level_bound, hmod=None):
         self.module, self.level_bound, self.hmod = module, level_bound, hmod
         self.instances, self.aliases, reps = [], {}, {}
         self.checked = self.nonvacuous = self.distinct = self.by_construction = 0
-        for inst_id, terms, rhs in instances:
+        for inst_id, terms in instances:
             kept, dead = _collect(terms)
             rep = ratio = None
             if kept and all(type(n) is int for n, _, _ in kept):
@@ -745,19 +736,19 @@ class RelationSweep:
                 items = sorted([(w, n if d == L else n * (L // d)) for n, d, w in kept])
                 xs = [x for _, x in items]
                 g = gcd(*xs) if xs[0] > 0 else -gcd(*xs)
-                key = (rhs, tuple([w for w, _ in items]), tuple([x // g for x in xs]))
+                key = (tuple([w for w, _ in items]), tuple([x // g for x in xs]))
                 hit = reps.get(key)
                 if hit is None:
                     reps[key] = self.distinct, inst_id, g, L
-                elif rhs is None or g * hit[3] == L * hit[2]:
+                else:
                     rep, ratio = hit[0], Fraction(g * hit[3], L * hit[2])
                     self.aliases[inst_id] = hit[1], ratio
             if rep is None:
-                if kept or rhs is not None:
+                if kept:
                     self.distinct += 1
                 else:
                     self.by_construction += 1
-            self.instances.append((inst_id, kept, rhs, dead, rep, ratio))
+            self.instances.append((inst_id, kept, dead, rep, ratio))
 
     def __iter__(self):
         module, hmod = self.module, self.hmod
@@ -767,19 +758,14 @@ class RelationSweep:
             for label in module.basis(level):
                 # no image is shared between labels: free each label's memo
                 image = _suffix_images(_int_start, step)
-                # each right-hand side once per label, shared by its instances
-                sides = {None: None}
                 found = []  # (live, residual, failed) of each distinct instance
-                for inst_id, terms, rhs, dead, rep, ratio in self.instances:
+                for inst_id, terms, dead, rep, ratio in self.instances:
                     if rep is not None:
                         live, acc, failed = found[rep]
                         if failed and ratio != 1:
                             acc = {k: c * ratio for k, c in acc.items()}
-                    elif terms or rhs is not None:
-                        if rhs not in sides:
-                            d = rhs(module, label)
-                            sides[rhs] = None if _zero(d) else _rational(d)
-                        live, acc = _int_residual(image, label, terms, sides[rhs])
+                    elif terms:
+                        live, acc = _int_residual(image, label, terms)
                         failed = not is_vec_zero(acc, hmod=hmod)
                         found.append((live, acc, failed))
                     else:

@@ -221,7 +221,11 @@ class TSeries:
         if isinstance(other, (int, Fraction)):
             # an exact rational scales the known coefficients, as division
             # by it does: the precision stays X^trunc at any valuation, and
-            # a zero factor gives the zero series mod X^trunc
+            # a zero factor gives the zero series mod X^trunc; a series is
+            # never modified, so 1 gives the series itself (the sweep scales
+            # each diagonal letter's series row by its coefficient, often 1)
+            if other == 1:
+                return self
             return _series(self.val, [other.numerator * c for c in self.nums],
                            self.den * other.denominator, self.trunc)
         o = self._coerce(other)

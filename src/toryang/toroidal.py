@@ -52,9 +52,6 @@ class VectorModule(Module):
         self.params = params
         self.u = params.unit if u is None else u
 
-    def level(self, label):
-        return label
-
     def basis(self, level):
         return [level]
 
@@ -78,9 +75,6 @@ class FockModule(Module):
     def __init__(self, params, u=None):
         self.params = params
         self.u = params.unit if u is None else u
-
-    def level(self, lam):
-        return pt.size(lam)
 
     def basis(self, level):
         return pt.enum_partitions(level)
@@ -140,9 +134,6 @@ class FixedPointModule(Module):
         self.params = params
         self.r = r
         self.margin = margin  # extra rows beyond the diagram in cutoffs
-
-    def level(self, mlam):
-        return pt.mp_size(mlam)
 
     def basis(self, level):
         return pt.enum_multipartitions(self.r, level)
@@ -252,10 +243,6 @@ class TensorModule(Module):
         self.w1 = w1
         self.w2 = w2
         self.params = w1.params
-
-    def level(self, label):
-        l1, l2 = label
-        return self.w1.level(l1) + self.w2.level(l2)
 
     def basis(self, level):
         out = []

@@ -30,16 +30,18 @@ post-action label, and an additive support point acts multiplicatively,
 its factor at mode k exp(k * point) (`point_power`).  So its rows, its
 public actions and the rows the relation sweep compiles, each series its
 own numerator over 1, are those of every module; t is read from its
-eigenvalue `t_eigen`.  The bridge has no psi: a psi+, psi- or psiy letter
-raises ValueError.
+eigenvalue `t_eigen`.  Its psi+- letters read the reconstructed diagonal
+family over (1 - q3) (`psi_coeff`); it keeps no factored psi, so a psiy
+letter raises ValueError.
 The comparison map from the renormalized K-theory module is the
 Fock-factorization solver (`toroidal.solve_intertwiner`) run against the
 bridge.  The audits of T3, T4t and the e half of T6t are instance lists
-run through the relation engine's sweep (`repbase.RelationSweep`); T3's
-right-hand side is psi+- over (1 - q3), through `over_one_minus_q3`.
-psi+- is kept as the list of its modes, each a series in the deformation
-symbol, from the exponential recurrence on the Borel data
-(`_psi_pm_series`); no series has series coefficients.
+run through the relation engine's sweep (`repbase.RelationSweep`), T3 as
+on a module (`repbase._t3_terms`) with the coefficient 1 in place of
+1/beta_1, since the bridge's psi+- carry the 1/(1 - q3).  psi+- is kept as
+the list of its modes, each a series in the deformation symbol, from the
+exponential recurrence on the Borel data (`psi_pm_coeff`), extended in
+place when a larger mode is read; no series has series coefficients.
 Per-label and per-row data follows the memo rule of `repbase`: it is
 computed on first use and kept on the bridge, so constructing a bridge
 computes none of it.
@@ -51,8 +53,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .params import series_yangian, series_toroidal
-from .repbase import (Module, RelationSweep, memoized, _commutator_words,
-                      _ladder_instances, _nested)
+from .repbase import Module, RelationSweep, memoized, _ladder_instances, _nested, _t3_terms
 from .scalars import (TSeries, series_exp, series_log, series_sqrt,
                       expm1_over, is_zero_mod, ScalarDomainError,
                       _int_content, _series)
@@ -104,7 +105,8 @@ def gprime_series(order):
 class UpsilonBridge(Module):
     """Image operators on the rank-r additive fixed-point module over the
     series ring, with per-label Borel data: a `Module` whose e and f
-    transitions are the additive module's, glued, and which has no psi."""
+    transitions are the additive module's, glued, and whose psi+- is the
+    reconstructed diagonal family over 1 - q3."""
 
     def __init__(self, alpha, beta, xis, r, trunc=16, degenerate=False):
         self.params = series_yangian(alpha, beta, xis, trunc=trunc,
@@ -260,7 +262,17 @@ class UpsilonBridge(Module):
         return series_exp(point * mode)
 
     def _psi_rat(self, label):
-        raise ValueError("the bridge has no psi letters; it answers e, f and t")
+        raise ValueError("the bridge keeps no factored psi; its psi+- letters read psi_pm_coeff")
+
+    def psi_coeff(self, label, sign, k):
+        """psi+-_k on the label over 1 - q3: the reconstructed diagonal family
+        (`psi_pm_coeff`) through `over_one_minus_q3`; 0 when k < 0."""
+        if k < 0:
+            return 0
+        return self.over_one_minus_q3(self.psi_pm_coeff(label, sign, k, k))
+
+    def psi_y_eigenvalue(self, label, j):
+        raise ValueError("the bridge has no psiy letters; it answers e, f, t and psi+-")
 
     # bound in the class body, where the traced benchmark looks them up
     apply_e = Module.apply_e
@@ -294,28 +306,29 @@ class UpsilonBridge(Module):
         return self.t_eigen(label, m)
 
     @memoized
-    def _psi_pm_series(self, label, sign, kmax):
-        """[psi+-_0, ..., psi+-_kmax]: the modes of the reconstructed diagonal
-        exponential family (sign +1/-1) on the label, each a series in the
-        deformation symbol.
+    def _psi_pm_modes(self, label, sign):
+        """(pref, [b_0, b_1, ...]) on the label, from b_0 = 1: the table that
+        `psi_pm_coeff` extends in place."""
+        return series_exp(-self.params.h3 * self.psi0(label) * Fraction(sign, 2)), [Fraction(1)]
+
+    def psi_pm_coeff(self, label, sign, k, kmax):
+        """Mode k, 0 <= k <= kmax, of the reconstructed diagonal exponential
+        family (sign +1/-1) on the label, a series in the deformation symbol;
+        the label's table of exponential modes (`_psi_pm_modes`) is extended
+        to kmax.
 
         psi+-(z) = pref * exp(sum_m a_m z^(-sign m)) with a_m = sign B(sign m)
         and pref = exp(-sign h3 psi_0 / 2).  The exponential's modes b_k
         solve b' = a' b: b_0 = 1, k b_k = sum_{j=1..k} j a_j b_(k-j), on
         flat series; a zero a_j enters no term.
         """
-        a = {m: self.B_at(label, sign * m) * sign for m in range(1, kmax + 1)}
-        b = [Fraction(1)]
-        for k in range(1, kmax + 1):
-            b.append(sum(a[j] * b[k - j] * j for j in range(1, k + 1) if a[j])
-                     * Fraction(1, k))
-        pref = series_exp(-self.params.h3 * self.psi0(label) * Fraction(sign, 2))
-        return [c * pref for c in b]
-
-    def psi_pm_coeff(self, label, sign, k, kmax):
-        """Mode k of the reconstructed diagonal exponential family
-        (`_psi_pm_series`), 0 <= k <= kmax."""
-        return self._psi_pm_series(label, sign, kmax)[k]
+        pref, b = self._psi_pm_modes(label, sign)
+        if kmax >= len(b):
+            a = {m: self.B_at(label, sign * m) * sign for m in range(1, kmax + 1)}
+            for n in range(len(b), kmax + 1):
+                b.append(sum(a[j] * b[n - j] * j for j in range(1, n + 1) if a[j])
+                         * Fraction(1, n))
+        return b[k] * pref
 
     # -- audits: instance lists through the relation sweep ---------------------
     def _sweep(self, tag, instances, level_bound, hmod):
@@ -324,19 +337,12 @@ class UpsilonBridge(Module):
 
     def audit_t3(self, level_bound, window, hmod):
         """[image e_i, image f_j] = (psi+_{i+j} - psi-_{-(i+j)})/(1 - q3), with
-        psi+- the reconstructed diagonal family (`psi_pm_coeff`)."""
-        def rhs(bridge, label, k):
-            plus = bridge.psi_pm_coeff(label, +1, k, 2 * window) if k >= 0 else 0
-            minus = bridge.psi_pm_coeff(label, -1, -k, 2 * window) if k <= 0 else 0
-            return bridge.over_one_minus_q3(plus - minus)
-
+        psi+- the reconstructed diagonal family: T3 with the coefficient 1
+        (`repbase._t3_terms`), its psi+- letters read over 1 - q3
+        (`psi_coeff`)."""
         W = range(-window, window + 1)
-        # one right-hand side per k, which the sweep reads once per (label, k)
-        sides = {k: lambda bridge, label, k=k: rhs(bridge, label, k)
-                 for k in range(-2 * window, 2 * window + 1)}
-        return self._sweep("t3", [((i, j), _commutator_words([("e", i)], [("f", j)]),
-                                   sides[i + j])
-                                  for i in W for j in W], level_bound, hmod)
+        return self._sweep("t3", [((i, j), _t3_terms(i, j, 1)) for i in W for j in W],
+                           level_bound, hmod)
 
     def audit_t4_ladder(self, level_bound, i_range, j_range, hmod):
         """[image t_i, image e_j] = image e_{i+j} for i != 0."""
@@ -345,7 +351,7 @@ class UpsilonBridge(Module):
 
     def audit_cubic(self, level_bound, hmod):
         """[e_0-image, [e_1-image, e_{-1}-image]] annihilates every vector."""
-        return self._sweep("cubic", [((), _nested("e", (0, 1, -1)), None)], level_bound, hmod)
+        return self._sweep("cubic", [((), _nested("e", (0, 1, -1)))], level_bound, hmod)
 
 
 def borel_kernel_identity(bridge, level_bound, worder, hmod):

@@ -307,7 +307,10 @@ def test_criterion_7_bridge():
     """Series-ring bridge: kernel identity, bracket/ladder/cubic audits on
     the rank <= 2 modules at level <= 3 with residuals zero through order 8,
     the comparison-map constants at level 3, and the degenerate-direction
-    match."""
+    match.  The three audits also run along a sampled second direction with
+    its own shifts.  The negative control: the r = 1 bridge with its glueing
+    prefactor scaled by 17/16 fails T3 at levels <= 1 at both directions."""
+    from toryang.params import sample_generic_params
     from toryang.upsilon import (UpsilonBridge, borel_kernel_identity,
                                  borel_log_identity, ch_solver,
                                  limit_h3_diffop_identities,
@@ -316,13 +319,19 @@ def test_criterion_7_bridge():
     t0 = time.time()
     HMOD = 9  # residuals vanish modulo the ninth power of the deformation symbol
     ok = borel_log_identity(8)
-    br1 = UpsilonBridge(13, 1, (Fraction(1, 5),), 1, trunc=14)
-    br2 = UpsilonBridge(13, 1, (Fraction(1, 5), Fraction(1, 7)), 2, trunc=14)
-    ok &= borel_kernel_identity(br1, 3, 3, hmod=HMOD) == []
-    for br, L in ((br1, 3), (br2, 3)):
-        ok &= br.audit_t3(L, 2, hmod=HMOD) == []
-        ok &= br.audit_t4_ladder(L, range(-2, 3), range(-1, 2), hmod=HMOD) == []
-        ok &= br.audit_cubic(L, hmod=HMOD) == []
+    second = sample_generic_params(SECOND_POINT_SEED, "yangian", r=2)
+    for (h1, h2, shifts) in ((13, 1, (Fraction(1, 5), Fraction(1, 7))),
+                             (second.h1, second.h2, second.xs)):
+        for r in (1, 2):
+            br = UpsilonBridge(h1, h2, shifts[:r], r, trunc=14)
+            if (h1, r) == (13, 1):
+                ok &= borel_kernel_identity(br, 3, 3, hmod=HMOD) == []
+            ok &= br.audit_t3(3, 2, hmod=HMOD) == []
+            ok &= br.audit_t4_ladder(3, range(-2, 3), range(-1, 2), hmod=HMOD) == []
+            ok &= br.audit_cubic(3, hmod=HMOD) == []
+        control = UpsilonBridge(h1, h2, shifts[:1], 1, trunc=14)
+        control.gpre = control.gpre * Fraction(17, 16)
+        ok &= control.audit_t3(1, 1, hmod=HMOD) != []
     consts, fails = ch_solver(13, 1, (Fraction(1, 5),), 1, 3, trunc=14, hmod=HMOD)
     ok &= not fails
     ok &= limit_h3_diffop_identities(trunc=12, xcap=8, hmod=HMOD) == []

@@ -1,11 +1,10 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toryang import partitions as pt
-from toryang.params import default_toroidal, default_yangian, series_toroidal
+from toryang.params import default_toroidal, series_toroidal
 from toryang.scalars import series_exp
 
 
@@ -72,34 +71,6 @@ def test_tangent_character_count_and_example():
     for r, n in ((1, 3), (2, 2)):
         for mlam in pt.enum_multipartitions(r, n):
             assert len(pt.tangent_character(mlam)) == 2 * r * n
-
-
-def test_normal_character_signed_count():
-    # smooth correspondence dimension: 2rn + r - 1 signed weights
-    for r in (1, 2):
-        for n in (0, 1, 2):
-            for mlam in pt.enum_multipartitions(r, n):
-                for (a, col, row) in pt.addable_boxes(mlam):
-                    mmu = pt.mp_add_box(mlam, a, row)
-                    w = pt.normal_character(mlam, mmu)
-                    assert sum(s for s, *_ in w) == 2 * r * n + r - 1
-
-
-def test_normal_character_rejects_non_extension():
-    with pytest.raises(ValueError):
-        pt.normal_character(((1,),), ((1,),))
-    with pytest.raises(ValueError):
-        pt.normal_character(((),), ((1, 1),))
-
-
-def test_normal_character_generic_nonzero():
-    p = default_yangian(r=2)
-    for mlam in pt.enum_multipartitions(2, 2):
-        for (a, col, row) in pt.addable_boxes(mlam):
-            mmu = pt.mp_add_box(mlam, a, row)
-            for s, v in pt.eval_add(pt.normal_character(mlam, mmu),
-                                    p.h1, p.h2, p.xs):
-                assert v != 0
 
 
 def test_tangent_character_exp_consistency():

@@ -91,23 +91,25 @@ def test_counterexample_reports_are_pinned(name, kind):
 
 def instances_digest(build, relations, params):
     """sha256 over every instance of the relations at windows 0-3: its id,
-    each term's coefficient type and value with its word, and whether it
-    has a right-hand side."""
+    each term's coefficient type and value with its word, and False, where
+    the digest once recorded whether the instance had a right-hand side
+    (none has one)."""
     rows = [(window, rel, inst_id,
              [(type(c).__name__, str(c), [tuple(letter) for letter in word])
-              for c, word in terms], rhs is not None)
+              for c, word in terms], False)
             for window in range(4) for rel in relations
-            for inst_id, terms, rhs in build(rel, window, params)]
+            for inst_id, terms in build(rel, window, params)]
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-# Recorded before the additive kernel relations Y1/Y2 and Y4/Y5 were built
-# through one helper.
+# The Y digests were recorded before the additive kernel relations Y1/Y2
+# and Y4/Y5 were built through one helper; the T digests when T3's
+# right-hand side became its psi+- words (`test_t3_terms_are_pinned`).
 INSTANCE_DIGESTS = {
     ("T", "default"):
-        "1f984ad4582a3d733c39fc1d81b208f24dd768df77a0167bf842eee45cce4316",
+        "1c0ad17cf4235cd7c12fa0660983d90fe06f86fb58d36d0534cfef5d022b89da",
     ("T", "seed7"):
-        "e225d8b7c5ab9b62c7ee702e8d439019a11d70f44e1bbb454c7882b5735749b4",
+        "84f0802d84ddb5099f433f2d75a34c3633dc43493557fa3681831d8e8e274d5d",
     ("Y", "default"):
         "f2089edd2fa95ba61f602b2fed0c80e166f017032ed9d97448e42b93bea74387",
     ("Y", "seed7"):
@@ -125,6 +127,30 @@ def test_relation_instances_are_pinned(family, point):
         default = default_yangian()
     params = default if point == "default" else sample_generic_params(7, flavor)
     assert instances_digest(build, relations, params) == INSTANCE_DIGESTS[family, point]
+
+
+@pytest.mark.parametrize("point,c", [("default", Fraction(3, 5)),
+                                     ("seed7", Fraction(616, 405)), ("bridge", 1)])
+def test_t3_terms_are_pinned(point, c, monkeypatch):
+    """T3[i, j] is [e_i, f_j] - c psi+_(i+j) + c psi-_(-(i+j)) at window 1,
+    the diagonal right-hand side as two words: c = 1/beta_1 on a module at
+    the default and the seed-7 point, and c = 1 in the bridge's `audit_t3`,
+    whose psi+- letters carry the 1/(1 - q3)."""
+    W = (-1, 0, 1)
+    if point == "bridge":
+        swept = []
+        monkeypatch.setattr(upsilon, "RelationSweep",
+                            lambda module, instances, *args: swept.extend(instances) or [])
+        assert UpsilonBridge(13, 1, (Fraction(1, 5),), 1, trunc=8).audit_t3(0, 1, 4) == []
+        got = [(f"T3[{i},{j}]", terms) for (i, j), terms in swept]
+    else:
+        params = default_toroidal() if point == "default" else \
+            sample_generic_params(7, "toroidal")
+        assert 1 / params.beta(1) == c
+        got = repbase.t_relation_instances("T3", 1, params)
+    assert got == [(f"T3[{i},{j}]", [(1, [("e", i), ("f", j)]), (-1, [("f", j), ("e", i)]),
+                                     (-c, [("psi+", i + j)]), (c, [("psi-", -(i + j))])])
+                   for i in W for j in W]
 
 
 # -- the kernel against a schoolbook sum of products -----------------------
@@ -511,9 +537,6 @@ class IntLadder(Module):
     with coefficient j + 1, f lowers it with coefficient 2, both at support
     point 1, and psi = 1.  [e_0, f_0] is -2 on every label, not psi's 0."""
 
-    def level(self, j):
-        return j
-
     def basis(self, level):
         return [level]
 
@@ -708,16 +731,13 @@ def test_suffix_memos_are_freed_without_the_cycle_collector():
 def reference_pairs(module, instances, level_bound):
     """Every (instance_id, level, label, live, residual) of a sweep, in its
     order, summed the schoolbook way: one `lincomb` over the items of each
-    term's `word_images` image and the right-hand side."""
+    term's `word_images` image."""
     for level in range(level_bound + 1):
         for label in module.basis(level):
             image = word_images(module)
-            for inst_id, terms, rhs in instances:
+            for inst_id, terms in instances:
                 triples = [(k, c, coeff) for coeff, word in terms if coeff
                            for k, c in image(label, tuple(word)).items()]
-                d = 0 if rhs is None else rhs(module, label)
-                if d:
-                    triples.append((label, d, -1))
                 yield inst_id, level, label, bool(triples), lincomb(triples)
 
 
@@ -923,29 +943,27 @@ def collected(terms):
 @pytest.mark.parametrize("family", ["T", "Y"])
 def test_normal_form_is_sound(family, window):
     """Each alias's terms are its ratio times those of its representative,
-    which comes first, each formal tautology has no term and no right-hand
-    side, and no two instances swept are multiples of each other."""
+    which comes first, each formal tautology has no term, and no two
+    instances swept are multiples of each other."""
     module, params, build, relations = rank2(family)
     for rel in relations:
         instances = build(rel, window, params)
         sweep = repbase.RelationSweep(module, instances, 0)
-        terms = {inst_id: collected(t) for inst_id, t, _ in instances}
-        rhs = {inst_id: r for inst_id, _, r in instances}
-        for (inst_id, t, _), (kept_id, kept, _, dead, _, _) in zip(instances, sweep.instances):
+        terms = {inst_id: collected(t) for inst_id, t in instances}
+        for (inst_id, t), (kept_id, kept, dead, _, _) in zip(instances, sweep.instances):
             assert kept_id == inst_id
             assert {w: Fraction(n, d) for n, d, w in kept} == terms[inst_id]
             assert set(dead) == {tuple(w) for c, w in t if c} - set(terms[inst_id])
-        order = {inst_id: k for k, (inst_id, _, _) in enumerate(instances)}
+        order = {inst_id: k for k, (inst_id, _) in enumerate(instances)}
         for alias, (rep_id, ratio) in sweep.aliases.items():
             assert ratio and terms[alias] == {w: ratio * c for w, c in terms[rep_id].items()}
-            assert rhs[alias] is None or (rhs[alias] is rhs[rep_id] and ratio == 1)
             assert rep_id not in sweep.aliases and order[rep_id] < order[alias]
-        swept = [inst_id for inst_id, kept, r, _, rep, _ in sweep.instances
-                 if rep is None and (kept or r is not None)]
+        swept = [inst_id for inst_id, kept, _, rep, _ in sweep.instances
+                 if rep is None and kept]
         rest = [inst_id for inst_id in terms if inst_id not in sweep.aliases
                 and inst_id not in swept]
         assert (len(swept), len(rest)) == (sweep.distinct, sweep.by_construction)
-        assert all(not terms[inst_id] and rhs[inst_id] is None for inst_id in rest)
+        assert all(not terms[inst_id] for inst_id in rest)
         assert len(swept) + len(rest) + len(sweep.aliases) == len(instances)
         # the terms of each instance swept, scaled to a leading coefficient 1
         shapes = [frozenset((w, c / t[min(t)]) for w, c in t.items())
@@ -954,21 +972,26 @@ def test_normal_form_is_sound(family, window):
 
 
 def test_only_rational_multiples_alias():
-    """Equal words with coefficients that are not proportional, a right-hand
-    side other than the representative's, or a series coefficient make no
-    alias; a scaled copy reads the scaled residual."""
+    """Equal words with coefficients that are not proportional, a diagonal
+    word other than the representative's, or a series coefficient make no
+    alias; a scaled copy reads the scaled residual, and an exact duplicate
+    aliases with ratio 1."""
     e0, e1, f0 = [("e", 0)], [("e", 1)], [("f", 0)]
-    side, other = repbase._t3_side(0, Fraction(1)), repbase._t3_side(1, Fraction(1))
+
+    def side(k):
+        """T3's diagonal words at k = i + j, with the coefficient 1."""
+        return [(-1, [("psi+", k)]), (1, [("psi-", -k)])]
+
     instances = [
-        ("a", [(1, e0 + e1), (2, e1 + e0)], None),
-        ("b", [(Fraction(-3, 2), e0 + e1), (-3, e1 + e0)], None),
-        ("c", [(1, e0 + e1), (3, e1 + e0)], None),
-        ("d", [(1, e0 + e1), (1, e1), (-1, e0 + e1), (-1, e1)], None),
-        ("e", [(1, f0 + e0)], side),
-        ("f", [(2, f0 + e0)], side),
-        ("g", [(1, f0 + e0)], other),
-        ("h", [(1, f0 + e0)], side),
-        ("i", [(TSeries(0, [1], 3), e0 + e1), (2, e1 + e0)], None),
+        ("a", [(1, e0 + e1), (2, e1 + e0)]),
+        ("b", [(Fraction(-3, 2), e0 + e1), (-3, e1 + e0)]),
+        ("c", [(1, e0 + e1), (3, e1 + e0)]),
+        ("d", [(1, e0 + e1), (1, e1), (-1, e0 + e1), (-1, e1)]),
+        ("e", [(1, f0 + e0)] + side(0)),
+        ("f", [(2, f0 + e0)] + side(0)),
+        ("g", [(1, f0 + e0)] + side(1)),
+        ("h", [(1, f0 + e0)] + side(0)),
+        ("i", [(TSeries(0, [1], 3), e0 + e1), (2, e1 + e0)]),
     ]
     module = KTheoryFixedPointModule(P2, 2)
     sweep = repbase.RelationSweep(module, instances, 1)
@@ -1035,7 +1058,7 @@ class FloatAbove(ModuleWrapper):
 
     def _e_transitions(self, label):
         ts = self.base.e_transitions(label)
-        return ts if self.level(label) == 0 else [(t, float(c), p) for t, c, p in ts]
+        return ts if sum(map(sum, label)) == 0 else [(t, float(c), p) for t, c, p in ts]
 
 
 def test_sweep_rejects_a_float_by_name():
@@ -1099,7 +1122,7 @@ def sym3_sweep(module, family, g, modes, level_bound):
     """The sweep of the g half of T6 (family 'T') or Y6 ('Y') at every mode
     triple in modes**3."""
     shifts = (+1, -1) if family == "T" else (0, +1)
-    instances = [((i1, i2, i3), repbase._sym3_nested(g, i1, i2, i3, *shifts), None)
+    instances = [((i1, i2, i3), repbase._sym3_nested(g, i1, i2, i3, *shifts))
                  for i1 in modes for i2 in modes for i3 in modes]
     return repbase.RelationSweep(module, instances, level_bound)
 
@@ -1130,7 +1153,7 @@ def family_words(family, letters):
         build, relations, params = repbase.t_relation_instances, RELATION_BUILDERS_T, P2
     else:
         build, relations, params = repbase.y_relation_instances, RELATION_BUILDERS_Y, Y2
-    words = {tuple(word): None for rel in relations for _, terms, _ in build(rel, 2, params)
+    words = {tuple(word): None for rel in relations for _, terms in build(rel, 2, params)
              for _, word in terms}
     return [word for word in words if all(gen in letters for gen, _ in word)]
 

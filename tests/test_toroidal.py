@@ -227,14 +227,12 @@ def first_failure_by_direct_words(module, relation, params, level_bound, window)
     instances = t_relation_instances(relation, window, params)
     for level in range(level_bound + 1):
         for label in module.basis(level):
-            for inst_id, terms, rhs in instances:
+            for inst_id, terms in instances:
                 acc = {}
                 for coeff, word in terms:
                     if coeff:
                         image = apply_word(module, word, vec(label))
                         acc = vsum(((k, c * coeff) for k, c in image.items()), acc)
-                if rhs is not None:
-                    acc = vsum([(label, -rhs(module, label))], acc)
                 if acc:
                     return {"instance": inst_id, "level": level, "label": label,
                             "residual": {str(k): repr(c) for k, c in acc.items()}}
@@ -248,7 +246,7 @@ class TestRelationEngine:
         M = KTheoryFixedPointModule(P2, 2)
         image = word_images(M)
         for rel in RELATION_BUILDERS_T:
-            for _, terms, _ in t_relation_instances(rel, 3, P2):
+            for _, terms in t_relation_instances(rel, 3, P2):
                 for level in range(3):
                     for label in M.basis(level):
                         for _, word in terms:

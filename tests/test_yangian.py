@@ -98,7 +98,7 @@ class TestFixedPoint:
         V = CohomologyFixedPointModule(P2, 2)
         image = word_images(V)
         for rel in RELATION_BUILDERS_Y:
-            for _, terms, _ in y_relation_instances(rel, 3, P2):
+            for _, terms in y_relation_instances(rel, 3, P2):
                 for level in range(3):
                     for label in V.basis(level):
                         for _, word in terms:
