@@ -18,13 +18,16 @@ Storage.  An operator keeps integer numerators over one positive int `den`:
 `nums` = {(i, j): n} for the monomials (Z^i D^j, or x^i shift^j) and the
 central `cnum`, with no zero in `nums` and gcd(den, cnum, *nums) == 1;
 `terms` and `central` build Fractions when read.  Every operation writes
-numerators n/(den d) under (key, d) into a dict, the central one under the
-key None, and ends in `_op`, which joins them over the lcm of the d's,
-drops zeros and makes one gcd pass.  The family rules read each weight as
-an int pair (n, d) from `ctx`, made once per product (`_context`).  Values
-enter through `scalars._rational`, so anything but an int, a Fraction or a
-series raises TypeError; a series q is its own numerator over 1, and as
-series numerators have no gcd, an operator holding them keeps its den.
+its result as parts (s, d, items) of the package's one exact sum,
+`scalars._int_sum`, the central numerator under the key None: a sum or a
+scaling one part per operator, a product or a bracket one per row d of a
+dict {d: {key: n}} that it accumulates.  It ends in `_op`, which joins the
+parts and brings them to canonical form with the package's one reducer,
+`scalars._int_reduce`.  The family rules read each weight as an int pair
+(n, d) from `ctx`, made once per product (`_context`).  Values enter
+through `scalars._rational`, so anything but an int, a Fraction or a series
+raises TypeError; a series q is its own numerator over 1, and as series
+numerators have no gcd, an operator holding them keeps its den.
 The rows of (x + jh)^b are kept in `_SHIFT_ROWS`, keyed by (h_n, h_d, j, b)
 for the life of the process with no size bound, like `shuffle`'s star
 tables; a row is an exact function of its key.  A series h cannot key it.
@@ -43,9 +46,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import comb, gcd, lcm
+from math import comb, gcd
 
-from .scalars import _exact, _over, _rational
+from .scalars import _exact, _int_reduce, _int_sum, _over, _rational
 
 __all__ = [
     "QOp", "HOp", "theta_m_e", "theta_m_f", "theta_m_H", "theta_m_kappa", "theta_a_e",
@@ -58,25 +61,19 @@ __all__ = [
 _new = object.__new__
 
 
-def _op(cls, param, out, den=1):
-    """The operator of cls with the numerators out = {(key, d): n} over den,
-    in canonical form (see the module docstring)."""
-    L = lcm(*{d for _, d in out})
-    acc = {}
-    for (key, d), n in out.items():
-        acc[key] = acc.get(key, 0) + (n if d == L else n * (L // d))
-    den *= L
-    cnum = acc.pop(None, 0)
-    nums = {k: n for k, n in acc.items() if n}
-    try:
-        g = gcd(den, cnum, *nums.values())
-    except TypeError:  # a series numerator has no gcd
-        g = 1
-    if g != 1:
-        den, cnum, nums = den // g, cnum // g, {k: n // g for k, n in nums.items()}
+def _op(cls, param, parts, den=1):
+    """The operator of cls that is the sum of the parts (s, d, items) of
+    `_int_sum` over den, in canonical form (see the module docstring)."""
+    L, acc = _int_sum(parts)
+    nums, den = _int_reduce(acc, den * L)
     op = _new(cls)
-    op.param, op.nums, op.cnum, op.den = param, nums, cnum, den
+    op.param, op.cnum, op.nums, op.den = param, nums.pop(None, 0), nums, den
     return op
+
+
+def _rows(out):
+    """The rows {d: {key: n}} of a product as parts of `_int_sum`."""
+    return [(1, d, row.items()) for d, row in out.items()]
 
 
 class _ShiftOp:
@@ -89,7 +86,7 @@ class _ShiftOp:
     def __new__(cls, param, terms=None, central=0):
         _rational(param)  # TypeError for an inexact parameter
         items = [*(terms or {}).items(), (None, central)]
-        return _op(cls, param, {(k, d): n for k, c in items for n, d in (_rational(c),)})
+        return _op(cls, param, [(n, d, ((k, 1),)) for k, c in items for n, d in (_rational(c),)])
 
     @classmethod
     def monomial(cls, param, i, j, c=1):
@@ -103,22 +100,19 @@ class _ShiftOp:
     def central(self):
         return _over(self.cnum, self.den)
 
-    def _into(self, out, s=1):
-        """Add s times the numerators of self, under (key, den), into out."""
-        d = self.den
-        for k, n in [*self.nums.items(), (None, self.cnum)]:
-            out[k, d] = out.get((k, d), 0) + s * n
-        return out
+    def _part(self, s=1):
+        """s times self as a part of `_int_sum`: s, den and the numerators."""
+        return s, self.den, [*self.nums.items(), (None, self.cnum)]
 
     def __add__(self, other, sign=1):
-        return _op(type(self), self.param, other._into(self._into({}), sign))
+        return _op(type(self), self.param, [self._part(), other._part(sign)])
 
     def __sub__(self, other):
         return self.__add__(other, -1)
 
     def scale(self, c):
         n, d = _rational(c)
-        return _op(type(self), self.param, self._into({}, n), d)
+        return _op(type(self), self.param, [self._part(n)], d)
 
     def __neg__(self):
         return self.scale(-1)
@@ -145,8 +139,10 @@ class _ShiftOp:
             for (b, k), c2 in other.nums.items():
                 c = c1 * c2
                 for key, n, d in reorder(ctx, a, j, b, k):
-                    kd = key, d
-                    out[kd] = get(kd, 0) + c * n
+                    row = get(d)
+                    if row is None:
+                        row = out[d] = {}
+                    row[key] = row.get(key, 0) + c * n
         return out
 
     def mul(self, other):
@@ -155,7 +151,7 @@ class _ShiftOp:
         if self.cnum or other.cnum:
             raise ValueError("associative product is defined on operator parts")
         out = self._mul_into({}, other, self._context())
-        return _op(type(self), self.param, out, self.den * other.den)
+        return _op(type(self), self.param, _rows(out), self.den * other.den)
 
 
 def _bracket(self, other):
@@ -168,8 +164,9 @@ def _bracket(self, other):
         for (b, k), c2 in other.nums.items():
             if j and j + k == 0:
                 for n, d in self._cocycle(ctx, a, j, b):
-                    out[None, d] = out.get((None, d), 0) + c1 * c2 * n
-    return _op(type(self), self.param, out, self.den * other.den)
+                    row = out.setdefault(d, {})
+                    row[None] = row.get(None, 0) + c1 * c2 * n
+    return _op(type(self), self.param, _rows(out), self.den * other.den)
 
 
 class QOp(_ShiftOp):

@@ -8,9 +8,10 @@ decompositions.
 Integer kernels.  An `MPoly` keeps its coefficients as integer numerators
 over one denominator, c_e = nums[e] / den, in canonical form (see the class
 docstring), and every kernel reads and writes that form; none has another
-path.  Each result goes through `_mpoly`, which drops zero numerators and
-reduces by one gcd pass.  Sums write both numerator dicts over the lcm of
-the denominators; a rational factor or divisor scales the numerators and
+path.  Each result goes through `_mpoly`, which brings it to canonical form
+with the package's one reducer, `scalars._int_reduce`, and a sum and the
+constructor write their parts over one denominator with its one exact sum,
+`scalars._int_sum`.  A rational factor or divisor scales the numerators and
 the denominator; the product sums integer products per exponent over the
 product of the denominators.  `div_vandermonde` divides by each
 (x_a - x_b) with `_div_vandermonde_int`, whose synthetic division only
@@ -27,10 +28,10 @@ coefficient-by-coefficient Fraction computation gives.  `d` builds the
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb
 from operator import add
 
-from .scalars import _coefficient
+from .scalars import _coefficient, _int_reduce, _int_sum
 
 __all__ = ["MPoly"]
 
@@ -40,21 +41,11 @@ _new = object.__new__
 def _mpoly(n, nums, den):
     """The MPoly sum nums[e]/den x^e in n variables, for integer numerators
     over a nonzero integer den of either sign, as every kernel builds its
-    result; zero numerators are dropped and one gcd pass makes the form
-    canonical.  The dict is not modified and may be kept by the result."""
-    if 0 in nums.values():
-        nums = {e: c for e, c in nums.items() if c}
-    if not nums:
-        den = 1
-    elif den != 1:
-        g = gcd(den, *nums.values())
-        if den < 0:
-            g = -g
-        if g != 1:
-            nums = {e: c // g for e, c in nums.items()}
-            den //= g
+    result, in canonical form (`_int_reduce`).  The dict is not modified and
+    may be kept by the result."""
     p = _new(MPoly)
-    p.n, p.nums, p.den = n, nums, den
+    p.nums, p.den = _int_reduce(nums, den)
+    p.n = n
     return p
 
 
@@ -118,10 +109,10 @@ class MPoly:
     __slots__ = ("n", "nums", "den")
 
     def __init__(self, n, d=None):
-        terms = [(tuple(e), _coefficient(c)) for e, c in d.items()] if d else []
-        den = lcm(*[c.denominator for _, c in terms])
-        p = _mpoly(n, {e: c.numerator * (den // c.denominator) for e, c in terms}, den)
-        self.n, self.nums, self.den = n, p.nums, p.den
+        den, nums = _int_sum([(c.numerator, c.denominator, ((tuple(e), 1),))
+                              for e, c in (d or {}).items() for c in (_coefficient(c),)])
+        self.n = n
+        self.nums, self.den = _int_reduce(nums, den)
 
     @property
     def d(self):
@@ -168,13 +159,8 @@ class MPoly:
 
     def _plus(self, o, sign):
         """self + sign * o, on the numerators over the lcm of the two
-        denominators."""
-        den = lcm(self.den, o.den)
-        fa, fb = den // self.den, sign * (den // o.den)
-        out = dict(self.nums) if fa == 1 else {e: fa * c for e, c in self.nums.items()}
-        get = out.get
-        for e, c in o.nums.items():
-            out[e] = get(e, 0) + fb * c
+        denominators (`_int_sum`)."""
+        den, out = _int_sum([(1, self.den, self.nums.items()), (sign, o.den, o.nums.items())])
         return _mpoly(self.n, out, den)
 
     def __add__(self, other):

@@ -22,7 +22,6 @@ __all__ = [
     "enum_partitions",
     "enum_multipartitions",
     "conjugate",
-    "size",
     "boxes",
     "arm",
     "leg",
@@ -73,10 +72,6 @@ def enum_multipartitions(r, n):
             for rest in enum_multipartitions(r - 1, n - k):
                 out.append((lam,) + rest)
     return sorted(out)
-
-
-def size(lam):
-    return sum(lam)
 
 
 def conjugate(lam):

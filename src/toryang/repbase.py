@@ -41,10 +41,12 @@ compiled once to a row (den, [(target, n)]), n an int, or a TSeries as its
 own numerator over 1.  A `Module` builds an e or f row from the transitions
 of its (kind, label), kept once as (target, base numerator, base
 denominator, point), and the point's factor at the mode, with no Fraction
-product; a diagonal letter's row is its eigenvalue on the label.  A letter
-is one lcm over the rows it reads, one accumulation and one gcd pass, and a
-residual one sum over the lcm of its terms' denominators, turned into
-Fractions (or series over that lcm) only when it fails.  The public
+product; a diagonal letter's row is its eigenvalue on the label.  Each
+instance's terms are written over one denominator once (`_collect`).  A
+letter is one exact sum of the rows it reads, and a residual one exact sum
+of its terms' images, both by the package's one kernel
+(`scalars._int_sum`, reduced by `scalars._int_reduce`), a residual turned
+into Fractions (or series) only when it fails.  The public
 actions, `apply_word` and `Module.apply_e`/`apply_f`/`apply_psi`/
 `apply_psi_y`/`apply_t`, run on the same compiled rows and return a vector
 of Fractions and TSeries.  The Fraction schoolbook they are checked
@@ -67,9 +69,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from math import gcd, lcm
+from math import gcd
 
-from .scalars import RatFnModes, ratfn_expand, is_zero_mod, _over, _rational
+from .scalars import RatFnModes, ratfn_expand, is_zero_mod, _int_reduce, _int_sum, _over, _rational
 
 __all__ = [
     "memo_table", "memoized",
@@ -138,17 +140,11 @@ def is_vec_zero(u, hmod=None):
     return True
 
 
-def _over_lcm(parts):
-    """The entries [(target, n, d)], each n/d, over one denominator:
-    (den, [(target, n * den/d)]) with den the lcm of the d's."""
-    den = lcm(*(d for _, _, d in parts))
-    return den, [(tgt, n if d == den else n * (den // d)) for tgt, n, d in parts]
-
-
 def _int_row(row):
     """The row [(target, c)] over one denominator, (den, [(target, n)]), each
-    c = n/den (`_rational`, `_over_lcm`)."""
-    return _over_lcm([(tgt,) + _rational(c) for tgt, c in row])
+    c = n/den (`_rational`, `_int_sum`)."""
+    den, nums = _int_sum([(n, d, ((tgt, 1),)) for tgt, c in row for n, d in (_rational(c),)])
+    return den, list(nums.items())
 
 
 def _eigen_row(label, c):
@@ -284,9 +280,10 @@ class Module:
         diagonal, its row the eigenvalue on the label (`_eigen_row`)."""
         gen, idx = letter
         if gen == "e" or gen == "f":
-            return _over_lcm([(tgt, n * pn, d * pd)
-                              for tgt, n, d, point in self._mode_table(gen, label)
-                              for pn, pd in (_rational(self.point_power(point, idx)),)])
+            den, nums = _int_sum([(n * pn, d * pd, ((tgt, 1),))
+                                  for tgt, n, d, point in self._mode_table(gen, label)
+                                  for pn, pd in (_rational(self.point_power(point, idx)),)])
+            return den, list(nums.items())
         if gen == "psi+" or gen == "psi-":
             c = self.psi_coeff(label, +1 if gen == "psi+" else -1, idx)
         elif gen == "psiy":
@@ -414,63 +411,34 @@ def _suffix_images(start, step):
 # entry zero, n an int or a TSeries (`_rational`).  The empty vector is ().
 
 def _int_vec(D, nums):
-    """The vector with entries nums/D, zeros dropped, reduced by one gcd
-    pass; a TSeries numerator has no gcd, and a vector holding one keeps
-    its D."""
-    if not nums or not all(nums.values()):
-        nums = {k: n for k, n in nums.items() if n}
-        if not nums:
-            return ()
-    if D > 1:
-        try:
-            g = gcd(D, *nums.values())
-        except TypeError:
-            return D, nums
-        if g > 1:
-            D //= g
-            nums = {k: n // g for k, n in nums.items()}
-    return D, nums
+    """The vector with entries nums/D in canonical form (`_int_reduce`)."""
+    nums, D = _int_reduce(nums, D)
+    return (D, nums) if nums else ()
 
 
 def _int_start(label):
     return 1, {label: 1}
 
 
-def _int_apply(row, v):
-    """The letter with the compiled row row(label) = (den, [(target, n)]) on
-    each label, on v: one lcm over the rows, one accumulation, one gcd
-    pass.  A product is scaled only by a factor other than 1 and added only
-    to an entry already there, so a series numerator builds no extra
-    TSeries."""
-    D, nums = v
-    rows = [(n, row(label)) for label, n in nums.items()]
-    L = lcm(*(den for _, (den, _) in rows))
-    out = {}
-    get = out.get
-    for n, (den, entries) in rows:
-        s = n if den == L else n * (L // den)
-        for tgt, a in entries:
-            y = get(tgt)
-            out[tgt] = s * a if y is None else y + s * a
-    return _int_vec(D * L, out)
-
-
 def _int_stepper(module):
-    """step(letter, v), the letter on a vector, by `_int_apply` over the
-    rows of the hook every swept object answers, `sweep_row(letter,
-    label)`: the letter on the basis vector of the label over one
-    denominator, (den, [(target, n)]).  Each row is compiled once and kept
-    in the object's own memo, keyed by (letter, label)."""
+    """step(letter, v), the letter on a vector: one exact sum of the rows of
+    its labels (`_int_sum`), reduced (`_int_vec`).  A row comes from the
+    hook every swept object answers, `sweep_row(letter, label)`: the letter
+    on the basis vector of the label over one denominator,
+    (den, [(target, n)]).  Each row is compiled once and kept in the
+    object's own memo, keyed by (letter, label)."""
     rows = memo_table(module, "_sweep_rows")
 
     def step(letter, v):
-        def row(label):
+        D, nums = v
+        parts = []
+        for label, n in nums.items():
             r = rows.get((letter, label))
             if r is None:
                 r = rows[letter, label] = module.sweep_row(letter, label)
-            return r
-
-        return _int_apply(row, v)
+            parts.append((n,) + r)
+        L, out = _int_sum(parts)
+        return _int_vec(D * L, out)
 
     return step
 
@@ -492,27 +460,17 @@ def apply_word(module, word, v):
 
 
 def _int_residual(image, label, terms):
-    """(live, residual) of one (instance, label) pair: the sum of
-    c * image(label, word) over terms [(n, d, word)] (c = n/d), over the lcm
-    of the denominators.  live says whether any image is nonzero; the
-    residual is {} when the sum is zero, else its vector of Fractions and
-    TSeries (`_over`)."""
-    parts = [(n, d, img) for n, d, word in terms
+    """(live, residual) of one (instance, label) pair: the exact sum of
+    c * image(label, word) over terms [(n, d, word)] (c = n/d, `_int_sum`).
+    live says whether any image is nonzero; the residual is {} when the sum
+    is zero, else its vector of Fractions and TSeries (`_over`)."""
+    parts = [(n, d * img[0], img[1].items()) for n, d, word in terms
              for img in (image(label, word),) if img]
     if not parts:
         return False, {}
-    L = lcm(*(d * img[0] for _, d, img in parts))
-    acc = {}
-    get = acc.get
-    for n, d, (D, nums) in parts:
-        f = L // (d * D)
-        s = n if f == 1 else n * f
-        for k, a in nums.items():
-            y = get(k)
-            acc[k] = s * a if y is None else y + s * a
-    if not any(acc.values()):
-        return True, {}
-    return True, {k: _over(n, L) for k, n in acc.items() if n}
+    L, acc = _int_sum(parts)
+    nums, L = _int_reduce(acc, L)
+    return True, {k: _over(n, L) for k, n in nums.items()}
 
 
 def _commutator_words(w1, w2):
@@ -679,20 +637,13 @@ class RelationReport:
 
 
 def _collect(terms):
-    """(kept, dead): the terms [(coeff, word)] summed per word, kept
-    [(n, d, word)] the sums `_zero` keeps (n/d, `_rational`), dead the
-    words whose nonzero coefficients cancel."""
-    acc = {}
-    for coeff, word in terms:
-        if not _zero(coeff):
-            n, d = (coeff, 1) if type(coeff) is int else _rational(coeff)
-            w = tuple(word)
-            y = acc.get(w)
-            if y is not None:
-                n, d = (y[0] + n, d) if y[1] == d else (y[0] * d + n * y[1], y[1] * d)
-            acc[w] = n, d
-    return ([(n, d, w) for w, (n, d) in acc.items() if not _zero(n)],
-            [w for w, (n, d) in acc.items() if _zero(n)])
+    """(kept, dead): the terms [(coeff, word)] summed per word over one
+    denominator (`_int_sum`, `_int_reduce`), kept [(n, D, word)] the
+    nonzero sums n/D, dead the words whose nonzero coefficients cancel."""
+    D, acc = _int_sum([(n, d, ((tuple(word), 1),)) for coeff, word in terms
+                       if not _zero(coeff) for n, d in (_rational(coeff),)])
+    nums, D = _int_reduce(acc, D)
+    return [(n, D, w) for w, n in nums.items()], [w for w in acc if w not in nums]
 
 
 class RelationSweep:
@@ -717,8 +668,8 @@ class RelationSweep:
     Every object swept (a `Module`, the series bridge, the boson states)
     runs one path.  A word image is a vector (D, {label: n}) over one
     denominator, each letter read from compiled rows (`_int_stepper`), and
-    each residual one sum over the lcm of its terms' denominators
-    (`_int_residual`), with a Fraction built only for a failing residual.
+    each residual one exact sum of its terms' images (`_int_residual`), with
+    a Fraction built only for a failing residual.
     A coefficient or row value is an int, a Fraction or a TSeries
     (`_rational`); anything else raises TypeError."""
 
@@ -730,10 +681,10 @@ class RelationSweep:
             kept, dead = _collect(terms)
             rep = ratio = None
             if kept and all(type(n) is int for n, _, _ in kept):
-                # key: the sorted words and their coefficients as a primitive
-                # int vector with first entry > 0
-                L = lcm(*[d for _, d, _ in kept])
-                items = sorted([(w, n if d == L else n * (L // d)) for n, d, w in kept])
+                # key: the sorted words and their coefficients, all over one
+                # denominator L, as a primitive int vector with first entry > 0
+                L = kept[0][1]
+                items = sorted([(w, n) for n, _, w in kept])
                 xs = [x for _, x in items]
                 g = gcd(*xs) if xs[0] > 0 else -gcd(*xs)
                 key = (tuple([w for w, _ in items]), tuple([x // g for x in xs]))

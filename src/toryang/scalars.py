@@ -14,9 +14,21 @@ denominator coefficient lists it needs; evaluation and the kept mode
 tables (`RatFnModes`: power sums, log modes and modes) read the factors
 themselves.
 
-Integer kernels.  A `TSeries` keeps its coefficients as integer numerators
-over one denominator (`nums`, `den`, canonical as its class docstring
-says), and every kernel reads and writes that form; none has another path.
+Integer kernels.  A value kept as a dict of integer numerators over one
+denominator (a relation sweep's rows, vectors and collected terms in
+`repbase`, an `MPoly`, a shift operator in `diffops`) is summed by one
+kernel, `_int_sum`, which writes its parts over the lcm of their
+denominators, and put in canonical form by one reducer, `_int_reduce`,
+which drops the zero numerators and makes one gcd pass; no module has
+another path.  Two paths stay apart on purpose: the plain-dict sum of the
+tests' Fraction schoolbook (`repbase.vsum`), since an oracle must not
+share the kernel it checks, and a series' positional numerator list,
+below, whose own `_series` and `TSeries._plus` are the series bridge's
+hot path.
+
+A `TSeries` keeps its coefficients as integer numerators over one
+denominator (`nums`, `den`, canonical as its class docstring says), and
+every kernel reads and writes that form; none has another path.
 Each result goes through `_series`, which cuts it at trunc, strips zeros at
 both ends and reduces it by one gcd pass.  Sums write both numerator lists
 over the lcm of the denominators; a rational factor or divisor scales the
@@ -548,6 +560,47 @@ def _rational(c):
     if t is TSeries:
         return c, 1
     raise TypeError(f"exact values are ints, Fractions and TSeries, not {t.__name__}")
+
+
+def _int_sum(parts):
+    """The exact sum of the list parts [(s, d, items)], each s/d times the
+    numerators of items, (key, n) pairs: (L, {key: n}), the numerators over
+    L, the lcm of the d's, in first-seen key order, zeros kept.  s and n are
+    ints or TSeries.  A part is scaled only when d is not L and a product
+    added only to an entry already there, so a series builds no extra
+    TSeries."""
+    L = math.lcm(*[d for _, d, _ in parts])
+    out = {}
+    get = out.get
+    for s, d, items in parts:
+        if d != L:
+            s = s * (L // d)
+        for k, n in items:
+            y = get(k)
+            out[k] = s * n if y is None else y + s * n
+    return L, out
+
+
+def _int_reduce(nums, den):
+    """The numerators nums = {key: n} over the nonzero int den in canonical
+    form, (nums, den): zero numerators dropped and one gcd pass, so that
+    den > 0 and gcd(den, *nums) == 1, with den 1 when no numerator is left.
+    A series numerator has no gcd: a dict holding one keeps its den, which
+    every caller gives positive.  The dict given is not modified and may be
+    the one returned."""
+    if not all(nums.values()):
+        nums = {k: n for k, n in nums.items() if n} if any(nums.values()) else {}
+    if not nums or den == 1:
+        return nums, 1
+    try:
+        g = math.gcd(den, *nums.values())
+    except TypeError:
+        return nums, den
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums, den = {k: n // g for k, n in nums.items()}, den // g
+    return nums, den
 
 
 def _exact(x):

@@ -339,7 +339,12 @@ class UpsilonBridge(Module):
         """[image e_i, image f_j] = (psi+_{i+j} - psi-_{-(i+j)})/(1 - q3), with
         psi+- the reconstructed diagonal family: T3 with the coefficient 1
         (`repbase._t3_terms`), its psi+- letters read over 1 - q3
-        (`psi_coeff`)."""
+        (`psi_coeff`).  psi+-_0/(1 - q3) is known only mod X^(trunc - 2), so
+        an hmod above that raises ScalarDomainError: a residual known to a
+        lower order must not pass for zero mod X^hmod."""
+        if hmod > self.trunc - 2:
+            raise ScalarDomainError(f"audit_t3 at hmod {hmod}: psi+-_0/(1 - q3) is known "
+                                    f"only mod X^{self.trunc - 2} at trunc {self.trunc}")
         W = range(-window, window + 1)
         return self._sweep("t3", [((i, j), _t3_terms(i, j, 1)) for i in W for j in W],
                            level_bound, hmod)

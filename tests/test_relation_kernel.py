@@ -22,7 +22,7 @@ from toryang.horizontal import (BosonStates, apply_vertex_mode, etilde_spec, fti
 from toryang.params import default_toroidal, default_yangian, sample_generic_params
 from toryang.repbase import (Module, ModuleWrapper, PerturbedModule, RELATION_BUILDERS_T,
                              RELATION_BUILDERS_Y, check_relation, is_vec_zero, memo_table)
-from toryang.scalars import RatFn, TSeries, _over
+from toryang.scalars import RatFn, TSeries, _int_reduce, _int_sum, _over, _rational
 from toryang.toroidal import (DiagonalTwist, FockModule, KTheoryFixedPointModule,
                               VectorModule, fock_tensor)
 from toryang.upsilon import UpsilonBridge
@@ -163,15 +163,28 @@ def schoolbook(triples):
     return {label: c for label, c in out.items() if c}
 
 
-def same_vector(got, want):
+def same_vector(got, want, by_type=True):
+    """got equals want label by label, in order; a series by valuation,
+    truncation and coefficients.  by_type also asks for the same types."""
     assert list(got) == list(want)
     for label, c in want.items():
         g = got[label]
-        assert type(g) is type(c)
+        assert type(g) is type(c) or not by_type and TSeries not in (type(g), type(c))
         if type(c) is TSeries:
             assert (g.val, g.trunc, g.coeffs) == (c.val, c.trunc, c.coeffs)
         else:
             assert g == c
+
+
+def int_kernel(triples):
+    """The exact-sum kernel's route: each a * b a part of `_int_sum`, a's
+    numerator over both denominators times b's numerator, the sum reduced by
+    `_int_reduce` and read as values (`_over`)."""
+    parts = [(na, da * db, ((label, nb),)) for label, a, b in triples
+             for (na, da), (nb, db) in ((_rational(a), _rational(b)),)]
+    den, nums = _int_sum(parts)
+    nums, den = _int_reduce(nums, den)
+    return {label: _over(n, den) for label, n in nums.items()}
 
 
 ints = st.integers(-6, 6)
@@ -196,6 +209,7 @@ def rational_triples(draw):
 def test_kernel_matches_schoolbook_on_rationals(triples):
     same_vector(lincomb(triples), schoolbook(triples))
     same_vector(lincomb(iter(triples)), schoolbook(triples))
+    same_vector(int_kernel(triples), schoolbook(triples), by_type=False)
 
 
 @settings(max_examples=150, deadline=None)
@@ -207,23 +221,51 @@ def test_kernel_falls_back_on_series(triples, with_series, data):
         triple = (label, s, c) if data.draw(st.booleans()) else (label, c, s)
         triples.insert(at, triple)
     same_vector(lincomb(triples), schoolbook(triples))
+    same_vector(int_kernel(triples), schoolbook(triples), by_type=False)
 
 
 def test_kernel_cases():
     h = Fraction(1, 2)
-    # first-insertion order survives a label that cancels and comes back
-    same_vector(lincomb([("b", 1, h), ("a", 3, 1), ("b", -h, 1), ("c", 2, 2), ("b", 3, h)]),
-                {"b": Fraction(3, 2), "a": 3, "c": 4})
-    # int factors only give an int; one Fraction factor makes the label's sum a Fraction
-    same_vector(lincomb([("a", 2, 3), ("b", 2, Fraction(3))]), {"a": 6, "b": Fraction(6)})
-    # unlike denominators over their lcm, reduced once at the end
-    same_vector(lincomb([("a", Fraction(1, 6), 1), ("a", Fraction(1, 4), 1),
-                         ("a", Fraction(1, 12), Fraction(-5))]), {})
-    same_vector(lincomb([("a", Fraction(1, 6), 1), ("a", Fraction(1, 4), Fraction(2, 3))]),
-                {"a": Fraction(1, 3)})
-    assert lincomb([]) == {}
     zero = TSeries(0, [], 4)
-    same_vector(lincomb([("a", zero, 1), ("b", 1, 1)]), {"b": 1})
+    cases = [
+        # first-insertion order survives a label that cancels and comes back
+        ([("b", 1, h), ("a", 3, 1), ("b", -h, 1), ("c", 2, 2), ("b", 3, h)],
+         {"b": Fraction(3, 2), "a": 3, "c": 4}),
+        # int factors only give an int; one Fraction factor makes the label's
+        # sum a Fraction
+        ([("a", 2, 3), ("b", 2, Fraction(3))], {"a": 6, "b": Fraction(6)}),
+        # unlike denominators over their lcm, reduced once at the end
+        ([("a", Fraction(1, 6), 1), ("a", Fraction(1, 4), 1),
+          ("a", Fraction(1, 12), Fraction(-5))], {}),
+        ([("a", Fraction(1, 6), 1), ("a", Fraction(1, 4), Fraction(2, 3))],
+         {"a": Fraction(1, 3)}),
+        ([], {}),
+        ([("a", zero, 1), ("b", 1, 1)], {"b": 1}),
+    ]
+    for triples, want in cases:
+        same_vector(lincomb(triples), want)
+        same_vector(int_kernel(triples), want, by_type=False)
+
+
+def test_the_reducer_cases():
+    s = TSeries(1, [1, Fraction(1, 3)], 4)
+    # a negative den comes out positive, its sign on the numerators
+    assert _int_reduce({"a": 2, "b": -4}, -6) == ({"a": -1, "b": 2}, 3)
+    assert _int_reduce({"a": 3}, -1) == ({"a": -3}, 1)
+    # an all-zero dict, or an empty one, gives den 1
+    assert _int_reduce({"a": 0, "b": 0}, 6) == ({}, 1)
+    assert _int_reduce({}, -4) == ({}, 1)
+    # a series numerator has no gcd: its dict keeps its den
+    nums, den = _int_reduce({"a": 2, "b": s, "c": 0}, 4)
+    assert (list(nums), nums["a"], nums["b"] is s, den) == (["a", "b"], 2, True, 4)
+    # the dict given is not modified
+    given = {"a": 0, "b": 4, "c": 6}
+    assert _int_reduce(given, 10) == ({"b": 2, "c": 3}, 5)
+    assert given == {"a": 0, "b": 4, "c": 6}
+    # the sum keeps zeros and scales each part to the lcm of the d's
+    assert _int_sum([]) == (1, {})
+    assert _int_sum([(1, 2, [("a", 1), ("b", 3)]), (-3, 6, [("b", 1), ("c", 0)])]) == \
+        (6, {"a": 3, "b": 6, "c": 0})
 
 
 # -- the mode tables behind t and psi ----------------------------------------

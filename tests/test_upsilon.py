@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from toryang import repbase
 from toryang.repbase import (ModuleWrapper, PerturbedModule, RelationSweep, memo_table,
-                             vec, _ladder_instances, _nested)
+                             vec, _ladder_instances, _nested, _t3_terms)
 from toryang.scalars import ScalarDomainError, TSeries, ratfn_expand, series_exp, _over
 from toryang.upsilon import (UpsilonBridge, borel_kernel_identity,
                              borel_log_identity, ch_solver, gprime_series,
@@ -454,7 +455,37 @@ def test_t3_failures_under_the_prefactor_control():
     assert fails[-1] == ("t3", ((1,),), 2, 2)
 
 
-# -- the bridge as a `Module` ----------------------------------------------------
+def test_t3_audit_refuses_an_hmod_above_the_psi_precision(monkeypatch):
+    """psi+-_0/(1 - q3) is known only mod X^(trunc - 2).  At trunc 14 the T3
+    sweep alone passes hmod 13 by dropping 6 zero residual entries known only
+    mod X^12, so `audit_t3` raises there; at hmod 12 it passes and drops no
+    zero known below X^12."""
+    dropped = []
+    inner = repbase._int_reduce
+
+    def counted(nums, den):
+        dropped.extend(n.trunc for n in nums.values() if type(n) is TSeries and not n)
+        return inner(nums, den)
+
+    monkeypatch.setattr(repbase, "_int_reduce", counted)
+    W = range(-1, 2)
+    t3 = [((i, j), _t3_terms(i, j, 1)) for i in W for j in W]
+    for hmod, below in ((13, 6), (12, 0)):
+        br = UpsilonBridge(13, 1, (Fraction(1, 5),), 1, trunc=14)
+        assert br.psi_coeff(((),), +1, 0).trunc == br.psi_coeff(((),), -1, 0).trunc == 12
+        dropped.clear()
+        assert br._sweep("t3", t3, 1, hmod) == []
+        assert sum(t < hmod for t in dropped) == below
+        if below:
+            with pytest.raises(ScalarDomainError, match="hmod 13.*X\\^12"):
+                br.audit_t3(1, 1, hmod)
+        else:
+            dropped.clear()
+            assert br.audit_t3(1, 1, hmod) == []
+            assert dropped and min(dropped) >= hmod
+
+
+# -- the bridge as a `Module`----------------------------------------------------
 
 def row_values(den, entries):
     """[(target, value)] of a compiled row, each value as `_over` reads it."""
